@@ -8,8 +8,9 @@ thread count or chunk evaluation order.
 
 import numpy as np
 
-# Upper bound on cells (trials x agents) materialized per chunk.
-CHUNK_CELLS = 2_000_000
+# Trials per chunk in the survey and utility samplers.  They keep O(1)
+# counts per trial, so a chunk's memory does not grow with the population.
+CHUNK_TRIALS = 1 << 16
 
 
 def check_seed(seed):
@@ -52,11 +53,6 @@ def chunk_sizes(total, size):
         yield index, count
         index += 1
         done += count
-
-
-def trials_per_chunk(n_agents):
-    """Chunk size (in trials) for simulations touching n_agents per trial."""
-    return max(64, CHUNK_CELLS // max(1, int(n_agents)))
 
 
 def fmt17(x):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import chunk_sizes, check_seed, subseed_rng, trials_per_chunk
+from ._util import CHUNK_TRIALS, chunk_sizes, check_seed, subseed_rng
 from .mechanism import Report, payment_pair
 from .privacy import noise_draw
 
@@ -225,21 +225,81 @@ class StrategyProfile:
     def strategy_for(self, i):
         return self.shared if self.shared is not None else self.per_agent[i]
 
+    def groups(self, n):
+        """(strategy, agent count) pairs covering n agents, in first-seen order."""
+        if self.shared is not None:
+            return [(self.shared, n)]
+        if len(self.per_agent) != n:
+            raise ValueError(
+                f"profile covers {len(self.per_agent)} agents, population has {n}"
+            )
+        counts = {}
+        for strategy in self.per_agent:
+            counts[strategy] = counts.get(strategy, 0) + 1
+        return list(counts.items())
+
     def report_arrays(self, bits, costs):
-        """Contributions and participation for a (trials, n) type matrix."""
+        """Contributions and participation for a (trials, n) type matrix.
+
+        The dense reference for `sample_report_counts`; tests use it as an
+        oracle.
+        """
         bits = np.atleast_2d(np.asarray(bits))
         costs = np.atleast_2d(np.asarray(costs))
         if self.shared is not None:
             return strategy_arrays(self.shared, bits, costs)
-        if len(self.per_agent) != bits.shape[1]:
-            raise ValueError(
-                f"profile covers {len(self.per_agent)} agents, population has {bits.shape[1]}"
-            )
+        self.groups(bits.shape[1])  # rejects a size mismatch
         values = np.empty(bits.shape, dtype=np.int8)
         mask = np.empty(bits.shape, dtype=bool)
         for j, strat in enumerate(self.per_agent):
             values[:, j], mask[:, j] = strategy_arrays(strat, bits[:, j], costs[:, j])
         return values, mask
+
+
+# ---------------------------------------------------------------------------
+# Sampling report counts.
+# ---------------------------------------------------------------------------
+
+# Bits of the four type cells: (0, cheap), (0, dear), (1, cheap), (1, dear),
+# where cheap means cost <= the strategy's threshold.
+_CELL_BITS = np.array([0, 0, 1, 1], dtype=np.int8)
+
+
+def sample_report_counts(profile, prior, n, theta, rng):
+    """Per-trial report counts of n agents drawn i.i.d. given theta.
+
+    Each trial's reports depend on the agents only through how many fall in
+    each type cell (bit, cost <= tau or > tau), so no per-agent arrays are
+    built.  Per trial: the ones B ~ Bin(n, theta), the cheap ones
+    Bin(B, F1(tau)) and the cheap zeros Bin(n - B, F0(tau)), where F0/F1 are
+    the prior's cost CDFs.  `strategy_arrays` maps one agent per cell to its
+    report, and the cell counts weight the result.  A per-agent profile is
+    sampled group by group, one group per distinct strategy.  Strategies
+    without a threshold ignore cost; all their agents land in the cheap
+    cells.
+
+    Returns int64 arrays (bit_ones, ones, participants, mismatches) shaped
+    like theta: agents whose bit is 1, one-reports, non-abstainers, and
+    agents whose contribution differs from their bit.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    bit_ones, ones, participants, mismatches = (
+        np.zeros(theta.shape, dtype=np.int64) for _ in range(4)
+    )
+    for strategy, size in profile.groups(n):
+        tau = getattr(strategy, "tau", np.inf)
+        b = rng.binomial(size, theta)
+        cheap1 = rng.binomial(b, float(prior.cost1.cdf(tau)))
+        cheap0 = rng.binomial(size - b, float(prior.cost0.cdf(tau)))
+        cells = np.stack([cheap0, size - b - cheap0, cheap1, b - cheap1], axis=-1)
+        values, mask = strategy_arrays(
+            strategy, _CELL_BITS, np.array([tau, np.inf, tau, np.inf])
+        )
+        bit_ones += b
+        ones += cells @ values.astype(np.int64)
+        participants += cells @ mask.astype(np.int64)
+        mismatches += cells @ (values != _CELL_BITS).astype(np.int64)
+    return bit_ones, ones, participants, mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +331,12 @@ def expected_utility(
 ):
     """Estimate one agent's expected payment and worst-case utility.
 
-    Draws the other n - 1 agents' types from the prior's posterior given
-    the agent's own bit, applies `others` (a StrategyProfile or a single
-    strategy) to them, runs the payment rule against the resulting noisy
-    sum, and averages.  Abstaining earns exactly zero payment, so no
-    sampling happens in that case.  utility_lower_bound subtracts the
+    Per trial, draws theta from the prior's posterior given the agent's own
+    bit, samples the one-reports of the other n - 1 agents under `others`
+    (a StrategyProfile or a single strategy) with `sample_report_counts`,
+    runs the payment rule against the resulting noisy sum, and averages.
+    Memory does not grow with n.  Abstaining earns exactly zero payment, so
+    no sampling happens in that case.  utility_lower_bound subtracts the
     privacy-cost bound from the mean payment.
     """
     if action not in ACTIONS:
@@ -303,16 +364,11 @@ def expected_utility(
     total = 0.0
     total_sq = 0.0
     total_pm = 0.0
-    for chunk, size in chunk_sizes(trials, trials_per_chunk(n - 1)):
+    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
         theta = prior.posterior_theta_sample(agent.bit, rng, size)
-        peer_bits = (rng.random((size, n - 1)) < theta[:, None]).astype(np.int8)
-        u = rng.random((size, n - 1))
-        peer_costs = np.where(
-            peer_bits == 1, prior.cost1.quantile(u), prior.cost0.quantile(u)
-        )
-        values, _ = others.report_arrays(peer_bits, peer_costs)
-        b_bar = values.sum(axis=1) + own_value + noise_draw(config.noise, rng, size)
+        ones = sample_report_counts(others, prior, n - 1, theta, rng)[1]
+        b_bar = ones + own_value + noise_draw(config.noise, rng, size)
         pay_one, pay_zero = payment_pair(config, b_bar)
         pay = pay_one if own_value == 1 else pay_zero
         pm = np.clip((b_bar - own_value) / (n - 1), 0.0, 1.0)

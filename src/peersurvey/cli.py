@@ -411,13 +411,7 @@ def _cmd_accuracy(config, args):
         noise_mode=config.get("noise", "sample"),
     )
 
-    # Re-simulates deterministically to emit the per-trial table.
-    from .equilibrium import simulate_estimates
-
-    records = simulate_estimates(
-        prior, n, NoiseSpec(epsilon=epsilon, mode=config.get("noise", "sample")),
-        profile, trials, derive_seed(seed, 2000),
-    )
+    records = report.records
     rows = [
         (
             t,
@@ -459,7 +453,6 @@ def _cmd_cost_scaling(config, args):
         prior, alpha, delta, ns, trials, seed,
         samples=_get_int(config, "posterior_samples", DEFAULT_POSTERIOR_SAMPLES, minimum=1),
         threshold_trials=_get_int(config, "threshold_trials", 100_000, minimum=1),
-        eta=float(_get_number(config, "eta", 1.0)),
     )
     rows = []
     for row in report.rows:

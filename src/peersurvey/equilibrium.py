@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import check_seed, chunk_sizes, derive_seed, subseed_rng, trials_per_chunk
+from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, derive_seed, subseed_rng
 from .agents import (
     ABSTAIN,
     LIE,
@@ -25,6 +25,7 @@ from .agents import (
     Threshold,
     expected_utility,
     privacy_cost_bound,
+    sample_report_counts,
 )
 from .mechanism import MechanismConfig, payment_pair
 from .priors import (
@@ -133,10 +134,13 @@ class PaymentRecords:
 
 
 def simulate_estimates(prior, n, noise, profile, trials, seed):
-    """Sample populations, apply a strategy profile, run the noisy estimate.
+    """Sample surveys of n agents under a strategy profile; run the noisy estimate.
 
-    Returns TrialRecords; trial t is a pure function of (inputs, seed)
-    regardless of chunking.
+    Per trial: theta from the prior, then the population's type counts and
+    report counts from `sample_report_counts`, then one noise draw on the
+    one-report sum.  No per-agent arrays are built, so memory is O(trials)
+    for any n.  Returns TrialRecords; trial t is a pure function of
+    (inputs, seed) regardless of chunking.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -149,24 +153,20 @@ def simulate_estimates(prior, n, noise, profile, trials, seed):
 
     out = {k: [] for k in ("p_hat", "p_tilde", "b_bar", "ones", "zeros",
                            "participants", "mismatches")}
-    for chunk, size in chunk_sizes(trials, trials_per_chunk(n)):
+    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
         theta = np.atleast_1d(prior.theta_sample(rng, size))
-        bits = (rng.random((size, n)) < theta[:, None]).astype(np.int8)
-        u = rng.random((size, n))
-        costs = np.where(bits == 1, prior.cost1.quantile(u), prior.cost0.quantile(u))
-        values, mask = profile.report_arrays(bits, costs)
-        ones = values.sum(axis=1, dtype=np.int64)
-        participants = mask.sum(axis=1, dtype=np.int64)
-        draw = noise_draw(noise, rng, size)
-        b_bar = ones + draw
-        out["p_hat"].append(bits.mean(axis=1))
+        bit_ones, ones, participants, mismatches = sample_report_counts(
+            profile, prior, n, theta, rng
+        )
+        b_bar = ones + noise_draw(noise, rng, size)
+        out["p_hat"].append(bit_ones / n)
         out["p_tilde"].append(np.clip(b_bar / n, 0.0, 1.0))
         out["b_bar"].append(b_bar)
         out["ones"].append(ones)
         out["zeros"].append(participants - ones)
         out["participants"].append(participants)
-        out["mismatches"].append((values != bits).sum(axis=1, dtype=np.int64))
+        out["mismatches"].append(mismatches)
     return TrialRecords(**{k: np.concatenate(v) for k, v in out.items()})
 
 
@@ -413,6 +413,7 @@ class AccuracyReport:
     delta: float
     verdict: str
     detail: dict = field(default_factory=dict, repr=False)
+    records: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -441,7 +442,8 @@ def accuracy_experiment(
 
     Passing requires success_fraction >= 1 - delta minus a three-sigma
     binomial allowance at sample size `trials`.  alpha_prime defaults to
-    the noise-widened radius ln(2/delta)/(epsilon*n) + alpha.
+    the noise-widened radius ln(2/delta)/(epsilon*n) + alpha.  The report
+    keeps the simulated TrialRecords on `records`, outside to_dict.
     """
     if int(trials) < 100:
         raise ValueError(f"need at least 100 trials for a verdict, got {trials}")
@@ -469,6 +471,7 @@ def accuracy_experiment(
             "pass_floor": 1.0 - delta - allowance,
             "lint": config_lint(alpha, delta, epsilon, n),
         },
+        records=records,
     )
 
 
@@ -543,7 +546,6 @@ def cost_scaling_experiment(
     seed,
     samples=DEFAULT_POSTERIOR_SAMPLES,
     threshold_trials=DEFAULT_THRESHOLD_TRIALS,
-    eta=1.0,
     off=ABSTAIN,
 ):
     """Mean total payment per survey size under the quadratic cost model.

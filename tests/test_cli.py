@@ -299,6 +299,28 @@ class TestAccuracyCommand:
         fraction = sum(int(r[4]) for r in rows) / 400.0
         assert fraction == pytest.approx(payload["success_fraction"])
 
+    def test_simulates_once(self, tmp_path, capsys, monkeypatch):
+        from peersurvey import equilibrium
+
+        calls = []
+        original = equilibrium.simulate_estimates
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "simulate_estimates", counted)
+        config = write_config(tmp_path, {
+            "prior": UNIFORM_PRIOR, "n": 50, "alpha": 0.1, "delta": 0.1,
+            "epsilon": "auto", "trials": 200, "seed": 3,
+            "threshold_trials": 5_000,
+        })
+        out = tmp_path / "acc.csv"
+        assert dispatch(["accuracy", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert len(read_csv(out)) == 201
+
 
 class TestCostScalingCommand:
     def test_happy_path(self, tmp_path, capsys):
