@@ -1,4 +1,4 @@
-"""Deterministic RNG derivation, chunk iteration and float formatting.
+"""Deterministic RNG derivation and chunk iteration.
 
 Every stochastic operation in this package takes an integer seed and derives
 independent generators from (seed, index, ...) tuples.  Work split into chunks
@@ -54,7 +54,3 @@ def chunk_sizes(total, size):
         index += 1
         done += count
 
-
-def fmt17(x):
-    """Decimal formatting with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")

@@ -1,24 +1,33 @@
 """Command-line entry points: JSON config in, JSON report out, CSV records.
 
+Every command reads its config through one `Resolver`, which applies a
+single rule per key.  Every report carries the same `resolved` block:
+epsilon, beta, tau, p0, p1 and seed, null where the command did not use one.
+
 Exit codes: 0 on a Pass verdict or plain completion, 1 on a config or usage
 error (the diagnostic names the offending key), 2 on a Fail verdict, 3 on an
-Inconclusive verdict.
+Inconclusive verdict, 4 on an internal error (a bug; the traceback goes to
+stderr).
 """
 
 import argparse
 import csv
 import json
+import math
 import sys
+import traceback
+from functools import cached_property
 
-from ._util import check_seed, derive_seed, fmt17
-from .agents import ABSTAIN, CostModel, StrategyProfile, Threshold, strategy_from_dict
+import numpy as np
+
+from ._util import check_seed, derive_seed
+from .agents import ABSTAIN, OFF_BEHAVIORS, CostModel, StrategyProfile, strategy_from_dict
 from .equilibrium import (
+    DEFAULT_THRESHOLD_TRIALS,
     INCONCLUSIVE,
-    accuracy_radius,
     accuracy_experiment,
     best_response_audit,
     beta_rule,
-    config_lint,
     cost_scaling_experiment,
     epsilon_rule,
     simulate_survey,
@@ -31,9 +40,19 @@ from .priors import (
     posterior_bit_prob,
     posterior_clamped_mean,
 )
-from .privacy import FAIL, PASS, NoiseSpec, dp_audit
+from .privacy import DEFAULT_TOLERANCE, FAIL, NOISE_MODES, PASS, NoiseSpec, dp_audit
 
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
+
+# The smallest trial count each command's driver accepts; 1 elsewhere.
+_MIN_TRIALS = {"audit-dp": 100_000, "audit-equilibrium": 1_000, "accuracy": 100}
+
+# Commands whose driver estimates p0/p1 itself, out of the resolver's sight.
+_ESTIMATING_DRIVERS = ("audit-equilibrium", "cost-scaling")
+
+_CSV_BLOCK_ROWS = 1 << 13
+
+_DEFAULT_STRATEGY = {"kind": "threshold", "tau": "auto", "off": ABSTAIN}
 
 _REQUIRED = object()
 
@@ -46,189 +65,311 @@ class ConfigError(Exception):
         self.key = key
 
 
-def _get(config, key, default=_REQUIRED):
-    if key in config:
-        return config[key]
-    if default is _REQUIRED:
-        raise ConfigError(key, "is required")
-    return default
+class Resolver:
+    """A command's config, resolved key by key.
 
+    Each key has one rule, applied the first time the key is read and
+    cached: it takes the config value (for seed and out, the flag first),
+    checks its type and range, and raises ConfigError naming the key when
+    the check fails.  Keys that may be "auto" or absent are derived instead,
+    so a pinned tau, beta, p0, p1 or strategy skips its estimation.  Derived
+    values keep fixed seed slots: 1001 for tau and 1002/1003 for p0/p1.
+    """
 
-def _get_number(config, key, default=_REQUIRED, allow_auto=False):
-    value = _get(config, key, default)
-    if value is None and default is None:
-        return None
-    if allow_auto and value == "auto":
-        return "auto"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"must be a number, got {value!r}")
-    return value
+    def __init__(self, config, args):
+        self.command = args.command
+        self._config = config
+        self._args = args
 
+    def _raw(self, key, default=_REQUIRED):
+        if key in self._config:
+            return self._config[key]
+        if default is _REQUIRED:
+            raise ConfigError(key, "is required")
+        return default
 
-def _get_int(config, key, default=_REQUIRED, minimum=None):
-    value = _get(config, key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be at least {minimum}, got {value}")
-    return value
-
-
-def _load_prior(config):
-    raw = _get(config, "prior")
-    try:
-        return PriorSpec.from_dict(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("prior", str(exc)) from exc
-
-
-def _load_cost_model(config):
-    raw = _get(config, "cost_model", {"kind": "linear", "eta": 1.0})
-    try:
-        return CostModel.from_dict(raw)
-    except ValueError as exc:
-        raise ConfigError("cost_model", str(exc)) from exc
-
-
-def _resolve_seed(config, args):
-    if args.seed is not None:
-        return check_seed(args.seed)
-    value = _get(config, "seed")
-    try:
-        return check_seed(value)
-    except ValueError as exc:
-        raise ConfigError("seed", str(exc)) from exc
-
-
-def _resolve_out(config, args):
-    return args.out if args.out is not None else config.get("out")
-
-
-def _resolve_epsilon(config, alpha, delta, n):
-    value = _get_number(config, "epsilon", "auto", allow_auto=True)
-    if value == "auto":
-        if alpha is None or delta is None:
-            raise ConfigError("epsilon", "'auto' needs alpha and delta")
-        return epsilon_rule(alpha, delta, n)
-    return float(value)
-
-
-def _resolve_tau(config, prior, alpha, delta, n, seed):
-    value = _get_number(config, "tau", "auto", allow_auto=True)
-    if value != "auto":
+    def _number(self, key, accept, need, default=_REQUIRED):
+        value = self._raw(key, default)
+        if type(value) not in (int, float) or not math.isfinite(value) or not accept(value):
+            raise ConfigError(key, f"must be {need}, got {value!r}")
         return float(value)
-    trials = _get_int(config, "threshold_trials", 100_000, minimum=1)
-    return cost_threshold_parts(
-        prior, alpha, delta / 2.0, n, trials, derive_seed(seed, 1001)
-    )[0]
+
+    def _integer(self, key, lo, hi=math.inf, default=_REQUIRED):
+        value = self._raw(key, default)
+        if type(value) is not int or not lo <= value < hi:
+            span = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi})"
+            raise ConfigError(key, f"must be an integer {span}, got {value!r}")
+        return value
+
+    def _choice(self, key, options, default):
+        value = self._raw(key, default)
+        if type(value) is not type(default) or value not in options:
+            raise ConfigError(key, f"must be one of {options}, got {value!r}")
+        return value
+
+    def pinned(self, key):
+        """Whether the config fixes a key that would otherwise be "auto"."""
+        return self._raw(key, "auto") != "auto"
+
+    def resolved(self, **used):
+        """The `resolved` block: each key as read (cached_property keeps it in
+        the instance dict), or as `used` gives it when a driver derived it."""
+        return {key: used.get(key, self.__dict__.get(key))
+                for key in ("epsilon", "beta", "tau", "p0", "p1", "seed")}
+
+    @cached_property
+    def n(self):
+        return self._integer("n", 2)
+
+    @cached_property
+    def trials(self):
+        return self._integer("trials", _MIN_TRIALS.get(self.command, 1))
+
+    @cached_property
+    def posterior_samples(self):
+        return self._integer("posterior_samples", 1, default=DEFAULT_POSTERIOR_SAMPLES)
+
+    @cached_property
+    def threshold_trials(self):
+        return self._integer("threshold_trials", 1, default=DEFAULT_THRESHOLD_TRIALS)
+
+    @cached_property
+    def ns(self):
+        ns = self._raw("ns")
+        if not isinstance(ns, list) or len(ns) < 2 or not all(
+                type(n) is int and n >= 2 for n in ns):
+            raise ConfigError("ns", f"must list at least two integers of at least 2, got {ns!r}")
+        for n in ns:
+            epsilon = epsilon_rule(self.alpha, self.delta, n)
+            if epsilon > 1.0:
+                raise ConfigError("ns", f"n={n} gives epsilon={epsilon:.4g} > 1; the quadratic "
+                                        "cost model does not apply")
+        return ns
+
+    @cached_property
+    def seed(self):
+        value = self._args.seed if self._args.seed is not None else self._raw("seed")
+        try:
+            return check_seed(value)
+        except ValueError as exc:
+            raise ConfigError("seed", str(exc)) from exc
+
+    @cached_property
+    def out(self):
+        value = self._args.out if self._args.out is not None else self._raw("out", None)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError("out", f"must be a file path, got {value!r}")
+        return value
+
+    @cached_property
+    def prior(self):
+        raw = self._raw("prior")
+        try:
+            return PriorSpec.from_dict(raw)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("prior", str(exc)) from exc
+
+    @cached_property
+    def cost_model(self):
+        raw = self._raw("cost_model", {"kind": "linear", "eta": 1.0})
+        try:
+            model = CostModel.from_dict(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError("cost_model", str(exc)) from exc
+        if model.kind == "chen" and self.epsilon > 1.0:
+            raise ConfigError("epsilon", f"the quadratic (chen) cost model needs "
+                                         f"epsilon <= 1, got {self.epsilon}")
+        return model
+
+    @cached_property
+    def strategy(self):
+        raw = self._raw("strategy", _DEFAULT_STRATEGY)
+        if isinstance(raw, dict) and raw.get("kind") == "threshold" and raw.get("tau") == "auto":
+            raw = dict(raw, tau=self.tau)
+        try:
+            return strategy_from_dict(raw)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("strategy", str(exc)) from exc
+
+    @cached_property
+    def off(self):
+        return self._choice("off", OFF_BEHAVIORS, ABSTAIN)
+
+    @cached_property
+    def alpha(self):
+        alpha = self._number("alpha", lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+        if self.command in _ESTIMATING_DRIVERS:
+            # The driver estimates p0/p1 itself; noise and clamping only shrink
+            # the noiseless gap, so this necessary condition can be checked now.
+            _check_gap(alpha, posterior_bit_prob(self.prior, 0), posterior_bit_prob(self.prior, 1))
+        return alpha
+
+    @cached_property
+    def delta(self):
+        return self._number("delta", lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+
+    @cached_property
+    def epsilon(self):
+        if self.pinned("epsilon"):
+            return self._number("epsilon", lambda v: v > 0.0, "a positive number or 'auto'")
+        if "alpha" not in self._config or "delta" not in self._config:
+            raise ConfigError("epsilon", "'auto' needs alpha and delta")
+        return epsilon_rule(self.alpha, self.delta, self.n)
+
+    @cached_property
+    def tau_parts(self):
+        """(tau, tau_group, tau_marginal), sized with delta / 2; always estimated."""
+        return cost_threshold_parts(self.prior, self.alpha, self.delta / 2.0, self.n,
+                                    self.threshold_trials, derive_seed(self.seed, 1001))
+
+    @cached_property
+    def tau(self):
+        if self.pinned("tau"):
+            return self._number("tau", lambda v: v >= 0.0, "a nonnegative number or 'auto'")
+        return self.tau_parts[0]
+
+    @cached_property
+    def beta(self):
+        if self.pinned("beta"):
+            return self._number("beta", lambda v: v > 0.0, "a positive number or 'auto'")
+        if not self.tau > 0.0:
+            raise ConfigError("tau", f"must be positive to derive beta, got {self.tau}")
+        return beta_rule(self.cost_model.kind, self.epsilon, self.tau)
+
+    def clamped_mean(self, bit):
+        """Monte Carlo E[clamped leave-one-out estimate | own bit]; always estimated."""
+        return posterior_clamped_mean(self.prior, bit, self.n, self.epsilon,
+                                      self.posterior_samples, derive_seed(self.seed, 1002 + bit))
+
+    def _prediction(self, bit):
+        if self._config.get(f"p{bit}") is None:
+            return self.clamped_mean(bit)
+        return self._number(f"p{bit}", lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+    @cached_property
+    def p0(self):
+        return self._prediction(0)
+
+    @cached_property
+    def p1(self):
+        return self._prediction(1)
+
+    @cached_property
+    def noise(self):
+        return self._choice("noise", NOISE_MODES, "sample")
+
+    @cached_property
+    def clamp_payments(self):
+        return self._choice("clamp_payments", (False, True), False)
+
+    @cached_property
+    def mechanism(self):
+        _check_gap(self.alpha, self.p0, self.p1)
+        return MechanismConfig(n=self.n, alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
+                               p0=self.p0, p1=self.p1, clamp_payments=self.clamp_payments,
+                               noise_mode=self.noise)
+
+    @cached_property
+    def alpha_prime(self):
+        if self._raw("alpha_prime", None) is None:
+            return None
+        return self._number("alpha_prime", lambda v: v > 0.0, "a positive number")
+
+    @cached_property
+    def ones(self):
+        return self._integer("ones", 0, self.n + 1)
+
+    @cached_property
+    def flip_index(self):
+        return self._integer("flip_index", 0, self.n, default=0)
+
+    @cached_property
+    def flipped_bit(self):
+        other = int(self.flip_index >= self.ones)  # reports hold `ones` ones, then zeros
+        return self._choice("flipped_bit", (other,), other)
+
+    @cached_property
+    def observable(self):
+        return self._choice("observable", ("estimate", "payment"), "estimate")
+
+    @cached_property
+    def payment_index(self):
+        j = self._integer("payment_index", 0, self.n)
+        if j == self.flip_index:
+            raise ConfigError("payment_index", "must differ from flip_index")
+        return j
+
+    @cached_property
+    def bins(self):
+        return self._integer("bins", 2, default=20)
+
+    @cached_property
+    def tolerance(self):
+        return self._number("tolerance", lambda v: v >= 0.0, "a nonnegative number",
+                            default=DEFAULT_TOLERANCE)
 
 
-def _resolve_posteriors(config, prior, n, epsilon, seed):
-    samples = _get_int(config, "posterior_samples", DEFAULT_POSTERIOR_SAMPLES, minimum=1)
-    p0 = config.get("p0")
-    p1 = config.get("p1")
-    if p0 is None:
-        p0 = posterior_clamped_mean(prior, 0, n, epsilon, samples, derive_seed(seed, 1002))
-    if p1 is None:
-        p1 = posterior_clamped_mean(prior, 1, n, epsilon, samples, derive_seed(seed, 1003))
-    return float(p0), float(p1)
+def _check_gap(alpha, p0, p1):
+    """The scoring rule needs alpha < |p1 - p0| / 2 (see scoring_params)."""
+    if not alpha < abs(p1 - p0) / 2.0:
+        raise ConfigError("alpha", f"must be below |p1 - p0| / 2 = {abs(p1 - p0) / 2.0}, "
+                                   f"got {alpha}")
 
 
-def _resolve_strategy(config, tau):
-    raw = _get(config, "strategy", {"kind": "threshold", "tau": "auto", "off": ABSTAIN})
-    if isinstance(raw, dict) and raw.get("kind") == "threshold" and raw.get("tau") == "auto":
-        if tau is None:
-            raise ConfigError("strategy", "tau 'auto' needs alpha and delta to derive tau")
-        raw = dict(raw, tau=tau)
-    try:
-        return strategy_from_dict(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("strategy", str(exc)) from exc
+def _cells(values):
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, columns):
+    """Write equal-length named columns as CSV rows; nothing when path is None.
+
+    Floats keep 17 significant digits ('%.17g'), so they round-trip exactly;
+    every other value is written with str().  Rows are formatted a block at
+    a time, so memory does not grow with the row count.
+    """
     if path is None:
         return
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write '{path}': {exc}") from exc
+    rows = len(next(iter(columns.values())))
+    with fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                fmt17(v) if isinstance(v, float) else str(v) for v in row
-            ])
+        writer.writerow(columns)
+        for lo in range(0, rows, _CSV_BLOCK_ROWS):
+            block = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns.values()]
+            writer.writerows(zip(*block))
 
 
-def _emit(payload):
-    print(json.dumps(payload, indent=2))
+def _emit(r, body, **used):
+    print(json.dumps({"command": r.command, "resolved": r.resolved(**used), **body}, indent=2))
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns the process exit code.
+# Command handlers.  Each takes a Resolver and returns the process exit code.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_run(config, args):
-    prior = _load_prior(config)
-    n = _get_int(config, "n", minimum=2)
-    trials = _get_int(config, "trials", minimum=1)
-    alpha = _get_number(config, "alpha", None)
-    delta = _get_number(config, "delta", None)
-    seed = _resolve_seed(config, args)
-    epsilon = _resolve_epsilon(config, alpha, delta, n)
-
-    needs_tau = config.get("beta", "auto") == "auto" or (
-        isinstance(config.get("strategy"), dict)
-        and config["strategy"].get("tau") == "auto"
-    ) or "strategy" not in config
-    tau = None
-    if needs_tau:
-        if alpha is None or delta is None:
-            raise ConfigError("tau", "deriving tau needs alpha and delta")
-        tau = _resolve_tau(config, prior, alpha, delta, n, seed)
-
-    beta = _get_number(config, "beta", "auto", allow_auto=True)
-    if beta == "auto":
-        model = _load_cost_model(config)
-        beta = beta_rule(model.kind, epsilon, tau)
-    p0, p1 = _resolve_posteriors(config, prior, n, epsilon, seed)
-    mech_config = MechanismConfig(
-        n=n,
-        alpha=float(_get_number(config, "alpha")),
-        beta=float(beta),
-        epsilon=epsilon,
-        p0=p0,
-        p1=p1,
-        clamp_payments=bool(config.get("clamp_payments", False)),
-        noise_mode=config.get("noise", "sample"),
-    )
-    profile = StrategyProfile.symmetric(_resolve_strategy(config, tau))
-    recs = simulate_survey(prior, mech_config, profile, trials, derive_seed(seed, 2000))
-
+def _cmd_run(r):
+    profile = StrategyProfile.symmetric(r.strategy)
+    recs = simulate_survey(r.prior, r.mechanism, profile, r.trials, derive_seed(r.seed, 2000))
     base = recs.base
-    rows = [
-        (
-            t,
-            float(base.p_hat[t]),
-            float(base.p_tilde[t]),
-            float(abs(base.p_hat[t] - base.p_tilde[t])),
-            float(recs.total_payment[t]),
-            float(recs.min_payment[t]),
-            float(recs.max_payment[t]),
-            int(base.participants[t]),
-        )
-        for t in range(base.trials)
-    ]
-    _write_csv(
-        _resolve_out(config, args),
-        ("trial", "p_hat", "p_tilde", "abs_error", "total_payment",
-         "min_payment", "max_payment", "participants"),
-        rows,
-    )
-    _emit({
-        "command": "run",
-        "resolved": _resolved(epsilon, beta, tau, p0, p1, seed, args),
-        "trials": trials,
-        "n": n,
+    write_csv(r.out, {
+        "trial": np.arange(base.trials),
+        "p_hat": base.p_hat,
+        "p_tilde": base.p_tilde,
+        "abs_error": base.abs_error,
+        "total_payment": recs.total_payment,
+        "min_payment": recs.min_payment,
+        "max_payment": recs.max_payment,
+        "participants": base.participants,
+    })
+    _emit(r, {
+        "trials": r.trials,
+        "n": r.n,
         "mean_abs_error": float(base.abs_error.mean()),
         "mean_total_payment": float(recs.total_payment.mean()),
         "min_payment": float(recs.min_payment.min()),
@@ -238,254 +379,113 @@ def _cmd_run(config, args):
     return 0
 
 
-def _cmd_posterior(config, args):
-    prior = _load_prior(config)
-    n = _get_int(config, "n", minimum=2)
-    alpha = _get_number(config, "alpha", None)
-    delta = _get_number(config, "delta", None)
-    seed = _resolve_seed(config, args)
-    epsilon = _resolve_epsilon(config, alpha, delta, n)
-    samples = _get_int(config, "posterior_samples", DEFAULT_POSTERIOR_SAMPLES, minimum=1)
-
-    closed = {
-        "p0": posterior_bit_prob(prior, 0),
-        "p1": posterior_bit_prob(prior, 1),
-    }
-    clamped = {
-        "p0": posterior_clamped_mean(prior, 0, n, epsilon, samples, derive_seed(seed, 1002)),
-        "p1": posterior_clamped_mean(prior, 1, n, epsilon, samples, derive_seed(seed, 1003)),
-    }
-    gap = max(abs(closed["p0"] - clamped["p0"]), abs(closed["p1"] - clamped["p1"]))
-    _emit({
-        "command": "posterior",
-        "resolved": _resolved(epsilon, None, None, clamped["p0"], clamped["p1"], seed, args),
-        "n": n,
-        "posterior_samples": samples,
+def _cmd_posterior(r):
+    closed = {f"p{bit}": posterior_bit_prob(r.prior, bit) for bit in (0, 1)}
+    clamped = {f"p{bit}": r.clamped_mean(bit) for bit in (0, 1)}
+    gap = max(abs(closed[key] - clamped[key]) for key in ("p0", "p1"))
+    _emit(r, {
+        "n": r.n,
+        "posterior_samples": r.posterior_samples,
         "closed_form": closed,
         "clamped_mean": clamped,
         "max_abs_gap": gap,
-    })
+    }, **clamped)
     return 0
 
 
-def _cmd_threshold(config, args):
-    prior = _load_prior(config)
-    n = _get_int(config, "n", minimum=2)
-    alpha = float(_get_number(config, "alpha"))
-    delta = float(_get_number(config, "delta"))
-    trials = _get_int(config, "threshold_trials", 100_000, minimum=1)
-    seed = _resolve_seed(config, args)
-    tau, tau_group, tau_marginal = cost_threshold_parts(
-        prior, alpha, delta, n, trials, derive_seed(seed, 1001)
-    )
-    _emit({
-        "command": "threshold",
-        "resolved": _resolved(None, None, tau, None, None, seed, args),
-        "n": n,
-        "alpha": alpha,
-        "delta": delta,
+def _cmd_threshold(r):
+    tau, tau_group, tau_marginal = r.tau_parts
+    _emit(r, {
+        "n": r.n,
+        "alpha": r.alpha,
+        "delta": r.delta,
         "tau": tau,
         "tau_group": tau_group,
         "tau_marginal": tau_marginal,
-    })
+    }, tau=tau)
     return 0
 
 
-def _cmd_audit_dp(config, args):
-    n = _get_int(config, "n", minimum=2)
-    ones = _get_int(config, "ones", minimum=0)
-    if ones > n:
-        raise ConfigError("ones", f"must not exceed n={n}")
-    epsilon = float(_get_number(config, "epsilon"))
-    trials = _get_int(config, "trials", minimum=1)
-    bins = _get_int(config, "bins", 20, minimum=2)
-    tolerance = float(_get_number(config, "tolerance", 0.05))
-    seed = _resolve_seed(config, args)
-    noise = NoiseSpec(epsilon=epsilon, mode=config.get("noise", "sample"))
-
-    reports = [1] * ones + [0] * (n - ones)
-    i = _get_int(config, "flip_index", 0, minimum=0)
-    if i >= n:
-        raise ConfigError("flip_index", f"must lie in [0, {n})")
-    flipped = _get_int(config, "flipped_bit", 1 - reports[i])
-    if flipped not in (0, 1):
-        raise ConfigError("flipped_bit", "must be 0 or 1")
-
-    observable = config.get("observable", "estimate")
-    if observable == "estimate":
-        mech = estimate_observable(n, noise)
-    elif observable == "payment":
-        j = _get_int(config, "payment_index", minimum=0)
-        if j == i:
-            raise ConfigError("payment_index", "must differ from flip_index")
-        mech_config = MechanismConfig(
-            n=n,
-            alpha=float(_get_number(config, "alpha")),
-            beta=float(_get_number(config, "beta")),
-            epsilon=epsilon,
-            p0=float(_get_number(config, "p0")),
-            p1=float(_get_number(config, "p1")),
-            noise_mode=config.get("noise", "sample"),
-        )
-        mech = payment_observable(mech_config, j)
+def _cmd_audit_dp(r):
+    if r.observable == "estimate":
+        mech = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon, mode=r.noise))
     else:
-        raise ConfigError("observable", "must be 'estimate' or 'payment'")
-
+        mech = payment_observable(r.mechanism, r.payment_index)
+    reports = [1] * r.ones + [0] * (r.n - r.ones)
     report = dp_audit(
-        mech, reports, i, flipped, epsilon, trials, bins,
-        derive_seed(seed, 3000), tolerance,
+        mech, reports, r.flip_index, r.flipped_bit, r.epsilon, r.trials, r.bins,
+        derive_seed(r.seed, 3000), r.tolerance,
     )
-    _write_csv(
-        _resolve_out(config, args),
-        ("bin_lo", "bin_hi", "count_base", "count_flipped", "retained", "log_ratio"),
-        [(lo, hi, int(a), int(b), int(r), lr) for lo, hi, a, b, r, lr in report.bin_table],
-    )
-    payload = {"command": "audit-dp",
-               "resolved": _resolved(epsilon, None, None, None, None, seed, args)}
-    payload.update(report.to_dict())
-    _emit(payload)
+    lo, hi, base, flipped, retained, log_ratio = zip(*report.bin_table)
+    write_csv(r.out, {
+        "bin_lo": lo,
+        "bin_hi": hi,
+        "count_base": np.array(base, dtype=np.int64),
+        "count_flipped": np.array(flipped, dtype=np.int64),
+        "retained": np.array(retained, dtype=np.int64),
+        "log_ratio": log_ratio,
+    })
+    _emit(r, report.to_dict())
     return EXIT_BY_VERDICT[report.verdict]
 
 
-def _cmd_audit_equilibrium(config, args):
-    prior = _load_prior(config)
-    n = _get_int(config, "n", minimum=2)
-    alpha = float(_get_number(config, "alpha"))
-    delta = float(_get_number(config, "delta"))
-    trials = _get_int(config, "trials", minimum=1000)
-    seed = _resolve_seed(config, args)
-    epsilon = _resolve_epsilon(config, alpha, delta, n)
-    model = _load_cost_model(config)
-    beta = _get_number(config, "beta", "auto", allow_auto=True)
-
+def _cmd_audit_equilibrium(r):
     report = best_response_audit(
-        prior, n, alpha, delta, epsilon, model, trials, seed,
-        samples=_get_int(config, "posterior_samples", DEFAULT_POSTERIOR_SAMPLES, minimum=1),
-        threshold_trials=_get_int(config, "threshold_trials", 100_000, minimum=1),
-        beta_override=None if beta == "auto" else float(beta),
-        off=config.get("off", ABSTAIN),
+        r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
+        samples=r.posterior_samples,
+        threshold_trials=r.threshold_trials,
+        beta_override=r.beta if r.pinned("beta") else None,
+        off=r.off,
     )
-    rows = []
-    for bit, actions in report.per_bit.items():
-        for action, stats in actions.items():
-            rows.append((
-                int(bit), action,
-                float(stats["mean_payment"]),
-                float(stats["ci_halfwidth"]),
-                float(stats["utility_lower_bound"]),
-            ))
-    _write_csv(
-        _resolve_out(config, args),
-        ("bit", "action", "mean_payment", "ci_halfwidth", "utility_lower_bound"),
-        rows,
-    )
-    payload = {
-        "command": "audit-equilibrium",
-        "resolved": _resolved(epsilon, report.beta, report.tau, report.p0,
-                              report.p1, seed, args),
-    }
-    payload.update(report.to_dict())
-    _emit(payload)
+    keys = ("mean_payment", "ci_halfwidth", "utility_lower_bound")
+    rows = [(int(bit), action, *(stats[key] for key in keys))
+            for bit, actions in report.per_bit.items() for action, stats in actions.items()]
+    write_csv(r.out, dict(zip(("bit", "action") + keys, zip(*rows))))
+    _emit(r, report.to_dict(), beta=report.beta, tau=report.tau, p0=report.p0, p1=report.p1)
     return EXIT_BY_VERDICT[report.overall]
 
 
-def _cmd_accuracy(config, args):
-    prior = _load_prior(config)
-    n = _get_int(config, "n", minimum=2)
-    alpha = float(_get_number(config, "alpha"))
-    delta = float(_get_number(config, "delta"))
-    trials = _get_int(config, "trials", minimum=1)
-    seed = _resolve_seed(config, args)
-    epsilon = _resolve_epsilon(config, alpha, delta, n)
-
-    strategy_raw = config.get("strategy", {"kind": "threshold", "tau": "auto", "off": ABSTAIN})
-    tau = None
-    if isinstance(strategy_raw, dict) and strategy_raw.get("tau") == "auto":
-        tau = _resolve_tau(config, prior, alpha, delta, n, seed)
-    profile = StrategyProfile.symmetric(_resolve_strategy(config, tau))
-
-    alpha_prime = config.get("alpha_prime")
+def _cmd_accuracy(r):
     report = accuracy_experiment(
-        prior, n, alpha, delta, epsilon, profile, trials, derive_seed(seed, 2000),
-        alpha_prime=alpha_prime,
-        noise_mode=config.get("noise", "sample"),
+        r.prior, r.n, r.alpha, r.delta, r.epsilon, StrategyProfile.symmetric(r.strategy),
+        r.trials, derive_seed(r.seed, 2000),
+        alpha_prime=r.alpha_prime,
+        noise_mode=r.noise,
     )
-
     records = report.records
-    rows = [
-        (
-            t,
-            float(records.p_hat[t]),
-            float(records.p_tilde[t]),
-            float(abs(records.p_hat[t] - records.p_tilde[t])),
-            int(abs(records.p_hat[t] - records.p_tilde[t]) <= report.alpha_prime),
-            int(records.participants[t]),
-            int(records.mismatches[t]),
-        )
-        for t in range(records.trials)
-    ]
-    _write_csv(
-        _resolve_out(config, args),
-        ("trial", "p_hat", "p_tilde", "abs_error", "within_alpha_prime",
-         "participants", "mismatches"),
-        rows,
-    )
-    payload = {
-        "command": "accuracy",
-        "resolved": _resolved(epsilon, None, tau, None, None, seed, args),
-    }
-    payload.update(report.to_dict())
-    _emit(payload)
+    write_csv(r.out, {
+        "trial": np.arange(records.trials),
+        "p_hat": records.p_hat,
+        "p_tilde": records.p_tilde,
+        "abs_error": records.abs_error,
+        "within_alpha_prime": (records.abs_error <= report.alpha_prime).astype(np.int64),
+        "participants": records.participants,
+        "mismatches": records.mismatches,
+    })
+    _emit(r, report.to_dict())
     return EXIT_BY_VERDICT[report.verdict]
 
 
-def _cmd_cost_scaling(config, args):
-    prior = _load_prior(config)
-    ns = _get(config, "ns")
-    if not isinstance(ns, (list, tuple)) or len(ns) < 2:
-        raise ConfigError("ns", "must be a list of at least two population sizes")
-    alpha = float(_get_number(config, "alpha"))
-    delta = float(_get_number(config, "delta"))
-    trials = _get_int(config, "trials", minimum=1)
-    seed = _resolve_seed(config, args)
-
+def _cmd_cost_scaling(r):
     report = cost_scaling_experiment(
-        prior, alpha, delta, ns, trials, seed,
-        samples=_get_int(config, "posterior_samples", DEFAULT_POSTERIOR_SAMPLES, minimum=1),
-        threshold_trials=_get_int(config, "threshold_trials", 100_000, minimum=1),
+        r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed,
+        samples=r.posterior_samples,
+        threshold_trials=r.threshold_trials,
     )
-    rows = []
-    for row in report.rows:
-        for t in range(row.records.base.trials):
-            rows.append((
-                row.n, t,
-                float(row.records.total_payment[t]),
-                float(row.records.base.p_hat[t]),
-                float(row.records.base.p_tilde[t]),
-                int(row.records.base.participants[t]),
-            ))
-    _write_csv(
-        _resolve_out(config, args),
-        ("n", "trial", "total_payment", "p_hat", "p_tilde", "participants"),
-        rows,
-    )
-    payload = {"command": "cost-scaling",
-               "resolved": {"seed": seed, "threads": args.threads}}
-    payload.update(report.to_dict())
-    _emit(payload)
-    return 0
-
-
-def _resolved(epsilon, beta, tau, p0, p1, seed, args):
-    return {
-        "epsilon": epsilon,
-        "beta": beta,
-        "tau": tau,
-        "p0": p0,
-        "p1": p1,
-        "seed": seed,
-        "threads": args.threads,
-    }
+    parts = [
+        {
+            "n": np.full(row.records.base.trials, row.n),
+            "trial": np.arange(row.records.base.trials),
+            "total_payment": row.records.total_payment,
+            "p_hat": row.records.base.p_hat,
+            "p_tilde": row.records.base.p_tilde,
+            "participants": row.records.base.participants,
+        }
+        for row in report.rows
+    ]
+    write_csv(r.out, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
+    _emit(r, report.to_dict())
+    return EXIT_BY_VERDICT[report.verdict]
 
 
 _HANDLERS = {
@@ -512,8 +512,6 @@ def _build_parser():
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the CSV output path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results never depend on it")
     return parser
 
 
@@ -524,9 +522,6 @@ def dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if args.threads is not None and args.threads < 1:
-        print("config error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -540,13 +535,14 @@ def dispatch(argv):
         print("config error: top level must be a JSON object", file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[args.command](config, args)
+        return _HANDLERS[args.command](Resolver(config, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except Exception:  # the boundary: anything else is a bug, not a config mistake
+        print("internal error: not caused by the config; please report it", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 def main():

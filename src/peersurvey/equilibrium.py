@@ -517,19 +517,32 @@ class CostRow:
 
 @dataclass(frozen=True)
 class CostScalingReport:
-    rows: tuple
-    slope: float
+    """Cost rows per survey size, with a verdict and a log-log slope.
 
-    def __post_init__(self):
-        for row in self.rows:
-            if not row.total_payment_mean >= 0.0:
-                raise ValueError(
-                    f"negative mean total payment at n={row.n}; "
-                    "equilibrium play should never produce one"
-                )
+    Payments may be negative by design, but equilibrium play should never
+    make the mean total negative: a negative or non-finite mean is a Fail.
+    The slope of log(mean) on log(n) exists only when every mean is
+    positive and finite; otherwise it is None.
+    """
+
+    rows: tuple
+
+    @property
+    def verdict(self):
+        means = [row.total_payment_mean for row in self.rows]
+        return PASS if all(math.isfinite(m) and m >= 0.0 for m in means) else FAIL
+
+    @property
+    def slope(self):
+        if not all(0.0 < row.total_payment_mean < math.inf for row in self.rows):
+            return None
+        log_n = np.log([r.n for r in self.rows])
+        log_mean = np.log([r.total_payment_mean for r in self.rows])
+        return float(np.polyfit(log_n, log_mean, 1)[0])
 
     def to_dict(self):
-        return {"rows": [r.to_dict() for r in self.rows], "slope": self.slope}
+        return {"rows": [r.to_dict() for r in self.rows], "slope": self.slope,
+                "verdict": self.verdict}
 
 
 def total_payment_bound(params, n):
@@ -553,7 +566,7 @@ def cost_scaling_experiment(
     For each n: epsilon follows epsilon_rule, beta the quadratic premium
     rule, and everyone plays the threshold strategy.  Any n that drives
     epsilon above 1 is rejected, because the quadratic bound is invalid
-    there.  The fitted log-log slope should approach -1.
+    there.  The report's log-log slope should approach -1.
     """
     ns = [int(n) for n in ns]
     if len(ns) < 2:
@@ -602,7 +615,4 @@ def cost_scaling_experiment(
             records=recs,
         ))
 
-    log_n = np.log([r.n for r in rows])
-    log_mean = np.log([r.total_payment_mean for r in rows])
-    slope = float(np.polyfit(log_n, log_mean, 1)[0])
-    return CostScalingReport(rows=tuple(rows), slope=slope)
+    return CostScalingReport(rows=tuple(rows))

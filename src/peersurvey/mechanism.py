@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._util import as_generator
-from .privacy import NoiseSpec, clamp_estimates, noise_draw
+from .privacy import NoiseSpec, noise_draw
 from .scoring import scaled_score, scoring_params
 
 
@@ -94,7 +94,8 @@ def run(config, reports, rng):
     """Execute one survey round; bit-reproducible given (config, reports, seed).
 
     The only randomness consumed is the single Laplace draw (none when the
-    noise mode is disabled).
+    noise mode is disabled).  Participants are paid by `payment_pair`
+    according to their contribution; abstainers get exactly zero.
     """
     if len(reports) != config.n:
         raise ValueError(f"expected {config.n} reports, got {len(reports)}")
@@ -105,16 +106,10 @@ def run(config, reports, rng):
     draw = noise_draw(config.noise, as_generator(rng))
     b_bar = float(bhat_sum + draw)
 
-    p_tilde, p_minus = clamp_estimates(b_bar, values, config.n)
-    target = np.where(values == 1, config.p1, config.p0)
-    payments = scaled_score(config.scoring, p_minus, target)
-    if config.clamp_payments:
-        payments = np.maximum(payments, 0.0)
-    payments = np.where(mask, payments, 0.0)
-
+    pay_one, pay_zero = payment_pair(config, b_bar)
     return MechanismOutcome(
-        estimate=float(p_tilde),
-        payments=payments,
+        estimate=float(np.clip(b_bar / config.n, 0.0, 1.0)),
+        payments=np.where(mask, np.where(values == 1, pay_one, pay_zero), 0.0),
         b_bar=b_bar,
         noise_draw=float(draw),
     )
@@ -140,7 +135,8 @@ def payment_pair(config, b_bar):
 
     Payments depend on an agent's report only through its contribution, so a
     run has at most two distinct participant payments.  Vectorized over
-    b_bar; used by the batched simulation drivers and by locality tests.
+    b_bar; `run`, the batched simulation drivers and the utility estimator
+    all pay through it.
     """
     b_bar = np.asarray(b_bar, dtype=np.float64)
     pm_one = np.clip((b_bar - 1.0) / (config.n - 1), 0.0, 1.0)

@@ -19,7 +19,7 @@ from scipy.stats import binom
 from ._util import as_generator, check_seed, chunk_sizes, subseed_rng
 from .privacy import NoiseSpec, noise_draw
 
-FAMILIES = ("conditional_iid", "independent_bits")
+FAMILIES = ("conditional_iid",)
 
 DEFAULT_POSTERIOR_SAMPLES = 1_000_000
 
@@ -243,10 +243,10 @@ def _mixing_from_dict(d):
 class PriorSpec:
     """Joint prior over agent types (bit, cost).
 
-    family "conditional_iid" draws theta from the mixing distribution once
-    per population; "independent_bits" fixes theta to a constant (a
-    degenerate case kept for negative tests).  Costs are drawn independently
-    per agent from cost0 or cost1 according to the agent's bit.
+    family "conditional_iid", the only one, draws theta from the mixing
+    distribution once per population; point mixing fixes it to a constant.
+    Costs are drawn independently per agent from cost0 or cost1 according
+    to the agent's bit.
     """
 
     family: str
@@ -257,8 +257,6 @@ class PriorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.family == "independent_bits" and not isinstance(self.mixing, PointMixing):
-            raise ValueError("independent_bits requires point mixing")
 
     # -- serialization ------------------------------------------------------
 

@@ -82,36 +82,6 @@ def noise_draw(noise, rng, size=None):
     return laplace_sample(noise.scale, rng, size)
 
 
-def clamp_estimates(b_bar, own_report_bit, n):
-    """Clamp the noisy sum into the population and leave-one-out estimates."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    b_bar = np.asarray(b_bar, dtype=np.float64)
-    p_tilde = np.clip(b_bar / n, 0.0, 1.0)
-    p_minus = np.clip((b_bar - np.asarray(own_report_bit)) / (n - 1), 0.0, 1.0)
-    if p_tilde.ndim == 0:
-        p_tilde = float(p_tilde)
-    if p_minus.ndim == 0:
-        p_minus = float(p_minus)
-    return p_tilde, p_minus
-
-
-def perturb_and_clamp(bhat_sum, own_report_bit, n, noise, rng):
-    """Perturb the report sum with one shared draw and clamp the estimates.
-
-    Returns (p_tilde, p_tilde_minus_i, b_bar).  The same b_bar must be used
-    for every agent in a run; callers subtract their own contribution only.
-    """
-    if not 0 <= bhat_sum <= n:
-        raise ValueError(f"bhat_sum must lie in [0, n], got {bhat_sum}")
-    if own_report_bit not in (0, 1):
-        raise ValueError(f"own_report_bit must be 0 or 1, got {own_report_bit}")
-    draw = noise_draw(noise, as_generator(rng))
-    b_bar = bhat_sum + draw
-    p_tilde, p_minus = clamp_estimates(b_bar, own_report_bit, n)
-    return p_tilde, p_minus, b_bar
-
-
 def max_log_count_ratio(counts_a, counts_b, min_expected=DEFAULT_BIN_FLOOR):
     """Largest |log(count_a / count_b)| over bins with enough pooled mass.
 

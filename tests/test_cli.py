@@ -1,9 +1,13 @@
 import csv
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
-from peersurvey.cli import EXIT_BY_VERDICT, ConfigError, dispatch
+from peersurvey import cli
+from peersurvey.cli import EXIT_BY_VERDICT, ConfigError, dispatch, write_csv
 
 UNIFORM_PRIOR = {
     "family": "conditional_iid",
@@ -36,6 +40,25 @@ def run_config(tmp_path, **overrides):
     return payload
 
 
+# One cheap, valid config per command.
+BASE_CONFIGS = {
+    "run": run_config(None),
+    "posterior": {"prior": UNIFORM_PRIOR, "n": 50, "epsilon": 0.5, "seed": 4,
+                  "posterior_samples": 5_000},
+    "threshold": {"prior": UNIFORM_PRIOR, "n": 60, "alpha": 0.1, "delta": 0.1,
+                  "threshold_trials": 5_000, "seed": 3},
+    "audit-dp": {"n": 10, "ones": 5, "epsilon": 0.5, "trials": 100_000, "seed": 7},
+    "audit-equilibrium": {"prior": UNIFORM_PRIOR, "n": 60, "alpha": 0.1, "delta": 0.1,
+                          "trials": 1_000, "seed": 3, "threshold_trials": 5_000,
+                          "posterior_samples": 5_000},
+    "accuracy": {"prior": UNIFORM_PRIOR, "n": 60, "alpha": 0.1, "delta": 0.1,
+                 "trials": 100, "seed": 11, "threshold_trials": 5_000},
+    "cost-scaling": {"prior": UNIFORM_PRIOR, "alpha": 0.1, "delta": 0.1,
+                     "ns": [100, 200], "trials": 20, "seed": 2,
+                     "threshold_trials": 5_000, "posterior_samples": 5_000},
+}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -66,15 +89,110 @@ class TestDispatchBasics:
         assert dispatch(["run", "--config", str(path)]) == 1
         assert "JSON object" in capsys.readouterr().err
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
-        config = write_config(tmp_path, run_config(tmp_path))
-        assert dispatch(["run", "--config", config, "--threads", "0"]) == 1
-        assert "--threads" in capsys.readouterr().err
-
     def test_config_error_is_prefixed_and_keyed(self):
         err = ConfigError("alpha", "must be a number")
         assert err.key == "alpha"
         assert "alpha" in str(err)
+
+
+class TestResolver:
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "alpha", 0.4),  # not below |p1 - p0| / 2
+        ("run", "alpha", 1.5),
+        ("run", "delta", 0.0),
+        ("run", "epsilon", -1),
+        ("run", "beta", -1),
+        ("run", "tau", -1),
+        ("run", "noise", "loud"),
+        ("run", "p0", 1.5),
+        ("run", "seed", -1),
+        ("run", "clamp_payments", "yes"),
+        ("run", "out", 5),
+        ("audit-equilibrium", "off", "sideways"),
+        ("audit-equilibrium", "alpha", 0.4),  # the driver's p0/p1 gap is at most 1/3
+        ("accuracy", "trials", 50),
+        ("accuracy", "alpha_prime", "wide"),
+        ("audit-dp", "epsilon", -0.5),
+        ("audit-dp", "tolerance", "x"),
+        ("audit-dp", "trials", 1_000),
+        ("audit-dp", "flipped_bit", 1),  # report 0 is already a one
+        ("cost-scaling", "ns", [10, 200]),  # epsilon > 1 at n = 10
+        ("cost-scaling", "alpha", 2.0),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
+        assert dispatch([command, "--config", config]) == 1
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line.startswith(f"config error: config key '{key}'")
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIGS["run"])
+        out = tmp_path / "missing" / "records.csv"
+        assert dispatch(["run", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config key 'out'")
+
+    def test_other_exceptions_are_internal_errors(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a config problem")
+
+        monkeypatch.setattr(cli, "simulate_survey", broken)
+        config = write_config(tmp_path, BASE_CONFIGS["run"])
+        assert dispatch(["run", "--config", config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error")
+        assert "Traceback" in err and "not a config problem" in err
+
+    def test_every_command_reports_the_same_resolved_keys(self, tmp_path, capsys):
+        for command, payload in BASE_CONFIGS.items():
+            config = write_config(tmp_path, payload, name=f"{command}.json")
+            assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
+            resolved = json.loads(capsys.readouterr().out)["resolved"]
+            assert list(resolved) == ["epsilon", "beta", "tau", "p0", "p1", "seed"]
+            assert resolved["seed"] == payload["seed"]
+
+    def test_threshold_reports_the_tau_run_resolves(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIGS["run"])
+        assert dispatch(["threshold", "--config", config]) == 0
+        threshold = json.loads(capsys.readouterr().out)
+        assert dispatch(["run", "--config", config]) == 0
+        run = json.loads(capsys.readouterr().out)
+        assert threshold["tau"] == threshold["resolved"]["tau"] == run["resolved"]["tau"]
+
+
+def write_rows_fmt17(path, header, rows):
+    """Reference: the per-row writer the CLI used before its column writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([
+                format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row
+            ])
+
+
+def test_column_writer_matches_per_row_reference(tmp_path):
+    floats = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -1.0 / 3.0]
+    ints = [0, -1, 7, 2**62, -(2**53) - 1, 10, 100, 12345678901]
+    bools = [True, False, False, True, True, False, True, False]
+    strings = ["truth", "lie", "abstain", "a,b", 'say "x"', "", "line\nbreak", "é"]
+    header = ("f", "i", "b", "s")
+    write_rows_fmt17(tmp_path / "reference.csv", header,
+                     list(zip(floats, ints, bools, strings)))
+    write_csv(str(tmp_path / "lists.csv"), dict(zip(header, (floats, ints, bools, strings))))
+    write_csv(str(tmp_path / "arrays.csv"), {
+        "f": np.array(floats), "i": np.array(ints, dtype=np.int64),
+        "b": np.array(bools), "s": np.array(strings),
+    })
+    reference = (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "lists.csv").read_bytes() == reference
+    assert (tmp_path / "arrays.csv").read_bytes() == reference
+
+    # Long enough to span several blocks of formatted rows.
+    trial = np.arange(20_000)
+    write_rows_fmt17(tmp_path / "long_reference.csv", ("trial", "x"),
+                     [(int(t), float(t) / 7.0) for t in trial])
+    write_csv(str(tmp_path / "long.csv"), {"trial": trial, "x": trial / 7.0})
+    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "long_reference.csv").read_bytes()
 
 
 class TestRunCommand:
@@ -86,7 +204,6 @@ class TestRunCommand:
         assert payload["command"] == "run"
         assert payload["trials"] == 40
         assert payload["resolved"]["seed"] == 7
-        assert payload["resolved"]["threads"] == 1
         assert payload["resolved"]["beta"] > 0.0
         rows = read_csv(out)
         assert rows[0] == ["trial", "p_hat", "p_tilde", "abs_error",
@@ -112,20 +229,6 @@ class TestRunCommand:
         second = capsys.readouterr().out
         assert first == second
         assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_threads_flag_never_changes_results(self, tmp_path, capsys):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        config = write_config(tmp_path, run_config(tmp_path))
-        assert dispatch(["run", "--config", config, "--out", str(out_a)]) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert dispatch(["run", "--config", config, "--out", str(out_b),
-                         "--threads", "4"]) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert out_a.read_bytes() == out_b.read_bytes()
-        assert second["resolved"]["threads"] == 4
-        second["resolved"]["threads"] = first["resolved"]["threads"]
-        assert first == second
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path, run_config(tmp_path))
@@ -338,6 +441,24 @@ class TestCostScalingCommand:
         rows = read_csv(out)[1:]
         assert len(rows) == 100
         assert {r[0] for r in rows} == {"100", "200"}
+
+    def test_negative_mean_total_payment_fails(self, tmp_path, capsys, monkeypatch):
+        original = cli.cost_scaling_experiment
+
+        def negated(*args, **kwargs):
+            report = original(*args, **kwargs)
+            rows = tuple(dataclasses.replace(row, total_payment_mean=-row.total_payment_mean)
+                         for row in report.rows)
+            return dataclasses.replace(report, rows=rows)
+
+        monkeypatch.setattr(cli, "cost_scaling_experiment", negated)
+        out = tmp_path / "scaling.csv"
+        config = write_config(tmp_path, BASE_CONFIGS["cost-scaling"])
+        assert dispatch(["cost-scaling", "--config", config, "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "Fail"
+        assert payload["slope"] is None
+        assert len(read_csv(out)) == 41
 
     def test_single_size_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, {

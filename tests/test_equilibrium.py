@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -301,15 +302,17 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             EquilibriumAuditReport(**_report_kwargs(truth_ge_beta=PASS))
 
-    def test_cost_report_rejects_negative_mean(self):
+    def test_cost_report_negative_mean_fails(self):
         row = CostRow(
             n=100, total_payment_mean=-0.5, theorem_bound=10.0, epsilon=0.2,
             beta=0.1, tau=0.9, p0=0.3, p1=0.7, total_payment_sem=0.01,
             mean_pay_one=0.1, mean_pay_zero=0.1, mean_pm_one=0.5,
             mean_pm_zero=0.5,
         )
-        with pytest.raises(ValueError):
-            CostScalingReport(rows=(row,), slope=-1.0)
+        report = CostScalingReport(rows=(row, dataclasses.replace(row, n=200)))
+        assert report.verdict == FAIL
+        assert report.slope is None
+        assert report.to_dict()["verdict"] == FAIL
 
 
 class TestCostScaling:

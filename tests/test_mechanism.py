@@ -191,6 +191,12 @@ class TestBillboardStructure:
                 assert outcome.payments[i] == pay_one
             elif report is Report.ZERO:
                 assert outcome.payments[i] == pay_zero
+        # Noisy sums outside [0, n] clamp both leave-one-out estimates.
+        for b_bar, p_minus in ((-3.0, 0.0), (120.0, 1.0)):
+            assert payment_pair(config, b_bar) == (
+                scaled_score(config.scoring, p_minus, config.p1),
+                scaled_score(config.scoring, p_minus, config.p0),
+            )
 
 
 class TestObservables:

@@ -13,12 +13,7 @@ from peersurvey import (
     laplace_sample,
     max_log_count_ratio,
 )
-from peersurvey.privacy import (
-    clamp_estimates,
-    laplace_inverse_cdf,
-    noise_draw,
-    perturb_and_clamp,
-)
+from peersurvey.privacy import laplace_inverse_cdf, noise_draw
 
 
 class TestLaplaceSampling:
@@ -71,52 +66,6 @@ class TestNoiseSpec:
         spec = NoiseSpec(epsilon=0.5, mode="disabled")
         rng = np.random.default_rng(0)
         assert np.all(noise_draw(spec, rng, 100) == 0.0)
-
-
-class TestClamping:
-    def test_interior_values(self):
-        p_tilde, p_minus = clamp_estimates(50.0, 0, 100)
-        assert p_tilde == 0.5
-        assert p_minus == pytest.approx(50.0 / 99.0)
-
-    def test_lower_clamp(self):
-        p_tilde, p_minus = clamp_estimates(-3.0, 0, 100)
-        assert p_tilde == 0.0
-        assert p_minus == 0.0
-
-    def test_upper_clamp(self):
-        p_tilde, p_minus = clamp_estimates(120.0, 1, 100)
-        assert p_tilde == 1.0
-        assert p_minus == 1.0
-
-    def test_vector_of_report_bits(self):
-        p_tilde, p_minus = clamp_estimates(60.0, np.array([1, 0]), 100)
-        assert p_tilde == 0.6
-        np.testing.assert_allclose(p_minus, [59.0 / 99.0, 60.0 / 99.0])
-
-    def test_perturb_disabled_is_exact(self):
-        rng = np.random.default_rng(0)
-        spec = NoiseSpec(epsilon=1.0, mode="disabled")
-        p_tilde, p_minus, b_bar = perturb_and_clamp(50, 0, 100, spec, rng)
-        assert (p_tilde, b_bar) == (0.5, 50.0)
-        assert p_minus == pytest.approx(50.0 / 99.0)
-
-    def test_perturb_consumes_one_draw(self):
-        spec = NoiseSpec(epsilon=0.5)
-        rng = np.random.default_rng(42)
-        _, _, b_bar = perturb_and_clamp(50, 0, 100, spec, rng)
-        expected = laplace_sample(spec.scale, np.random.default_rng(42))
-        assert b_bar == 50.0 + expected
-
-    def test_perturb_validation(self):
-        spec = NoiseSpec(epsilon=1.0)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            perturb_and_clamp(101, 0, 100, spec, rng)
-        with pytest.raises(ValueError):
-            perturb_and_clamp(-1, 0, 100, spec, rng)
-        with pytest.raises(ValueError):
-            perturb_and_clamp(50, 2, 100, spec, rng)
 
 
 def test_interval_mass_ratio_bounded_by_epsilon():
