@@ -31,7 +31,6 @@ from .agents import (
     StrategyProfile,
     Threshold,
     UtilityEstimate,
-    apply_strategy,
     expected_utility,
     privacy_cost_bound,
     strategy_from_dict,
@@ -56,13 +55,10 @@ from .equilibrium import (
 from .mechanism import (
     MechanismConfig,
     MechanismOutcome,
-    Report,
     estimate_observable,
-    observable_view,
     payment_observable,
     payment_pair,
     run,
-    true_statistic,
 )
 from .priors import (
     CostSearchError,
@@ -128,7 +124,6 @@ __all__ = [
     "PointMass",
     "Population",
     "PriorSpec",
-    "Report",
     "ScoringParams",
     "StrategyProfile",
     "Threshold",
@@ -137,7 +132,6 @@ __all__ = [
     "UtilityEstimate",
     "accuracy_experiment",
     "accuracy_radius",
-    "apply_strategy",
     "b_score",
     "basic_brier",
     "best_response_audit",
@@ -154,7 +148,6 @@ __all__ = [
     "laplace_sample",
     "lipschitz_bound",
     "max_log_count_ratio",
-    "observable_view",
     "payment_observable",
     "payment_pair",
     "posterior_bit_prob",
@@ -168,5 +161,4 @@ __all__ = [
     "simulate_survey",
     "strategy_from_dict",
     "total_payment_bound",
-    "true_statistic",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._util import CHUNK_TRIALS, chunk_sizes, check_seed, subseed_rng
-from .mechanism import Report, payment_pair
+from .mechanism import payment_pair, peer_estimate
 from .privacy import noise_draw
 
 TRUTH = "truth"
@@ -88,7 +88,7 @@ def privacy_cost_bound(model, cost, epsilon):
 
 @dataclass(frozen=True)
 class Threshold:
-    """Report truthfully when cost <= tau; otherwise apply `off`."""
+    """Truthful when cost <= tau; otherwise apply `off`."""
 
     tau: float
     off: str = ABSTAIN
@@ -99,26 +99,20 @@ class Threshold:
         if self.off not in OFF_BEHAVIORS:
             raise ValueError(f"off must be one of {OFF_BEHAVIORS}, got {self.off!r}")
 
-    def to_dict(self):
-        return {"kind": "threshold", "tau": self.tau, "off": self.off}
-
 
 @dataclass(frozen=True)
 class AlwaysTruth:
-    def to_dict(self):
-        return {"kind": "always_truth"}
+    """Always the own bit."""
 
 
 @dataclass(frozen=True)
 class AlwaysLie:
-    def to_dict(self):
-        return {"kind": "always_lie"}
+    """Always the flipped bit."""
 
 
 @dataclass(frozen=True)
 class AlwaysAbstain:
-    def to_dict(self):
-        return {"kind": "always_abstain"}
+    """Never participate."""
 
 
 @dataclass(frozen=True)
@@ -128,9 +122,6 @@ class ConstantBit:
     def __post_init__(self):
         if self.value not in (0, 1):
             raise ValueError(f"value must be 0 or 1, got {self.value}")
-
-    def to_dict(self):
-        return {"kind": "constant_bit", "value": self.value}
 
 
 def strategy_from_dict(d):
@@ -150,33 +141,12 @@ def strategy_from_dict(d):
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
-def _bit_report(bit):
-    return Report.ONE if bit == 1 else Report.ZERO
-
-
-def apply_strategy(strategy, agent):
-    """Map one agent's type to a report under the given strategy."""
-    if isinstance(strategy, AlwaysTruth):
-        return _bit_report(agent.bit)
-    if isinstance(strategy, AlwaysLie):
-        return _bit_report(1 - agent.bit)
-    if isinstance(strategy, AlwaysAbstain):
-        return Report.ABSTAIN
-    if isinstance(strategy, ConstantBit):
-        return _bit_report(strategy.value)
-    if isinstance(strategy, Threshold):
-        if agent.cost <= strategy.tau:
-            return _bit_report(agent.bit)
-        if strategy.off == ABSTAIN:
-            return Report.ABSTAIN
-        if strategy.off == LIE:
-            return _bit_report(1 - agent.bit)
-        return _bit_report(agent.bit)
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
 def strategy_arrays(strategy, bits, costs):
-    """Vectorized apply_strategy: (contributions, participation) arrays."""
+    """Reports of agents with these bits and costs under one strategy.
+
+    A report is a (contributions, participation) pair of arrays shaped like
+    `bits`: abstainers contribute 0 and do not participate.
+    """
     bits = np.asarray(bits)
     costs = np.asarray(costs)
     if isinstance(strategy, AlwaysTruth):
@@ -221,9 +191,6 @@ class StrategyProfile:
     @classmethod
     def of(cls, strategies):
         return cls(per_agent=tuple(strategies))
-
-    def strategy_for(self, i):
-        return self.shared if self.shared is not None else self.per_agent[i]
 
     def groups(self, n):
         """(strategy, agent count) pairs covering n agents, in first-seen order."""
@@ -362,22 +329,26 @@ def expected_utility(
     own_value = agent.bit if action == TRUTH else 1 - agent.bit
     n = config.n
     total = 0.0
-    total_sq = 0.0
     total_pm = 0.0
+    # Running (count, mean, sum of squared deviations), merged chunk by chunk
+    # (Chan, Golub & LeVeque 1979), so the variance suffers no cancellation.
+    count, run_mean, m2 = 0, 0.0, 0.0
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
         theta = prior.posterior_theta_sample(agent.bit, rng, size)
         ones = sample_report_counts(others, prior, n - 1, theta, rng)[1]
         b_bar = ones + own_value + noise_draw(config.noise, rng, size)
-        pay_one, pay_zero = payment_pair(config, b_bar)
-        pay = pay_one if own_value == 1 else pay_zero
-        pm = np.clip((b_bar - own_value) / (n - 1), 0.0, 1.0)
+        pay = payment_pair(config, b_bar)[1 - own_value]
         total += float(pay.sum())
-        total_sq += float((pay**2).sum())
-        total_pm += float(pm.sum())
+        total_pm += float(peer_estimate(n, b_bar, own_value).sum())
+        chunk_mean = float(pay.mean())
+        shift = chunk_mean - run_mean
+        count += size
+        run_mean += shift * size / count
+        m2 += float(((pay - chunk_mean) ** 2).sum()) + shift**2 * (count - size) * size / count
 
     mean = total / trials
-    var = max(0.0, total_sq / trials - mean**2)
+    var = m2 / trials
     z = float(ndtri(0.5 + ci_level / 2.0))
     halfwidth = z * (var / trials) ** 0.5
     return UtilityEstimate(

@@ -50,6 +50,15 @@ _MIN_TRIALS = {"audit-dp": 100_000, "audit-equilibrium": 1_000, "accuracy": 100}
 # Commands whose driver estimates p0/p1 itself, out of the resolver's sight.
 _ESTIMATING_DRIVERS = ("audit-equilibrium", "cost-scaling")
 
+# Keys those drivers derive or fix themselves, with the one value each may
+# take when present; cost-scaling also derives epsilon and beta per n.
+_DRIVER_FIXED = {"tau": "auto", "p0": None, "p1": None, "noise": "sample",
+                 "clamp_payments": False}
+_SCALING_FIXED = {"epsilon": "auto", "beta": "auto"}
+# Keys cost-scaling has no use for: n comes from ns, the cost model is chen
+# and off-threshold agents abstain.
+_SCALING_UNUSED = ("n", "cost_model", "off")
+
 _CSV_BLOCK_ROWS = 1 << 13
 
 _DEFAULT_STRATEGY = {"kind": "threshold", "tau": "auto", "off": ABSTAIN}
@@ -73,7 +82,9 @@ class Resolver:
     checks its type and range, and raises ConfigError naming the key when
     the check fails.  Keys that may be "auto" or absent are derived instead,
     so a pinned tau, beta, p0, p1 or strategy skips its estimation.  Derived
-    values keep fixed seed slots: 1001 for tau and 1002/1003 for p0/p1.
+    values keep fixed seed slots: 1001 for tau and 1002/1003 for p0/p1.  The
+    audit-equilibrium and cost-scaling drivers derive some keys themselves;
+    `check_driver_keys` rejects those keys rather than ignore them.
     """
 
     def __init__(self, config, args):
@@ -106,6 +117,24 @@ class Resolver:
         if type(value) is not type(default) or value not in options:
             raise ConfigError(key, f"must be one of {options}, got {value!r}")
         return value
+
+    def check_driver_keys(self):
+        """Reject a key the command's driver derives or fixes itself, unless
+        its value means "derive" or equals what the driver uses anyway."""
+        scaling = self.command == "cost-scaling"
+        for key in _SCALING_UNUSED if scaling else ():
+            if key in self._config:
+                raise ConfigError(key, f"is not used by {self.command}")
+        for key, allowed in {**_DRIVER_FIXED, **(_SCALING_FIXED if scaling else {})}.items():
+            value = self._raw(key, allowed)
+            if type(value) is not type(allowed) or value != allowed:
+                raise ConfigError(key, f"is fixed by the {self.command} driver; only "
+                                       f"{json.dumps(allowed)} is accepted, got {value!r}")
+        expected = dict(_DEFAULT_STRATEGY, off=self.off)
+        strategy = self._raw("strategy", expected)
+        if not isinstance(strategy, dict) or {"off": ABSTAIN, **strategy} != expected:
+            raise ConfigError("strategy", f"is fixed by the {self.command} driver; only "
+                                          f"{json.dumps(expected)} is accepted, got {strategy!r}")
 
     def pinned(self, key):
         """Whether the config fixes a key that would otherwise be "auto"."""
@@ -430,6 +459,7 @@ def _cmd_audit_dp(r):
 
 
 def _cmd_audit_equilibrium(r):
+    r.check_driver_keys()
     report = best_response_audit(
         r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
         samples=r.posterior_samples,
@@ -467,6 +497,7 @@ def _cmd_accuracy(r):
 
 
 def _cmd_cost_scaling(r):
+    r.check_driver_keys()
     report = cost_scaling_experiment(
         r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed,
         samples=r.posterior_samples,

@@ -27,7 +27,7 @@ from .agents import (
     privacy_cost_bound,
     sample_report_counts,
 )
-from .mechanism import MechanismConfig, payment_pair
+from .mechanism import MechanismConfig, payment_pair, peer_estimate, published_estimate
 from .priors import (
     DEFAULT_POSTERIOR_SAMPLES,
     cost_threshold,
@@ -161,7 +161,7 @@ def simulate_estimates(prior, n, noise, profile, trials, seed):
         )
         b_bar = ones + noise_draw(noise, rng, size)
         out["p_hat"].append(bit_ones / n)
-        out["p_tilde"].append(np.clip(b_bar / n, 0.0, 1.0))
+        out["p_tilde"].append(published_estimate(n, b_bar))
         out["b_bar"].append(b_bar)
         out["ones"].append(ones)
         out["zeros"].append(participants - ones)
@@ -176,8 +176,8 @@ def simulate_survey(prior, config, profile, trials, seed):
         prior, config.n, config.noise, profile, trials, seed
     )
     pay_one, pay_zero = payment_pair(config, records.b_bar)
-    pm_one = np.clip((records.b_bar - 1.0) / (config.n - 1), 0.0, 1.0)
-    pm_zero = np.clip(records.b_bar / (config.n - 1), 0.0, 1.0)
+    pm_one = peer_estimate(config.n, records.b_bar, 1.0)
+    pm_zero = peer_estimate(config.n, records.b_bar, 0.0)
     total = records.ones * pay_one + records.zeros * pay_zero
 
     abstainers = config.n - records.participants
@@ -559,14 +559,13 @@ def cost_scaling_experiment(
     seed,
     samples=DEFAULT_POSTERIOR_SAMPLES,
     threshold_trials=DEFAULT_THRESHOLD_TRIALS,
-    off=ABSTAIN,
 ):
     """Mean total payment per survey size under the quadratic cost model.
 
     For each n: epsilon follows epsilon_rule, beta the quadratic premium
-    rule, and everyone plays the threshold strategy.  Any n that drives
-    epsilon above 1 is rejected, because the quadratic bound is invalid
-    there.  The report's log-log slope should approach -1.
+    rule, and everyone plays the threshold strategy, abstaining above tau.
+    Any n that drives epsilon above 1 is rejected, because the quadratic
+    bound is invalid there.  The report's log-log slope should approach -1.
     """
     ns = [int(n) for n in ns]
     if len(ns) < 2:
@@ -593,7 +592,7 @@ def cost_scaling_experiment(
         config = MechanismConfig(
             n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
         )
-        profile = StrategyProfile.symmetric(Threshold(tau=tau, off=off))
+        profile = StrategyProfile.symmetric(Threshold(tau=tau))
         recs = simulate_survey(prior, config, profile, trials, derive_seed(seed, n, 3))
         totals = recs.total_payment
         ones_total = float(recs.base.ones.sum())

@@ -1,14 +1,19 @@
 """The private survey mechanism: collect reports, perturb, estimate, pay.
 
-One run takes n reports (zero, one, or abstain), adds a single Laplace draw
-to the report sum, publishes the clamped noisy mean, and pays every
-participant a rescaled quadratic score of their leave-one-out estimate
-against the posterior prediction matching their report.  Abstainers are paid
-exactly zero.  Payments may be negative by default; clamping them at zero is
-available but deviates from the analyzed rule.
+One run takes n reports, each a contribution (0 or 1) and a participation
+flag, adds a single Laplace draw to the report sum, publishes the clamped
+noisy mean, and pays every participant a rescaled quadratic score of their
+leave-one-out estimate against the posterior prediction matching their
+report.  Abstainers contribute zero and are paid exactly zero.  Payments may
+be negative by default; clamping them at zero is available but deviates
+from the analyzed rule.
+
+Everything published is a function of the one noisy sum b_bar: the estimate
+is `published_estimate(n, b_bar)` and a payment depends on b_bar and the
+agent's own contribution only, through `peer_estimate`.  Every consumer in
+the package computes them through these two functions.
 """
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,23 +22,6 @@ import numpy as np
 from ._util import as_generator
 from .privacy import NoiseSpec, noise_draw
 from .scoring import scaled_score, scoring_params
-
-
-class Report(enum.Enum):
-    """One agent's submission: a bit or an explicit abstention."""
-
-    ZERO = "zero"
-    ONE = "one"
-    ABSTAIN = "abstain"
-
-    @property
-    def participates(self):
-        return self is not Report.ABSTAIN
-
-    @property
-    def contribution(self):
-        """Value added to the report sum; abstentions count as zero."""
-        return 1 if self is Report.ONE else 0
 
 
 @dataclass(frozen=True)
@@ -90,44 +78,51 @@ class MechanismOutcome:
         object.__setattr__(self, "payments", payments)
 
 
-def run(config, reports, rng):
+def published_estimate(n, b_bar):
+    """The published estimate clip(b_bar / n, 0, 1); vectorized over b_bar."""
+    return np.clip(b_bar / n, 0.0, 1.0)
+
+
+def peer_estimate(n, b_bar, own):
+    """Leave-one-out estimate clip((b_bar - own) / (n - 1), 0, 1).
+
+    What an agent contributing `own` is scored on: the noisy share of ones
+    among the other n - 1 reports.  Vectorized over b_bar and own.
+    """
+    return np.clip((b_bar - own) / (n - 1), 0.0, 1.0)
+
+
+def run(config, values, participates, rng):
     """Execute one survey round; bit-reproducible given (config, reports, seed).
 
-    The only randomness consumed is the single Laplace draw (none when the
-    noise mode is disabled).  Participants are paid by `payment_pair`
-    according to their contribution; abstainers get exactly zero.
+    The reports are the (contributions, participation) arrays that
+    `agents.strategy_arrays` returns: one 0/1 contribution per agent, and
+    zero for every abstainer.  The only randomness consumed is the single
+    Laplace draw (none when the noise mode is disabled).  Participants are
+    paid by `payment_pair` according to their contribution; abstainers get
+    exactly zero.
     """
-    if len(reports) != config.n:
-        raise ValueError(f"expected {config.n} reports, got {len(reports)}")
-    values = np.fromiter((r.contribution for r in reports), dtype=np.int8, count=config.n)
-    mask = np.fromiter((r.participates for r in reports), dtype=bool, count=config.n)
+    values = np.asarray(values)
+    participates = np.asarray(participates, dtype=bool)
+    if values.shape != (config.n,) or participates.shape != (config.n,):
+        raise ValueError(
+            f"expected {config.n} contributions and participation flags, "
+            f"got shapes {values.shape} and {participates.shape}"
+        )
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError("contributions must be 0 or 1")
+    if np.any(values[~participates] != 0):
+        raise ValueError("an abstainer must contribute 0")
 
-    bhat_sum = int(values.sum())
     draw = noise_draw(config.noise, as_generator(rng))
-    b_bar = float(bhat_sum + draw)
-
+    b_bar = float(int(values.sum()) + draw)
     pay_one, pay_zero = payment_pair(config, b_bar)
     return MechanismOutcome(
-        estimate=float(np.clip(b_bar / config.n, 0.0, 1.0)),
-        payments=np.where(mask, np.where(values == 1, pay_one, pay_zero), 0.0),
+        estimate=float(published_estimate(config.n, b_bar)),
+        payments=np.where(participates, np.where(values == 1, pay_one, pay_zero), 0.0),
         b_bar=b_bar,
         noise_draw=float(draw),
     )
-
-
-def observable_view(outcome, i):
-    """What everyone but agent i can see: the estimate and others' payments."""
-    n = outcome.payments.size
-    if not 0 <= i < n:
-        raise ValueError(f"agent index must lie in [0, {n}), got {i}")
-    return outcome.estimate, np.delete(outcome.payments, i)
-
-
-def true_statistic(population):
-    """Fraction of ones among the realized bits."""
-    if population.n == 0:
-        raise ValueError("population is empty")
-    return float(population.bits.mean())
 
 
 def payment_pair(config, b_bar):
@@ -135,14 +130,12 @@ def payment_pair(config, b_bar):
 
     Payments depend on an agent's report only through its contribution, so a
     run has at most two distinct participant payments.  Vectorized over
-    b_bar; `run`, the batched simulation drivers and the utility estimator
-    all pay through it.
+    b_bar; `run`, the batched simulation drivers, the utility estimator and
+    the payment audit all pay through it.
     """
     b_bar = np.asarray(b_bar, dtype=np.float64)
-    pm_one = np.clip((b_bar - 1.0) / (config.n - 1), 0.0, 1.0)
-    pm_zero = np.clip(b_bar / (config.n - 1), 0.0, 1.0)
-    pay_one = scaled_score(config.scoring, pm_one, config.p1)
-    pay_zero = scaled_score(config.scoring, pm_zero, config.p0)
+    pay_one = scaled_score(config.scoring, peer_estimate(config.n, b_bar, 1.0), config.p1)
+    pay_zero = scaled_score(config.scoring, peer_estimate(config.n, b_bar, 0.0), config.p0)
     if config.clamp_payments:
         pay_one = np.maximum(pay_one, 0.0)
         pay_zero = np.maximum(pay_zero, 0.0)
@@ -159,9 +152,7 @@ def estimate_observable(n, noise):
         raise ValueError(f"n must be at least 2, got {n}")
 
     def mech(reports, rng, size):
-        bhat = int(np.sum(reports))
-        draws = noise_draw(noise, rng, size)
-        return np.clip((bhat + draws) / n, 0.0, 1.0)
+        return published_estimate(n, int(np.sum(reports)) + noise_draw(noise, rng, size))
 
     return mech
 
@@ -169,27 +160,22 @@ def estimate_observable(n, noise):
 def payment_observable(config, j):
     """Audit observable: agent j's payment, affinely mapped into [0, 1].
 
-    The payment is an affine function of the clamped leave-one-out estimate,
-    so rescaling by its achievable range preserves histogram bins one-to-one.
+    The payment is `payment_pair`'s, clamped when the config clamps, so the
+    audit sees the payment the mechanism makes.  It is monotone in the
+    leave-one-out estimate, so rescaling by its values at estimates 0 and 1
+    maps it into [0, 1] in order.
     """
     if not 0 <= j < config.n:
         raise ValueError(f"agent index must lie in [0, {config.n}), got {j}")
 
     def mech(reports, rng, size):
         reports = np.asarray(reports)
-        bhat = int(np.sum(reports))
-        target = config.p1 if reports[j] == 1 else config.p0
-        draws = noise_draw(config.noise, rng, size)
-        pm = np.clip((bhat + draws - reports[j]) / (config.n - 1), 0.0, 1.0)
-        pay = scaled_score(config.scoring, pm, target)
-        lo = min(
-            scaled_score(config.scoring, 0.0, target),
-            scaled_score(config.scoring, 1.0, target),
-        )
-        hi = max(
-            scaled_score(config.scoring, 0.0, target),
-            scaled_score(config.scoring, 1.0, target),
-        )
+        own = int(reports[j])
+        b_bar = int(np.sum(reports)) + noise_draw(config.noise, rng, size)
+        pay = payment_pair(config, b_bar)[1 - own]
+        # b_bar = own and own + n - 1 put the leave-one-out estimate at 0 and 1.
+        ends = payment_pair(config, [own, own + config.n - 1])[1 - own]
+        lo, hi = ends.min(), ends.max()
         if hi == lo:
             return np.full(size, 0.5)
         return (pay - lo) / (hi - lo)

@@ -8,7 +8,6 @@ the payment rule, and the participation cost threshold tau used to size the
 truthfulness premium.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from ._util import as_generator, check_seed, chunk_sizes, subseed_rng
+from .mechanism import peer_estimate
 from .privacy import NoiseSpec, noise_draw
 
 FAMILIES = ("conditional_iid",)
@@ -44,8 +44,6 @@ class Uniform:
     lo: float
     hi: float
 
-    kind = "uniform"
-
     def __post_init__(self):
         if not 0.0 <= self.lo <= self.hi:
             raise ValueError(f"uniform needs 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
@@ -59,15 +57,10 @@ class Uniform:
     def quantile(self, q):
         return self.lo + np.asarray(q, dtype=np.float64) * (self.hi - self.lo)
 
-    def to_dict(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class PointMass:
     value: float
-
-    kind = "point_mass"
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -79,15 +72,10 @@ class PointMass:
     def quantile(self, q):
         return np.full_like(np.asarray(q, dtype=np.float64), self.value)
 
-    def to_dict(self):
-        return {"kind": "point_mass", "value": self.value}
-
 
 @dataclass(frozen=True)
 class Exponential:
     rate: float
-
-    kind = "exponential"
 
     def __post_init__(self):
         if not self.rate > 0.0:
@@ -100,9 +88,6 @@ class Exponential:
     def quantile(self, q):
         return -np.log1p(-np.asarray(q, dtype=np.float64)) / self.rate
 
-    def to_dict(self):
-        return {"kind": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class TruncatedLogNormal:
@@ -111,8 +96,6 @@ class TruncatedLogNormal:
     mu: float
     sigma: float
     cap: float
-
-    kind = "log_normal"
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -135,9 +118,6 @@ class TruncatedLogNormal:
         mass = ndtr(self._z_cap())
         q = np.asarray(q, dtype=np.float64)
         return np.exp(self.mu + self.sigma * ndtri(np.clip(q, 0.0, 1.0) * mass))
-
-    def to_dict(self):
-        return {"kind": "log_normal", "mu": self.mu, "sigma": self.sigma, "cap": self.cap}
 
 
 _COST_KINDS = {
@@ -172,14 +152,9 @@ class BetaMixing:
     a: float
     b: float
 
-    kind = "beta"
-
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
             raise ValueError(f"beta parameters must be positive, got ({self.a}, {self.b})")
-
-    def to_dict(self):
-        return {"kind": "beta", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -187,8 +162,6 @@ class AtomMixing:
     """Finite mixture of point masses: ((weight, theta), ...)."""
 
     atoms: tuple
-
-    kind = "atoms"
 
     def __post_init__(self):
         atoms = tuple((float(w), float(t)) for w, t in self.atoms)
@@ -203,22 +176,14 @@ class AtomMixing:
             raise ValueError("atom locations must lie in [0, 1]")
         object.__setattr__(self, "atoms", atoms)
 
-    def to_dict(self):
-        return {"kind": "atoms", "atoms": [[w, t] for w, t in self.atoms]}
-
 
 @dataclass(frozen=True)
 class PointMixing:
     theta: float
 
-    kind = "point"
-
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-
-    def to_dict(self):
-        return {"kind": "point", "theta": self.theta}
 
 
 def _mixing_from_dict(d):
@@ -258,16 +223,6 @@ class PriorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "mixing": self.mixing.to_dict(),
-            "cost0": self.cost0.to_dict(),
-            "cost1": self.cost1.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
@@ -280,22 +235,6 @@ class PriorSpec:
             mixing=_mixing_from_dict(d["mixing"]),
             cost0=cost_distribution_from_dict(d["cost0"]),
             cost1=cost_distribution_from_dict(d["cost1"]),
-        )
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
-    # -- latent-parameter helpers ------------------------------------------
-
-    @property
-    def is_degenerate(self):
-        """True when the mixing distribution is a single point mass."""
-        return isinstance(self.mixing, (PointMixing,)) or (
-            isinstance(self.mixing, AtomMixing) and len(self.mixing.atoms) == 1
         )
 
     def theta_sample(self, rng, size=None):
@@ -355,33 +294,21 @@ class Population:
     def n(self):
         return self.bits.size
 
-    def agents(self):
-        """Iterate over (bit, cost) pairs in index order."""
-        for b, c in zip(self.bits.tolist(), self.costs.tolist()):
-            yield int(b), float(c)
-
 
 # ---------------------------------------------------------------------------
 # Posterior predictive bit probabilities.
 # ---------------------------------------------------------------------------
 
 
-def posterior_bit_prob(prior, bit, require_informative=False):
+def posterior_bit_prob(prior, bit):
     """Closed-form Pr[peer's bit = 1 | own bit = `bit`].
 
     With Beta(a, b) mixing this is (a + 1) / (a + b + 1) conditioned on a
     one and a / (a + b + 1) conditioned on a zero.  For atom mixtures the
-    posterior reweights atoms by their likelihood.  With
-    `require_informative`, a degenerate (single point mass) mixing
-    distribution is rejected because it forces p0 == p1.
+    posterior reweights atoms by their likelihood.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if require_informative and prior.is_degenerate:
-        raise ValueError(
-            "mixing distribution is a single point mass, so p0 == p1; "
-            "the payment rule needs distinct predictions"
-        )
     m = prior.mixing
     if isinstance(m, BetaMixing):
         if bit == 1:
@@ -429,7 +356,7 @@ def posterior_clamped_mean(
         theta = prior.posterior_theta_sample(bit, rng, size)
         k = rng.binomial(n - 1, theta)
         x = noise_draw(noise, rng, size)
-        total += float(np.sum(np.clip((k + x) / (n - 1), 0.0, 1.0)))
+        total += float(np.sum(peer_estimate(n, k + x, 0)))
     return total / samples
 
 

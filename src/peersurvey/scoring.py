@@ -7,7 +7,7 @@ that, within an accuracy band around the predicted values, truthful reporting
 earns at least `beta` while misreporting earns at most zero.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class ScoringParams:
     def gap(self):
         """Absolute prediction gap |p1 - p0|."""
         return abs(self.p1 - self.p0)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def scoring_params(p0, p1, alpha, beta):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from peersurvey import (
     ABSTAIN,
@@ -13,20 +14,49 @@ from peersurvey import (
     ConstantBit,
     CostModel,
     MechanismConfig,
-    Report,
     StrategyProfile,
     Threshold,
-    apply_strategy,
     beta_rule,
     cost_threshold,
     epsilon_rule,
     expected_utility,
+    payment_pair,
     posterior_clamped_mean,
     privacy_cost_bound,
     sample_population,
     strategy_from_dict,
 )
 from peersurvey.agents import strategy_arrays
+
+# One agent's report as (contribution, participates).
+ONE, ZERO, ABSTAINED = (1, True), (0, True), (0, False)
+
+
+def scalar_report(strategy, agent):
+    """Scalar oracle for `strategy_arrays`: one agent's report, branch by branch."""
+    if isinstance(strategy, AlwaysTruth):
+        return (agent.bit, True)
+    if isinstance(strategy, AlwaysLie):
+        return (1 - agent.bit, True)
+    if isinstance(strategy, AlwaysAbstain):
+        return ABSTAINED
+    if isinstance(strategy, ConstantBit):
+        return (strategy.value, True)
+    if isinstance(strategy, Threshold):
+        if agent.cost <= strategy.tau:
+            return (agent.bit, True)
+        if strategy.off == ABSTAIN:
+            return ABSTAINED
+        if strategy.off == LIE:
+            return (1 - agent.bit, True)
+        return (agent.bit, True)
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def report_of(strategy, agent):
+    """`strategy_arrays` applied to a single agent."""
+    values, participates = strategy_arrays(strategy, np.array([agent.bit]), np.array([agent.cost]))
+    return (int(values[0]), bool(participates[0]))
 
 
 class TestAgentType:
@@ -77,25 +107,25 @@ class TestCostModel:
             privacy_cost_bound(CostModel("linear"), 1.0, 0.0)
 
 
-class TestApplyStrategy:
+class TestSingleAgentReports:
     def test_threshold_participation_split(self):
         strategy = Threshold(tau=0.5, off=ABSTAIN)
-        assert apply_strategy(strategy, AgentType(1, 0.3)) is Report.ONE
-        assert apply_strategy(strategy, AgentType(1, 0.7)) is Report.ABSTAIN
-        assert apply_strategy(strategy, AgentType(0, 0.5)) is Report.ZERO
+        assert report_of(strategy, AgentType(1, 0.3)) == ONE
+        assert report_of(strategy, AgentType(1, 0.7)) == ABSTAINED
+        assert report_of(strategy, AgentType(0, 0.5)) == ZERO
 
     def test_threshold_off_variants(self):
         pricey = AgentType(1, 0.9)
-        assert apply_strategy(Threshold(0.5, off=LIE), pricey) is Report.ZERO
-        assert apply_strategy(Threshold(0.5, off=TRUTH), pricey) is Report.ONE
+        assert report_of(Threshold(0.5, off=LIE), pricey) == ZERO
+        assert report_of(Threshold(0.5, off=TRUTH), pricey) == ONE
 
     def test_fixed_strategies(self):
         agent = AgentType(0, 0.4)
-        assert apply_strategy(AlwaysTruth(), agent) is Report.ZERO
-        assert apply_strategy(AlwaysLie(), agent) is Report.ONE
-        assert apply_strategy(AlwaysAbstain(), agent) is Report.ABSTAIN
-        assert apply_strategy(ConstantBit(1), agent) is Report.ONE
-        assert apply_strategy(ConstantBit(0), AgentType(1, 0.0)) is Report.ZERO
+        assert report_of(AlwaysTruth(), agent) == ZERO
+        assert report_of(AlwaysLie(), agent) == ONE
+        assert report_of(AlwaysAbstain(), agent) == ABSTAINED
+        assert report_of(ConstantBit(1), agent) == ONE
+        assert report_of(ConstantBit(0), AgentType(1, 0.0)) == ZERO
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -108,17 +138,18 @@ class TestApplyStrategy:
 
 class TestStrategySerialization:
     @pytest.mark.parametrize(
-        "strategy",
+        "spec, strategy",
         [
-            Threshold(tau=0.75, off=LIE),
-            AlwaysTruth(),
-            AlwaysLie(),
-            AlwaysAbstain(),
-            ConstantBit(0),
+            ({"kind": "threshold", "tau": 0.75, "off": "lie"}, Threshold(tau=0.75, off=LIE)),
+            ({"kind": "threshold", "tau": 1}, Threshold(tau=1.0, off=ABSTAIN)),
+            ({"kind": "always_truth"}, AlwaysTruth()),
+            ({"kind": "always_lie"}, AlwaysLie()),
+            ({"kind": "always_abstain"}, AlwaysAbstain()),
+            ({"kind": "constant_bit", "value": 0}, ConstantBit(0)),
         ],
     )
-    def test_round_trip(self, strategy):
-        assert strategy_from_dict(strategy.to_dict()) == strategy
+    def test_from_dict(self, spec, strategy):
+        assert strategy_from_dict(spec) == strategy
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -146,9 +177,8 @@ class TestStrategyArrays:
         costs = rng.random(40)
         values, participates = strategy_arrays(strategy, bits, costs)
         for j in range(40):
-            report = apply_strategy(strategy, AgentType(int(bits[j]), float(costs[j])))
-            assert participates[j] == report.participates
-            assert values[j] == (report.contribution if report.participates else 0)
+            agent = AgentType(int(bits[j]), float(costs[j]))
+            assert (values[j], participates[j]) == scalar_report(strategy, agent)
 
     def test_truth_reproduces_population_bits(self, uniform_prior):
         population = sample_population(uniform_prior, 50, seed=3)
@@ -179,12 +209,6 @@ class TestStrategyProfile:
         profile = StrategyProfile.of([AlwaysTruth(), AlwaysLie()])
         with pytest.raises(ValueError):
             profile.report_arrays(np.zeros((1, 3)), np.zeros((1, 3)))
-
-    def test_strategy_for(self):
-        symmetric = StrategyProfile.symmetric(AlwaysTruth())
-        assert symmetric.strategy_for(7) == AlwaysTruth()
-        mixed = StrategyProfile.of([AlwaysTruth(), AlwaysLie()])
-        assert mixed.strategy_for(1) == AlwaysLie()
 
 
 def truthful_config(prior, n=200, alpha=0.1, delta=0.1, samples=50_000):
@@ -285,6 +309,41 @@ class TestExpectedUtility:
         )
         gap = abs(one.mean_payment - zero.mean_payment)
         assert gap <= one.payment_ci_halfwidth + zero.payment_ci_halfwidth
+
+    def test_constant_payments_have_zero_ci(self, uniform_prior):
+        # Peers all report one and noise is off, so every trial pays the same;
+        # the variance must come out zero up to rounding, without cancellation.
+        config = MechanismConfig(n=200, alpha=0.05, beta=1.0, epsilon=0.5, p0=0.3, p1=0.7,
+                                 noise_mode="disabled")
+        est = expected_utility(
+            AgentType(bit=1, cost=0.0), TRUTH, ConstantBit(1), uniform_prior,
+            config, CostModel("linear"), trials=1_000, seed=3,
+        )
+        assert est.payment_ci_halfwidth <= 1e-12
+
+    def test_chunked_variance_matches_pooled(self, uniform_prior, monkeypatch):
+        # Over several chunks, the merged variance is that of all payments.
+        from peersurvey import agents
+
+        config, _ = truthful_config(uniform_prior)
+        paid = []
+
+        def recording(cfg, b_bar):
+            pair = payment_pair(cfg, b_bar)
+            paid.append(pair[0])  # a truthful one-reporter is paid pay_one
+            return pair
+
+        monkeypatch.setattr(agents, "CHUNK_TRIALS", 1_000)
+        monkeypatch.setattr(agents, "payment_pair", recording)
+        est = expected_utility(
+            AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
+            config, CostModel("linear"), trials=4_500, seed=5,
+        )
+        pays = np.concatenate(paid)
+        assert pays.size == 4_500 and len(paid) == 5
+        assert est.mean_payment == pytest.approx(pays.mean(), rel=1e-12)
+        z = float(ndtri(0.5 + 0.99 / 2.0))
+        assert est.payment_ci_halfwidth == pytest.approx(z * (pays.var() / 4_500) ** 0.5, rel=1e-9)
 
     def test_actions_constant(self):
         assert ACTIONS == (TRUTH, LIE, ABSTAIN)

@@ -118,12 +118,50 @@ class TestResolver:
         ("audit-dp", "flipped_bit", 1),  # report 0 is already a one
         ("cost-scaling", "ns", [10, 200]),  # epsilon > 1 at n = 10
         ("cost-scaling", "alpha", 2.0),
+        # Keys the audit-equilibrium and cost-scaling drivers derive or fix.
+        ("audit-equilibrium", "tau", 0.5),
+        ("audit-equilibrium", "p0", 0.3),
+        ("audit-equilibrium", "p1", 0.7),
+        ("audit-equilibrium", "noise", "disabled"),
+        ("audit-equilibrium", "clamp_payments", True),
+        ("audit-equilibrium", "strategy", {"kind": "always_truth"}),
+        ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": 0.5}),
+        ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": "auto", "off": "lie"}),
+        ("cost-scaling", "tau", 0.5),
+        ("cost-scaling", "p1", 0.7),
+        ("cost-scaling", "noise", "disabled"),
+        ("cost-scaling", "clamp_payments", True),
+        ("cost-scaling", "strategy", {"kind": "always_truth"}),
+        ("cost-scaling", "epsilon", 0.5),
+        ("cost-scaling", "beta", 1.0),
+        ("cost-scaling", "n", 100),
+        ("cost-scaling", "cost_model", {"kind": "chen"}),
+        ("cost-scaling", "off", "abstain"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
         assert dispatch([command, "--config", config]) == 1
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line.startswith(f"config error: config key '{key}'")
+
+    @pytest.mark.parametrize("command, off", [
+        ("audit-equilibrium", "abstain"),
+        ("audit-equilibrium", "lie"),
+        ("cost-scaling", None),
+    ])
+    def test_driver_accepts_the_values_it_uses(self, tmp_path, capsys, command, off):
+        # The default threshold strategy and "derive" values change nothing.
+        base = dict(BASE_CONFIGS[command], **({"off": off} if off else {}))
+        same = dict(base, tau="auto", p0=None, p1=None, noise="sample", clamp_payments=False,
+                    strategy={"kind": "threshold", "tau": "auto", "off": off or "abstain"})
+        if command == "cost-scaling":
+            same.update(epsilon="auto", beta="auto")
+        stdouts = []
+        for name, payload in (("base.json", base), ("same.json", same)):
+            config = write_config(tmp_path, payload, name=name)
+            assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
+            stdouts.append(capsys.readouterr().out)
+        assert stdouts[0] == stdouts[1]
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIGS["run"])
@@ -219,16 +257,18 @@ class TestRunCommand:
         assert dispatch(["run", "--config", config]) == 1
         assert "prior" in capsys.readouterr().err
 
-    def test_byte_identical_reruns(self, tmp_path, capsys):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        config = write_config(tmp_path, run_config(tmp_path))
-        assert dispatch(["run", "--config", config, "--out", str(out_a)]) == 0
-        first = capsys.readouterr().out
-        assert dispatch(["run", "--config", config, "--out", str(out_b)]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert out_a.read_bytes() == out_b.read_bytes()
+    @pytest.mark.parametrize("command", list(BASE_CONFIGS))
+    def test_byte_identical_reruns(self, tmp_path, capsys, command):
+        # posterior and threshold write no CSV; the others must repeat it.
+        config = write_config(tmp_path, BASE_CONFIGS[command])
+        runs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code = dispatch([command, "--config", config, "--out", str(out)])
+            assert code in EXIT_BY_VERDICT.values()
+            runs.append((code, capsys.readouterr().out, out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        assert (runs[0][2] is None) == (command in ("posterior", "threshold"))
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path, run_config(tmp_path))

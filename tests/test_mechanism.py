@@ -1,20 +1,20 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from peersurvey import (
     MechanismConfig,
     NoiseSpec,
-    Population,
-    Report,
     estimate_observable,
     laplace_sample,
-    observable_view,
     payment_observable,
     payment_pair,
     run,
     scaled_score,
-    true_statistic,
 )
+from peersurvey.privacy import noise_draw
 
 REFERENCE = dict(n=100, alpha=0.1, beta=1.0, epsilon=0.5,
                  p0=1.0 / 3.0, p1=2.0 / 3.0, noise_mode="disabled")
@@ -25,20 +25,10 @@ def reference_config(**overrides):
 
 
 def mixed_reports(ones, zeros, abstains=0):
-    return ([Report.ONE] * ones + [Report.ZERO] * zeros
-            + [Report.ABSTAIN] * abstains)
-
-
-class TestReport:
-    def test_participation(self):
-        assert Report.ONE.participates
-        assert Report.ZERO.participates
-        assert not Report.ABSTAIN.participates
-
-    def test_contribution(self):
-        assert Report.ONE.contribution == 1
-        assert Report.ZERO.contribution == 0
-        assert Report.ABSTAIN.contribution == 0
+    """(contributions, participation): ones, then zeros, then abstainers."""
+    values = np.array([1] * ones + [0] * (zeros + abstains), dtype=np.int8)
+    participates = np.arange(ones + zeros + abstains) < ones + zeros
+    return values, participates
 
 
 class TestMechanismConfig:
@@ -65,7 +55,7 @@ class TestRun:
         # 60 ones / 40 zeros with noise off: every quantity is a ratio of
         # small integers, worked out by hand.
         config = reference_config()
-        outcome = run(config, mixed_reports(60, 40), np.random.default_rng(0))
+        outcome = run(config, *mixed_reports(60, 40), np.random.default_rng(0))
         assert outcome.estimate == 0.6
         assert outcome.b_bar == 60.0
         assert outcome.noise_draw == 0.0
@@ -78,20 +68,20 @@ class TestRun:
 
     def test_all_abstain(self):
         config = reference_config()
-        outcome = run(config, mixed_reports(0, 0, 100), np.random.default_rng(0))
+        outcome = run(config, *mixed_reports(0, 0, 100), np.random.default_rng(0))
         assert outcome.estimate == 0.0
         assert np.all(outcome.payments == 0.0)
 
     def test_all_ones_payments_equal(self):
         config = reference_config()
-        outcome = run(config, mixed_reports(100, 0), np.random.default_rng(0))
+        outcome = run(config, *mixed_reports(100, 0), np.random.default_rng(0))
         assert outcome.estimate == 1.0
         expected = scaled_score(config.scoring, 1.0, config.p1)
         np.testing.assert_allclose(outcome.payments, expected, rtol=1e-12)
 
     def test_abstainers_unpaid_and_uncounted(self):
         config = reference_config()
-        outcome = run(config, mixed_reports(60, 30, 10), np.random.default_rng(0))
+        outcome = run(config, *mixed_reports(60, 30, 10), np.random.default_rng(0))
         assert outcome.b_bar == 60.0
         assert outcome.estimate == 0.6
         assert np.all(outcome.payments[90:] == 0.0)
@@ -99,25 +89,30 @@ class TestRun:
 
     def test_single_noise_draw_consumed(self):
         config = reference_config(noise_mode="sample")
-        outcome = run(config, mixed_reports(60, 40), np.random.default_rng(99))
+        outcome = run(config, *mixed_reports(60, 40), np.random.default_rng(99))
         expected = laplace_sample(config.noise.scale, np.random.default_rng(99))
         assert outcome.noise_draw == expected
         assert outcome.b_bar == 60.0 + expected
 
     def test_payment_anonymity_under_noise(self):
         config = reference_config(noise_mode="sample")
-        outcome = run(config, mixed_reports(55, 45), np.random.default_rng(5))
+        outcome = run(config, *mixed_reports(55, 45), np.random.default_rng(5))
         assert np.unique(outcome.payments[:55]).size == 1
         assert np.unique(outcome.payments[55:]).size == 1
 
-    def test_length_mismatch_rejected(self):
-        config = reference_config()
+    @pytest.mark.parametrize("values, participates", [
+        ([1] * 5 + [0] * 5, [True] * 10),  # wrong length
+        ([2] + [0] * 99, [True] * 100),  # a contribution of 2
+        ([1] + [0] * 99, [False] + [True] * 99),  # an abstainer contributing 1
+    ])
+    def test_malformed_reports_rejected(self, values, participates):
         with pytest.raises(ValueError):
-            run(config, mixed_reports(5, 5), np.random.default_rng(0))
+            run(reference_config(), np.array(values), np.array(participates),
+                np.random.default_rng(0))
 
     def test_payment_clamp_flag(self):
         config = reference_config(clamp_payments=True)
-        outcome = run(config, mixed_reports(60, 40), np.random.default_rng(0))
+        outcome = run(config, *mixed_reports(60, 40), np.random.default_rng(0))
         assert np.all(outcome.payments >= 0.0)
         assert np.all(outcome.payments[60:] == 0.0)
 
@@ -125,42 +120,35 @@ class TestRun:
         # Tiny epsilon gives wild noise; the published estimate must clamp.
         config = reference_config(noise_mode="sample", epsilon=0.01)
         for seed in range(30):
-            outcome = run(config, mixed_reports(60, 40), np.random.default_rng(seed))
+            outcome = run(config, *mixed_reports(60, 40), np.random.default_rng(seed))
             assert 0.0 <= outcome.estimate <= 1.0
 
     def test_monotone_in_single_flip(self):
         config = reference_config()
-        base = run(config, mixed_reports(60, 40), np.random.default_rng(0))
-        flipped_reports = mixed_reports(61, 39)
-        flipped = run(config, flipped_reports, np.random.default_rng(0))
+        base = run(config, *mixed_reports(60, 40), np.random.default_rng(0))
+        flipped = run(config, *mixed_reports(61, 39), np.random.default_rng(0))
         assert flipped.b_bar - base.b_bar == 1.0
         assert flipped.estimate - base.estimate == pytest.approx(0.01, abs=1e-15)
 
     def test_payments_outcome_read_only(self):
         config = reference_config()
-        outcome = run(config, mixed_reports(60, 40), np.random.default_rng(0))
+        outcome = run(config, *mixed_reports(60, 40), np.random.default_rng(0))
         with pytest.raises(ValueError):
             outcome.payments[0] = 99.0
 
 
 def test_sensitivity_of_report_sum_is_one():
     # Exhaustive over all report vectors of three agents and all
-    # single-agent substitutions: the participating-ones sum moves by at
-    # most one.
-    values = (Report.ZERO, Report.ONE, Report.ABSTAIN)
-
-    def bhat(reports):
-        return sum(r.contribution for r in reports)
-
-    for a in values:
-        for b in values:
-            for c in values:
-                reports = [a, b, c]
-                for i in range(3):
-                    for replacement in values:
-                        neighbor = list(reports)
-                        neighbor[i] = replacement
-                        assert abs(bhat(neighbor) - bhat(reports)) <= 1
+    # single-agent substitutions: with noise off, the noisy sum b_bar moves
+    # by at most one.
+    config = reference_config(n=3)
+    forms = ((0, True), (1, True), (0, False))  # zero, one, abstain
+    for reports in itertools.product(forms, repeat=3):
+        b_bar = run(config, *zip(*reports), np.random.default_rng(0)).b_bar
+        for i, replacement in itertools.product(range(3), forms):
+            neighbor = reports[:i] + (replacement,) + reports[i + 1:]
+            moved = run(config, *zip(*neighbor), np.random.default_rng(0)).b_bar
+            assert abs(moved - b_bar) <= 1
 
 
 class TestBillboardStructure:
@@ -168,14 +156,13 @@ class TestBillboardStructure:
         # Each payment must be a function of the agent's own contribution
         # and the single published noisy sum - nothing else.
         config = reference_config(noise_mode="sample")
-        reports = mixed_reports(48, 42, 10)
-        outcome = run(config, reports, np.random.default_rng(17))
+        values, participates = mixed_reports(48, 42, 10)
+        outcome = run(config, values, participates, np.random.default_rng(17))
         n = config.n
-        for i, report in enumerate(reports):
-            if not report.participates:
+        for i, (own, participant) in enumerate(zip(values, participates)):
+            if not participant:
                 assert outcome.payments[i] == 0.0
                 continue
-            own = report.contribution
             p_minus = min(max((outcome.b_bar - own) / (n - 1), 0.0), 1.0)
             target = config.p1 if own == 1 else config.p0
             expected = scaled_score(config.scoring, p_minus, target)
@@ -183,14 +170,11 @@ class TestBillboardStructure:
 
     def test_payment_pair_matches_run(self):
         config = reference_config(noise_mode="sample")
-        reports = mixed_reports(48, 42, 10)
-        outcome = run(config, reports, np.random.default_rng(17))
+        values, participates = mixed_reports(48, 42, 10)
+        outcome = run(config, values, participates, np.random.default_rng(17))
         pay_one, pay_zero = payment_pair(config, outcome.b_bar)
-        for i, report in enumerate(reports):
-            if report is Report.ONE:
-                assert outcome.payments[i] == pay_one
-            elif report is Report.ZERO:
-                assert outcome.payments[i] == pay_zero
+        np.testing.assert_array_equal(outcome.payments[:48], pay_one)
+        np.testing.assert_array_equal(outcome.payments[48:90], pay_zero)
         # Noisy sums outside [0, n] clamp both leave-one-out estimates.
         for b_bar, p_minus in ((-3.0, 0.0), (120.0, 1.0)):
             assert payment_pair(config, b_bar) == (
@@ -200,22 +184,6 @@ class TestBillboardStructure:
 
 
 class TestObservables:
-    def test_observable_view_excludes_own_payment(self):
-        config = reference_config()
-        outcome = run(config, mixed_reports(60, 40), np.random.default_rng(0))
-        estimate, others = observable_view(outcome, 3)
-        assert estimate == outcome.estimate
-        assert others.size == 99
-        np.testing.assert_array_equal(
-            others, np.delete(outcome.payments, 3)
-        )
-
-    def test_observable_view_index_validated(self):
-        config = reference_config()
-        outcome = run(config, mixed_reports(60, 40), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            observable_view(outcome, 100)
-
     def test_estimate_observable_disabled_noise(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=1.0, mode="disabled"))
         out = mech([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], np.random.default_rng(0), 5)
@@ -228,11 +196,22 @@ class TestObservables:
         assert out.shape == (1000,)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
+    @pytest.mark.parametrize("j", [3, 80])  # a one-reporter and a zero-reporter
+    def test_payment_observable_audits_the_clamped_payment(self, j):
+        # Wide noise drives both payments below zero at times, so clamping
+        # changes what the audit must see.
+        config = reference_config(noise_mode="sample", epsilon=0.05, clamp_payments=True)
+        assert payment_pair(dataclasses.replace(config, clamp_payments=False), 0.0)[0] < 0.0
+        reports = [1] * 50 + [0] * 50
+        out = payment_observable(config, j)(reports, np.random.default_rng(2), 5_000)
+        b_bar = 50 + noise_draw(config.noise, np.random.default_rng(2), 5_000)
+        own = reports[j]
+        target = config.p1 if own == 1 else config.p0
 
-class TestTrueStatistic:
-    def test_values(self):
-        costs = np.zeros(4)
-        assert true_statistic(Population(np.array([1, 1, 1, 1]), costs)) == 1.0
-        assert true_statistic(Population(np.array([0, 1, 0, 1]), costs)) == 0.5
-        pop5 = Population(np.array([1, 0, 0, 0, 0]), np.zeros(5))
-        assert true_statistic(pop5) == pytest.approx(0.2)
+        def paid(pm):
+            return np.maximum(scaled_score(config.scoring, pm, target), 0.0)
+
+        pay = paid(np.clip((b_bar - own) / (config.n - 1), 0.0, 1.0))
+        lo, hi = sorted((paid(0.0), paid(1.0)))
+        np.testing.assert_allclose(out, (pay - lo) / (hi - lo), rtol=0, atol=1e-12)
+        assert np.any(pay == 0.0) and np.any(pay > 0.0)
