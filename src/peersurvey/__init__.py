@@ -71,8 +71,10 @@ from .priors import (
     cost_distribution_from_dict,
     cost_threshold,
     cost_threshold_parts,
+    cost_threshold_parts_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
+    posterior_clamped_mean_mc,
     sample_population,
 )
 from .privacy import (
@@ -141,6 +143,7 @@ __all__ = [
     "cost_scaling_experiment",
     "cost_threshold",
     "cost_threshold_parts",
+    "cost_threshold_parts_mc",
     "dp_audit",
     "epsilon_rule",
     "estimate_observable",
@@ -152,6 +155,7 @@ __all__ = [
     "payment_pair",
     "posterior_bit_prob",
     "posterior_clamped_mean",
+    "posterior_clamped_mean_mc",
     "privacy_cost_bound",
     "run",
     "sample_population",

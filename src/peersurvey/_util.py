@@ -54,3 +54,18 @@ def chunk_sizes(total, size):
         index += 1
         done += count
 
+
+def merge_moments(moments, values):
+    """Fold a chunk of values into a running (count, mean, M2) triple.
+
+    M2 is the sum of squared deviations from the mean.  Chunks are merged
+    by Chan, Golub & LeVeque (1979), so the variance suffers no cancellation.
+    """
+    count, mean, m2 = moments
+    size = values.size
+    chunk_mean = float(values.mean())
+    shift = chunk_mean - mean
+    count += size
+    mean += shift * size / count
+    m2 += float(((values - chunk_mean) ** 2).sum()) + shift**2 * (count - size) * size / count
+    return count, mean, m2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import CHUNK_TRIALS, chunk_sizes, check_seed, subseed_rng
+from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, merge_moments, subseed_rng
 from .mechanism import payment_pair, peer_estimate
 from .privacy import noise_draw
 
@@ -330,9 +330,7 @@ def expected_utility(
     n = config.n
     total = 0.0
     total_pm = 0.0
-    # Running (count, mean, sum of squared deviations), merged chunk by chunk
-    # (Chan, Golub & LeVeque 1979), so the variance suffers no cancellation.
-    count, run_mean, m2 = 0, 0.0, 0.0
+    moments = (0, 0.0, 0.0)
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
         theta = prior.posterior_theta_sample(agent.bit, rng, size)
@@ -341,14 +339,10 @@ def expected_utility(
         pay = payment_pair(config, b_bar)[1 - own_value]
         total += float(pay.sum())
         total_pm += float(peer_estimate(n, b_bar, own_value).sum())
-        chunk_mean = float(pay.mean())
-        shift = chunk_mean - run_mean
-        count += size
-        run_mean += shift * size / count
-        m2 += float(((pay - chunk_mean) ** 2).sum()) + shift**2 * (count - size) * size / count
+        moments = merge_moments(moments, pay)
 
     mean = total / trials
-    var = m2 / trials
+    var = moments[2] / trials
     z = float(ndtri(0.5 + ci_level / 2.0))
     halfwidth = z * (var / trials) ** 0.5
     return UtilityEstimate(

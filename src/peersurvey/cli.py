@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import traceback
+from collections import defaultdict
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +24,6 @@ import numpy as np
 from ._util import check_seed, derive_seed
 from .agents import ABSTAIN, OFF_BEHAVIORS, CostModel, StrategyProfile, strategy_from_dict
 from .equilibrium import (
-    DEFAULT_THRESHOLD_TRIALS,
     INCONCLUSIVE,
     accuracy_experiment,
     best_response_audit,
@@ -34,11 +34,12 @@ from .equilibrium import (
 )
 from .mechanism import MechanismConfig, estimate_observable, payment_observable
 from .priors import (
-    DEFAULT_POSTERIOR_SAMPLES,
     PriorSpec,
     cost_threshold_parts,
+    cost_threshold_parts_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
+    posterior_clamped_mean_mc,
 )
 from .privacy import DEFAULT_TOLERANCE, FAIL, NOISE_MODES, PASS, NoiseSpec, dp_audit
 
@@ -47,17 +48,24 @@ EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
 # The smallest trial count each command's driver accepts; 1 elsewhere.
 _MIN_TRIALS = {"audit-dp": 100_000, "audit-equilibrium": 1_000, "accuracy": 100}
 
-# Commands whose driver estimates p0/p1 itself, out of the resolver's sight.
-_ESTIMATING_DRIVERS = ("audit-equilibrium", "cost-scaling")
+# Commands whose driver derives tau, p0 and p1 itself.
+_DRIVERS = ("audit-equilibrium", "cost-scaling")
 
-# Keys those drivers derive or fix themselves, with the one value each may
-# take when present; cost-scaling also derives epsilon and beta per n.
+# Keys a command derives or fixes itself, with the one value each may take
+# when present.  The drivers also fix the noise and the payment clamp, and
+# cost-scaling derives epsilon and beta per n.
 _DRIVER_FIXED = {"tau": "auto", "p0": None, "p1": None, "noise": "sample",
                  "clamp_payments": False}
-_SCALING_FIXED = {"epsilon": "auto", "beta": "auto"}
-# Keys cost-scaling has no use for: n comes from ns, the cost model is chen
-# and off-threshold agents abstain.
-_SCALING_UNUSED = ("n", "cost_model", "off")
+_FIXED = {
+    "threshold": {"tau": "auto"},
+    "posterior": {"p0": None, "p1": None},
+    "audit-equilibrium": _DRIVER_FIXED,
+    "cost-scaling": {**_DRIVER_FIXED, "epsilon": "auto", "beta": "auto"},
+}
+# Keys a command has no use for.  run and accuracy take `off` inside the
+# threshold strategy; cost-scaling takes n from ns, uses the chen cost model
+# and lets off-threshold agents abstain.
+_UNUSED = {"run": ("off",), "accuracy": ("off",), "cost-scaling": ("n", "cost_model", "off")}
 
 _CSV_BLOCK_ROWS = 1 << 13
 
@@ -81,16 +89,19 @@ class Resolver:
     cached: it takes the config value (for seed and out, the flag first),
     checks its type and range, and raises ConfigError naming the key when
     the check fails.  Keys that may be "auto" or absent are derived instead,
-    so a pinned tau, beta, p0, p1 or strategy skips its estimation.  Derived
-    values keep fixed seed slots: 1001 for tau and 1002/1003 for p0/p1.  The
-    audit-equilibrium and cost-scaling drivers derive some keys themselves;
-    `check_driver_keys` rejects those keys rather than ignore them.
+    so a pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0
+    and p1 are derived exactly.  When the config sets threshold_trials or
+    posterior_samples, each derivation of tau or of p0/p1 also runs its Monte
+    Carlo cross-check, with fixed seed slots 1001 for tau and 1002/1003 for
+    p0/p1 ((n, 0), (n, 1) and (n, 2) per cost-scaling row), and records it in
+    `cross_check[n]`.  `check_keys` rejects keys a command would ignore.
     """
 
     def __init__(self, config, args):
         self.command = args.command
         self._config = config
         self._args = args
+        self.cross_check = defaultdict(dict)
 
     def _raw(self, key, default=_REQUIRED):
         if key in self._config:
@@ -118,23 +129,36 @@ class Resolver:
             raise ConfigError(key, f"must be one of {options}, got {value!r}")
         return value
 
-    def check_driver_keys(self):
-        """Reject a key the command's driver derives or fixes itself, unless
-        its value means "derive" or equals what the driver uses anyway."""
-        scaling = self.command == "cost-scaling"
-        for key in _SCALING_UNUSED if scaling else ():
+    def check_keys(self):
+        """Reject a key the command has no use for, or one it derives or fixes
+        itself unless its value means "derive" or equals what it uses anyway."""
+        for key in _UNUSED.get(self.command, ()):
             if key in self._config:
                 raise ConfigError(key, f"is not used by {self.command}")
-        for key, allowed in {**_DRIVER_FIXED, **(_SCALING_FIXED if scaling else {})}.items():
+        for key, allowed in _FIXED.get(self.command, {}).items():
             value = self._raw(key, allowed)
             if type(value) is not type(allowed) or value != allowed:
-                raise ConfigError(key, f"is fixed by the {self.command} driver; only "
+                raise ConfigError(key, f"is derived or fixed by {self.command}; only "
                                        f"{json.dumps(allowed)} is accepted, got {value!r}")
+        if self.command not in _DRIVERS:
+            return
         expected = dict(_DEFAULT_STRATEGY, off=self.off)
         strategy = self._raw("strategy", expected)
         if not isinstance(strategy, dict) or {"off": ABSTAIN, **strategy} != expected:
             raise ConfigError("strategy", f"is fixed by the {self.command} driver; only "
                                           f"{json.dumps(expected)} is accepted, got {strategy!r}")
+
+    def check_driver_derivations(self):
+        """Derive tau, p0 and p1 exactly at each (n, epsilon) the command's
+        driver uses, so that a config it cannot work with fails here, naming
+        its key, and not inside the driver."""
+        if self.command == "cost-scaling":
+            sizes = [(n, epsilon_rule(self.alpha, self.delta, n)) for n in self.ns]
+        else:
+            sizes = [(self.n, self.epsilon)]
+        for n, epsilon in sizes:
+            self._check_tau(self.exact_tau(n)[0])
+            self._check_gap(n, epsilon, *(self.exact_prediction(bit, n, epsilon) for bit in (0, 1)))
 
     def pinned(self, key):
         """Whether the config fixes a key that would otherwise be "auto"."""
@@ -156,11 +180,13 @@ class Resolver:
 
     @cached_property
     def posterior_samples(self):
-        return self._integer("posterior_samples", 1, default=DEFAULT_POSTERIOR_SAMPLES)
+        """Draws of the p0/p1 cross-check; None, and no cross-check, when unset."""
+        return self._integer("posterior_samples", 1) if "posterior_samples" in self._config else None
 
     @cached_property
     def threshold_trials(self):
-        return self._integer("threshold_trials", 1, default=DEFAULT_THRESHOLD_TRIALS)
+        """Sampled theta of the tau cross-check; None, and no cross-check, when unset."""
+        return self._integer("threshold_trials", 1) if "threshold_trials" in self._config else None
 
     @cached_property
     def ns(self):
@@ -225,13 +251,19 @@ class Resolver:
         return self._choice("off", OFF_BEHAVIORS, ABSTAIN)
 
     @cached_property
+    def conditioned_prior(self):
+        """The prior, provided each own bit has positive prior probability:
+        tau, p0 and p1 condition on it."""
+        for bit in (0, 1):
+            try:
+                posterior_bit_prob(self.prior, bit)
+            except ValueError as exc:
+                raise ConfigError("prior", str(exc)) from exc
+        return self.prior
+
+    @cached_property
     def alpha(self):
-        alpha = self._number("alpha", lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-        if self.command in _ESTIMATING_DRIVERS:
-            # The driver estimates p0/p1 itself; noise and clamping only shrink
-            # the noiseless gap, so this necessary condition can be checked now.
-            _check_gap(alpha, posterior_bit_prob(self.prior, 0), posterior_bit_prob(self.prior, 1))
-        return alpha
+        return self._number("alpha", lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
     @cached_property
     def delta(self):
@@ -245,11 +277,34 @@ class Resolver:
             raise ConfigError("epsilon", "'auto' needs alpha and delta")
         return epsilon_rule(self.alpha, self.delta, self.n)
 
+    def _slot(self, n, k):
+        """Seed of cross-check k (0 tau, 1 p0, 2 p1): 1001 + k, or (n, k) per
+        cost-scaling row."""
+        if self.command == "cost-scaling":
+            return derive_seed(self.seed, n, k)
+        return derive_seed(self.seed, 1001 + k)
+
+    def exact_tau(self, n):
+        """Exact (tau, tau_group, tau_marginal) at n, sized with delta / 2."""
+        args = (self.conditioned_prior, self.alpha, self.delta / 2.0, n)
+        parts = cost_threshold_parts(*args)
+        if self.threshold_trials is not None:
+            (mc, _, _), se = cost_threshold_parts_mc(*args, self.threshold_trials, self._slot(n, 0))
+            self.cross_check[n]["tau"] = {"mc": mc, "se": se, "samples": self.threshold_trials}
+        return parts
+
+    def exact_prediction(self, bit, n, epsilon):
+        """Exact E[clamped leave-one-out estimate | own bit] at (n, epsilon)."""
+        args = (self.conditioned_prior, bit, n, epsilon)
+        value = posterior_clamped_mean(*args)
+        if self.posterior_samples is not None:
+            mc, se = posterior_clamped_mean_mc(*args, self.posterior_samples, self._slot(n, 1 + bit))
+            self.cross_check[n][f"p{bit}"] = {"mc": mc, "se": se, "samples": self.posterior_samples}
+        return value
+
     @cached_property
     def tau_parts(self):
-        """(tau, tau_group, tau_marginal), sized with delta / 2; always estimated."""
-        return cost_threshold_parts(self.prior, self.alpha, self.delta / 2.0, self.n,
-                                    self.threshold_trials, derive_seed(self.seed, 1001))
+        return self.exact_tau(self.n)
 
     @cached_property
     def tau(self):
@@ -257,22 +312,22 @@ class Resolver:
             return self._number("tau", lambda v: v >= 0.0, "a nonnegative number or 'auto'")
         return self.tau_parts[0]
 
+    def _check_tau(self, tau):
+        """beta is proportional to tau; a derived tau of 0 blames the prior's cost laws."""
+        if not tau > 0.0:
+            raise ConfigError("tau" if self.pinned("tau") else "prior",
+                              f"tau must be positive to derive beta, got {tau}")
+
     @cached_property
     def beta(self):
         if self.pinned("beta"):
             return self._number("beta", lambda v: v > 0.0, "a positive number or 'auto'")
-        if not self.tau > 0.0:
-            raise ConfigError("tau", f"must be positive to derive beta, got {self.tau}")
+        self._check_tau(self.tau)
         return beta_rule(self.cost_model.kind, self.epsilon, self.tau)
-
-    def clamped_mean(self, bit):
-        """Monte Carlo E[clamped leave-one-out estimate | own bit]; always estimated."""
-        return posterior_clamped_mean(self.prior, bit, self.n, self.epsilon,
-                                      self.posterior_samples, derive_seed(self.seed, 1002 + bit))
 
     def _prediction(self, bit):
         if self._config.get(f"p{bit}") is None:
-            return self.clamped_mean(bit)
+            return self.exact_prediction(bit, self.n, self.epsilon)
         return self._number(f"p{bit}", lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
     @cached_property
@@ -282,6 +337,20 @@ class Resolver:
     @cached_property
     def p1(self):
         return self._prediction(1)
+
+    def _check_gap(self, n, epsilon, p0, p1):
+        """The scoring rule needs alpha < |p1 - p0| / 2 (see scoring_params).
+        When the prior's noiseless gap is wide enough and only the noise of
+        a pinned epsilon shrinks the derived one, epsilon is to blame."""
+        if self.alpha < abs(p1 - p0) / 2.0:
+            return
+        derived = self._config.get("p0") is None or self._config.get("p1") is None
+        if derived and self.pinned("epsilon") and self.alpha < abs(
+                posterior_bit_prob(self.prior, 1) - posterior_bit_prob(self.prior, 0)) / 2.0:
+            raise ConfigError("epsilon", f"its noise shrinks |p1 - p0| / 2 to {abs(p1 - p0) / 2.0} "
+                                         f"at n={n}, not above alpha={self.alpha}")
+        raise ConfigError("alpha", f"must be below |p1 - p0| / 2 = {abs(p1 - p0) / 2.0} at "
+                                   f"n={n}, epsilon={epsilon}, got {self.alpha}")
 
     @cached_property
     def noise(self):
@@ -293,7 +362,7 @@ class Resolver:
 
     @cached_property
     def mechanism(self):
-        _check_gap(self.alpha, self.p0, self.p1)
+        self._check_gap(self.n, self.epsilon, self.p0, self.p1)
         return MechanismConfig(n=self.n, alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
                                p0=self.p0, p1=self.p1, clamp_payments=self.clamp_payments,
                                noise_mode=self.noise)
@@ -338,13 +407,6 @@ class Resolver:
                             default=DEFAULT_TOLERANCE)
 
 
-def _check_gap(alpha, p0, p1):
-    """The scoring rule needs alpha < |p1 - p0| / 2 (see scoring_params)."""
-    if not alpha < abs(p1 - p0) / 2.0:
-        raise ConfigError("alpha", f"must be below |p1 - p0| / 2 = {abs(p1 - p0) / 2.0}, "
-                                   f"got {alpha}")
-
-
 def _cells(values):
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -374,7 +436,12 @@ def write_csv(path, columns):
 
 
 def _emit(r, body, **used):
-    print(json.dumps({"command": r.command, "resolved": r.resolved(**used), **body}, indent=2))
+    """Print the report; a cross-check of tau, p0 or p1 follows the body,
+    except in cost-scaling, whose rows carry their own."""
+    report = {"command": r.command, "resolved": r.resolved(**used), **body}
+    if r.cross_check and r.command != "cost-scaling":
+        report["cross_check"] = r.cross_check[r.n]
+    print(json.dumps(report, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +476,15 @@ def _cmd_run(r):
 
 
 def _cmd_posterior(r):
-    closed = {f"p{bit}": posterior_bit_prob(r.prior, bit) for bit in (0, 1)}
-    clamped = {f"p{bit}": r.clamped_mean(bit) for bit in (0, 1)}
+    closed = {f"p{bit}": posterior_bit_prob(r.conditioned_prior, bit) for bit in (0, 1)}
+    clamped = {"p0": r.p0, "p1": r.p1}
     gap = max(abs(closed[key] - clamped[key]) for key in ("p0", "p1"))
     _emit(r, {
         "n": r.n,
-        "posterior_samples": r.posterior_samples,
         "closed_form": closed,
         "clamped_mean": clamped,
         "max_abs_gap": gap,
-    }, **clamped)
+    })
     return 0
 
 
@@ -459,11 +525,9 @@ def _cmd_audit_dp(r):
 
 
 def _cmd_audit_equilibrium(r):
-    r.check_driver_keys()
+    r.check_driver_derivations()
     report = best_response_audit(
         r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
-        samples=r.posterior_samples,
-        threshold_trials=r.threshold_trials,
         beta_override=r.beta if r.pinned("beta") else None,
         off=r.off,
     )
@@ -497,12 +561,8 @@ def _cmd_accuracy(r):
 
 
 def _cmd_cost_scaling(r):
-    r.check_driver_keys()
-    report = cost_scaling_experiment(
-        r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed,
-        samples=r.posterior_samples,
-        threshold_trials=r.threshold_trials,
-    )
+    r.check_driver_derivations()
+    report = cost_scaling_experiment(r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed)
     parts = [
         {
             "n": np.full(row.records.base.trials, row.n),
@@ -515,7 +575,11 @@ def _cmd_cost_scaling(r):
         for row in report.rows
     ]
     write_csv(r.out, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
-    _emit(r, report.to_dict())
+    body = report.to_dict()
+    for row in body["rows"]:
+        if row["n"] in r.cross_check:
+            row["cross_check"] = r.cross_check[row["n"]]
+    _emit(r, body)
     return EXIT_BY_VERDICT[report.verdict]
 
 
@@ -566,7 +630,9 @@ def dispatch(argv):
         print("config error: top level must be a JSON object", file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[args.command](Resolver(config, args))
+        resolver = Resolver(config, args)
+        resolver.check_keys()
+        return _HANDLERS[args.command](resolver)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

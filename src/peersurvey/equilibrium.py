@@ -28,16 +28,10 @@ from .agents import (
     sample_report_counts,
 )
 from .mechanism import MechanismConfig, payment_pair, peer_estimate, published_estimate
-from .priors import (
-    DEFAULT_POSTERIOR_SAMPLES,
-    cost_threshold,
-    posterior_clamped_mean,
-)
+from .priors import cost_threshold, posterior_clamped_mean
 from .privacy import FAIL, PASS, NoiseSpec, noise_draw
 
 INCONCLUSIVE = "Inconclusive"
-
-DEFAULT_THRESHOLD_TRIALS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +288,6 @@ def best_response_audit(
     cost_model,
     trials,
     seed,
-    samples=DEFAULT_POSTERIOR_SAMPLES,
-    threshold_trials=DEFAULT_THRESHOLD_TRIALS,
     beta_override=None,
     off=ABSTAIN,
     ci_level=0.99,
@@ -304,17 +296,16 @@ def best_response_audit(
 
     Everyone else plays the threshold strategy; a probe agent with cost just
     below tau tries truth, lie and abstain for both possible bit values.
-    The report carries the worst case over bits.  beta_override exists to
-    study misconfigured premia; when used, the beta_covers_cost_bound
-    diagnostic flags premia below the privacy-cost bound at tau.
+    tau, p0 and p1 are exact.  The report carries the worst case over bits.
+    beta_override exists to study misconfigured premia; when used, the
+    beta_covers_cost_bound diagnostic flags premia below the privacy-cost
+    bound at tau.
     """
     seed = check_seed(seed)
-    tau = cost_threshold(
-        prior, alpha, delta / 2.0, n, threshold_trials, derive_seed(seed, 0)
-    )
+    tau = cost_threshold(prior, alpha, delta / 2.0, n)
     beta = beta_rule(cost_model.kind, epsilon, tau) if beta_override is None else float(beta_override)
-    p0 = posterior_clamped_mean(prior, 0, n, epsilon, samples, derive_seed(seed, 1))
-    p1 = posterior_clamped_mean(prior, 1, n, epsilon, samples, derive_seed(seed, 2))
+    p0 = posterior_clamped_mean(prior, 0, n, epsilon)
+    p1 = posterior_clamped_mean(prior, 1, n, epsilon)
     config = MechanismConfig(
         n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
     )
@@ -393,7 +384,6 @@ def best_response_audit(
             "beta_rule_value": beta_rule(cost_model.kind, epsilon, tau),
             "privacy_cost_bound_at_tau": tau_cost_bound,
             "beta_margin_over_cost_bound": margin,
-            "posterior_samples": int(samples),
             "off_behavior": off,
             "ci_level": ci_level,
         },
@@ -557,13 +547,12 @@ def cost_scaling_experiment(
     ns,
     trials,
     seed,
-    samples=DEFAULT_POSTERIOR_SAMPLES,
-    threshold_trials=DEFAULT_THRESHOLD_TRIALS,
 ):
     """Mean total payment per survey size under the quadratic cost model.
 
-    For each n: epsilon follows epsilon_rule, beta the quadratic premium
-    rule, and everyone plays the threshold strategy, abstaining above tau.
+    For each n: epsilon follows epsilon_rule, tau, p0 and p1 are exact, beta
+    follows the quadratic premium rule, and everyone plays the threshold
+    strategy, abstaining above tau.
     Any n that drives epsilon above 1 is rejected, because the quadratic
     bound is invalid there.  The report's log-log slope should approach -1.
     """
@@ -583,12 +572,10 @@ def cost_scaling_experiment(
                 f"n={n} gives epsilon={epsilon:.4g} > 1; the quadratic "
                 "cost model does not apply"
             )
-        tau = cost_threshold(
-            prior, alpha, delta / 2.0, n, threshold_trials, derive_seed(seed, n, 0)
-        )
+        tau = cost_threshold(prior, alpha, delta / 2.0, n)
         beta = beta_rule("chen", epsilon, tau)
-        p0 = posterior_clamped_mean(prior, 0, n, epsilon, samples, derive_seed(seed, n, 1))
-        p1 = posterior_clamped_mean(prior, 1, n, epsilon, samples, derive_seed(seed, n, 2))
+        p0 = posterior_clamped_mean(prior, 0, n, epsilon)
+        p1 = posterior_clamped_mean(prior, 1, n, epsilon)
         config = MechanismConfig(
             n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
         )

@@ -2,26 +2,26 @@
 
 A prior couples three ingredients: a mixing distribution over a latent
 Bernoulli parameter theta, conditional on which agents' bits are i.i.d., and
-one cost distribution per bit value.  From it we derive the posterior
-predictive bit probabilities p0/p1, their noisy clamped counterparts used by
-the payment rule, and the participation cost threshold tau used to size the
-truthfulness premium.
+one cost distribution per bit value.  From it we derive, exactly, the
+posterior predictive bit probabilities, their noisy clamped counterparts
+p0/p1 used by the payment rule, and the participation cost threshold tau
+used to size the truthfulness premium.  The `_mc` functions estimate p0/p1
+and tau by Monte Carlo; they are cross-checks of the exact values.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import binom
+from scipy.integrate import quad
+from scipy.special import bdtrc, betaln, ndtr, ndtri, xlog1py, xlogy
+from scipy.stats import betabinom, binom
 
-from ._util import as_generator, check_seed, chunk_sizes, subseed_rng
+from ._util import as_generator, check_seed, chunk_sizes, merge_moments, subseed_rng
 from .mechanism import peer_estimate
 from .privacy import NoiseSpec, noise_draw
 
 FAMILIES = ("conditional_iid",)
-
-DEFAULT_POSTERIOR_SAMPLES = 1_000_000
 
 # Resolution of the cost-axis grid searched for tau, and the quantile used to
 # cap the search range.
@@ -244,10 +244,8 @@ class PriorSpec:
             return rng.beta(m.a, m.b, size)
         if isinstance(m, PointMixing):
             return m.theta if size is None else np.full(size, m.theta)
-        weights = np.array([w for w, _ in m.atoms])
-        values = np.array([t for _, t in m.atoms])
-        idx = rng.choice(len(values), size=size, p=weights)
-        return values[idx]
+        weights, values = _atoms(m)
+        return values[rng.choice(len(values), size=size, p=weights)]
 
     def posterior_theta_sample(self, bit, rng, size=None):
         """Draw theta from the mixing distribution conditioned on one bit."""
@@ -258,15 +256,8 @@ class PriorSpec:
             return rng.beta(m.a + (bit == 1), m.b + (bit == 0), size)
         if isinstance(m, PointMixing):
             return m.theta if size is None else np.full(size, m.theta)
-        weights = np.array([w for w, _ in m.atoms])
-        values = np.array([t for _, t in m.atoms])
-        like = values if bit == 1 else 1.0 - values
-        post = weights * like
-        total = post.sum()
-        if total <= 0.0:
-            raise ValueError(f"conditioning on bit={bit} has zero prior probability")
-        idx = rng.choice(len(values), size=size, p=post / total)
-        return values[idx]
+        weights, values = _posterior_atoms(m, bit)
+        return values[rng.choice(len(values), size=size, p=weights)]
 
 
 @dataclass(frozen=True)
@@ -300,12 +291,31 @@ class Population:
 # ---------------------------------------------------------------------------
 
 
+def _atoms(mixing):
+    """(weights, thetas) of a point or atom mixing; point mixing is one atom."""
+    if isinstance(mixing, PointMixing):
+        return np.ones(1), np.array([mixing.theta])
+    return np.array([w for w, _ in mixing.atoms]), np.array([t for _, t in mixing.atoms])
+
+
+def _posterior_atoms(mixing, bit):
+    """(weights, thetas) with the weights reweighted by the likelihood of one's own bit."""
+    weights, thetas = _atoms(mixing)
+    post = weights * (thetas if bit == 1 else 1.0 - thetas)
+    total = post.sum()
+    if total <= 0.0:
+        raise ValueError(f"conditioning on bit={bit} has zero prior probability")
+    return post / total, thetas
+
+
 def posterior_bit_prob(prior, bit):
     """Closed-form Pr[peer's bit = 1 | own bit = `bit`].
 
     With Beta(a, b) mixing this is (a + 1) / (a + b + 1) conditioned on a
-    one and a / (a + b + 1) conditioned on a zero.  For atom mixtures the
-    posterior reweights atoms by their likelihood.
+    one and a / (a + b + 1) conditioned on a zero.  For atom mixtures (and
+    point mixing, one atom) the posterior reweights atoms by their
+    likelihood.  Conditioning on a bit of zero prior probability raises
+    ValueError.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -314,50 +324,76 @@ def posterior_bit_prob(prior, bit):
         if bit == 1:
             return (m.a + 1.0) / (m.a + m.b + 1.0)
         return m.a / (m.a + m.b + 1.0)
-    if isinstance(m, PointMixing):
-        return m.theta
-    weights = np.array([w for w, _ in m.atoms])
-    values = np.array([t for _, t in m.atoms])
-    like = values if bit == 1 else 1.0 - values
-    denom = float(np.sum(weights * like))
-    if denom <= 0.0:
-        raise ValueError(f"conditioning on bit={bit} has zero prior probability")
-    return float(np.sum(weights * like * values) / denom)
+    weights, thetas = _posterior_atoms(m, bit)
+    return float(weights @ thetas)
 
 
-def posterior_clamped_mean(
-    prior,
-    bit,
-    n,
-    epsilon,
-    samples=DEFAULT_POSTERIOR_SAMPLES,
-    seed=0,
-    noise_disabled=False,
-):
-    """Monte Carlo mean of the clamped noisy leave-one-out estimate.
+def _peer_count_pmf(prior, bit, m):
+    """P(K = k), k = 0..m, for the ones K among m peers given one's own bit."""
+    k = np.arange(m + 1)
+    mixing = prior.mixing
+    if isinstance(mixing, BetaMixing):
+        return betabinom.pmf(k, m, mixing.a + bit, mixing.b + 1 - bit)
+    weights, thetas = _posterior_atoms(mixing, bit)
+    return weights @ binom.pmf(k, m, thetas[:, None])
 
-    Estimates E[clamp((K + X) / (n - 1))] where K counts ones among n - 1
-    peers drawn from the posterior given one's own bit and X is Laplace
-    noise of scale 1/epsilon (exactly zero when `noise_disabled`, a hook for
-    deterministic tests).  This is the prediction target actually paid
-    against, and differs from `posterior_bit_prob` by the noise and clamping
-    bias; callers should treat the two as distinct quantities.
-    """
+
+def _check_clamped_mean_args(bit, n, epsilon):
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
+def posterior_clamped_mean(prior, bit, n, epsilon, noise_disabled=False):
+    """Exact mean of the clamped noisy leave-one-out estimate.
+
+    Computes E[clip((K + X) / m, 0, 1)], m = n - 1, where K counts ones among
+    the m peers given one's own bit (beta-binomial under Beta mixing, a
+    binomial mixture over the reweighted atoms otherwise) and X is Laplace
+    noise of scale s = 1/epsilon.  For each k,
+    E[clip(k + X, 0, m)] = k + (s/2)(e^{-k/s} - e^{-(m-k)/s}): the two terms
+    are the noise mass clipped at 0 and at m.  With `noise_disabled` (X = 0,
+    a hook for deterministic tests) the clipped mean is k/m.  This is the
+    prediction target actually paid against, and differs from
+    `posterior_bit_prob` by the noise and clamping bias; callers should
+    treat the two as distinct quantities.
+    """
+    _check_clamped_mean_args(bit, n, epsilon)
+    m = n - 1
+    k = np.arange(m + 1, dtype=np.float64)
+    clipped = k
+    if not noise_disabled:
+        s = 1.0 / epsilon
+        clipped = k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))
+    return float(_peer_count_pmf(prior, bit, m) @ clipped / m)
+
+
+def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed, noise_disabled=False):
+    """Monte Carlo cross-check of `posterior_clamped_mean`: (mean, standard error).
+
+    Draws theta from the posterior given one's own bit, K ~ Bin(n - 1, theta)
+    and the noise, `samples` times, and averages the clamped estimate.
+    """
+    _check_clamped_mean_args(bit, n, epsilon)
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be positive")
     noise = NoiseSpec(epsilon=epsilon, mode="disabled" if noise_disabled else "sample")
     seed = check_seed(seed)
     total = 0.0
+    moments = (0, 0.0, 0.0)
     for chunk, size in chunk_sizes(samples, 1 << 19):
         rng = subseed_rng(seed, chunk)
         theta = prior.posterior_theta_sample(bit, rng, size)
         k = rng.binomial(n - 1, theta)
         x = noise_draw(noise, rng, size)
-        total += float(np.sum(peer_estimate(n, k + x, 0)))
-    return total / samples
+        estimate = peer_estimate(n, k + x, 0)
+        total += float(np.sum(estimate))
+        moments = merge_moments(moments, estimate)
+    return total / samples, math.sqrt(moments[2] / samples / samples)
 
 
 def sample_population(prior, n, seed):
@@ -377,53 +413,80 @@ def sample_population(prior, n, seed):
 # ---------------------------------------------------------------------------
 
 
-def _bit_marginal_cost_cdf(prior, bit, taus):
-    """CDF of a peer's cost conditioned on one's own bit."""
-    p_b = posterior_bit_prob(prior, bit)
-    taus = np.asarray(taus, dtype=np.float64)
-    return p_b * prior.cost1.cdf(taus) + (1.0 - p_b) * prior.cost0.cdf(taus)
-
-
 def _mixture_quantile(prior, bit, q, cap):
-    """Generalized inverse of the bit-conditional cost CDF at level q."""
+    """Generalized inverse at level q of a peer's cost CDF given one's own bit."""
     if prior.cost0 == prior.cost1:
         return float(np.asarray(prior.cost0.quantile(q)))
+    p_b = posterior_bit_prob(prior, bit)
+
+    def cdf(tau):
+        return p_b * prior.cost1.cdf(tau) + (1.0 - p_b) * prior.cost0.cdf(tau)
+
     lo, hi = 0.0, float(cap)
-    if _bit_marginal_cost_cdf(prior, bit, hi) < q:
+    if cdf(hi) < q:
         raise CostSearchError(
             f"cost quantile at level {q} exceeds the search cap {cap}"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _bit_marginal_cost_cdf(prior, bit, mid) >= q:
+        if cdf(mid) >= q:
             hi = mid
         else:
             lo = mid
     # Snap to a point-mass atom when bisection lands next to one.
     for dist in (prior.cost0, prior.cost1):
         if isinstance(dist, PointMass) and abs(dist.value - hi) <= 1e-9:
-            if _bit_marginal_cost_cdf(prior, bit, dist.value) >= q:
+            if cdf(dist.value) >= q:
                 return dist.value
     return hi
 
 
-def cost_threshold_parts(prior, alpha, delta, n, trials=100_000, seed=0):
-    """Compute (tau, tau_group, tau_marginal).
+def _beta_mixed_tail(mixing, f0, f1, need, n):
+    """E[P(Bin(n, theta f1 + (1 - theta) f0) >= need)], theta ~ Beta(a, b), by quadrature.
 
-    tau_group is the smallest grid cost level such that, with probability at
-    least 1 - delta over populations, at least (1 - alpha) * n agents have
-    cost at or below it.  tau_marginal makes each bit-conditional marginal
-    cost CDF reach 1 - alpha.  The threshold is their maximum.
+    The binomial tail steps from 0 to 1 around the theta at which the mean
+    cheap fraction equals need / n; quad gets that theta as a breakpoint.
     """
+    a, b = mixing.a, mixing.b
+    log_norm = betaln(a, b)
+
+    def integrand(theta):
+        density = math.exp(xlogy(a - 1.0, theta) + xlog1py(b - 1.0, -theta) - log_norm)
+        return density * bdtrc(need - 1, n, theta * f1 + (1.0 - theta) * f0)
+
+    step = (need / n - f0) / (f1 - f0)
+    value, _ = quad(integrand, 0.0, 1.0, points=[step] if 0.0 < step < 1.0 else None,
+                    limit=200)
+    return min(max(value, 0.0), 1.0)
+
+
+def _group_prob(prior, n, need, tau):
+    """Exact P(at least `need` of n agents have cost <= tau).
+
+    Given theta, each agent is cheap with probability
+    g = theta F1(tau) + (1 - theta) F0(tau), so the count is Bin(n, g); the
+    mixing over theta is a weighted sum over the atoms, or for Beta mixing a
+    quadrature.  When F0(tau) = F1(tau), g does not depend on theta.
+    """
+    f0 = float(np.asarray(prior.cost0.cdf(tau)))
+    f1 = float(np.asarray(prior.cost1.cdf(tau)))
+    if f0 == f1:
+        return float(binom.sf(need - 1, n, f0))
+    if isinstance(prior.mixing, BetaMixing):
+        return _beta_mixed_tail(prior.mixing, f0, f1, need, n)
+    weights, thetas = _atoms(prior.mixing)
+    return float(weights @ binom.sf(need - 1, n, thetas * f1 + (1.0 - thetas) * f0))
+
+
+def _cost_threshold(prior, alpha, delta, n, group_prob):
+    """(tau, tau_group, tau_marginal) with `group_prob(tau, need)` giving
+    P(at least `need` agents have cost <= tau); see `cost_threshold_parts`."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
 
     cap = float(
         max(
@@ -439,41 +502,24 @@ def cost_threshold_parts(prior, alpha, delta, n, trials=100_000, seed=0):
 
     # Count threshold: at least (1 - alpha) * n agents must participate.
     need = math.ceil((1.0 - alpha) * n)
-    equal_costs = prior.cost0 == prior.cost1
-    if equal_costs:
-        thetas = None
-    else:
-        # One shared theta sample keeps the search predicate monotone in tau.
-        thetas = prior.theta_sample(subseed_rng(check_seed(seed), 0), trials)
-
-    def group_prob(tau):
-        if need <= 0:
-            return 1.0
-        if equal_costs:
-            f = float(np.asarray(prior.cost0.cdf(tau)))
-            return float(binom.sf(need - 1, n, f))
-        g = thetas * np.asarray(prior.cost1.cdf(tau)) + (1.0 - thetas) * np.asarray(
-            prior.cost0.cdf(tau)
-        )
-        return float(np.mean(binom.sf(need - 1, n, g)))
 
     # Grid points are k / 10000 so decimal costs land on exact grid values.
     per_unit = round(1.0 / COST_GRID)
     grid_hi = int(math.floor(cap * per_unit + 1e-9))
     grid_max = grid_hi / per_unit
     search_top = cap if cap > grid_max else grid_max
-    if group_prob(search_top) < 1.0 - delta:
+    if group_prob(search_top, need) < 1.0 - delta:
         raise CostSearchError(
             "participation threshold not reachable within the cost search cap "
             f"{cap}; the (1 - alpha) group quantile appears unbounded"
         )
-    if group_prob(grid_max) < 1.0 - delta:
+    if group_prob(grid_max, need) < 1.0 - delta:
         tau_group = search_top
     else:
         lo, hi = -1, grid_hi  # grid index of the smallest passing tau
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if group_prob(mid / per_unit) >= 1.0 - delta:
+            if group_prob(mid / per_unit, need) >= 1.0 - delta:
                 hi = mid
             else:
                 lo = mid
@@ -482,6 +528,55 @@ def cost_threshold_parts(prior, alpha, delta, n, trials=100_000, seed=0):
     return max(tau_group, tau_marginal), tau_group, tau_marginal
 
 
-def cost_threshold(prior, alpha, delta, n, trials=100_000, seed=0):
+def cost_threshold_parts(prior, alpha, delta, n):
+    """Compute (tau, tau_group, tau_marginal) exactly.
+
+    tau_group is the smallest grid cost level such that, with probability at
+    least 1 - delta over populations, at least (1 - alpha) * n agents have
+    cost at or below it.  tau_marginal makes each bit-conditional marginal
+    cost CDF reach 1 - alpha.  The threshold is their maximum.
+    """
+    return _cost_threshold(prior, alpha, delta, n,
+                           lambda tau, need: _group_prob(prior, n, need, tau))
+
+
+def cost_threshold(prior, alpha, delta, n):
     """Participation cost threshold tau: see `cost_threshold_parts`."""
-    return cost_threshold_parts(prior, alpha, delta, n, trials, seed)[0]
+    return cost_threshold_parts(prior, alpha, delta, n)[0]
+
+
+def cost_threshold_parts_mc(prior, alpha, delta, n, trials, seed):
+    """Monte Carlo cross-check of `cost_threshold_parts`: (parts, standard error of tau).
+
+    The group probability is averaged over `trials` sampled theta instead of
+    integrated; the search is the same.  The standard error is the delta
+    method's: that of the sampled group probability at tau_group over its
+    slope across the grid step below.  It is 0 when tau_marginal binds, and
+    when the cost laws are equal: the group probability is then a binomial
+    tail that does not depend on theta, so nothing is sampled.
+    """
+    trials = int(trials)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if prior.cost0 == prior.cost1:
+        return cost_threshold_parts(prior, alpha, delta, n), 0.0
+    # One shared theta sample keeps the search predicate monotone in tau.
+    thetas = prior.theta_sample(subseed_rng(check_seed(seed), 0), trials)
+
+    def tails(tau, need):
+        g = thetas * np.asarray(prior.cost1.cdf(tau)) + (1.0 - thetas) * np.asarray(
+            prior.cost0.cdf(tau)
+        )
+        return binom.sf(need - 1, n, g)
+
+    parts = _cost_threshold(prior, alpha, delta, n,
+                            lambda tau, need: float(np.mean(tails(tau, need))))
+    tau, tau_group, _ = parts
+    se = 0.0
+    if tau == tau_group:
+        need = math.ceil((1.0 - alpha) * n)
+        at = tails(tau_group, need)
+        slope = (at.mean() - tails(tau_group - COST_GRID, need).mean()) / COST_GRID
+        if slope > 0.0:
+            se = float(at.std() / math.sqrt(trials) / slope)
+    return parts, se

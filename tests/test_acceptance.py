@@ -186,7 +186,7 @@ def test_criterion_7_estimate_accuracy():
     n = 1000
     alpha = delta = 0.1
     epsilon = epsilon_rule(alpha, delta, n)
-    tau = cost_threshold(UNIFORM_PRIOR, alpha, delta / 2.0, n, seed=5)
+    tau = cost_threshold(UNIFORM_PRIOR, alpha, delta / 2.0, n)
     report = accuracy_experiment(
         UNIFORM_PRIOR, n, alpha, delta, epsilon,
         Threshold(tau=tau), trials=1000, seed=5,

@@ -211,13 +211,13 @@ class TestStrategyProfile:
             profile.report_arrays(np.zeros((1, 3)), np.zeros((1, 3)))
 
 
-def truthful_config(prior, n=200, alpha=0.1, delta=0.1, samples=50_000):
-    """Mechanism tuned by the design rules, posteriors estimated from the prior."""
+def truthful_config(prior, n=200, alpha=0.1, delta=0.1):
+    """Mechanism tuned by the design rules, with exact tau and posteriors."""
     epsilon = epsilon_rule(alpha, delta, n)
-    tau = cost_threshold(prior, alpha, delta / 2.0, n, trials=20_000, seed=11)
+    tau = cost_threshold(prior, alpha, delta / 2.0, n)
     beta = beta_rule("linear", epsilon, tau)
-    p0 = posterior_clamped_mean(prior, 0, n, epsilon, samples=samples, seed=21)
-    p1 = posterior_clamped_mean(prior, 1, n, epsilon, samples=samples, seed=22)
+    p0 = posterior_clamped_mean(prior, 0, n, epsilon)
+    p1 = posterior_clamped_mean(prior, 1, n, epsilon)
     return MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1), tau
 
 

@@ -17,6 +17,15 @@ UNIFORM_PRIOR = {
 }
 
 
+# Every peer's bit is 0: conditioning on an own bit of 1 is undefined.
+ZERO_BIT_PRIOR = dict(UNIFORM_PRIOR, mixing={"kind": "atoms", "atoms": [[1.0, 0.0]]})
+# All cost mass at zero: the derived tau is 0, and beta = f(tau) would be too.
+FREE_PRIOR = dict(UNIFORM_PRIOR, cost0={"kind": "point_mass", "value": 0.0},
+                  cost1={"kind": "point_mass", "value": 0.0})
+# Knobs that only size the Monte Carlo cross-checks.
+CROSS_CHECK_KEYS = ("threshold_trials", "posterior_samples")
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -137,6 +146,22 @@ class TestResolver:
         ("cost-scaling", "n", 100),
         ("cost-scaling", "cost_model", {"kind": "chen"}),
         ("cost-scaling", "off", "abstain"),
+        # Configs the drivers cannot work with, checked up front on the exact
+        # tau, p0 and p1: noise that closes the p0/p1 gap, an own bit of zero
+        # probability, a derived tau of 0.
+        ("audit-equilibrium", "epsilon", 1e-9),
+        ("run", "prior", ZERO_BIT_PRIOR),
+        ("audit-equilibrium", "prior", ZERO_BIT_PRIOR),
+        ("cost-scaling", "prior", ZERO_BIT_PRIOR),
+        ("audit-equilibrium", "prior", FREE_PRIOR),
+        ("cost-scaling", "prior", FREE_PRIOR),
+        ("run", "prior", FREE_PRIOR),
+        # Keys the other commands derive themselves or do not use.
+        ("threshold", "tau", 0.5),
+        ("posterior", "p0", 0.3),
+        ("posterior", "p1", 0.7),
+        ("run", "off", "lie"),
+        ("accuracy", "off", "lie"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
@@ -162,6 +187,12 @@ class TestResolver:
             assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
             stdouts.append(capsys.readouterr().out)
         assert stdouts[0] == stdouts[1]
+
+    def test_vanishing_gap_blames_alpha_without_a_pinned_epsilon(self, tmp_path, capsys):
+        # The prior's own p0/p1 gap (1/3) is too narrow for alpha = 0.2.
+        config = write_config(tmp_path, dict(BASE_CONFIGS["audit-equilibrium"], alpha=0.2))
+        assert dispatch(["audit-equilibrium", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("config error: config key 'alpha'")
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIGS["run"])
@@ -507,3 +538,65 @@ class TestCostScalingCommand:
         })
         assert dispatch(["cost-scaling", "--config", config]) == 1
         assert "ns" in capsys.readouterr().err
+
+
+class TestExactDerivations:
+    @pytest.mark.parametrize("command", ["run", "audit-equilibrium", "cost-scaling"])
+    def test_no_monte_carlo_without_the_cross_check_keys(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        from peersurvey import priors
+
+        calls = []
+        for module in (cli, priors):
+            for name in ("posterior_clamped_mean_mc", "cost_threshold_parts_mc"):
+                monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+        payload = {k: v for k, v in BASE_CONFIGS[command].items() if k not in CROSS_CHECK_KEYS}
+        config = write_config(tmp_path, payload)
+        assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
+        report = json.loads(capsys.readouterr().out)
+        assert calls == []
+        assert "cross_check" not in report
+        assert all("cross_check" not in row for row in report.get("rows", ()))
+
+    @pytest.mark.parametrize("command", ["run", "posterior", "threshold", "audit-equilibrium",
+                                         "accuracy", "cost-scaling"])
+    def test_cross_check_sits_beside_the_exact_values(self, tmp_path, capsys, command):
+        # The cross-check keys add a block and change nothing else.
+        with_keys = BASE_CONFIGS[command]
+        without = {k: v for k, v in with_keys.items() if k not in CROSS_CHECK_KEYS}
+        reports = []
+        for name, payload in (("with.json", with_keys), ("without.json", without)):
+            config = write_config(tmp_path, payload, name=name)
+            assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
+            reports.append(json.loads(capsys.readouterr().out))
+        checked, plain = reports
+        # posterior and threshold use the seed only for the cross-check.
+        assert plain["resolved"]["seed"] == (
+            None if command in ("posterior", "threshold") else checked["resolved"]["seed"])
+        plain["resolved"]["seed"] = checked["resolved"]["seed"]
+        blocks = [row.pop("cross_check") for row in checked.get("rows", ())]
+        if not blocks:
+            blocks = [checked.pop("cross_check")]
+            exact = [checked["resolved"]]
+        else:
+            exact = checked["rows"]
+        assert checked == plain
+        for block, values in zip(blocks, exact):
+            assert block  # every set key derived something here
+            for key, entry in block.items():
+                assert entry["samples"] == with_keys[
+                    "threshold_trials" if key == "tau" else "posterior_samples"]
+                slack = 1e-4 if key == "tau" else 0.0  # one cost-grid step
+                assert abs(entry["mc"] - values[key]) <= 5.0 * entry["se"] + slack
+
+    def test_resolved_predictions_are_exact(self, tmp_path, capsys):
+        from peersurvey import PriorSpec, epsilon_rule, posterior_clamped_mean
+
+        config = write_config(tmp_path, BASE_CONFIGS["run"])
+        assert dispatch(["run", "--config", config]) == 0
+        resolved = json.loads(capsys.readouterr().out)["resolved"]
+        prior = PriorSpec.from_dict(UNIFORM_PRIOR)
+        epsilon = epsilon_rule(0.1, 0.1, 60)
+        assert resolved["epsilon"] == epsilon
+        for bit in (0, 1):
+            assert resolved[f"p{bit}"] == posterior_clamped_mean(prior, bit, 60, epsilon)

@@ -242,7 +242,6 @@ class TestBestResponseAudit:
             epsilon=epsilon_rule(0.1, 0.1, 200),
             cost_model=CostModel("linear"),
             trials=20_000, seed=3,
-            samples=20_000, threshold_trials=20_000,
         )
         assert report.overall == PASS
         assert report.verdicts["truth_ge_beta"] == PASS
@@ -259,7 +258,6 @@ class TestBestResponseAudit:
             epsilon=epsilon_rule(0.1, 0.1, 200),
             cost_model=CostModel("linear"),
             trials=2_000, seed=3,
-            samples=20_000, threshold_trials=20_000,
             beta_override=1e-6,
         )
         assert report.verdicts["beta_covers_cost_bound"] == FAIL
@@ -270,7 +268,6 @@ class TestBestResponseAudit:
         report = best_response_audit(
             uniform_prior, n=100, alpha=0.1, delta=0.1, epsilon=0.25,
             cost_model=CostModel("chen"), trials=1_000, seed=5,
-            samples=5_000, threshold_trials=5_000,
         )
         d = report.to_dict()
         assert set(d["verdicts"]) == {
@@ -319,7 +316,7 @@ class TestCostScaling:
     def test_small_run_structure(self, uniform_prior):
         report = cost_scaling_experiment(
             uniform_prior, alpha=0.1, delta=0.1, ns=(100, 400), trials=100,
-            seed=2, samples=10_000, threshold_trials=10_000,
+            seed=2,
         )
         assert [r.n for r in report.rows] == [100, 400]
         assert report.slope < 0.0
@@ -334,7 +331,7 @@ class TestCostScaling:
         with pytest.raises(ValueError, match="quadratic"):
             cost_scaling_experiment(
                 uniform_prior, alpha=0.1, delta=0.1, ns=(5, 100), trials=10,
-                seed=0, samples=1_000, threshold_trials=1_000,
+                seed=0,
             )
 
     def test_rejects_free_participation(self):
@@ -347,7 +344,7 @@ class TestCostScaling:
         with pytest.raises(ValueError, match="tau must be positive"):
             cost_scaling_experiment(
                 free, alpha=0.1, delta=0.1, ns=(100, 400), trials=10,
-                seed=0, samples=1_000, threshold_trials=1_000,
+                seed=0,
             )
 
     def test_needs_two_sizes(self, uniform_prior):

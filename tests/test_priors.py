@@ -15,11 +15,13 @@ from peersurvey import (
     cost_distribution_from_dict,
     cost_threshold,
     cost_threshold_parts,
+    cost_threshold_parts_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
+    posterior_clamped_mean_mc,
     sample_population,
 )
-from peersurvey.priors import AtomMixing, BetaMixing
+from peersurvey.priors import COST_GRID, AtomMixing, BetaMixing
 
 
 class TestCostDistributions:
@@ -170,31 +172,101 @@ class TestPosteriorBitProb:
         assert abs(freq - p1) <= 3 * sigma
 
 
+MIXINGS = {
+    "uniform": {"kind": "beta", "a": 1.0, "b": 1.0},
+    "beta": {"kind": "beta", "a": 2.5, "b": 0.7},
+    "atoms": {"kind": "atoms", "atoms": [[0.5, 0.2], [0.3, 0.7], [0.2, 1.0]]},
+    "point": {"kind": "point", "theta": 0.3},
+}
+
+
+def _prior(mixing, cost0=None, cost1=None):
+    uniform = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+    return PriorSpec.from_dict({
+        "family": "conditional_iid", "mixing": mixing,
+        "cost0": cost0 or uniform, "cost1": cost1 or uniform,
+    })
+
+
+class TestPosteriorClampedMeanExact:
+    @pytest.mark.parametrize("n", [2, 20, 50_000])
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("name", list(MIXINGS))
+    def test_matches_binomial_sum_oracle(self, name, bit, noise, n):
+        prior = _prior(MIXINGS[name])
+        exact = posterior_clamped_mean(prior, bit, n, 0.3, noise_disabled=not noise)
+        oracle = _binomial_sum_oracle(MIXINGS[name], bit, n, 0.3 if noise else None)
+        assert exact == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.7)])
+    @pytest.mark.parametrize("n", [2, 20])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_matches_quadrature_oracle(self, a, b, n, bit):
+        prior = _prior({"kind": "beta", "a": a, "b": b})
+        exact = posterior_clamped_mean(prior, bit, n, 0.2)
+        assert exact == pytest.approx(_clamped_mean_oracle(a, b, bit=bit, n=n, eps=0.2), abs=1e-9)
+
+    def test_noise_disabled_is_the_posterior_bit_prob(self, atom_prior):
+        for bit in (0, 1):
+            exact = posterior_clamped_mean(atom_prior, bit, 300, 1.0, noise_disabled=True)
+            assert exact == pytest.approx(posterior_bit_prob(atom_prior, bit), abs=1e-12)
+
+    def test_vanishing_epsilon_pulls_both_to_one_half(self, uniform_prior):
+        for bit in (0, 1):
+            assert posterior_clamped_mean(uniform_prior, bit, 200, 1e-9) == pytest.approx(
+                0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("mixing, bit", [
+        ({"kind": "atoms", "atoms": [[1.0, 0.0]]}, 1),
+        ({"kind": "atoms", "atoms": [[0.4, 1.0], [0.6, 1.0]]}, 0),
+        ({"kind": "point", "theta": 0.0}, 1),
+        ({"kind": "point", "theta": 1.0}, 0),
+    ])
+    def test_zero_probability_bit_rejected(self, mixing, bit):
+        prior = _prior(mixing)
+        with pytest.raises(ValueError, match="zero prior probability"):
+            posterior_clamped_mean(prior, bit, 20, 0.5)
+        with pytest.raises(ValueError, match="zero prior probability"):
+            posterior_bit_prob(prior, bit)
+        assert 0.0 <= posterior_clamped_mean(prior, 1 - bit, 20, 0.5) <= 1.0
+
+
 class TestPosteriorClampedMean:
+    """The Monte Carlo cross-check."""
+
     def test_against_quadrature_oracle(self, uniform_prior):
         # Independent oracle: exact beta-binomial mixture of the clamped
         # Laplace location family, integrated by quadrature.
         n, eps = 20, 0.2
         oracle = _clamped_mean_oracle(1.0, 1.0, bit=1, n=n, eps=eps)
-        est = posterior_clamped_mean(uniform_prior, 1, n, eps, samples=400_000, seed=11)
+        est, _ = posterior_clamped_mean_mc(uniform_prior, 1, n, eps, samples=400_000, seed=11)
         assert est == pytest.approx(oracle, abs=0.0025)
         oracle0 = _clamped_mean_oracle(1.0, 1.0, bit=0, n=n, eps=eps)
-        est0 = posterior_clamped_mean(uniform_prior, 0, n, eps, samples=400_000, seed=12)
+        est0, _ = posterior_clamped_mean_mc(uniform_prior, 0, n, eps, samples=400_000, seed=12)
         assert est0 == pytest.approx(oracle0, abs=0.0025)
 
     def test_noise_free_limit(self, uniform_prior):
-        est = posterior_clamped_mean(uniform_prior, 1, 10_000, 1e6, samples=20_000, seed=4)
+        est, _ = posterior_clamped_mean_mc(uniform_prior, 1, 10_000, 1e6, samples=20_000, seed=4)
         assert abs(est - 2.0 / 3.0) < 0.01
 
     def test_disabled_noise_point_rate(self, point_prior):
-        est = posterior_clamped_mean(point_prior, 1, 500, 1.0, samples=50_000,
-                                     seed=2, noise_disabled=True)
+        est, _ = posterior_clamped_mean_mc(point_prior, 1, 500, 1.0, samples=50_000,
+                                           seed=2, noise_disabled=True)
         assert abs(est - 0.5) < 0.01
 
     def test_deterministic_given_seed(self, uniform_prior):
-        a = posterior_clamped_mean(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
-        b = posterior_clamped_mean(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
+        a = posterior_clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
+        b = posterior_clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("name", list(MIXINGS))
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_within_five_standard_errors_of_exact(self, name, bit):
+        prior = _prior(MIXINGS[name])
+        est, se = posterior_clamped_mean_mc(prior, bit, 40, 0.3, samples=200_000, seed=5 + bit)
+        assert 0.0 < se < 1e-3
+        assert abs(est - posterior_clamped_mean(prior, bit, 40, 0.3)) <= 5.0 * se
 
 
 class TestSamplePopulation:
@@ -271,17 +343,15 @@ class TestSamplePopulation:
 class TestCostThreshold:
     def test_zero_costs(self):
         prior = _equal_cost_prior({"kind": "point_mass", "value": 0.0})
-        assert cost_threshold(prior, 0.1, 0.1, 100, 1000, 0) == 0.0
+        assert cost_threshold(prior, 0.1, 0.1, 100) == 0.0
 
     def test_point_mass_costs_exact(self):
         prior = _equal_cost_prior({"kind": "point_mass", "value": 0.7})
-        assert cost_threshold(prior, 0.1, 0.1, 50, 1000, 0) == 0.7
+        assert cost_threshold(prior, 0.1, 0.1, 50) == 0.7
 
     def test_uniform_costs_against_binomial_oracle(self, uniform_prior):
         n, alpha, delta = 100, 0.1, 0.1
-        tau, tau_group, tau_marginal = cost_threshold_parts(
-            uniform_prior, alpha, delta, n, trials=1000, seed=0
-        )
+        tau, tau_group, tau_marginal = cost_threshold_parts(uniform_prior, alpha, delta, n)
         assert tau_marginal == pytest.approx(0.9)
         # Oracle: smallest grid multiple of 1e-4 where at least 90 of 100
         # uniform costs land below it with probability >= 0.9.
@@ -295,8 +365,9 @@ class TestCostThreshold:
 
     def test_degenerate_rate_mixed_costs_exact(self):
         # With a degenerate latent rate the participation probability is an
-        # exact binomial in the half/half cost mixture, so the Monte Carlo
-        # path must land on the same grid point as direct computation.
+        # exact binomial in the half/half cost mixture: the exact search and
+        # the Monte Carlo one must both land on the directly computed grid
+        # point.
         prior = PriorSpec.from_dict({
             "family": "conditional_iid",
             "mixing": {"kind": "point", "theta": 0.5},
@@ -304,8 +375,9 @@ class TestCostThreshold:
             "cost1": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
         })
         n, alpha, delta = 60, 0.1, 0.1
-        _, tau_group, _ = cost_threshold_parts(prior, alpha, delta, n,
-                                               trials=20_000, seed=3)
+        (_, sampled, _), se = cost_threshold_parts_mc(prior, alpha, delta, n,
+                                                      trials=20_000, seed=3)
+        _, tau_group, _ = cost_threshold_parts(prior, alpha, delta, n)
         need = math.ceil((1 - alpha) * n)
 
         def mixture_cdf(t):
@@ -316,11 +388,14 @@ class TestCostThreshold:
             if stats.binom.sf(need - 1, n, mixture_cdf(k / 10000.0)) >= 1 - delta
         )
         assert tau_group == pytest.approx(k / 10000.0, abs=1e-12)
+        assert sampled == pytest.approx(k / 10000.0, abs=1e-12)
+        assert se < 1e-15  # every sampled theta is the same
 
     def test_atom_rate_close_to_exact_mixture(self, atom_prior):
         n, alpha, delta = 50, 0.1, 0.1
-        _, tau_group, _ = cost_threshold_parts(atom_prior, alpha, delta, n,
-                                               trials=100_000, seed=9)
+        (_, sampled, _), _ = cost_threshold_parts_mc(atom_prior, alpha, delta, n,
+                                                     trials=100_000, seed=9)
+        _, tau_group, _ = cost_threshold_parts(atom_prior, alpha, delta, n)
         need = math.ceil((1 - alpha) * n)
 
         def group_prob(t):
@@ -334,16 +409,67 @@ class TestCostThreshold:
             k for k in range(1, 20001)
             if group_prob(k / 10000.0) >= 1 - delta
         )
-        assert abs(tau_group - k / 10000.0) <= 0.01
+        assert abs(sampled - k / 10000.0) <= 0.01
+        assert tau_group == pytest.approx(k / 10000.0, abs=1e-12)
+
+    def test_beta_rate_unequal_costs_against_oracles(self):
+        # Beta mixing with unequal cost laws integrates over theta by
+        # quadrature.  Oracle: the same grid search on the mixture summed
+        # over a fine partition of theta, each cell weighted by its exact
+        # Beta mass.  A million sampled theta must agree within their noise.
+        a, b = 2.0, 5.0
+        prior = _prior({"kind": "beta", "a": a, "b": b},
+                       cost1={"kind": "uniform", "lo": 0.0, "hi": 2.0})
+        n, alpha, delta = 500, 0.1, 0.05
+        tau, tau_group, tau_marginal = cost_threshold_parts(prior, alpha, delta, n)
+        need = math.ceil((1 - alpha) * n)
+        edges = np.linspace(0.0, 1.0, 20_001)
+        mass = np.diff(stats.beta.cdf(edges, a, b))
+        theta = 0.5 * (edges[1:] + edges[:-1])
+
+        def group_prob(k):
+            t = k / 10000.0
+            g = theta * min(t / 2.0, 1.0) + (1 - theta) * min(t, 1.0)
+            return mass @ stats.binom.sf(need - 1, n, g)
+
+        lo, hi = 0, 20_000
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if group_prob(mid) >= 1 - delta else (mid, hi)
+        assert tau == tau_group > tau_marginal
+        assert abs(tau_group - hi / 10000.0) <= COST_GRID + 1e-12
+
+        (sampled, _, sampled_marginal), se = cost_threshold_parts_mc(
+            prior, alpha, delta, n, trials=1_000_000, seed=4)
+        assert sampled_marginal == tau_marginal
+        assert 0.0 < se < 1e-3
+        assert abs(sampled - tau) <= 5.0 * se + COST_GRID
+
+    @pytest.mark.parametrize("mixing", [
+        {"kind": "beta", "a": 0.5, "b": 0.5},
+        {"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},
+        {"kind": "point", "theta": 0.4},
+    ])
+    def test_sampled_within_five_standard_errors_of_exact(self, mixing):
+        prior = _prior(mixing, cost1={"kind": "exponential", "rate": 2.0})
+        tau = cost_threshold(prior, 0.2, 0.1, 80)
+        (sampled, _, _), se = cost_threshold_parts_mc(prior, 0.2, 0.1, 80, trials=50_000, seed=1)
+        assert abs(sampled - tau) <= 5.0 * se + COST_GRID
+
+    def test_zero_probability_bit_rejected_with_unequal_costs(self):
+        prior = _prior({"kind": "atoms", "atoms": [[1.0, 0.0]]},
+                       cost1={"kind": "uniform", "lo": 0.0, "hi": 2.0})
+        with pytest.raises(ValueError, match="zero prior probability"):
+            cost_threshold_parts(prior, 0.1, 0.1, 50)
 
     def test_monotone_in_alpha_and_delta(self, uniform_prior):
         taus_alpha = [
-            cost_threshold(uniform_prior, a, 0.1, 100, 1000, 0)
+            cost_threshold(uniform_prior, a, 0.1, 100)
             for a in (0.05, 0.1, 0.2)
         ]
         assert taus_alpha == sorted(taus_alpha, reverse=True)
         taus_delta = [
-            cost_threshold(uniform_prior, 0.1, d, 100, 1000, 0)
+            cost_threshold(uniform_prior, 0.1, d, 100)
             for d in (0.01, 0.05, 0.2)
         ]
         assert taus_delta == sorted(taus_delta, reverse=True)
@@ -351,7 +477,9 @@ class TestCostThreshold:
     def test_unreachable_participation_level(self):
         prior = _equal_cost_prior({"kind": "exponential", "rate": 1.0})
         with pytest.raises(CostSearchError):
-            cost_threshold(prior, 1e-9, 0.001, 20_000, 1000, 0)
+            cost_threshold(prior, 1e-9, 0.001, 20_000)
+        with pytest.raises(CostSearchError):
+            cost_threshold_parts_mc(prior, 1e-9, 0.001, 20_000, trials=1000, seed=0)
 
 
 def _equal_cost_prior(cost_spec):
@@ -376,4 +504,40 @@ def _clamped_mean_oracle(a, b, bit, n, eps):
             lambda x: (k + x) / m, scale=scale, lb=-k, ub=m - k
         ), None
         total += w * (upper + integral)
+    return total
+
+
+def _binomial_sum_oracle(mixing, bit, n, eps):
+    """Sum over k of P(K = k | own bit) times E[clip((k + X) / m, 0, 1)], in
+    plain floats: beta-binomial or binomial-mixture weights from lgamma, and
+    the clipped Laplace mean k + (s/2)(e^{-k/s} - e^{-(m-k)/s}), or k without
+    noise (eps None)."""
+    m = n - 1
+
+    def log_choose(k):
+        return math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+
+    def binomial_pmf(k, t):
+        if t in (0.0, 1.0):
+            return float(k == (m if t == 1.0 else 0))
+        return math.exp(log_choose(k) + k * math.log(t) + (m - k) * math.log1p(-t))
+
+    if mixing["kind"] == "beta":
+        a, b = mixing["a"] + bit, mixing["b"] + 1 - bit
+        weights = [math.exp(log_choose(k) + math.lgamma(k + a) + math.lgamma(m - k + b)
+                            - math.lgamma(m + a + b) + math.lgamma(a + b) - math.lgamma(a)
+                            - math.lgamma(b))
+                   for k in range(m + 1)]
+    else:
+        atoms = mixing["atoms"] if mixing["kind"] == "atoms" else [[1.0, mixing["theta"]]]
+        post = [(w * (t if bit else 1.0 - t), t) for w, t in atoms]
+        total = sum(w for w, _ in post)
+        weights = [sum(w / total * binomial_pmf(k, t) for w, t in post) for k in range(m + 1)]
+    total = 0.0
+    for k, w in enumerate(weights):
+        clipped = k
+        if eps is not None:
+            s = 1.0 / eps
+            clipped = k + 0.5 * s * (math.exp(-k / s) - math.exp(-(m - k) / s))
+        total += w * clipped / m
     return total
