@@ -34,6 +34,7 @@ from .equilibrium import (
 )
 from .mechanism import MechanismConfig, estimate_observable, payment_observable
 from .priors import (
+    CostSearchError,
     PriorSpec,
     cost_threshold_parts,
     cost_threshold_parts_mc,
@@ -48,7 +49,7 @@ EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
 # The smallest trial count each command's driver accepts; 1 elsewhere.
 _MIN_TRIALS = {"audit-dp": 100_000, "audit-equilibrium": 1_000, "accuracy": 100}
 
-# Commands whose driver derives tau, p0 and p1 itself.
+# Commands whose driver builds the mechanism and the strategy itself.
 _DRIVERS = ("audit-equilibrium", "cost-scaling")
 
 # Keys a command derives or fixes itself, with the one value each may take
@@ -148,18 +149,6 @@ class Resolver:
             raise ConfigError("strategy", f"is fixed by the {self.command} driver; only "
                                           f"{json.dumps(expected)} is accepted, got {strategy!r}")
 
-    def check_driver_derivations(self):
-        """Derive tau, p0 and p1 exactly at each (n, epsilon) the command's
-        driver uses, so that a config it cannot work with fails here, naming
-        its key, and not inside the driver."""
-        if self.command == "cost-scaling":
-            sizes = [(n, epsilon_rule(self.alpha, self.delta, n)) for n in self.ns]
-        else:
-            sizes = [(self.n, self.epsilon)]
-        for n, epsilon in sizes:
-            self._check_tau(self.exact_tau(n)[0])
-            self._check_gap(n, epsilon, *(self.exact_prediction(bit, n, epsilon) for bit in (0, 1)))
-
     def pinned(self, key):
         """Whether the config fixes a key that would otherwise be "auto"."""
         return self._raw(key, "auto") != "auto"
@@ -253,7 +242,7 @@ class Resolver:
     @cached_property
     def conditioned_prior(self):
         """The prior, provided each own bit has positive prior probability:
-        tau, p0 and p1 condition on it."""
+        p0 and p1 condition on it, and so does tau when the cost laws differ."""
         for bit in (0, 1):
             try:
                 posterior_bit_prob(self.prior, bit)
@@ -286,11 +275,16 @@ class Resolver:
 
     def exact_tau(self, n):
         """Exact (tau, tau_group, tau_marginal) at n, sized with delta / 2."""
-        args = (self.conditioned_prior, self.alpha, self.delta / 2.0, n)
-        parts = cost_threshold_parts(*args)
-        if self.threshold_trials is not None:
-            (mc, _, _), se = cost_threshold_parts_mc(*args, self.threshold_trials, self._slot(n, 0))
-            self.cross_check[n]["tau"] = {"mc": mc, "se": se, "samples": self.threshold_trials}
+        prior = self.prior if self.prior.cost0 == self.prior.cost1 else self.conditioned_prior
+        args = (prior, self.alpha, self.delta / 2.0, n)
+        try:
+            parts = cost_threshold_parts(*args)
+            if self.threshold_trials is not None:
+                (mc, _, _), se = cost_threshold_parts_mc(*args, self.threshold_trials,
+                                                         self._slot(n, 0))
+                self.cross_check[n]["tau"] = {"mc": mc, "se": se, "samples": self.threshold_trials}
+        except CostSearchError as exc:  # the cost laws never reach the 1 - alpha level
+            raise ConfigError("alpha", str(exc)) from exc
         return parts
 
     def exact_prediction(self, bit, n, epsilon):
@@ -301,6 +295,16 @@ class Resolver:
             mc, se = posterior_clamped_mean_mc(*args, self.posterior_samples, self._slot(n, 1 + bit))
             self.cross_check[n][f"p{bit}"] = {"mc": mc, "se": se, "samples": self.posterior_samples}
         return value
+
+    def driver_parameters(self, n, epsilon):
+        """A driver's (tau, p0, p1) at (n, epsilon), derived exactly and
+        checked, so that a config the driver cannot work with fails naming
+        its key."""
+        tau = self.exact_tau(n)[0]
+        self._check_tau(tau)
+        p0, p1 = (self.exact_prediction(bit, n, epsilon) for bit in (0, 1))
+        self._check_gap(n, epsilon, p0, p1)
+        return tau, p0, p1
 
     @cached_property
     def tau_parts(self):
@@ -525,11 +529,11 @@ def _cmd_audit_dp(r):
 
 
 def _cmd_audit_equilibrium(r):
-    r.check_driver_derivations()
     report = best_response_audit(
         r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
         beta_override=r.beta if r.pinned("beta") else None,
         off=r.off,
+        derive=r.driver_parameters,
     )
     keys = ("mean_payment", "ci_halfwidth", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[key] for key in keys))
@@ -561,8 +565,8 @@ def _cmd_accuracy(r):
 
 
 def _cmd_cost_scaling(r):
-    r.check_driver_derivations()
-    report = cost_scaling_experiment(r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed)
+    report = cost_scaling_experiment(r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed,
+                                     derive=r.driver_parameters)
     parts = [
         {
             "n": np.full(row.records.base.trials, row.n),

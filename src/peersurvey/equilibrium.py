@@ -11,6 +11,7 @@ populations and returns a report with explicit verdicts.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -68,6 +69,17 @@ def epsilon_rule(alpha, delta, n):
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return math.log(1.0 / delta) / (alpha * n)
+
+
+def exact_parameters(prior, alpha, delta, n, epsilon):
+    """The mechanism's exact (tau, p0, p1) at (n, epsilon).
+
+    tau is the participation threshold sized with delta / 2; p0 and p1 are
+    the means of the clamped leave-one-out estimate given one's own bit.
+    """
+    return (cost_threshold(prior, alpha, delta / 2.0, n),
+            posterior_clamped_mean(prior, 0, n, epsilon),
+            posterior_clamped_mean(prior, 1, n, epsilon))
 
 
 def accuracy_radius(alpha, delta, epsilon, n):
@@ -291,21 +303,23 @@ def best_response_audit(
     beta_override=None,
     off=ABSTAIN,
     ci_level=0.99,
+    derive=None,
 ):
     """Audit whether truthful participation is a best response at threshold tau.
 
     Everyone else plays the threshold strategy; a probe agent with cost just
     below tau tries truth, lie and abstain for both possible bit values.
-    tau, p0 and p1 are exact.  The report carries the worst case over bits.
+    `derive(n, epsilon)` gives (tau, p0, p1); by default `exact_parameters`
+    derives them.  The report carries the worst case over bits.
     beta_override exists to study misconfigured premia; when used, the
     beta_covers_cost_bound diagnostic flags premia below the privacy-cost
     bound at tau.
     """
     seed = check_seed(seed)
-    tau = cost_threshold(prior, alpha, delta / 2.0, n)
+    if derive is None:
+        derive = partial(exact_parameters, prior, alpha, delta)
+    tau, p0, p1 = derive(n, epsilon)
     beta = beta_rule(cost_model.kind, epsilon, tau) if beta_override is None else float(beta_override)
-    p0 = posterior_clamped_mean(prior, 0, n, epsilon)
-    p1 = posterior_clamped_mean(prior, 1, n, epsilon)
     config = MechanismConfig(
         n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
     )
@@ -547,12 +561,14 @@ def cost_scaling_experiment(
     ns,
     trials,
     seed,
+    derive=None,
 ):
     """Mean total payment per survey size under the quadratic cost model.
 
-    For each n: epsilon follows epsilon_rule, tau, p0 and p1 are exact, beta
-    follows the quadratic premium rule, and everyone plays the threshold
-    strategy, abstaining above tau.
+    For each n: epsilon follows epsilon_rule, `derive(n, epsilon)` gives
+    (tau, p0, p1) (by default `exact_parameters`), beta follows the
+    quadratic premium rule, and everyone plays the threshold strategy,
+    abstaining above tau.
     Any n that drives epsilon above 1 is rejected, because the quadratic
     bound is invalid there.  The report's log-log slope should approach -1.
     """
@@ -563,6 +579,8 @@ def cost_scaling_experiment(
     if trials < 1:
         raise ValueError("trials must be positive")
     seed = check_seed(seed)
+    if derive is None:
+        derive = partial(exact_parameters, prior, alpha, delta)
 
     rows = []
     for n in ns:
@@ -572,10 +590,8 @@ def cost_scaling_experiment(
                 f"n={n} gives epsilon={epsilon:.4g} > 1; the quadratic "
                 "cost model does not apply"
             )
-        tau = cost_threshold(prior, alpha, delta / 2.0, n)
+        tau, p0, p1 = derive(n, epsilon)
         beta = beta_rule("chen", epsilon, tau)
-        p0 = posterior_clamped_mean(prior, 0, n, epsilon)
-        p1 = posterior_clamped_mean(prior, 1, n, epsilon)
         config = MechanismConfig(
             n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
         )

@@ -460,6 +460,16 @@ def _beta_mixed_tail(mixing, f0, f1, need, n):
     return min(max(value, 0.0), 1.0)
 
 
+def _cost_cdfs(prior, tau):
+    """(F0(tau), F1(tau)): the cost CDFs of an agent holding a zero and a one."""
+    return float(np.asarray(prior.cost0.cdf(tau))), float(np.asarray(prior.cost1.cdf(tau)))
+
+
+def _theta_tails(thetas, f0, f1, need, n):
+    """P(Bin(n, theta f1 + (1 - theta) f0) >= need) for each theta."""
+    return binom.sf(need - 1, n, thetas * f1 + (1.0 - thetas) * f0)
+
+
 def _group_prob(prior, n, need, tau):
     """Exact P(at least `need` of n agents have cost <= tau).
 
@@ -468,14 +478,13 @@ def _group_prob(prior, n, need, tau):
     mixing over theta is a weighted sum over the atoms, or for Beta mixing a
     quadrature.  When F0(tau) = F1(tau), g does not depend on theta.
     """
-    f0 = float(np.asarray(prior.cost0.cdf(tau)))
-    f1 = float(np.asarray(prior.cost1.cdf(tau)))
+    f0, f1 = _cost_cdfs(prior, tau)
     if f0 == f1:
         return float(binom.sf(need - 1, n, f0))
     if isinstance(prior.mixing, BetaMixing):
         return _beta_mixed_tail(prior.mixing, f0, f1, need, n)
     weights, thetas = _atoms(prior.mixing)
-    return float(weights @ binom.sf(need - 1, n, thetas * f1 + (1.0 - thetas) * f0))
+    return float(weights @ _theta_tails(thetas, f0, f1, need, n))
 
 
 def _cost_threshold(prior, alpha, delta, n, group_prob):
@@ -564,10 +573,7 @@ def cost_threshold_parts_mc(prior, alpha, delta, n, trials, seed):
     thetas = prior.theta_sample(subseed_rng(check_seed(seed), 0), trials)
 
     def tails(tau, need):
-        g = thetas * np.asarray(prior.cost1.cdf(tau)) + (1.0 - thetas) * np.asarray(
-            prior.cost0.cdf(tau)
-        )
-        return binom.sf(need - 1, n, g)
+        return _theta_tails(thetas, *_cost_cdfs(prior, tau), need, n)
 
     parts = _cost_threshold(prior, alpha, delta, n,
                             lambda tau, need: float(np.mean(tails(tau, need))))

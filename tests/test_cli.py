@@ -146,9 +146,9 @@ class TestResolver:
         ("cost-scaling", "n", 100),
         ("cost-scaling", "cost_model", {"kind": "chen"}),
         ("cost-scaling", "off", "abstain"),
-        # Configs the drivers cannot work with, checked up front on the exact
-        # tau, p0 and p1: noise that closes the p0/p1 gap, an own bit of zero
-        # probability, a derived tau of 0.
+        # Configs the drivers cannot work with, checked on the exact tau, p0
+        # and p1 before a driver uses them: noise that closes the p0/p1 gap,
+        # an own bit of zero probability, a derived tau of 0.
         ("audit-equilibrium", "epsilon", 1e-9),
         ("run", "prior", ZERO_BIT_PRIOR),
         ("audit-equilibrium", "prior", ZERO_BIT_PRIOR),
@@ -187,6 +187,31 @@ class TestResolver:
             assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
             stdouts.append(capsys.readouterr().out)
         assert stdouts[0] == stdouts[1]
+
+    def test_tau_conditions_on_a_bit_only_under_unequal_cost_laws(self, tmp_path, capsys):
+        # With equal cost laws tau never conditions on an own bit, so a bit of
+        # zero prior probability does not stop threshold, or run with p0 and
+        # p1 pinned.
+        for command, extra in (("threshold", {}), ("run", {"p0": 0.2, "p1": 0.8})):
+            payload = dict(BASE_CONFIGS[command], prior=ZERO_BIT_PRIOR, **extra)
+            config = write_config(tmp_path, payload)
+            assert dispatch([command, "--config", config]) == 0
+            capsys.readouterr()
+        unequal = dict(ZERO_BIT_PRIOR, cost1={"kind": "uniform", "lo": 0.0, "hi": 2.0})
+        config = write_config(tmp_path, dict(BASE_CONFIGS["threshold"], prior=unequal))
+        assert dispatch(["threshold", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("config error: config key 'prior'")
+
+    def test_unreachable_participation_level_blames_alpha(self, tmp_path, capsys):
+        # Exponential costs have no top: the search cap never holds all but a
+        # 1e-9 fraction of 20,000 agents.
+        prior = dict(UNIFORM_PRIOR, cost0={"kind": "exponential", "rate": 1.0},
+                     cost1={"kind": "exponential", "rate": 1.0})
+        payload = dict(BASE_CONFIGS["threshold"], prior=prior, n=20_000, alpha=1e-9,
+                       delta=0.001)
+        config = write_config(tmp_path, payload)
+        assert dispatch(["threshold", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("config error: config key 'alpha'")
 
     def test_vanishing_gap_blames_alpha_without_a_pinned_epsilon(self, tmp_path, capsys):
         # The prior's own p0/p1 gap (1/3) is too narrow for alpha = 0.2.
@@ -557,6 +582,25 @@ class TestExactDerivations:
         assert calls == []
         assert "cross_check" not in report
         assert all("cross_check" not in row for row in report.get("rows", ()))
+
+    @pytest.mark.parametrize("command", ["audit-equilibrium", "cost-scaling"])
+    def test_drivers_derive_each_parameter_once(self, tmp_path, capsys, monkeypatch, command):
+        from peersurvey import equilibrium
+
+        calls = []
+        for module, name in ((cli, "cost_threshold_parts"), (cli, "posterior_clamped_mean"),
+                             (equilibrium, "cost_threshold"),
+                             (equilibrium, "posterior_clamped_mean")):
+            def counted(*a, _exact=getattr(module, name), **k):
+                calls.append("tau" if _exact.__name__.startswith("cost") else "p")
+                return _exact(*a, **k)
+            monkeypatch.setattr(module, name, counted)
+        payload = {k: v for k, v in BASE_CONFIGS[command].items() if k not in CROSS_CHECK_KEYS}
+        config = write_config(tmp_path, payload)
+        assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
+        capsys.readouterr()
+        sizes = len(payload.get("ns", [payload.get("n")]))
+        assert sorted(calls) == ["p"] * 2 * sizes + ["tau"] * sizes
 
     @pytest.mark.parametrize("command", ["run", "posterior", "threshold", "audit-equilibrium",
                                          "accuracy", "cost-scaling"])
