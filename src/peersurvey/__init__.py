@@ -64,7 +64,6 @@ from .priors import (
     CostSearchError,
     Exponential,
     PointMass,
-    Population,
     PriorSpec,
     TruncatedLogNormal,
     Uniform,
@@ -75,7 +74,6 @@ from .priors import (
     posterior_bit_prob,
     posterior_clamped_mean,
     posterior_clamped_mean_mc,
-    sample_population,
 )
 from .privacy import (
     FAIL,
@@ -124,7 +122,6 @@ __all__ = [
     "MechanismOutcome",
     "NoiseSpec",
     "PointMass",
-    "Population",
     "PriorSpec",
     "ScoringParams",
     "StrategyProfile",
@@ -158,7 +155,6 @@ __all__ = [
     "posterior_clamped_mean_mc",
     "privacy_cost_bound",
     "run",
-    "sample_population",
     "scaled_score",
     "scoring_params",
     "simulate_estimates",

@@ -1,10 +1,12 @@
-"""Deterministic RNG derivation and chunk iteration.
+"""Deterministic RNG derivation, chunk iteration and report serialisation.
 
 Every stochastic operation in this package takes an integer seed and derives
 independent generators from (seed, index, ...) tuples.  Work split into chunks
 uses one generator per chunk index, so results never depend on scheduling,
 thread count or chunk evaluation order.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -69,3 +71,12 @@ def merge_moments(moments, values):
     mean += shift * size / count
     m2 += float(((values - chunk_mean) ** 2).sum()) + shift**2 * (count - size) * size / count
     return count, mean, m2
+
+
+def report_dict(report):
+    """A report dataclass's fields in declaration order, as a `to_dict`.
+
+    Fields declared with compare=False hold data kept for the CLI's CSV
+    records only, and are left out.
+    """
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.compare}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, merge_moments, subseed_rng
+from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, merge_moments, report_dict, subseed_rng
 from .mechanism import payment_pair, peer_estimate
 from .privacy import noise_draw
 
@@ -25,6 +25,9 @@ OFF_BEHAVIORS = (ABSTAIN, LIE, TRUTH)
 COST_MODEL_KINDS = ("linear", "chen")
 
 _MIN_UTILITY_TRIALS = 1_000
+
+# Coverage of the two-sided normal interval around a mean payment.
+CI_LEVEL = 0.99
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,7 @@ class CostModel:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
-    def to_dict(self):
-        return {"kind": self.kind, "eta": self.eta}
+    to_dict = report_dict
 
     @classmethod
     def from_dict(cls, d):
@@ -294,7 +296,6 @@ def expected_utility(
     cost_model,
     trials,
     seed,
-    ci_level=0.99,
 ):
     """Estimate one agent's expected payment and worst-case utility.
 
@@ -304,15 +305,14 @@ def expected_utility(
     runs the payment rule against the resulting noisy sum, and averages.
     Memory does not grow with n.  Abstaining earns exactly zero payment, so
     no sampling happens in that case.  utility_lower_bound subtracts the
-    privacy-cost bound from the mean payment.
+    privacy-cost bound from the mean payment; payment_ci_halfwidth is the
+    half width of the CI_LEVEL normal interval around it.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
     trials = int(trials)
     if trials < _MIN_UTILITY_TRIALS:
         raise ValueError(f"trials must be at least {_MIN_UTILITY_TRIALS}, got {trials}")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
     seed = check_seed(seed)
     if not isinstance(others, StrategyProfile):
         others = StrategyProfile.symmetric(others)
@@ -343,7 +343,7 @@ def expected_utility(
 
     mean = total / trials
     var = moments[2] / trials
-    z = float(ndtri(0.5 + ci_level / 2.0))
+    z = float(ndtri(0.5 + CI_LEVEL / 2.0))
     halfwidth = z * (var / trials) ** 0.5
     return UtilityEstimate(
         mean_payment=mean,

@@ -89,13 +89,15 @@ class Resolver:
     Each key has one rule, applied the first time the key is read and
     cached: it takes the config value (for seed and out, the flag first),
     checks its type and range, and raises ConfigError naming the key when
-    the check fails.  Keys that may be "auto" or absent are derived instead,
-    so a pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0
+    the check fails.  The public cached properties are the config keys
+    (`KEYS`).  Keys that may be "auto" or absent are derived instead, so a
+    pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0
     and p1 are derived exactly.  When the config sets threshold_trials or
     posterior_samples, each derivation of tau or of p0/p1 also runs its Monte
     Carlo cross-check, with fixed seed slots 1001 for tau and 1002/1003 for
     p0/p1 ((n, 0), (n, 1) and (n, 2) per cost-scaling row), and records it in
-    `cross_check[n]`.  `check_keys` rejects keys a command would ignore.
+    `cross_check[n]`.  `check_keys` rejects keys no rule reads and keys a
+    command would ignore.
     """
 
     def __init__(self, config, args):
@@ -131,8 +133,12 @@ class Resolver:
         return value
 
     def check_keys(self):
-        """Reject a key the command has no use for, or one it derives or fixes
-        itself unless its value means "derive" or equals what it uses anyway."""
+        """Reject a key no rule reads, one the command has no use for, or one
+        it derives or fixes itself unless its value means "derive" or equals
+        what it uses anyway."""
+        for key in self._config:
+            if key not in KEYS:
+                raise ConfigError(key, "is not a config key")
         for key in _UNUSED.get(self.command, ()):
             if key in self._config:
                 raise ConfigError(key, f"is not used by {self.command}")
@@ -240,7 +246,7 @@ class Resolver:
         return self._choice("off", OFF_BEHAVIORS, ABSTAIN)
 
     @cached_property
-    def conditioned_prior(self):
+    def _conditioned_prior(self):
         """The prior, provided each own bit has positive prior probability:
         p0 and p1 condition on it, and so does tau when the cost laws differ."""
         for bit in (0, 1):
@@ -275,7 +281,7 @@ class Resolver:
 
     def exact_tau(self, n):
         """Exact (tau, tau_group, tau_marginal) at n, sized with delta / 2."""
-        prior = self.prior if self.prior.cost0 == self.prior.cost1 else self.conditioned_prior
+        prior = self.prior if self.prior.cost0 == self.prior.cost1 else self._conditioned_prior
         args = (prior, self.alpha, self.delta / 2.0, n)
         try:
             parts = cost_threshold_parts(*args)
@@ -289,7 +295,7 @@ class Resolver:
 
     def exact_prediction(self, bit, n, epsilon):
         """Exact E[clamped leave-one-out estimate | own bit] at (n, epsilon)."""
-        args = (self.conditioned_prior, bit, n, epsilon)
+        args = (self._conditioned_prior, bit, n, epsilon)
         value = posterior_clamped_mean(*args)
         if self.posterior_samples is not None:
             mc, se = posterior_clamped_mean_mc(*args, self.posterior_samples, self._slot(n, 1 + bit))
@@ -307,14 +313,14 @@ class Resolver:
         return tau, p0, p1
 
     @cached_property
-    def tau_parts(self):
+    def _tau_parts(self):
         return self.exact_tau(self.n)
 
     @cached_property
     def tau(self):
         if self.pinned("tau"):
             return self._number("tau", lambda v: v >= 0.0, "a nonnegative number or 'auto'")
-        return self.tau_parts[0]
+        return self._tau_parts[0]
 
     def _check_tau(self, tau):
         """beta is proportional to tau; a derived tau of 0 blames the prior's cost laws."""
@@ -365,7 +371,7 @@ class Resolver:
         return self._choice("clamp_payments", (False, True), False)
 
     @cached_property
-    def mechanism(self):
+    def _mechanism(self):
         self._check_gap(self.n, self.epsilon, self.p0, self.p1)
         return MechanismConfig(n=self.n, alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
                                p0=self.p0, p1=self.p1, clamp_payments=self.clamp_payments,
@@ -411,6 +417,11 @@ class Resolver:
                             default=DEFAULT_TOLERANCE)
 
 
+# One key per rule; a config key outside this set is a typo or a stray.
+KEYS = frozenset(name for name, rule in vars(Resolver).items()
+                 if isinstance(rule, cached_property) and not name.startswith("_"))
+
+
 def _cells(values):
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -439,9 +450,18 @@ def write_csv(path, columns):
             writer.writerows(zip(*block))
 
 
-def _emit(r, body, **used):
-    """Print the report; a cross-check of tau, p0 or p1 follows the body,
-    except in cost-scaling, whose rows carry their own."""
+def _emit(r, body, columns=None, **used):
+    """The one writer of a finished command's output: reject a cross-check
+    key the run found nothing to check for, write `columns` as the CSV at
+    `out`, print the report.  A cross-check of tau, p0 or p1 follows the
+    body, except in cost-scaling, whose rows carry their own."""
+    if not r.cross_check:
+        for key in ("threshold_trials", "posterior_samples"):
+            if getattr(r, key) is not None:
+                raise ConfigError(key, f"sizes a Monte Carlo cross-check, but {r.command} "
+                                       "derives nothing here for it to check")
+    if columns is not None:
+        write_csv(r.out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
         report["cross_check"] = r.cross_check[r.n]
@@ -449,15 +469,24 @@ def _emit(r, body, **used):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each takes a Resolver and returns the process exit code.
+# Command handlers.  Each takes a Resolver, passes its report and CSV columns
+# to _emit and returns the process exit code.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_run(r):
     profile = StrategyProfile.symmetric(r.strategy)
-    recs = simulate_survey(r.prior, r.mechanism, profile, r.trials, derive_seed(r.seed, 2000))
+    recs = simulate_survey(r.prior, r._mechanism, profile, r.trials, derive_seed(r.seed, 2000))
     base = recs.base
-    write_csv(r.out, {
+    _emit(r, {
+        "trials": r.trials,
+        "n": r.n,
+        "mean_abs_error": float(base.abs_error.mean()),
+        "mean_total_payment": float(recs.total_payment.mean()),
+        "min_payment": float(recs.min_payment.min()),
+        "max_payment": float(recs.max_payment.max()),
+        "mean_participants": float(base.participants.mean()),
+    }, {
         "trial": np.arange(base.trials),
         "p_hat": base.p_hat,
         "p_tilde": base.p_tilde,
@@ -467,20 +496,11 @@ def _cmd_run(r):
         "max_payment": recs.max_payment,
         "participants": base.participants,
     })
-    _emit(r, {
-        "trials": r.trials,
-        "n": r.n,
-        "mean_abs_error": float(base.abs_error.mean()),
-        "mean_total_payment": float(recs.total_payment.mean()),
-        "min_payment": float(recs.min_payment.min()),
-        "max_payment": float(recs.max_payment.max()),
-        "mean_participants": float(base.participants.mean()),
-    })
     return 0
 
 
 def _cmd_posterior(r):
-    closed = {f"p{bit}": posterior_bit_prob(r.conditioned_prior, bit) for bit in (0, 1)}
+    closed = {f"p{bit}": posterior_bit_prob(r._conditioned_prior, bit) for bit in (0, 1)}
     clamped = {"p0": r.p0, "p1": r.p1}
     gap = max(abs(closed[key] - clamped[key]) for key in ("p0", "p1"))
     _emit(r, {
@@ -493,7 +513,7 @@ def _cmd_posterior(r):
 
 
 def _cmd_threshold(r):
-    tau, tau_group, tau_marginal = r.tau_parts
+    tau, tau_group, tau_marginal = r._tau_parts
     _emit(r, {
         "n": r.n,
         "alpha": r.alpha,
@@ -509,14 +529,14 @@ def _cmd_audit_dp(r):
     if r.observable == "estimate":
         mech = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon, mode=r.noise))
     else:
-        mech = payment_observable(r.mechanism, r.payment_index)
+        mech = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
     report = dp_audit(
         mech, reports, r.flip_index, r.flipped_bit, r.epsilon, r.trials, r.bins,
         derive_seed(r.seed, 3000), r.tolerance,
     )
     lo, hi, base, flipped, retained, log_ratio = zip(*report.bin_table)
-    write_csv(r.out, {
+    _emit(r, report.to_dict(), {
         "bin_lo": lo,
         "bin_hi": hi,
         "count_base": np.array(base, dtype=np.int64),
@@ -524,7 +544,6 @@ def _cmd_audit_dp(r):
         "retained": np.array(retained, dtype=np.int64),
         "log_ratio": log_ratio,
     })
-    _emit(r, report.to_dict())
     return EXIT_BY_VERDICT[report.verdict]
 
 
@@ -538,8 +557,8 @@ def _cmd_audit_equilibrium(r):
     keys = ("mean_payment", "ci_halfwidth", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[key] for key in keys))
             for bit, actions in report.per_bit.items() for action, stats in actions.items()]
-    write_csv(r.out, dict(zip(("bit", "action") + keys, zip(*rows))))
-    _emit(r, report.to_dict(), beta=report.beta, tau=report.tau, p0=report.p0, p1=report.p1)
+    _emit(r, report.to_dict(), dict(zip(("bit", "action") + keys, zip(*rows))),
+          beta=report.beta, tau=report.tau, p0=report.p0, p1=report.p1)
     return EXIT_BY_VERDICT[report.overall]
 
 
@@ -551,7 +570,7 @@ def _cmd_accuracy(r):
         noise_mode=r.noise,
     )
     records = report.records
-    write_csv(r.out, {
+    _emit(r, report.to_dict(), {
         "trial": np.arange(records.trials),
         "p_hat": records.p_hat,
         "p_tilde": records.p_tilde,
@@ -560,7 +579,6 @@ def _cmd_accuracy(r):
         "participants": records.participants,
         "mismatches": records.mismatches,
     })
-    _emit(r, report.to_dict())
     return EXIT_BY_VERDICT[report.verdict]
 
 
@@ -578,12 +596,11 @@ def _cmd_cost_scaling(r):
         }
         for row in report.rows
     ]
-    write_csv(r.out, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
     body = report.to_dict()
     for row in body["rows"]:
         if row["n"] in r.cross_check:
             row["cross_check"] = r.cross_check[row["n"]]
-    _emit(r, body)
+    _emit(r, body, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
     return EXIT_BY_VERDICT[report.verdict]
 
 

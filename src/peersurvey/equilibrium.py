@@ -15,9 +15,11 @@ from functools import partial
 
 import numpy as np
 
-from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, derive_seed, subseed_rng
+from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, derive_seed, report_dict, subseed_rng
 from .agents import (
     ABSTAIN,
+    ACTIONS,
+    CI_LEVEL,
     LIE,
     TRUTH,
     AgentType,
@@ -41,23 +43,16 @@ INCONCLUSIVE = "Inconclusive"
 
 
 def beta_rule(kind, epsilon, tau):
-    """Truthfulness premium matching the privacy-cost model.
+    """Truthfulness premium: the privacy-cost bound of an agent whose cost is
+    tau, under the worst case (eta = 1) of the cost model `kind`.
 
     Linear model: beta = epsilon * tau.  Quadratic ("chen") model:
     beta = 4 * epsilon**2 * tau, valid only for epsilon <= 1.  tau = 0 is
     rejected: it yields no premium and a degenerate payment scale.
     """
-    if kind not in ("linear", "chen"):
-        raise ValueError(f"kind must be 'linear' or 'chen', got {kind!r}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if kind == "linear":
-        return epsilon * tau
-    if epsilon > 1.0:
-        raise ValueError(f"the quadratic rule requires epsilon <= 1, got {epsilon}")
-    return 4.0 * epsilon**2 * tau
+    return privacy_cost_bound(CostModel(kind), tau, epsilon)
 
 
 def epsilon_rule(alpha, delta, n):
@@ -235,6 +230,16 @@ def _combine(verdicts):
     return INCONCLUSIVE
 
 
+def _payment_verdict(estimates, bound, side):
+    """Combined verdict that every estimate's mean payment lies on `side`
+    ("ge" or "le") of `bound`, each judged on its confidence interval."""
+    return _combine([
+        _interval_verdict(e.mean_payment - e.payment_ci_halfwidth,
+                          e.mean_payment + e.payment_ci_halfwidth, bound, side)
+        for e in estimates
+    ])
+
+
 @dataclass(frozen=True)
 class EquilibriumAuditReport:
     """Worst-case (over the probe's bit value) best-response audit results."""
@@ -271,24 +276,7 @@ class EquilibriumAuditReport:
     def overall(self):
         return self.verdicts["truth_dominates"]
 
-    def to_dict(self):
-        return {
-            "beta": self.beta,
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "p0": self.p0,
-            "p1": self.p1,
-            "probe_cost": self.probe_cost,
-            "trials": self.trials,
-            "truth_payment_mean": self.truth_payment_mean,
-            "truth_payment_ci": self.truth_payment_ci,
-            "lie_payment_mean": self.lie_payment_mean,
-            "lie_payment_ci": self.lie_payment_ci,
-            "abstain_utility_bound": self.abstain_utility_bound,
-            "verdicts": dict(self.verdicts),
-            "per_bit": self.per_bit,
-            "detail": self.detail,
-        }
+    to_dict = report_dict
 
 
 def best_response_audit(
@@ -302,7 +290,6 @@ def best_response_audit(
     seed,
     beta_override=None,
     off=ABSTAIN,
-    ci_level=0.99,
     derive=None,
 ):
     """Audit whether truthful participation is a best response at threshold tau.
@@ -326,53 +313,32 @@ def best_response_audit(
     others = StrategyProfile.symmetric(Threshold(tau=tau, off=off))
     probe_cost = tau * (1.0 - 1e-6)
 
-    per_bit = {}
+    # est[action][bit] is the estimate; per_bit[str(bit)][action] its report.
+    est = {action: {} for action in ACTIONS}
+    per_bit = {"0": {}, "1": {}}
     for bit in (0, 1):
         agent = AgentType(bit=bit, cost=probe_cost)
-        side = {}
-        for k, action in enumerate((TRUTH, LIE, ABSTAIN)):
-            est = expected_utility(
+        for k, action in enumerate(ACTIONS):
+            e = est[action][bit] = expected_utility(
                 agent, action, others, prior, config, cost_model,
-                trials, derive_seed(seed, 3, bit, k), ci_level,
+                trials, derive_seed(seed, 3, bit, k),
             )
-            side[action] = est
-        per_bit[bit] = side
+            per_bit[str(bit)][action] = {
+                "mean_payment": e.mean_payment,
+                "ci_halfwidth": e.payment_ci_halfwidth,
+                "utility_lower_bound": e.utility_lower_bound,
+                "mean_peer_estimate": e.mean_peer_estimate,
+            }
 
-    truth_v = _combine([
-        _interval_verdict(
-            per_bit[b][TRUTH].mean_payment - per_bit[b][TRUTH].payment_ci_halfwidth,
-            per_bit[b][TRUTH].mean_payment + per_bit[b][TRUTH].payment_ci_halfwidth,
-            beta, "ge",
-        )
-        for b in (0, 1)
-    ])
-    lie_v = _combine([
-        _interval_verdict(
-            per_bit[b][LIE].mean_payment - per_bit[b][LIE].payment_ci_halfwidth,
-            per_bit[b][LIE].mean_payment + per_bit[b][LIE].payment_ci_halfwidth,
-            0.0, "le",
-        )
-        for b in (0, 1)
-    ])
+    truth_v = _payment_verdict(est[TRUTH].values(), beta, "ge")
+    lie_v = _payment_verdict(est[LIE].values(), 0.0, "le")
     tau_cost_bound = privacy_cost_bound(cost_model, tau, epsilon)
     margin = beta - tau_cost_bound
     cover_v = PASS if margin >= -1e-12 * max(1.0, abs(beta)) else FAIL
     dominates = _combine([truth_v, lie_v, cover_v])
 
-    worst_truth = min((0, 1), key=lambda b: per_bit[b][TRUTH].mean_payment)
-    worst_lie = max((0, 1), key=lambda b: per_bit[b][LIE].mean_payment)
-    report_bits = {
-        str(b): {
-            a: {
-                "mean_payment": per_bit[b][a].mean_payment,
-                "ci_halfwidth": per_bit[b][a].payment_ci_halfwidth,
-                "utility_lower_bound": per_bit[b][a].utility_lower_bound,
-                "mean_peer_estimate": per_bit[b][a].mean_peer_estimate,
-            }
-            for a in (TRUTH, LIE, ABSTAIN)
-        }
-        for b in (0, 1)
-    }
+    worst_truth = min(est[TRUTH].values(), key=lambda e: e.mean_payment)
+    worst_lie = max(est[LIE].values(), key=lambda e: e.mean_payment)
     return EquilibriumAuditReport(
         beta=beta,
         tau=tau,
@@ -381,25 +347,25 @@ def best_response_audit(
         p1=p1,
         probe_cost=probe_cost,
         trials=int(trials),
-        truth_payment_mean=per_bit[worst_truth][TRUTH].mean_payment,
-        truth_payment_ci=per_bit[worst_truth][TRUTH].payment_ci_halfwidth,
-        lie_payment_mean=per_bit[worst_lie][LIE].mean_payment,
-        lie_payment_ci=per_bit[worst_lie][LIE].payment_ci_halfwidth,
-        abstain_utility_bound=-per_bit[0][ABSTAIN].privacy_cost,
+        truth_payment_mean=worst_truth.mean_payment,
+        truth_payment_ci=worst_truth.payment_ci_halfwidth,
+        lie_payment_mean=worst_lie.mean_payment,
+        lie_payment_ci=worst_lie.payment_ci_halfwidth,
+        abstain_utility_bound=-est[ABSTAIN][0].privacy_cost,
         verdicts={
             "truth_ge_beta": truth_v,
             "lie_le_zero": lie_v,
             "beta_covers_cost_bound": cover_v,
             "truth_dominates": dominates,
         },
-        per_bit=report_bits,
+        per_bit=per_bit,
         detail={
             "cost_model": cost_model.to_dict(),
             "beta_rule_value": beta_rule(cost_model.kind, epsilon, tau),
             "privacy_cost_bound_at_tau": tau_cost_bound,
             "beta_margin_over_cost_bound": margin,
             "off_behavior": off,
-            "ci_level": ci_level,
+            "ci_level": CI_LEVEL,
         },
     )
 
@@ -419,15 +385,7 @@ class AccuracyReport:
     detail: dict = field(default_factory=dict, repr=False)
     records: object = field(default=None, repr=False, compare=False)
 
-    def to_dict(self):
-        return {
-            "alpha_prime": self.alpha_prime,
-            "success_fraction": self.success_fraction,
-            "trials": self.trials,
-            "delta": self.delta,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+    to_dict = report_dict
 
 
 def accuracy_experiment(
@@ -501,22 +459,7 @@ class CostRow:
     mean_pm_zero: float
     records: object = field(default=None, repr=False, compare=False)
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "total_payment_mean": self.total_payment_mean,
-            "theorem_bound": self.theorem_bound,
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "tau": self.tau,
-            "p0": self.p0,
-            "p1": self.p1,
-            "total_payment_sem": self.total_payment_sem,
-            "mean_pay_one": self.mean_pay_one,
-            "mean_pay_zero": self.mean_pay_zero,
-            "mean_pm_one": self.mean_pm_one,
-            "mean_pm_zero": self.mean_pm_zero,
-        }
+    to_dict = report_dict
 
 
 @dataclass(frozen=True)
@@ -568,9 +511,9 @@ def cost_scaling_experiment(
     For each n: epsilon follows epsilon_rule, `derive(n, epsilon)` gives
     (tau, p0, p1) (by default `exact_parameters`), beta follows the
     quadratic premium rule, and everyone plays the threshold strategy,
-    abstaining above tau.
-    Any n that drives epsilon above 1 is rejected, because the quadratic
-    bound is invalid there.  The report's log-log slope should approach -1.
+    abstaining above tau.  beta_rule rejects any n that drives epsilon
+    above 1, because the quadratic bound is invalid there.  The report's
+    log-log slope should approach -1.
     """
     ns = [int(n) for n in ns]
     if len(ns) < 2:
@@ -585,11 +528,6 @@ def cost_scaling_experiment(
     rows = []
     for n in ns:
         epsilon = epsilon_rule(alpha, delta, n)
-        if epsilon > 1.0:
-            raise ValueError(
-                f"n={n} gives epsilon={epsilon:.4g} > 1; the quadratic "
-                "cost model does not apply"
-            )
         tau, p0, p1 = derive(n, epsilon)
         beta = beta_rule("chen", epsilon, tau)
         config = MechanismConfig(

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import bdtrc, betaln, ndtr, ndtri, xlog1py, xlogy
 from scipy.stats import betabinom, binom
 
-from ._util import as_generator, check_seed, chunk_sizes, merge_moments, subseed_rng
+from ._util import check_seed, chunk_sizes, merge_moments, subseed_rng
 from .mechanism import peer_estimate
 from .privacy import NoiseSpec, noise_draw
 
@@ -34,8 +34,8 @@ class CostSearchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Cost distributions.  All sampling goes through the quantile function so a
-# single uniform stream drives every family identically.
+# Cost distributions.  Each family gives its CDF and its quantile function;
+# the report-count sampler and the tau search use them.
 # ---------------------------------------------------------------------------
 
 
@@ -260,32 +260,6 @@ class PriorSpec:
         return values[rng.choice(len(values), size=size, p=weights)]
 
 
-@dataclass(frozen=True)
-class Population:
-    """One sampled survey population: bits and costs, index-aligned."""
-
-    bits: np.ndarray
-    costs: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
-        costs = np.asarray(self.costs, dtype=np.float64)
-        if bits.ndim != 1 or costs.shape != bits.shape:
-            raise ValueError("bits and costs must be 1-d arrays of equal length")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be 0/1")
-        if np.any(costs < 0.0):
-            raise ValueError("costs must be nonnegative")
-        bits.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "costs", costs)
-
-    @property
-    def n(self):
-        return self.bits.size
-
-
 # ---------------------------------------------------------------------------
 # Posterior predictive bit probabilities.
 # ---------------------------------------------------------------------------
@@ -394,18 +368,6 @@ def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed, noise_disab
         total += float(np.sum(estimate))
         moments = merge_moments(moments, estimate)
     return total / samples, math.sqrt(moments[2] / samples / samples)
-
-
-def sample_population(prior, n, seed):
-    """Draw one population of n agents; bit-identical for identical inputs."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    rng = as_generator(seed)
-    theta = prior.theta_sample(rng)
-    bits = (rng.random(n) < theta).astype(np.int8)
-    u = rng.random(n)
-    costs = np.where(bits == 1, prior.cost1.quantile(u), prior.cost0.quantile(u))
-    return Population(bits=bits, costs=costs)
 
 
 # ---------------------------------------------------------------------------

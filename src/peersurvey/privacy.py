@@ -8,11 +8,11 @@ claim but can never prove one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_generator, chunk_sizes, subseed_rng
+from ._util import as_generator, chunk_sizes, report_dict, subseed_rng
 
 NOISE_MODES = ("sample", "disabled")
 
@@ -111,7 +111,8 @@ class DpAuditReport:
 
     A Pass only means the histogram test found no violation at this sample
     size; a Fail is a genuine refutation of the claimed epsilon (up to the
-    additive tolerance).
+    additive tolerance).  bin_table holds the per-bin rows of the CLI's
+    CSV and stays out of to_dict.
     """
 
     epsilon_claimed: float
@@ -120,22 +121,14 @@ class DpAuditReport:
     trials: int
     tolerance: float
     verdict: str
-    bin_table: tuple = ()
+    bin_table: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         expected = PASS if self.max_log_ratio <= self.epsilon_claimed + self.tolerance else FAIL
         if self.verdict != expected:
             raise ValueError("verdict inconsistent with max_log_ratio and tolerance")
 
-    def to_dict(self):
-        return {
-            "epsilon_claimed": self.epsilon_claimed,
-            "max_log_ratio": self.max_log_ratio,
-            "bins": self.bins,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+    to_dict = report_dict
 
 
 def dp_audit(

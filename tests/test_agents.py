@@ -23,7 +23,6 @@ from peersurvey import (
     payment_pair,
     posterior_clamped_mean,
     privacy_cost_bound,
-    sample_population,
     strategy_from_dict,
 )
 from peersurvey.agents import strategy_arrays
@@ -179,14 +178,6 @@ class TestStrategyArrays:
         for j in range(40):
             agent = AgentType(int(bits[j]), float(costs[j]))
             assert (values[j], participates[j]) == scalar_report(strategy, agent)
-
-    def test_truth_reproduces_population_bits(self, uniform_prior):
-        population = sample_population(uniform_prior, 50, seed=3)
-        values, participates = strategy_arrays(
-            AlwaysTruth(), population.bits, population.costs
-        )
-        np.testing.assert_array_equal(values, population.bits)
-        assert participates.all()
 
 
 class TestStrategyProfile:

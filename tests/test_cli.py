@@ -162,6 +162,14 @@ class TestResolver:
         ("posterior", "p1", 0.7),
         ("run", "off", "lie"),
         ("accuracy", "off", "lie"),
+        # Cross-check keys where nothing is derived for them to check.
+        ("audit-dp", "posterior_samples", 1_000),
+        ("audit-dp", "threshold_trials", 1_000),
+        # Keys no rule reads: misspelt, so silently dropped they would run
+        # the defaults instead.
+        ("run", "espilon", 0.01),
+        ("audit-equilibrium", "trails", 5),
+        ("cost-scaling", "posterior_sample", 1_000),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
@@ -201,6 +209,20 @@ class TestResolver:
         config = write_config(tmp_path, dict(BASE_CONFIGS["threshold"], prior=unequal))
         assert dispatch(["threshold", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("config error: config key 'prior'")
+
+    @pytest.mark.parametrize("key", CROSS_CHECK_KEYS)
+    def test_cross_check_key_with_nothing_to_check(self, tmp_path, capsys, key):
+        # tau, beta, p0 and p1 pinned: the run derives nothing to cross-check,
+        # and fails before it writes any output.
+        payload = {k: v for k, v in BASE_CONFIGS["run"].items() if k not in CROSS_CHECK_KEYS}
+        payload.update(tau=0.8, beta=0.05, p0=0.3, p1=0.7, **{key: 1_000})
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "records.csv"
+        assert dispatch(["run", "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config key '{key}'")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unreachable_participation_level_blames_alpha(self, tmp_path, capsys):
         # Exponential costs have no top: the search cap never holds all but a

@@ -8,7 +8,6 @@ from peersurvey import (
     CostSearchError,
     Exponential,
     PointMass,
-    Population,
     PriorSpec,
     TruncatedLogNormal,
     Uniform,
@@ -19,7 +18,6 @@ from peersurvey import (
     posterior_bit_prob,
     posterior_clamped_mean,
     posterior_clamped_mean_mc,
-    sample_population,
 )
 from peersurvey.priors import COST_GRID, AtomMixing, BetaMixing
 
@@ -267,77 +265,6 @@ class TestPosteriorClampedMean:
         est, se = posterior_clamped_mean_mc(prior, bit, 40, 0.3, samples=200_000, seed=5 + bit)
         assert 0.0 < se < 1e-3
         assert abs(est - posterior_clamped_mean(prior, bit, 40, 0.3)) <= 5.0 * se
-
-
-class TestSamplePopulation:
-    def test_degenerate_population(self):
-        prior = PriorSpec.from_dict({
-            "family": "conditional_iid",
-            "mixing": {"kind": "point", "theta": 1.0},
-            "cost0": {"kind": "point_mass", "value": 0.9},
-            "cost1": {"kind": "point_mass", "value": 0.2},
-        })
-        pop = sample_population(prior, 3, seed=0)
-        assert pop.bits.tolist() == [1, 1, 1]
-        assert pop.costs.tolist() == [0.2, 0.2, 0.2]
-
-    def test_determinism(self, uniform_prior):
-        a = sample_population(uniform_prior, 50, seed=123)
-        b = sample_population(uniform_prior, 50, seed=123)
-        assert np.array_equal(a.bits, b.bits)
-        assert np.array_equal(a.costs, b.costs)
-
-    def test_mean_bit_fraction(self, uniform_prior):
-        # Averaged over many populations the bit fraction centers on the
-        # mixing mean 1/2; per-population variance is dominated by the
-        # latent rate, so average across populations.
-        fractions = [
-            sample_population(uniform_prior, 200, seed=s).bits.mean()
-            for s in range(500)
-        ]
-        sigma = math.sqrt(1.0 / 12.0 / len(fractions))
-        assert abs(np.mean(fractions) - 0.5) <= 3 * sigma
-
-    def test_costs_follow_bit_conditional_distribution(self):
-        prior = PriorSpec.from_dict({
-            "family": "conditional_iid",
-            "mixing": {"kind": "point", "theta": 0.3},
-            "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-            "cost1": {"kind": "uniform", "lo": 2.0, "hi": 3.0},
-        })
-        pop = sample_population(prior, 20_000, seed=5)
-        ones = pop.bits == 1
-        assert np.all(pop.costs[ones] >= 2.0)
-        assert np.all(pop.costs[~ones] <= 1.0)
-        sigma = math.sqrt(1.0 / 12.0 / ones.sum())
-        assert abs(pop.costs[ones].mean() - 2.5) <= 3 * sigma
-
-    def test_exchangeability_of_fixed_indices(self, atom_prior):
-        first_bits, last_bits, first_costs, last_costs = [], [], [], []
-        for s in range(4000):
-            pop = sample_population(atom_prior, 4, seed=s)
-            first_bits.append(pop.bits[0])
-            last_bits.append(pop.bits[-1])
-            first_costs.append(pop.costs[0])
-            last_costs.append(pop.costs[-1])
-        m = len(first_bits)
-        rate_sigma = math.sqrt(0.25 / m)
-        assert abs(np.mean(first_bits) - np.mean(last_bits)) <= 3 * rate_sigma * math.sqrt(2)
-        cost_sigma = np.std(first_costs) / math.sqrt(m)
-        assert abs(np.mean(first_costs) - np.mean(last_costs)) <= 3 * cost_sigma * math.sqrt(2)
-
-    def test_population_arrays_read_only(self, uniform_prior):
-        pop = sample_population(uniform_prior, 10, seed=1)
-        with pytest.raises(ValueError):
-            pop.bits[0] = 0
-        with pytest.raises(ValueError):
-            pop.costs[0] = 0.0
-
-    def test_population_validation(self):
-        with pytest.raises(ValueError):
-            Population(bits=np.array([0, 2]), costs=np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            Population(bits=np.array([0, 1]), costs=np.array([0.1, -0.2]))
 
 
 class TestCostThreshold:
