@@ -170,6 +170,52 @@ class TestPosteriorBitProb:
         assert abs(freq - p1) <= 3 * sigma
 
 
+class TestThetaSample:
+    def test_point_mixing_draws_its_rate(self, point_prior):
+        rng = np.random.default_rng(0)
+        assert point_prior.theta_sample(rng) == 0.5
+        assert point_prior.theta_sample(rng, 3).tolist() == [0.5, 0.5, 0.5]
+        for bit in (0, 1):
+            assert point_prior.posterior_theta_sample(bit, rng, 2).tolist() == [0.5, 0.5]
+
+    def test_deterministic_given_seed(self, atom_prior):
+        for draw in (lambda rng: atom_prior.theta_sample(rng, 50),
+                     lambda rng: atom_prior.posterior_theta_sample(1, rng, 50)):
+            a = draw(np.random.default_rng(123))
+            b = draw(np.random.default_rng(123))
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_beta_posterior_mean(self, bit):
+        # Beta(a, b) updated on one bit is Beta(a + bit, b + 1 - bit).
+        a, b = 2.0, 3.0
+        prior = PriorSpec.from_dict({
+            "family": "conditional_iid",
+            "mixing": {"kind": "beta", "a": a, "b": b},
+            "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        })
+        m = 100_000
+        theta = prior.posterior_theta_sample(bit, np.random.default_rng(7), m)
+        post = stats.beta(a + bit, b + 1 - bit)
+        assert abs(theta.mean() - post.mean()) <= 3 * post.std() / math.sqrt(m)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_atom_posterior_reweights_atoms(self, atom_prior, bit):
+        # Atoms 0.2 and 0.8 with weight 1/2 each: P(theta = 0.8 | bit = 1)
+        # is 0.8 and P(theta = 0.8 | bit = 0) is 0.2.
+        m = 100_000
+        theta = atom_prior.posterior_theta_sample(bit, np.random.default_rng(8), m)
+        assert set(np.unique(theta).tolist()) <= {0.2, 0.8}
+        p_high = 0.8 if bit == 1 else 0.2
+        sigma = math.sqrt(p_high * (1 - p_high) / m)
+        assert abs(np.mean(theta == 0.8) - p_high) <= 3 * sigma
+
+    def test_posterior_rejects_non_bit(self, uniform_prior):
+        with pytest.raises(ValueError):
+            uniform_prior.posterior_theta_sample(2, np.random.default_rng(0))
+
+
 MIXINGS = {
     "uniform": {"kind": "beta", "a": 1.0, "b": 1.0},
     "beta": {"kind": "beta", "a": 2.5, "b": 0.7},
