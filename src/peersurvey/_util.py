@@ -1,4 +1,5 @@
-"""Deterministic RNG derivation, chunk iteration and report serialisation.
+"""Deterministic RNG derivation, chunk iteration, config objects and report
+serialisation.
 
 Every stochastic operation in this package takes an integer seed and derives
 independent generators from (seed, index, ...) tuples.  Work split into chunks
@@ -6,7 +7,8 @@ uses one generator per chunk index, so results never depend on scheduling,
 thread count or chunk evaluation order.
 """
 
-from dataclasses import fields
+import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -80,3 +82,50 @@ def report_dict(report):
     records only, and are left out.
     """
     return {f.name: getattr(report, f.name) for f in fields(report) if f.compare}
+
+
+def is_number(value):
+    """Whether a config value is a finite JSON number; a bool is not one."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def from_config(kinds, d, path):
+    """Build the config dataclass that the JSON object `d` describes.
+
+    `kinds` is a dataclass, or a table from each "kind" value to one, and
+    then the object's "kind" key picks it.  Every other key must name a
+    field, and a field without a default is required.  A float or int field
+    takes a finite JSON number (an int field an integer only); a field whose
+    metadata names a kind table is built by this function under
+    `path.field`.  Other values go to the dataclass as given, for its
+    __post_init__ to check.  Every error is a ValueError naming the path.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} must be an object, got {d!r}")
+    cls = kinds
+    if isinstance(kinds, dict):
+        d = dict(d)
+        kind = d.pop("kind", None)
+        if type(kind) is not str or kind not in kinds:
+            raise ValueError(f"{path} needs a 'kind' in {tuple(kinds)}, got {kind!r}")
+        cls = kinds[kind]
+    known = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ValueError(f"{path} has no key {key!r}")
+    values = {}
+    for name, f in known.items():
+        if name not in d:
+            if f.default is MISSING:
+                raise ValueError(f"{path} is missing key {name!r}")
+            continue
+        value = d[name]
+        if "kinds" in f.metadata:
+            value = from_config(f.metadata["kinds"], value, f"{path}.{name}")
+        elif f.type in (int, float):
+            if not is_number(value) or (f.type is int and type(value) is not int):
+                need = "an integer" if f.type is int else "a finite number"
+                raise ValueError(f"{path}.{name} must be {need}, got {value!r}")
+            value = f.type(value)
+        values[name] = value
+    return cls(**values)

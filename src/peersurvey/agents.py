@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, merge_moments, report_dict, subseed_rng
+from ._util import (CHUNK_TRIALS, check_seed, chunk_sizes, from_config, merge_moments,
+                    report_dict, subseed_rng)
 from .mechanism import payment_pair, peer_estimate
 from .privacy import noise_draw
 
@@ -63,9 +64,7 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ValueError("cost_model must be an object with a 'kind' key")
-        return cls(kind=d["kind"], eta=float(d.get("eta", 1.0)))
+        return from_config(cls, d, "cost_model")
 
 
 def privacy_cost_bound(model, cost, epsilon):
@@ -126,21 +125,12 @@ class ConstantBit:
             raise ValueError(f"value must be 0 or 1, got {self.value}")
 
 
+_STRATEGY_KINDS = {"threshold": Threshold, "always_truth": AlwaysTruth, "always_lie": AlwaysLie,
+                   "always_abstain": AlwaysAbstain, "constant_bit": ConstantBit}
+
+
 def strategy_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("strategy must be an object with a 'kind' key")
-    kind = d["kind"]
-    if kind == "threshold":
-        return Threshold(tau=float(d["tau"]), off=d.get("off", ABSTAIN))
-    if kind == "always_truth":
-        return AlwaysTruth()
-    if kind == "always_lie":
-        return AlwaysLie()
-    if kind == "always_abstain":
-        return AlwaysAbstain()
-    if kind == "constant_bit":
-        return ConstantBit(value=int(d["value"]))
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return from_config(_STRATEGY_KINDS, d, "strategy")
 
 
 def strategy_arrays(strategy, bits, costs):
@@ -177,35 +167,13 @@ def strategy_arrays(strategy, bits, costs):
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """A strategy per agent; a single shared strategy means symmetric play."""
+    """Symmetric play: every agent uses the one shared strategy."""
 
-    shared: object = None
-    per_agent: tuple = ()
-
-    def __post_init__(self):
-        if (self.shared is None) == (not self.per_agent):
-            raise ValueError("provide exactly one of a shared strategy or a per-agent tuple")
+    shared: object
 
     @classmethod
     def symmetric(cls, strategy):
         return cls(shared=strategy)
-
-    @classmethod
-    def of(cls, strategies):
-        return cls(per_agent=tuple(strategies))
-
-    def groups(self, n):
-        """(strategy, agent count) pairs covering n agents, in first-seen order."""
-        if self.shared is not None:
-            return [(self.shared, n)]
-        if len(self.per_agent) != n:
-            raise ValueError(
-                f"profile covers {len(self.per_agent)} agents, population has {n}"
-            )
-        counts = {}
-        for strategy in self.per_agent:
-            counts[strategy] = counts.get(strategy, 0) + 1
-        return list(counts.items())
 
     def report_arrays(self, bits, costs):
         """Contributions and participation for a (trials, n) type matrix.
@@ -213,16 +181,8 @@ class StrategyProfile:
         The dense reference for `sample_report_counts`; tests use it as an
         oracle.
         """
-        bits = np.atleast_2d(np.asarray(bits))
-        costs = np.atleast_2d(np.asarray(costs))
-        if self.shared is not None:
-            return strategy_arrays(self.shared, bits, costs)
-        self.groups(bits.shape[1])  # rejects a size mismatch
-        values = np.empty(bits.shape, dtype=np.int8)
-        mask = np.empty(bits.shape, dtype=bool)
-        for j, strat in enumerate(self.per_agent):
-            values[:, j], mask[:, j] = strategy_arrays(strat, bits[:, j], costs[:, j])
-        return values, mask
+        return strategy_arrays(self.shared, np.atleast_2d(np.asarray(bits)),
+                               np.atleast_2d(np.asarray(costs)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +202,22 @@ def sample_report_counts(profile, prior, n, theta, rng):
     built.  Per trial: the ones B ~ Bin(n, theta), the cheap ones
     Bin(B, F1(tau)) and the cheap zeros Bin(n - B, F0(tau)), where F0/F1 are
     the prior's cost CDFs.  `strategy_arrays` maps one agent per cell to its
-    report, and the cell counts weight the result.  A per-agent profile is
-    sampled group by group, one group per distinct strategy.  Strategies
-    without a threshold ignore cost; all their agents land in the cheap
-    cells.
+    report, and the cell counts weight the result.  Strategies without a
+    threshold ignore cost; all their agents land in the cheap cells.
 
     Returns int64 arrays (bit_ones, ones, participants, mismatches) shaped
     like theta: agents whose bit is 1, one-reports, non-abstainers, and
     agents whose contribution differs from their bit.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    bit_ones, ones, participants, mismatches = (
-        np.zeros(theta.shape, dtype=np.int64) for _ in range(4)
-    )
-    for strategy, size in profile.groups(n):
-        tau = getattr(strategy, "tau", np.inf)
-        b = rng.binomial(size, theta)
-        cheap1 = rng.binomial(b, float(prior.cost1.cdf(tau)))
-        cheap0 = rng.binomial(size - b, float(prior.cost0.cdf(tau)))
-        cells = np.stack([cheap0, size - b - cheap0, cheap1, b - cheap1], axis=-1)
-        values, mask = strategy_arrays(
-            strategy, _CELL_BITS, np.array([tau, np.inf, tau, np.inf])
-        )
-        bit_ones += b
-        ones += cells @ values.astype(np.int64)
-        participants += cells @ mask.astype(np.int64)
-        mismatches += cells @ (values != _CELL_BITS).astype(np.int64)
-    return bit_ones, ones, participants, mismatches
+    tau = getattr(profile.shared, "tau", np.inf)
+    b = rng.binomial(n, theta)
+    cheap1 = rng.binomial(b, float(prior.cost1.cdf(tau)))
+    cheap0 = rng.binomial(n - b, float(prior.cost0.cdf(tau)))
+    cells = np.stack([cheap0, n - b - cheap0, cheap1, b - cheap1], axis=-1)
+    values, mask = strategy_arrays(profile.shared, _CELL_BITS, np.array([tau, np.inf, tau, np.inf]))
+    return (b, cells @ values.astype(np.int64), cells @ mask.astype(np.int64),
+            cells @ (values != _CELL_BITS).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_seed, derive_seed
+from ._util import check_seed, derive_seed, is_number
 from .agents import ABSTAIN, OFF_BEHAVIORS, CostModel, StrategyProfile, strategy_from_dict
 from .equilibrium import (
     INCONCLUSIVE,
@@ -115,7 +115,7 @@ class Resolver:
 
     def _number(self, key, accept, need, default=_REQUIRED):
         value = self._raw(key, default)
-        if type(value) not in (int, float) or not math.isfinite(value) or not accept(value):
+        if not is_number(value) or not accept(value):
             raise ConfigError(key, f"must be {need}, got {value!r}")
         return float(value)
 
@@ -125,6 +125,13 @@ class Resolver:
             span = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi})"
             raise ConfigError(key, f"must be an integer {span}, got {value!r}")
         return value
+
+    def _object(self, key, build, raw):
+        """A nested config object built from `raw`; its error names the key."""
+        try:
+            return build(raw)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from exc
 
     def _choice(self, key, options, default):
         value = self._raw(key, default)
@@ -213,19 +220,12 @@ class Resolver:
 
     @cached_property
     def prior(self):
-        raw = self._raw("prior")
-        try:
-            return PriorSpec.from_dict(raw)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("prior", str(exc)) from exc
+        return self._object("prior", PriorSpec.from_dict, self._raw("prior"))
 
     @cached_property
     def cost_model(self):
-        raw = self._raw("cost_model", {"kind": "linear", "eta": 1.0})
-        try:
-            model = CostModel.from_dict(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("cost_model", str(exc)) from exc
+        model = self._object("cost_model", CostModel.from_dict,
+                             self._raw("cost_model", {"kind": "linear", "eta": 1.0}))
         if model.kind == "chen" and self.epsilon > 1.0:
             raise ConfigError("epsilon", f"the quadratic (chen) cost model needs "
                                          f"epsilon <= 1, got {self.epsilon}")
@@ -236,10 +236,7 @@ class Resolver:
         raw = self._raw("strategy", _DEFAULT_STRATEGY)
         if isinstance(raw, dict) and raw.get("kind") == "threshold" and raw.get("tau") == "auto":
             raw = dict(raw, tau=self.tau)
-        try:
-            return strategy_from_dict(raw)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("strategy", str(exc)) from exc
+        return self._object("strategy", strategy_from_dict, raw)
 
     @cached_property
     def off(self):
@@ -452,16 +449,20 @@ def write_csv(path, columns):
 
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output: reject a cross-check
-    key the run found nothing to check for, write `columns` as the CSV at
-    `out`, print the report.  A cross-check of tau, p0 or p1 follows the
+    key the run found nothing to check for, and --out where there is no CSV
+    (a config's `out` may serve another command), write `columns` as the CSV
+    at `out`, print the report.  A cross-check of tau, p0 or p1 follows the
     body, except in cost-scaling, whose rows carry their own."""
     if not r.cross_check:
         for key in ("threshold_trials", "posterior_samples"):
             if getattr(r, key) is not None:
                 raise ConfigError(key, f"sizes a Monte Carlo cross-check, but {r.command} "
                                        "derives nothing here for it to check")
+    out = r.out  # resolved even where no CSV is written, so a bad `out` still fails
+    if columns is None and r._args.out is not None:
+        raise ConfigError("out", f"--out names a CSV, but {r.command} writes none")
     if columns is not None:
-        write_csv(r.out, columns)
+        write_csv(out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
         report["cross_check"] = r.cross_check[r.n]

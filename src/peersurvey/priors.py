@@ -10,14 +10,14 @@ and tau by Monte Carlo; they are cross-checks of the exact values.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import bdtrc, betaln, ndtr, ndtri, xlog1py, xlogy
 from scipy.stats import betabinom, binom
 
-from ._util import check_seed, chunk_sizes, merge_moments, subseed_rng
+from ._util import check_seed, chunk_sizes, from_config, is_number, merge_moments, subseed_rng
 from .mechanism import peer_estimate
 from .privacy import NoiseSpec, noise_draw
 
@@ -120,26 +120,12 @@ class TruncatedLogNormal:
         return np.exp(self.mu + self.sigma * ndtri(np.clip(q, 0.0, 1.0) * mass))
 
 
-_COST_KINDS = {
-    "uniform": lambda d: Uniform(lo=float(d["lo"]), hi=float(d["hi"])),
-    "point_mass": lambda d: PointMass(value=float(d["value"])),
-    "exponential": lambda d: Exponential(rate=float(d["rate"])),
-    "log_normal": lambda d: TruncatedLogNormal(
-        mu=float(d["mu"]), sigma=float(d["sigma"]), cap=float(d["cap"])
-    ),
-}
+_COST_KINDS = {"uniform": Uniform, "point_mass": PointMass, "exponential": Exponential,
+               "log_normal": TruncatedLogNormal}
 
 
 def cost_distribution_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("cost distribution must be an object with a 'kind' key")
-    kind = d["kind"]
-    if kind not in _COST_KINDS:
-        raise ValueError(f"unknown cost distribution kind {kind!r}")
-    try:
-        return _COST_KINDS[kind](d)
-    except KeyError as exc:
-        raise ValueError(f"cost distribution {kind!r} is missing key {exc}") from exc
+    return from_config(_COST_KINDS, d, "cost distribution")
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +150,11 @@ class AtomMixing:
     atoms: tuple
 
     def __post_init__(self):
+        if not isinstance(self.atoms, (list, tuple)) or not all(
+                isinstance(atom, (list, tuple)) and len(atom) == 2 and all(map(is_number, atom))
+                for atom in self.atoms):
+            raise ValueError(f"atoms must be [weight, theta] pairs of finite numbers, "
+                             f"got {self.atoms!r}")
         atoms = tuple((float(w), float(t)) for w, t in self.atoms)
         if not atoms:
             raise ValueError("atom mixture needs at least one atom")
@@ -186,17 +177,7 @@ class PointMixing:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-def _mixing_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("mixing must be an object with a 'kind' key")
-    kind = d["kind"]
-    if kind == "beta":
-        return BetaMixing(a=float(d["a"]), b=float(d["b"]))
-    if kind == "atoms":
-        return AtomMixing(atoms=tuple((w, t) for w, t in d["atoms"]))
-    if kind == "point":
-        return PointMixing(theta=float(d["theta"]))
-    raise ValueError(f"unknown mixing kind {kind!r}")
+_MIXING_KINDS = {"beta": BetaMixing, "atoms": AtomMixing, "point": PointMixing}
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +196,9 @@ class PriorSpec:
     """
 
     family: str
-    mixing: object
-    cost0: object
-    cost1: object
+    mixing: object = field(metadata={"kinds": _MIXING_KINDS})
+    cost0: object = field(metadata={"kinds": _COST_KINDS})
+    cost1: object = field(metadata={"kinds": _COST_KINDS})
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -225,17 +206,7 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ValueError("prior must be an object")
-        missing = [k for k in ("family", "mixing", "cost0", "cost1") if k not in d]
-        if missing:
-            raise ValueError(f"prior is missing keys: {', '.join(missing)}")
-        return cls(
-            family=d["family"],
-            mixing=_mixing_from_dict(d["mixing"]),
-            cost0=cost_distribution_from_dict(d["cost0"]),
-            cost1=cost_distribution_from_dict(d["cost1"]),
-        )
+        return from_config(cls, d, "prior")
 
     def theta_sample(self, rng, size=None):
         """Draw theta from the (unconditional) mixing distribution."""

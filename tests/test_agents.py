@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -14,7 +16,6 @@ from peersurvey import (
     ConstantBit,
     CostModel,
     MechanismConfig,
-    StrategyProfile,
     Threshold,
     beta_rule,
     cost_threshold,
@@ -75,6 +76,11 @@ class TestCostModel:
     def test_round_trip(self):
         model = CostModel(kind="chen", eta=0.5)
         assert CostModel.from_dict(model.to_dict()) == model
+        with pytest.raises(ValueError, match="cost_model has no key 'etaa'"):
+            CostModel.from_dict({"kind": "linear", "etaa": 0.3})
+        for bad in (True, "0.5", math.nan, math.inf):
+            with pytest.raises(ValueError, match="cost_model.eta must be a finite number"):
+                CostModel.from_dict({"kind": "linear", "eta": bad})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -149,6 +155,12 @@ class TestStrategySerialization:
     )
     def test_from_dict(self, spec, strategy):
         assert strategy_from_dict(spec) == strategy
+        with pytest.raises(ValueError, match="strategy has no key 'extra'"):
+            strategy_from_dict(dict(spec, extra=1.0))
+        for key in set(spec) - {"kind", "off"}:
+            for bad in (True, "1", math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"strategy.{key} must be"):
+                    strategy_from_dict(dict(spec, **{key: bad}))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -178,28 +190,6 @@ class TestStrategyArrays:
         for j in range(40):
             agent = AgentType(int(bits[j]), float(costs[j]))
             assert (values[j], participates[j]) == scalar_report(strategy, agent)
-
-
-class TestStrategyProfile:
-    def test_exactly_one_spec(self):
-        with pytest.raises(ValueError):
-            StrategyProfile()
-        with pytest.raises(ValueError):
-            StrategyProfile(shared=AlwaysTruth(), per_agent=(AlwaysLie(),))
-
-    def test_heterogeneous_reports(self):
-        profile = StrategyProfile.of([AlwaysTruth(), AlwaysLie(), AlwaysAbstain()])
-        bits = np.array([[1, 1, 1], [0, 0, 0]])
-        costs = np.zeros((2, 3))
-        values, participates = profile.report_arrays(bits, costs)
-        np.testing.assert_array_equal(values[:, 0], bits[:, 0])
-        np.testing.assert_array_equal(values[:, 1], 1 - bits[:, 1])
-        np.testing.assert_array_equal(participates[:, 2], [False, False])
-
-    def test_size_mismatch(self):
-        profile = StrategyProfile.of([AlwaysTruth(), AlwaysLie()])
-        with pytest.raises(ValueError):
-            profile.report_arrays(np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def truthful_config(prior, n=200, alpha=0.1, delta=0.1):

@@ -24,6 +24,14 @@ FREE_PRIOR = dict(UNIFORM_PRIOR, cost0={"kind": "point_mass", "value": 0.0},
                   cost1={"kind": "point_mass", "value": 0.0})
 # Knobs that only size the Monte Carlo cross-checks.
 CROSS_CHECK_KEYS = ("threshold_trials", "posterior_samples")
+# Commands whose output is the JSON report alone.
+NO_CSV_COMMANDS = ("posterior", "threshold")
+
+
+def prior_with(**parts):
+    """UNIFORM_PRIOR with some of its nested objects given extra or changed keys."""
+    return dict(UNIFORM_PRIOR, **{key: dict(UNIFORM_PRIOR[key], **value)
+                                  for key, value in parts.items()})
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -170,6 +178,23 @@ class TestResolver:
         ("run", "espilon", 0.01),
         ("audit-equilibrium", "trails", 5),
         ("cost-scaling", "posterior_sample", 1_000),
+        # Nested keys no field reads, and values that are not finite numbers.
+        ("audit-equilibrium", "cost_model", {"kind": "linear", "etaa": 0.3}),
+        ("run", "strategy", {"kind": "threshold", "tau": "auto", "of": "lie"}),
+        ("threshold", "prior", prior_with(mixing={"bb": 5})),
+        ("threshold", "prior", dict(UNIFORM_PRIOR, seed=3)),
+        ("run", "strategy", {"kind": "always_truth", "tau": 0.5}),
+        ("run", "strategy", {"kind": "constant_bit", "value": 0.7}),
+        ("threshold", "prior", prior_with(cost0={"lo": "0"})),
+        ("threshold", "prior", prior_with(cost0={"lo": True})),
+        ("threshold", "prior", prior_with(cost1={"hi": math.inf})),
+        ("run", "prior", dict(UNIFORM_PRIOR, mixing={"kind": "atoms",
+                                                     "atoms": [[math.nan, 0.2], [0.5, 0.8]]})),
+        ("run", "prior", dict(UNIFORM_PRIOR, mixing={"kind": "atoms",
+                                                     "atoms": [[0.5, 0.2], [0.5, True]]})),
+        # posterior and threshold write no CSV, but `out` keeps its rule.
+        ("posterior", "out", 5),
+        ("threshold", "out", 5),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
@@ -337,16 +362,29 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command", list(BASE_CONFIGS))
     def test_byte_identical_reruns(self, tmp_path, capsys, command):
-        # posterior and threshold write no CSV; the others must repeat it.
+        # posterior and threshold write no CSV and take no --out; the others
+        # must repeat their CSV.
         config = write_config(tmp_path, BASE_CONFIGS[command])
+        writes_csv = command not in NO_CSV_COMMANDS
         runs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            code = dispatch([command, "--config", config, "--out", str(out)])
+            code = dispatch([command, "--config", config]
+                            + (["--out", str(out)] if writes_csv else []))
             assert code in EXIT_BY_VERDICT.values()
             runs.append((code, capsys.readouterr().out, out.read_bytes() if out.exists() else None))
         assert runs[0] == runs[1]
-        assert (runs[0][2] is None) == (command in ("posterior", "threshold"))
+        assert (runs[0][2] is not None) == writes_csv
+
+    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
+    def test_out_flag_without_a_csv_is_rejected(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, BASE_CONFIGS[command])
+        out = tmp_path / "records.csv"
+        assert dispatch([command, "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config key 'out'")
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path, run_config(tmp_path))

@@ -58,6 +58,12 @@ class TestCostDistributions:
     ])
     def test_from_dict(self, spec, dist):
         assert cost_distribution_from_dict(spec) == dist
+        with pytest.raises(ValueError, match="no key 'extra'"):
+            cost_distribution_from_dict(dict(spec, extra=1.0))
+        for key in set(spec) - {"kind"}:
+            for bad in (True, "1", math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"cost distribution.{key} must be"):
+                    cost_distribution_from_dict(dict(spec, **{key: bad}))
 
     def test_cdf_quantile_consistency(self):
         us = np.linspace(0.01, 0.99, 25)
@@ -82,10 +88,28 @@ class TestCostDistributions:
 
 class TestPriorSpec:
     def test_from_dict(self, uniform_prior):
-        assert uniform_prior == PriorSpec(
+        spec = {
+            "family": "conditional_iid",
+            "mixing": {"kind": "beta", "a": 1.0, "b": 1.0},
+            "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        }
+        assert PriorSpec.from_dict(spec) == uniform_prior == PriorSpec(
             family="conditional_iid", mixing=BetaMixing(a=1.0, b=1.0),
             cost0=Uniform(lo=0.0, hi=1.0), cost1=Uniform(lo=0.0, hi=1.0),
         )
+        with pytest.raises(ValueError, match="prior has no key 'extra'"):
+            PriorSpec.from_dict(dict(spec, extra=1.0))
+        for part in ("mixing", "cost0", "cost1"):
+            with pytest.raises(ValueError, match=f"prior.{part} has no key 'extra'"):
+                PriorSpec.from_dict(dict(spec, **{part: dict(spec[part], extra=1.0)}))
+        for bad in (True, math.nan, math.inf):
+            with pytest.raises(ValueError, match="prior.mixing.b must be a finite number"):
+                PriorSpec.from_dict(dict(spec, mixing=dict(spec["mixing"], b=bad)))
+        for atoms in ([[math.nan, 0.2], [0.5, 0.8]], [[0.5, 0.2], [0.5, True]],
+                      [[0.5, 0.2, 0.3], [0.5, 0.8]], [0.5, 0.5], 5):
+            with pytest.raises(ValueError, match="pairs of finite numbers"):
+                PriorSpec.from_dict(dict(spec, mixing={"kind": "atoms", "atoms": atoms}))
 
     def test_atom_from_dict(self, atom_prior):
         assert atom_prior == PriorSpec(

@@ -44,11 +44,6 @@ EDGE_PRIOR = {
     "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
 }
 
-MIXED = StrategyProfile.of(
-    [Threshold(0.3), Threshold(0.7, off=LIE), AlwaysLie(), AlwaysTruth(),
-     ConstantBit(1), AlwaysAbstain()] * 2
-)
-
 
 def dense_counts(profile, prior, n, trials, rng):
     """(ones, participants, mismatches) from explicit (trials, n) populations."""
@@ -101,10 +96,8 @@ CASES = [
     ("uniform", StrategyProfile.symmetric(Threshold(0.4, off=ABSTAIN))),
     ("uniform", StrategyProfile.symmetric(Threshold(0.4, off=LIE))),
     ("uniform", StrategyProfile.symmetric(Threshold(0.4, off=TRUTH))),
-    ("uniform", MIXED),
     ("atom", StrategyProfile.symmetric(Threshold(0.8, off=ABSTAIN))),
     ("atom", StrategyProfile.symmetric(Threshold(0.8, off=LIE))),
-    ("atom", MIXED),
     ("edge", StrategyProfile.symmetric(Threshold(0.5, off=LIE))),
     ("edge", StrategyProfile.symmetric(Threshold(0.5, off=ABSTAIN))),
 ]
@@ -140,19 +133,6 @@ def test_cost_at_tau_counts_as_cheap(priors):
         assert np.all(ones == 0)
         assert np.all(participants == N)
         assert np.all(mismatches == 0)
-
-
-def test_mixed_profile_must_cover_the_population(uniform_prior):
-    with pytest.raises(ValueError):
-        sample_report_counts(MIXED, uniform_prior, N + 1, np.full(3, 0.5),
-                             np.random.default_rng(0))
-
-
-def test_groups_count_agents_per_strategy():
-    groups = dict(MIXED.groups(N))
-    assert sum(groups.values()) == N
-    assert groups[AlwaysAbstain()] == 2
-    assert StrategyProfile.symmetric(AlwaysTruth()).groups(7) == [(AlwaysTruth(), 7)]
 
 
 def _traced_peak(fn):
