@@ -98,7 +98,8 @@ def from_config(kinds, d, path):
     takes a finite JSON number (an int field an integer only); a field whose
     metadata names a kind table is built by this function under
     `path.field`.  Other values go to the dataclass as given, for its
-    __post_init__ to check.  Every error is a ValueError naming the path.
+    __post_init__ to check.  Every error is a ValueError naming the path;
+    one raised by __post_init__ gets `path: ` prefixed.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{path} must be an object, got {d!r}")
@@ -128,4 +129,7 @@ def from_config(kinds, d, path):
                 raise ValueError(f"{path}.{name} must be {need}, got {value!r}")
             value = f.type(value)
         values[name] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

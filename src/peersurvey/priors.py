@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import bdtrc, betaln, ndtr, ndtri, xlog1py, xlogy
-from scipy.stats import betabinom, binom
+from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py, xlogy
 
 from ._util import check_seed, chunk_sizes, from_config, is_number, merge_moments, subseed_rng
 from .mechanism import peer_estimate
@@ -102,6 +100,9 @@ class TruncatedLogNormal:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.cap > 0.0:
             raise ValueError(f"cap must be positive, got {self.cap}")
+        if not ndtr(self._z_cap()) > 0.0:
+            raise ValueError(f"log-normal with mu {self.mu} and sigma {self.sigma} has no "
+                             f"mass below cap {self.cap}")
 
     def _z_cap(self):
         return (math.log(self.cap) - self.mu) / self.sigma
@@ -274,13 +275,24 @@ def posterior_bit_prob(prior, bit):
 
 
 def _peer_count_pmf(prior, bit, m):
-    """P(K = k), k = 0..m, for the ones K among m peers given one's own bit."""
+    """P(K = k), k = 0..m, for the ones K among m peers given one's own bit.
+
+    Both laws are exp of a log-pmf built on log C(m, k) =
+    -log(m + 1) - betaln(m - k + 1, k + 1).  The beta-binomial is
+    scipy.stats' own formula.  Each binomial row is divided by its sum,
+    which cancels the rounding error that the log-choose term carries at
+    large m.
+    """
     k = np.arange(m + 1)
+    log_choose = -np.log(m + 1.0) - betaln(m - k + 1, k + 1)
     mixing = prior.mixing
     if isinstance(mixing, BetaMixing):
-        return betabinom.pmf(k, m, mixing.a + bit, mixing.b + 1 - bit)
+        a, b = mixing.a + bit, mixing.b + 1 - bit
+        return np.exp(log_choose + betaln(k + a, m - k + b) - betaln(a, b))
     weights, thetas = _posterior_atoms(mixing, bit)
-    return weights @ binom.pmf(k, m, thetas[:, None])
+    theta = thetas[:, None]
+    rows = np.exp(log_choose + xlogy(k, theta) + xlog1py(m - k, -theta))
+    return weights @ (rows / rows.sum(axis=1, keepdims=True))
 
 
 def _check_clamped_mean_args(bit, n, epsilon):
@@ -379,13 +391,17 @@ def _beta_mixed_tail(mixing, f0, f1, need, n):
 
     The binomial tail steps from 0 to 1 around the theta at which the mean
     cheap fraction equals need / n; quad gets that theta as a breakpoint.
+    Only Beta mixing with unequal cost laws comes here, so scipy.integrate
+    is imported here rather than with the module.
     """
+    from scipy.integrate import quad
+
     a, b = mixing.a, mixing.b
     log_norm = betaln(a, b)
 
     def integrand(theta):
         density = math.exp(xlogy(a - 1.0, theta) + xlog1py(b - 1.0, -theta) - log_norm)
-        return density * bdtrc(need - 1, n, theta * f1 + (1.0 - theta) * f0)
+        return density * _binomial_tail(need, n, theta * f1 + (1.0 - theta) * f0)
 
     step = (need / n - f0) / (f1 - f0)
     value, _ = quad(integrand, 0.0, 1.0, points=[step] if 0.0 < step < 1.0 else None,
@@ -398,9 +414,15 @@ def _cost_cdfs(prior, tau):
     return float(np.asarray(prior.cost0.cdf(tau))), float(np.asarray(prior.cost1.cdf(tau)))
 
 
+def _binomial_tail(need, n, g):
+    """P(Bin(n, g) >= need), 1 <= need <= n, as the regularized incomplete
+    beta I_g(need, n - need + 1); scipy.stats' binom.sf gives the same values."""
+    return betainc(need, n - need + 1, g)
+
+
 def _theta_tails(thetas, f0, f1, need, n):
     """P(Bin(n, theta f1 + (1 - theta) f0) >= need) for each theta."""
-    return binom.sf(need - 1, n, thetas * f1 + (1.0 - thetas) * f0)
+    return _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0)
 
 
 def _group_prob(prior, n, need, tau):
@@ -413,7 +435,7 @@ def _group_prob(prior, n, need, tau):
     """
     f0, f1 = _cost_cdfs(prior, tau)
     if f0 == f1:
-        return float(binom.sf(need - 1, n, f0))
+        return float(_binomial_tail(need, n, f0))
     if isinstance(prior.mixing, BetaMixing):
         return _beta_mixed_tail(prior.mixing, f0, f1, need, n)
     weights, thetas = _atoms(prior.mixing)

@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peersurvey
 from peersurvey import cli
 from peersurvey.cli import EXIT_BY_VERDICT, ConfigError, dispatch, write_csv
 
@@ -17,6 +22,9 @@ UNIFORM_PRIOR = {
 }
 
 
+# A log-normal cost law with no mass below its cap: ndtr of the capped
+# z-score is 0.
+MASSLESS_LOG_NORMAL = {"kind": "log_normal", "mu": 800.0, "sigma": 1.0, "cap": 1e300}
 # Every peer's bit is 0: conditioning on an own bit of 1 is undefined.
 ZERO_BIT_PRIOR = dict(UNIFORM_PRIOR, mixing={"kind": "atoms", "atoms": [[1.0, 0.0]]})
 # All cost mass at zero: the derived tau is 0, and beta = f(tau) would be too.
@@ -192,6 +200,7 @@ class TestResolver:
                                                      "atoms": [[math.nan, 0.2], [0.5, 0.8]]})),
         ("run", "prior", dict(UNIFORM_PRIOR, mixing={"kind": "atoms",
                                                      "atoms": [[0.5, 0.2], [0.5, True]]})),
+        ("threshold", "prior", dict(UNIFORM_PRIOR, cost1=MASSLESS_LOG_NORMAL)),
         # posterior and threshold write no CSV, but `out` keeps its rule.
         ("posterior", "out", 5),
         ("threshold", "out", 5),
@@ -201,6 +210,29 @@ class TestResolver:
         assert dispatch([command, "--config", config]) == 1
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line.startswith(f"config error: config key '{key}'")
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("threshold", "prior", prior_with(cost1={"lo": 2.0, "hi": 1.0}),
+         "prior.cost1: uniform needs 0 <= lo <= hi"),
+        ("threshold", "prior", dict(UNIFORM_PRIOR, cost1=MASSLESS_LOG_NORMAL),
+         "prior.cost1: log-normal with mu 800.0 and sigma 1.0 has no mass below cap"),
+        ("threshold", "prior", prior_with(mixing={"a": -1.0}),
+         "prior.mixing: beta parameters must be positive"),
+        ("threshold", "prior", dict(UNIFORM_PRIOR, family="independent_bits"),
+         "prior: family must be one of"),
+        ("audit-equilibrium", "cost_model", {"kind": "linear", "eta": 2.0},
+         "cost_model: eta must lie in [0, 1]"),
+        ("run", "strategy", {"kind": "constant_bit", "value": 2},
+         "strategy: value must be 0 or 1"),
+    ], ids=["cost1-range", "cost1-no-mass", "mixing-range", "family", "eta-range",
+            "strategy-value"])
+    def test_bad_nested_value_names_its_path(self, tmp_path, capsys, command, key, value,
+                                             message):
+        # A range error raised by the nested object itself says which one.
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
+        assert dispatch([command, "--config", config]) == 1
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line.startswith(f"config error: config key '{key}': {message}")
 
     @pytest.mark.parametrize("command, off", [
         ("audit-equilibrium", "abstain"),
@@ -439,6 +471,25 @@ class TestThresholdCommand:
             max(payload["tau_group"], payload["tau_marginal"])
         )
         assert 0.8 < payload["tau"] < 1.0
+
+
+class TestImportFootprint:
+    def test_scipy_stats_and_integrate_load_only_on_demand(self, tmp_path):
+        # scipy.stats is never imported, and scipy.integrate only for the
+        # quadrature under Beta mixing with unequal cost laws.
+        prior = dict(UNIFORM_PRIOR, mixing={"kind": "beta", "a": 2.0, "b": 5.0},
+                     cost1={"kind": "exponential", "rate": 2.0})
+        config = write_config(tmp_path, {"prior": prior, "n": 60, "alpha": 0.1, "delta": 0.1})
+        script = ("import sys\n"
+                  "import peersurvey.cli\n"
+                  "loaded = sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules))\n"
+                  "code = peersurvey.cli.dispatch(['threshold', '--config', sys.argv[1]])\n"
+                  "print(loaded, code, 'scipy.integrate' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(peersurvey.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, config], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert json.loads(done.stdout)["tau"] > 0.0
+        assert done.stderr.splitlines()[-1] == "[] 0 True"
 
 
 class TestAuditDpCommand:

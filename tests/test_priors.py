@@ -19,7 +19,7 @@ from peersurvey import (
     posterior_clamped_mean,
     posterior_clamped_mean_mc,
 )
-from peersurvey.priors import COST_GRID, AtomMixing, BetaMixing
+from peersurvey.priors import COST_GRID, AtomMixing, BetaMixing, _group_prob, _peer_count_pmf
 
 
 class TestCostDistributions:
@@ -84,6 +84,22 @@ class TestCostDistributions:
             PointMass(value=-0.1)
         with pytest.raises(ValueError):
             TruncatedLogNormal(mu=0.0, sigma=-1.0, cap=10.0)
+
+    def test_log_normal_needs_mass_below_its_cap(self):
+        # ndtr of the capped z-score underflows to 0: cdf would divide by it.
+        with pytest.raises(ValueError, match="no mass below cap 1e\\+300"):
+            TruncatedLogNormal(mu=800.0, sigma=1.0, cap=1e300)
+        with pytest.raises(ValueError, match="^cost distribution: log-normal"):
+            cost_distribution_from_dict({"kind": "log_normal", "mu": 800.0, "sigma": 1.0,
+                                         "cap": 1e300})
+        # A cap far in the lower tail still leaves a proper law below it.
+        far = TruncatedLogNormal(mu=30.0, sigma=1.0, cap=1e6)
+        us = np.linspace(0.01, 0.99, 25)
+        xs = far.quantile(us)
+        assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
+        assert 0.0 < xs[0] and xs[-1] <= 1e6
+        np.testing.assert_allclose(far.cdf(xs), us, atol=1e-9)
+        assert far.cdf(1e6) == 1.0 and far.cdf(0.0) == 0.0
 
 
 class TestPriorSpec:
@@ -477,6 +493,84 @@ class TestCostThreshold:
             cost_threshold(prior, 1e-9, 0.001, 20_000)
         with pytest.raises(CostSearchError):
             cost_threshold_parts_mc(prior, 1e-9, 0.001, 20_000, trials=1000, seed=0)
+
+
+PEER_COUNTS = [1, 199, 4999, 49999]
+
+
+def _clipped_means(m, eps):
+    """E[clip((k + X) / m, 0, 1)] for k = 0..m, X ~ Laplace(1 / eps)."""
+    k = np.arange(m + 1, dtype=np.float64)
+    s = 1.0 / eps
+    return (k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))) / m
+
+
+class TestPeerCountLaw:
+    """The pmfs and the binomial tail are built from scipy.special;
+    scipy.stats serves as their oracle."""
+
+    @pytest.mark.parametrize("m", PEER_COUNTS)
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.7)])
+    def test_beta_binomial_is_scipy_stats_bit_for_bit(self, a, b, bit, m):
+        prior = _prior({"kind": "beta", "a": a, "b": b})
+        expected = stats.betabinom.pmf(np.arange(m + 1), m, a + bit, b + 1 - bit)
+        assert np.array_equal(_peer_count_pmf(prior, bit, m), expected)
+
+    @pytest.mark.parametrize("m", PEER_COUNTS)
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("atoms", [
+        [[0.5, 0.2], [0.5, 0.8]],
+        [[0.3, 0.0], [0.2, 1.0], [0.5, 0.37]],
+    ])
+    def test_binomial_mixture_against_scipy_stats(self, atoms, bit, m):
+        prior = _prior({"kind": "atoms", "atoms": atoms})
+        weights, thetas = (np.array(column) for column in zip(*atoms))
+        post = weights * (thetas if bit == 1 else 1.0 - thetas)
+        expected = post / post.sum() @ stats.binom.pmf(np.arange(m + 1), m, thetas[:, None])
+        pmf = _peer_count_pmf(prior, bit, m)
+        np.testing.assert_allclose(pmf, expected, rtol=0.0, atol=1e-12)
+        # p0 / p1 without noise, and with it.
+        k = np.arange(m + 1)
+        assert pmf @ k / m == pytest.approx(expected @ k / m, rel=1e-13)
+        exact = posterior_clamped_mean(prior, bit, m + 1, 0.3)
+        assert exact == pytest.approx(expected @ _clipped_means(m, 0.3), rel=1e-13)
+
+    @pytest.mark.parametrize("m", PEER_COUNTS)
+    @pytest.mark.parametrize("theta, bit", [(0.0, 0), (1.0, 1), (0.37, 0), (0.37, 1)])
+    def test_each_binomial_row_sums_to_one(self, theta, bit, m):
+        # Point mixing is one atom, so its pmf is one row; the atoms at 0
+        # and 1 put all mass on k = 0 and k = m.
+        pmf = _peer_count_pmf(_prior({"kind": "point", "theta": theta}), bit, m)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+        if theta in (0.0, 1.0):
+            assert pmf[0 if theta == 0.0 else m] == 1.0
+
+    @pytest.mark.parametrize("n", [2, 60, 5000, 50000])
+    @pytest.mark.parametrize("atoms", [
+        None,
+        [[0.5, 0.2], [0.5, 0.8]],
+        [[0.3, 0.0], [0.2, 1.0], [0.5, 0.37]],
+    ], ids=["equal-costs", "atoms", "edge-atoms"])
+    def test_group_prob_against_scipy_stats(self, atoms, n):
+        # Equal uniform costs on [0, 1] under Beta(1, 1), or atoms with
+        # cost1 uniform on [0, 2]: F0(tau) = min(tau, 1), F1(tau) = tau / 2.
+        if atoms is None:
+            prior = _prior(MIXINGS["uniform"])
+        else:
+            prior = _prior({"kind": "atoms", "atoms": atoms},
+                           cost1={"kind": "uniform", "lo": 0.0, "hi": 2.0})
+        for alpha in (0.1, 0.5):
+            need = math.ceil((1.0 - alpha) * n)
+            for tau in (0.05, 0.5, 0.9, 0.95, 1.0, 1.7):
+                f0 = min(tau, 1.0)
+                if atoms is None:
+                    expected = stats.binom.sf(need - 1, n, f0)
+                else:
+                    weights, thetas = (np.array(column) for column in zip(*atoms))
+                    g = thetas * tau / 2.0 + (1.0 - thetas) * f0
+                    expected = weights @ stats.binom.sf(need - 1, n, g)
+                assert _group_prob(prior, n, need, tau) == pytest.approx(expected, abs=1e-11)
 
 
 def _equal_cost_prior(cost_spec):
