@@ -25,7 +25,8 @@ OFF_BEHAVIORS = (ABSTAIN, LIE, TRUTH)
 
 COST_MODEL_KINDS = ("linear", "chen")
 
-_MIN_UTILITY_TRIALS = 1_000
+# The fewest trials `expected_utility` accepts.
+MIN_UTILITY_TRIALS = 1_000
 
 # Coverage of the two-sided normal interval around a mean payment.
 CI_LEVEL = 0.99
@@ -260,8 +261,8 @@ def expected_utility(
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
     trials = int(trials)
-    if trials < _MIN_UTILITY_TRIALS:
-        raise ValueError(f"trials must be at least {_MIN_UTILITY_TRIALS}, got {trials}")
+    if trials < MIN_UTILITY_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_UTILITY_TRIALS}, got {trials}")
     seed = check_seed(seed)
     if not isinstance(others, StrategyProfile):
         others = StrategyProfile.symmetric(others)

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import traceback
 from collections import defaultdict
@@ -22,8 +23,16 @@ from functools import cached_property
 import numpy as np
 
 from ._util import check_seed, derive_seed, is_number
-from .agents import ABSTAIN, OFF_BEHAVIORS, CostModel, StrategyProfile, strategy_from_dict
+from .agents import (
+    ABSTAIN,
+    MIN_UTILITY_TRIALS,
+    OFF_BEHAVIORS,
+    CostModel,
+    StrategyProfile,
+    strategy_from_dict,
+)
 from .equilibrium import (
+    ACCURACY_MIN_TRIALS,
     INCONCLUSIVE,
     accuracy_experiment,
     best_response_audit,
@@ -42,12 +51,13 @@ from .priors import (
     posterior_clamped_mean,
     posterior_clamped_mean_mc,
 )
-from .privacy import DEFAULT_TOLERANCE, FAIL, NOISE_MODES, PASS, NoiseSpec, dp_audit
+from .privacy import AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, NOISE_MODES, PASS, NoiseSpec, dp_audit
 
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
 
 # The smallest trial count each command's driver accepts; 1 elsewhere.
-_MIN_TRIALS = {"audit-dp": 100_000, "audit-equilibrium": 1_000, "accuracy": 100}
+_MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": MIN_UTILITY_TRIALS,
+               "accuracy": ACCURACY_MIN_TRIALS}
 
 # Commands whose driver builds the mechanism and the strategy itself.
 _DRIVERS = ("audit-equilibrium", "cost-scaling")
@@ -449,15 +459,19 @@ def write_csv(path, columns):
 
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output: reject a cross-check
-    key the run found nothing to check for, and --out where there is no CSV
-    (a config's `out` may serve another command), write `columns` as the CSV
-    at `out`, print the report.  A cross-check of tau, p0 or p1 follows the
-    body, except in cost-scaling, whose rows carry their own."""
+    key the run found nothing to check for, --seed where the run drew
+    nothing at random and --out where there is no CSV (a config's `seed` or
+    `out` may serve another command), write `columns` as the CSV at `out`,
+    print the report.  A cross-check of tau, p0 or p1 follows the body,
+    except in cost-scaling, whose rows carry their own.  A reader that
+    closed stdout early is not an error: the rest of the output is dropped."""
     if not r.cross_check:
         for key in ("threshold_trials", "posterior_samples"):
             if getattr(r, key) is not None:
                 raise ConfigError(key, f"sizes a Monte Carlo cross-check, but {r.command} "
                                        "derives nothing here for it to check")
+    if r._args.seed is not None and "seed" not in r.__dict__:
+        raise ConfigError("seed", f"--seed seeds a random draw, but {r.command} makes none here")
     out = r.out  # resolved even where no CSV is written, so a bad `out` still fails
     if columns is None and r._args.out is not None:
         raise ConfigError("out", f"--out names a CSV, but {r.command} writes none")
@@ -466,7 +480,13 @@ def _emit(r, body, columns=None, **used):
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
         report["cross_check"] = r.cross_check[r.n]
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush is silent.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------

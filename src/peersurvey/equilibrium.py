@@ -36,6 +36,9 @@ from .privacy import FAIL, PASS, NoiseSpec, noise_draw
 
 INCONCLUSIVE = "Inconclusive"
 
+# The fewest trials `accuracy_experiment` accepts.
+ACCURACY_MIN_TRIALS = 100
+
 
 # ---------------------------------------------------------------------------
 # Parameter rules.
@@ -407,8 +410,8 @@ def accuracy_experiment(
     the noise-widened radius ln(2/delta)/(epsilon*n) + alpha.  The report
     keeps the simulated TrialRecords on `records`, outside to_dict.
     """
-    if int(trials) < 100:
-        raise ValueError(f"need at least 100 trials for a verdict, got {trials}")
+    if int(trials) < ACCURACY_MIN_TRIALS:
+        raise ValueError(f"need at least {ACCURACY_MIN_TRIALS} trials for a verdict, got {trials}")
     if alpha_prime is None:
         alpha_prime = accuracy_radius(alpha, delta, epsilon, n)
     noise = NoiseSpec(epsilon=epsilon, mode=noise_mode)

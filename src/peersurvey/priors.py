@@ -17,7 +17,7 @@ from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py, xlogy
 
 from ._util import check_seed, chunk_sizes, from_config, is_number, merge_moments, subseed_rng
 from .mechanism import peer_estimate
-from .privacy import NoiseSpec, noise_draw
+from .privacy import laplace_sample
 
 FAMILIES = ("conditional_iid",)
 
@@ -287,7 +287,7 @@ def _peer_count_pmf(prior, bit, m):
     log_choose = -np.log(m + 1.0) - betaln(m - k + 1, k + 1)
     mixing = prior.mixing
     if isinstance(mixing, BetaMixing):
-        a, b = mixing.a + bit, mixing.b + 1 - bit
+        a, b = mixing.a + bit, mixing.b + (1 - bit)
         return np.exp(log_choose + betaln(k + a, m - k + b) - betaln(a, b))
     weights, thetas = _posterior_atoms(mixing, bit)
     theta = thetas[:, None]
@@ -304,7 +304,7 @@ def _check_clamped_mean_args(bit, n, epsilon):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-def posterior_clamped_mean(prior, bit, n, epsilon, noise_disabled=False):
+def posterior_clamped_mean(prior, bit, n, epsilon):
     """Exact mean of the clamped noisy leave-one-out estimate.
 
     Computes E[clip((K + X) / m, 0, 1)], m = n - 1, where K counts ones among
@@ -312,8 +312,7 @@ def posterior_clamped_mean(prior, bit, n, epsilon, noise_disabled=False):
     binomial mixture over the reweighted atoms otherwise) and X is Laplace
     noise of scale s = 1/epsilon.  For each k,
     E[clip(k + X, 0, m)] = k + (s/2)(e^{-k/s} - e^{-(m-k)/s}): the two terms
-    are the noise mass clipped at 0 and at m.  With `noise_disabled` (X = 0,
-    a hook for deterministic tests) the clipped mean is k/m.  This is the
+    are the noise mass clipped at 0 and at m.  This is the
     prediction target actually paid against, and differs from
     `posterior_bit_prob` by the noise and clamping bias; callers should
     treat the two as distinct quantities.
@@ -321,14 +320,12 @@ def posterior_clamped_mean(prior, bit, n, epsilon, noise_disabled=False):
     _check_clamped_mean_args(bit, n, epsilon)
     m = n - 1
     k = np.arange(m + 1, dtype=np.float64)
-    clipped = k
-    if not noise_disabled:
-        s = 1.0 / epsilon
-        clipped = k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))
+    s = 1.0 / epsilon
+    clipped = k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))
     return float(_peer_count_pmf(prior, bit, m) @ clipped / m)
 
 
-def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed, noise_disabled=False):
+def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed):
     """Monte Carlo cross-check of `posterior_clamped_mean`: (mean, standard error).
 
     Draws theta from the posterior given one's own bit, K ~ Bin(n - 1, theta)
@@ -338,7 +335,6 @@ def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed, noise_disab
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be positive")
-    noise = NoiseSpec(epsilon=epsilon, mode="disabled" if noise_disabled else "sample")
     seed = check_seed(seed)
     total = 0.0
     moments = (0, 0.0, 0.0)
@@ -346,7 +342,7 @@ def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed, noise_disab
         rng = subseed_rng(seed, chunk)
         theta = prior.posterior_theta_sample(bit, rng, size)
         k = rng.binomial(n - 1, theta)
-        x = noise_draw(noise, rng, size)
+        x = laplace_sample(1.0 / epsilon, rng, size)
         estimate = peer_estimate(n, k + x, 0)
         total += float(np.sum(estimate))
         moments = merge_moments(moments, estimate)
@@ -420,11 +416,6 @@ def _binomial_tail(need, n, g):
     return betainc(need, n - need + 1, g)
 
 
-def _theta_tails(thetas, f0, f1, need, n):
-    """P(Bin(n, theta f1 + (1 - theta) f0) >= need) for each theta."""
-    return _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0)
-
-
 def _group_prob(prior, n, need, tau):
     """Exact P(at least `need` of n agents have cost <= tau).
 
@@ -439,7 +430,7 @@ def _group_prob(prior, n, need, tau):
     if isinstance(prior.mixing, BetaMixing):
         return _beta_mixed_tail(prior.mixing, f0, f1, need, n)
     weights, thetas = _atoms(prior.mixing)
-    return float(weights @ _theta_tails(thetas, f0, f1, need, n))
+    return float(weights @ _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0))
 
 
 def _cost_threshold(prior, alpha, delta, n, group_prob):
@@ -528,7 +519,8 @@ def cost_threshold_parts_mc(prior, alpha, delta, n, trials, seed):
     thetas = prior.theta_sample(subseed_rng(check_seed(seed), 0), trials)
 
     def tails(tau, need):
-        return _theta_tails(thetas, *_cost_cdfs(prior, tau), need, n)
+        f0, f1 = _cost_cdfs(prior, tau)
+        return _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0)
 
     parts = _cost_threshold(prior, alpha, delta, n,
                             lambda tau, need: float(np.mean(tails(tau, need))))

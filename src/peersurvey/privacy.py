@@ -23,7 +23,8 @@ FAIL = "Fail"
 DEFAULT_BIN_FLOOR = 50.0
 DEFAULT_TOLERANCE = 0.05
 
-_AUDIT_MIN_TRIALS = 100_000
+# The fewest trials `dp_audit` accepts.
+AUDIT_MIN_TRIALS = 100_000
 
 
 class AuditDataError(RuntimeError):
@@ -82,11 +83,11 @@ def noise_draw(noise, rng, size=None):
     return laplace_sample(noise.scale, rng, size)
 
 
-def max_log_count_ratio(counts_a, counts_b, min_expected=DEFAULT_BIN_FLOOR):
+def max_log_count_ratio(counts_a, counts_b):
     """Largest |log(count_a / count_b)| over bins with enough pooled mass.
 
     A bin enters the comparison when its average count across the two
-    histograms is at least `min_expected`; a retained bin that is empty on
+    histograms is at least DEFAULT_BIN_FLOOR; a retained bin that is empty on
     one side yields an infinite ratio.  Raises AuditDataError when no bin
     qualifies.
     """
@@ -94,7 +95,7 @@ def max_log_count_ratio(counts_a, counts_b, min_expected=DEFAULT_BIN_FLOOR):
     counts_b = np.asarray(counts_b, dtype=np.float64)
     if counts_a.shape != counts_b.shape:
         raise ValueError("count arrays must have identical shapes")
-    retained = (counts_a + counts_b) / 2.0 >= min_expected
+    retained = (counts_a + counts_b) / 2.0 >= DEFAULT_BIN_FLOOR
     if not retained.any():
         raise AuditDataError(
             "no histogram bin reaches the count floor; "
@@ -141,8 +142,6 @@ def dp_audit(
     bins,
     seed,
     tolerance=DEFAULT_TOLERANCE,
-    bin_range=(0.0, 1.0),
-    min_expected=DEFAULT_BIN_FLOOR,
 ):
     """Histogram two neighboring runs of `mech` and compare bin counts.
 
@@ -150,12 +149,12 @@ def dp_audit(
     ----------
     mech : callable (reports, rng, size) -> array of shape (size,)
         Vectorized randomized map from a report vector to the observable
-        output being audited (by default a value in [0, 1]).
+        output being audited, a value in [0, 1].
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the value to flip it to.
     epsilon_claimed : privacy level under test.
     trials, bins, seed : sample size, equal-width bin count over
-        `bin_range`, and the audit seed (both runs share noise streams).
+        [0, 1], and the audit seed (both runs share noise streams).
 
     Passing means max_log_ratio <= epsilon_claimed + tolerance.
     """
@@ -169,8 +168,8 @@ def dp_audit(
     if reports[i] == flipped_bit:
         raise ValueError("flipped_bit must differ from reports[i]")
     trials = int(trials)
-    if trials < _AUDIT_MIN_TRIALS:
-        raise ValueError(f"trials must be at least {_AUDIT_MIN_TRIALS}, got {trials}")
+    if trials < AUDIT_MIN_TRIALS:
+        raise ValueError(f"trials must be at least {AUDIT_MIN_TRIALS}, got {trials}")
     bins = int(bins)
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
@@ -186,13 +185,13 @@ def dp_audit(
         # Identical generator states: both runs see the same noise stream.
         out_a = np.asarray(mech(reports, subseed_rng(seed, chunk), size))
         out_b = np.asarray(mech(neighbor, subseed_rng(seed, chunk), size))
-        counts_a += np.histogram(out_a, bins=bins, range=bin_range)[0]
-        counts_b += np.histogram(out_b, bins=bins, range=bin_range)[0]
+        counts_a += np.histogram(out_a, bins=bins, range=(0.0, 1.0))[0]
+        counts_b += np.histogram(out_b, bins=bins, range=(0.0, 1.0))[0]
 
-    max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b, min_expected)
+    max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
     verdict = PASS if max_log_ratio <= epsilon_claimed + tolerance else FAIL
 
-    edges = np.linspace(bin_range[0], bin_range[1], bins + 1)
+    edges = np.linspace(0.0, 1.0, bins + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         per_bin = np.log(counts_a) - np.log(counts_b)
     table = tuple(

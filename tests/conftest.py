@@ -1,6 +1,6 @@
 import pytest
 
-from peersurvey import PriorSpec
+from peersurvey.priors import PriorSpec
 
 try:
     from hypothesis import HealthCheck, settings

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from peersurvey import (
+from peersurvey.agents import (
     ABSTAIN,
     ACTIONS,
     LIE,
@@ -15,18 +15,15 @@ from peersurvey import (
     AlwaysTruth,
     ConstantBit,
     CostModel,
-    MechanismConfig,
     Threshold,
-    beta_rule,
-    cost_threshold,
-    epsilon_rule,
     expected_utility,
-    payment_pair,
-    posterior_clamped_mean,
     privacy_cost_bound,
+    strategy_arrays,
     strategy_from_dict,
 )
-from peersurvey.agents import strategy_arrays
+from peersurvey.equilibrium import beta_rule, epsilon_rule
+from peersurvey.mechanism import MechanismConfig, payment_pair
+from peersurvey.priors import cost_threshold, posterior_clamped_mean
 
 # One agent's report as (contribution, participates).
 ONE, ZERO, ABSTAINED = (1, True), (0, True), (0, False)

@@ -418,6 +418,26 @@ class TestRunCommand:
         assert captured.err.startswith("config error: config key 'out'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
+    def test_seed_flag_without_a_draw_is_rejected(self, tmp_path, capsys, command):
+        # Without a cross-check key, posterior and threshold draw nothing at random.
+        payload = {key: value for key, value in BASE_CONFIGS[command].items()
+                   if key not in CROSS_CHECK_KEYS}
+        config = write_config(tmp_path, payload)
+        assert dispatch([command, "--config", config, "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config key 'seed'")
+        # The config's seed stays accepted: another command may read it.
+        assert dispatch([command, "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] is None
+
+    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
+    def test_seed_flag_seeds_the_cross_check(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, BASE_CONFIGS[command])
+        assert dispatch([command, "--config", config, "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] == 5
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path, run_config(tmp_path))
         assert dispatch(["run", "--config", config, "--seed", "99"]) == 0
@@ -490,6 +510,23 @@ class TestImportFootprint:
                               text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
         assert json.loads(done.stdout)["tau"] > 0.0
         assert done.stderr.splitlines()[-1] == "[] 0 True"
+
+
+class TestClosedStdout:
+    def test_closed_pipe_keeps_the_exit_code(self, tmp_path):
+        # The reader is gone before the report is written: the report is
+        # dropped, and neither the exit code nor stderr reports an error.
+        config = write_config(tmp_path, BASE_CONFIGS["threshold"])
+        src = str(Path(peersurvey.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "peersurvey.cli", "threshold", "--config", config],
+                stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestAuditDpCommand:
@@ -745,7 +782,8 @@ class TestExactDerivations:
                 assert abs(entry["mc"] - values[key]) <= 5.0 * entry["se"] + slack
 
     def test_resolved_predictions_are_exact(self, tmp_path, capsys):
-        from peersurvey import PriorSpec, epsilon_rule, posterior_clamped_mean
+        from peersurvey.equilibrium import epsilon_rule
+        from peersurvey.priors import PriorSpec, posterior_clamped_mean
 
         config = write_config(tmp_path, BASE_CONFIGS["run"])
         assert dispatch(["run", "--config", config]) == 0

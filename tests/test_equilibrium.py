@@ -4,18 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from peersurvey import (
-    FAIL,
+from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold
+from peersurvey.equilibrium import (
     INCONCLUSIVE,
-    PASS,
-    AlwaysLie,
-    AlwaysTruth,
-    CostModel,
     CostRow,
     CostScalingReport,
     EquilibriumAuditReport,
-    NoiseSpec,
-    Threshold,
+    _combine,
+    _interval_verdict,
     accuracy_experiment,
     accuracy_radius,
     best_response_audit,
@@ -23,14 +19,14 @@ from peersurvey import (
     config_lint,
     cost_scaling_experiment,
     epsilon_rule,
-    payment_pair,
-    scoring_params,
     simulate_estimates,
     simulate_survey,
     total_payment_bound,
 )
-from peersurvey import MechanismConfig, PriorSpec
-from peersurvey.equilibrium import _combine, _interval_verdict
+from peersurvey.mechanism import MechanismConfig, payment_pair
+from peersurvey.priors import PriorSpec
+from peersurvey.privacy import FAIL, PASS, NoiseSpec
+from peersurvey.scoring import scoring_params
 
 
 class TestParameterRules:

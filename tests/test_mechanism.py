@@ -4,17 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from peersurvey import (
+from peersurvey.mechanism import (
     MechanismConfig,
-    NoiseSpec,
     estimate_observable,
-    laplace_sample,
     payment_observable,
     payment_pair,
     run,
-    scaled_score,
 )
-from peersurvey.privacy import noise_draw
+from peersurvey.privacy import NoiseSpec, laplace_sample, noise_draw
+from peersurvey.scoring import scaled_score
 
 REFERENCE = dict(n=100, alpha=0.1, beta=1.0, epsilon=0.5,
                  p0=1.0 / 3.0, p1=2.0 / 3.0, noise_mode="disabled")

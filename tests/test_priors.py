@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from peersurvey import (
+from peersurvey.priors import (
+    COST_GRID,
+    AtomMixing,
+    BetaMixing,
     CostSearchError,
     Exponential,
     PointMass,
     PriorSpec,
     TruncatedLogNormal,
     Uniform,
+    _group_prob,
+    _peer_count_pmf,
     cost_distribution_from_dict,
     cost_threshold,
     cost_threshold_parts,
@@ -19,7 +24,6 @@ from peersurvey import (
     posterior_clamped_mean,
     posterior_clamped_mean_mc,
 )
-from peersurvey.priors import COST_GRID, AtomMixing, BetaMixing, _group_prob, _peer_count_pmf
 
 
 class TestCostDistributions:
@@ -274,13 +278,12 @@ def _prior(mixing, cost0=None, cost1=None):
 
 class TestPosteriorClampedMeanExact:
     @pytest.mark.parametrize("n", [2, 20, 50_000])
-    @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("bit", [0, 1])
     @pytest.mark.parametrize("name", list(MIXINGS))
-    def test_matches_binomial_sum_oracle(self, name, bit, noise, n):
+    def test_matches_binomial_sum_oracle(self, name, bit, n):
         prior = _prior(MIXINGS[name])
-        exact = posterior_clamped_mean(prior, bit, n, 0.3, noise_disabled=not noise)
-        oracle = _binomial_sum_oracle(MIXINGS[name], bit, n, 0.3 if noise else None)
+        exact = posterior_clamped_mean(prior, bit, n, 0.3)
+        oracle = _binomial_sum_oracle(MIXINGS[name], bit, n, 0.3)
         assert exact == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.7)])
@@ -290,11 +293,6 @@ class TestPosteriorClampedMeanExact:
         prior = _prior({"kind": "beta", "a": a, "b": b})
         exact = posterior_clamped_mean(prior, bit, n, 0.2)
         assert exact == pytest.approx(_clamped_mean_oracle(a, b, bit=bit, n=n, eps=0.2), abs=1e-9)
-
-    def test_noise_disabled_is_the_posterior_bit_prob(self, atom_prior):
-        for bit in (0, 1):
-            exact = posterior_clamped_mean(atom_prior, bit, 300, 1.0, noise_disabled=True)
-            assert exact == pytest.approx(posterior_bit_prob(atom_prior, bit), abs=1e-12)
 
     def test_vanishing_epsilon_pulls_both_to_one_half(self, uniform_prior):
         for bit in (0, 1):
@@ -333,11 +331,6 @@ class TestPosteriorClampedMean:
     def test_noise_free_limit(self, uniform_prior):
         est, _ = posterior_clamped_mean_mc(uniform_prior, 1, 10_000, 1e6, samples=20_000, seed=4)
         assert abs(est - 2.0 / 3.0) < 0.01
-
-    def test_disabled_noise_point_rate(self, point_prior):
-        est, _ = posterior_clamped_mean_mc(point_prior, 1, 500, 1.0, samples=50_000,
-                                           seed=2, noise_disabled=True)
-        assert abs(est - 0.5) < 0.01
 
     def test_deterministic_given_seed(self, uniform_prior):
         a = posterior_clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
@@ -511,10 +504,11 @@ class TestPeerCountLaw:
 
     @pytest.mark.parametrize("m", PEER_COUNTS)
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.7)])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.7), (2.0, 0.1)])
     def test_beta_binomial_is_scipy_stats_bit_for_bit(self, a, b, bit, m):
+        # A one leaves b as it is: (b + 1) - 1 is not b for every b.
         prior = _prior({"kind": "beta", "a": a, "b": b})
-        expected = stats.betabinom.pmf(np.arange(m + 1), m, a + bit, b + 1 - bit)
+        expected = stats.betabinom.pmf(np.arange(m + 1), m, a + bit, b + (1 - bit))
         assert np.array_equal(_peer_count_pmf(prior, bit, m), expected)
 
     @pytest.mark.parametrize("m", PEER_COUNTS)
@@ -535,6 +529,15 @@ class TestPeerCountLaw:
         assert pmf @ k / m == pytest.approx(expected @ k / m, rel=1e-13)
         exact = posterior_clamped_mean(prior, bit, m + 1, 0.3)
         assert exact == pytest.approx(expected @ _clipped_means(m, 0.3), rel=1e-13)
+
+    @pytest.mark.parametrize("m", PEER_COUNTS)
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("name", list(MIXINGS))
+    def test_mean_is_the_posterior_bit_prob(self, name, bit, m):
+        # E[K | own bit] / m, the noiseless clamped mean, is the closed form.
+        prior = _prior(MIXINGS[name])
+        mean = _peer_count_pmf(prior, bit, m) @ np.arange(m + 1) / m
+        assert mean == pytest.approx(posterior_bit_prob(prior, bit), abs=1e-9)
 
     @pytest.mark.parametrize("m", PEER_COUNTS)
     @pytest.mark.parametrize("theta, bit", [(0.0, 0), (1.0, 1), (0.37, 0), (0.37, 1)])
@@ -601,8 +604,7 @@ def _clamped_mean_oracle(a, b, bit, n, eps):
 def _binomial_sum_oracle(mixing, bit, n, eps):
     """Sum over k of P(K = k | own bit) times E[clip((k + X) / m, 0, 1)], in
     plain floats: beta-binomial or binomial-mixture weights from lgamma, and
-    the clipped Laplace mean k + (s/2)(e^{-k/s} - e^{-(m-k)/s}), or k without
-    noise (eps None)."""
+    the clipped Laplace mean k + (s/2)(e^{-k/s} - e^{-(m-k)/s})."""
     m = n - 1
 
     def log_choose(k):
@@ -614,7 +616,7 @@ def _binomial_sum_oracle(mixing, bit, n, eps):
         return math.exp(log_choose(k) + k * math.log(t) + (m - k) * math.log1p(-t))
 
     if mixing["kind"] == "beta":
-        a, b = mixing["a"] + bit, mixing["b"] + 1 - bit
+        a, b = mixing["a"] + bit, mixing["b"] + (1 - bit)
         weights = [math.exp(log_choose(k) + math.lgamma(k + a) + math.lgamma(m - k + b)
                             - math.lgamma(m + a + b) + math.lgamma(a + b) - math.lgamma(a)
                             - math.lgamma(b))
@@ -624,11 +626,8 @@ def _binomial_sum_oracle(mixing, bit, n, eps):
         post = [(w * (t if bit else 1.0 - t), t) for w, t in atoms]
         total = sum(w for w, _ in post)
         weights = [sum(w / total * binomial_pmf(k, t) for w, t in post) for k in range(m + 1)]
+    s = 1.0 / eps
     total = 0.0
     for k, w in enumerate(weights):
-        clipped = k
-        if eps is not None:
-            s = 1.0 / eps
-            clipped = k + 0.5 * s * (math.exp(-k / s) - math.exp(-(m - k) / s))
-        total += w * clipped / m
+        total += w * (k + 0.5 * s * (math.exp(-k / s) - math.exp(-(m - k) / s))) / m
     return total

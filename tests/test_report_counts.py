@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from peersurvey import (
+from peersurvey.agents import (
     ABSTAIN,
     LIE,
     TRUTH,
@@ -22,14 +22,14 @@ from peersurvey import (
     AlwaysTruth,
     ConstantBit,
     CostModel,
-    MechanismConfig,
-    PriorSpec,
     StrategyProfile,
     Threshold,
     expected_utility,
-    simulate_estimates,
+    sample_report_counts,
 )
-from peersurvey.agents import sample_report_counts
+from peersurvey.equilibrium import simulate_estimates
+from peersurvey.mechanism import MechanismConfig
+from peersurvey.priors import PriorSpec
 from peersurvey.privacy import NoiseSpec
 
 N = 12

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from peersurvey import (
-    b_score,
-    basic_brier,
-    lipschitz_bound,
-    scaled_score,
-    scoring_params,
-)
+from peersurvey.scoring import b_score, basic_brier, lipschitz_bound, scaled_score, scoring_params
 
 try:
     from hypothesis import given
