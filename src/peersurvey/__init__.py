@@ -10,8 +10,8 @@ staying out for everyone whose privacy cost is below an explicit threshold.
 The package simulates that design end to end: prior and cost models
 (:mod:`~peersurvey.priors`), the payment rule (:mod:`~peersurvey.scoring`),
 the noisy release and a differential-privacy audit
-(:mod:`~peersurvey.privacy`), a single survey round
-(:mod:`~peersurvey.mechanism`), respondent strategies and utilities
+(:mod:`~peersurvey.privacy`), the estimate and payments as functions of
+the noisy sum (:mod:`~peersurvey.mechanism`), respondent strategies and utilities
 (:mod:`~peersurvey.agents`), and the equilibrium / accuracy / cost-scaling
 experiments (:mod:`~peersurvey.equilibrium`), all driven by the
 ``peersurvey`` command line (:mod:`~peersurvey.cli`).

@@ -33,6 +33,7 @@ from .agents import (
 )
 from .equilibrium import (
     ACCURACY_MIN_TRIALS,
+    COST_SCALING_MIN_TRIALS,
     INCONCLUSIVE,
     accuracy_experiment,
     best_response_audit,
@@ -51,22 +52,20 @@ from .priors import (
     posterior_clamped_mean,
     posterior_clamped_mean_mc,
 )
-from .privacy import AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, NOISE_MODES, PASS, NoiseSpec, dp_audit
+from .privacy import AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, PASS, NoiseSpec, dp_audit
 
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
 
 # The smallest trial count each command's driver accepts; 1 elsewhere.
 _MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": MIN_UTILITY_TRIALS,
-               "accuracy": ACCURACY_MIN_TRIALS}
+               "accuracy": ACCURACY_MIN_TRIALS, "cost-scaling": COST_SCALING_MIN_TRIALS}
 
 # Commands whose driver builds the mechanism and the strategy itself.
 _DRIVERS = ("audit-equilibrium", "cost-scaling")
 
-# Keys a command derives or fixes itself, with the one value each may take
-# when present.  The drivers also fix the noise and the payment clamp, and
-# cost-scaling derives epsilon and beta per n.
-_DRIVER_FIXED = {"tau": "auto", "p0": None, "p1": None, "noise": "sample",
-                 "clamp_payments": False}
+# Keys a command derives itself, with the one value each may take when
+# present.  cost-scaling also derives epsilon and beta per n.
+_DRIVER_FIXED = {"tau": "auto", "p0": None, "p1": None}
 _FIXED = {
     "threshold": {"tau": "auto"},
     "posterior": {"p0": None, "p1": None},
@@ -203,9 +202,10 @@ class Resolver:
     @cached_property
     def ns(self):
         ns = self._raw("ns")
-        if not isinstance(ns, list) or len(ns) < 2 or not all(
-                type(n) is int and n >= 2 for n in ns):
-            raise ConfigError("ns", f"must list at least two integers of at least 2, got {ns!r}")
+        if not (isinstance(ns, list) and all(type(n) is int and n >= 2 for n in ns)
+                and len(set(ns)) >= 2):
+            raise ConfigError("ns", f"must list at least two distinct integers of at least 2, "
+                                    f"got {ns!r}")
         for n in ns:
             epsilon = epsilon_rule(self.alpha, self.delta, n)
             if epsilon > 1.0:
@@ -370,19 +370,10 @@ class Resolver:
                                    f"n={n}, epsilon={epsilon}, got {self.alpha}")
 
     @cached_property
-    def noise(self):
-        return self._choice("noise", NOISE_MODES, "sample")
-
-    @cached_property
-    def clamp_payments(self):
-        return self._choice("clamp_payments", (False, True), False)
-
-    @cached_property
     def _mechanism(self):
         self._check_gap(self.n, self.epsilon, self.p0, self.p1)
         return MechanismConfig(n=self.n, alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
-                               p0=self.p0, p1=self.p1, clamp_payments=self.clamp_payments,
-                               noise_mode=self.noise)
+                               p0=self.p0, p1=self.p1)
 
     @cached_property
     def alpha_prime(self):
@@ -397,11 +388,6 @@ class Resolver:
     @cached_property
     def flip_index(self):
         return self._integer("flip_index", 0, self.n, default=0)
-
-    @cached_property
-    def flipped_bit(self):
-        other = int(self.flip_index >= self.ones)  # reports hold `ones` ones, then zeros
-        return self._choice("flipped_bit", (other,), other)
 
     @cached_property
     def observable(self):
@@ -548,12 +534,12 @@ def _cmd_threshold(r):
 
 def _cmd_audit_dp(r):
     if r.observable == "estimate":
-        mech = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon, mode=r.noise))
+        mech = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon))
     else:
         mech = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
     report = dp_audit(
-        mech, reports, r.flip_index, r.flipped_bit, r.epsilon, r.trials, r.bins,
+        mech, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials, r.bins,
         derive_seed(r.seed, 3000), r.tolerance,
     )
     lo, hi, base, flipped, retained, log_ratio = zip(*report.bin_table)
@@ -588,7 +574,6 @@ def _cmd_accuracy(r):
         r.prior, r.n, r.alpha, r.delta, r.epsilon, StrategyProfile.symmetric(r.strategy),
         r.trials, derive_seed(r.seed, 2000),
         alpha_prime=r.alpha_prime,
-        noise_mode=r.noise,
     )
     records = report.records
     _emit(r, report.to_dict(), {

@@ -38,6 +38,9 @@ INCONCLUSIVE = "Inconclusive"
 
 # The fewest trials `accuracy_experiment` accepts.
 ACCURACY_MIN_TRIALS = 100
+# The fewest trials `cost_scaling_experiment` accepts: a standard error
+# needs two.
+COST_SCALING_MIN_TRIALS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +313,7 @@ def best_response_audit(
         derive = partial(exact_parameters, prior, alpha, delta)
     tau, p0, p1 = derive(n, epsilon)
     beta = beta_rule(cost_model.kind, epsilon, tau) if beta_override is None else float(beta_override)
-    config = MechanismConfig(
-        n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
-    )
+    config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
     others = StrategyProfile.symmetric(Threshold(tau=tau, off=off))
     probe_cost = tau * (1.0 - 1e-6)
 
@@ -401,7 +402,6 @@ def accuracy_experiment(
     trials,
     seed,
     alpha_prime=None,
-    noise_mode="sample",
 ):
     """Fraction of trials whose estimate lands within alpha' of the truth.
 
@@ -414,8 +414,7 @@ def accuracy_experiment(
         raise ValueError(f"need at least {ACCURACY_MIN_TRIALS} trials for a verdict, got {trials}")
     if alpha_prime is None:
         alpha_prime = accuracy_radius(alpha, delta, epsilon, n)
-    noise = NoiseSpec(epsilon=epsilon, mode=noise_mode)
-    records = simulate_estimates(prior, n, noise, profile, trials, seed)
+    records = simulate_estimates(prior, n, NoiseSpec(epsilon=epsilon), profile, trials, seed)
     success = records.abs_error <= alpha_prime
     fraction = float(success.mean())
     allowance = 3.0 * math.sqrt(delta * (1.0 - delta) / records.trials)
@@ -519,11 +518,11 @@ def cost_scaling_experiment(
     log-log slope should approach -1.
     """
     ns = [int(n) for n in ns]
-    if len(ns) < 2:
-        raise ValueError("need at least two population sizes")
+    if len(set(ns)) < 2:
+        raise ValueError("need at least two distinct population sizes")
     trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if trials < COST_SCALING_MIN_TRIALS:
+        raise ValueError(f"trials must be at least {COST_SCALING_MIN_TRIALS}, got {trials}")
     seed = check_seed(seed)
     if derive is None:
         derive = partial(exact_parameters, prior, alpha, delta)
@@ -533,9 +532,7 @@ def cost_scaling_experiment(
         epsilon = epsilon_rule(alpha, delta, n)
         tau, p0, p1 = derive(n, epsilon)
         beta = beta_rule("chen", epsilon, tau)
-        config = MechanismConfig(
-            n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1
-        )
+        config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
         profile = StrategyProfile.symmetric(Threshold(tau=tau))
         recs = simulate_survey(prior, config, profile, trials, derive_seed(seed, n, 3))
         totals = recs.total_payment

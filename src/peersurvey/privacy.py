@@ -2,15 +2,16 @@
 
 The mechanism protects participants by adding a single Laplace draw of scale
 1/epsilon to the report sum (sensitivity 1) and publishing only clamped
-functions of the noisy sum.  `dp_audit` estimates the worst observed
-count-ratio between two neighboring report vectors; it can refute a privacy
-claim but can never prove one.
+functions of the noisy sum.  `dp_audit` histograms the output on two
+neighboring report vectors and bounds each bin's log probability ratio from
+below; it can refute a privacy claim but can never prove one.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betaincinv
 
 from ._util import as_generator, chunk_sizes, report_dict, subseed_rng
 
@@ -22,6 +23,8 @@ FAIL = "Fail"
 # Histogram bins with fewer pooled counts than this are too noisy to compare.
 DEFAULT_BIN_FLOOR = 50.0
 DEFAULT_TOLERANCE = 0.05
+# Chance that any bin's confidence interval misses its true ratio.
+AUDIT_ERROR_RATE = 0.05
 
 # The fewest trials `dp_audit` accepts.
 AUDIT_MIN_TRIALS = 100_000
@@ -97,27 +100,48 @@ def max_log_count_ratio(counts_a, counts_b):
         raise ValueError("count arrays must have identical shapes")
     retained = (counts_a + counts_b) / 2.0 >= DEFAULT_BIN_FLOOR
     if not retained.any():
-        raise AuditDataError(
-            "no histogram bin reaches the count floor; "
-            "increase trials or reduce bins"
-        )
+        raise AuditDataError("no histogram bin reaches the count floor; "
+                             "increase trials or reduce bins")
     with np.errstate(divide="ignore"):
         log_ratio = np.abs(np.log(counts_a[retained]) - np.log(counts_b[retained]))
     return float(np.max(log_ratio)), retained
+
+
+def log_ratio_lower_bounds(counts_a, counts_b):
+    """Simultaneous lower confidence bounds on each bin's |log(p_a / p_b)|.
+
+    Given a bin's pooled count, count_a is Bin(count_a + count_b, r) with
+    r = p_a / (p_a + p_b), so p_a / p_b = r / (1 - r).  Each of the k bins
+    takes the Clopper-Pearson interval for r at level 1 - AUDIT_ERROR_RATE / k
+    (Bonferroni), and its bound is the least |log(r / (1 - r))| over that
+    interval: 0 when the interval spans 1/2.
+    """
+    a = np.asarray(counts_a, dtype=np.float64)
+    b = np.asarray(counts_b, dtype=np.float64)
+    tail = AUDIT_ERROR_RATE / (2.0 * a.size)
+    # An empty side pins that end of the interval at 0 or 1.
+    lo = np.where(a > 0, betaincinv(np.maximum(a, 1.0), b + 1.0, tail), 0.0)
+    hi = np.where(b > 0, betaincinv(a + 1.0, np.maximum(b, 1.0), 1.0 - tail), 1.0)
+    with np.errstate(divide="ignore"):
+        return np.maximum.reduce([np.log(lo) - np.log1p(-lo), np.log1p(-hi) - np.log(hi),
+                                  np.zeros_like(lo)])
 
 
 @dataclass(frozen=True)
 class DpAuditReport:
     """Outcome of an empirical privacy audit on one pair of neighbors.
 
-    A Pass only means the histogram test found no violation at this sample
-    size; a Fail is a genuine refutation of the claimed epsilon (up to the
-    additive tolerance).  bin_table holds the per-bin rows of the CLI's
-    CSV and stays out of to_dict.
+    The verdict reads max_log_ratio_lower, the largest of the bins'
+    simultaneous lower confidence bounds; max_log_ratio is the largest
+    observed ratio.  A Pass only means the histogram test found no
+    violation at this sample size; a Fail refutes the claimed epsilon (up
+    to the additive tolerance) at the 95% level.  bin_table holds the
+    per-bin rows of the CLI's CSV and stays out of to_dict.
     """
 
     epsilon_claimed: float
     max_log_ratio: float
+    max_log_ratio_lower: float
     bins: int
     trials: int
     tolerance: float
@@ -125,9 +149,10 @@ class DpAuditReport:
     bin_table: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        expected = PASS if self.max_log_ratio <= self.epsilon_claimed + self.tolerance else FAIL
+        bound = self.epsilon_claimed + self.tolerance
+        expected = PASS if self.max_log_ratio_lower <= bound else FAIL
         if self.verdict != expected:
-            raise ValueError("verdict inconsistent with max_log_ratio and tolerance")
+            raise ValueError("verdict inconsistent with max_log_ratio_lower and tolerance")
 
     to_dict = report_dict
 
@@ -151,22 +176,21 @@ def dp_audit(
         Vectorized randomized map from a report vector to the observable
         output being audited, a value in [0, 1].
     reports : sequence of 0/1 report bits.
-    i, flipped_bit : the single index to flip and the value to flip it to.
+    i, flipped_bit : the single index to flip and the bit it flips to,
+        which must be 1 - reports[i].
     epsilon_claimed : privacy level under test.
     trials, bins, seed : sample size, equal-width bin count over
         [0, 1], and the audit seed (both runs share noise streams).
 
-    Passing means max_log_ratio <= epsilon_claimed + tolerance.
+    Passing means max_log_ratio_lower <= epsilon_claimed + tolerance.
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
         raise ValueError("reports must be 0/1 bits")
     if not 0 <= i < reports.size:
         raise ValueError(f"index i out of range, got {i}")
-    if flipped_bit not in (0, 1):
-        raise ValueError(f"flipped_bit must be 0 or 1, got {flipped_bit}")
-    if reports[i] == flipped_bit:
-        raise ValueError("flipped_bit must differ from reports[i]")
+    if flipped_bit != 1 - reports[i]:
+        raise ValueError(f"flipped_bit must flip reports[i] to {1 - reports[i]}, got {flipped_bit}")
     trials = int(trials)
     if trials < AUDIT_MIN_TRIALS:
         raise ValueError(f"trials must be at least {AUDIT_MIN_TRIALS}, got {trials}")
@@ -189,7 +213,8 @@ def dp_audit(
         counts_b += np.histogram(out_b, bins=bins, range=(0.0, 1.0))[0]
 
     max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
-    verdict = PASS if max_log_ratio <= epsilon_claimed + tolerance else FAIL
+    lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))
+    verdict = PASS if lower <= epsilon_claimed + tolerance else FAIL
 
     edges = np.linspace(0.0, 1.0, bins + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,6 +228,7 @@ def dp_audit(
     return DpAuditReport(
         epsilon_claimed=float(epsilon_claimed),
         max_log_ratio=max_log_ratio,
+        max_log_ratio_lower=lower,
         bins=bins,
         trials=trials,
         tolerance=float(tolerance),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from peersurvey._util import merge_moments
 from peersurvey.agents import (
     ABSTAIN,
     ACTIONS,
@@ -288,16 +289,18 @@ class TestExpectedUtility:
         gap = abs(one.mean_payment - zero.mean_payment)
         assert gap <= one.payment_ci_halfwidth + zero.payment_ci_halfwidth
 
-    def test_constant_payments_have_zero_ci(self, uniform_prior):
-        # Peers all report one and noise is off, so every trial pays the same;
-        # the variance must come out zero up to rounding, without cancellation.
-        config = MechanismConfig(n=200, alpha=0.05, beta=1.0, epsilon=0.5, p0=0.3, p1=0.7,
-                                 noise_mode="disabled")
-        est = expected_utility(
-            AgentType(bit=1, cost=0.0), TRUTH, ConstantBit(1), uniform_prior,
-            config, CostModel("linear"), trials=1_000, seed=3,
-        )
-        assert est.payment_ci_halfwidth <= 1e-12
+    def test_constant_payments_have_zero_ci(self):
+        # Every trial pays the same, so the variance that expected_utility
+        # folds in chunk by chunk must come out zero up to rounding, without
+        # the cancellation of E[x^2] - E[x]^2.
+        pay = 1.2196969696969697
+        moments = (0, 0.0, 0.0)
+        for size in (1_000, 7, 4_096):
+            moments = merge_moments(moments, np.full(size, pay))
+        count, mean, m2 = moments
+        assert count == 5_103
+        assert mean == pytest.approx(pay, rel=1e-15)
+        assert m2 / count <= 1e-24
 
     def test_chunked_variance_matches_pooled(self, uniform_prior, monkeypatch):
         # Over several chunks, the merged variance is that of all payments.

@@ -187,26 +187,16 @@ class TestSimulateSurvey:
 
 
 class TestAccuracyExperiment:
-    def test_noiseless_truthful_play_is_perfect(self, uniform_prior):
-        report = accuracy_experiment(
-            uniform_prior, 100, 0.1, 0.1, 0.2, AlwaysTruth(),
-            trials=200, seed=4, alpha_prime=0.1, noise_mode="disabled",
-        )
-        assert report.success_fraction == 1.0
-        assert report.verdict == PASS
-        assert report.detail["mean_abs_error"] == 0.0
-
     def test_matches_brute_force_count(self, uniform_prior):
         # Same seed, same driver: the reported fraction must equal a hand
         # count of |estimate - truth| <= alpha' over the identical trials.
         alpha_prime = 0.1
         report = accuracy_experiment(
             uniform_prior, 100, 0.1, 0.1, 0.2, AlwaysLie(),
-            trials=400, seed=12, alpha_prime=alpha_prime, noise_mode="disabled",
+            trials=400, seed=12, alpha_prime=alpha_prime,
         )
         records = simulate_estimates(
-            uniform_prior, 100, NoiseSpec(epsilon=0.2, mode="disabled"),
-            AlwaysLie(), trials=400, seed=12,
+            uniform_prior, 100, NoiseSpec(epsilon=0.2), AlwaysLie(), trials=400, seed=12,
         )
         expected = float((np.abs(records.p_hat - records.p_tilde) <= alpha_prime).mean())
         assert report.success_fraction == expected

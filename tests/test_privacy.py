@@ -12,6 +12,7 @@ from peersurvey.privacy import (
     dp_audit,
     laplace_inverse_cdf,
     laplace_sample,
+    log_ratio_lower_bounds,
     max_log_count_ratio,
     noise_draw,
 )
@@ -102,6 +103,32 @@ class TestMaxLogCountRatio:
         assert retained.tolist() == [True, True]
 
 
+class TestLogRatioLowerBounds:
+    def test_matches_clopper_pearson_oracle(self):
+        a = np.array([900.0, 400.0, 0.0, 5_000.0])
+        b = np.array([300.0, 410.0, 80.0, 0.0])
+        tail = 0.05 / (2 * a.size)
+        lo = np.where(a > 0, stats.beta.ppf(tail, np.maximum(a, 1), b + 1), 0.0)
+        hi = np.where(b > 0, stats.beta.ppf(1 - tail, a + 1, np.maximum(b, 1)), 1.0)
+        with np.errstate(divide="ignore"):
+            expected = np.maximum(np.maximum(np.log(lo / (1 - lo)), np.log((1 - hi) / hi)), 0.0)
+        np.testing.assert_allclose(log_ratio_lower_bounds(a, b), expected, rtol=1e-9)
+
+    def test_bounds_sit_below_observed_ratios(self):
+        a = np.array([900.0, 400.0, 80.0])
+        b = np.array([300.0, 410.0, 20.0])
+        bounds = log_ratio_lower_bounds(a, b)
+        assert bounds[1] == 0.0  # the interval spans 1/2
+        assert np.all(bounds <= np.abs(np.log(a / b)))
+        assert np.all(bounds[[0, 2]] > 0.0)
+
+    def test_empty_side_gives_a_finite_bound(self):
+        bound = log_ratio_lower_bounds(np.array([1_000.0]), np.array([0.0]))[0]
+        assert math.isfinite(bound) and bound > math.log(100.0)
+        mirrored = log_ratio_lower_bounds(np.array([0.0]), np.array([1_000.0]))[0]
+        assert mirrored == pytest.approx(bound, rel=1e-12)
+
+
 class TestDpAudit:
     def _reports(self, n=10, ones=5):
         return [1] * ones + [0] * (n - ones)
@@ -111,6 +138,13 @@ class TestDpAudit:
         report = dp_audit(mech, self._reports(), 0, 0, 1.0, 100_000, 20, seed=7)
         assert report.verdict == "Pass"
         assert report.max_log_ratio <= 1.05
+
+    def test_under_claimed_budget_fails(self):
+        # Noise calibrated for epsilon 0.7, audited as 0.5 at the trial floor.
+        mech = estimate_observable(10, NoiseSpec(epsilon=0.7))
+        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=7)
+        assert report.verdict == "Fail"
+        assert 0.55 < report.max_log_ratio_lower <= report.max_log_ratio
 
     def test_no_noise_mechanism_fails(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
@@ -179,13 +213,20 @@ class TestDpAudit:
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
         report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
         assert set(report.to_dict()) == {
-            "epsilon_claimed", "max_log_ratio", "bins", "trials",
-            "tolerance", "verdict",
+            "epsilon_claimed", "max_log_ratio", "max_log_ratio_lower", "bins",
+            "trials", "tolerance", "verdict",
         }
 
     def test_report_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DpAuditReport(
-                epsilon_claimed=0.5, max_log_ratio=10.0, bins=20,
-                trials=100_000, tolerance=0.05, verdict="Pass",
+        # The verdict follows the lower bound, not the observed ratio.
+        def report(lower, verdict):
+            return DpAuditReport(
+                epsilon_claimed=0.5, max_log_ratio=10.0, max_log_ratio_lower=lower,
+                bins=20, trials=100_000, tolerance=0.05, verdict=verdict,
             )
+
+        assert report(0.3, "Pass").verdict == "Pass"
+        with pytest.raises(ValueError):
+            report(10.0, "Pass")
+        with pytest.raises(ValueError):
+            report(0.3, "Fail")
