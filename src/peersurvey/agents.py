@@ -1,4 +1,4 @@
-"""Agent types, reporting strategies and expected-utility estimation.
+"""Agent types, reporting strategies, the survey-round sampler and expected utility.
 
 An agent privately holds a bit and a unit privacy cost.  Utility from one
 survey round is payment minus the privacy-loss value, which the analyzed
@@ -13,8 +13,9 @@ from scipy.special import ndtri
 
 from ._util import (CHUNK_TRIALS, check_seed, chunk_sizes, from_config, merge_moments,
                     report_dict, subseed_rng)
-from .mechanism import payment_pair, peer_estimate
+from .mechanism import peer_estimate
 from .privacy import noise_draw
+from .scoring import lipschitz_bound, scaled_score
 
 TRUTH = "truth"
 LIE = "lie"
@@ -187,7 +188,7 @@ class StrategyProfile:
 
 
 # ---------------------------------------------------------------------------
-# Sampling report counts.
+# Sampling report counts and survey rounds.
 # ---------------------------------------------------------------------------
 
 # Bits of the four type cells: (0, cheap), (0, dear), (1, cheap), (1, dear),
@@ -221,6 +222,44 @@ def sample_report_counts(profile, prior, n, theta, rng):
             cells @ (values != _CELL_BITS).astype(np.int64))
 
 
+def sample_rounds(prior, n, noise, profile, trials, seed, bit=None):
+    """Simulated rounds of n agents playing `profile` (a StrategyProfile or
+    a single strategy): the one place that fixes a round's draw order.
+
+    Chunk k draws from `subseed_rng(seed, k)`: theta from the prior (given
+    an outside agent's `bit` when one is set), the n agents' report counts
+    from `sample_report_counts`, then one noise draw per trial on their
+    one-reports.  Yields ((bit_ones, ones, participants, mismatches), b_bar)
+    per chunk.
+    """
+    if not isinstance(profile, StrategyProfile):
+        profile = StrategyProfile.symmetric(profile)
+    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
+        rng = subseed_rng(seed, chunk)
+        theta = np.atleast_1d(prior.theta_sample(rng, size, bit))
+        counts = sample_report_counts(profile, prior, n, theta, rng)
+        yield counts, counts[1] + noise_draw(noise, rng, size)
+
+
+def peer_estimate_mc(prior, bit, n, noise, others, trials, seed):
+    """Monte Carlo (mean, standard error) of the leave-one-out estimate of
+    an agent holding `bit`, over rounds of the n - 1 peers playing `others`.
+
+    theta is drawn given `bit`.  b_bar leaves the agent out, so
+    `peer_estimate(n, b_bar, 0)` is their estimate whatever they report;
+    under truthful peers its mean is p0 or p1.  The moments merge chunk by
+    chunk, so memory does not grow with `trials`.
+    """
+    trials = int(trials)
+    if n < 2 or trials < 1:
+        raise ValueError(f"need n >= 2 and trials >= 1, got n={n}, trials={trials}")
+    moments = (0, 0.0, 0.0)
+    for _, b_bar in sample_rounds(prior, n - 1, noise, others, trials, seed, bit):
+        moments = merge_moments(moments, peer_estimate(n, b_bar, 0))
+    count, mean, m2 = moments
+    return mean, m2**0.5 / count
+
+
 # ---------------------------------------------------------------------------
 # Expected utility of one agent's deviation.
 # ---------------------------------------------------------------------------
@@ -249,14 +288,15 @@ def expected_utility(
 ):
     """Estimate one agent's expected payment and worst-case utility.
 
-    Per trial, draws theta from the prior's posterior given the agent's own
-    bit, samples the one-reports of the other n - 1 agents under `others`
-    (a StrategyProfile or a single strategy) with `sample_report_counts`,
-    runs the payment rule against the resulting noisy sum, and averages.
-    Memory does not grow with n.  Abstaining earns exactly zero payment, so
-    no sampling happens in that case.  utility_lower_bound subtracts the
-    privacy-cost bound from the mean payment; payment_ci_halfwidth is the
-    half width of the CI_LEVEL normal interval around it.
+    The payment is affine in the leave-one-out estimate, and that estimate
+    does not depend on the agent's report, so the expected payment is the
+    payment at the mean estimate that `peer_estimate_mc` samples from the
+    other n - 1 agents playing `others` (a StrategyProfile or a single
+    strategy).  Memory does not grow with n.  Abstaining earns exactly zero
+    payment, so no sampling happens in that case.  utility_lower_bound
+    subtracts the privacy-cost bound from the mean payment;
+    payment_ci_halfwidth is the half width of the CI_LEVEL normal interval
+    around it: the estimate's standard error times the payment's slope.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
@@ -264,8 +304,6 @@ def expected_utility(
     if trials < MIN_UTILITY_TRIALS:
         raise ValueError(f"trials must be at least {MIN_UTILITY_TRIALS}, got {trials}")
     seed = check_seed(seed)
-    if not isinstance(others, StrategyProfile):
-        others = StrategyProfile.symmetric(others)
 
     pc = privacy_cost_bound(cost_model, agent.cost, config.epsilon)
     if action == ABSTAIN:
@@ -276,29 +314,14 @@ def expected_utility(
             utility_lower_bound=-pc,
         )
 
-    own_value = agent.bit if action == TRUTH else 1 - agent.bit
-    n = config.n
-    total = 0.0
-    total_pm = 0.0
-    moments = (0, 0.0, 0.0)
-    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
-        rng = subseed_rng(seed, chunk)
-        theta = prior.posterior_theta_sample(agent.bit, rng, size)
-        ones = sample_report_counts(others, prior, n - 1, theta, rng)[1]
-        b_bar = ones + own_value + noise_draw(config.noise, rng, size)
-        pay = payment_pair(config, b_bar)[1 - own_value]
-        total += float(pay.sum())
-        total_pm += float(peer_estimate(n, b_bar, own_value).sum())
-        moments = merge_moments(moments, pay)
-
-    mean = total / trials
-    var = moments[2] / trials
+    target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
+    mean, se = peer_estimate_mc(prior, agent.bit, config.n, config.noise, others, trials, seed)
+    pay = scaled_score(config.scoring, mean, target)
     z = float(ndtri(0.5 + CI_LEVEL / 2.0))
-    halfwidth = z * (var / trials) ** 0.5
     return UtilityEstimate(
-        mean_payment=mean,
-        payment_ci_halfwidth=halfwidth,
+        mean_payment=pay,
+        payment_ci_halfwidth=z * lipschitz_bound(config.scoring, target) * se,
         privacy_cost=pc,
-        utility_lower_bound=mean - pc,
-        mean_peer_estimate=total_pm / trials,
+        utility_lower_bound=pay - pc,
+        mean_peer_estimate=mean,
     )

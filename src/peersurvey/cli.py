@@ -27,8 +27,10 @@ from .agents import (
     ABSTAIN,
     MIN_UTILITY_TRIALS,
     OFF_BEHAVIORS,
+    AlwaysTruth,
     CostModel,
     StrategyProfile,
+    peer_estimate_mc,
     strategy_from_dict,
 )
 from .equilibrium import (
@@ -50,9 +52,9 @@ from .priors import (
     cost_threshold_parts_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
-    posterior_clamped_mean_mc,
 )
-from .privacy import AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, PASS, NoiseSpec, dp_audit
+from .privacy import (AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, PASS, AuditDataError, NoiseSpec,
+                      dp_audit)
 
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
 
@@ -203,9 +205,9 @@ class Resolver:
     def ns(self):
         ns = self._raw("ns")
         if not (isinstance(ns, list) and all(type(n) is int and n >= 2 for n in ns)
-                and len(set(ns)) >= 2):
-            raise ConfigError("ns", f"must list at least two distinct integers of at least 2, "
-                                    f"got {ns!r}")
+                and len(set(ns)) == len(ns) >= 2):
+            raise ConfigError("ns", f"must list at least two integers of at least 2, none "
+                                    f"repeated, got {ns!r}")
         for n in ns:
             epsilon = epsilon_rule(self.alpha, self.delta, n)
             if epsilon > 1.0:
@@ -302,10 +304,11 @@ class Resolver:
 
     def exact_prediction(self, bit, n, epsilon):
         """Exact E[clamped leave-one-out estimate | own bit] at (n, epsilon)."""
-        args = (self._conditioned_prior, bit, n, epsilon)
-        value = posterior_clamped_mean(*args)
+        prior = self._conditioned_prior
+        value = posterior_clamped_mean(prior, bit, n, epsilon)
         if self.posterior_samples is not None:
-            mc, se = posterior_clamped_mean_mc(*args, self.posterior_samples, self._slot(n, 1 + bit))
+            mc, se = peer_estimate_mc(prior, bit, n, NoiseSpec(epsilon), AlwaysTruth(),
+                                      self.posterior_samples, self._slot(n, 1 + bit))
             self.cross_check[n][f"p{bit}"] = {"mc": mc, "se": se, "samples": self.posterior_samples}
         return value
 
@@ -538,10 +541,13 @@ def _cmd_audit_dp(r):
     else:
         mech = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
-    report = dp_audit(
-        mech, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials, r.bins,
-        derive_seed(r.seed, 3000), r.tolerance,
-    )
+    try:
+        report = dp_audit(
+            mech, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials, r.bins,
+            derive_seed(r.seed, 3000), r.tolerance,
+        )
+    except AuditDataError as exc:  # too many bins for the trials
+        raise ConfigError("bins", str(exc)) from exc
     lo, hi, base, flipped, retained, log_ratio = zip(*report.bin_table)
     _emit(r, report.to_dict(), {
         "bin_lo": lo,

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from ._util import CHUNK_TRIALS, check_seed, chunk_sizes, derive_seed, report_dict, subseed_rng
+from ._util import check_seed, derive_seed, report_dict
 from .agents import (
     ABSTAIN,
     ACTIONS,
@@ -28,11 +28,11 @@ from .agents import (
     Threshold,
     expected_utility,
     privacy_cost_bound,
-    sample_report_counts,
+    sample_rounds,
 )
 from .mechanism import MechanismConfig, payment_pair, peer_estimate, published_estimate
 from .priors import cost_threshold, posterior_clamped_mean
-from .privacy import FAIL, PASS, NoiseSpec, noise_draw
+from .privacy import FAIL, PASS, NoiseSpec
 
 INCONCLUSIVE = "Inconclusive"
 
@@ -141,40 +141,19 @@ class PaymentRecords:
 
 
 def simulate_estimates(prior, n, noise, profile, trials, seed):
-    """Sample surveys of n agents under a strategy profile; run the noisy estimate.
-
-    Per trial: theta from the prior, then the population's type counts and
-    report counts from `sample_report_counts`, then one noise draw on the
-    one-report sum.  No per-agent arrays are built, so memory is O(trials)
-    for any n.  Returns TrialRecords; trial t is a pure function of
-    (inputs, seed) regardless of chunking.
-    """
+    """TrialRecords of the rounds `agents.sample_rounds` draws: surveys of n
+    agents under a strategy profile and their noisy estimates.  No
+    per-agent arrays are built, so memory is O(trials) for any n."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    seed = check_seed(seed)
-    if not isinstance(profile, StrategyProfile):
-        profile = StrategyProfile.symmetric(profile)
-
-    out = {k: [] for k in ("p_hat", "p_tilde", "b_bar", "ones", "zeros",
-                           "participants", "mismatches")}
-    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
-        rng = subseed_rng(seed, chunk)
-        theta = np.atleast_1d(prior.theta_sample(rng, size))
-        bit_ones, ones, participants, mismatches = sample_report_counts(
-            profile, prior, n, theta, rng
-        )
-        b_bar = ones + noise_draw(noise, rng, size)
-        out["p_hat"].append(bit_ones / n)
-        out["p_tilde"].append(published_estimate(n, b_bar))
-        out["b_bar"].append(b_bar)
-        out["ones"].append(ones)
-        out["zeros"].append(participants - ones)
-        out["participants"].append(participants)
-        out["mismatches"].append(mismatches)
-    return TrialRecords(**{k: np.concatenate(v) for k, v in out.items()})
+    chunks = [(bit_ones / n, published_estimate(n, b_bar), b_bar, ones, participants - ones,
+               participants, mismatches)
+              for (bit_ones, ones, participants, mismatches), b_bar
+              in sample_rounds(prior, n, noise, profile, trials, check_seed(seed))]
+    return TrialRecords(*map(np.concatenate, zip(*chunks)))
 
 
 def simulate_survey(prior, config, profile, trials, seed):
@@ -518,8 +497,8 @@ def cost_scaling_experiment(
     log-log slope should approach -1.
     """
     ns = [int(n) for n in ns]
-    if len(set(ns)) < 2:
-        raise ValueError("need at least two distinct population sizes")
+    if not len(set(ns)) == len(ns) >= 2:
+        raise ValueError(f"need at least two population sizes, none repeated, got {ns}")
     trials = int(trials)
     if trials < COST_SCALING_MIN_TRIALS:
         raise ValueError(f"trials must be at least {COST_SCALING_MIN_TRIALS}, got {trials}")

@@ -5,8 +5,9 @@ Bernoulli parameter theta, conditional on which agents' bits are i.i.d., and
 one cost distribution per bit value.  From it we derive, exactly, the
 posterior predictive bit probabilities, their noisy clamped counterparts
 p0/p1 used by the payment rule, and the participation cost threshold tau
-used to size the truthfulness premium.  The `_mc` functions estimate p0/p1
-and tau by Monte Carlo; they are cross-checks of the exact values.
+used to size the truthfulness premium.  `cost_threshold_parts_mc` estimates
+tau by Monte Carlo as a cross-check of the exact value; the p0/p1
+cross-check is `agents.peer_estimate_mc` under truthful peers.
 """
 
 import math
@@ -15,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py, xlogy
 
-from ._util import check_seed, chunk_sizes, from_config, is_number, merge_moments, subseed_rng
-from .mechanism import peer_estimate
-from .privacy import laplace_sample
+from ._util import check_seed, from_config, is_number, subseed_rng
 
 FAMILIES = ("conditional_iid",)
 
@@ -209,26 +208,16 @@ class PriorSpec:
     def from_dict(cls, d):
         return from_config(cls, d, "prior")
 
-    def theta_sample(self, rng, size=None):
-        """Draw theta from the (unconditional) mixing distribution."""
-        m = self.mixing
-        if isinstance(m, BetaMixing):
-            return rng.beta(m.a, m.b, size)
-        if isinstance(m, PointMixing):
-            return m.theta if size is None else np.full(size, m.theta)
-        weights, values = _atoms(m)
-        return values[rng.choice(len(values), size=size, p=weights)]
-
-    def posterior_theta_sample(self, bit, rng, size=None):
-        """Draw theta from the mixing distribution conditioned on one bit."""
-        if bit not in (0, 1):
+    def theta_sample(self, rng, size=None, bit=None):
+        """Draw theta from the mixing distribution, given one agent's `bit` if set."""
+        if bit not in (None, 0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
         m = self.mixing
         if isinstance(m, BetaMixing):
             return rng.beta(m.a + (bit == 1), m.b + (bit == 0), size)
         if isinstance(m, PointMixing):
             return m.theta if size is None else np.full(size, m.theta)
-        weights, values = _posterior_atoms(m, bit)
+        weights, values = _atoms(m) if bit is None else _posterior_atoms(m, bit)
         return values[rng.choice(len(values), size=size, p=weights)]
 
 
@@ -295,15 +284,6 @@ def _peer_count_pmf(prior, bit, m):
     return weights @ (rows / rows.sum(axis=1, keepdims=True))
 
 
-def _check_clamped_mean_args(bit, n, epsilon):
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-
-
 def posterior_clamped_mean(prior, bit, n, epsilon):
     """Exact mean of the clamped noisy leave-one-out estimate.
 
@@ -317,36 +297,13 @@ def posterior_clamped_mean(prior, bit, n, epsilon):
     `posterior_bit_prob` by the noise and clamping bias; callers should
     treat the two as distinct quantities.
     """
-    _check_clamped_mean_args(bit, n, epsilon)
+    if bit not in (0, 1) or n < 2 or not epsilon > 0.0:
+        raise ValueError(f"need bit 0 or 1, n >= 2 and epsilon > 0, got {bit}, {n}, {epsilon}")
     m = n - 1
     k = np.arange(m + 1, dtype=np.float64)
     s = 1.0 / epsilon
     clipped = k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))
     return float(_peer_count_pmf(prior, bit, m) @ clipped / m)
-
-
-def posterior_clamped_mean_mc(prior, bit, n, epsilon, samples, seed):
-    """Monte Carlo cross-check of `posterior_clamped_mean`: (mean, standard error).
-
-    Draws theta from the posterior given one's own bit, K ~ Bin(n - 1, theta)
-    and the noise, `samples` times, and averages the clamped estimate.
-    """
-    _check_clamped_mean_args(bit, n, epsilon)
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    seed = check_seed(seed)
-    total = 0.0
-    moments = (0, 0.0, 0.0)
-    for chunk, size in chunk_sizes(samples, 1 << 19):
-        rng = subseed_rng(seed, chunk)
-        theta = prior.posterior_theta_sample(bit, rng, size)
-        k = rng.binomial(n - 1, theta)
-        x = laplace_sample(1.0 / epsilon, rng, size)
-        estimate = peer_estimate(n, k + x, 0)
-        total += float(np.sum(estimate))
-        moments = merge_moments(moments, estimate)
-    return total / samples, math.sqrt(moments[2] / samples / samples)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import binom
 
 from peersurvey._util import merge_moments
 from peersurvey.agents import (
     ABSTAIN,
     ACTIONS,
     LIE,
+    OFF_BEHAVIORS,
     TRUTH,
     AgentType,
     AlwaysAbstain,
@@ -23,8 +25,9 @@ from peersurvey.agents import (
     strategy_from_dict,
 )
 from peersurvey.equilibrium import beta_rule, epsilon_rule
-from peersurvey.mechanism import MechanismConfig, payment_pair
+from peersurvey.mechanism import MechanismConfig, payment_pair, peer_estimate
 from peersurvey.priors import cost_threshold, posterior_clamped_mean
+from peersurvey.scoring import scaled_score
 
 # One agent's report as (contribution, participates).
 ONE, ZERO, ABSTAINED = (1, True), (0, True), (0, False)
@@ -307,24 +310,59 @@ class TestExpectedUtility:
         from peersurvey import agents
 
         config, _ = truthful_config(uniform_prior)
-        paid = []
+        estimates = []
 
-        def recording(cfg, b_bar):
-            pair = payment_pair(cfg, b_bar)
-            paid.append(pair[0])  # a truthful one-reporter is paid pay_one
-            return pair
+        def recording(n, b_bar, own):
+            value = peer_estimate(n, b_bar, own)
+            estimates.append(value)
+            return value
 
         monkeypatch.setattr(agents, "CHUNK_TRIALS", 1_000)
-        monkeypatch.setattr(agents, "payment_pair", recording)
+        monkeypatch.setattr(agents, "peer_estimate", recording)
         est = expected_utility(
             AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
             config, CostModel("linear"), trials=4_500, seed=5,
         )
-        pays = np.concatenate(paid)
-        assert pays.size == 4_500 and len(paid) == 5
+        # A truthful one-reporter is paid against p1.
+        pays = scaled_score(config.scoring, np.concatenate(estimates), config.p1)
+        assert pays.size == 4_500 and len(estimates) == 5
         assert est.mean_payment == pytest.approx(pays.mean(), rel=1e-12)
         z = float(ndtri(0.5 + 0.99 / 2.0))
         assert est.payment_ci_halfwidth == pytest.approx(z * (pays.var() / 4_500) ** 0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("off", OFF_BEHAVIORS)
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("action", [TRUTH, LIE])
+    def test_matches_exact_payment(self, atom_prior, off, bit, action):
+        # Oracle: K, the one-reports of the n - 1 threshold peers, is a
+        # mixture over the atoms reweighted by the own bit of Bin(n - 1, g),
+        # where g is the chance that a peer reports 1.  The payment is
+        # affine in the leave-one-out estimate, so its mean is the payment
+        # at the estimate's exact mean.
+        n, eps, tau = 40, 0.5, 0.7
+        p0, p1 = (posterior_clamped_mean(atom_prior, b, n, eps) for b in (0, 1))
+        config = MechanismConfig(n=n, alpha=0.1, beta=1.0, epsilon=eps, p0=p0, p1=p1)
+        f0, f1 = 0.7, 0.35  # costs U[0, 1] and U[0, 2] at tau
+        m, s = n - 1, 1.0 / eps
+        k = np.arange(m + 1)
+        clip_mean = (k + 0.5 * s * (np.exp(-k / s) - np.exp(-(m - k) / s))) / m
+        weights = np.array([0.2, 0.8]) if bit == 1 else np.array([0.8, 0.2])
+        mean_estimate = 0.0
+        for w, theta in zip(weights, (0.2, 0.8)):
+            g = {TRUTH: theta, ABSTAIN: theta * f1,
+                 LIE: theta * f1 + (1.0 - theta) * (1.0 - f0)}[off]
+            mean_estimate += w * binom.pmf(k, m, g) @ clip_mean
+        own = bit if action == TRUTH else 1 - bit
+        exact = scaled_score(config.scoring, mean_estimate, p1 if own == 1 else p0)
+
+        est = expected_utility(
+            AgentType(bit=bit, cost=0.0), action, Threshold(tau, off), atom_prior,
+            config, CostModel("linear"), trials=200_000, seed=17,
+        )
+        se = est.payment_ci_halfwidth / float(ndtri(0.5 + 0.99 / 2.0))
+        assert 0.0 < se and abs(est.mean_payment - exact) <= 5.0 * se
+        b_bar = est.mean_peer_estimate * m + own
+        assert est.mean_payment == pytest.approx(payment_pair(config, b_bar)[1 - own], rel=1e-12)
 
     def test_actions_constant(self):
         assert ACTIONS == (TRUTH, LIE, ABSTAIN)

@@ -193,6 +193,8 @@ class TestResolver:
         ("run", "espilon", 0.01),
         ("audit-equilibrium", "trails", 5),
         ("cost-scaling", "posterior_sample", 1_000),
+        # A size listed twice would be simulated twice and fitted twice.
+        ("cost-scaling", "ns", [100, 100, 200]),
         # Nested keys no field reads, and values that are not finite numbers.
         ("audit-equilibrium", "cost_model", {"kind": "linear", "etaa": 0.3}),
         ("run", "strategy", {"kind": "threshold", "tau": "auto", "of": "lie"}),
@@ -570,6 +572,17 @@ class TestAuditDpCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_log_ratio"] > 0.55 > payload["max_log_ratio_lower"]
 
+    def test_bins_the_trials_cannot_fill_name_bins(self, tmp_path, capsys):
+        # No bin holds the count floor, so the histogram can decide nothing;
+        # that is a config problem, not a bug.
+        config = write_config(tmp_path, self.audit_config(n=1000, ones=500, trials=100_000,
+                                                          bins=1_000_000))
+        assert dispatch(["audit-dp", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0].startswith("config error: config key 'bins'")
+        assert "Traceback" not in captured.err
+
     def test_ones_bounded_by_n(self, tmp_path, capsys):
         config = write_config(tmp_path, self.audit_config(ones=11))
         assert dispatch(["audit-dp", "--config", config]) == 1
@@ -729,9 +742,9 @@ class TestExactDerivations:
         from peersurvey import priors
 
         calls = []
-        for module in (cli, priors):
-            for name in ("posterior_clamped_mean_mc", "cost_threshold_parts_mc"):
-                monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+        for module, name in ((cli, "peer_estimate_mc"), (cli, "cost_threshold_parts_mc"),
+                             (priors, "cost_threshold_parts_mc")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
         payload = {k: v for k, v in BASE_CONFIGS[command].items() if k not in CROSS_CHECK_KEYS}
         config = write_config(tmp_path, payload)
         assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()

@@ -334,7 +334,9 @@ class TestCostScaling:
             )
 
     def test_needs_two_sizes(self, uniform_prior):
-        with pytest.raises(ValueError):
-            cost_scaling_experiment(
-                uniform_prior, alpha=0.1, delta=0.1, ns=(100,), trials=10, seed=0
-            )
+        # A repeated size would be simulated twice and counted twice by the fit.
+        for ns in ((100,), (100, 100, 200)):
+            with pytest.raises(ValueError, match="none repeated"):
+                cost_scaling_experiment(
+                    uniform_prior, alpha=0.1, delta=0.1, ns=ns, trials=10, seed=0
+                )

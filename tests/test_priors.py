@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from peersurvey.agents import AlwaysTruth, peer_estimate_mc
 from peersurvey.priors import (
     COST_GRID,
     AtomMixing,
@@ -22,8 +23,8 @@ from peersurvey.priors import (
     cost_threshold_parts_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
-    posterior_clamped_mean_mc,
 )
+from peersurvey.privacy import NoiseSpec
 
 
 class TestCostDistributions:
@@ -220,11 +221,11 @@ class TestThetaSample:
         assert point_prior.theta_sample(rng) == 0.5
         assert point_prior.theta_sample(rng, 3).tolist() == [0.5, 0.5, 0.5]
         for bit in (0, 1):
-            assert point_prior.posterior_theta_sample(bit, rng, 2).tolist() == [0.5, 0.5]
+            assert point_prior.theta_sample(rng, 2, bit=bit).tolist() == [0.5, 0.5]
 
     def test_deterministic_given_seed(self, atom_prior):
         for draw in (lambda rng: atom_prior.theta_sample(rng, 50),
-                     lambda rng: atom_prior.posterior_theta_sample(1, rng, 50)):
+                     lambda rng: atom_prior.theta_sample(rng, 50, bit=1)):
             a = draw(np.random.default_rng(123))
             b = draw(np.random.default_rng(123))
             assert np.array_equal(a, b)
@@ -240,7 +241,7 @@ class TestThetaSample:
             "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
         })
         m = 100_000
-        theta = prior.posterior_theta_sample(bit, np.random.default_rng(7), m)
+        theta = prior.theta_sample(np.random.default_rng(7), m, bit=bit)
         post = stats.beta(a + bit, b + 1 - bit)
         assert abs(theta.mean() - post.mean()) <= 3 * post.std() / math.sqrt(m)
 
@@ -249,7 +250,7 @@ class TestThetaSample:
         # Atoms 0.2 and 0.8 with weight 1/2 each: P(theta = 0.8 | bit = 1)
         # is 0.8 and P(theta = 0.8 | bit = 0) is 0.2.
         m = 100_000
-        theta = atom_prior.posterior_theta_sample(bit, np.random.default_rng(8), m)
+        theta = atom_prior.theta_sample(np.random.default_rng(8), m, bit=bit)
         assert set(np.unique(theta).tolist()) <= {0.2, 0.8}
         p_high = 0.8 if bit == 1 else 0.2
         sigma = math.sqrt(p_high * (1 - p_high) / m)
@@ -257,7 +258,7 @@ class TestThetaSample:
 
     def test_posterior_rejects_non_bit(self, uniform_prior):
         with pytest.raises(ValueError):
-            uniform_prior.posterior_theta_sample(2, np.random.default_rng(0))
+            uniform_prior.theta_sample(np.random.default_rng(0), bit=2)
 
 
 MIXINGS = {
@@ -314,6 +315,12 @@ class TestPosteriorClampedMeanExact:
         assert 0.0 <= posterior_clamped_mean(prior, 1 - bit, 20, 0.5) <= 1.0
 
 
+def clamped_mean_mc(prior, bit, n, eps, samples, seed):
+    """The Monte Carlo cross-check of p0/p1: the leave-one-out estimate's
+    mean under truthful peers, (mean, standard error)."""
+    return peer_estimate_mc(prior, bit, n, NoiseSpec(eps), AlwaysTruth(), samples, seed)
+
+
 class TestPosteriorClampedMean:
     """The Monte Carlo cross-check."""
 
@@ -322,26 +329,26 @@ class TestPosteriorClampedMean:
         # Laplace location family, integrated by quadrature.
         n, eps = 20, 0.2
         oracle = _clamped_mean_oracle(1.0, 1.0, bit=1, n=n, eps=eps)
-        est, _ = posterior_clamped_mean_mc(uniform_prior, 1, n, eps, samples=400_000, seed=11)
+        est, _ = clamped_mean_mc(uniform_prior, 1, n, eps, samples=400_000, seed=11)
         assert est == pytest.approx(oracle, abs=0.0025)
         oracle0 = _clamped_mean_oracle(1.0, 1.0, bit=0, n=n, eps=eps)
-        est0, _ = posterior_clamped_mean_mc(uniform_prior, 0, n, eps, samples=400_000, seed=12)
+        est0, _ = clamped_mean_mc(uniform_prior, 0, n, eps, samples=400_000, seed=12)
         assert est0 == pytest.approx(oracle0, abs=0.0025)
 
     def test_noise_free_limit(self, uniform_prior):
-        est, _ = posterior_clamped_mean_mc(uniform_prior, 1, 10_000, 1e6, samples=20_000, seed=4)
+        est, _ = clamped_mean_mc(uniform_prior, 1, 10_000, 1e6, samples=20_000, seed=4)
         assert abs(est - 2.0 / 3.0) < 0.01
 
     def test_deterministic_given_seed(self, uniform_prior):
-        a = posterior_clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
-        b = posterior_clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
+        a = clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
+        b = clamped_mean_mc(uniform_prior, 1, 50, 0.5, samples=10_000, seed=7)
         assert a == b
 
     @pytest.mark.parametrize("name", list(MIXINGS))
     @pytest.mark.parametrize("bit", [0, 1])
     def test_within_five_standard_errors_of_exact(self, name, bit):
         prior = _prior(MIXINGS[name])
-        est, se = posterior_clamped_mean_mc(prior, bit, 40, 0.3, samples=200_000, seed=5 + bit)
+        est, se = clamped_mean_mc(prior, bit, 40, 0.3, samples=200_000, seed=5 + bit)
         assert 0.0 < se < 1e-3
         assert abs(est - posterior_clamped_mean(prior, bit, 40, 0.3)) <= 5.0 * se
 
