@@ -1,4 +1,5 @@
-"""Agent types, reporting strategies, the survey-round sampler and expected utility.
+"""Agent types, reporting strategies, the survey-round sampler, the exact
+peer-report law and expected utility.
 
 An agent privately holds a bit and a unit privacy cost.  Utility from one
 survey round is payment minus the privacy-loss value, which the analyzed
@@ -9,13 +10,12 @@ eta * 4 * cost * epsilon**2 (quadratic regime, valid for epsilon <= 1).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._util import (CHUNK_TRIALS, check_seed, chunk_sizes, from_config, merge_moments,
-                    report_dict, subseed_rng)
+from ._util import CHUNK_TRIALS, chunk_sizes, from_config, merge_moments, report_dict, subseed_rng
 from .mechanism import peer_estimate
+from .priors import clamped_mean
 from .privacy import noise_draw
-from .scoring import lipschitz_bound, scaled_score
+from .scoring import scaled_score
 
 TRUTH = "truth"
 LIE = "lie"
@@ -25,12 +25,6 @@ ACTIONS = (TRUTH, LIE, ABSTAIN)
 OFF_BEHAVIORS = (ABSTAIN, LIE, TRUTH)
 
 COST_MODEL_KINDS = ("linear", "chen")
-
-# The fewest trials `expected_utility` accepts.
-MIN_UTILITY_TRIALS = 1_000
-
-# Coverage of the two-sided normal interval around a mean payment.
-CI_LEVEL = 0.99
 
 
 @dataclass(frozen=True)
@@ -196,6 +190,19 @@ class StrategyProfile:
 _CELL_BITS = np.array([0, 0, 1, 1], dtype=np.int8)
 
 
+def _cell_reports(strategy, prior):
+    """((F0(tau), F1(tau)), contributions, participation) of the four type cells.
+
+    F0 and F1 are the prior's cost CDFs at the strategy's threshold, the
+    chance that an agent holding a zero or a one is cheap; `strategy_arrays`
+    maps one agent per cell to its report.  Strategies without a threshold
+    ignore cost, and all their agents are cheap.
+    """
+    tau = getattr(strategy, "tau", np.inf)
+    cheap = (float(prior.cost0.cdf(tau)), float(prior.cost1.cdf(tau)))
+    return cheap, *strategy_arrays(strategy, _CELL_BITS, np.array([tau, np.inf, tau, np.inf]))
+
+
 def sample_report_counts(profile, prior, n, theta, rng):
     """Per-trial report counts of n agents drawn i.i.d. given theta.
 
@@ -212,12 +219,11 @@ def sample_report_counts(profile, prior, n, theta, rng):
     agents whose contribution differs from their bit.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    tau = getattr(profile.shared, "tau", np.inf)
+    (f0, f1), values, mask = _cell_reports(profile.shared, prior)
     b = rng.binomial(n, theta)
-    cheap1 = rng.binomial(b, float(prior.cost1.cdf(tau)))
-    cheap0 = rng.binomial(n - b, float(prior.cost0.cdf(tau)))
+    cheap1 = rng.binomial(b, f1)
+    cheap0 = rng.binomial(n - b, f0)
     cells = np.stack([cheap0, n - b - cheap0, cheap1, b - cheap1], axis=-1)
-    values, mask = strategy_arrays(profile.shared, _CELL_BITS, np.array([tau, np.inf, tau, np.inf]))
     return (b, cells @ values.astype(np.int64), cells @ mask.astype(np.int64),
             cells @ (values != _CELL_BITS).astype(np.int64))
 
@@ -230,15 +236,17 @@ def sample_rounds(prior, n, noise, profile, trials, seed, bit=None):
     an outside agent's `bit` when one is set), the n agents' report counts
     from `sample_report_counts`, then one noise draw per trial on their
     one-reports.  Yields ((bit_ones, ones, participants, mismatches), b_bar)
-    per chunk.
+    per chunk, and drops its own references to a chunk before drawing the
+    next, so a consumer that keeps nothing holds one chunk at a time.
     """
     if not isinstance(profile, StrategyProfile):
         profile = StrategyProfile.symmetric(profile)
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
-        theta = np.atleast_1d(prior.theta_sample(rng, size, bit))
-        counts = sample_report_counts(profile, prior, n, theta, rng)
+        counts = sample_report_counts(profile, prior, n,
+                                      np.atleast_1d(prior.theta_sample(rng, size, bit)), rng)
         yield counts, counts[1] + noise_draw(noise, rng, size)
+        del counts
 
 
 def peer_estimate_mc(prior, bit, n, noise, others, trials, seed):
@@ -248,7 +256,8 @@ def peer_estimate_mc(prior, bit, n, noise, others, trials, seed):
     theta is drawn given `bit`.  b_bar leaves the agent out, so
     `peer_estimate(n, b_bar, 0)` is their estimate whatever they report;
     under truthful peers its mean is p0 or p1.  The moments merge chunk by
-    chunk, so memory does not grow with `trials`.
+    chunk, so memory does not grow with `trials`.  `peer_estimate_mean` is
+    the exact value it estimates.
     """
     trials = int(trials)
     if n < 2 or trials < 1:
@@ -256,8 +265,30 @@ def peer_estimate_mc(prior, bit, n, noise, others, trials, seed):
     moments = (0, 0.0, 0.0)
     for _, b_bar in sample_rounds(prior, n - 1, noise, others, trials, seed, bit):
         moments = merge_moments(moments, peer_estimate(n, b_bar, 0))
+        del _, b_bar  # so that one chunk at a time is alive
     count, mean, m2 = moments
     return mean, m2**0.5 / count
+
+
+def peer_estimate_mean(prior, bit, n, noise, others):
+    """Exact mean of the leave-one-out estimate of an agent holding `bit`,
+    over rounds of the n - 1 peers playing `others`: the value that
+    `peer_estimate_mc` estimates.
+
+    Given theta, a peer reports 1 with probability
+    g(theta) = (1 - theta) g0 + theta g1, where g_b is the chance that an
+    agent holding b reports 1: F_b(tau) times the report of the cheap cell
+    plus 1 - F_b(tau) times that of the dear cell, from the same cell
+    mapping that `sample_report_counts` samples.  So the one-reports are a
+    binomial mixture over theta given `bit`, which `priors.clamped_mean`
+    sums exactly.
+    """
+    strategy = others.shared if isinstance(others, StrategyProfile) else others
+    (f0, f1), values, _ = _cell_reports(strategy, prior)
+    cheap0, dear0, cheap1, dear1 = values.astype(np.float64)
+    # Written so that a report that ignores cost gives g_b of exactly 0 or 1.
+    g = (dear0 + f0 * (cheap0 - dear0), dear1 + f1 * (cheap1 - dear1))
+    return clamped_mean(prior, bit, n, noise.scale if noise.mode == "sample" else 0.0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +298,10 @@ def peer_estimate_mc(prior, bit, n, noise, others, trials, seed):
 
 @dataclass(frozen=True)
 class UtilityEstimate:
-    """Monte Carlo payment estimate and the privacy-cost lower bound on utility."""
+    """Exact expected payment and the privacy-cost lower bound on utility.
+
+    payment_ci_halfwidth is 0: the payment is computed, not sampled.
+    """
 
     mean_payment: float
     payment_ci_halfwidth: float
@@ -276,35 +310,19 @@ class UtilityEstimate:
     mean_peer_estimate: float = float("nan")
 
 
-def expected_utility(
-    agent,
-    action,
-    others,
-    prior,
-    config,
-    cost_model,
-    trials,
-    seed,
-):
-    """Estimate one agent's expected payment and worst-case utility.
+def expected_utility(agent, action, others, prior, config, cost_model):
+    """One agent's exact expected payment and worst-case utility.
 
     The payment is affine in the leave-one-out estimate, and that estimate
     does not depend on the agent's report, so the expected payment is the
-    payment at the mean estimate that `peer_estimate_mc` samples from the
-    other n - 1 agents playing `others` (a StrategyProfile or a single
-    strategy).  Memory does not grow with n.  Abstaining earns exactly zero
-    payment, so no sampling happens in that case.  utility_lower_bound
-    subtracts the privacy-cost bound from the mean payment;
-    payment_ci_halfwidth is the half width of the CI_LEVEL normal interval
-    around it: the estimate's standard error times the payment's slope.
+    payment at the exact mean estimate `peer_estimate_mean` of the other
+    n - 1 agents playing `others` (a StrategyProfile or a single strategy).
+    Memory does not grow beyond O(n).  Abstaining earns exactly zero
+    payment.  utility_lower_bound subtracts the privacy-cost bound from the
+    mean payment.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
-    trials = int(trials)
-    if trials < MIN_UTILITY_TRIALS:
-        raise ValueError(f"trials must be at least {MIN_UTILITY_TRIALS}, got {trials}")
-    seed = check_seed(seed)
-
     pc = privacy_cost_bound(cost_model, agent.cost, config.epsilon)
     if action == ABSTAIN:
         return UtilityEstimate(
@@ -315,12 +333,11 @@ def expected_utility(
         )
 
     target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
-    mean, se = peer_estimate_mc(prior, agent.bit, config.n, config.noise, others, trials, seed)
+    mean = peer_estimate_mean(prior, agent.bit, config.n, config.noise, others)
     pay = scaled_score(config.scoring, mean, target)
-    z = float(ndtri(0.5 + CI_LEVEL / 2.0))
     return UtilityEstimate(
         mean_payment=pay,
-        payment_ci_halfwidth=z * lipschitz_bound(config.scoring, target) * se,
+        payment_ci_halfwidth=0.0,
         privacy_cost=pc,
         utility_lower_bound=pay - pc,
         mean_peer_estimate=mean,

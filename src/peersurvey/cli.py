@@ -5,9 +5,8 @@ single rule per key.  Every report carries the same `resolved` block:
 epsilon, beta, tau, p0, p1 and seed, null where the command did not use one.
 
 Exit codes: 0 on a Pass verdict or plain completion, 1 on a config or usage
-error (the diagnostic names the offending key), 2 on a Fail verdict, 3 on an
-Inconclusive verdict, 4 on an internal error (a bug; the traceback goes to
-stderr).
+error (the diagnostic names the offending key), 2 on a Fail verdict, 4 on an
+internal error (a bug; the traceback goes to stderr).
 """
 
 import argparse
@@ -25,7 +24,7 @@ import numpy as np
 from ._util import check_seed, derive_seed, is_number
 from .agents import (
     ABSTAIN,
-    MIN_UTILITY_TRIALS,
+    ACTIONS,
     OFF_BEHAVIORS,
     AlwaysTruth,
     CostModel,
@@ -36,7 +35,7 @@ from .agents import (
 from .equilibrium import (
     ACCURACY_MIN_TRIALS,
     COST_SCALING_MIN_TRIALS,
-    INCONCLUSIVE,
+    EQUILIBRIUM_MIN_TRIALS,
     accuracy_experiment,
     best_response_audit,
     beta_rule,
@@ -56,10 +55,10 @@ from .priors import (
 from .privacy import (AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, PASS, AuditDataError, NoiseSpec,
                       dp_audit)
 
-EXIT_BY_VERDICT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
+EXIT_BY_VERDICT = {PASS: 0, FAIL: 2}
 
 # The smallest trial count each command's driver accepts; 1 elsewhere.
-_MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": MIN_UTILITY_TRIALS,
+_MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": EQUILIBRIUM_MIN_TRIALS,
                "accuracy": ACCURACY_MIN_TRIALS, "cost-scaling": COST_SCALING_MIN_TRIALS}
 
 # Commands whose driver builds the mechanism and the strategy itself.
@@ -568,8 +567,8 @@ def _cmd_audit_equilibrium(r):
         derive=r.driver_parameters,
     )
     keys = ("mean_payment", "ci_halfwidth", "utility_lower_bound")
-    rows = [(int(bit), action, *(stats[key] for key in keys))
-            for bit, actions in report.per_bit.items() for action, stats in actions.items()]
+    rows = [(int(bit), action, *(stats[action][key] for key in keys))
+            for bit, stats in report.per_bit.items() for action in ACTIONS]
     _emit(r, report.to_dict(), dict(zip(("bit", "action") + keys, zip(*rows))),
           beta=report.beta, tau=report.tau, p0=report.p0, p1=report.p1)
     return EXIT_BY_VERDICT[report.overall]

@@ -19,7 +19,6 @@ from ._util import check_seed, derive_seed, report_dict
 from .agents import (
     ABSTAIN,
     ACTIONS,
-    CI_LEVEL,
     LIE,
     TRUTH,
     AgentType,
@@ -27,6 +26,7 @@ from .agents import (
     StrategyProfile,
     Threshold,
     expected_utility,
+    peer_estimate_mc,
     privacy_cost_bound,
     sample_rounds,
 )
@@ -34,8 +34,8 @@ from .mechanism import MechanismConfig, payment_pair, peer_estimate, published_e
 from .priors import cost_threshold, posterior_clamped_mean
 from .privacy import FAIL, PASS, NoiseSpec
 
-INCONCLUSIVE = "Inconclusive"
-
+# The fewest trials of the Monte Carlo cross-check `best_response_audit` runs.
+EQUILIBRIUM_MIN_TRIALS = 1_000
 # The fewest trials `accuracy_experiment` accepts.
 ACCURACY_MIN_TRIALS = 100
 # The fewest trials `cost_scaling_experiment` accepts: a standard error
@@ -196,35 +196,6 @@ def simulate_survey(prior, config, profile, trials, seed):
 # ---------------------------------------------------------------------------
 
 
-def _interval_verdict(lo, hi, bound, side):
-    """Verdict for 'estimate side bound' given a CI [lo, hi]."""
-    if side == "ge":
-        if lo >= bound:
-            return PASS
-        return FAIL if hi < bound else INCONCLUSIVE
-    if hi <= bound:
-        return PASS
-    return FAIL if lo > bound else INCONCLUSIVE
-
-
-def _combine(verdicts):
-    if any(v == FAIL for v in verdicts):
-        return FAIL
-    if all(v == PASS for v in verdicts):
-        return PASS
-    return INCONCLUSIVE
-
-
-def _payment_verdict(estimates, bound, side):
-    """Combined verdict that every estimate's mean payment lies on `side`
-    ("ge" or "le") of `bound`, each judged on its confidence interval."""
-    return _combine([
-        _interval_verdict(e.mean_payment - e.payment_ci_halfwidth,
-                          e.mean_payment + e.payment_ci_halfwidth, bound, side)
-        for e in estimates
-    ])
-
-
 @dataclass(frozen=True)
 class EquilibriumAuditReport:
     """Worst-case (over the probe's bit value) best-response audit results."""
@@ -282,12 +253,19 @@ def best_response_audit(
     Everyone else plays the threshold strategy; a probe agent with cost just
     below tau tries truth, lie and abstain for both possible bit values.
     `derive(n, epsilon)` gives (tau, p0, p1); by default `exact_parameters`
-    derives them.  The report carries the worst case over bits.
-    beta_override exists to study misconfigured premia; when used, the
-    beta_covers_cost_bound diagnostic flags premia below the privacy-cost
-    bound at tau.
+    derives them.  Payments and verdicts are exact (`expected_utility`), so
+    the CI half-widths are 0.  For each bit, `trials` Monte Carlo rounds of
+    the probe's leave-one-out estimate (`peer_estimate_mc`, on seed slot
+    (3, bit, 0)) cross-check the exact mean estimate: per_bit[bit] holds
+    {mc, se, samples, z} under "cross_check", z being (mc - exact) / se.
+    The report carries the worst case over bits.  beta_override exists to
+    study misconfigured premia; when used, the beta_covers_cost_bound
+    diagnostic flags premia below the privacy-cost bound at tau.
     """
     seed = check_seed(seed)
+    trials = int(trials)
+    if trials < EQUILIBRIUM_MIN_TRIALS:
+        raise ValueError(f"trials must be at least {EQUILIBRIUM_MIN_TRIALS}, got {trials}")
     if derive is None:
         derive = partial(exact_parameters, prior, alpha, delta)
     tau, p0, p1 = derive(n, epsilon)
@@ -296,32 +274,39 @@ def best_response_audit(
     others = StrategyProfile.symmetric(Threshold(tau=tau, off=off))
     probe_cost = tau * (1.0 - 1e-6)
 
+    # The Monte Carlo runs come before the exact law: their chunks are freed
+    # before the Gauss rule's eigensolver grows the resident set, so the
+    # two do not add up in the peak.
+    sampled = [peer_estimate_mc(prior, bit, n, config.noise, others, trials,
+                                derive_seed(seed, 3, bit, 0)) for bit in (0, 1)]
     # est[action][bit] is the estimate; per_bit[str(bit)][action] its report.
     est = {action: {} for action in ACTIONS}
     per_bit = {"0": {}, "1": {}}
     for bit in (0, 1):
         agent = AgentType(bit=bit, cost=probe_cost)
-        for k, action in enumerate(ACTIONS):
-            e = est[action][bit] = expected_utility(
-                agent, action, others, prior, config, cost_model,
-                trials, derive_seed(seed, 3, bit, k),
-            )
+        for action in ACTIONS:
+            e = est[action][bit] = expected_utility(agent, action, others, prior, config,
+                                                    cost_model)
             per_bit[str(bit)][action] = {
                 "mean_payment": e.mean_payment,
                 "ci_halfwidth": e.payment_ci_halfwidth,
                 "utility_lower_bound": e.utility_lower_bound,
                 "mean_peer_estimate": e.mean_peer_estimate,
             }
-
-    truth_v = _payment_verdict(est[TRUTH].values(), beta, "ge")
-    lie_v = _payment_verdict(est[LIE].values(), 0.0, "le")
-    tau_cost_bound = privacy_cost_bound(cost_model, tau, epsilon)
-    margin = beta - tau_cost_bound
-    cover_v = PASS if margin >= -1e-12 * max(1.0, abs(beta)) else FAIL
-    dominates = _combine([truth_v, lie_v, cover_v])
+        mc, se = sampled[bit]
+        per_bit[str(bit)]["cross_check"] = {
+            "mc": mc, "se": se, "samples": trials,
+            "z": (mc - est[TRUTH][bit].mean_peer_estimate) / se,
+        }
 
     worst_truth = min(est[TRUTH].values(), key=lambda e: e.mean_payment)
     worst_lie = max(est[LIE].values(), key=lambda e: e.mean_payment)
+    truth_v = PASS if worst_truth.mean_payment >= beta else FAIL
+    lie_v = PASS if worst_lie.mean_payment <= 0.0 else FAIL
+    tau_cost_bound = privacy_cost_bound(cost_model, tau, epsilon)
+    margin = beta - tau_cost_bound
+    cover_v = PASS if margin >= -1e-12 * max(1.0, abs(beta)) else FAIL
+    dominates = PASS if truth_v == lie_v == cover_v == PASS else FAIL
     return EquilibriumAuditReport(
         beta=beta,
         tau=tau,
@@ -329,7 +314,7 @@ def best_response_audit(
         p0=p0,
         p1=p1,
         probe_cost=probe_cost,
-        trials=int(trials),
+        trials=trials,
         truth_payment_mean=worst_truth.mean_payment,
         truth_payment_ci=worst_truth.payment_ci_halfwidth,
         lie_payment_mean=worst_lie.mean_payment,
@@ -348,7 +333,6 @@ def best_response_audit(
             "privacy_cost_bound_at_tau": tau_cost_bound,
             "beta_margin_over_cost_bound": margin,
             "off_behavior": off,
-            "ci_level": CI_LEVEL,
         },
     )
 

@@ -4,14 +4,17 @@ A prior couples three ingredients: a mixing distribution over a latent
 Bernoulli parameter theta, conditional on which agents' bits are i.i.d., and
 one cost distribution per bit value.  From it we derive, exactly, the
 posterior predictive bit probabilities, their noisy clamped counterparts
-p0/p1 used by the payment rule, and the participation cost threshold tau
-used to size the truthfulness premium.  `cost_threshold_parts_mc` estimates
-tau by Monte Carlo as a cross-check of the exact value; the p0/p1
-cross-check is `agents.peer_estimate_mc` under truthful peers.
+p0/p1 used by the payment rule, the mean clamped estimate of peers whose
+reports follow any affine function of theta (`clamped_mean`), and the
+participation cost threshold tau used to size the truthfulness premium.
+`cost_threshold_parts_mc` estimates tau by Monte Carlo as a cross-check of
+the exact value; the p0/p1 cross-check is `agents.peer_estimate_mc` under
+truthful peers.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py, xlogy
@@ -24,6 +27,15 @@ FAMILIES = ("conditional_iid",)
 # cap the search range.
 COST_GRID = 1e-4
 COST_SEARCH_QUANTILE = 1.0 - 1e-6
+
+# Gauss nodes that mix binomial laws over Beta mixing.  A binomial pmf whose
+# success probability is affine in theta is a polynomial of degree m in
+# theta, so the rule is exact up to m = 2 * QUADRATURE_NODES - 1 peers, and
+# converged well beyond.
+QUADRATURE_NODES = 128
+# Cells in one block of binomial pmf rows; rows are folded a block at a
+# time, so memory stays O(m) for any node count.
+PMF_BLOCK_CELLS = 1 << 18
 
 
 class CostSearchError(ValueError):
@@ -263,47 +275,118 @@ def posterior_bit_prob(prior, bit):
     return float(weights @ thetas)
 
 
-def _peer_count_pmf(prior, bit, m):
-    """P(K = k), k = 0..m, for the ones K among m peers given one's own bit.
+@lru_cache(maxsize=64)
+def _beta_nodes(a, b, count):
+    """(weights, thetas) of the count-point Gauss rule for Beta(a, b).
 
-    Both laws are exp of a log-pmf built on log C(m, k) =
-    -log(m + 1) - betaln(m - k + 1, k + 1).  The beta-binomial is
-    scipy.stats' own formula.  Each binomial row is divided by its sum,
-    which cancels the rounding error that the log-choose term carries at
-    large m.
+    Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of the monic polynomials orthogonal under Beta(a, b), and
+    each weight is the squared first component of its eigenvector.  The
+    matrix holds the three-term recurrence of the Jacobi polynomials with
+    exponents (b - 1, a - 1), mapped from [-1, 1] onto theta = (1 + x) / 2;
+    its first entries are the Beta mean and variance.  The arrays are
+    cached, so they are read-only.
     """
+    j = np.arange(1, count, dtype=np.float64)
+    s = 2.0 * j + a + b - 2.0
+    diag = np.empty(count)
+    diag[0] = a / (a + b)
+    diag[1:] = 0.5 + 0.5 * (a - b) * (a + b - 2.0) / (s * (s + 2.0))
+    # Squared off-diagonal; the first is written apart, where the general
+    # form is 0/0 at a + b = 1.
+    off = np.empty(count - 1)
+    off[:1] = a * b / ((a + b) ** 2 * (a + b + 1.0))
+    j, s = j[1:], s[1:]
+    off[1:] = j * (j + a - 1.0) * (j + b - 1.0) * (j + a + b - 2.0) / (s**2 * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(off)
+    thetas, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    weights /= weights.sum()
+    thetas = np.clip(thetas, 0.0, 1.0)
+    weights.flags.writeable = thetas.flags.writeable = False
+    return weights, thetas
+
+
+def _log_choose(m):
+    """(k, log C(m, k)), k = 0..m, with log C(m, k) = -log(m + 1) - betaln(m - k + 1, k + 1)."""
     k = np.arange(m + 1)
-    log_choose = -np.log(m + 1.0) - betaln(m - k + 1, k + 1)
+    return k, -np.log(m + 1.0) - betaln(m - k + 1, k + 1)
+
+
+def _binomial_mixture_pmf(weights, g, m):
+    """Sum over j of weights[j] times the Bin(m, g[j]) pmf, k = 0..m.
+
+    Each binomial row is exp of its log-pmf, divided by its sum, which
+    cancels the rounding error that the log-choose term carries at large m.
+    Rows are folded PMF_BLOCK_CELLS at a time.
+    """
+    k, log_choose = _log_choose(m)
+    rest = m - k
+    pmf = np.zeros(m + 1)
+    step = max(1, PMF_BLOCK_CELLS // (m + 1))
+    for lo in range(0, len(g), step):
+        theta = g[lo:lo + step, None]
+        rows = xlogy(k, theta)
+        rows += log_choose
+        rows += xlog1py(rest, -theta)
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+        pmf += weights[lo:lo + step] @ rows
+    return pmf
+
+
+def _peer_count_pmf(prior, bit, m, g=(0.0, 1.0)):
+    """P(K = k), k = 0..m, for the one-reports K among m peers given one's own bit.
+
+    Given theta, each peer reports 1 with probability
+    (1 - theta) g[0] + theta g[1], by default their own bit, so K is a
+    binomial mixture over the posterior of theta.  Atom and point mixing
+    sum over the reweighted atoms.  Beta mixing integrates with the Gauss
+    rule of `_beta_nodes`, except for the default g, where K is
+    beta-binomial: exp of scipy.stats' own log-pmf formula.
+    """
+    g0, g1 = g
     mixing = prior.mixing
     if isinstance(mixing, BetaMixing):
         a, b = mixing.a + bit, mixing.b + (1 - bit)
-        return np.exp(log_choose + betaln(k + a, m - k + b) - betaln(a, b))
-    weights, thetas = _posterior_atoms(mixing, bit)
-    theta = thetas[:, None]
-    rows = np.exp(log_choose + xlogy(k, theta) + xlog1py(m - k, -theta))
-    return weights @ (rows / rows.sum(axis=1, keepdims=True))
+        if (g0, g1) == (0.0, 1.0):
+            k, log_choose = _log_choose(m)
+            return np.exp(log_choose + betaln(k + a, m - k + b) - betaln(a, b))
+        weights, thetas = _beta_nodes(a, b, QUADRATURE_NODES)
+    else:
+        weights, thetas = _posterior_atoms(mixing, bit)
+    return _binomial_mixture_pmf(weights, thetas * g1 + (1.0 - thetas) * g0, m)
+
+
+def clamped_mean(prior, bit, n, scale, g=(0.0, 1.0)):
+    """Exact mean of the clamped noisy leave-one-out estimate.
+
+    Computes E[clip((K + X) / m, 0, 1)], m = n - 1, where K counts the
+    one-reports of the m peers given one's own bit, each peer reporting 1
+    with probability (1 - theta) g[0] + theta g[1] (see `_peer_count_pmf`),
+    and X is Laplace noise of scale s; s = 0 means no noise.  For each k,
+    E[clip(k + X, 0, m)] = k + (s/2)(e^{-k/s} - e^{-(m-k)/s}): the two terms
+    are the noise mass clipped at 0 and at m.
+    """
+    if bit not in (0, 1) or n < 2 or not scale >= 0.0:
+        raise ValueError(f"need bit 0 or 1, n >= 2 and scale >= 0, got {bit}, {n}, {scale}")
+    m = n - 1
+    sums = np.arange(m + 1, dtype=np.float64)
+    if scale > 0.0:
+        sums += 0.5 * scale * (np.expm1(-sums / scale) - np.expm1(-(m - sums) / scale))
+    return float(_peer_count_pmf(prior, bit, m, g) @ sums / m)
 
 
 def posterior_clamped_mean(prior, bit, n, epsilon):
-    """Exact mean of the clamped noisy leave-one-out estimate.
+    """`clamped_mean` under truthful peers and Laplace noise of scale 1/epsilon.
 
-    Computes E[clip((K + X) / m, 0, 1)], m = n - 1, where K counts ones among
-    the m peers given one's own bit (beta-binomial under Beta mixing, a
-    binomial mixture over the reweighted atoms otherwise) and X is Laplace
-    noise of scale s = 1/epsilon.  For each k,
-    E[clip(k + X, 0, m)] = k + (s/2)(e^{-k/s} - e^{-(m-k)/s}): the two terms
-    are the noise mass clipped at 0 and at m.  This is the
-    prediction target actually paid against, and differs from
+    This is the prediction target actually paid against, and differs from
     `posterior_bit_prob` by the noise and clamping bias; callers should
     treat the two as distinct quantities.
     """
-    if bit not in (0, 1) or n < 2 or not epsilon > 0.0:
-        raise ValueError(f"need bit 0 or 1, n >= 2 and epsilon > 0, got {bit}, {n}, {epsilon}")
-    m = n - 1
-    k = np.arange(m + 1, dtype=np.float64)
-    s = 1.0 / epsilon
-    clipped = k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))
-    return float(_peer_count_pmf(prior, bit, m) @ clipped / m)
+    if not epsilon > 0.0:
+        raise ValueError(f"need epsilon > 0, got {epsilon}")
+    return clamped_mean(prior, bit, n, 1.0 / epsilon)
 
 
 # ---------------------------------------------------------------------------

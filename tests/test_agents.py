@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import betaln
 from scipy.stats import binom
 
 from peersurvey._util import merge_moments
@@ -18,15 +19,19 @@ from peersurvey.agents import (
     AlwaysTruth,
     ConstantBit,
     CostModel,
+    StrategyProfile,
     Threshold,
     expected_utility,
+    peer_estimate_mc,
+    peer_estimate_mean,
     privacy_cost_bound,
     strategy_arrays,
     strategy_from_dict,
 )
 from peersurvey.equilibrium import beta_rule, epsilon_rule
 from peersurvey.mechanism import MechanismConfig, payment_pair, peer_estimate
-from peersurvey.priors import cost_threshold, posterior_clamped_mean
+from peersurvey.priors import PriorSpec, cost_threshold, posterior_clamped_mean
+from peersurvey.privacy import NoiseSpec
 from peersurvey.scoring import scaled_score
 
 # One agent's report as (contribution, participates).
@@ -208,10 +213,7 @@ class TestExpectedUtility:
         config, tau = truthful_config(uniform_prior)
         model = CostModel("linear")
         agent = AgentType(bit=1, cost=0.4)
-        est = expected_utility(
-            agent, ABSTAIN, AlwaysTruth(), uniform_prior, config, model,
-            trials=1_000, seed=0,
-        )
+        est = expected_utility(agent, ABSTAIN, AlwaysTruth(), uniform_prior, config, model)
         assert est.mean_payment == 0.0
         assert est.payment_ci_halfwidth == 0.0
         assert est.privacy_cost == pytest.approx(
@@ -221,114 +223,45 @@ class TestExpectedUtility:
         assert est.utility_lower_bound <= 0.0
 
     def test_truth_beats_subsidy_lie_earns_nothing(self, uniform_prior):
-        # Against truthful peers, an honest report should earn at least the
-        # participation subsidy and a flipped report at most zero, up to
-        # Monte Carlo error.
+        # Against truthful peers, an honest report earns at least the
+        # participation subsidy and a flipped report at most zero.
         config, tau = truthful_config(uniform_prior)
         model = CostModel("linear")
         for bit in (0, 1):
             agent = AgentType(bit=bit, cost=tau)
-            truth = expected_utility(
-                agent, TRUTH, AlwaysTruth(), uniform_prior, config, model,
-                trials=20_000, seed=7,
-            )
-            lie = expected_utility(
-                agent, LIE, AlwaysTruth(), uniform_prior, config, model,
-                trials=20_000, seed=7,
-            )
-            assert truth.mean_payment >= config.beta - truth.payment_ci_halfwidth
-            assert lie.mean_payment <= lie.payment_ci_halfwidth
-            assert truth.mean_payment > lie.mean_payment
+            truth = expected_utility(agent, TRUTH, AlwaysTruth(), uniform_prior, config, model)
+            lie = expected_utility(agent, LIE, AlwaysTruth(), uniform_prior, config, model)
+            assert truth.payment_ci_halfwidth == lie.payment_ci_halfwidth == 0.0
+            assert truth.mean_payment >= config.beta
+            assert lie.mean_payment <= 0.0
 
     def test_peer_estimate_tracks_posterior(self, uniform_prior):
+        # Under truthful peers the mean leave-one-out estimate is p1 itself:
+        # the same closed form, to the bit.
         config, _ = truthful_config(uniform_prior)
         est = expected_utility(
             AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
-            config, CostModel("linear"), trials=20_000, seed=3,
-        )
-        # Truthful peers push the peer-only estimate toward the posterior rate
-        # for the agent's bit; clamping and noise shift it by less than alpha.
-        assert abs(est.mean_peer_estimate - 2.0 / 3.0) < config.alpha + 0.02
-
-    def test_deterministic_in_seed(self, uniform_prior):
-        config, _ = truthful_config(uniform_prior)
-        args = (
-            AgentType(bit=0, cost=0.1), TRUTH, AlwaysTruth(), uniform_prior,
             config, CostModel("linear"),
         )
-        a = expected_utility(*args, trials=2_000, seed=42)
-        b = expected_utility(*args, trials=2_000, seed=42)
-        c = expected_utility(*args, trials=2_000, seed=43)
-        assert a == b
-        assert a.mean_payment != c.mean_payment
+        assert est.mean_peer_estimate == config.p1
+        assert abs(est.mean_peer_estimate - 2.0 / 3.0) < config.alpha
 
     def test_validation(self, uniform_prior):
         config, _ = truthful_config(uniform_prior)
-        agent = AgentType(bit=1, cost=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="action"):
             expected_utility(
-                agent, "hedge", AlwaysTruth(), uniform_prior, config,
-                CostModel("linear"), trials=2_000, seed=0,
-            )
-        with pytest.raises(ValueError):
-            expected_utility(
-                agent, TRUTH, AlwaysTruth(), uniform_prior, config,
-                CostModel("linear"), trials=500, seed=0,
+                AgentType(bit=1, cost=0.1), "hedge", AlwaysTruth(), uniform_prior, config,
+                CostModel("linear"),
             )
 
     def test_bit_symmetry_for_symmetric_prior(self, uniform_prior):
-        # Beta(1,1) with equal cost draws treats the two bits the same, so
-        # the two truthful payments should agree within combined noise.
+        # Beta(1,1) with equal cost laws treats the two bits the same, so
+        # the two truthful payments agree up to rounding.
         config, _ = truthful_config(uniform_prior)
-        kwargs = dict(trials=20_000, seed=13)
-        one = expected_utility(
-            AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
-            config, CostModel("linear"), **kwargs,
-        )
-        zero = expected_utility(
-            AgentType(bit=0, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
-            config, CostModel("linear"), **kwargs,
-        )
-        gap = abs(one.mean_payment - zero.mean_payment)
-        assert gap <= one.payment_ci_halfwidth + zero.payment_ci_halfwidth
-
-    def test_constant_payments_have_zero_ci(self):
-        # Every trial pays the same, so the variance that expected_utility
-        # folds in chunk by chunk must come out zero up to rounding, without
-        # the cancellation of E[x^2] - E[x]^2.
-        pay = 1.2196969696969697
-        moments = (0, 0.0, 0.0)
-        for size in (1_000, 7, 4_096):
-            moments = merge_moments(moments, np.full(size, pay))
-        count, mean, m2 = moments
-        assert count == 5_103
-        assert mean == pytest.approx(pay, rel=1e-15)
-        assert m2 / count <= 1e-24
-
-    def test_chunked_variance_matches_pooled(self, uniform_prior, monkeypatch):
-        # Over several chunks, the merged variance is that of all payments.
-        from peersurvey import agents
-
-        config, _ = truthful_config(uniform_prior)
-        estimates = []
-
-        def recording(n, b_bar, own):
-            value = peer_estimate(n, b_bar, own)
-            estimates.append(value)
-            return value
-
-        monkeypatch.setattr(agents, "CHUNK_TRIALS", 1_000)
-        monkeypatch.setattr(agents, "peer_estimate", recording)
-        est = expected_utility(
-            AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
-            config, CostModel("linear"), trials=4_500, seed=5,
-        )
-        # A truthful one-reporter is paid against p1.
-        pays = scaled_score(config.scoring, np.concatenate(estimates), config.p1)
-        assert pays.size == 4_500 and len(estimates) == 5
-        assert est.mean_payment == pytest.approx(pays.mean(), rel=1e-12)
-        z = float(ndtri(0.5 + 0.99 / 2.0))
-        assert est.payment_ci_halfwidth == pytest.approx(z * (pays.var() / 4_500) ** 0.5, rel=1e-9)
+        args = (uniform_prior, config, CostModel("linear"))
+        one = expected_utility(AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), *args)
+        zero = expected_utility(AgentType(bit=0, cost=0.0), TRUTH, AlwaysTruth(), *args)
+        assert one.mean_payment == pytest.approx(zero.mean_payment, rel=1e-12)
 
     @pytest.mark.parametrize("off", OFF_BEHAVIORS)
     @pytest.mark.parametrize("bit", [0, 1])
@@ -357,12 +290,124 @@ class TestExpectedUtility:
 
         est = expected_utility(
             AgentType(bit=bit, cost=0.0), action, Threshold(tau, off), atom_prior,
-            config, CostModel("linear"), trials=200_000, seed=17,
+            config, CostModel("linear"),
         )
-        se = est.payment_ci_halfwidth / float(ndtri(0.5 + 0.99 / 2.0))
-        assert 0.0 < se and abs(est.mean_payment - exact) <= 5.0 * se
+        assert est.payment_ci_halfwidth == 0.0
+        assert est.mean_peer_estimate == pytest.approx(mean_estimate, rel=1e-13)
+        assert est.mean_payment == pytest.approx(exact, abs=1e-12)
         b_bar = est.mean_peer_estimate * m + own
         assert est.mean_payment == pytest.approx(payment_pair(config, b_bar)[1 - own], rel=1e-12)
 
+
     def test_actions_constant(self):
         assert ACTIONS == (TRUTH, LIE, ABSTAIN)
+
+
+# Costs U[0, 1] for a zero and U[0, 2] for a one: at tau = 0.7 a peer
+# holding a zero is cheap with chance 0.7, one holding a one with 0.35.
+UNEQUAL_COSTS = {"cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                 "cost1": {"kind": "uniform", "lo": 0.0, "hi": 2.0}}
+LAW_MIXINGS = {
+    "beta": {"kind": "beta", "a": 2.5, "b": 0.7},
+    "beta-small-a": {"kind": "beta", "a": 0.5, "b": 3.0},
+    "atoms": {"kind": "atoms", "atoms": [[0.3, 0.0], [0.2, 1.0], [0.5, 0.37]]},
+    "point": {"kind": "point", "theta": 0.37},
+}
+ALL_STRATEGIES = [Threshold(0.7, ABSTAIN), Threshold(0.7, LIE), Threshold(0.7, TRUTH),
+                  AlwaysTruth(), AlwaysLie(), AlwaysAbstain(), ConstantBit(0), ConstantBit(1)]
+
+
+def law_prior(mixing):
+    return PriorSpec.from_dict({"family": "conditional_iid", "mixing": mixing, **UNEQUAL_COSTS})
+
+
+def brute_force_peer_estimate(mixing, strategy, bit, n, noise):
+    """Mean leave-one-out estimate by enumerating every bit and cost cell of
+    each of the m = n - 1 peers.
+
+    Each peer is a one or a zero, cheap (cost tau, or 0.7 for a strategy
+    without a threshold) or dear (cost tau + 1), and reports as
+    `scalar_report` says.  A cell vector with i ones weighs
+    E[theta^i (1 - theta)^(m - i) | own bit] times its cost chances: for
+    Beta mixing the moment B(a + i, b + m - i) / B(a, b) of the posterior
+    Beta, for atoms a sum over the reweighted atoms.
+    """
+    m = n - 1
+    tau = getattr(strategy, "tau", 0.7)
+    cheap = np.array([0.7, 0.35])  # UNEQUAL_COSTS at 0.7
+    reports = np.array([scalar_report(strategy, AgentType(c // 2, tau if c % 2 == 0 else tau + 1.0))[0]
+                        for c in range(4)])
+    cells = np.array(list(itertools.product(range(4), repeat=m)))
+    bits = cells // 2
+    cost_chance = np.where(cells % 2 == 0, cheap[bits], 1.0 - cheap[bits]).prod(axis=1)
+    ones = bits.sum(axis=1)
+    if mixing["kind"] == "beta":
+        a, b = mixing["a"] + bit, mixing["b"] + 1 - bit
+        moment = np.exp(betaln(a + ones, b + m - ones) - betaln(a, b))
+    else:
+        atoms = mixing["atoms"] if mixing["kind"] == "atoms" else [[1.0, mixing["theta"]]]
+        post = [(w * (t if bit else 1.0 - t), t) for w, t in atoms]
+        total = sum(w for w, _ in post)
+        moment = sum(w / total * t**ones * (1.0 - t) ** (m - ones) for w, t in post)
+    k = reports[cells].sum(axis=1).astype(np.float64)
+    if noise.mode == "sample":
+        s = noise.scale
+        k = k + 0.5 * s * (np.exp(-k / s) - np.exp(-(m - k) / s))
+    return float((moment * cost_chance * k).sum() / m)
+
+
+class TestPeerEstimateLaw:
+    @pytest.mark.parametrize("n, noise", [(2, NoiseSpec(0.5)), (8, NoiseSpec(0.5)),
+                                          (8, NoiseSpec(0.5, "disabled"))],
+                             ids=["n2", "n8", "n8-noiseless"])
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("name", list(LAW_MIXINGS))
+    def test_matches_brute_force(self, name, strategy, bit, n, noise):
+        mixing = LAW_MIXINGS[name]
+        exact = peer_estimate_mean(law_prior(mixing), bit, n, noise, strategy)
+        assert exact == pytest.approx(brute_force_peer_estimate(mixing, strategy, bit, n, noise),
+                                      rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("off", OFF_BEHAVIORS)
+    def test_monte_carlo_within_five_standard_errors(self, off, bit):
+        prior = law_prior({"kind": "beta", "a": 0.5, "b": 2.0})
+        others = StrategyProfile.symmetric(Threshold(0.7, off))
+        exact = peer_estimate_mean(prior, bit, 50, NoiseSpec(0.5), others)
+        mc, se = peer_estimate_mc(prior, bit, 50, NoiseSpec(0.5), others, 100_000, 21 + bit)
+        assert 0.0 < se < 2e-3
+        assert abs(mc - exact) <= 5.0 * se
+
+    def test_chunked_variance_matches_pooled(self, uniform_prior, monkeypatch):
+        # Over several chunks, the merged mean and variance are those of all
+        # the sampled estimates.
+        from peersurvey import agents
+
+        estimates = []
+
+        def recording(n, b_bar, own):
+            value = peer_estimate(n, b_bar, own)
+            estimates.append(value)
+            return value
+
+        monkeypatch.setattr(agents, "CHUNK_TRIALS", 1_000)
+        monkeypatch.setattr(agents, "peer_estimate", recording)
+        mean, se = peer_estimate_mc(uniform_prior, 1, 200, NoiseSpec(0.1), AlwaysTruth(), 4_500, 5)
+        pooled = np.concatenate(estimates)
+        assert pooled.size == 4_500 and len(estimates) == 5
+        assert mean == pytest.approx(pooled.mean(), rel=1e-12)
+        assert se == pytest.approx((pooled.var() / 4_500) ** 0.5, rel=1e-9)
+
+    def test_constant_payments_have_zero_ci(self):
+        # Every trial gives the same value, so the variance that
+        # peer_estimate_mc folds in chunk by chunk must come out zero up to
+        # rounding, without the cancellation of E[x^2] - E[x]^2.
+        pay = 1.2196969696969697
+        moments = (0, 0.0, 0.0)
+        for size in (1_000, 7, 4_096):
+            moments = merge_moments(moments, np.full(size, pay))
+        count, mean, m2 = moments
+        assert count == 5_103
+        assert mean == pytest.approx(pay, rel=1e-15)
+        assert m2 / count <= 1e-24

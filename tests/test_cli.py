@@ -521,6 +521,23 @@ class TestImportFootprint:
         assert done.stderr.splitlines()[-1] == "[] 0 True"
 
 
+    def test_exact_audit_leaves_scipy_linalg_unloaded(self):
+        # The audit's Gauss nodes come from numpy.linalg: scipy.special's
+        # roots_jacobi would load scipy.linalg, a cost at every start.
+        script = ("import sys\n"
+                  "import peersurvey.cli\n"
+                  "from peersurvey import CostModel, PriorSpec, best_response_audit\n"
+                  "prior = PriorSpec.from_dict(dict(\n"
+                  f"    {UNIFORM_PRIOR!r}, mixing={{'kind': 'beta', 'a': 0.5, 'b': 2.0}}))\n"
+                  "report = best_response_audit(prior, 200, 0.1, 0.1, 0.12, CostModel('linear'),\n"
+                  "                             1_000, 3)\n"
+                  "print(report.overall, 'scipy.linalg' in sys.modules)\n")
+        src = str(Path(peersurvey.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout.split() == ["Pass", "False"]
+
+
 class TestClosedStdout:
     def test_closed_pipe_keeps_the_exit_code(self, tmp_path):
         # The reader is gone before the report is written: the report is
@@ -633,17 +650,25 @@ class TestAuditEquilibriumCommand:
         assert len(rows) == 7  # header + 2 bits x 3 actions
         assert {r[1] for r in rows[1:]} == {"truth", "lie", "abstain"}
 
-    def test_starved_sampling_is_inconclusive(self, tmp_path, capsys):
-        # A narrow accuracy target shrinks the truth premium below the
-        # Monte Carlo noise floor at this trial count; the audit must
-        # report uncertainty rather than guess.
+    def test_narrow_alpha_is_decided_exactly(self, tmp_path, capsys):
+        # A narrow accuracy target leaves truth a margin over beta (0.026)
+        # below the 99% CI of 1,000 Monte Carlo trials (0.038); the exact
+        # payments decide it, and the trials size only the cross-check.
         config = write_config(tmp_path, self.equilibrium_config(
             alpha=0.02, trials=1_000, seed=5, posterior_samples=50_000,
         ))
         code = dispatch(["audit-equilibrium", "--config", config])
         payload = json.loads(capsys.readouterr().out)
-        assert code == 3
-        assert payload["verdicts"]["truth_dominates"] == "Inconclusive"
+        assert code == 0
+        assert set(payload["verdicts"].values()) == {"Pass"}
+        assert payload["truth_payment_mean"] - payload["beta"] < 0.03
+        assert payload["truth_payment_ci"] == payload["lie_payment_ci"] == 0.0
+        for bit in ("0", "1"):
+            check = payload["per_bit"][bit]["cross_check"]
+            assert check["samples"] == 1_000
+            exact = payload["per_bit"][bit]["truth"]["mean_peer_estimate"]
+            assert check["z"] == pytest.approx((check["mc"] - exact) / check["se"])
+            assert abs(check["z"]) < 5.0
 
     def test_trials_floor(self, tmp_path, capsys):
         config = write_config(tmp_path, self.equilibrium_config(trials=100))

@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from peersurvey._util import derive_seed
 from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold
 from peersurvey.equilibrium import (
-    INCONCLUSIVE,
     CostRow,
     CostScalingReport,
     EquilibriumAuditReport,
-    _combine,
-    _interval_verdict,
     accuracy_experiment,
     accuracy_radius,
     best_response_audit,
@@ -98,24 +96,6 @@ class TestTotalPaymentBound:
         factor = 1.0 + 4.0 * alpha * gap / (2.0 * gap**2 - 4.0 * alpha * gap)
         closed_form = 4.0 * math.log(1.0 / delta) ** 2 * tau / (alpha**2 * n) * factor
         assert total_payment_bound(params, n) == pytest.approx(closed_form, rel=1e-12)
-
-
-class TestVerdictHelpers:
-    def test_interval_verdict_ge(self):
-        assert _interval_verdict(0.5, 0.7, 0.4, "ge") == PASS
-        assert _interval_verdict(0.1, 0.3, 0.4, "ge") == FAIL
-        assert _interval_verdict(0.3, 0.5, 0.4, "ge") == INCONCLUSIVE
-
-    def test_interval_verdict_le(self):
-        assert _interval_verdict(-0.1, 0.0, 0.0, "le") == PASS
-        assert _interval_verdict(0.1, 0.2, 0.0, "le") == FAIL
-        assert _interval_verdict(-0.1, 0.1, 0.0, "le") == INCONCLUSIVE
-
-    def test_combine(self):
-        assert _combine([PASS, PASS]) == PASS
-        assert _combine([PASS, FAIL]) == FAIL
-        assert _combine([PASS, INCONCLUSIVE]) == INCONCLUSIVE
-        assert _combine([FAIL, INCONCLUSIVE]) == FAIL
 
 
 class TestSimulateEstimates:
@@ -249,6 +229,43 @@ class TestBestResponseAudit:
         assert report.verdicts["beta_covers_cost_bound"] == FAIL
         assert report.verdicts["truth_dominates"] == FAIL
         assert report.overall == FAIL
+
+    def test_cross_check_runs_once_per_bit(self, uniform_prior, monkeypatch):
+        # Monte Carlo runs once per bit, on the truth slot (3, bit, 0), and
+        # is measured against the exact mean estimate.
+        from peersurvey import equilibrium
+
+        calls = []
+        original = equilibrium.peer_estimate_mc
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(equilibrium, "peer_estimate_mc", counted)
+        report = best_response_audit(
+            uniform_prior, n=200, alpha=0.1, delta=0.1, epsilon=epsilon_rule(0.1, 0.1, 200),
+            cost_model=CostModel("linear"), trials=5_000, seed=3,
+        )
+        assert [(args[1], args[5], args[6]) for args in calls] == [
+            (bit, 5_000, derive_seed(3, 3, bit, 0)) for bit in (0, 1)]
+        for bit in (0, 1):
+            stats = report.per_bit[str(bit)]
+            check = stats["cross_check"]
+            assert set(check) == {"mc", "se", "samples", "z"}
+            assert (check["mc"], check["se"]) == original(*calls[bit])
+            exact = stats["truth"]["mean_peer_estimate"]
+            assert stats["lie"]["mean_peer_estimate"] == exact
+            assert check["z"] == (check["mc"] - exact) / check["se"]
+            assert abs(check["z"]) < 5.0
+            assert all(stats[action]["ci_halfwidth"] == 0.0 for action in ("truth", "lie"))
+
+    def test_cross_check_trial_floor(self, uniform_prior):
+        with pytest.raises(ValueError, match="trials must be at least 1000"):
+            best_response_audit(
+                uniform_prior, n=100, alpha=0.1, delta=0.1, epsilon=0.25,
+                cost_model=CostModel("linear"), trials=999, seed=5,
+            )
 
     def test_report_serializes(self, uniform_prior):
         report = best_response_audit(

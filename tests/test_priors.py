@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betaln, roots_jacobi
 
 from peersurvey.agents import AlwaysTruth, peer_estimate_mc
 from peersurvey.priors import (
@@ -15,8 +16,11 @@ from peersurvey.priors import (
     PriorSpec,
     TruncatedLogNormal,
     Uniform,
+    _beta_nodes,
+    _binomial_mixture_pmf,
     _group_prob,
     _peer_count_pmf,
+    clamped_mean,
     cost_distribution_from_dict,
     cost_threshold,
     cost_threshold_parts,
@@ -581,6 +585,61 @@ class TestPeerCountLaw:
                     g = thetas * tau / 2.0 + (1.0 - thetas) * f0
                     expected = weights @ stats.binom.sf(need - 1, n, g)
                 assert _group_prob(prior, n, need, tau) == pytest.approx(expected, abs=1e-11)
+
+
+class TestGaussNodes:
+    """The Golub-Welsch rule for Beta mixing, built with numpy.linalg."""
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 3.0), (6.0, 0.5), (2.5, 0.7)])
+    @pytest.mark.parametrize("count", [128, 512])
+    def test_matches_scipy_roots_jacobi(self, a, b, count):
+        weights, thetas = _beta_nodes(a, b, count)
+        x, w = roots_jacobi(count, b - 1.0, a - 1.0)
+        np.testing.assert_allclose(thetas, (1.0 + x) / 2.0, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(weights, w / w.sum(), rtol=0.0, atol=1e-10)
+        assert not weights.flags.writeable and not thetas.flags.writeable
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 3.0), (6.0, 0.5), (2.0, 0.1),
+                                      (0.3, 0.7)])
+    def test_integrates_beta_moments(self, a, b):
+        # 128 nodes integrate every polynomial of degree <= 255 exactly:
+        # E[theta^i (1 - theta)^j] = B(a + i, b + j) / B(a, b).
+        weights, thetas = _beta_nodes(a, b, 128)
+        for i, j in [(0, 0), (1, 0), (0, 1), (3, 9), (128, 127), (255, 0), (0, 255), (40, 200)]:
+            exact = math.exp(betaln(a + i, b + j) - betaln(a, b))
+            assert weights @ (thetas**i * (1.0 - thetas) ** j) == pytest.approx(
+                exact, rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.5, 3.0), (6.0, 0.5)])
+    @pytest.mark.parametrize("m", [49, 255])
+    def test_exact_for_the_beta_binomial(self, a, b, m):
+        # At g(theta) = theta the mixture is the beta-binomial.
+        pmf = _binomial_mixture_pmf(*_beta_nodes(a, b, 128), m)
+        closed = stats.betabinom.pmf(np.arange(m + 1), m, a, b)
+        np.testing.assert_allclose(pmf, closed, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (0.3, 0.7)])
+    def test_package_rule_is_exact_at_255_peers(self, a, b, bit, monkeypatch):
+        # Up to m = 255 peers the package's node count integrates the
+        # binomial mixture exactly, so four times as many nodes agree.
+        from peersurvey import priors
+
+        prior = _prior({"kind": "beta", "a": a, "b": b})
+        exact = clamped_mean(prior, bit, 256, 0.5, (0.0, 0.9))
+        monkeypatch.setattr(priors, "QUADRATURE_NODES", 4 * priors.QUADRATURE_NODES)
+        assert exact == pytest.approx(clamped_mean(prior, bit, 256, 0.5, (0.0, 0.9)),
+                                      rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 3.0), (6.0, 0.5)])
+    def test_converged_far_past_exactness(self, a, b):
+        # At m = 49,999 the clamped mean's integrand has degree far above
+        # 255, but it is smooth in theta: 128 and 512 nodes agree.
+        m = 49_999
+        clipped = _clipped_means(m, 0.5)
+        means = [_binomial_mixture_pmf(weights, 0.15 + 0.65 * thetas, m) @ clipped
+                 for weights, thetas in (_beta_nodes(a, b, count) for count in (128, 512))]
+        assert means[0] == pytest.approx(means[1], rel=0.0, abs=1e-10)
 
 
 def _equal_cost_prior(cost_spec):

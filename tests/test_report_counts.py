@@ -160,6 +160,6 @@ class TestBoundedMemory:
         )
         peak = _traced_peak(lambda: expected_utility(
             AgentType(bit=1, cost=0.2), TRUTH, Threshold(0.5), uniform_prior,
-            config, CostModel("linear"), 1_000, seed=2,
+            config, CostModel("linear"),
         ))
         assert peak < self.LIMIT
