@@ -307,34 +307,31 @@ class UtilityEstimate:
     payment_ci_halfwidth: float
     privacy_cost: float
     utility_lower_bound: float
-    mean_peer_estimate: float = float("nan")
+    mean_peer_estimate: float
 
 
-def expected_utility(agent, action, others, prior, config, cost_model):
+def expected_utility(agent, action, others, prior, config, cost_model, mean_peer_estimate=None):
     """One agent's exact expected payment and worst-case utility.
 
     The payment is affine in the leave-one-out estimate, and that estimate
     does not depend on the agent's report, so the expected payment is the
     payment at the exact mean estimate `peer_estimate_mean` of the other
     n - 1 agents playing `others` (a StrategyProfile or a single strategy).
-    Memory does not grow beyond O(n).  Abstaining earns exactly zero
-    payment.  utility_lower_bound subtracts the privacy-cost bound from the
-    mean payment.
+    A caller that weighs several actions of one agent computes that mean
+    once and passes it as `mean_peer_estimate`.  Memory does not grow beyond
+    O(n).  Abstaining earns exactly zero payment.  utility_lower_bound
+    subtracts the privacy-cost bound from the mean payment.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
     pc = privacy_cost_bound(cost_model, agent.cost, config.epsilon)
-    if action == ABSTAIN:
-        return UtilityEstimate(
-            mean_payment=0.0,
-            payment_ci_halfwidth=0.0,
-            privacy_cost=pc,
-            utility_lower_bound=-pc,
-        )
-
-    target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
-    mean = peer_estimate_mean(prior, agent.bit, config.n, config.noise, others)
-    pay = scaled_score(config.scoring, mean, target)
+    mean = mean_peer_estimate
+    if mean is None:
+        mean = peer_estimate_mean(prior, agent.bit, config.n, config.noise, others)
+    pay = 0.0
+    if action != ABSTAIN:
+        target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
+        pay = scaled_score(config.scoring, mean, target)
     return UtilityEstimate(
         mean_payment=pay,
         payment_ci_halfwidth=0.0,

@@ -10,7 +10,6 @@ internal error (a bug; the traceback goes to stderr).
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -417,18 +416,35 @@ KEYS = frozenset(name for name, rule in vars(Resolver).items()
                  if isinstance(rule, cached_property) and not name.startswith("_"))
 
 
-def _cells(values):
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
+def _text(value, alone):
+    """One cell as the per-row csv.writer wrote it: a float with '%.17g',
+    anything else with str(), quoted (QUOTE_MINIMAL) when it holds a comma,
+    a quote or a line break, or when it is empty and the only field of its
+    row."""
+    text = "%.17g" % value if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return '""' if alone and not text else text
+
+
+def _column(values, alone):
+    """A column's cell format and its cells: '%.17g' for a float array,
+    '%d' for an integer array, '%s' for anything else, rendered by `_text`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return ("%.17g" if values.dtype.kind == "f" else "%d"), values
+    cells = [_text(value, alone) for value in np.asarray(values, dtype=object).tolist()]
+    return "%s", np.array(cells, dtype=object)
 
 
 def write_csv(path, columns):
     """Write equal-length named columns as CSV rows; nothing when path is None.
 
-    Floats keep 17 significant digits ('%.17g'), so they round-trip exactly;
-    every other value is written with str().  Rows are formatted a block at
-    a time, so memory does not grow with the row count.
+    The bytes are what csv.writer writes for the cells of the per-row
+    writer: floats keep 17 significant digits ('%.17g'), so they round-trip
+    exactly, integers are plain, every other value is written with str()
+    and quoted only where CSV requires it, and rows end in '\r\n'.  Each row
+    is one %-format, built once from the columns' dtypes; rows are
+    formatted a block at a time, so memory does not grow with the row count.
     """
     if path is None:
         return
@@ -436,13 +452,14 @@ def write_csv(path, columns):
         fh = open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError("out", f"cannot write '{path}': {exc}") from exc
-    rows = len(next(iter(columns.values())))
+    alone = len(columns) == 1
+    formats, cells = zip(*(_column(values, alone) for values in columns.values()))
+    line = ",".join(formats) + "\r\n"
     with fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for lo in range(0, rows, _CSV_BLOCK_ROWS):
-            block = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns.values()]
-            writer.writerows(zip(*block))
+        fh.write(",".join(_text(name, alone) for name in columns) + "\r\n")
+        for lo in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
+            block = [column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in cells]
+            fh.write("".join([line % row for row in zip(*block)]))
 
 
 def _emit(r, body, columns=None, **used):

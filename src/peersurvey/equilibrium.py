@@ -27,6 +27,7 @@ from .agents import (
     Threshold,
     expected_utility,
     peer_estimate_mc,
+    peer_estimate_mean,
     privacy_cost_bound,
     sample_rounds,
 )
@@ -254,7 +255,9 @@ def best_response_audit(
     below tau tries truth, lie and abstain for both possible bit values.
     `derive(n, epsilon)` gives (tau, p0, p1); by default `exact_parameters`
     derives them.  Payments and verdicts are exact (`expected_utility`), so
-    the CI half-widths are 0.  For each bit, `trials` Monte Carlo rounds of
+    the CI half-widths are 0.  The exact mean estimate (`peer_estimate_mean`)
+    is computed once per bit, serves every action and is printed in each
+    action's row.  For each bit, `trials` Monte Carlo rounds of
     the probe's leave-one-out estimate (`peer_estimate_mc`, on seed slot
     (3, bit, 0)) cross-check the exact mean estimate: per_bit[bit] holds
     {mc, se, samples, z} under "cross_check", z being (mc - exact) / se.
@@ -284,9 +287,10 @@ def best_response_audit(
     per_bit = {"0": {}, "1": {}}
     for bit in (0, 1):
         agent = AgentType(bit=bit, cost=probe_cost)
+        mean = peer_estimate_mean(prior, bit, n, config.noise, others)
         for action in ACTIONS:
             e = est[action][bit] = expected_utility(agent, action, others, prior, config,
-                                                    cost_model)
+                                                    cost_model, mean)
             per_bit[str(bit)][action] = {
                 "mean_payment": e.mean_payment,
                 "ci_halfwidth": e.payment_ci_halfwidth,
@@ -296,7 +300,7 @@ def best_response_audit(
         mc, se = sampled[bit]
         per_bit[str(bit)]["cross_check"] = {
             "mc": mc, "se": se, "samples": trials,
-            "z": (mc - est[TRUTH][bit].mean_peer_estimate) / se,
+            "z": (mc - mean) / se,
         }
 
     worst_truth = min(est[TRUTH].values(), key=lambda e: e.mean_payment)

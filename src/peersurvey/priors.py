@@ -36,6 +36,11 @@ QUADRATURE_NODES = 128
 # Cells in one block of binomial pmf rows; rows are folded a block at a
 # time, so memory stays O(m) for any node count.
 PMF_BLOCK_CELLS = 1 << 18
+# Terms in one BLAS dot of an exact mean.  OpenBLAS splits a dot of more
+# than 10,000 terms across threads, and its rounding then depends on their
+# count; a shorter dot runs in one thread, so summing block dots keeps
+# outputs the same at any thread count.
+DOT_BLOCK = 1 << 13
 
 
 class CostSearchError(ValueError):
@@ -374,7 +379,10 @@ def clamped_mean(prior, bit, n, scale, g=(0.0, 1.0)):
     sums = np.arange(m + 1, dtype=np.float64)
     if scale > 0.0:
         sums += 0.5 * scale * (np.expm1(-sums / scale) - np.expm1(-(m - sums) / scale))
-    return float(_peer_count_pmf(prior, bit, m, g) @ sums / m)
+    pmf = _peer_count_pmf(prior, bit, m, g)
+    total = sum(float(pmf[lo:lo + DOT_BLOCK] @ sums[lo:lo + DOT_BLOCK])
+                for lo in range(0, m + 1, DOT_BLOCK))
+    return total / m
 
 
 def posterior_clamped_mean(prior, bit, n, epsilon):

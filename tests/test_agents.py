@@ -221,6 +221,16 @@ class TestExpectedUtility:
         )
         assert est.utility_lower_bound == -est.privacy_cost
         assert est.utility_lower_bound <= 0.0
+        assert est.mean_peer_estimate == config.p1
+
+    def test_given_mean_estimate_is_used(self, uniform_prior):
+        # A caller weighing several actions passes the exact mean once; the
+        # result is the one expected_utility computes itself.
+        config, _ = truthful_config(uniform_prior)
+        args = (AgentType(bit=0, cost=0.1), LIE, AlwaysTruth(), uniform_prior, config,
+                CostModel("linear"))
+        assert expected_utility(*args, config.p0) == expected_utility(*args)
+        assert expected_utility(*args, 0.5).mean_peer_estimate == 0.5
 
     def test_truth_beats_subsidy_lie_earns_nothing(self, uniform_prior):
         # Against truthful peers, an honest report earns at least the

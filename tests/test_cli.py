@@ -377,6 +377,46 @@ def test_column_writer_matches_per_row_reference(tmp_path):
     assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "long_reference.csv").read_bytes()
 
 
+def reference_bytes(tmp_path, columns):
+    """The bytes the per-row reference writer gives for `columns`."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    path = tmp_path / "reference.csv"
+    write_rows_fmt17(path, tuple(columns), list(zip(*cells)))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("columns, expected", [
+    ({"trial": np.arange(0), "x": np.zeros(0)}, b"trial,x\r\n"),
+    ({'say "x"': [1.5, 2.0], "a,b": np.array([1, 2])},
+     b'"say ""x""","a,b"\r\n1.5,1\r\n2,2\r\n'),
+    ({"s": ["", "x", ""]}, b's\r\n""\r\nx\r\n""\r\n'),
+    ({"": np.array(["", "a,b"])}, b'""\r\n""\r\n"a,b"\r\n'),
+    ({"s": ["", ""], "t": ["", "y"]}, b"s,t\r\n,\r\n,y\r\n"),
+], ids=["zero_rows", "quoted_header", "lone_empty_cell", "lone_empty_header", "two_empty_cells"])
+def test_column_writer_edge_cases(tmp_path, columns, expected):
+    # csv.writer quotes an empty field only when it is alone in its row.
+    write_csv(str(tmp_path / "out.csv"), columns)
+    assert (tmp_path / "out.csv").read_bytes() == reference_bytes(tmp_path, columns) == expected
+
+
+@pytest.mark.parametrize("command", ["run", "accuracy", "cost-scaling", "audit-dp",
+                                     "audit-equilibrium"])
+def test_every_command_csv_matches_per_row_reference(tmp_path, capsys, monkeypatch, command):
+    captured = []
+
+    def spy(path, columns):
+        captured.append(columns)
+        write_csv(path, columns)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    out = tmp_path / "out.csv"
+    config = write_config(tmp_path, BASE_CONFIGS[command])
+    assert dispatch([command, "--config", config, "--out", str(out)]) in EXIT_BY_VERDICT.values()
+    capsys.readouterr()
+    [columns] = captured
+    assert out.read_bytes() == reference_bytes(tmp_path, columns)
+
+
 class TestRunCommand:
     def test_happy_path(self, tmp_path, capsys):
         out = tmp_path / "records.csv"
@@ -670,6 +710,21 @@ class TestAuditEquilibriumCommand:
             assert check["z"] == pytest.approx((check["mc"] - exact) / check["se"])
             assert abs(check["z"]) < 5.0
 
+    def test_stdout_is_strict_json(self, tmp_path, capsys):
+        # No NaN or Infinity, which RFC 8259 parsers such as jq reject: every
+        # action row, abstain too, carries its bit's exact mean estimate.
+        config = write_config(tmp_path, BASE_CONFIGS["audit-equilibrium"])
+        assert dispatch(["audit-equilibrium", "--config", config]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for bit in ("0", "1"):
+            rows = payload["per_bit"][bit]
+            assert (rows["abstain"]["mean_peer_estimate"] == rows["truth"]["mean_peer_estimate"]
+                    == rows["lie"]["mean_peer_estimate"])
+
     def test_trials_floor(self, tmp_path, capsys):
         config = write_config(tmp_path, self.equilibrium_config(trials=100))
         assert dispatch(["audit-equilibrium", "--config", config]) == 1
@@ -750,6 +805,25 @@ class TestCostScalingCommand:
         assert payload["verdict"] == "Fail"
         assert payload["slope"] is None
         assert len(read_csv(out)) == 41
+
+    def test_stdout_independent_of_blas_threads(self, tmp_path):
+        # At n = 20,001 the exact p0/p1 sums 20,001 terms, past the size at
+        # which OpenBLAS splits one dot across threads.
+        config = write_config(tmp_path, {
+            "prior": dict(UNIFORM_PRIOR, mixing={"kind": "atoms",
+                                                 "atoms": [[0.5, 0.2], [0.5, 0.8]]}),
+            "alpha": 0.1, "delta": 0.1, "ns": [500, 20_001], "trials": 5, "seed": 2,
+        })
+        src = str(Path(peersurvey.__file__).resolve().parents[1])
+        stdouts = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-m", "peersurvey.cli", "cost-scaling", "--config", config],
+                capture_output=True, env=env, check=True)
+            stdouts.append(done.stdout)
+        assert stdouts[0] == stdouts[1]
 
     def test_single_size_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -260,6 +260,30 @@ class TestBestResponseAudit:
             assert abs(check["z"]) < 5.0
             assert all(stats[action]["ci_halfwidth"] == 0.0 for action in ("truth", "lie"))
 
+    def test_exact_mean_computed_once_per_bit(self, uniform_prior, monkeypatch):
+        # The mean estimate does not depend on the probe's action: one exact
+        # law per bit serves truth, lie and abstain, and each row prints it.
+        from peersurvey import agents, equilibrium
+
+        calls = []
+        original = agents.peer_estimate_mean
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(agents, "peer_estimate_mean", counted)
+        monkeypatch.setattr(equilibrium, "peer_estimate_mean", counted)
+        report = best_response_audit(
+            uniform_prior, n=200, alpha=0.1, delta=0.1, epsilon=epsilon_rule(0.1, 0.1, 200),
+            cost_model=CostModel("linear"), trials=1_000, seed=3,
+        )
+        assert calls == [0, 1]
+        for bit in (0, 1):
+            stats = report.per_bit[str(bit)]
+            means = {stats[action]["mean_peer_estimate"] for action in ("truth", "lie", "abstain")}
+            assert len(means) == 1 and math.isfinite(means.pop())
+
     def test_cross_check_trial_floor(self, uniform_prior):
         with pytest.raises(ValueError, match="trials must be at least 1000"):
             best_response_audit(
