@@ -310,32 +310,27 @@ class UtilityEstimate:
     mean_peer_estimate: float
 
 
-def expected_utility(agent, action, others, prior, config, cost_model, mean_peer_estimate=None):
+def expected_utility(agent, action, mean_peer_estimate, config, cost_model):
     """One agent's exact expected payment and worst-case utility.
 
     The payment is affine in the leave-one-out estimate, and that estimate
     does not depend on the agent's report, so the expected payment is the
-    payment at the exact mean estimate `peer_estimate_mean` of the other
-    n - 1 agents playing `others` (a StrategyProfile or a single strategy).
-    A caller that weighs several actions of one agent computes that mean
-    once and passes it as `mean_peer_estimate`.  Memory does not grow beyond
-    O(n).  Abstaining earns exactly zero payment.  utility_lower_bound
-    subtracts the privacy-cost bound from the mean payment.
+    payment at `mean_peer_estimate`, the exact mean estimate of the other
+    n - 1 agents (`peer_estimate_mean`).  Abstaining earns exactly zero
+    payment.  utility_lower_bound subtracts the privacy-cost bound from the
+    mean payment.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
     pc = privacy_cost_bound(cost_model, agent.cost, config.epsilon)
-    mean = mean_peer_estimate
-    if mean is None:
-        mean = peer_estimate_mean(prior, agent.bit, config.n, config.noise, others)
     pay = 0.0
     if action != ABSTAIN:
         target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
-        pay = scaled_score(config.scoring, mean, target)
+        pay = scaled_score(config.scoring, mean_peer_estimate, target)
     return UtilityEstimate(
         mean_payment=pay,
         payment_ci_halfwidth=0.0,
         privacy_cost=pc,
         utility_lower_bound=pay - pc,
-        mean_peer_estimate=mean,
+        mean_peer_estimate=mean_peer_estimate,
     )

@@ -289,8 +289,7 @@ def best_response_audit(
         agent = AgentType(bit=bit, cost=probe_cost)
         mean = peer_estimate_mean(prior, bit, n, config.noise, others)
         for action in ACTIONS:
-            e = est[action][bit] = expected_utility(agent, action, others, prior, config,
-                                                    cost_model, mean)
+            e = est[action][bit] = expected_utility(agent, action, mean, config, cost_model)
             per_bit[str(bit)][action] = {
                 "mean_payment": e.mean_payment,
                 "ci_halfwidth": e.payment_ci_halfwidth,

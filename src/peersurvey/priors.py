@@ -36,10 +36,13 @@ QUADRATURE_NODES = 128
 # Cells in one block of binomial pmf rows; rows are folded a block at a
 # time, so memory stays O(m) for any node count.
 PMF_BLOCK_CELLS = 1 << 18
-# Terms in one BLAS dot of an exact mean.  OpenBLAS splits a dot of more
-# than 10,000 terms across threads, and its rounding then depends on their
-# count; a shorter dot runs in one thread, so summing block dots keeps
-# outputs the same at any thread count.
+# Terms in one BLAS dot of an exact mean.  The OpenBLAS that numpy wheels
+# bundle (scipy-openblas, 0.3.31 on x86-64) splits a ddot of more than
+# 10,000 terms across threads (the `n <= 10000` test in
+# kernel/x86_64/ddot.c), and its rounding then depends on their count; a
+# shorter dot runs in one thread, so summing block dots keeps outputs the
+# same at any thread count under that BLAS.  Another BLAS (MKL,
+# Accelerate, another OpenBLAS kernel) may split shorter dots.
 DOT_BLOCK = 1 << 13
 
 

@@ -208,12 +208,18 @@ def truthful_config(prior, n=200, alpha=0.1, delta=0.1):
     return MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1), tau
 
 
+def utility(agent, action, others, prior, config, model):
+    """expected_utility at the exact mean estimate of peers playing `others`."""
+    mean = peer_estimate_mean(prior, agent.bit, config.n, config.noise, others)
+    return expected_utility(agent, action, mean, config, model)
+
+
 class TestExpectedUtility:
     def test_abstain_is_exact(self, uniform_prior):
         config, tau = truthful_config(uniform_prior)
         model = CostModel("linear")
         agent = AgentType(bit=1, cost=0.4)
-        est = expected_utility(agent, ABSTAIN, AlwaysTruth(), uniform_prior, config, model)
+        est = utility(agent, ABSTAIN, AlwaysTruth(), uniform_prior, config, model)
         assert est.mean_payment == 0.0
         assert est.payment_ci_halfwidth == 0.0
         assert est.privacy_cost == pytest.approx(
@@ -224,13 +230,16 @@ class TestExpectedUtility:
         assert est.mean_peer_estimate == config.p1
 
     def test_given_mean_estimate_is_used(self, uniform_prior):
-        # A caller weighing several actions passes the exact mean once; the
-        # result is the one expected_utility computes itself.
+        # The payment is the score at the given mean, against the posterior
+        # of the reported bit; the mean is reported back unchanged.
         config, _ = truthful_config(uniform_prior)
-        args = (AgentType(bit=0, cost=0.1), LIE, AlwaysTruth(), uniform_prior, config,
-                CostModel("linear"))
-        assert expected_utility(*args, config.p0) == expected_utility(*args)
-        assert expected_utility(*args, 0.5).mean_peer_estimate == 0.5
+        agent, model = AgentType(bit=0, cost=0.1), CostModel("linear")
+        lie = expected_utility(agent, LIE, 0.5, config, model)
+        assert lie.mean_peer_estimate == 0.5
+        assert lie.mean_payment == scaled_score(config.scoring, 0.5, config.p1)
+        truth = expected_utility(agent, TRUTH, 0.5, config, model)
+        assert truth.mean_payment == scaled_score(config.scoring, 0.5, config.p0)
+        assert expected_utility(agent, ABSTAIN, 0.5, config, model).mean_peer_estimate == 0.5
 
     def test_truth_beats_subsidy_lie_earns_nothing(self, uniform_prior):
         # Against truthful peers, an honest report earns at least the
@@ -239,8 +248,8 @@ class TestExpectedUtility:
         model = CostModel("linear")
         for bit in (0, 1):
             agent = AgentType(bit=bit, cost=tau)
-            truth = expected_utility(agent, TRUTH, AlwaysTruth(), uniform_prior, config, model)
-            lie = expected_utility(agent, LIE, AlwaysTruth(), uniform_prior, config, model)
+            truth = utility(agent, TRUTH, AlwaysTruth(), uniform_prior, config, model)
+            lie = utility(agent, LIE, AlwaysTruth(), uniform_prior, config, model)
             assert truth.payment_ci_halfwidth == lie.payment_ci_halfwidth == 0.0
             assert truth.mean_payment >= config.beta
             assert lie.mean_payment <= 0.0
@@ -249,7 +258,7 @@ class TestExpectedUtility:
         # Under truthful peers the mean leave-one-out estimate is p1 itself:
         # the same closed form, to the bit.
         config, _ = truthful_config(uniform_prior)
-        est = expected_utility(
+        est = utility(
             AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
             config, CostModel("linear"),
         )
@@ -259,18 +268,16 @@ class TestExpectedUtility:
     def test_validation(self, uniform_prior):
         config, _ = truthful_config(uniform_prior)
         with pytest.raises(ValueError, match="action"):
-            expected_utility(
-                AgentType(bit=1, cost=0.1), "hedge", AlwaysTruth(), uniform_prior, config,
-                CostModel("linear"),
-            )
+            expected_utility(AgentType(bit=1, cost=0.1), "hedge", config.p1, config,
+                             CostModel("linear"))
 
     def test_bit_symmetry_for_symmetric_prior(self, uniform_prior):
         # Beta(1,1) with equal cost laws treats the two bits the same, so
         # the two truthful payments agree up to rounding.
         config, _ = truthful_config(uniform_prior)
         args = (uniform_prior, config, CostModel("linear"))
-        one = expected_utility(AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), *args)
-        zero = expected_utility(AgentType(bit=0, cost=0.0), TRUTH, AlwaysTruth(), *args)
+        one = utility(AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), *args)
+        zero = utility(AgentType(bit=0, cost=0.0), TRUTH, AlwaysTruth(), *args)
         assert one.mean_payment == pytest.approx(zero.mean_payment, rel=1e-12)
 
     @pytest.mark.parametrize("off", OFF_BEHAVIORS)
@@ -298,7 +305,7 @@ class TestExpectedUtility:
         own = bit if action == TRUTH else 1 - bit
         exact = scaled_score(config.scoring, mean_estimate, p1 if own == 1 else p0)
 
-        est = expected_utility(
+        est = utility(
             AgentType(bit=bit, cost=0.0), action, Threshold(tau, off), atom_prior,
             config, CostModel("linear"),
         )

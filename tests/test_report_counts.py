@@ -25,6 +25,7 @@ from peersurvey.agents import (
     StrategyProfile,
     Threshold,
     expected_utility,
+    peer_estimate_mean,
     sample_report_counts,
 )
 from peersurvey.equilibrium import simulate_estimates
@@ -159,7 +160,8 @@ class TestBoundedMemory:
             n=self.N, alpha=0.1, beta=0.5, epsilon=0.01, p0=1.0 / 3.0, p1=2.0 / 3.0
         )
         peak = _traced_peak(lambda: expected_utility(
-            AgentType(bit=1, cost=0.2), TRUTH, Threshold(0.5), uniform_prior,
+            AgentType(bit=1, cost=0.2), TRUTH,
+            peer_estimate_mean(uniform_prior, 1, self.N, config.noise, Threshold(0.5)),
             config, CostModel("linear"),
         ))
         assert peak < self.LIMIT
