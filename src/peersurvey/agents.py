@@ -163,22 +163,18 @@ def strategy_arrays(strategy, bits, costs):
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Symmetric play: every agent uses the one shared strategy."""
+    """Symmetric play: every agent uses the one shared strategy.
+
+    Every caller in the package passes the strategy itself.  The wrapper
+    stays only because `bench/test_bench.py` passes one to
+    `simulate_survey`, and `sample_rounds` unwraps it.
+    """
 
     shared: object
 
     @classmethod
     def symmetric(cls, strategy):
         return cls(shared=strategy)
-
-    def report_arrays(self, bits, costs):
-        """Contributions and participation for a (trials, n) type matrix.
-
-        The dense reference for `sample_report_counts`; tests use it as an
-        oracle.
-        """
-        return strategy_arrays(self.shared, np.atleast_2d(np.asarray(bits)),
-                               np.atleast_2d(np.asarray(costs)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +199,8 @@ def _cell_reports(strategy, prior):
     return cheap, *strategy_arrays(strategy, _CELL_BITS, np.array([tau, np.inf, tau, np.inf]))
 
 
-def sample_report_counts(profile, prior, n, theta, rng):
-    """Per-trial report counts of n agents drawn i.i.d. given theta.
+def sample_report_counts(strategy, prior, n, theta, rng):
+    """Per-trial report counts of n agents playing `strategy`, drawn i.i.d. given theta.
 
     Each trial's reports depend on the agents only through how many fall in
     each type cell (bit, cost <= tau or > tau), so no per-agent arrays are
@@ -219,7 +215,7 @@ def sample_report_counts(profile, prior, n, theta, rng):
     agents whose contribution differs from their bit.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    (f0, f1), values, mask = _cell_reports(profile.shared, prior)
+    (f0, f1), values, mask = _cell_reports(strategy, prior)
     b = rng.binomial(n, theta)
     cheap1 = rng.binomial(b, f1)
     cheap0 = rng.binomial(n - b, f0)
@@ -228,9 +224,9 @@ def sample_report_counts(profile, prior, n, theta, rng):
             cells @ (values != _CELL_BITS).astype(np.int64))
 
 
-def sample_rounds(prior, n, noise, profile, trials, seed, bit=None):
-    """Simulated rounds of n agents playing `profile` (a StrategyProfile or
-    a single strategy): the one place that fixes a round's draw order.
+def sample_rounds(prior, n, noise, strategy, trials, seed, bit=None):
+    """Simulated rounds of n agents playing `strategy`: the one place that
+    fixes a round's draw order.
 
     Chunk k draws from `subseed_rng(seed, k)`: theta from the prior (given
     an outside agent's `bit` when one is set), the n agents' report counts
@@ -239,11 +235,11 @@ def sample_rounds(prior, n, noise, profile, trials, seed, bit=None):
     per chunk, and drops its own references to a chunk before drawing the
     next, so a consumer that keeps nothing holds one chunk at a time.
     """
-    if not isinstance(profile, StrategyProfile):
-        profile = StrategyProfile.symmetric(profile)
+    if isinstance(strategy, StrategyProfile):
+        strategy = strategy.shared
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
-        counts = sample_report_counts(profile, prior, n,
+        counts = sample_report_counts(strategy, prior, n,
                                       np.atleast_1d(prior.theta_sample(rng, size, bit)), rng)
         yield counts, counts[1] + noise_draw(noise, rng, size)
         del counts
@@ -283,8 +279,7 @@ def peer_estimate_mean(prior, bit, n, noise, others):
     binomial mixture over theta given `bit`, which `priors.clamped_mean`
     sums exactly.
     """
-    strategy = others.shared if isinstance(others, StrategyProfile) else others
-    (f0, f1), values, _ = _cell_reports(strategy, prior)
+    (f0, f1), values, _ = _cell_reports(others, prior)
     cheap0, dear0, cheap1, dear1 = values.astype(np.float64)
     # Written so that a report that ignores cost gives g_b of exactly 0 or 1.
     g = (dear0 + f0 * (cheap0 - dear0), dear1 + f1 * (cheap1 - dear1))
@@ -296,20 +291,6 @@ def peer_estimate_mean(prior, bit, n, noise, others):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UtilityEstimate:
-    """Exact expected payment and the privacy-cost lower bound on utility.
-
-    payment_ci_halfwidth is 0: the payment is computed, not sampled.
-    """
-
-    mean_payment: float
-    payment_ci_halfwidth: float
-    privacy_cost: float
-    utility_lower_bound: float
-    mean_peer_estimate: float
-
-
 def expected_utility(agent, action, mean_peer_estimate, config, cost_model):
     """One agent's exact expected payment and worst-case utility.
 
@@ -318,7 +299,7 @@ def expected_utility(agent, action, mean_peer_estimate, config, cost_model):
     payment at `mean_peer_estimate`, the exact mean estimate of the other
     n - 1 agents (`peer_estimate_mean`).  Abstaining earns exactly zero
     payment.  utility_lower_bound subtracts the privacy-cost bound from the
-    mean payment.
+    mean payment.  Returns {"mean_payment", "utility_lower_bound"}.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
@@ -327,10 +308,4 @@ def expected_utility(agent, action, mean_peer_estimate, config, cost_model):
     if action != ABSTAIN:
         target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
         pay = scaled_score(config.scoring, mean_peer_estimate, target)
-    return UtilityEstimate(
-        mean_payment=pay,
-        payment_ci_halfwidth=0.0,
-        privacy_cost=pc,
-        utility_lower_bound=pay - pc,
-        mean_peer_estimate=mean_peer_estimate,
-    )
+    return {"mean_payment": pay, "utility_lower_bound": pay - pc}

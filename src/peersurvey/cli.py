@@ -27,7 +27,6 @@ from .agents import (
     OFF_BEHAVIORS,
     AlwaysTruth,
     CostModel,
-    StrategyProfile,
     peer_estimate_mc,
     strategy_from_dict,
 )
@@ -501,8 +500,8 @@ def _emit(r, body, columns=None, **used):
 
 
 def _cmd_run(r):
-    profile = StrategyProfile.symmetric(r.strategy)
-    recs = simulate_survey(r.prior, r._mechanism, profile, r.trials, derive_seed(r.seed, 2000))
+    strategy = r.strategy  # resolved first, so tau's cross-check comes before p0's
+    recs = simulate_survey(r.prior, r._mechanism, strategy, r.trials, derive_seed(r.seed, 2000))
     base = recs.base
     _emit(r, {
         "trials": r.trials,
@@ -583,7 +582,7 @@ def _cmd_audit_equilibrium(r):
         off=r.off,
         derive=r.driver_parameters,
     )
-    keys = ("mean_payment", "ci_halfwidth", "utility_lower_bound")
+    keys = ("mean_payment", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[action][key] for key in keys))
             for bit, stats in report.per_bit.items() for action in ACTIONS]
     _emit(r, report.to_dict(), dict(zip(("bit", "action") + keys, zip(*rows))),
@@ -593,9 +592,8 @@ def _cmd_audit_equilibrium(r):
 
 def _cmd_accuracy(r):
     report = accuracy_experiment(
-        r.prior, r.n, r.alpha, r.delta, r.epsilon, StrategyProfile.symmetric(r.strategy),
-        r.trials, derive_seed(r.seed, 2000),
-        alpha_prime=r.alpha_prime,
+        r.prior, r.n, r.alpha, r.delta, r.epsilon, r.strategy, r.trials,
+        derive_seed(r.seed, 2000), alpha_prime=r.alpha_prime,
     )
     records = report.records
     _emit(r, report.to_dict(), {

@@ -19,11 +19,8 @@ from ._util import check_seed, derive_seed, report_dict
 from .agents import (
     ABSTAIN,
     ACTIONS,
-    LIE,
-    TRUTH,
     AgentType,
     CostModel,
-    StrategyProfile,
     Threshold,
     expected_utility,
     peer_estimate_mc,
@@ -141,9 +138,9 @@ class PaymentRecords:
     max_payment: np.ndarray
 
 
-def simulate_estimates(prior, n, noise, profile, trials, seed):
+def simulate_estimates(prior, n, noise, strategy, trials, seed):
     """TrialRecords of the rounds `agents.sample_rounds` draws: surveys of n
-    agents under a strategy profile and their noisy estimates.  No
+    agents playing `strategy` and their noisy estimates.  No
     per-agent arrays are built, so memory is O(trials) for any n."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -153,15 +150,13 @@ def simulate_estimates(prior, n, noise, profile, trials, seed):
     chunks = [(bit_ones / n, published_estimate(n, b_bar), b_bar, ones, participants - ones,
                participants, mismatches)
               for (bit_ones, ones, participants, mismatches), b_bar
-              in sample_rounds(prior, n, noise, profile, trials, check_seed(seed))]
+              in sample_rounds(prior, n, noise, strategy, trials, check_seed(seed))]
     return TrialRecords(*map(np.concatenate, zip(*chunks)))
 
 
-def simulate_survey(prior, config, profile, trials, seed):
+def simulate_survey(prior, config, strategy, trials, seed):
     """simulate_estimates plus payments under the mechanism's payment rule."""
-    records = simulate_estimates(
-        prior, config.n, config.noise, profile, trials, seed
-    )
+    records = simulate_estimates(prior, config.n, config.noise, strategy, trials, seed)
     pay_one, pay_zero = payment_pair(config, records.b_bar)
     pm_one = peer_estimate(config.n, records.b_bar, 1.0)
     pm_zero = peer_estimate(config.n, records.b_bar, 0.0)
@@ -199,7 +194,11 @@ def simulate_survey(prior, config, profile, trials, seed):
 
 @dataclass(frozen=True)
 class EquilibriumAuditReport:
-    """Worst-case (over the probe's bit value) best-response audit results."""
+    """Worst-case (over the probe's bit value) best-response audit results.
+
+    The payments are exact, so the CI half-widths `truth_payment_ci` and
+    `lie_payment_ci` are 0: class attributes, outside `to_dict`.
+    """
 
     beta: float
     tau: float
@@ -209,13 +208,13 @@ class EquilibriumAuditReport:
     probe_cost: float
     trials: int
     truth_payment_mean: float
-    truth_payment_ci: float
     lie_payment_mean: float
-    lie_payment_ci: float
     abstain_utility_bound: float
     verdicts: dict
     per_bit: dict = field(default_factory=dict, repr=False)
     detail: dict = field(default_factory=dict, repr=False)
+
+    truth_payment_ci = lie_payment_ci = 0.0
 
     def __post_init__(self):
         required = {"truth_ge_beta", "lie_le_zero", "beta_covers_cost_bound",
@@ -254,16 +253,16 @@ def best_response_audit(
     Everyone else plays the threshold strategy; a probe agent with cost just
     below tau tries truth, lie and abstain for both possible bit values.
     `derive(n, epsilon)` gives (tau, p0, p1); by default `exact_parameters`
-    derives them.  Payments and verdicts are exact (`expected_utility`), so
-    the CI half-widths are 0.  The exact mean estimate (`peer_estimate_mean`)
-    is computed once per bit, serves every action and is printed in each
-    action's row.  For each bit, `trials` Monte Carlo rounds of
-    the probe's leave-one-out estimate (`peer_estimate_mc`, on seed slot
-    (3, bit, 0)) cross-check the exact mean estimate: per_bit[bit] holds
-    {mc, se, samples, z} under "cross_check", z being (mc - exact) / se.
-    The report carries the worst case over bits.  beta_override exists to
-    study misconfigured premia; when used, the beta_covers_cost_bound
-    diagnostic flags premia below the privacy-cost bound at tau.
+    derives them.  Payments and verdicts are exact: per_bit[bit] holds the
+    bit's exact mean estimate (`peer_estimate_mean`) under
+    "mean_peer_estimate", each action's `expected_utility` at that mean under
+    the action's name, and under "cross_check" {mc, se, samples, z}: `trials`
+    Monte Carlo rounds of the probe's leave-one-out estimate
+    (`peer_estimate_mc`, on seed slot (3, bit, 0)), z being
+    (mc - exact) / se.  The report carries the worst case over bits.
+    beta_override exists to study misconfigured premia; when used, the
+    beta_covers_cost_bound diagnostic flags premia below the privacy-cost
+    bound at tau.
     """
     seed = check_seed(seed)
     trials = int(trials)
@@ -274,7 +273,7 @@ def best_response_audit(
     tau, p0, p1 = derive(n, epsilon)
     beta = beta_rule(cost_model.kind, epsilon, tau) if beta_override is None else float(beta_override)
     config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
-    others = StrategyProfile.symmetric(Threshold(tau=tau, off=off))
+    others = Threshold(tau=tau, off=off)
     probe_cost = tau * (1.0 - 1e-6)
 
     # The Monte Carlo runs come before the exact law: their chunks are freed
@@ -282,30 +281,23 @@ def best_response_audit(
     # two do not add up in the peak.
     sampled = [peer_estimate_mc(prior, bit, n, config.noise, others, trials,
                                 derive_seed(seed, 3, bit, 0)) for bit in (0, 1)]
-    # est[action][bit] is the estimate; per_bit[str(bit)][action] its report.
-    est = {action: {} for action in ACTIONS}
-    per_bit = {"0": {}, "1": {}}
+    per_bit = {}
     for bit in (0, 1):
         agent = AgentType(bit=bit, cost=probe_cost)
         mean = peer_estimate_mean(prior, bit, n, config.noise, others)
-        for action in ACTIONS:
-            e = est[action][bit] = expected_utility(agent, action, mean, config, cost_model)
-            per_bit[str(bit)][action] = {
-                "mean_payment": e.mean_payment,
-                "ci_halfwidth": e.payment_ci_halfwidth,
-                "utility_lower_bound": e.utility_lower_bound,
-                "mean_peer_estimate": e.mean_peer_estimate,
-            }
         mc, se = sampled[bit]
-        per_bit[str(bit)]["cross_check"] = {
-            "mc": mc, "se": se, "samples": trials,
-            "z": (mc - mean) / se,
+        per_bit[str(bit)] = {
+            "mean_peer_estimate": mean,
+            **{action: expected_utility(agent, action, mean, config, cost_model)
+               for action in ACTIONS},
+            "cross_check": {"mc": mc, "se": se, "samples": trials, "z": (mc - mean) / se},
         }
 
-    worst_truth = min(est[TRUTH].values(), key=lambda e: e.mean_payment)
-    worst_lie = max(est[LIE].values(), key=lambda e: e.mean_payment)
-    truth_v = PASS if worst_truth.mean_payment >= beta else FAIL
-    lie_v = PASS if worst_lie.mean_payment <= 0.0 else FAIL
+    rows = per_bit.values()
+    truth_pay = min(row["truth"]["mean_payment"] for row in rows)
+    lie_pay = max(row["lie"]["mean_payment"] for row in rows)
+    truth_v = PASS if truth_pay >= beta else FAIL
+    lie_v = PASS if lie_pay <= 0.0 else FAIL
     tau_cost_bound = privacy_cost_bound(cost_model, tau, epsilon)
     margin = beta - tau_cost_bound
     cover_v = PASS if margin >= -1e-12 * max(1.0, abs(beta)) else FAIL
@@ -318,11 +310,9 @@ def best_response_audit(
         p1=p1,
         probe_cost=probe_cost,
         trials=trials,
-        truth_payment_mean=worst_truth.mean_payment,
-        truth_payment_ci=worst_truth.payment_ci_halfwidth,
-        lie_payment_mean=worst_lie.mean_payment,
-        lie_payment_ci=worst_lie.payment_ci_halfwidth,
-        abstain_utility_bound=-est[ABSTAIN][0].privacy_cost,
+        truth_payment_mean=truth_pay,
+        lie_payment_mean=lie_pay,
+        abstain_utility_bound=min(row["abstain"]["utility_lower_bound"] for row in rows),
         verdicts={
             "truth_ge_beta": truth_v,
             "lie_le_zero": lie_v,
@@ -364,7 +354,7 @@ def accuracy_experiment(
     alpha,
     delta,
     epsilon,
-    profile,
+    strategy,
     trials,
     seed,
     alpha_prime=None,
@@ -380,7 +370,7 @@ def accuracy_experiment(
         raise ValueError(f"need at least {ACCURACY_MIN_TRIALS} trials for a verdict, got {trials}")
     if alpha_prime is None:
         alpha_prime = accuracy_radius(alpha, delta, epsilon, n)
-    records = simulate_estimates(prior, n, NoiseSpec(epsilon=epsilon), profile, trials, seed)
+    records = simulate_estimates(prior, n, NoiseSpec(epsilon=epsilon), strategy, trials, seed)
     success = records.abs_error <= alpha_prime
     fraction = float(success.mean())
     allowance = 3.0 * math.sqrt(delta * (1.0 - delta) / records.trials)
@@ -499,8 +489,7 @@ def cost_scaling_experiment(
         tau, p0, p1 = derive(n, epsilon)
         beta = beta_rule("chen", epsilon, tau)
         config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
-        profile = StrategyProfile.symmetric(Threshold(tau=tau))
-        recs = simulate_survey(prior, config, profile, trials, derive_seed(seed, n, 3))
+        recs = simulate_survey(prior, config, Threshold(tau=tau), trials, derive_seed(seed, n, 3))
         totals = recs.total_payment
         ones_total = float(recs.base.ones.sum())
         zeros_total = float(recs.base.zeros.sum())

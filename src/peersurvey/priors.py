@@ -144,10 +144,6 @@ _COST_KINDS = {"uniform": Uniform, "point_mass": PointMass, "exponential": Expon
                "log_normal": TruncatedLogNormal}
 
 
-def cost_distribution_from_dict(d):
-    return from_config(_COST_KINDS, d, "cost distribution")
-
-
 # ---------------------------------------------------------------------------
 # Mixing distributions over the latent Bernoulli parameter.
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from peersurvey.agents import (
     AlwaysTruth,
     ConstantBit,
     CostModel,
-    StrategyProfile,
     Threshold,
     expected_utility,
     peer_estimate_mc,
@@ -220,26 +219,27 @@ class TestExpectedUtility:
         model = CostModel("linear")
         agent = AgentType(bit=1, cost=0.4)
         est = utility(agent, ABSTAIN, AlwaysTruth(), uniform_prior, config, model)
-        assert est.mean_payment == 0.0
-        assert est.payment_ci_halfwidth == 0.0
-        assert est.privacy_cost == pytest.approx(
-            privacy_cost_bound(model, 0.4, config.epsilon)
-        )
-        assert est.utility_lower_bound == -est.privacy_cost
-        assert est.utility_lower_bound <= 0.0
-        assert est.mean_peer_estimate == config.p1
+        assert est == {"mean_payment": 0.0,
+                       "utility_lower_bound": -privacy_cost_bound(model, 0.4, config.epsilon)}
+        assert est["utility_lower_bound"] <= 0.0
 
     def test_given_mean_estimate_is_used(self, uniform_prior):
         # The payment is the score at the given mean, against the posterior
-        # of the reported bit; the mean is reported back unchanged.
+        # of the reported bit; abstaining ignores it.
         config, _ = truthful_config(uniform_prior)
         agent, model = AgentType(bit=0, cost=0.1), CostModel("linear")
         lie = expected_utility(agent, LIE, 0.5, config, model)
-        assert lie.mean_peer_estimate == 0.5
-        assert lie.mean_payment == scaled_score(config.scoring, 0.5, config.p1)
+        assert lie["mean_payment"] == scaled_score(config.scoring, 0.5, config.p1)
         truth = expected_utility(agent, TRUTH, 0.5, config, model)
-        assert truth.mean_payment == scaled_score(config.scoring, 0.5, config.p0)
-        assert expected_utility(agent, ABSTAIN, 0.5, config, model).mean_peer_estimate == 0.5
+        assert truth["mean_payment"] == scaled_score(config.scoring, 0.5, config.p0)
+        assert expected_utility(agent, ABSTAIN, 0.5, config, model)["mean_payment"] == 0.0
+
+    def test_utility_subtracts_the_privacy_cost_bound(self, uniform_prior):
+        config, _ = truthful_config(uniform_prior)
+        agent, model = AgentType(bit=1, cost=0.3), CostModel("chen", eta=0.5)
+        est = expected_utility(agent, TRUTH, 0.6, config, model)
+        assert est["utility_lower_bound"] == (
+            est["mean_payment"] - privacy_cost_bound(model, 0.3, config.epsilon))
 
     def test_truth_beats_subsidy_lie_earns_nothing(self, uniform_prior):
         # Against truthful peers, an honest report earns at least the
@@ -250,20 +250,16 @@ class TestExpectedUtility:
             agent = AgentType(bit=bit, cost=tau)
             truth = utility(agent, TRUTH, AlwaysTruth(), uniform_prior, config, model)
             lie = utility(agent, LIE, AlwaysTruth(), uniform_prior, config, model)
-            assert truth.payment_ci_halfwidth == lie.payment_ci_halfwidth == 0.0
-            assert truth.mean_payment >= config.beta
-            assert lie.mean_payment <= 0.0
+            assert truth["mean_payment"] >= config.beta
+            assert lie["mean_payment"] <= 0.0
 
     def test_peer_estimate_tracks_posterior(self, uniform_prior):
         # Under truthful peers the mean leave-one-out estimate is p1 itself:
         # the same closed form, to the bit.
         config, _ = truthful_config(uniform_prior)
-        est = utility(
-            AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), uniform_prior,
-            config, CostModel("linear"),
-        )
-        assert est.mean_peer_estimate == config.p1
-        assert abs(est.mean_peer_estimate - 2.0 / 3.0) < config.alpha
+        mean = peer_estimate_mean(uniform_prior, 1, config.n, config.noise, AlwaysTruth())
+        assert mean == config.p1
+        assert abs(mean - 2.0 / 3.0) < config.alpha
 
     def test_validation(self, uniform_prior):
         config, _ = truthful_config(uniform_prior)
@@ -278,7 +274,7 @@ class TestExpectedUtility:
         args = (uniform_prior, config, CostModel("linear"))
         one = utility(AgentType(bit=1, cost=0.0), TRUTH, AlwaysTruth(), *args)
         zero = utility(AgentType(bit=0, cost=0.0), TRUTH, AlwaysTruth(), *args)
-        assert one.mean_payment == pytest.approx(zero.mean_payment, rel=1e-12)
+        assert one["mean_payment"] == pytest.approx(zero["mean_payment"], rel=1e-12)
 
     @pytest.mark.parametrize("off", OFF_BEHAVIORS)
     @pytest.mark.parametrize("bit", [0, 1])
@@ -305,15 +301,12 @@ class TestExpectedUtility:
         own = bit if action == TRUTH else 1 - bit
         exact = scaled_score(config.scoring, mean_estimate, p1 if own == 1 else p0)
 
-        est = utility(
-            AgentType(bit=bit, cost=0.0), action, Threshold(tau, off), atom_prior,
-            config, CostModel("linear"),
-        )
-        assert est.payment_ci_halfwidth == 0.0
-        assert est.mean_peer_estimate == pytest.approx(mean_estimate, rel=1e-13)
-        assert est.mean_payment == pytest.approx(exact, abs=1e-12)
-        b_bar = est.mean_peer_estimate * m + own
-        assert est.mean_payment == pytest.approx(payment_pair(config, b_bar)[1 - own], rel=1e-12)
+        mean = peer_estimate_mean(atom_prior, bit, n, config.noise, Threshold(tau, off))
+        assert mean == pytest.approx(mean_estimate, rel=1e-13)
+        pay = expected_utility(AgentType(bit=bit, cost=0.0), action, mean, config,
+                               CostModel("linear"))["mean_payment"]
+        assert pay == pytest.approx(exact, abs=1e-12)
+        assert pay == pytest.approx(payment_pair(config, mean * m + own)[1 - own], rel=1e-12)
 
 
     def test_actions_constant(self):
@@ -390,7 +383,7 @@ class TestPeerEstimateLaw:
     @pytest.mark.parametrize("off", OFF_BEHAVIORS)
     def test_monte_carlo_within_five_standard_errors(self, off, bit):
         prior = law_prior({"kind": "beta", "a": 0.5, "b": 2.0})
-        others = StrategyProfile.symmetric(Threshold(0.7, off))
+        others = Threshold(0.7, off)
         exact = peer_estimate_mean(prior, bit, 50, NoiseSpec(0.5), others)
         mc, se = peer_estimate_mc(prior, bit, 50, NoiseSpec(0.5), others, 100_000, 21 + bit)
         assert 0.0 < se < 2e-3

@@ -685,8 +685,7 @@ class TestAuditEquilibriumCommand:
         assert code == 0
         assert payload["verdicts"]["truth_dominates"] == "Pass"
         rows = read_csv(out)
-        assert rows[0] == ["bit", "action", "mean_payment", "ci_halfwidth",
-                           "utility_lower_bound"]
+        assert rows[0] == ["bit", "action", "mean_payment", "utility_lower_bound"]
         assert len(rows) == 7  # header + 2 bits x 3 actions
         assert {r[1] for r in rows[1:]} == {"truth", "lie", "abstain"}
 
@@ -702,17 +701,17 @@ class TestAuditEquilibriumCommand:
         assert code == 0
         assert set(payload["verdicts"].values()) == {"Pass"}
         assert payload["truth_payment_mean"] - payload["beta"] < 0.03
-        assert payload["truth_payment_ci"] == payload["lie_payment_ci"] == 0.0
+        assert "truth_payment_ci" not in payload and "lie_payment_ci" not in payload
         for bit in ("0", "1"):
             check = payload["per_bit"][bit]["cross_check"]
             assert check["samples"] == 1_000
-            exact = payload["per_bit"][bit]["truth"]["mean_peer_estimate"]
+            exact = payload["per_bit"][bit]["mean_peer_estimate"]
             assert check["z"] == pytest.approx((check["mc"] - exact) / check["se"])
             assert abs(check["z"]) < 5.0
 
     def test_stdout_is_strict_json(self, tmp_path, capsys):
-        # No NaN or Infinity, which RFC 8259 parsers such as jq reject: every
-        # action row, abstain too, carries its bit's exact mean estimate.
+        # No NaN or Infinity, which RFC 8259 parsers such as jq reject: each
+        # bit prints its exact mean estimate, abstaining included.
         config = write_config(tmp_path, BASE_CONFIGS["audit-equilibrium"])
         assert dispatch(["audit-equilibrium", "--config", config]) == 0
 
@@ -722,8 +721,17 @@ class TestAuditEquilibriumCommand:
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         for bit in ("0", "1"):
             rows = payload["per_bit"][bit]
-            assert (rows["abstain"]["mean_peer_estimate"] == rows["truth"]["mean_peer_estimate"]
-                    == rows["lie"]["mean_peer_estimate"])
+            assert math.isfinite(rows["mean_peer_estimate"])
+
+    def test_free_privacy_abstains_at_positive_zero(self, tmp_path, capsys):
+        # With eta = 0 the privacy cost is 0, and abstaining's utility bound
+        # is its payment minus that cost: 0.0 - 0.0, printed as 0.0, not -0.0.
+        config = write_config(tmp_path, dict(BASE_CONFIGS["audit-equilibrium"],
+                                             cost_model={"kind": "linear", "eta": 0.0}))
+        assert dispatch(["audit-equilibrium", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert '"abstain_utility_bound": 0.0,' in out and "-0.0" not in out
+        assert math.copysign(1.0, json.loads(out)["abstain_utility_bound"]) == 1.0
 
     def test_trials_floor(self, tmp_path, capsys):
         config = write_config(tmp_path, self.equilibrium_config(trials=100))

@@ -213,8 +213,9 @@ class TestBestResponseAudit:
         assert report.verdicts["truth_ge_beta"] == PASS
         assert report.verdicts["lie_le_zero"] == PASS
         assert report.verdicts["beta_covers_cost_bound"] == PASS
-        assert report.truth_payment_mean >= report.beta - report.truth_payment_ci
-        assert report.lie_payment_mean <= report.lie_payment_ci
+        assert report.truth_payment_mean >= report.beta
+        assert report.lie_payment_mean <= 0.0
+        assert report.truth_payment_ci == report.lie_payment_ci == 0.0
         assert report.abstain_utility_bound <= 0.0
         assert report.beta == pytest.approx(report.epsilon * report.tau)
 
@@ -254,15 +255,14 @@ class TestBestResponseAudit:
             check = stats["cross_check"]
             assert set(check) == {"mc", "se", "samples", "z"}
             assert (check["mc"], check["se"]) == original(*calls[bit])
-            exact = stats["truth"]["mean_peer_estimate"]
-            assert stats["lie"]["mean_peer_estimate"] == exact
+            exact = stats["mean_peer_estimate"]
             assert check["z"] == (check["mc"] - exact) / check["se"]
             assert abs(check["z"]) < 5.0
-            assert all(stats[action]["ci_halfwidth"] == 0.0 for action in ("truth", "lie"))
 
     def test_exact_mean_computed_once_per_bit(self, uniform_prior, monkeypatch):
         # The mean estimate does not depend on the probe's action: one exact
-        # law per bit serves truth, lie and abstain, and each row prints it.
+        # law per bit serves truth, lie and abstain, and the bit's block
+        # prints it once, next to the three exact action rows.
         from peersurvey import agents, equilibrium
 
         calls = []
@@ -281,8 +281,10 @@ class TestBestResponseAudit:
         assert calls == [0, 1]
         for bit in (0, 1):
             stats = report.per_bit[str(bit)]
-            means = {stats[action]["mean_peer_estimate"] for action in ("truth", "lie", "abstain")}
-            assert len(means) == 1 and math.isfinite(means.pop())
+            assert list(stats) == ["mean_peer_estimate", "truth", "lie", "abstain", "cross_check"]
+            assert math.isfinite(stats["mean_peer_estimate"])
+            assert all(set(stats[action]) == {"mean_payment", "utility_lower_bound"}
+                       for action in ("truth", "lie", "abstain"))
 
     def test_cross_check_trial_floor(self, uniform_prior):
         with pytest.raises(ValueError, match="trials must be at least 1000"):
@@ -308,8 +310,7 @@ class TestBestResponseAudit:
 def _report_kwargs(**verdicts):
     return dict(
         beta=0.1, tau=0.9, epsilon=0.1, p0=0.3, p1=0.7, probe_cost=0.9,
-        trials=1000, truth_payment_mean=0.15, truth_payment_ci=0.01,
-        lie_payment_mean=-0.05, lie_payment_ci=0.01,
+        trials=1000, truth_payment_mean=0.15, lie_payment_mean=-0.05,
         abstain_utility_bound=-0.09, verdicts=verdicts,
     )
 

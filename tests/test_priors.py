@@ -21,7 +21,6 @@ from peersurvey.priors import (
     _group_prob,
     _peer_count_pmf,
     clamped_mean,
-    cost_distribution_from_dict,
     cost_threshold,
     cost_threshold_parts,
     cost_threshold_parts_mc,
@@ -29,6 +28,13 @@ from peersurvey.priors import (
     posterior_clamped_mean,
 )
 from peersurvey.privacy import NoiseSpec
+
+
+def cost0_law(spec):
+    """The cost law `spec` describes, built by `PriorSpec.from_dict` as cost0."""
+    return PriorSpec.from_dict({"family": "conditional_iid",
+                                "mixing": {"kind": "point", "theta": 0.5}, "cost0": spec,
+                                "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0}}).cost0
 
 
 class TestCostDistributions:
@@ -66,13 +72,13 @@ class TestCostDistributions:
          TruncatedLogNormal(mu=-1.0, sigma=0.3, cap=10.0)),
     ])
     def test_from_dict(self, spec, dist):
-        assert cost_distribution_from_dict(spec) == dist
-        with pytest.raises(ValueError, match="no key 'extra'"):
-            cost_distribution_from_dict(dict(spec, extra=1.0))
+        assert cost0_law(spec) == dist
+        with pytest.raises(ValueError, match=r"prior\.cost0 has no key 'extra'"):
+            cost0_law(dict(spec, extra=1.0))
         for key in set(spec) - {"kind"}:
             for bad in (True, "1", math.nan, math.inf, -math.inf):
-                with pytest.raises(ValueError, match=f"cost distribution.{key} must be"):
-                    cost_distribution_from_dict(dict(spec, **{key: bad}))
+                with pytest.raises(ValueError, match=rf"prior\.cost0\.{key} must be"):
+                    cost0_law(dict(spec, **{key: bad}))
 
     def test_cdf_quantile_consistency(self):
         us = np.linspace(0.01, 0.99, 25)
@@ -81,8 +87,8 @@ class TestCostDistributions:
             np.testing.assert_allclose(dist.cdf(dist.quantile(us)), us, atol=1e-9)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            cost_distribution_from_dict({"kind": "gamma", "shape": 2.0})
+        with pytest.raises(ValueError, match=r"prior\.cost0 needs a 'kind'"):
+            cost0_law({"kind": "gamma", "shape": 2.0})
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -98,9 +104,8 @@ class TestCostDistributions:
         # ndtr of the capped z-score underflows to 0: cdf would divide by it.
         with pytest.raises(ValueError, match="no mass below cap 1e\\+300"):
             TruncatedLogNormal(mu=800.0, sigma=1.0, cap=1e300)
-        with pytest.raises(ValueError, match="^cost distribution: log-normal"):
-            cost_distribution_from_dict({"kind": "log_normal", "mu": 800.0, "sigma": 1.0,
-                                         "cap": 1e300})
+        with pytest.raises(ValueError, match=r"^prior\.cost0: log-normal"):
+            cost0_law({"kind": "log_normal", "mu": 800.0, "sigma": 1.0, "cap": 1e300})
         # A cap far in the lower tail still leaves a proper law below it.
         far = TruncatedLogNormal(mu=30.0, sigma=1.0, cap=1e6)
         us = np.linspace(0.01, 0.99, 25)
@@ -461,6 +466,27 @@ class TestCostThreshold:
         assert sampled_marginal == tau_marginal
         assert 0.0 < se < 1e-3
         assert abs(sampled - tau) <= 5.0 * se + COST_GRID
+
+    def test_beta_rate_unequal_costs_at_large_n(self):
+        # At n = 50,000 the binomial tail steps from 0 to 1 across a narrow
+        # band of theta.  Adaptive quadrature, with the step as a breakpoint,
+        # puts tau on the oracle's grid point; a fixed 128-node Gauss rule
+        # misses the band and gives 1.397.  Oracle as above: 20,000 cells of
+        # theta, each weighted by its exact Beta mass.
+        prior = _prior({"kind": "beta", "a": 0.5, "b": 5.0},
+                       cost1={"kind": "uniform", "lo": 0.0, "hi": 2.0})
+        n, alpha, delta = 50_000, 0.1, 0.05
+        tau, tau_group, _ = cost_threshold_parts(prior, alpha, delta, n)
+        assert tau == tau_group == 1.3972
+        need = math.ceil((1 - alpha) * n)
+        edges = np.linspace(0.0, 1.0, 20_001)
+        mass = np.diff(stats.beta.cdf(edges, 0.5, 5.0))
+        theta = 0.5 * (edges[1:] + edges[:-1])
+
+        def group_prob(t):
+            return mass @ stats.binom.sf(need - 1, n, theta * t / 2.0 + (1 - theta) * min(t, 1.0))
+
+        assert group_prob(tau) >= 1 - delta > group_prob(tau - COST_GRID)
 
     @pytest.mark.parametrize("mixing", [
         {"kind": "beta", "a": 0.5, "b": 0.5},

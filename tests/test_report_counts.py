@@ -2,8 +2,8 @@
 
 `sample_report_counts` draws type-cell counts instead of n bits and n costs.
 These tests check that it reproduces the distribution of the dense
-computation (`StrategyProfile.report_arrays` on sampled bit and cost
-matrices), and that simulation memory no longer grows with n.
+computation (`strategy_arrays` on sampled bit and cost matrices), and
+that simulation memory no longer grows with n.
 """
 
 import tracemalloc
@@ -22,11 +22,11 @@ from peersurvey.agents import (
     AlwaysTruth,
     ConstantBit,
     CostModel,
-    StrategyProfile,
     Threshold,
     expected_utility,
     peer_estimate_mean,
     sample_report_counts,
+    strategy_arrays,
 )
 from peersurvey.equilibrium import simulate_estimates
 from peersurvey.mechanism import MechanismConfig
@@ -46,21 +46,20 @@ EDGE_PRIOR = {
 }
 
 
-def dense_counts(profile, prior, n, trials, rng):
-    """(ones, participants, mismatches) from explicit (trials, n) populations."""
+def dense_counts(strategy, prior, n, trials, rng):
+    """(ones, participants, mismatches) from explicit (trials, n) populations,
+    each agent's report from `strategy_arrays`."""
     theta = np.atleast_1d(prior.theta_sample(rng, trials))
     bits = (rng.random((trials, n)) < theta[:, None]).astype(np.int8)
     u = rng.random((trials, n))
     costs = np.where(bits == 1, prior.cost1.quantile(u), prior.cost0.quantile(u))
-    values, mask = profile.report_arrays(bits, costs)
+    values, mask = strategy_arrays(strategy, bits, costs)
     return values.sum(axis=1), mask.sum(axis=1), (values != bits).sum(axis=1)
 
 
-def sampled_counts(profile, prior, n, trials, rng):
+def sampled_counts(strategy, prior, n, trials, rng):
     theta = np.atleast_1d(prior.theta_sample(rng, trials))
-    _, ones, participants, mismatches = sample_report_counts(
-        profile, prior, n, theta, rng
-    )
+    _, ones, participants, mismatches = sample_report_counts(strategy, prior, n, theta, rng)
     return ones, participants, mismatches
 
 
@@ -89,18 +88,18 @@ def homogeneity_p_value(a, b, min_column=10):
 
 
 CASES = [
-    ("uniform", StrategyProfile.symmetric(AlwaysTruth())),
-    ("uniform", StrategyProfile.symmetric(AlwaysLie())),
-    ("uniform", StrategyProfile.symmetric(AlwaysAbstain())),
-    ("uniform", StrategyProfile.symmetric(ConstantBit(0))),
-    ("uniform", StrategyProfile.symmetric(ConstantBit(1))),
-    ("uniform", StrategyProfile.symmetric(Threshold(0.4, off=ABSTAIN))),
-    ("uniform", StrategyProfile.symmetric(Threshold(0.4, off=LIE))),
-    ("uniform", StrategyProfile.symmetric(Threshold(0.4, off=TRUTH))),
-    ("atom", StrategyProfile.symmetric(Threshold(0.8, off=ABSTAIN))),
-    ("atom", StrategyProfile.symmetric(Threshold(0.8, off=LIE))),
-    ("edge", StrategyProfile.symmetric(Threshold(0.5, off=LIE))),
-    ("edge", StrategyProfile.symmetric(Threshold(0.5, off=ABSTAIN))),
+    ("uniform", AlwaysTruth()),
+    ("uniform", AlwaysLie()),
+    ("uniform", AlwaysAbstain()),
+    ("uniform", ConstantBit(0)),
+    ("uniform", ConstantBit(1)),
+    ("uniform", Threshold(0.4, off=ABSTAIN)),
+    ("uniform", Threshold(0.4, off=LIE)),
+    ("uniform", Threshold(0.4, off=TRUTH)),
+    ("atom", Threshold(0.8, off=ABSTAIN)),
+    ("atom", Threshold(0.8, off=LIE)),
+    ("edge", Threshold(0.5, off=LIE)),
+    ("edge", Threshold(0.5, off=ABSTAIN)),
 ]
 
 
@@ -112,6 +111,7 @@ def priors(uniform_prior, atom_prior):
 
 @pytest.mark.parametrize("prior_name,profile", CASES)
 def test_counts_match_dense_oracle(priors, prior_name, profile):
+    # `profile`: the one strategy every agent plays.
     prior = priors[prior_name]
     dense = dense_counts(profile, prior, N, TRIALS, np.random.default_rng(101))
     sampled = sampled_counts(profile, prior, N, TRIALS, np.random.default_rng(202))
@@ -126,9 +126,8 @@ def test_cost_at_tau_counts_as_cheap(priors):
     rng = np.random.default_rng(5)
     theta = np.full(1_000, 0.0)
     for off in (LIE, ABSTAIN):
-        profile = StrategyProfile.symmetric(Threshold(0.5, off=off))
         bit_ones, ones, participants, mismatches = sample_report_counts(
-            profile, priors["edge"], N, theta, rng
+            Threshold(0.5, off=off), priors["edge"], N, theta, rng
         )
         assert np.all(bit_ones == 0)
         assert np.all(ones == 0)
