@@ -461,6 +461,12 @@ def write_csv(path, columns):
             fh.write("".join([line % row for row in zip(*block)]))
 
 
+def _cross_check(r, n):
+    """The cross-checks run at n, in the order tau, p0, p1 whatever order
+    the resolver derived them in."""
+    return {key: r.cross_check[n][key] for key in ("tau", "p0", "p1") if key in r.cross_check[n]}
+
+
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output: reject a cross-check
     key the run found nothing to check for, --seed where the run drew
@@ -483,7 +489,7 @@ def _emit(r, body, columns=None, **used):
         write_csv(out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
-        report["cross_check"] = r.cross_check[r.n]
+        report["cross_check"] = _cross_check(r, r.n)
     try:
         print(json.dumps(report, indent=2))
         sys.stdout.flush()
@@ -500,8 +506,7 @@ def _emit(r, body, columns=None, **used):
 
 
 def _cmd_run(r):
-    strategy = r.strategy  # resolved first, so tau's cross-check comes before p0's
-    recs = simulate_survey(r.prior, r._mechanism, strategy, r.trials, derive_seed(r.seed, 2000))
+    recs = simulate_survey(r.prior, r._mechanism, r.strategy, r.trials, derive_seed(r.seed, 2000))
     base = recs.base
     _emit(r, {
         "trials": r.trials,
@@ -552,13 +557,13 @@ def _cmd_threshold(r):
 
 def _cmd_audit_dp(r):
     if r.observable == "estimate":
-        mech = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon))
+        observable = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon))
     else:
-        mech = payment_observable(r._mechanism, r.payment_index)
+        observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
     try:
         report = dp_audit(
-            mech, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials, r.bins,
+            observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials, r.bins,
             derive_seed(r.seed, 3000), r.tolerance,
         )
     except AuditDataError as exc:  # too many bins for the trials
@@ -625,7 +630,7 @@ def _cmd_cost_scaling(r):
     body = report.to_dict()
     for row in body["rows"]:
         if row["n"] in r.cross_check:
-            row["cross_check"] = r.cross_check[row["n"]]
+            row["cross_check"] = _cross_check(r, row["n"])
     _emit(r, body, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
     return EXIT_BY_VERDICT[report.verdict]
 

@@ -8,15 +8,17 @@ unclamped rescaled quadratic score of their leave-one-out estimate
 their report, which `payment_pair` gives for both contributions at once.
 The payment is affine in the leave-one-out estimate.  Abstainers contribute
 zero and are paid zero.  Every consumer in the package computes these
-quantities through the functions here.
+quantities through the functions here; the privacy audit watches them as an
+`Observable`, the noise plus a function of b_bar.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .privacy import NoiseSpec, noise_draw
+from .privacy import NoiseSpec
 from .scoring import scaled_score, scoring_params
 
 
@@ -80,19 +82,23 @@ def payment_pair(config, b_bar):
     return pay_one, pay_zero
 
 
-def estimate_observable(n, noise):
-    """Audit observable: the published estimate as a vectorized callable.
+@dataclass(frozen=True)
+class Observable:
+    """What a privacy audit watches: the noise added to the report sum, and
+    the map of_b_bar(reports, b_bar) -> values in [0, 1] from a report
+    vector and its noisy sum b_bar to the published value.  An observable
+    draws no noise; privacy.dp_audit draws it once per trial and feeds the
+    same draw to both neighbours."""
 
-    Returns mech(reports, rng, size) -> clamped noisy means, suitable for
-    privacy.dp_audit.
-    """
+    noise: NoiseSpec
+    of_b_bar: Callable
+
+
+def estimate_observable(n, noise):
+    """Audit observable: the published estimate clip(b_bar / n, 0, 1)."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-
-    def mech(reports, rng, size):
-        return published_estimate(n, int(np.sum(reports)) + noise_draw(noise, rng, size))
-
-    return mech
+    return Observable(noise, lambda reports, b_bar: published_estimate(n, b_bar))
 
 
 def payment_observable(config, j):
@@ -100,19 +106,18 @@ def payment_observable(config, j):
 
     The payment is affine in the leave-one-out estimate with slope
     +-2 rho (p1 - p0), never 0, so rescaling by its values at estimates 0
-    and 1 maps it into [0, 1] in order.
+    and 1 maps it into [0, 1] in order.  Those two end payments are computed
+    here once for each report agent j may make.
     """
     if not 0 <= j < config.n:
         raise ValueError(f"agent index must lie in [0, {config.n}), got {j}")
+    # b_bar = own and own + n - 1 put the leave-one-out estimate at 0 and 1.
+    ends = [payment_pair(config, [own, own + config.n - 1])[1 - own] for own in (0, 1)]
+    bounds = [(pays.min(), pays.max()) for pays in ends]
 
-    def mech(reports, rng, size):
-        reports = np.asarray(reports)
+    def of_b_bar(reports, b_bar):
         own = int(reports[j])
-        b_bar = int(np.sum(reports)) + noise_draw(config.noise, rng, size)
-        pay = payment_pair(config, b_bar)[1 - own]
-        # b_bar = own and own + n - 1 put the leave-one-out estimate at 0 and 1.
-        ends = payment_pair(config, [own, own + config.n - 1])[1 - own]
-        lo, hi = ends.min(), ends.max()
-        return (pay - lo) / (hi - lo)
+        lo, hi = bounds[own]
+        return (payment_pair(config, b_bar)[1 - own] - lo) / (hi - lo)
 
-    return mech
+    return Observable(config.noise, of_b_bar)

@@ -2,9 +2,10 @@
 
 The mechanism protects participants by adding a single Laplace draw of scale
 1/epsilon to the report sum (sensitivity 1) and publishing only clamped
-functions of the noisy sum.  `dp_audit` histograms the output on two
-neighboring report vectors and bounds each bin's log probability ratio from
-below; it can refute a privacy claim but can never prove one.
+functions of the noisy sum.  `dp_audit` draws that noise once per trial,
+histograms the output on two neighboring report vectors that share the draw
+and bounds each bin's log probability ratio from below; it can refute a
+privacy claim but can never prove one.
 """
 
 import math
@@ -28,6 +29,10 @@ AUDIT_ERROR_RATE = 0.05
 
 # The fewest trials `dp_audit` accepts.
 AUDIT_MIN_TRIALS = 100_000
+# Trials per noise draw inside one of `dp_audit`'s 2**20-trial chunks: 128 KiB
+# per float array, small enough that the allocator recycles numpy's
+# temporaries instead of faulting fresh pages in for each.
+AUDIT_BLOCK = 1 << 14
 
 
 class AuditDataError(RuntimeError):
@@ -57,16 +62,22 @@ class NoiseSpec:
 
 
 def laplace_inverse_cdf(u, scale):
-    """Map uniform u in (0, 1) to a Laplace(0, scale) variate; u=0.5 -> 0."""
+    """Map uniform u in [0, 1] to a Laplace(0, scale) variate; u=0.5 -> -0.0.
+
+    The halves scale*log(2u) below 1/2 and -scale*log(2 - 2u) above share
+    one log: min(2u, 2 - 2u) is the argument on either side, and the sign
+    of 1/2 - u, negated, puts the result on the right side of 0.
+    """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     u = np.asarray(u, dtype=np.float64)
+    val = np.multiply(u, 2.0, out=np.empty(u.shape))
+    np.minimum(val, 2.0 - val, out=val)
     with np.errstate(divide="ignore"):
-        val = np.where(
-            u < 0.5,
-            scale * np.log(2.0 * u),
-            -scale * np.log(2.0 - 2.0 * u),
-        )
+        np.log(val, out=val)
+    val *= scale
+    np.copysign(val, 0.5 - u, out=val)
+    np.negative(val, out=val)
     return float(val) if val.ndim == 0 else val
 
 
@@ -158,7 +169,7 @@ class DpAuditReport:
 
 
 def dp_audit(
-    mech,
+    observable,
     reports,
     i,
     flipped_bit,
@@ -168,19 +179,22 @@ def dp_audit(
     seed,
     tolerance=DEFAULT_TOLERANCE,
 ):
-    """Histogram two neighboring runs of `mech` and compare bin counts.
+    """Histogram `observable` on two neighboring report vectors and compare
+    bin counts.
 
     Parameters
     ----------
-    mech : callable (reports, rng, size) -> array of shape (size,)
-        Vectorized randomized map from a report vector to the observable
-        output being audited, a value in [0, 1].
+    observable : mechanism.Observable
+        Its `noise` is drawn once per trial, and that one draw x feeds both
+        neighbors: each histograms `of_b_bar(reports, sum(reports) + x)`, a
+        value in [0, 1].
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
     epsilon_claimed : privacy level under test.
     trials, bins, seed : sample size, equal-width bin count over
-        [0, 1], and the audit seed (both runs share noise streams).
+        [0, 1], and the audit seed.  Chunk k of 2**20 trials reads the
+        stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.
 
     Passing means max_log_ratio_lower <= epsilon_claimed + tolerance.
     """
@@ -205,12 +219,14 @@ def dp_audit(
 
     counts_a = np.zeros(bins)
     counts_b = np.zeros(bins)
+    sides = ((reports, int(reports.sum()), counts_a), (neighbor, int(neighbor.sum()), counts_b))
     for chunk, size in chunk_sizes(trials, 1 << 20):
-        # Identical generator states: both runs see the same noise stream.
-        out_a = np.asarray(mech(reports, subseed_rng(seed, chunk), size))
-        out_b = np.asarray(mech(neighbor, subseed_rng(seed, chunk), size))
-        counts_a += np.histogram(out_a, bins=bins, range=(0.0, 1.0))[0]
-        counts_b += np.histogram(out_b, bins=bins, range=(0.0, 1.0))[0]
+        rng = subseed_rng(seed, chunk)
+        for _, block in chunk_sizes(size, AUDIT_BLOCK):
+            x = noise_draw(observable.noise, rng, block)
+            for side, total, counts in sides:
+                out = observable.of_b_bar(side, total + x)
+                counts += np.histogram(out, bins=bins, range=(0.0, 1.0))[0]
 
     max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
     lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))

@@ -910,6 +910,24 @@ class TestExactDerivations:
                 slack = 1e-4 if key == "tau" else 0.0  # one cost-grid step
                 assert abs(entry["mc"] - values[key]) <= 5.0 * entry["se"] + slack
 
+    @pytest.mark.parametrize("first", ["_mechanism", "strategy"])
+    def test_cross_check_order_is_fixed(self, tmp_path, capsys, monkeypatch, first):
+        # Reading the mechanism first derives p0 and p1 before tau, reading
+        # the strategy first tau before p0 and p1; stdout is the same bytes.
+        config = write_config(tmp_path, BASE_CONFIGS["run"])
+        assert dispatch(["run", "--config", config]) == 0
+        expected = capsys.readouterr().out
+
+        def read_first_then_run(r, _run=cli._cmd_run):
+            getattr(r, first)
+            return _run(r)
+
+        monkeypatch.setitem(cli._HANDLERS, "run", read_first_then_run)
+        assert dispatch(["run", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        assert list(json.loads(out)["cross_check"]) == ["tau", "p0", "p1"]
+
     def test_resolved_predictions_are_exact(self, tmp_path, capsys):
         from peersurvey.equilibrium import epsilon_rule
         from peersurvey.priors import PriorSpec, posterior_clamped_mean

@@ -10,7 +10,7 @@ from peersurvey.mechanism import (
     payment_pair,
     published_estimate,
 )
-from peersurvey.privacy import NoiseSpec
+from peersurvey.privacy import NoiseSpec, noise_draw
 from peersurvey.scoring import scaled_score
 
 REFERENCE = dict(n=100, alpha=0.1, beta=1.0, epsilon=0.5, p0=1.0 / 3.0, p1=2.0 / 3.0)
@@ -74,13 +74,18 @@ def test_sensitivity_of_report_sum_is_one():
     # Exhaustive over all report vectors of three agents and all
     # single-agent substitutions: with noise off, the published estimate,
     # and so the sum b_bar behind it, moves by at most one report.
-    mech = estimate_observable(3, NoiseSpec(epsilon=0.5, mode="disabled"))
+    observable = estimate_observable(3, NoiseSpec(epsilon=0.5, mode="disabled"))
+
+    def published(reports):
+        x = noise_draw(observable.noise, np.random.default_rng(0), 1)
+        return observable.of_b_bar(reports, sum(reports) + x)[0]
+
     forms = (0, 1)  # an abstainer contributes 0, like a zero-reporter
     for reports in itertools.product(forms, repeat=3):
-        b_bar = 3 * mech(reports, np.random.default_rng(0), 1)[0]
+        b_bar = 3 * published(reports)
         for i, replacement in itertools.product(range(3), forms):
             neighbor = reports[:i] + (replacement,) + reports[i + 1:]
-            moved = 3 * mech(neighbor, np.random.default_rng(0), 1)[0]
+            moved = 3 * published(neighbor)
             assert abs(moved - b_bar) <= 1
 
 
@@ -98,14 +103,21 @@ class TestBillboardStructure:
 
 
 class TestObservables:
+    @staticmethod
+    def observe(observable, reports, rng, size):
+        x = noise_draw(observable.noise, rng, size)
+        return observable.of_b_bar(reports, sum(reports) + x)
+
     def test_estimate_observable_disabled_noise(self):
-        mech = estimate_observable(10, NoiseSpec(epsilon=1.0, mode="disabled"))
-        out = mech([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], np.random.default_rng(0), 5)
+        observable = estimate_observable(10, NoiseSpec(epsilon=1.0, mode="disabled"))
+        out = self.observe(observable, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0],
+                           np.random.default_rng(0), 5)
         np.testing.assert_allclose(out, 0.3)
 
     def test_payment_observable_unit_interval(self):
         config = reference_config()
-        mech = payment_observable(config, 3)
-        out = mech([1] * 60 + [0] * 40, np.random.default_rng(2), 1000)
+        observable = payment_observable(config, 3)
+        assert observable.noise == config.noise
+        out = self.observe(observable, [1] * 60 + [0] * 40, np.random.default_rng(2), 1000)
         assert out.shape == (1000,)
         assert np.all((out >= 0.0) & (out <= 1.0))

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from peersurvey.mechanism import estimate_observable
+from peersurvey import privacy
+from peersurvey._util import chunk_sizes, subseed_rng
+from peersurvey.mechanism import (
+    MechanismConfig,
+    Observable,
+    estimate_observable,
+    payment_observable,
+    payment_pair,
+    published_estimate,
+)
 from peersurvey.privacy import (
+    AUDIT_BLOCK,
     AuditDataError,
     DpAuditReport,
     NoiseSpec,
@@ -23,6 +33,22 @@ class TestLaplaceSampling:
         assert laplace_inverse_cdf(0.5, 2.0) == 0.0
         assert laplace_inverse_cdf(0.25, 1.0) == pytest.approx(math.log(0.5))
         assert laplace_inverse_cdf(0.75, 1.0) == pytest.approx(-math.log(0.5))
+
+    def test_inverse_cdf_matches_two_branch_formula_bit_for_bit(self):
+        def two_branch(u, scale):
+            with np.errstate(divide="ignore"):
+                return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 - 2.0 * u))
+
+        edges = np.array([0.0, 5e-324, np.finfo(np.float64).tiny, 0.25, 0.5 - 2.0**-54, 0.5,
+                          0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53, 1.0])
+        us = np.concatenate([edges, np.random.default_rng(8).random(1_000_000)])
+        for scale in (1e-3, 0.5, 1.0, 2.0, 1.0 / 0.7, 1e6):
+            got = laplace_inverse_cdf(us, scale)
+            np.testing.assert_array_equal(got.view(np.int64), two_branch(us, scale).view(np.int64))
+            for u in edges:  # a 0-d input gives a Python float, -0.0 at u = 1/2 included
+                value = laplace_inverse_cdf(u, scale)
+                assert type(value) is float
+                assert np.float64(value).view(np.int64) == two_branch(u, scale).view(np.int64)
 
     def test_inverse_cdf_antisymmetric(self):
         us = np.linspace(0.01, 0.49, 20)
@@ -153,9 +179,7 @@ class TestDpAudit:
         assert math.isinf(report.max_log_ratio)
 
     def test_constant_mechanism_passes_any_budget(self):
-        def mech(reports, rng, size):
-            return np.full(size, 0.5)
-
+        mech = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.full(b_bar.shape, 0.5))
         report = dp_audit(mech, self._reports(), 0, 0, 1e-6, 100_000, 20, seed=7)
         assert report.verdict == "Pass"
         assert report.max_log_ratio == 0.0
@@ -167,9 +191,8 @@ class TestDpAudit:
         noise = NoiseSpec(epsilon=0.5)
         est_mech = estimate_observable(10, noise)
 
-        def bbar_mech(reports, rng, size):
-            # b-bar in [-10, 20], rescaled into the audited range [0, 1].
-            return (float(np.sum(reports)) + noise_draw(noise, rng, size) + 10.0) / 30.0
+        # b-bar in [-10, 20], rescaled into the audited range [0, 1].
+        bbar_mech = Observable(noise, lambda reports, b_bar: (b_bar + 10.0) / 30.0)
 
         reports = self._reports()
         est_audit = dp_audit(est_mech, reports, 0, 0, 0.5, 200_000, 20, seed=31)
@@ -192,9 +215,9 @@ class TestDpAudit:
         assert total_b == report.trials
 
     def test_insufficient_data_signalled(self):
-        def outside_mech(reports, rng, size):  # every output misses the bins over [0, 1]
-            return np.full(size, 2.0)
-
+        # Every output misses the bins over [0, 1].
+        outside_mech = Observable(NoiseSpec(epsilon=0.5),
+                                  lambda reports, b_bar: np.full(b_bar.shape, 2.0))
         with pytest.raises(AuditDataError):
             dp_audit(outside_mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
 
@@ -230,3 +253,78 @@ class TestDpAudit:
             report(10.0, "Pass")
         with pytest.raises(ValueError):
             report(0.3, "Fail")
+
+
+# The audit before each trial's noise was drawn once for both neighbors:
+# an observable was a callable (reports, rng, size) that drew its own noise,
+# and each neighbor ran it on a fresh copy of the chunk's stream.
+def two_run_estimate(n, noise):
+    def mech(reports, rng, size):
+        return published_estimate(n, int(np.sum(reports)) + noise_draw(noise, rng, size))
+
+    return mech
+
+
+def two_run_payment(config, j):
+    def mech(reports, rng, size):
+        reports = np.asarray(reports)
+        own = int(reports[j])
+        b_bar = int(np.sum(reports)) + noise_draw(config.noise, rng, size)
+        pay = payment_pair(config, b_bar)[1 - own]
+        ends = payment_pair(config, [own, own + config.n - 1])[1 - own]
+        lo, hi = ends.min(), ends.max()
+        return (pay - lo) / (hi - lo)
+
+    return mech
+
+
+def two_run_counts(mech, reports, i, trials, bins, seed):
+    reports = np.asarray(reports, dtype=np.int64)
+    neighbor = reports.copy()
+    neighbor[i] = 1 - neighbor[i]
+    counts = np.zeros((2, bins))
+    for chunk, size in chunk_sizes(trials, 1 << 20):
+        for side, vector in enumerate((reports, neighbor)):
+            out = mech(vector, subseed_rng(seed, chunk), size)
+            counts[side] += np.histogram(out, bins=bins, range=(0.0, 1.0))[0]
+    return counts
+
+
+class TestSharedNoiseDraw:
+    # One full 2**20-trial chunk, then a chunk ending in a ragged block.
+    TRIALS = (1 << 20) + 12_345
+    REPORTS = [1] * 5 + [0] * 5
+    PAYMENTS = MechanismConfig(n=10, alpha=0.1, beta=1.0, epsilon=0.5, p0=1.0 / 3.0,
+                               p1=2.0 / 3.0)
+
+    @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3), ("payment", 0),
+                                         ("disabled", None)])
+    def test_counts_match_two_runs_per_chunk(self, kind, j):
+        # j = 0 is the flipped agent itself, whose own report differs between
+        # the neighbors.
+        if kind == "payment":
+            observable = payment_observable(self.PAYMENTS, j)
+            old = two_run_payment(self.PAYMENTS, j)
+        else:
+            noise = NoiseSpec(epsilon=0.5, mode="sample" if kind == "estimate" else "disabled")
+            observable = estimate_observable(10, noise)
+            old = two_run_estimate(10, noise)
+        report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
+        counts = np.array([row[2:4] for row in report.bin_table]).T
+        expected = two_run_counts(old, self.REPORTS, 0, self.TRIALS, 20, 5)
+        assert counts.tolist() == expected.tolist()
+        assert counts.sum(axis=1).tolist() == [self.TRIALS] * 2
+
+    def test_one_noise_draw_per_trial(self, monkeypatch):
+        sizes = []
+
+        def counted(noise, rng, size=None):
+            sizes.append(size)
+            return noise_draw(noise, rng, size)
+
+        monkeypatch.setattr(privacy, "noise_draw", counted)
+        observable = estimate_observable(10, NoiseSpec(epsilon=0.5))
+        dp_audit(observable, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
+        assert sum(sizes) == self.TRIALS
+        assert max(sizes) == AUDIT_BLOCK
+        assert sizes[-1] == 12_345 % AUDIT_BLOCK
