@@ -5,7 +5,7 @@ giving b_bar.  Everything the mechanism publishes is a function of b_bar:
 the estimate `published_estimate(n, b_bar)`, and for each participant an
 unclamped rescaled quadratic score of their leave-one-out estimate
 `peer_estimate(n, b_bar, own)` against the posterior prediction matching
-their report, which `payment_pair` gives for both contributions at once.
+their report: `payment` for one contribution, `payment_pair` for both.
 The payment is affine in the leave-one-out estimate.  Abstainers contribute
 zero and are paid zero.  Every consumer in the package computes these
 quantities through the functions here; the privacy audit watches them as an
@@ -68,18 +68,25 @@ def peer_estimate(n, b_bar, own):
     return np.clip((b_bar - own) / (n - 1), 0.0, 1.0)
 
 
+def payment(config, b_bar, own):
+    """Payment earned by an agent who contributed `own` (0 or 1) at b_bar.
+
+    The score of their leave-one-out estimate against the posterior
+    prediction matching their report, p1 or p0.  Vectorized over b_bar.
+    """
+    b_bar = np.asarray(b_bar, dtype=np.float64)
+    target = config.p1 if own else config.p0
+    return scaled_score(config.scoring, peer_estimate(config.n, b_bar, float(own)), target)
+
+
 def payment_pair(config, b_bar):
     """Payments earned by a one-reporter and a zero-reporter at a given b_bar.
 
     Payments depend on an agent's report only through its contribution, so a
     round has at most two distinct participant payments.  Vectorized over
-    b_bar; the batched simulation drivers, the utility estimator and the
-    payment audit all pay through it.
+    b_bar; the batched simulation drivers pay through it.
     """
-    b_bar = np.asarray(b_bar, dtype=np.float64)
-    pay_one = scaled_score(config.scoring, peer_estimate(config.n, b_bar, 1.0), config.p1)
-    pay_zero = scaled_score(config.scoring, peer_estimate(config.n, b_bar, 0.0), config.p0)
-    return pay_one, pay_zero
+    return payment(config, b_bar, 1), payment(config, b_bar, 0)
 
 
 @dataclass(frozen=True)
@@ -107,17 +114,18 @@ def payment_observable(config, j):
     The payment is affine in the leave-one-out estimate with slope
     +-2 rho (p1 - p0), never 0, so rescaling by its values at estimates 0
     and 1 maps it into [0, 1] in order.  Those two end payments are computed
-    here once for each report agent j may make.
+    here once for each report agent j may make; each call scores only the
+    report agent j made.
     """
     if not 0 <= j < config.n:
         raise ValueError(f"agent index must lie in [0, {config.n}), got {j}")
     # b_bar = own and own + n - 1 put the leave-one-out estimate at 0 and 1.
-    ends = [payment_pair(config, [own, own + config.n - 1])[1 - own] for own in (0, 1)]
+    ends = [payment(config, [own, own + config.n - 1], own) for own in (0, 1)]
     bounds = [(pays.min(), pays.max()) for pays in ends]
 
     def of_b_bar(reports, b_bar):
         own = int(reports[j])
         lo, hi = bounds[own]
-        return (payment_pair(config, b_bar)[1 - own] - lo) / (hi - lo)
+        return (payment(config, b_bar, own) - lo) / (hi - lo)
 
     return Observable(config.noise, of_b_bar)

@@ -415,11 +415,16 @@ def _mixture_quantile(prior, bit, q, cap):
         raise CostSearchError(
             f"cost quantile at level {q} exceeds the search cap {cap}"
         )
+    # Stop once a step would leave (lo, hi) as it is: no later step moves it.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if cdf(mid) >= q:
+            if mid == hi:
+                break
             hi = mid
         else:
+            if mid == lo:
+                break
             lo = mid
     # Snap to a point-mass atom when bisection lands next to one.
     for dist in (prior.cost0, prior.cost1):

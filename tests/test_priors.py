@@ -8,6 +8,7 @@ from scipy.special import betaln, roots_jacobi
 from peersurvey.agents import AlwaysTruth, peer_estimate_mc
 from peersurvey.priors import (
     COST_GRID,
+    COST_SEARCH_QUANTILE,
     AtomMixing,
     BetaMixing,
     CostSearchError,
@@ -19,6 +20,7 @@ from peersurvey.priors import (
     _beta_nodes,
     _binomial_mixture_pmf,
     _group_prob,
+    _mixture_quantile,
     _peer_count_pmf,
     clamped_mean,
     cost_threshold,
@@ -523,6 +525,79 @@ class TestCostThreshold:
             cost_threshold(prior, 1e-9, 0.001, 20_000)
         with pytest.raises(CostSearchError):
             cost_threshold_parts_mc(prior, 1e-9, 0.001, 20_000, trials=1000, seed=0)
+
+
+def mixture_quantile_200_steps(prior, bit, q, cap):
+    """`_mixture_quantile` with no early stop: always 200 bisection steps."""
+    p_b = posterior_bit_prob(prior, bit)
+
+    def cdf(tau):
+        return p_b * prior.cost1.cdf(tau) + (1.0 - p_b) * prior.cost0.cdf(tau)
+
+    lo, hi = 0.0, cap
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    for dist in (prior.cost0, prior.cost1):
+        if isinstance(dist, PointMass) and abs(dist.value - hi) <= 1e-9:
+            if cdf(dist.value) >= q:
+                return dist.value
+    return hi
+
+
+class TestMixtureQuantileEarlyStop:
+    MIXINGS = [
+        {"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},
+        {"kind": "beta", "a": 2.0, "b": 5.0},
+        {"kind": "beta", "a": 0.5, "b": 0.5},
+    ]
+    # Unequal pairs, since equal laws return their own quantile.  The point
+    # masses reach the atom snap; a mass at 0 puts cdf(0) above small q.
+    COSTS = [
+        ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}),
+        ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, {"kind": "exponential", "rate": 2.0}),
+        ({"kind": "point_mass", "value": 0.4}, {"kind": "uniform", "lo": 0.0, "hi": 1.0}),
+        ({"kind": "exponential", "rate": 0.5}, {"kind": "point_mass", "value": 0.7}),
+        ({"kind": "point_mass", "value": 0.0}, {"kind": "exponential", "rate": 1.0}),
+    ]
+
+    @pytest.mark.parametrize("mixing", MIXINGS, ids=["atoms", "beta25", "beta-half"])
+    @pytest.mark.parametrize("costs", COSTS, ids=["uniforms", "uniform-exp", "point-uniform",
+                                                  "exp-point", "zero-exp"])
+    def test_equals_two_hundred_steps(self, mixing, costs):
+        prior = PriorSpec.from_dict({"family": "conditional_iid", "mixing": mixing,
+                                     "cost0": costs[0], "cost1": costs[1]})
+        cap = max(float(np.asarray(prior.cost0.quantile(COST_SEARCH_QUANTILE))),
+                  float(np.asarray(prior.cost1.quantile(COST_SEARCH_QUANTILE))))
+        for bit in (0, 1):
+            for q in (0.01, 0.05, 0.3, 0.5, 0.9, 0.999):
+                expected = mixture_quantile_200_steps(prior, bit, q, cap)
+                assert _mixture_quantile(prior, bit, q, cap) == expected
+
+    def test_zero_quantile_when_mass_at_zero_covers_q(self):
+        prior = PriorSpec.from_dict({"family": "conditional_iid",
+                                     "mixing": {"kind": "beta", "a": 2.0, "b": 5.0},
+                                     "cost0": {"kind": "point_mass", "value": 0.0},
+                                     "cost1": {"kind": "exponential", "rate": 1.0}})
+        p_b = posterior_bit_prob(prior, 1)
+        q = 0.5 * (1.0 - p_b)  # below cdf(0) = 1 - p_b
+        assert _mixture_quantile(prior, 1, q, 20.0) == 0.0
+        assert mixture_quantile_200_steps(prior, 1, q, 20.0) == 0.0
+
+    def test_midpoint_rounding_to_lo_still_moves_hi(self):
+        # From a cap of four subnormal ulps, q = 0 halves hi until the
+        # midpoint of (0, 5e-324) rounds to lo = 0: hi must still step to 0.
+        # No point mass here, so no atom snap hides a missed step.
+        prior = PriorSpec.from_dict({"family": "conditional_iid",
+                                     "mixing": {"kind": "beta", "a": 2.0, "b": 5.0},
+                                     "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                                     "cost1": {"kind": "exponential", "rate": 1.0}})
+        cap = 4 * 5e-324
+        assert mixture_quantile_200_steps(prior, 0, 0.0, cap) == 0.0
+        assert _mixture_quantile(prior, 0, 0.0, cap) == 0.0
 
 
 PEER_COUNTS = [1, 199, 4999, 49999]

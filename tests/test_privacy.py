@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from peersurvey import privacy
 from peersurvey._util import chunk_sizes, subseed_rng
 from peersurvey.mechanism import (
@@ -19,6 +28,7 @@ from peersurvey.privacy import (
     AuditDataError,
     DpAuditReport,
     NoiseSpec,
+    bin_counts,
     dp_audit,
     laplace_inverse_cdf,
     laplace_sample,
@@ -110,6 +120,46 @@ def test_interval_mass_ratio_bounded_by_epsilon():
         keep = (mass > 1e-300) & (mass_next > 1e-300)
         ratios = np.abs(np.log(mass[keep] / mass_next[keep]))
         assert np.max(ratios) <= eps + 1e-9
+
+
+def histogram_counts(values, bins):
+    return np.histogram(values, bins, range=(0.0, 1.0))[0].tolist()
+
+
+class TestBinCounts:
+    BINS = (2, 3, 7, 20, 49, 1000)
+
+    @pytest.mark.parametrize("bins", BINS)
+    def test_matches_np_histogram_at_and_around_every_edge(self, bins):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        values = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            # Other roundings of k / bins, an ulp off linspace's edges.
+            np.arange(bins + 1) / bins,
+            np.arange(bins + 1) * (1.0 / bins),
+            [0.0, -0.0, 1.0, -5e-324, 1.0 + 2.0**-52, np.inf, -np.inf, np.nan],
+            np.random.default_rng(bins).random(10_000),
+        ])
+        assert bin_counts(values, edges).tolist() == histogram_counts(values, bins)
+
+    def test_nothing_in_range_gives_zero_counts(self):
+        edges = np.linspace(0.0, 1.0, 21)
+        values = np.array([-1.0, 2.0, np.nan, np.inf])
+        assert bin_counts(values, edges).tolist() == [0] * 20
+        assert bin_counts(np.empty(0), edges).tolist() == [0] * 20
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            st.sampled_from(BINS),
+            arrays(np.float64, st.integers(0, 200),
+                   elements=st.one_of(st.floats(), st.floats(0.0, 1.0))),
+        )
+        def test_matches_np_histogram_on_any_floats(self, bins, values):
+            edges = np.linspace(0.0, 1.0, bins + 1)
+            assert bin_counts(values, edges).tolist() == histogram_counts(values, bins)
 
 
 class TestMaxLogCountRatio:
