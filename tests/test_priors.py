@@ -577,16 +577,6 @@ class TestMixtureQuantileEarlyStop:
                 expected = mixture_quantile_200_steps(prior, bit, q, cap)
                 assert _mixture_quantile(prior, bit, q, cap) == expected
 
-    def test_zero_quantile_when_mass_at_zero_covers_q(self):
-        prior = PriorSpec.from_dict({"family": "conditional_iid",
-                                     "mixing": {"kind": "beta", "a": 2.0, "b": 5.0},
-                                     "cost0": {"kind": "point_mass", "value": 0.0},
-                                     "cost1": {"kind": "exponential", "rate": 1.0}})
-        p_b = posterior_bit_prob(prior, 1)
-        q = 0.5 * (1.0 - p_b)  # below cdf(0) = 1 - p_b
-        assert _mixture_quantile(prior, 1, q, 20.0) == 0.0
-        assert mixture_quantile_200_steps(prior, 1, q, 20.0) == 0.0
-
     def test_midpoint_rounding_to_lo_still_moves_hi(self):
         # From a cap of four subnormal ulps, q = 0 halves hi until the
         # midpoint of (0, 5e-324) rounds to lo = 0: hi must still step to 0.
