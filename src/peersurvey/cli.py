@@ -557,6 +557,8 @@ def _cmd_threshold(r):
 
 def _cmd_audit_dp(r):
     if r.observable == "estimate":
+        if "payment_index" in r._config:
+            raise ConfigError("payment_index", 'is read only with "observable": "payment"')
         observable = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon))
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
@@ -568,15 +570,7 @@ def _cmd_audit_dp(r):
         )
     except AuditDataError as exc:  # too many bins for the trials
         raise ConfigError("bins", str(exc)) from exc
-    lo, hi, base, flipped, retained, log_ratio = zip(*report.bin_table)
-    _emit(r, report.to_dict(), {
-        "bin_lo": lo,
-        "bin_hi": hi,
-        "count_base": np.array(base, dtype=np.int64),
-        "count_flipped": np.array(flipped, dtype=np.int64),
-        "retained": np.array(retained, dtype=np.int64),
-        "log_ratio": log_ratio,
-    })
+    _emit(r, report.to_dict(), report.table)
     return EXIT_BY_VERDICT[report.verdict]
 
 
@@ -600,16 +594,7 @@ def _cmd_accuracy(r):
         r.prior, r.n, r.alpha, r.delta, r.epsilon, r.strategy, r.trials,
         derive_seed(r.seed, 2000), alpha_prime=r.alpha_prime,
     )
-    records = report.records
-    _emit(r, report.to_dict(), {
-        "trial": np.arange(records.trials),
-        "p_hat": records.p_hat,
-        "p_tilde": records.p_tilde,
-        "abs_error": records.abs_error,
-        "within_alpha_prime": (records.abs_error <= report.alpha_prime).astype(np.int64),
-        "participants": records.participants,
-        "mismatches": records.mismatches,
-    })
+    _emit(r, report.to_dict(), report.table)
     return EXIT_BY_VERDICT[report.verdict]
 
 

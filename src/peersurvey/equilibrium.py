@@ -216,18 +216,6 @@ class EquilibriumAuditReport:
 
     truth_payment_ci = lie_payment_ci = 0.0
 
-    def __post_init__(self):
-        required = {"truth_ge_beta", "lie_le_zero", "beta_covers_cost_bound",
-                    "truth_dominates"}
-        if set(self.verdicts) != required:
-            raise ValueError(f"verdicts must have keys {sorted(required)}")
-        both = (self.verdicts["truth_ge_beta"], self.verdicts["lie_le_zero"])
-        if self.verdicts["truth_dominates"] == PASS and any(v != PASS for v in both):
-            raise ValueError(
-                "truth_dominates can only Pass when truth_ge_beta and "
-                "lie_le_zero both Pass"
-            )
-
     @property
     def overall(self):
         return self.verdicts["truth_dominates"]
@@ -343,7 +331,7 @@ class AccuracyReport:
     delta: float
     verdict: str
     detail: dict = field(default_factory=dict, repr=False)
-    records: object = field(default=None, repr=False, compare=False)
+    table: dict = field(default_factory=dict, repr=False, compare=False)
 
     to_dict = report_dict
 
@@ -363,8 +351,9 @@ def accuracy_experiment(
 
     Passing requires success_fraction >= 1 - delta minus a three-sigma
     binomial allowance at sample size `trials`.  alpha_prime defaults to
-    the noise-widened radius ln(2/delta)/(epsilon*n) + alpha.  The report
-    keeps the simulated TrialRecords on `records`, outside to_dict.
+    the noise-widened radius ln(2/delta)/(epsilon*n) + alpha.  The report's
+    `table`, outside to_dict, holds the CLI's CSV columns, one row per
+    trial; within_alpha_prime is 1 for the trials success_fraction counts.
     """
     if int(trials) < ACCURACY_MIN_TRIALS:
         raise ValueError(f"need at least {ACCURACY_MIN_TRIALS} trials for a verdict, got {trials}")
@@ -391,7 +380,15 @@ def accuracy_experiment(
             "pass_floor": 1.0 - delta - allowance,
             "lint": config_lint(alpha, delta, epsilon, n),
         },
-        records=records,
+        table={
+            "trial": np.arange(records.trials),
+            "p_hat": records.p_hat,
+            "p_tilde": records.p_tilde,
+            "abs_error": records.abs_error,
+            "within_alpha_prime": success.astype(np.int64),
+            "participants": records.participants,
+            "mismatches": records.mismatches,
+        },
     )
 
 
@@ -426,16 +423,19 @@ class CostScalingReport:
 
     Payments may be negative by design, but equilibrium play should never
     make the mean total negative: a negative or non-finite mean is a Fail.
-    The slope of log(mean) on log(n) exists only when every mean is
-    positive and finite; otherwise it is None.
+    So is a mean more than three standard errors above its row's
+    theorem_bound, the paper's bound on the expected total.  The slope of
+    log(mean) on log(n) exists only when every mean is positive and
+    finite; otherwise it is None.
     """
 
     rows: tuple
 
     @property
     def verdict(self):
-        means = [row.total_payment_mean for row in self.rows]
-        return PASS if all(math.isfinite(m) and m >= 0.0 for m in means) else FAIL
+        ok = all(math.isfinite(r.total_payment_mean) and 0.0 <= r.total_payment_mean
+                 <= r.theorem_bound + 3.0 * r.total_payment_sem for r in self.rows)
+        return PASS if ok else FAIL
 
     @property
     def slope(self):

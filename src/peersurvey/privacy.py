@@ -9,7 +9,6 @@ privacy claim but can never prove one.  `bin_counts` counts each block with
 numpy's own equal-width histogram rule, on one table of edges per audit.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,12 +163,14 @@ def log_ratio_lower_bounds(counts_a, counts_b):
 class DpAuditReport:
     """Outcome of an empirical privacy audit on one pair of neighbors.
 
-    The verdict reads max_log_ratio_lower, the largest of the bins'
-    simultaneous lower confidence bounds; max_log_ratio is the largest
-    observed ratio.  A Pass only means the histogram test found no
-    violation at this sample size; a Fail refutes the claimed epsilon (up
-    to the additive tolerance) at the 95% level.  bin_table holds the
-    per-bin rows of the CLI's CSV and stays out of to_dict.
+    `verdict` is Pass when max_log_ratio_lower, the largest of the bins'
+    simultaneous lower confidence bounds, is at most epsilon_claimed +
+    tolerance: a Pass only means the histogram test found no violation at
+    this sample size, a Fail refutes the claimed epsilon at the 95% level.
+    `table`, outside to_dict, holds the CLI's CSV columns, one row per bin:
+    bin_lo, bin_hi, the int64 count_base and count_flipped, retained (1
+    where the mean count reaches DEFAULT_BIN_FLOOR, else 0) and log_ratio =
+    log(count_base) - log(count_flipped), 0 where both counts are 0.
     """
 
     epsilon_claimed: float
@@ -178,16 +179,14 @@ class DpAuditReport:
     bins: int
     trials: int
     tolerance: float
-    verdict: str
-    bin_table: tuple = field(default=(), compare=False)
+    table: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        bound = self.epsilon_claimed + self.tolerance
-        expected = PASS if self.max_log_ratio_lower <= bound else FAIL
-        if self.verdict != expected:
-            raise ValueError("verdict inconsistent with max_log_ratio_lower and tolerance")
+    @property
+    def verdict(self):
+        return PASS if self.max_log_ratio_lower <= self.epsilon_claimed + self.tolerance else FAIL
 
-    to_dict = report_dict
+    def to_dict(self):
+        return {**report_dict(self), "verdict": self.verdict}
 
 
 def dp_audit(
@@ -218,9 +217,7 @@ def dp_audit(
         [0, 1], and the audit seed.  Chunk k of 2**20 trials reads the
         stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.
         Each block is counted by `bin_counts` on the one edge table that
-        also labels the bin table's rows.
-
-    Passing means max_log_ratio_lower <= epsilon_claimed + tolerance.
+        also gives the report's bin_lo and bin_hi columns.
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -255,16 +252,8 @@ def dp_audit(
 
     max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
     lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))
-    verdict = PASS if lower <= epsilon_claimed + tolerance else FAIL
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_bin = np.log(counts_a) - np.log(counts_b)
-    table = tuple(
-        (float(edges[k]), float(edges[k + 1]), float(counts_a[k]),
-         float(counts_b[k]), bool(retained[k]),
-         float(per_bin[k]) if not math.isnan(per_bin[k]) else 0.0)
-        for k in range(bins)
-    )
+        log_ratio = np.log(counts_a) - np.log(counts_b)
     return DpAuditReport(
         epsilon_claimed=float(epsilon_claimed),
         max_log_ratio=max_log_ratio,
@@ -272,6 +261,12 @@ def dp_audit(
         bins=bins,
         trials=trials,
         tolerance=float(tolerance),
-        verdict=verdict,
-        bin_table=table,
+        table={
+            "bin_lo": edges[:-1],
+            "bin_hi": edges[1:],
+            "count_base": counts_a,
+            "count_flipped": counts_b,
+            "retained": retained.astype(np.int64),
+            "log_ratio": np.where(np.isnan(log_ratio), 0.0, log_ratio),
+        },
     )

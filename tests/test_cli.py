@@ -185,6 +185,10 @@ class TestResolver:
         ("posterior", "p1", 0.7),
         ("run", "off", "lie"),
         ("accuracy", "off", "lie"),
+        # Only the payment observable reads payment_index; 0 is also the
+        # flipped agent.
+        ("audit-dp", "payment_index", 3),
+        ("audit-dp", "payment_index", 0),
         # Cross-check keys where nothing is derived for them to check.
         ("audit-dp", "posterior_samples", 1_000),
         ("audit-dp", "threshold_trials", 1_000),
@@ -217,8 +221,9 @@ class TestResolver:
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
         assert dispatch([command, "--config", config]) == 1
-        first_line = capsys.readouterr().err.splitlines()[0]
-        assert first_line.startswith(f"config error: config key '{key}'")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0].startswith(f"config error: config key '{key}'")
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("threshold", "prior", prior_with(cost1={"lo": 2.0, "hi": 1.0}),

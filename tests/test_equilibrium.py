@@ -9,7 +9,6 @@ from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold
 from peersurvey.equilibrium import (
     CostRow,
     CostScalingReport,
-    EquilibriumAuditReport,
     accuracy_experiment,
     accuracy_radius,
     best_response_audit,
@@ -307,26 +306,7 @@ class TestBestResponseAudit:
         assert d["detail"]["cost_model"] == {"kind": "chen", "eta": 1.0}
 
 
-def _report_kwargs(**verdicts):
-    return dict(
-        beta=0.1, tau=0.9, epsilon=0.1, p0=0.3, p1=0.7, probe_cost=0.9,
-        trials=1000, truth_payment_mean=0.15, lie_payment_mean=-0.05,
-        abstain_utility_bound=-0.09, verdicts=verdicts,
-    )
-
-
 class TestReportInvariants:
-    def test_dominance_requires_both_legs(self):
-        with pytest.raises(ValueError):
-            EquilibriumAuditReport(**_report_kwargs(
-                truth_ge_beta=FAIL, lie_le_zero=PASS,
-                beta_covers_cost_bound=PASS, truth_dominates=PASS,
-            ))
-
-    def test_verdict_keys_checked(self):
-        with pytest.raises(ValueError):
-            EquilibriumAuditReport(**_report_kwargs(truth_ge_beta=PASS))
-
     def test_cost_report_negative_mean_fails(self):
         row = CostRow(
             n=100, total_payment_mean=-0.5, theorem_bound=10.0, epsilon=0.2,
@@ -338,6 +318,21 @@ class TestReportInvariants:
         assert report.verdict == FAIL
         assert report.slope is None
         assert report.to_dict()["verdict"] == FAIL
+
+    @pytest.mark.parametrize("mean, sem, verdict", [(11.0, 0.5, PASS), (12.0, 0.5, FAIL),
+                                                    (math.inf, math.inf, FAIL)],
+                             ids=["2-sems-above", "4-sems-above", "infinite"])
+    def test_cost_report_checks_the_theorem_bound(self, mean, sem, verdict):
+        # The mean total may exceed the paper's bound of 10 by sampling
+        # noise, up to three standard errors.
+        row = CostRow(
+            n=100, total_payment_mean=mean, theorem_bound=10.0, epsilon=0.2,
+            beta=0.1, tau=0.9, p0=0.3, p1=0.7, total_payment_sem=sem,
+            mean_pay_one=0.1, mean_pay_zero=0.1, mean_pm_one=0.5,
+            mean_pm_zero=0.5,
+        )
+        within = dataclasses.replace(row, n=200, total_payment_mean=1.0)
+        assert CostScalingReport(rows=(within, row)).verdict == verdict
 
 
 class TestCostScaling:

@@ -25,6 +25,7 @@ from peersurvey.mechanism import (
 )
 from peersurvey.privacy import (
     AUDIT_BLOCK,
+    DEFAULT_BIN_FLOOR,
     AuditDataError,
     DpAuditReport,
     NoiseSpec,
@@ -253,10 +254,35 @@ class TestDpAudit:
     def test_bin_table_accounts_for_every_trial(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
         report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
-        total_a = sum(row[2] for row in report.bin_table)
-        total_b = sum(row[3] for row in report.bin_table)
-        assert total_a == report.trials
-        assert total_b == report.trials
+        assert report.table["count_base"].sum() == report.trials
+        assert report.table["count_flipped"].sum() == report.trials
+
+    def test_table_columns(self):
+        # Noiseless: every trial's estimate is 0.5 on one side and 0.4 on
+        # the other, so 18 bins are empty on both sides and 2 on one.
+        mech = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
+        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        table = report.table
+        assert list(table) == ["bin_lo", "bin_hi", "count_base", "count_flipped", "retained",
+                               "log_ratio"]
+        edges = np.linspace(0.0, 1.0, 21)
+        np.testing.assert_array_equal(table["bin_lo"], edges[:-1])
+        np.testing.assert_array_equal(table["bin_hi"], edges[1:])
+        base, flipped = table["count_base"], table["count_flipped"]
+        for counts in (base, flipped):
+            assert counts.dtype == np.int64
+            assert counts.sum() == report.trials
+        assert table["retained"].dtype == np.int64
+        np.testing.assert_array_equal(
+            table["retained"], ((base + flipped) / 2.0 >= DEFAULT_BIN_FLOOR).astype(np.int64))
+        log_ratio = table["log_ratio"]
+        both_empty = (base == 0) & (flipped == 0)
+        assert both_empty.sum() == 18
+        assert np.all(log_ratio[both_empty] == 0.0)
+        assert not np.signbit(log_ratio[both_empty]).any()
+        np.testing.assert_array_equal(log_ratio[(base > 0) & (flipped == 0)], [np.inf])
+        np.testing.assert_array_equal(log_ratio[(base == 0) & (flipped > 0)], [-np.inf])
+        assert report.verdict == "Fail"
 
     def test_insufficient_data_signalled(self):
         # Every output misses the bins over [0, 1].
@@ -286,17 +312,15 @@ class TestDpAudit:
 
     def test_report_invariant_enforced(self):
         # The verdict follows the lower bound, not the observed ratio.
-        def report(lower, verdict):
+        def report(lower):
             return DpAuditReport(
                 epsilon_claimed=0.5, max_log_ratio=10.0, max_log_ratio_lower=lower,
-                bins=20, trials=100_000, tolerance=0.05, verdict=verdict,
+                bins=20, trials=100_000, tolerance=0.05,
             )
 
-        assert report(0.3, "Pass").verdict == "Pass"
-        with pytest.raises(ValueError):
-            report(10.0, "Pass")
-        with pytest.raises(ValueError):
-            report(0.3, "Fail")
+        assert report(0.3).verdict == "Pass"
+        assert report(10.0).verdict == "Fail"
+        assert list(report(0.3).to_dict())[-1] == "verdict"
 
 
 # The audit before each trial's noise was drawn once for both neighbors:
@@ -354,7 +378,7 @@ class TestSharedNoiseDraw:
             observable = estimate_observable(10, noise)
             old = two_run_estimate(10, noise)
         report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
-        counts = np.array([row[2:4] for row in report.bin_table]).T
+        counts = np.array([report.table["count_base"], report.table["count_flipped"]])
         expected = two_run_counts(old, self.REPORTS, 0, self.TRIALS, 20, 5)
         assert counts.tolist() == expected.tolist()
         assert counts.sum(axis=1).tolist() == [self.TRIALS] * 2
