@@ -72,9 +72,12 @@ _FIXED = {
     "cost-scaling": {**_DRIVER_FIXED, "epsilon": "auto", "beta": "auto"},
 }
 # Keys a command has no use for.  run and accuracy take `off` inside the
-# threshold strategy; cost-scaling takes n from ns, uses the chen cost model
-# and lets off-threshold agents abstain.
-_UNUSED = {"run": ("off",), "accuracy": ("off",), "cost-scaling": ("n", "cost_model", "off")}
+# threshold strategy, and run audits nothing; cost-scaling takes n from ns,
+# uses the chen cost model and lets off-threshold agents abstain.
+_UNUSED = {"run": ("off", "ones", "flip_index", "payment_index", "bins", "observable", "tolerance"),
+           "accuracy": ("off",), "cost-scaling": ("n", "cost_model", "off")}
+# Keys an audit of the estimate does not read, unless epsilon "auto" reads alpha.
+_ESTIMATE_AUDIT_UNUSED = ("payment_index", "alpha", "beta", "p0", "p1", "prior")
 
 _CSV_BLOCK_ROWS = 1 << 13
 
@@ -557,9 +560,11 @@ def _cmd_threshold(r):
 
 def _cmd_audit_dp(r):
     if r.observable == "estimate":
-        if "payment_index" in r._config:
-            raise ConfigError("payment_index", 'is read only with "observable": "payment"')
         observable = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon))
+        for key in _ESTIMATE_AUDIT_UNUSED:
+            if key in r._config and key not in r.__dict__:
+                raise ConfigError(key, 'is not used by an audit of the estimate; '
+                                       '"observable": "payment" reads it')
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)

@@ -95,7 +95,9 @@ class Observable:
     the map of_b_bar(reports, b_bar) -> values in [0, 1] from a report
     vector and its noisy sum b_bar to the published value.  An observable
     draws no noise; privacy.dp_audit draws it once per trial and feeds the
-    same draw to both neighbours."""
+    same draw to both neighbours.  The map works elementwise and is
+    monotone in b_bar, rising or falling, as computed in float64: the
+    audit counts the draws between the b_bar at which its bin changes."""
 
     noise: NoiseSpec
     of_b_bar: Callable
@@ -109,23 +111,22 @@ def estimate_observable(n, noise):
 
 
 def payment_observable(config, j):
-    """Audit observable: agent j's payment, affinely mapped into [0, 1].
+    """Audit observable: agent j's payment, affinely mapped onto [0, 1].
 
-    The payment is affine in the leave-one-out estimate with slope
-    +-2 rho (p1 - p0), never 0, so rescaling by its values at estimates 0
-    and 1 maps it into [0, 1] in order.  Those two end payments are computed
-    here once for each report agent j may make; each call scores only the
-    report agent j made.
+    The payment is affine in agent j's leave-one-out estimate with slope
+    2 rho (p1 - p0) for a one-report and 2 rho (p0 - p1) for a
+    zero-report, never 0.  Rescaled by its values at estimates 0 and 1, it
+    is that estimate where it rises with it and 1 - estimate where it
+    falls.  Subtraction, division, clipping and 1 - e are each correctly
+    rounded and monotone, so the map is monotone in b_bar in float64 too.
     """
     if not 0 <= j < config.n:
         raise ValueError(f"agent index must lie in [0, {config.n}), got {j}")
-    # b_bar = own and own + n - 1 put the leave-one-out estimate at 0 and 1.
-    ends = [payment(config, [own, own + config.n - 1], own) for own in (0, 1)]
-    bounds = [(pays.min(), pays.max()) for pays in ends]
+    rises = (config.p0 > config.p1, config.p1 > config.p0)  # by agent j's report
 
     def of_b_bar(reports, b_bar):
         own = int(reports[j])
-        lo, hi = bounds[own]
-        return (payment(config, b_bar, own) - lo) / (hi - lo)
+        estimate = peer_estimate(config.n, b_bar, own)
+        return estimate if rises[own] else 1.0 - estimate
 
     return Observable(config.noise, of_b_bar)

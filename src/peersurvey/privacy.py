@@ -5,10 +5,15 @@ The mechanism protects participants by adding a single Laplace draw of scale
 functions of the noisy sum.  `dp_audit` draws that noise once per trial,
 histograms the output on two neighboring report vectors that share the draw
 and bounds each bin's log probability ratio from below; it can refute a
-privacy claim but can never prove one.  `bin_counts` counts each block with
-numpy's own equal-width histogram rule, on one table of edges per audit.
+privacy claim but can never prove one.  An audited output is monotone in
+the noisy sum, so each neighbor's bin is a step function of the draw:
+`dp_audit` finds the draws at which either neighbor's bin changes once per
+audit (`bin_index` gives a value's bin by numpy's own equal-width histogram
+rule), counts the draws between those cut points with one table lookup
+each, and maps those counts to both neighbors' bins at the end.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +38,17 @@ AUDIT_MIN_TRIALS = 100_000
 # per float array, small enough that the allocator recycles numpy's
 # temporaries instead of faulting fresh pages in for each.
 AUDIT_BLOCK = 1 << 14
+# The most cells in the grid that `dp_audit` looks each draw up in.
+AUDIT_GRID_CELLS = 1 << 16
+# Observable maps per cut point: `cut_points` bisects 64-bit keys.  An audit
+# with fewer trials per bin than this counts each draw's own bin instead.
+CUT_POINT_MAPS = 64
+
+_MAX = np.finfo(np.float64).max
+# The largest finite float64's bits, as an int64: floats in order are the
+# int64 keys -_KEY_MAX .. _KEY_MAX (see `_unkey`).
+_KEY_MAX = np.float64(_MAX).view(np.int64)
+_SIGN_BIT = np.int64(-1 << 63)
 
 
 class AuditDataError(RuntimeError):
@@ -97,25 +113,97 @@ def noise_draw(noise, rng, size=None):
     return laplace_sample(noise.scale, rng, size)
 
 
-def bin_counts(values, edges):
-    """Counts of `values` in the equal-width bins `edges` over [0, 1].
+def bin_index(values, edges):
+    """Bin of each value among the equal-width bins `edges` over [0, 1].
 
-    The same counts as numpy's histogram over edges.size - 1 bins with
-    range (0, 1), by its rule: values outside [0, 1] and NaN are dropped,
-    each value v goes to bin floor(v * bins), capped at the last, and one
-    step down or up moves it to the bin whose edges hold it when rounding
-    put it next door.  Only the last bin includes its right edge.  The cost
-    is O(len(values)) whatever the number of bins.
+    numpy's histogram rule over edges.size - 1 bins with range (0, 1):
+    value v goes to bin floor(v * bins), capped at the last, and one step
+    down or up moves it to the bin whose edges hold it when rounding put it
+    next door.  Only the last bin includes its right edge.  A value below 0
+    gets -1 and one above 1, or NaN, gets `bins`: numpy's histogram drops
+    them, and the index stays monotone in the value.
     """
     bins = edges.size - 1
-    keep = (values >= 0.0) & (values <= 1.0)
-    if not keep.all():
-        values = values[keep]
-    k = (values * bins).astype(np.intp)
+    below = values < 0.0
+    inside = (values <= 1.0) & ~below
+    v = np.where(inside, values, 0.0)
+    k = (v * bins).astype(np.intp)
     np.minimum(k, bins - 1, out=k)
-    k -= values < edges.take(k)
-    k += (values >= edges.take(k + 1)) & (k != bins - 1)
-    return np.bincount(k, minlength=bins)
+    k -= v < edges.take(k)
+    k += (v >= edges.take(k + 1)) & (k != bins - 1)
+    k[~inside] = bins
+    k[below] = -1
+    return k
+
+
+def _unkey(key):
+    """The float64 of each int64 key: a key k >= 0 is the bits of the float
+    k, a key k < 0 those of -float(-k), so keys and floats share one order."""
+    return np.where(key < 0, -key | _SIGN_BIT, key).view(np.float64)
+
+
+def cut_points(f):
+    """Sorted x at which the monotone step function f of a float64 x changes.
+
+    For each value f takes past f(-max) up to f(max), the smallest finite x
+    at which f reaches it, found for all values at once by bisecting the
+    floats' int64 keys: 64 steps.  f may rise or fall; a constant f has no
+    cut points.  If f is monotone, it is constant below the first cut point
+    and between consecutive ones.
+    """
+    ends = f(np.array([-_MAX, _MAX]))
+    sign = int(np.sign(ends[1] - ends[0]))
+    if sign == 0:
+        return np.empty(0)
+    targets = sign * np.arange(ends[0] + sign, ends[1] + sign, sign)
+    a = np.full(targets.size, -_KEY_MAX)
+    b = np.full(targets.size, _KEY_MAX)
+    # b - a overflows int64 at the start, so the loop compares b with a + 1,
+    # and the midpoint halves each end before adding.
+    while np.any(b > a + 1):
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)
+        reached = sign * f(_unkey(mid)) >= targets
+        b = np.where(reached, mid, b)
+        a = np.where(reached, a, mid)
+    return np.unique(_unkey(b))
+
+
+class CutTable:
+    """The cells between sorted cut points, and the cell of each draw.
+
+    `index(x)` is the number of cut points at or below x, by one lookup
+    in a uniform grid over the cuts' span: `table[g]` counts the cuts in
+    grid cells below g, a lower bound for every x in cell g, because a
+    draw and the cuts get their grid cells from the same monotone float
+    map.  `steps` comparisons with the next cut, the most cuts that share
+    one grid cell, make it exact.  The grid's cell width is at most `gap`,
+    and it has at most AUDIT_GRID_CELLS cells.
+    """
+
+    def __init__(self, cuts, gap):
+        self.cuts = cuts
+        self._next = np.append(cuts, np.inf)
+        self._lo = float(cuts[0]) if cuts.size else 0.0
+        span = float(cuts[-1]) - self._lo if cuts.size else 0.0
+        cells = max(1, int(np.ceil(min(span / gap, AUDIT_GRID_CELLS)))) if span > 0.0 else 1
+        self._inv_width = cells / span if span > 0.0 else 0.0
+        self._last = cells - 1
+        self.grid = self._lo + np.arange(cells + 1) * (span / cells)
+        cut_cells = self._cell(cuts)
+        self._table = np.searchsorted(cut_cells, np.arange(cells))
+        self.steps = int(np.bincount(cut_cells).max()) if cuts.size else 0
+
+    def _cell(self, x):
+        t = x - self._lo
+        t *= self._inv_width
+        np.clip(t, 0.0, self._last, out=t)
+        return t.astype(np.intp)
+
+    def index(self, x):
+        k = self._table.take(self._cell(x))
+        for _ in range(self.steps):
+            k += x >= self._next.take(k)
+        return k
 
 
 def max_log_count_ratio(counts_a, counts_b):
@@ -189,6 +277,65 @@ class DpAuditReport:
         return {**report_dict(self), "verdict": self.verdict}
 
 
+def _bin_of_draw(observable, reports, edges):
+    """The bin of the observable on `reports` as a function of the noise draw."""
+    total = int(reports.sum())
+    return lambda x: bin_index(observable.of_b_bar(reports, total + x), edges)
+
+
+def _noise_blocks(noise, trials, seed):
+    """The audit's noise draws: chunk k of 2**20 trials reads the stream
+    subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time."""
+    for chunk, size in chunk_sizes(trials, 1 << 20):
+        rng = subseed_rng(seed, chunk)
+        for _, block in chunk_sizes(size, AUDIT_BLOCK):
+            yield noise_draw(noise, rng, block)
+
+
+def _counts_per_draw(sides, blocks, bins):
+    """Each side's bin counts from the bin of every draw."""
+    counts = np.zeros((2, bins + 2), dtype=np.int64)
+    for x in blocks:
+        for f, side_counts in zip(sides, counts):
+            side_counts += np.bincount(f(x) + 1, minlength=bins + 2)
+    return counts[:, 1:-1]
+
+
+def _counts_by_cell(sides, blocks, bins):
+    """Each side's bin counts from the draws counted into the cells between
+    both sides' cut points.
+
+    Cell k holds the draws from the k-th cut (-max for k = 0) up to the
+    next, and each side's bin is constant on it if the observable is
+    monotone in b_bar.  That is checked at every grid edge, at and just
+    below every cut, and on the first block of draws; where it fails,
+    ValueError.
+    """
+    side_cuts = [cut_points(f) for f in sides]
+    gap = min((float(np.diff(cuts).min()) for cuts in side_cuts if cuts.size > 1),
+              default=np.inf)
+    table = CutTable(np.unique(np.concatenate(side_cuts)), gap)
+    bin_of_cell = [f(np.concatenate([[-_MAX], table.cuts])) for f in sides]
+
+    def check(x):
+        cells = table.index(x)
+        for f, bin_of in zip(sides, bin_of_cell):
+            if np.any(f(x) != bin_of.take(cells)):
+                raise ValueError("the observable is not monotone in b_bar: its bins do not "
+                                 "follow its cut points")
+
+    check(np.concatenate([table.grid, table.cuts, np.nextafter(table.cuts, -np.inf)]))
+    cells = np.zeros(table.cuts.size + 1, dtype=np.int64)
+    first = next(blocks)
+    for x in itertools.chain([first], blocks):
+        cells += np.bincount(table.index(x), minlength=cells.size)
+    # Checked after the count: checked before it, its temporaries raised
+    # the audit's peak RSS by about 0.25 MB.
+    check(first)
+    return [np.bincount(bin_of + 1, weights=cells, minlength=bins + 2)[1:-1].astype(np.int64)
+            for bin_of in bin_of_cell]
+
+
 def dp_audit(
     observable,
     reports,
@@ -208,7 +355,8 @@ def dp_audit(
     observable : mechanism.Observable
         Its `noise` is drawn once per trial, and that one draw x feeds both
         neighbors: each histograms `of_b_bar(reports, sum(reports) + x)`, a
-        value in [0, 1].
+        value in [0, 1] that must be monotone in b_bar.  An observable
+        whose bins do not follow its cut points raises ValueError.
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
@@ -216,8 +364,16 @@ def dp_audit(
     trials, bins, seed : sample size, equal-width bin count over
         [0, 1], and the audit seed.  Chunk k of 2**20 trials reads the
         stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.
-        Each block is counted by `bin_counts` on the one edge table that
-        also gives the report's bin_lo and bin_hi columns.
+        Each neighbor's bin, by `bin_index` on the one edge table that
+        also gives the report's bin_lo and bin_hi columns, is a step
+        function of x.  `cut_points` finds where it steps, once per audit;
+        each block is counted into the cells between both neighbors' cut
+        points by `CutTable.index`, and each cell's count goes to the bin
+        each neighbor gives its left end.  When finding the cut points
+        would cost more observable maps than the trials, fewer than
+        CUT_POINT_MAPS * (bins + 1), each draw's own bins are counted
+        instead.  Either way the counts are those of the values per trial,
+        less those outside [0, 1].
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -239,16 +395,9 @@ def dp_audit(
     neighbor[i] = flipped_bit
 
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts_a = np.zeros(bins, dtype=np.int64)
-    counts_b = np.zeros(bins, dtype=np.int64)
-    sides = ((reports, int(reports.sum()), counts_a), (neighbor, int(neighbor.sum()), counts_b))
-    for chunk, size in chunk_sizes(trials, 1 << 20):
-        rng = subseed_rng(seed, chunk)
-        for _, block in chunk_sizes(size, AUDIT_BLOCK):
-            x = noise_draw(observable.noise, rng, block)
-            for side, total, counts in sides:
-                out = observable.of_b_bar(side, total + x)
-                counts += bin_counts(out, edges)
+    sides = [_bin_of_draw(observable, side, edges) for side in (reports, neighbor)]
+    count = _counts_per_draw if CUT_POINT_MAPS * (bins + 1) > trials else _counts_by_cell
+    counts_a, counts_b = count(sides, _noise_blocks(observable.noise, trials, seed), bins)
 
     max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
     lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))

@@ -186,9 +186,22 @@ class TestResolver:
         ("run", "off", "lie"),
         ("accuracy", "off", "lie"),
         # Only the payment observable reads payment_index; 0 is also the
-        # flipped agent.
+        # flipped agent.  Nor does an audit of the estimate read the
+        # payment's parameters, or the prior.
         ("audit-dp", "payment_index", 3),
         ("audit-dp", "payment_index", 0),
+        ("audit-dp", "alpha", 0.1),
+        ("audit-dp", "beta", 1.0),
+        ("audit-dp", "p0", 0.3),
+        ("audit-dp", "p1", 0.7),
+        ("audit-dp", "prior", UNIFORM_PRIOR),
+        # run audits nothing.
+        ("run", "ones", 30),
+        ("run", "flip_index", 0),
+        ("run", "payment_index", 3),
+        ("run", "bins", 20),
+        ("run", "observable", "estimate"),
+        ("run", "tolerance", 0.05),
         # Cross-check keys where nothing is derived for them to check.
         ("audit-dp", "posterior_samples", 1_000),
         ("audit-dp", "threshold_trials", 1_000),
@@ -654,6 +667,14 @@ class TestAuditDpCommand:
         config = write_config(tmp_path, self.audit_config(observable="transcript"))
         assert dispatch(["audit-dp", "--config", config]) == 1
         assert "observable" in capsys.readouterr().err
+
+    def test_estimate_audit_reads_alpha_for_epsilon_auto(self, tmp_path, capsys):
+        # epsilon "auto" is derived from alpha and delta, so the audit of the
+        # estimate reads alpha there, and accepts it.
+        payload = dict(BASE_CONFIGS["audit-dp"], epsilon="auto", alpha=0.1, delta=0.1)
+        config = write_config(tmp_path, payload)
+        assert dispatch(["audit-dp", "--config", config]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["resolved"]["epsilon"] > 0.0
 
     def test_payment_observable_runs(self, tmp_path, capsys):
         config = write_config(tmp_path, self.audit_config(

@@ -121,3 +121,22 @@ class TestObservables:
         out = self.observe(observable, [1] * 60 + [0] * 40, np.random.default_rng(2), 1000)
         assert out.shape == (1000,)
         assert np.all((out >= 0.0) & (out <= 1.0))
+
+    @pytest.mark.parametrize("p0, p1", [(1.0 / 3.0, 2.0 / 3.0), (0.8, 0.3)])
+    @pytest.mark.parametrize("own", [0, 1])
+    def test_payment_observable_is_monotone_rescaled_payment(self, p0, p1, own):
+        # Agent 3's payment rescaled by its values at estimates 0 and 1, as
+        # the observable once computed it; the observable is monotone in
+        # b_bar to the last bit, whichever way the payment slopes.
+        config = reference_config(n=10, p0=p0, p1=p1)
+        reports = np.zeros(10, dtype=np.int64)
+        reports[3] = own
+        b_bar = np.linspace(-20.0, 30.0, 100_000)
+        out = payment_observable(config, 3).of_b_bar(reports, b_bar)
+        pay = payment_pair(config, b_bar)[1 - own]
+        ends = payment_pair(config, [own, own + config.n - 1])[1 - own]
+        rescaled = (pay - ends.min()) / (ends.max() - ends.min())
+        np.testing.assert_allclose(out, rescaled, rtol=0.0, atol=1e-12)
+        steps = np.diff(out)
+        assert np.all(steps >= 0.0) or np.all(steps <= 0.0)
+        assert out.min() == 0.0 and out.max() == 1.0

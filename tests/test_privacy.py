@@ -27,9 +27,11 @@ from peersurvey.privacy import (
     AUDIT_BLOCK,
     DEFAULT_BIN_FLOOR,
     AuditDataError,
+    CutTable,
     DpAuditReport,
     NoiseSpec,
-    bin_counts,
+    bin_index,
+    cut_points,
     dp_audit,
     laplace_inverse_cdf,
     laplace_sample,
@@ -127,7 +129,13 @@ def histogram_counts(values, bins):
     return np.histogram(values, bins, range=(0.0, 1.0))[0].tolist()
 
 
-class TestBinCounts:
+def index_counts(values, bins):
+    """np.bincount of bin_index's in-range results."""
+    k = bin_index(values, np.linspace(0.0, 1.0, bins + 1))
+    return np.bincount(k[(k >= 0) & (k < bins)], minlength=bins).tolist()
+
+
+class TestBinIndex:
     BINS = (2, 3, 7, 20, 49, 1000)
 
     @pytest.mark.parametrize("bins", BINS)
@@ -143,7 +151,18 @@ class TestBinCounts:
             [0.0, -0.0, 1.0, -5e-324, 1.0 + 2.0**-52, np.inf, -np.inf, np.nan],
             np.random.default_rng(bins).random(10_000),
         ])
-        assert bin_counts(values, edges).tolist() == histogram_counts(values, bins)
+        assert index_counts(values, bins) == histogram_counts(values, bins)
+
+    @pytest.mark.parametrize("bins", BINS)
+    def test_out_of_range_values_sit_past_either_end(self, bins):
+        # -1 below 0, bins above 1 and for NaN: the index stays monotone in
+        # the value, and np.histogram drops both.
+        values = np.array([-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 1.0, 1.0 + 2.0**-52, 2.0,
+                           np.inf, np.nan])
+        k = bin_index(values, np.linspace(0.0, 1.0, bins + 1))
+        assert k.tolist() == [-1, -1, -1, -1, 0, 0, bins - 1, bins, bins, bins, bins]
+        ordered = np.sort(np.random.default_rng(bins).uniform(-0.5, 1.5, 10_000))
+        assert np.all(np.diff(bin_index(ordered, np.linspace(0.0, 1.0, bins + 1))) >= 0)
 
     if HAVE_HYPOTHESIS:
 
@@ -153,8 +172,51 @@ class TestBinCounts:
                    elements=st.one_of(st.floats(), st.floats(0.0, 1.0))),
         )
         def test_matches_np_histogram_on_any_floats(self, bins, values):
-            edges = np.linspace(0.0, 1.0, bins + 1)
-            assert bin_counts(values, edges).tolist() == histogram_counts(values, bins)
+            assert index_counts(values, bins) == histogram_counts(values, bins)
+
+
+class TestCutPoints:
+    def test_rising_step_function(self):
+        # Steps at 0, 2.5 and 7; the step at 2.5 skips a value.
+        f = lambda x: (x >= 0.0).astype(np.intp) + 2 * (x >= 2.5) + (x >= 7.0)
+        assert cut_points(f).tolist() == [0.0, 2.5, 7.0]
+
+    def test_falling_step_function_and_extreme_cuts(self):
+        tiny, big = 5e-324, np.finfo(np.float64).max
+        f = lambda x: 3 - (x >= -big / 2) - (x >= -tiny) - (x >= big)
+        assert cut_points(f).tolist() == [-big / 2, -tiny, big]
+
+    def test_constant_function_has_none(self):
+        assert cut_points(lambda x: np.zeros(x.shape, dtype=np.intp)).size == 0
+
+    def test_estimate_bins_step_at_their_edges(self):
+        edges = np.linspace(0.0, 1.0, 21)
+        f = lambda x: bin_index(published_estimate(10, 5 + x), edges)
+        # The clipped estimate fills bin 0 below b_bar = 0.5 and bin 19 above 9.5.
+        cuts = cut_points(f)
+        np.testing.assert_allclose(cuts, np.arange(0.5, 10.0, 0.5) - 5.0, atol=1e-12)
+        assert np.all(np.diff(f(cuts)) == 1)
+        assert np.all(f(np.nextafter(cuts, -np.inf)) == f(cuts) - 1)
+
+
+class TestCutTable:
+    @pytest.mark.parametrize("cells", [1, 3, 1 << 16])
+    def test_index_counts_cuts_at_or_below(self, monkeypatch, cells):
+        # Crowded cuts: with a few grid cells, many share one, and the
+        # lookup takes more comparison steps.
+        monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        cuts = np.unique(np.concatenate([rng.normal(0.0, 3.0, 40), [1.0, np.nextafter(1.0, 2.0)]]))
+        table = CutTable(cuts, 1e-3)
+        if cells == 3:
+            assert table.steps > 2
+        x = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+                            table.grid, [-1e300, 1e300, 0.0, -0.0], rng.normal(0.0, 4.0, 10_000)])
+        assert table.index(x).tolist() == np.searchsorted(cuts, x, side="right").tolist()
+
+    def test_no_cuts_one_cell(self):
+        table = CutTable(np.empty(0), np.inf)
+        assert table.index(np.array([-1e300, 0.0, 1e300])).tolist() == [0, 0, 0]
 
 
 class TestMaxLogCountRatio:
@@ -358,6 +420,13 @@ def two_run_counts(mech, reports, i, trials, bins, seed):
     return counts
 
 
+def two_run_raw_sum(noise):
+    def mech(reports, rng, size):
+        return (int(np.sum(reports)) + noise_draw(noise, rng, size) + 10.0) / 30.0
+
+    return mech
+
+
 class TestSharedNoiseDraw:
     # One full 2**20-trial chunk, then a chunk ending in a ragged block.
     TRIALS = (1 << 20) + 12_345
@@ -366,22 +435,59 @@ class TestSharedNoiseDraw:
                                p1=2.0 / 3.0)
 
     @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3), ("payment", 0),
-                                         ("disabled", None)])
+                                         ("disabled", None), ("bins_200", None),
+                                         ("epsilon_0.05", None), ("n_50", None),
+                                         ("raw_sum", None), ("per_draw", None)])
     def test_counts_match_two_runs_per_chunk(self, kind, j):
         # j = 0 is the flipped agent itself, whose own report differs between
-        # the neighbors.
+        # the neighbors.  raw_sum's values leave [0, 1] on either side, and
+        # per_draw's 20,000 bins are too many for the trials to pay for cut
+        # points.
+        reports, i, bins = self.REPORTS, 0, {"bins_200": 200, "per_draw": 20_000}.get(kind, 20)
+        noise = NoiseSpec(epsilon=0.05 if kind == "epsilon_0.05" else 0.5,
+                          mode="disabled" if kind == "disabled" else "sample")
         if kind == "payment":
             observable = payment_observable(self.PAYMENTS, j)
             old = two_run_payment(self.PAYMENTS, j)
+        elif kind == "raw_sum":
+            observable = Observable(noise, lambda reports, b_bar: (b_bar + 10.0) / 30.0)
+            old = two_run_raw_sum(noise)
+        elif kind == "n_50":
+            reports, i, bins, noise = [1] * 7 + [0] * 43, 10, 37, NoiseSpec(epsilon=1.3)
+            observable = estimate_observable(50, noise)
+            old = two_run_estimate(50, noise)
         else:
-            noise = NoiseSpec(epsilon=0.5, mode="sample" if kind == "estimate" else "disabled")
             observable = estimate_observable(10, noise)
             old = two_run_estimate(10, noise)
-        report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
+        report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
         counts = np.array([report.table["count_base"], report.table["count_flipped"]])
-        expected = two_run_counts(old, self.REPORTS, 0, self.TRIALS, 20, 5)
+        expected = two_run_counts(old, reports, i, self.TRIALS, bins, 5)
         assert counts.tolist() == expected.tolist()
-        assert counts.sum(axis=1).tolist() == [self.TRIALS] * 2
+        if kind == "raw_sum":
+            assert (counts.sum(axis=1) < self.TRIALS).all()
+        else:
+            assert counts.sum(axis=1).tolist() == [self.TRIALS] * 2
+
+    @pytest.mark.parametrize("cells", [3, 1 << 16])
+    def test_crowded_grid_counts_match_two_runs(self, monkeypatch, cells):
+        # Three grid cells put several cut points in each, so each draw
+        # takes more comparison steps after its lookup.
+        monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
+        noise = NoiseSpec(epsilon=0.5)
+        report = dp_audit(estimate_observable(10, noise), self.REPORTS, 0, 0, 0.5, 200_000, 20,
+                          seed=9)
+        counts = [report.table["count_base"].tolist(), report.table["count_flipped"].tolist()]
+        assert counts == two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000,
+                                        20, 9).tolist()
+
+    @pytest.mark.parametrize("bottom", [5.0, 17.0])
+    def test_observable_not_monotone_in_b_bar_raises(self, bottom):
+        # Equal at both ends, so the V has no cut points.  At b_bar = 17 it
+        # is flat at the noiseless sums 4 and 5; only the draws show it.
+        v_shape = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.clip(
+            np.abs(b_bar - bottom) / 10.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="not monotone in b_bar"):
+            dp_audit(v_shape, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
 
     def test_one_noise_draw_per_trial(self, monkeypatch):
         sizes = []
