@@ -7,13 +7,15 @@ histograms the output on two neighboring report vectors that share the draw
 and bounds each bin's log probability ratio from below; it can refute a
 privacy claim but can never prove one.  An audited output is monotone in
 the noisy sum, so each neighbor's bin is a step function of the draw:
-`dp_audit` finds the draws at which either neighbor's bin changes once per
-audit (`bin_index` gives a value's bin by numpy's own equal-width histogram
-rule), counts the draws between those cut points with one table lookup
-each, and maps those counts to both neighbors' bins at the end.
+`dp_audit` finds the draws at which either neighbor's bin changes within
+the span the draws reach (`bin_index` gives a value's bin by numpy's own
+equal-width histogram rule), counts the draws between those cut points with
+one table lookup each, and maps those counts to both neighbors' bins at the
+end.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +42,9 @@ AUDIT_MIN_TRIALS = 100_000
 AUDIT_BLOCK = 1 << 14
 # The most cells in the grid that `dp_audit` looks each draw up in.
 AUDIT_GRID_CELLS = 1 << 16
-# Observable maps per cut point: `cut_points` bisects 64-bit keys.  An audit
-# with fewer trials per bin than this counts each draw's own bin instead.
-CUT_POINT_MAPS = 64
+# Besides the first block, `dp_audit` checks every this many-th draw's bins
+# against its cut table, 2**20 / AUDIT_CHECK_STRIDE draws at a time.
+AUDIT_CHECK_STRIDE = 256
 
 _MAX = np.finfo(np.float64).max
 # The largest finite float64's bits, as an int64: floats in order are the
@@ -136,30 +138,37 @@ def bin_index(values, edges):
     return k
 
 
+def _key(x):
+    """The int64 key of the float64 x: see `_unkey`."""
+    bits = np.float64(x).view(np.int64)
+    return bits if bits >= 0 else -(bits ^ _SIGN_BIT)
+
+
 def _unkey(key):
     """The float64 of each int64 key: a key k >= 0 is the bits of the float
     k, a key k < 0 those of -float(-k), so keys and floats share one order."""
     return np.where(key < 0, -key | _SIGN_BIT, key).view(np.float64)
 
 
-def cut_points(f):
-    """Sorted x at which the monotone step function f of a float64 x changes.
+def cut_points(f, lo, hi):
+    """Sorted x in (lo, hi] at which the monotone step function f of a
+    float64 x changes.
 
-    For each value f takes past f(-max) up to f(max), the smallest finite x
-    at which f reaches it, found for all values at once by bisecting the
-    floats' int64 keys: 64 steps.  f may rise or fall; a constant f has no
-    cut points.  If f is monotone, it is constant below the first cut point
-    and between consecutive ones.
+    For each value f takes past f(lo) up to f(hi), the smallest x in
+    (lo, hi] at which f reaches it, found for all values at once by
+    bisecting the floats' int64 keys: at most 64 steps.  f may rise or
+    fall; a constant f has no cut points.  If f is monotone, it is constant
+    from lo up to the first cut point and between consecutive ones.
     """
-    ends = f(np.array([-_MAX, _MAX]))
+    ends = f(np.array([lo, hi]))
     sign = int(np.sign(ends[1] - ends[0]))
     if sign == 0:
         return np.empty(0)
     targets = sign * np.arange(ends[0] + sign, ends[1] + sign, sign)
-    a = np.full(targets.size, -_KEY_MAX)
-    b = np.full(targets.size, _KEY_MAX)
-    # b - a overflows int64 at the start, so the loop compares b with a + 1,
-    # and the midpoint halves each end before adding.
+    a = np.full(targets.size, _key(lo))
+    b = np.full(targets.size, _key(hi))
+    # b - a can overflow int64, so the loop compares b with a + 1, and the
+    # midpoint halves each end before adding.
     while np.any(b > a + 1):
         mid = (a >> 1) + (b >> 1) + (a & b & 1)
         reached = sign * f(_unkey(mid)) >= targets
@@ -292,43 +301,67 @@ def _noise_blocks(noise, trials, seed):
             yield noise_draw(noise, rng, block)
 
 
-def _counts_per_draw(sides, blocks, bins):
-    """Each side's bin counts from the bin of every draw."""
-    counts = np.zeros((2, bins + 2), dtype=np.int64)
-    for x in blocks:
-        for f, side_counts in zip(sides, counts):
-            side_counts += np.bincount(f(x) + 1, minlength=bins + 2)
-    return counts[:, 1:-1]
-
-
-def _counts_by_cell(sides, blocks, bins):
+def _counts_by_cell(sides, blocks, bins, reach):
     """Each side's bin counts from the draws counted into the cells between
     both sides' cut points.
 
-    Cell k holds the draws from the k-th cut (-max for k = 0) up to the
+    Cell k holds the draws from the k-th cut (`lo` for k = 0) up to the
     next, and each side's bin is constant on it if the observable is
-    monotone in b_bar.  That is checked at every grid edge, at and just
-    below every cut, and on the first block of draws; where it fails,
-    ValueError.
+    monotone in b_bar.  The cuts cover the span [lo, hi]: first
+    [-reach, reach], then widened, by the cuts of the widened part only, to
+    take in any block that reaches past it.  So the bisection pays only for
+    the bins that the draws can reach, however many bins there are.  The
+    table is checked at every grid edge, at and just below every cut, on
+    the first block of draws and on every AUDIT_CHECK_STRIDE-th draw; where
+    a side's bin differs, ValueError.  A non-monotone observable whose bins
+    differ only between those points is counted wrongly without an error.
     """
-    side_cuts = [cut_points(f) for f in sides]
-    gap = min((float(np.diff(cuts).min()) for cuts in side_cuts if cuts.size > 1),
-              default=np.inf)
-    table = CutTable(np.unique(np.concatenate(side_cuts)), gap)
-    bin_of_cell = [f(np.concatenate([[-_MAX], table.cuts])) for f in sides]
+    lo, hi = -reach, reach
+    side_cuts = [cut_points(f, lo, hi) for f in sides]
+    table = bin_of_cell = None
 
     def check(x):
-        cells = table.index(x)
+        cell = table.index(x)
         for f, bin_of in zip(sides, bin_of_cell):
-            if np.any(f(x) != bin_of.take(cells)):
+            if np.any(f(x) != bin_of.take(cell)):
                 raise ValueError("the observable is not monotone in b_bar: its bins do not "
                                  "follow its cut points")
 
-    check(np.concatenate([table.grid, table.cuts, np.nextafter(table.cuts, -np.inf)]))
+    def tabulate():
+        nonlocal table, bin_of_cell
+        cuts = np.unique(np.concatenate(side_cuts))
+        gap = min((float(np.diff(c).min()) for c in side_cuts if c.size > 1), default=np.inf)
+        table = CutTable(cuts, gap)
+        bin_of_cell = [f(np.append(lo, cuts)) for f in sides]
+        check(np.concatenate([table.grid, cuts, np.nextafter(cuts, -np.inf)]))
+
+    tabulate()
     cells = np.zeros(table.cuts.size + 1, dtype=np.int64)
     first = next(blocks)
+    sample = np.empty((1 << 20) // AUDIT_CHECK_STRIDE)
+    filled = 0
     for x in itertools.chain([first], blocks):
+        x_lo, x_hi = float(x.min()), float(x.max())
+        if x_lo < lo or x_hi > hi:
+            wide_lo, wide_hi = min(lo, x_lo), max(hi, x_hi)
+            side_cuts = [np.concatenate([cut_points(f, wide_lo, lo), cuts,
+                                         cut_points(f, hi, wide_hi)])
+                         for f, cuts in zip(sides, side_cuts)]
+            old_left = np.append(lo, table.cuts)
+            lo, hi = wide_lo, wide_hi
+            tabulate()
+            # The added cuts are at or below the old lo or above the old hi,
+            # so each old cell lies in the new cell that holds its left end.
+            cells = np.bincount(table.index(old_left), weights=cells,
+                                minlength=table.cuts.size + 1).astype(np.int64)
         cells += np.bincount(table.index(x), minlength=cells.size)
+        drawn = x[::AUDIT_CHECK_STRIDE]
+        if filled + drawn.size > sample.size:
+            check(sample[:filled])
+            filled = 0
+        sample[filled:filled + drawn.size] = drawn
+        filled += drawn.size
+    check(sample[:filled])
     # Checked after the count: checked before it, its temporaries raised
     # the audit's peak RSS by about 0.25 MB.
     check(first)
@@ -355,8 +388,12 @@ def dp_audit(
     observable : mechanism.Observable
         Its `noise` is drawn once per trial, and that one draw x feeds both
         neighbors: each histograms `of_b_bar(reports, sum(reports) + x)`, a
-        value in [0, 1] that must be monotone in b_bar.  An observable
-        whose bins do not follow its cut points raises ValueError.
+        value in [0, 1] that must be monotone in b_bar.  The audit checks
+        that only at its cut table's grid edges, at and just below each
+        cut point, on the first AUDIT_BLOCK draws and on every
+        AUDIT_CHECK_STRIDE-th draw, and raises ValueError where a bin
+        disagrees; a non-monotone observable can be miscounted without an
+        error.
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
@@ -366,14 +403,12 @@ def dp_audit(
         stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.
         Each neighbor's bin, by `bin_index` on the one edge table that
         also gives the report's bin_lo and bin_hi columns, is a step
-        function of x.  `cut_points` finds where it steps, once per audit;
-        each block is counted into the cells between both neighbors' cut
-        points by `CutTable.index`, and each cell's count goes to the bin
-        each neighbor gives its left end.  When finding the cut points
-        would cost more observable maps than the trials, fewer than
-        CUT_POINT_MAPS * (bins + 1), each draw's own bins are counted
-        instead.  Either way the counts are those of the values per trial,
-        less those outside [0, 1].
+        function of x.  `cut_points` finds where it steps within a span
+        that is widened to take in every draw; each block is counted into
+        the cells between both neighbors' cut points by `CutTable.index`,
+        and each cell's count goes to the bin each neighbor gives its left
+        end.  The counts are those of the values per trial, less those
+        outside [0, 1].
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -396,8 +431,12 @@ def dp_audit(
 
     edges = np.linspace(0.0, 1.0, bins + 1)
     sides = [_bin_of_draw(observable, side, edges) for side in (reports, neighbor)]
-    count = _counts_per_draw if CUT_POINT_MAPS * (bins + 1) > trials else _counts_by_cell
-    counts_a, counts_b = count(sides, _noise_blocks(observable.noise, trials, seed), bins)
+    # A draw passes 2 * scale * ln(trials) with chance 1 / trials**2, so the
+    # cut table widens past it, rebuilding itself mid-count, in about one
+    # audit in `trials`; from half that span, in about 1 - 1/e of audits.
+    reach = 2.0 * observable.noise.scale * math.log(trials)
+    counts_a, counts_b = _counts_by_cell(sides, _noise_blocks(observable.noise, trials, seed),
+                                         bins, reach)
 
     max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
     lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))

@@ -25,6 +25,7 @@ from peersurvey.mechanism import (
 )
 from peersurvey.privacy import (
     AUDIT_BLOCK,
+    AUDIT_CHECK_STRIDE,
     DEFAULT_BIN_FLOOR,
     AuditDataError,
     CutTable,
@@ -175,25 +176,36 @@ class TestBinIndex:
             assert index_counts(values, bins) == histogram_counts(values, bins)
 
 
+MAX = np.finfo(np.float64).max
+
+
 class TestCutPoints:
     def test_rising_step_function(self):
         # Steps at 0, 2.5 and 7; the step at 2.5 skips a value.
         f = lambda x: (x >= 0.0).astype(np.intp) + 2 * (x >= 2.5) + (x >= 7.0)
-        assert cut_points(f).tolist() == [0.0, 2.5, 7.0]
+        assert cut_points(f, -MAX, MAX).tolist() == [0.0, 2.5, 7.0]
 
     def test_falling_step_function_and_extreme_cuts(self):
         tiny, big = 5e-324, np.finfo(np.float64).max
         f = lambda x: 3 - (x >= -big / 2) - (x >= -tiny) - (x >= big)
-        assert cut_points(f).tolist() == [-big / 2, -tiny, big]
+        assert cut_points(f, -big, big).tolist() == [-big / 2, -tiny, big]
+
+    def test_cuts_within_a_span(self):
+        # Only cuts in (lo, hi]: a cut at lo itself is not one.
+        f = lambda x: (x >= 0.0).astype(np.intp) + 2 * (x >= 2.5) + (x >= 7.0)
+        assert cut_points(f, -1.0, 7.0).tolist() == [0.0, 2.5, 7.0]
+        assert cut_points(f, 0.0, 6.9).tolist() == [2.5]
+        assert cut_points(f, -0.0, 0.0).size == 0
+        assert cut_points(f, -5e-324, 2.5).tolist() == [0.0, 2.5]
 
     def test_constant_function_has_none(self):
-        assert cut_points(lambda x: np.zeros(x.shape, dtype=np.intp)).size == 0
+        assert cut_points(lambda x: np.zeros(x.shape, dtype=np.intp), -MAX, MAX).size == 0
 
     def test_estimate_bins_step_at_their_edges(self):
         edges = np.linspace(0.0, 1.0, 21)
         f = lambda x: bin_index(published_estimate(10, 5 + x), edges)
         # The clipped estimate fills bin 0 below b_bar = 0.5 and bin 19 above 9.5.
-        cuts = cut_points(f)
+        cuts = cut_points(f, -MAX, MAX)
         np.testing.assert_allclose(cuts, np.arange(0.5, 10.0, 0.5) - 5.0, atol=1e-12)
         assert np.all(np.diff(f(cuts)) == 1)
         assert np.all(f(np.nextafter(cuts, -np.inf)) == f(cuts) - 1)
@@ -437,13 +449,12 @@ class TestSharedNoiseDraw:
     @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3), ("payment", 0),
                                          ("disabled", None), ("bins_200", None),
                                          ("epsilon_0.05", None), ("n_50", None),
-                                         ("raw_sum", None), ("per_draw", None)])
+                                         ("raw_sum", None), ("bins_20000", None)])
     def test_counts_match_two_runs_per_chunk(self, kind, j):
         # j = 0 is the flipped agent itself, whose own report differs between
         # the neighbors.  raw_sum's values leave [0, 1] on either side, and
-        # per_draw's 20,000 bins are too many for the trials to pay for cut
-        # points.
-        reports, i, bins = self.REPORTS, 0, {"bins_200": 200, "per_draw": 20_000}.get(kind, 20)
+        # 20,000 bins put more cut points than draws in most cells.
+        reports, i, bins = self.REPORTS, 0, {"bins_200": 200, "bins_20000": 20_000}.get(kind, 20)
         noise = NoiseSpec(epsilon=0.05 if kind == "epsilon_0.05" else 0.5,
                           mode="disabled" if kind == "disabled" else "sample")
         if kind == "payment":
@@ -480,6 +491,35 @@ class TestSharedNoiseDraw:
         assert counts == two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000,
                                         20, 9).tolist()
 
+    @pytest.mark.parametrize("reach", [0.0, 1.0, 1e6])
+    def test_counts_whatever_span_the_cut_table_starts_from(self, reach):
+        # From reach 0 or 1 the blocks keep widening the span, and the cells
+        # already counted move to the widened table; from 1e6 it never widens.
+        noise = NoiseSpec(epsilon=0.5)
+        observable = estimate_observable(10, noise)
+        edges = np.linspace(0.0, 1.0, 21)
+        sides = [privacy._bin_of_draw(observable, np.array(side), edges)
+                 for side in (self.REPORTS, [0] + self.REPORTS[1:])]
+        counts = privacy._counts_by_cell(sides, privacy._noise_blocks(noise, 200_000, 9), 20,
+                                         reach)
+        expected = two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000, 20, 9)
+        assert [side.tolist() for side in counts] == expected.tolist()
+
+    def test_cut_points_only_where_the_draws_reach(self):
+        # At n = 1000 the cut table's span, 2 * scale * ln(trials) = 46 on
+        # either side of the sum 500, reaches about 9% of the 10**6 bins;
+        # bisecting all of them would map 64 * 2 * 10**6 values.
+        mapped = []
+
+        def estimate(reports, b_bar):
+            mapped.append(np.size(b_bar))
+            return published_estimate(1000, b_bar)
+
+        observable = Observable(NoiseSpec(epsilon=0.5), estimate)
+        with pytest.raises(AuditDataError):
+            dp_audit(observable, [1] * 500 + [0] * 500, 0, 0, 0.5, 100_000, 1_000_000, seed=7)
+        assert sum(mapped) < 64 * 2 * 1_000_000 // 5
+
     @pytest.mark.parametrize("bottom", [5.0, 17.0])
     def test_observable_not_monotone_in_b_bar_raises(self, bottom):
         # Equal at both ends, so the V has no cut points.  At b_bar = 17 it
@@ -488,6 +528,28 @@ class TestSharedNoiseDraw:
             np.abs(b_bar - bottom) / 10.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(v_shape, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+
+    def test_dip_between_cut_points_raises(self):
+        # About 0.4% of the draws fall in the dip inside bin 11, which no
+        # grid edge or cut point reaches; only the draws show it.
+        dip = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.where(
+            (b_bar > 5.71) & (b_bar < 5.73), 0.0, published_estimate(10, b_bar)))
+        with pytest.raises(ValueError, match="not monotone in b_bar"):
+            dp_audit(dip, self.REPORTS, 0, 0, 0.5, 200_000, 20, seed=5)
+
+    def test_dip_at_one_sampled_draw_raises(self):
+        # The dip holds one float: the largest checked draw after the first
+        # block, past the cuts and the grid, where the estimate is clipped
+        # to 1.  Only the check of every AUDIT_CHECK_STRIDE-th draw reaches
+        # it.
+        noise = NoiseSpec(epsilon=0.5)
+        draws = np.concatenate(list(privacy._noise_blocks(noise, 1 << 20, 5)))
+        top = draws[AUDIT_BLOCK::AUDIT_CHECK_STRIDE].max()
+        assert top > 5.0 and top not in draws[:AUDIT_BLOCK]
+        dip = Observable(noise, lambda reports, b_bar: np.where(
+            b_bar == 5 + top, 0.0, published_estimate(10, b_bar)))
+        with pytest.raises(ValueError, match="not monotone in b_bar"):
+            dp_audit(dip, self.REPORTS, 0, 0, 0.5, 1 << 20, 20, seed=5)
 
     def test_one_noise_draw_per_trial(self, monkeypatch):
         sizes = []
