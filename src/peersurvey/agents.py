@@ -224,44 +224,65 @@ def sample_report_counts(strategy, prior, n, theta, rng):
             cells @ (values != _CELL_BITS).astype(np.int64))
 
 
-def sample_rounds(prior, n, noise, strategy, trials, seed, bit=None):
-    """Simulated rounds of n agents playing `strategy`: the one place that
-    fixes a round's draw order.
+def sample_rounds(prior, n, noise, strategy, trials, seed):
+    """Simulated rounds of n agents playing `strategy`: the survey
+    simulators' sampler.
 
-    Chunk k draws from `subseed_rng(seed, k)`: theta from the prior (given
-    an outside agent's `bit` when one is set), the n agents' report counts
-    from `sample_report_counts`, then one noise draw per trial on their
-    one-reports.  Yields ((bit_ones, ones, participants, mismatches), b_bar)
-    per chunk, and drops its own references to a chunk before drawing the
-    next, so a consumer that keeps nothing holds one chunk at a time.
+    Chunk k draws from `subseed_rng(seed, k)`: theta from the prior, the n
+    agents' report counts from `sample_report_counts`, then one noise draw
+    per trial on their one-reports.  Yields ((bit_ones, ones, participants,
+    mismatches), b_bar) per chunk, and drops its own references to a chunk
+    before drawing the next, so a consumer that keeps nothing holds one
+    chunk at a time.
     """
     if isinstance(strategy, StrategyProfile):
         strategy = strategy.shared
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
         counts = sample_report_counts(strategy, prior, n,
-                                      np.atleast_1d(prior.theta_sample(rng, size, bit)), rng)
+                                      np.atleast_1d(prior.theta_sample(rng, size)), rng)
         yield counts, counts[1] + noise_draw(noise, rng, size)
         del counts
+
+
+def one_report_chances(strategy, prior):
+    """(g0, g1): the chance that an agent holding 0 or 1 reports 1.
+
+    g_b is F_b(tau) times the report of the cheap cell plus 1 - F_b(tau)
+    times that of the dear cell, from the cell mapping that
+    `sample_report_counts` samples.  Given theta, a peer reports 1 with
+    chance q(theta) = g0 + theta (g1 - g0) = (1 - theta) g0 + theta g1.
+    Both are written so that a report that ignores cost gives exactly 0 or
+    1, and q stays in [0, 1] in floating point.
+    """
+    (f0, f1), values, _ = _cell_reports(strategy, prior)
+    cheap0, dear0, cheap1, dear1 = values.astype(np.float64)
+    return dear0 + f0 * (cheap0 - dear0), dear1 + f1 * (cheap1 - dear1)
 
 
 def peer_estimate_mc(prior, bit, n, noise, others, trials, seed):
     """Monte Carlo (mean, standard error) of the leave-one-out estimate of
     an agent holding `bit`, over rounds of the n - 1 peers playing `others`.
 
-    theta is drawn given `bit`.  b_bar leaves the agent out, so
-    `peer_estimate(n, b_bar, 0)` is their estimate whatever they report;
-    under truthful peers its mean is p0 or p1.  The moments merge chunk by
-    chunk, so memory does not grow with `trials`.  `peer_estimate_mean` is
-    the exact value it estimates.
+    The estimate reads a round only through b_bar, so only its sufficient
+    statistic is drawn.  Chunk k draws from `subseed_rng(seed, k)`: theta
+    from the prior given `bit`, the peers' one-report count
+    Bin(n - 1, q(theta)) (`one_report_chances`), which has the law of
+    `sample_report_counts`' ones, then one noise draw per trial.  b_bar
+    leaves the agent out, so `peer_estimate(n, b_bar, 0)` is their estimate
+    whatever they report; under truthful peers its mean is p0 or p1.  The
+    moments merge chunk by chunk, so memory does not grow with `trials`.
+    `peer_estimate_mean` is the exact value it estimates.
     """
     trials = int(trials)
     if n < 2 or trials < 1:
         raise ValueError(f"need n >= 2 and trials >= 1, got n={n}, trials={trials}")
+    g0, g1 = one_report_chances(others, prior)
     moments = (0, 0.0, 0.0)
-    for _, b_bar in sample_rounds(prior, n - 1, noise, others, trials, seed, bit):
-        moments = merge_moments(moments, peer_estimate(n, b_bar, 0))
-        del _, b_bar  # so that one chunk at a time is alive
+    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
+        rng = subseed_rng(seed, chunk)
+        ones = rng.binomial(n - 1, g0 + prior.theta_sample(rng, size, bit) * (g1 - g0))
+        moments = merge_moments(moments, peer_estimate(n, ones + noise_draw(noise, rng, size), 0))
     count, mean, m2 = moments
     return mean, m2**0.5 / count
 
@@ -271,18 +292,12 @@ def peer_estimate_mean(prior, bit, n, noise, others):
     over rounds of the n - 1 peers playing `others`: the value that
     `peer_estimate_mc` estimates.
 
-    Given theta, a peer reports 1 with probability
-    g(theta) = (1 - theta) g0 + theta g1, where g_b is the chance that an
-    agent holding b reports 1: F_b(tau) times the report of the cheap cell
-    plus 1 - F_b(tau) times that of the dear cell, from the same cell
-    mapping that `sample_report_counts` samples.  So the one-reports are a
-    binomial mixture over theta given `bit`, which `priors.clamped_mean`
-    sums exactly.
+    Given theta, a peer reports 1 with chance q(theta) = (1 - theta) g0 +
+    theta g1 (`one_report_chances`).  So the one-reports are a binomial
+    mixture over theta given `bit`, which `priors.clamped_mean` sums
+    exactly.
     """
-    (f0, f1), values, _ = _cell_reports(others, prior)
-    cheap0, dear0, cheap1, dear1 = values.astype(np.float64)
-    # Written so that a report that ignores cost gives g_b of exactly 0 or 1.
-    g = (dear0 + f0 * (cheap0 - dear0), dear1 + f1 * (cheap1 - dear1))
+    g = one_report_chances(others, prior)
     return clamped_mean(prior, bit, n, noise.scale if noise.mode == "sample" else 0.0, g)
 
 

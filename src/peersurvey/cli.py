@@ -72,10 +72,11 @@ _FIXED = {
     "cost-scaling": {**_DRIVER_FIXED, "epsilon": "auto", "beta": "auto"},
 }
 # Keys a command has no use for.  run and accuracy take `off` inside the
-# threshold strategy, and run audits nothing; cost-scaling takes n from ns,
-# uses the chen cost model and lets off-threshold agents abstain.
-_UNUSED = {"run": ("off", "ones", "flip_index", "payment_index", "bins", "observable", "tolerance"),
-           "accuracy": ("off",), "cost-scaling": ("n", "cost_model", "off")}
+# threshold strategy and audit nothing; cost-scaling takes n from ns, uses
+# the chen cost model and lets off-threshold agents abstain.
+_SURVEY_UNUSED = ("off", "ones", "flip_index", "payment_index", "bins", "observable", "tolerance")
+_UNUSED = {"run": _SURVEY_UNUSED, "accuracy": _SURVEY_UNUSED,
+           "cost-scaling": ("n", "cost_model", "off")}
 # Keys an audit of the estimate does not read, unless epsilon "auto" reads alpha.
 _ESTIMATE_AUDIT_UNUSED = ("payment_index", "alpha", "beta", "p0", "p1", "prior")
 

@@ -21,9 +21,11 @@ from peersurvey.agents import (
     CostModel,
     Threshold,
     expected_utility,
+    one_report_chances,
     peer_estimate_mc,
     peer_estimate_mean,
     privacy_cost_bound,
+    sample_report_counts,
     strategy_arrays,
     strategy_from_dict,
 )
@@ -388,6 +390,41 @@ class TestPeerEstimateLaw:
         mc, se = peer_estimate_mc(prior, bit, 50, NoiseSpec(0.5), others, 100_000, 21 + bit)
         assert 0.0 < se < 2e-3
         assert abs(mc - exact) <= 5.0 * se
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("name", list(LAW_MIXINGS))
+    def test_monte_carlo_within_five_standard_errors_every_law(self, name, strategy, bit):
+        # The point prior and the 0/1 atoms put q(theta) at 0 or 1.
+        prior = law_prior(LAW_MIXINGS[name])
+        exact = peer_estimate_mean(prior, bit, 50, NoiseSpec(0.5), strategy)
+        mc, se = peer_estimate_mc(prior, bit, 50, NoiseSpec(0.5), strategy, 100_000, 21 + bit)
+        assert 0.0 < se < 2e-3
+        assert abs(mc - exact) <= 5.0 * se
+
+    @pytest.mark.parametrize("theta", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_one_report_chance_is_the_cell_samplers_law(self, strategy, theta):
+        # peer_estimate_mc draws the one-reports as Bin(n, q(theta)); the
+        # cell sampler of the survey simulators must give that count the
+        # same law.  Oracle for q: each bit's cheap and dear agent reports
+        # as `scalar_report` says, cheap with chance 0.7 or 0.35 at tau 0.7.
+        n, trials = 30, 50_000
+        prior = law_prior(LAW_MIXINGS["beta"])
+        tau = getattr(strategy, "tau", 0.7)
+        cheap = (0.7, 0.35)
+        g_oracle = [cheap[b] * scalar_report(strategy, AgentType(b, tau))[0]
+                    + (1.0 - cheap[b]) * scalar_report(strategy, AgentType(b, tau + 1.0))[0]
+                    for b in (0, 1)]
+        g0, g1 = one_report_chances(strategy, prior)
+        q = g0 + theta * (g1 - g0)
+        assert q == pytest.approx((1.0 - theta) * g_oracle[0] + theta * g_oracle[1],
+                                  rel=0.0, abs=1e-15)
+        assert 0.0 <= q <= 1.0
+        _, ones, _, _ = sample_report_counts(strategy, prior, n, np.full(trials, theta),
+                                             np.random.default_rng(17))
+        se = (n * q * (1.0 - q) / trials) ** 0.5
+        assert abs(ones.mean() - n * q) <= 5.0 * se
 
     def test_chunked_variance_matches_pooled(self, uniform_prior, monkeypatch):
         # Over several chunks, the merged mean and variance are those of all

@@ -195,13 +195,19 @@ class TestResolver:
         ("audit-dp", "p0", 0.3),
         ("audit-dp", "p1", 0.7),
         ("audit-dp", "prior", UNIFORM_PRIOR),
-        # run audits nothing.
+        # run and accuracy audit nothing.
         ("run", "ones", 30),
         ("run", "flip_index", 0),
         ("run", "payment_index", 3),
         ("run", "bins", 20),
         ("run", "observable", "estimate"),
         ("run", "tolerance", 0.05),
+        ("accuracy", "ones", 30),
+        ("accuracy", "flip_index", 0),
+        ("accuracy", "payment_index", 3),
+        ("accuracy", "bins", 20),
+        ("accuracy", "observable", "estimate"),
+        ("accuracy", "tolerance", 0.05),
         # Cross-check keys where nothing is derived for them to check.
         ("audit-dp", "posterior_samples", 1_000),
         ("audit-dp", "threshold_trials", 1_000),
