@@ -77,8 +77,6 @@ _FIXED = {
 _SURVEY_UNUSED = ("off", "ones", "flip_index", "payment_index", "bins", "observable", "tolerance")
 _UNUSED = {"run": _SURVEY_UNUSED, "accuracy": _SURVEY_UNUSED,
            "cost-scaling": ("n", "cost_model", "off")}
-# Keys an audit of the estimate does not read, unless epsilon "auto" reads alpha.
-_ESTIMATE_AUDIT_UNUSED = ("payment_index", "alpha", "beta", "p0", "p1", "prior")
 
 _CSV_BLOCK_ROWS = 1 << 13
 
@@ -562,18 +560,18 @@ def _cmd_threshold(r):
 def _cmd_audit_dp(r):
     if r.observable == "estimate":
         observable = estimate_observable(r.n, NoiseSpec(epsilon=r.epsilon))
-        for key in _ESTIMATE_AUDIT_UNUSED:
-            if key in r._config and key not in r.__dict__:
-                raise ConfigError(key, 'is not used by an audit of the estimate; '
-                                       '"observable": "payment" reads it')
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
+    args = (observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials,
+            r.bins, derive_seed(r.seed, 3000), r.tolerance)
+    # Every key but `out` (_emit reads it) is resolved by now, in the instance
+    # dict: a key still unread is one the audit would ignore.
+    for key in r._config:
+        if key not in r.__dict__ and key != "out":
+            raise ConfigError(key, f"is not read by an audit of the {r.observable}")
     try:
-        report = dp_audit(
-            observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials, r.bins,
-            derive_seed(r.seed, 3000), r.tolerance,
-        )
+        report = dp_audit(*args)
     except AuditDataError as exc:  # too many bins for the trials
         raise ConfigError("bins", str(exc)) from exc
     _emit(r, report.to_dict(), report.table)

@@ -6,16 +6,16 @@ functions of the noisy sum.  `dp_audit` draws that noise once per trial,
 histograms the output on two neighboring report vectors that share the draw
 and bounds each bin's log probability ratio from below; it can refute a
 privacy claim but can never prove one.  An audited output is monotone in
-the noisy sum, so each neighbor's bin is a step function of the draw:
-`dp_audit` finds the draws at which either neighbor's bin changes within
-the span the draws reach (`bin_index` gives a value's bin by numpy's own
-equal-width histogram rule), counts the draws between those cut points with
-one table lookup each, and maps those counts to both neighbors' bins at the
-end.
+the noisy sum, and the noise in the uniform behind it, so each neighbor's
+bin is a step function of that uniform: `dp_audit` finds the uniforms at
+which either neighbor's bin changes within the span the draws reach
+(`bin_index` gives a value's bin by numpy's own equal-width histogram rule),
+counts the uniforms between those cut points, never computing their noise,
+with one lookup each in an equal-mass grid over [0, 1), and maps those
+counts to both neighbors' bins at the end.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +40,9 @@ AUDIT_MIN_TRIALS = 100_000
 # per float array, small enough that the allocator recycles numpy's
 # temporaries instead of faulting fresh pages in for each.
 AUDIT_BLOCK = 1 << 14
-# The most cells in the grid that `dp_audit` looks each draw up in.
-AUDIT_GRID_CELLS = 1 << 16
+# The most cells in the grid over [0, 1) that `dp_audit` looks each uniform
+# draw up in; a power of two, so that each cell holds the same share of them.
+AUDIT_GRID_CELLS = 1 << 15
 # Besides the first block, `dp_audit` checks every this many-th draw's bins
 # against its cut table, 2**20 / AUDIT_CHECK_STRIDE draws at a time.
 AUDIT_CHECK_STRIDE = 256
@@ -78,6 +79,13 @@ class NoiseSpec:
     def scale(self):
         return 1.0 / self.epsilon
 
+    def from_uniform(self, u):
+        """The noise at uniforms u in [0, 1): zeros in mode "disabled", else
+        Laplace(1/epsilon); `noise_draw` and `dp_audit` both draw through it."""
+        if self.mode == "disabled":
+            return np.zeros(np.shape(u))
+        return _laplace_of_uniform(u, self.scale)
+
 
 def laplace_inverse_cdf(u, scale):
     """Map uniform u in [0, 1] to a Laplace(0, scale) variate; u=0.5 -> -0.0.
@@ -99,20 +107,23 @@ def laplace_inverse_cdf(u, scale):
     return float(val) if val.ndim == 0 else val
 
 
+def _laplace_of_uniform(u, scale):
+    # rng.random() can return 0.0: nudge u to keep the transform finite,
+    # copying u only then.
+    tiny = np.finfo(np.float64).tiny
+    return laplace_inverse_cdf(np.maximum(u, tiny) if np.min(u, initial=1.0) < tiny else u, scale)
+
+
 def laplace_sample(scale, rng, size=None):
     """Laplace(0, scale) draws via the inverse-CDF transform of rng.random()."""
-    rng = as_generator(rng)
-    u = rng.random(size)
-    # rng.random() can return exactly 0.0; nudge to keep the transform finite.
-    u = np.maximum(u, np.finfo(np.float64).tiny)
-    return laplace_inverse_cdf(u, scale)
+    return _laplace_of_uniform(as_generator(rng).random(size), scale)
 
 
 def noise_draw(noise, rng, size=None):
-    """One noise draw per trial: Laplace(1/epsilon) or exact zeros."""
+    """Per trial, noise.from_uniform(rng.random()); zeros, with no draw, if disabled."""
     if noise.mode == "disabled":
         return 0.0 if size is None else np.zeros(size)
-    return laplace_sample(noise.scale, rng, size)
+    return noise.from_uniform(as_generator(rng).random(size))
 
 
 def bin_index(values, edges):
@@ -178,40 +189,31 @@ def cut_points(f, lo, hi):
 
 
 class CutTable:
-    """The cells between sorted cut points, and the cell of each draw.
+    """The cells between sorted cut points in [0, 1], and each uniform's cell.
 
-    `index(x)` is the number of cut points at or below x, by one lookup
-    in a uniform grid over the cuts' span: `table[g]` counts the cuts in
-    grid cells below g, a lower bound for every x in cell g, because a
+    `index(u)` is the number of cut points at or below u.  A grid splits
+    [0, 1) into `cells` equal cells, a power of two with at least 64 per cut
+    up to AUDIT_GRID_CELLS.  A draw in a grid cell that holds no cut gets its
+    index from one lookup, `table[g]` counting the cuts in cells below g (a
     draw and the cuts get their grid cells from the same monotone float
-    map.  `steps` comparisons with the next cut, the most cuts that share
-    one grid cell, make it exact.  The grid's cell width is at most `gap`,
-    and it has at most AUDIT_GRID_CELLS cells.
+    map); a draw in a cell that holds one, from a binary search of the cuts.
     """
 
-    def __init__(self, cuts, gap):
+    def __init__(self, cuts):
         self.cuts = cuts
-        self._next = np.append(cuts, np.inf)
-        self._lo = float(cuts[0]) if cuts.size else 0.0
-        span = float(cuts[-1]) - self._lo if cuts.size else 0.0
-        cells = max(1, int(np.ceil(min(span / gap, AUDIT_GRID_CELLS)))) if span > 0.0 else 1
-        self._inv_width = cells / span if span > 0.0 else 0.0
-        self._last = cells - 1
-        self.grid = self._lo + np.arange(cells + 1) * (span / cells)
+        self.cells = min(AUDIT_GRID_CELLS, 1 << (64 * cuts.size).bit_length())
         cut_cells = self._cell(cuts)
-        self._table = np.searchsorted(cut_cells, np.arange(cells))
-        self.steps = int(np.bincount(cut_cells).max()) if cuts.size else 0
+        # An entry per grid edge, u = 1's too; -1 marks a cell holding a cut.
+        self._table = np.searchsorted(cut_cells, np.arange(self.cells + 1))
+        self._table[cut_cells] = -1
 
-    def _cell(self, x):
-        t = x - self._lo
-        t *= self._inv_width
-        np.clip(t, 0.0, self._last, out=t)
-        return t.astype(np.intp)
+    def _cell(self, u):
+        return (u * self.cells).astype(np.intp)
 
-    def index(self, x):
-        k = self._table.take(self._cell(x))
-        for _ in range(self.steps):
-            k += x >= self._next.take(k)
+    def index(self, u):
+        k = self._table.take(self._cell(u))
+        crowded = np.flatnonzero(k < 0)
+        k[crowded] = np.searchsorted(self.cuts, u.take(crowded), "right")
         return k
 
 
@@ -287,63 +289,64 @@ class DpAuditReport:
 
 
 def _bin_of_draw(observable, reports, edges):
-    """The bin of the observable on `reports` as a function of the noise draw."""
-    total = int(reports.sum())
-    return lambda x: bin_index(observable.of_b_bar(reports, total + x), edges)
+    """The bin of the observable on `reports` as a function of the uniform u."""
+    total, noise = int(reports.sum()), observable.noise
+    return lambda u: bin_index(observable.of_b_bar(reports, total + noise.from_uniform(u)), edges)
 
 
-def _noise_blocks(noise, trials, seed):
-    """The audit's noise draws: chunk k of 2**20 trials reads the stream
-    subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time."""
+def _noise_blocks(trials, seed):
+    """The uniforms behind the audit's noise: chunk k of 2**20 trials reads
+    the stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time."""
     for chunk, size in chunk_sizes(trials, 1 << 20):
         rng = subseed_rng(seed, chunk)
         for _, block in chunk_sizes(size, AUDIT_BLOCK):
-            yield noise_draw(noise, rng, block)
+            yield rng.random(block)
 
 
-def _counts_by_cell(sides, blocks, bins, reach):
-    """Each side's bin counts from the draws counted into the cells between
-    both sides' cut points.
+def _counts_by_cell(sides, blocks, bins, tail):
+    """Each side's bin counts from the uniforms counted into the cells
+    between both sides' cut points.
 
     Cell k holds the draws from the k-th cut (`lo` for k = 0) up to the
     next, and each side's bin is constant on it if the observable is
-    monotone in b_bar.  The cuts cover the span [lo, hi]: first
-    [-reach, reach], then widened, by the cuts of the widened part only, to
-    take in any block that reaches past it.  So the bisection pays only for
-    the bins that the draws can reach, however many bins there are.  The
-    table is checked at every grid edge, at and just below every cut, on
-    the first block of draws and on every AUDIT_CHECK_STRIDE-th draw; where
-    a side's bin differs, ValueError.  A non-monotone observable whose bins
-    differ only between those points is counted wrongly without an error.
+    monotone in b_bar.  The cuts cover the span [lo, hi]: first [tail,
+    1 - tail], then widened, by the cuts of the widened part only, to take
+    in any block that reaches past it.  So the bisection pays only for the
+    bins that the draws can reach, however many bins there are.  The table
+    is checked at every grid edge in [lo, hi], at and just below every cut,
+    on the first block of draws and on every AUDIT_CHECK_STRIDE-th draw;
+    where a side's bin differs, ValueError.  A non-monotone observable whose
+    bins differ only between those points is counted wrongly without an
+    error.
     """
-    lo, hi = -reach, reach
+    lo, hi = tail, 1.0 - tail
     side_cuts = [cut_points(f, lo, hi) for f in sides]
     table = bin_of_cell = None
 
-    def check(x):
-        cell = table.index(x)
+    def check(u):
+        cell = table.index(u)
         for f, bin_of in zip(sides, bin_of_cell):
-            if np.any(f(x) != bin_of.take(cell)):
+            if np.any(f(u) != bin_of.take(cell)):
                 raise ValueError("the observable is not monotone in b_bar: its bins do not "
                                  "follow its cut points")
 
     def tabulate():
         nonlocal table, bin_of_cell
         cuts = np.unique(np.concatenate(side_cuts))
-        gap = min((float(np.diff(c).min()) for c in side_cuts if c.size > 1), default=np.inf)
-        table = CutTable(cuts, gap)
+        table = CutTable(cuts)
+        grid = np.arange(table.cells + 1) / table.cells
         bin_of_cell = [f(np.append(lo, cuts)) for f in sides]
-        check(np.concatenate([table.grid, cuts, np.nextafter(cuts, -np.inf)]))
+        check(np.concatenate([grid[(grid >= lo) & (grid <= hi)], cuts, np.nextafter(cuts, lo)]))
 
     tabulate()
     cells = np.zeros(table.cuts.size + 1, dtype=np.int64)
     first = next(blocks)
     sample = np.empty((1 << 20) // AUDIT_CHECK_STRIDE)
     filled = 0
-    for x in itertools.chain([first], blocks):
-        x_lo, x_hi = float(x.min()), float(x.max())
-        if x_lo < lo or x_hi > hi:
-            wide_lo, wide_hi = min(lo, x_lo), max(hi, x_hi)
+    for u in itertools.chain([first], blocks):
+        u_lo, u_hi = float(u.min()), float(u.max())
+        if u_lo < lo or u_hi > hi:
+            wide_lo, wide_hi = min(lo, u_lo), max(hi, u_hi)
             side_cuts = [np.concatenate([cut_points(f, wide_lo, lo), cuts,
                                          cut_points(f, hi, wide_hi)])
                          for f, cuts in zip(sides, side_cuts)]
@@ -354,8 +357,8 @@ def _counts_by_cell(sides, blocks, bins, reach):
             # so each old cell lies in the new cell that holds its left end.
             cells = np.bincount(table.index(old_left), weights=cells,
                                 minlength=table.cuts.size + 1).astype(np.int64)
-        cells += np.bincount(table.index(x), minlength=cells.size)
-        drawn = x[::AUDIT_CHECK_STRIDE]
+        cells += np.bincount(table.index(u), minlength=cells.size)
+        drawn = u[::AUDIT_CHECK_STRIDE]
         if filled + drawn.size > sample.size:
             check(sample[:filled])
             filled = 0
@@ -386,11 +389,11 @@ def dp_audit(
     Parameters
     ----------
     observable : mechanism.Observable
-        Its `noise` is drawn once per trial, and that one draw x feeds both
-        neighbors: each histograms `of_b_bar(reports, sum(reports) + x)`, a
-        value in [0, 1] that must be monotone in b_bar.  The audit checks
-        that only at its cut table's grid edges, at and just below each
-        cut point, on the first AUDIT_BLOCK draws and on every
+        Its `noise` is drawn once per trial, x = noise.from_uniform(u), and
+        that one draw feeds both neighbors: each histograms `of_b_bar(reports,
+        sum(reports) + x)`, a value in [0, 1] that must be monotone in b_bar.
+        The audit checks that only at its cut table's grid edges, at and just
+        below each cut point, on the first AUDIT_BLOCK draws and on every
         AUDIT_CHECK_STRIDE-th draw, and raises ValueError where a bin
         disagrees; a non-monotone observable can be miscounted without an
         error.
@@ -400,15 +403,15 @@ def dp_audit(
     epsilon_claimed : privacy level under test.
     trials, bins, seed : sample size, equal-width bin count over
         [0, 1], and the audit seed.  Chunk k of 2**20 trials reads the
-        stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.
-        Each neighbor's bin, by `bin_index` on the one edge table that
-        also gives the report's bin_lo and bin_hi columns, is a step
-        function of x.  `cut_points` finds where it steps within a span
-        that is widened to take in every draw; each block is counted into
-        the cells between both neighbors' cut points by `CutTable.index`,
-        and each cell's count goes to the bin each neighbor gives its left
-        end.  The counts are those of the values per trial, less those
-        outside [0, 1].
+        stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.  Each
+        neighbor's bin, by `bin_index` on the one edge table that also gives
+        the report's bin_lo and bin_hi columns, is a step function of u, and
+        the audit counts the u, never computing x: `cut_points` finds where
+        a bin steps within a span that is widened to take in every draw;
+        each block is counted into the cells between both neighbors' cut
+        points by `CutTable.index`, and each cell's count goes to the bin
+        each neighbor gives its left end.  The counts are those of the
+        values per trial, less those outside [0, 1].
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -431,12 +434,11 @@ def dp_audit(
 
     edges = np.linspace(0.0, 1.0, bins + 1)
     sides = [_bin_of_draw(observable, side, edges) for side in (reports, neighbor)]
-    # A draw passes 2 * scale * ln(trials) with chance 1 / trials**2, so the
-    # cut table widens past it, rebuilding itself mid-count, in about one
-    # audit in `trials`; from half that span, in about 1 - 1/e of audits.
-    reach = 2.0 * observable.noise.scale * math.log(trials)
-    counts_a, counts_b = _counts_by_cell(sides, _noise_blocks(observable.noise, trials, seed),
-                                         bins, reach)
+    # u lands within 1 / (2 trials**2) of 0 or 1, x past 2 * scale *
+    # ln(trials), with chance 1 / trials**2, so the cut table widens past it,
+    # rebuilding itself mid-count, in about one audit in `trials`; from
+    # 1 / (2 trials), in about 1 - 1/e of audits.
+    counts_a, counts_b = _counts_by_cell(sides, _noise_blocks(trials, seed), bins, 0.5 / trials**2)
 
     max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
     lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))

@@ -186,8 +186,9 @@ class TestResolver:
         ("run", "off", "lie"),
         ("accuracy", "off", "lie"),
         # Only the payment observable reads payment_index; 0 is also the
-        # flipped agent.  Nor does an audit of the estimate read the
-        # payment's parameters, or the prior.
+        # flipped agent.  Nor does an audit of the estimate at a pinned
+        # epsilon read the payment's parameters, the prior, delta or the
+        # survey's strategy and costs.
         ("audit-dp", "payment_index", 3),
         ("audit-dp", "payment_index", 0),
         ("audit-dp", "alpha", 0.1),
@@ -195,6 +196,11 @@ class TestResolver:
         ("audit-dp", "p0", 0.3),
         ("audit-dp", "p1", 0.7),
         ("audit-dp", "prior", UNIFORM_PRIOR),
+        ("audit-dp", "delta", 0.1),
+        ("audit-dp", "tau", 0.5),
+        ("audit-dp", "strategy", {"kind": "always_truth"}),
+        ("audit-dp", "off", "lie"),
+        ("audit-dp", "cost_model", {"kind": "linear"}),
         # run and accuracy audit nothing.
         ("run", "ones", 30),
         ("run", "flip_index", 0),
@@ -681,6 +687,31 @@ class TestAuditDpCommand:
         config = write_config(tmp_path, payload)
         assert dispatch(["audit-dp", "--config", config]) in (0, 2)
         assert json.loads(capsys.readouterr().out)["resolved"]["epsilon"] > 0.0
+
+    @pytest.mark.parametrize("key, value", [("prior", {"family": "x"}), ("delta", 0.1),
+                                            ("tau", "auto"), ("posterior_samples", 1_000)])
+    def test_payment_audit_rejects_keys_it_does_not_read(self, tmp_path, capsys, key, value):
+        # With epsilon, beta, p0 and p1 pinned, nothing reads the prior,
+        # delta or tau, and nothing is derived for a cross-check to check.
+        config = write_config(tmp_path, self.audit_config(
+            observable="payment", payment_index=3, alpha=0.1, beta=1.0, p0=1.0 / 3.0,
+            p1=2.0 / 3.0, **{key: value}))
+        assert dispatch(["audit-dp", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0].startswith(
+            f"config error: config key '{key}': is not read by an audit of the payment")
+
+    def test_payment_audit_reads_what_it_derives_from(self, tmp_path, capsys):
+        # epsilon, beta, tau, p0 and p1 derived: the prior, delta, the cost
+        # model and both cross-check sizes are read, and accepted.
+        payload = {"n": 60, "ones": 30, "trials": 100_000, "seed": 7, "observable": "payment",
+                   "payment_index": 3, "alpha": 0.1, "delta": 0.1, "epsilon": "auto",
+                   "beta": "auto", "tau": "auto", "prior": UNIFORM_PRIOR,
+                   "cost_model": {"kind": "linear"}, "posterior_samples": 5_000,
+                   "threshold_trials": 5_000, "out": str(tmp_path / "audit.csv")}
+        assert dispatch(["audit-dp", "--config", write_config(tmp_path, payload)]) in (0, 2)
+        assert list(json.loads(capsys.readouterr().out)["cross_check"]) == ["tau", "p0", "p1"]
 
     def test_payment_observable_runs(self, tmp_path, capsys):
         config = write_config(tmp_path, self.audit_config(

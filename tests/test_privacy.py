@@ -26,6 +26,7 @@ from peersurvey.mechanism import (
 from peersurvey.privacy import (
     AUDIT_BLOCK,
     AUDIT_CHECK_STRIDE,
+    AUDIT_GRID_CELLS,
     DEFAULT_BIN_FLOOR,
     AuditDataError,
     CutTable,
@@ -105,9 +106,26 @@ class TestNoiseSpec:
             NoiseSpec(epsilon=1.0, mode="quiet")
 
     def test_disabled_mode_draws_zero(self):
+        # ... and draws nothing from the stream.
         spec = NoiseSpec(epsilon=0.5, mode="disabled")
         rng = np.random.default_rng(0)
         assert np.all(noise_draw(spec, rng, 100) == 0.0)
+        assert noise_draw(spec, rng) == 0.0
+        assert rng.random() == np.random.default_rng(0).random()
+        assert np.all(spec.from_uniform(np.array([0.0, 0.3, 0.9])) == 0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.5, 1.0 / 0.7])
+    def test_draws_are_the_uniform_map_of_one_random_each(self, epsilon):
+        # The sampler and the audit share one map from rng.random() to noise,
+        # u = 0 included, bit for bit.
+        spec = NoiseSpec(epsilon=epsilon)
+        u = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], np.random.default_rng(1).random(1000)])
+        noise = spec.from_uniform(u)
+        assert np.all(np.isfinite(noise))
+        for draw in (noise_draw(spec, np.random.default_rng(1), 1000),
+                     laplace_sample(spec.scale, np.random.default_rng(1), 1000)):
+            assert draw.view(np.int64).tolist() == noise[3:].view(np.int64).tolist()
+        assert noise_draw(spec, np.random.default_rng(1)) == noise[3]
 
 
 def test_interval_mass_ratio_bounded_by_epsilon():
@@ -211,24 +229,61 @@ class TestCutPoints:
         assert np.all(f(np.nextafter(cuts, -np.inf)) == f(cuts) - 1)
 
 
+def laplace_tail_cuts(count):
+    # Where equal-width bins in b_bar put their cut points in the uniform
+    # behind a Laplace(2) draw: u = exp(-k delta / scale) / 2 near 0 and
+    # mirrored near 1, geometrically close to either end.
+    near_zero = 0.5 * np.exp(-np.arange(1, count // 2 + 1) * 0.01 / 2.0)
+    return np.unique(np.concatenate([near_zero, [0.5], 1.0 - near_zero]))
+
+
+def searchsorted_at_and_around(table, rng):
+    # Every cut, just below and above each, every grid edge, both ends of
+    # [0, 1] and 10**5 uniforms.
+    cuts = table.cuts
+    u = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+                        np.arange(table.cells + 1) / table.cells, [0.0, 5e-324, 1.0],
+                        rng.random(100_000)])
+    return table.index(u).tolist() == np.searchsorted(cuts, u, side="right").tolist()
+
+
 class TestCutTable:
     @pytest.mark.parametrize("cells", [1, 3, 1 << 16])
     def test_index_counts_cuts_at_or_below(self, monkeypatch, cells):
-        # Crowded cuts: with a few grid cells, many share one, and the
-        # lookup takes more comparison steps.
+        # Crowded cuts: with 1 or 3 grid cells, each holds several, and every
+        # draw takes the binary search.  42 cuts need 64 * 42 cells, 4,096.
         monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
         rng = np.random.default_rng(cells)
-        cuts = np.unique(np.concatenate([rng.normal(0.0, 3.0, 40), [1.0, np.nextafter(1.0, 2.0)]]))
-        table = CutTable(cuts, 1e-3)
-        if cells == 3:
-            assert table.steps > 2
-        x = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
-                            table.grid, [-1e300, 1e300, 0.0, -0.0], rng.normal(0.0, 4.0, 10_000)])
-        assert table.index(x).tolist() == np.searchsorted(cuts, x, side="right").tolist()
+        cuts = np.unique(np.concatenate([rng.random(40), [0.5, np.nextafter(0.5, 1.0)]]))
+        table = CutTable(cuts)
+        assert table.cells == min(cells, 4096)
+        assert searchsorted_at_and_around(table, rng)
 
     def test_no_cuts_one_cell(self):
-        table = CutTable(np.empty(0), np.inf)
-        assert table.index(np.array([-1e300, 0.0, 1e300])).tolist() == [0, 0, 0]
+        table = CutTable(np.empty(0))
+        assert table.cells == 1
+        assert table.index(np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])).tolist() == [0] * 4
+
+    def test_crowded_laplace_tails(self):
+        # More than AUDIT_GRID_CELLS / 64 cuts, hundreds of them in each of
+        # the grid cells at either end.
+        cuts = laplace_tail_cuts(12_000)
+        assert cuts.size >= 10_000
+        table = CutTable(cuts)
+        assert table.cells == AUDIT_GRID_CELLS
+        assert np.bincount((cuts * table.cells).astype(np.intp)).max() > 100
+        assert searchsorted_at_and_around(table, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("count", [1, 2, 43, 500, AUDIT_GRID_CELLS // 64])
+    def test_few_cuts_leave_most_grid_cells_free(self, count):
+        # At most 1/64 of the grid cells, and so of the draws, take the
+        # binary search while there are at most AUDIT_GRID_CELLS / 64 cuts.
+        for cuts in (laplace_tail_cuts(12_000), np.random.default_rng(count).random(count)):
+            cuts = np.sort(cuts[np.linspace(0, cuts.size - 1, count).astype(np.intp)])
+            table = CutTable(cuts)
+            held = np.unique((cuts * table.cells).astype(np.intp)).size
+            assert 64 * held <= table.cells
+            assert searchsorted_at_and_around(table, np.random.default_rng(count))
 
 
 class TestMaxLogCountRatio:
@@ -449,11 +504,14 @@ class TestSharedNoiseDraw:
     @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3), ("payment", 0),
                                          ("disabled", None), ("bins_200", None),
                                          ("epsilon_0.05", None), ("n_50", None),
-                                         ("raw_sum", None), ("bins_20000", None)])
+                                         ("raw_sum", None), ("bins_20000", None),
+                                         ("n_1000", None)])
     def test_counts_match_two_runs_per_chunk(self, kind, j):
         # j = 0 is the flipped agent itself, whose own report differs between
         # the neighbors.  raw_sum's values leave [0, 1] on either side, and
-        # 20,000 bins put more cut points than draws in most cells.
+        # 20,000 bins put more cut points than draws in most cells.  At
+        # n = 1000, 10,000 bins put about 1,100 cut points in the span, over
+        # AUDIT_GRID_CELLS / 64, and hundreds in each grid cell at either end.
         reports, i, bins = self.REPORTS, 0, {"bins_200": 200, "bins_20000": 20_000}.get(kind, 20)
         noise = NoiseSpec(epsilon=0.05 if kind == "epsilon_0.05" else 0.5,
                           mode="disabled" if kind == "disabled" else "sample")
@@ -467,6 +525,10 @@ class TestSharedNoiseDraw:
             reports, i, bins, noise = [1] * 7 + [0] * 43, 10, 37, NoiseSpec(epsilon=1.3)
             observable = estimate_observable(50, noise)
             old = two_run_estimate(50, noise)
+        elif kind == "n_1000":
+            reports, bins = [1] * 500 + [0] * 500, 10_000
+            observable = estimate_observable(1000, noise)
+            old = two_run_estimate(1000, noise)
         else:
             observable = estimate_observable(10, noise)
             old = two_run_estimate(10, noise)
@@ -481,8 +543,8 @@ class TestSharedNoiseDraw:
 
     @pytest.mark.parametrize("cells", [3, 1 << 16])
     def test_crowded_grid_counts_match_two_runs(self, monkeypatch, cells):
-        # Three grid cells put several cut points in each, so each draw
-        # takes more comparison steps after its lookup.
+        # Three grid cells put several cut points in each, so every draw
+        # takes the binary search of the cuts.
         monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
         noise = NoiseSpec(epsilon=0.5)
         report = dp_audit(estimate_observable(10, noise), self.REPORTS, 0, 0, 0.5, 200_000, 20,
@@ -491,24 +553,25 @@ class TestSharedNoiseDraw:
         assert counts == two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000,
                                         20, 9).tolist()
 
-    @pytest.mark.parametrize("reach", [0.0, 1.0, 1e6])
-    def test_counts_whatever_span_the_cut_table_starts_from(self, reach):
-        # From reach 0 or 1 the blocks keep widening the span, and the cells
-        # already counted move to the widened table; from 1e6 it never widens.
+    @pytest.mark.parametrize("tail", [0.5, 0.3, 0.0])
+    def test_counts_whatever_span_the_cut_table_starts_from(self, tail):
+        # The span starts as [tail, 1 - tail] in the uniform.  From tail 0.5
+        # or 0.3 the blocks keep widening it, and the cells already counted
+        # move to the widened table; from 0, all of [0, 1], it never widens.
         noise = NoiseSpec(epsilon=0.5)
         observable = estimate_observable(10, noise)
         edges = np.linspace(0.0, 1.0, 21)
         sides = [privacy._bin_of_draw(observable, np.array(side), edges)
                  for side in (self.REPORTS, [0] + self.REPORTS[1:])]
-        counts = privacy._counts_by_cell(sides, privacy._noise_blocks(noise, 200_000, 9), 20,
-                                         reach)
+        counts = privacy._counts_by_cell(sides, privacy._noise_blocks(200_000, 9), 20, tail)
         expected = two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000, 20, 9)
         assert [side.tolist() for side in counts] == expected.tolist()
 
     def test_cut_points_only_where_the_draws_reach(self):
-        # At n = 1000 the cut table's span, 2 * scale * ln(trials) = 46 on
-        # either side of the sum 500, reaches about 9% of the 10**6 bins;
-        # bisecting all of them would map 64 * 2 * 10**6 values.
+        # At n = 1000 the cut table's span, the uniforms whose draws lie
+        # within 2 * scale * ln(trials) = 46 of 0, keeps b_bar within 46 of
+        # the sum 500 and reaches about 9% of the 10**6 bins; bisecting all
+        # of them would map 64 * 2 * 10**6 values.
         mapped = []
 
         def estimate(reports, b_bar):
@@ -537,30 +600,70 @@ class TestSharedNoiseDraw:
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(dip, self.REPORTS, 0, 0, 0.5, 200_000, 20, seed=5)
 
-    def test_dip_at_one_sampled_draw_raises(self):
-        # The dip holds one float: the largest checked draw after the first
-        # block, past the cuts and the grid, where the estimate is clipped
-        # to 1.  Only the check of every AUDIT_CHECK_STRIDE-th draw reaches
-        # it.
+    def test_dip_at_one_grid_edge_raises(self):
+        # The dip holds one float: the noisy sum at u = 1/4, an edge of the
+        # 4,096-cell grid inside bin 7.  No cut point is there, and a draw
+        # lands there with chance 2**-53; only the grid-edge check reaches it.
         noise = NoiseSpec(epsilon=0.5)
-        draws = np.concatenate(list(privacy._noise_blocks(noise, 1 << 20, 5)))
-        top = draws[AUDIT_BLOCK::AUDIT_CHECK_STRIDE].max()
-        assert top > 5.0 and top not in draws[:AUDIT_BLOCK]
+        dip = Observable(noise, lambda reports, b_bar: np.where(
+            b_bar == 5 + noise.from_uniform(0.25), 0.0, published_estimate(10, b_bar)))
+        with pytest.raises(ValueError, match="not monotone in b_bar"):
+            dp_audit(dip, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+
+    def test_dip_at_one_sampled_draw_raises(self):
+        # The dip holds one float: the noise of the largest checked uniform
+        # after the first block, past the cuts and the grid, where the
+        # estimate is clipped to 1.  Only the check of every
+        # AUDIT_CHECK_STRIDE-th draw reaches it.
+        noise = NoiseSpec(epsilon=0.5)
+        uniforms = np.concatenate(list(privacy._noise_blocks(1 << 20, 5)))
+        draws = noise.from_uniform(uniforms)
+        top = noise.from_uniform(uniforms[AUDIT_BLOCK::AUDIT_CHECK_STRIDE].max())
+        assert top > 5.0 and top not in draws[:AUDIT_BLOCK] and np.sum(draws == top) == 1
         dip = Observable(noise, lambda reports, b_bar: np.where(
             b_bar == 5 + top, 0.0, published_estimate(10, b_bar)))
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(dip, self.REPORTS, 0, 0, 0.5, 1 << 20, 20, seed=5)
 
     def test_one_noise_draw_per_trial(self, monkeypatch):
+        # One uniform per trial, and nothing else drawn from the streams.
         sizes = []
 
-        def counted(noise, rng, size=None):
-            sizes.append(size)
-            return noise_draw(noise, rng, size)
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(privacy, "noise_draw", counted)
+            def random(self, size=None):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(privacy, "subseed_rng", lambda *path: Counted(subseed_rng(*path)))
         observable = estimate_observable(10, NoiseSpec(epsilon=0.5))
         dp_audit(observable, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
         assert sum(sizes) == self.TRIALS
         assert max(sizes) == AUDIT_BLOCK
         assert sizes[-1] == 12_345 % AUDIT_BLOCK
+
+
+def test_bin_masses_are_cell_widths_in_uniform_space():
+    # rng.random() draws multiples of 2**-53 uniformly from [0, 1), so a
+    # cell [a, b) between cut points holds a draw with chance b - a, up to
+    # 2**-53, and a bin's exact mass is the sum of its cells' widths.  At
+    # the privacy-audit shape the masses' log ratio is epsilon on 18 bins
+    # and epsilon / 2 on bins 8 and 9, between the neighbors' noiseless
+    # estimates 0.4 and 0.5.
+    observable = estimate_observable(10, NoiseSpec(epsilon=0.5))
+    edges = np.linspace(0.0, 1.0, 21)
+    masses = []
+    for side in ([1] * 5 + [0] * 5, [0] + [1] * 4 + [0] * 5):
+        f = privacy._bin_of_draw(observable, np.array(side), edges)
+        lefts = np.append(0.0, cut_points(f, 0.0, 1.0))
+        masses.append(np.bincount(f(lefts), weights=np.diff(np.append(lefts, 1.0)), minlength=20))
+    log_ratio = np.abs(np.log(masses[0]) - np.log(masses[1]))
+    assert abs(log_ratio.max() - 0.5) <= 1e-9
+    np.testing.assert_allclose(log_ratio, np.where(np.isin(np.arange(20), [8, 9]), 0.25, 0.5),
+                               atol=1e-9)
+    trials = 1_000_000
+    report = dp_audit(observable, [1] * 5 + [0] * 5, 0, 0, 0.5, trials, 20, seed=7)
+    for mass, counts in zip(masses, (report.table["count_base"], report.table["count_flipped"])):
+        assert np.all(np.abs(counts - trials * mass) <= 5.0 * np.sqrt(trials * mass * (1.0 - mass)))
