@@ -50,8 +50,8 @@ from .priors import (
     posterior_bit_prob,
     posterior_clamped_mean,
 )
-from .privacy import (AUDIT_MIN_TRIALS, DEFAULT_TOLERANCE, FAIL, PASS, AuditDataError, NoiseSpec,
-                      dp_audit)
+from .privacy import (AUDIT_MIN_TRIALS, DEFAULT_BIN_FLOOR, FAIL, PASS, NoiseSpec, dp_audit,
+                      max_audit_bins)
 
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 2}
 
@@ -74,7 +74,7 @@ _FIXED = {
 # Keys a command has no use for.  run and accuracy take `off` inside the
 # threshold strategy and audit nothing; cost-scaling takes n from ns, uses
 # the chen cost model and lets off-threshold agents abstain.
-_SURVEY_UNUSED = ("off", "ones", "flip_index", "payment_index", "bins", "observable", "tolerance")
+_SURVEY_UNUSED = ("off", "ones", "flip_index", "payment_index", "bins", "observable")
 _UNUSED = {"run": _SURVEY_UNUSED, "accuracy": _SURVEY_UNUSED,
            "cost-scaling": ("n", "cost_model", "off")}
 
@@ -404,12 +404,11 @@ class Resolver:
 
     @cached_property
     def bins(self):
-        return self._integer("bins", 2, default=20)
-
-    @cached_property
-    def tolerance(self):
-        return self._number("tolerance", lambda v: v >= 0.0, "a nonnegative number",
-                            default=DEFAULT_TOLERANCE)
+        bins = self._integer("bins", 2, default=20)
+        if bins > max_audit_bins(self.trials):
+            raise ConfigError("bins", f"must be at most trials / {DEFAULT_BIN_FLOOR:g} = "
+                                      f"{max_audit_bins(self.trials)}, got {bins}")
+        return bins
 
 
 # One key per rule; a config key outside this set is a typo or a stray.
@@ -474,9 +473,10 @@ def _emit(r, body, columns=None, **used):
     key the run found nothing to check for, --seed where the run drew
     nothing at random and --out where there is no CSV (a config's `seed` or
     `out` may serve another command), write `columns` as the CSV at `out`,
-    print the report.  A cross-check of tau, p0 or p1 follows the body,
-    except in cost-scaling, whose rows carry their own.  A reader that
-    closed stdout early is not an error: the rest of the output is dropped."""
+    print the report.  A cross-check of tau, p0 or p1 joins the body's
+    `cross_check` block, or starts one, except in cost-scaling, whose rows
+    carry their own.  A reader that closed stdout early is not an error:
+    the rest of the output is dropped."""
     if not r.cross_check:
         for key in ("threshold_trials", "posterior_samples"):
             if getattr(r, key) is not None:
@@ -491,7 +491,7 @@ def _emit(r, body, columns=None, **used):
         write_csv(out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
-        report["cross_check"] = _cross_check(r, r.n)
+        report["cross_check"] = {**report.get("cross_check", {}), **_cross_check(r, r.n)}
     try:
         print(json.dumps(report, indent=2))
         sys.stdout.flush()
@@ -564,16 +564,13 @@ def _cmd_audit_dp(r):
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
     args = (observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials,
-            r.bins, derive_seed(r.seed, 3000), r.tolerance)
+            r.bins, derive_seed(r.seed, 3000))
     # Every key but `out` (_emit reads it) is resolved by now, in the instance
     # dict: a key still unread is one the audit would ignore.
     for key in r._config:
         if key not in r.__dict__ and key != "out":
             raise ConfigError(key, f"is not read by an audit of the {r.observable}")
-    try:
-        report = dp_audit(*args)
-    except AuditDataError as exc:  # too many bins for the trials
-        raise ConfigError("bins", str(exc)) from exc
+    report = dp_audit(*args)
     _emit(r, report.to_dict(), report.table)
     return EXIT_BY_VERDICT[report.verdict]
 

@@ -94,10 +94,12 @@ class Observable:
     """What a privacy audit watches: the noise added to the report sum, and
     the map of_b_bar(reports, b_bar) -> values in [0, 1] from a report
     vector and its noisy sum b_bar to the published value.  An observable
-    draws no noise; privacy.dp_audit draws it once per trial, from one
-    uniform, and feeds that draw to both neighbours.  The map works
-    elementwise and is monotone in b_bar, rising or falling, as computed in
-    float64: the audit counts the uniforms between those at which its bin changes."""
+    draws no noise.  The map works elementwise and is monotone in b_bar,
+    rising or falling, as computed in float64: privacy.dp_audit takes each
+    bin's exact noise mass between the noise values at which the bin
+    changes, and for its cross-check draws the noise once per trial, from
+    one uniform, feeds that draw to both neighbours and counts the uniforms
+    between the cut points."""
 
     noise: NoiseSpec
     of_b_bar: Callable

@@ -1,25 +1,24 @@
-"""Laplace perturbation of the report sum and empirical privacy auditing.
+"""Laplace perturbation of the report sum and the privacy audit.
 
 The mechanism protects participants by adding a single Laplace draw of scale
 1/epsilon to the report sum (sensitivity 1) and publishing only clamped
-functions of the noisy sum.  `dp_audit` draws that noise once per trial,
-histograms the output on two neighboring report vectors that share the draw
-and bounds each bin's log probability ratio from below; it can refute a
-privacy claim but can never prove one.  An audited output is monotone in
-the noisy sum, and the noise in the uniform behind it, so each neighbor's
-bin is a step function of that uniform: `dp_audit` finds the uniforms at
-which either neighbor's bin changes within the span the draws reach
-(`bin_index` gives a value's bin by numpy's own equal-width histogram rule),
-counts the uniforms between those cut points, never computing their noise,
-with one lookup each in an equal-mass grid over [0, 1), and maps those
-counts to both neighbors' bins at the end.
+functions of the noisy sum.  An audited output is monotone in the noisy sum,
+so each neighbor's histogram bin is a step function of the noise:
+`dp_audit` finds the noise values at which it changes (`bin_index` gives a
+value's bin by numpy's own equal-width histogram rule), takes each bin's
+exact Laplace mass between them (`laplace_log_mass`) and decides the privacy
+claim from the largest log mass ratio of the two neighbors.  As a
+cross-check it also draws the noise once per trial and histograms it: it
+counts the uniforms behind the draws between the same cut points in the
+uniform, never computing their noise, with one lookup each in an equal-mass
+grid over [0, 1), maps those counts to both neighbors' bins and compares
+them with the exact masses.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from ._util import as_generator, chunk_sizes, report_dict, subseed_rng
 
@@ -28,11 +27,12 @@ NOISE_MODES = ("sample", "disabled")
 PASS = "Pass"
 FAIL = "Fail"
 
-# Histogram bins with fewer pooled counts than this are too noisy to compare.
+# The least count each neighbor must expect in a bin that the cross-check
+# compares; an audit needs at least this many trials per bin.
 DEFAULT_BIN_FLOOR = 50.0
-DEFAULT_TOLERANCE = 0.05
-# Chance that any bin's confidence interval misses its true ratio.
-AUDIT_ERROR_RATE = 0.05
+# How far the exact max log ratio may exceed the claimed epsilon before the
+# audit fails: room for rounding in the cut points and the masses.
+AUDIT_SLACK = 1e-9
 
 # The fewest trials `dp_audit` accepts.
 AUDIT_MIN_TRIALS = 100_000
@@ -52,10 +52,6 @@ _MAX = np.finfo(np.float64).max
 # int64 keys -_KEY_MAX .. _KEY_MAX (see `_unkey`).
 _KEY_MAX = np.float64(_MAX).view(np.int64)
 _SIGN_BIT = np.int64(-1 << 63)
-
-
-class AuditDataError(RuntimeError):
-    """Raised when every histogram bin is below the audit's count floor."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,25 @@ def _laplace_of_uniform(u, scale):
 def laplace_sample(scale, rng, size=None):
     """Laplace(0, scale) draws via the inverse-CDF transform of rng.random()."""
     return _laplace_of_uniform(as_generator(rng).random(size), scale)
+
+
+def laplace_log_mass(lo, hi, scale):
+    """log P(lo <= X < hi) for X ~ Laplace(0, scale), elementwise, lo < hi.
+
+    Either end may be infinite.  Left of 0 the mass is the CDF difference
+    e^(hi/s) (1 - e^((lo - hi)/s)) / 2, right of 0 the survival function
+    difference e^(-lo/s) (1 - e^((lo - hi)/s)) / 2, and across 0 it is
+    -(expm1(lo/s) + expm1(-hi/s)) / 2.  Taken in logs with expm1, no mass
+    underflows to 0 and none loses its relative precision in a tail.
+    """
+    lo = np.asarray(lo, dtype=np.float64) / scale
+    hi = np.asarray(hi, dtype=np.float64) / scale
+    # Each branch is evaluated everywhere: far ends give inf - inf, log(0)
+    # or an overflowing expm1 in the branches np.where does not pick.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        one_side = np.log(0.5) + np.where(hi <= 0.0, hi, -lo) + np.log(-np.expm1(lo - hi))
+        across = np.log(-0.5 * (np.expm1(lo) + np.expm1(-hi)))
+    return np.where((hi <= 0.0) | (lo >= 0.0), one_side, across)
 
 
 def noise_draw(noise, rng, size=None):
@@ -217,81 +232,68 @@ class CutTable:
         return k
 
 
-def max_log_count_ratio(counts_a, counts_b):
-    """Largest |log(count_a / count_b)| over bins with enough pooled mass.
-
-    A bin enters the comparison when its average count across the two
-    histograms is at least DEFAULT_BIN_FLOOR; a retained bin that is empty on
-    one side yields an infinite ratio.  Raises AuditDataError when no bin
-    qualifies.
-    """
-    counts_a = np.asarray(counts_a, dtype=np.float64)
-    counts_b = np.asarray(counts_b, dtype=np.float64)
-    if counts_a.shape != counts_b.shape:
-        raise ValueError("count arrays must have identical shapes")
-    retained = (counts_a + counts_b) / 2.0 >= DEFAULT_BIN_FLOOR
-    if not retained.any():
-        raise AuditDataError("no histogram bin reaches the count floor; "
-                             "increase trials or reduce bins")
-    with np.errstate(divide="ignore"):
-        log_ratio = np.abs(np.log(counts_a[retained]) - np.log(counts_b[retained]))
-    return float(np.max(log_ratio)), retained
-
-
-def log_ratio_lower_bounds(counts_a, counts_b):
-    """Simultaneous lower confidence bounds on each bin's |log(p_a / p_b)|.
-
-    Given a bin's pooled count, count_a is Bin(count_a + count_b, r) with
-    r = p_a / (p_a + p_b), so p_a / p_b = r / (1 - r).  Each of the k bins
-    takes the Clopper-Pearson interval for r at level 1 - AUDIT_ERROR_RATE / k
-    (Bonferroni), and its bound is the least |log(r / (1 - r))| over that
-    interval: 0 when the interval spans 1/2.
-    """
-    a = np.asarray(counts_a, dtype=np.float64)
-    b = np.asarray(counts_b, dtype=np.float64)
-    tail = AUDIT_ERROR_RATE / (2.0 * a.size)
-    # An empty side pins that end of the interval at 0 or 1.
-    lo = np.where(a > 0, betaincinv(np.maximum(a, 1.0), b + 1.0, tail), 0.0)
-    hi = np.where(b > 0, betaincinv(a + 1.0, np.maximum(b, 1.0), 1.0 - tail), 1.0)
-    with np.errstate(divide="ignore"):
-        return np.maximum.reduce([np.log(lo) - np.log1p(-lo), np.log1p(-hi) - np.log(hi),
-                                  np.zeros_like(lo)])
+def max_audit_bins(trials):
+    """The most bins `dp_audit` accepts for `trials`: DEFAULT_BIN_FLOOR trials each."""
+    return int(trials // DEFAULT_BIN_FLOOR)
 
 
 @dataclass(frozen=True)
 class DpAuditReport:
-    """Outcome of an empirical privacy audit on one pair of neighbors.
+    """Outcome of an exact privacy audit on one pair of neighbors.
 
-    `verdict` is Pass when max_log_ratio_lower, the largest of the bins'
-    simultaneous lower confidence bounds, is at most epsilon_claimed +
-    tolerance: a Pass only means the histogram test found no violation at
-    this sample size, a Fail refutes the claimed epsilon at the 95% level.
-    `table`, outside to_dict, holds the CLI's CSV columns, one row per bin:
-    bin_lo, bin_hi, the int64 count_base and count_flipped, retained (1
-    where the mean count reaches DEFAULT_BIN_FLOOR, else 0) and log_ratio =
-    log(count_base) - log(count_flipped), 0 where both counts are 0.
+    max_log_ratio is the exact largest |log(p_base / p_flipped)| over the
+    bins either neighbor's output reaches with positive chance, inf where
+    only one does; `verdict` is Pass when it is at most epsilon_claimed +
+    AUDIT_SLACK.  cross_check is the histogram of `trials` sampled draws
+    against the exact masses: {samples, bins_checked, max_abs_z}, each
+    checked bin's z = (count - trials p) / sqrt(trials p (1 - p)) on either
+    side, over the bins where both neighbors expect at least
+    DEFAULT_BIN_FLOOR draws.  `table`, outside to_dict, holds the CLI's CSV
+    columns, one row per bin: bin_lo, bin_hi, the int64 count_base and
+    count_flipped, retained (1 on the bins the cross-check compares, else
+    0) and the exact log_ratio = log(p_base) - log(p_flipped), 0 where both
+    masses are 0.
     """
 
     epsilon_claimed: float
     max_log_ratio: float
-    max_log_ratio_lower: float
     bins: int
     trials: int
-    tolerance: float
+    cross_check: dict
     table: dict = field(default_factory=dict, compare=False)
 
     @property
     def verdict(self):
-        return PASS if self.max_log_ratio_lower <= self.epsilon_claimed + self.tolerance else FAIL
+        return PASS if self.max_log_ratio <= self.epsilon_claimed + AUDIT_SLACK else FAIL
 
     def to_dict(self):
         return {**report_dict(self), "verdict": self.verdict}
 
 
-def _bin_of_draw(observable, reports, edges):
-    """The bin of the observable on `reports` as a function of the uniform u."""
-    total, noise = int(reports.sum()), observable.noise
-    return lambda u: bin_index(observable.of_b_bar(reports, total + noise.from_uniform(u)), edges)
+def _bin_of_noise(observable, reports, edges):
+    """The bin of the observable on `reports` as a function of the noise x."""
+    total = int(reports.sum())
+    return lambda x: bin_index(observable.of_b_bar(reports, total + x), edges)
+
+
+def _log_masses(bin_of, noise, bins):
+    """Each bin's exact log mass under the noise, -inf where it has none.
+
+    bin_of is a monotone step function of the noise x; between its cut
+    points over the whole float line it is constant, and each cell adds
+    its Laplace mass to its bin.  Noise "disabled" is a point mass at 0.
+    """
+    if noise.mode == "disabled":
+        lefts, cell_mass = np.zeros(1), np.zeros(1)
+    else:
+        cuts = cut_points(bin_of, -_MAX, _MAX)
+        lefts = np.append(-_MAX, cuts)
+        cell_mass = laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale)
+    cell_bin = bin_of(lefts)
+    inside = (cell_bin >= 0) & (cell_bin < bins)
+    log_mass = np.full(bins, -np.inf)
+    np.logaddexp.at(log_mass, cell_bin[inside], cell_mass[inside])
+    return log_mass
 
 
 def _noise_blocks(trials, seed):
@@ -303,25 +305,21 @@ def _noise_blocks(trials, seed):
             yield rng.random(block)
 
 
-def _counts_by_cell(sides, blocks, bins, tail):
+def _counts_by_cell(sides, blocks, bins):
     """Each side's bin counts from the uniforms counted into the cells
-    between both sides' cut points.
+    between both sides' cut points in [0, 1].
 
-    Cell k holds the draws from the k-th cut (`lo` for k = 0) up to the
-    next, and each side's bin is constant on it if the observable is
-    monotone in b_bar.  The cuts cover the span [lo, hi]: first [tail,
-    1 - tail], then widened, by the cuts of the widened part only, to take
-    in any block that reaches past it.  So the bisection pays only for the
-    bins that the draws can reach, however many bins there are.  The table
-    is checked at every grid edge in [lo, hi], at and just below every cut,
-    on the first block of draws and on every AUDIT_CHECK_STRIDE-th draw;
-    where a side's bin differs, ValueError.  A non-monotone observable whose
-    bins differ only between those points is counted wrongly without an
-    error.
+    Cell k holds the draws from the k-th cut (0 for k = 0) up to the next,
+    and each side's bin is constant on it if the observable is monotone in
+    b_bar.  The table is checked at every grid edge, at and just below every
+    cut, on the first block of draws and on every AUDIT_CHECK_STRIDE-th
+    draw; where a side's bin differs, ValueError.  A non-monotone observable
+    whose bins differ only between those points is counted wrongly without
+    an error.
     """
-    lo, hi = tail, 1.0 - tail
-    side_cuts = [cut_points(f, lo, hi) for f in sides]
-    table = bin_of_cell = None
+    cuts = np.unique(np.concatenate([cut_points(f, 0.0, 1.0) for f in sides]))
+    table = CutTable(cuts)
+    bin_of_cell = [f(np.append(0.0, cuts)) for f in sides]
 
     def check(u):
         cell = table.index(u)
@@ -330,33 +328,12 @@ def _counts_by_cell(sides, blocks, bins, tail):
                 raise ValueError("the observable is not monotone in b_bar: its bins do not "
                                  "follow its cut points")
 
-    def tabulate():
-        nonlocal table, bin_of_cell
-        cuts = np.unique(np.concatenate(side_cuts))
-        table = CutTable(cuts)
-        grid = np.arange(table.cells + 1) / table.cells
-        bin_of_cell = [f(np.append(lo, cuts)) for f in sides]
-        check(np.concatenate([grid[(grid >= lo) & (grid <= hi)], cuts, np.nextafter(cuts, lo)]))
-
-    tabulate()
-    cells = np.zeros(table.cuts.size + 1, dtype=np.int64)
+    check(np.concatenate([np.arange(table.cells + 1) / table.cells, cuts, np.nextafter(cuts, 0.0)]))
+    cells = np.zeros(cuts.size + 1, dtype=np.int64)
     first = next(blocks)
     sample = np.empty((1 << 20) // AUDIT_CHECK_STRIDE)
     filled = 0
     for u in itertools.chain([first], blocks):
-        u_lo, u_hi = float(u.min()), float(u.max())
-        if u_lo < lo or u_hi > hi:
-            wide_lo, wide_hi = min(lo, u_lo), max(hi, u_hi)
-            side_cuts = [np.concatenate([cut_points(f, wide_lo, lo), cuts,
-                                         cut_points(f, hi, wide_hi)])
-                         for f, cuts in zip(sides, side_cuts)]
-            old_left = np.append(lo, table.cuts)
-            lo, hi = wide_lo, wide_hi
-            tabulate()
-            # The added cuts are at or below the old lo or above the old hi,
-            # so each old cell lies in the new cell that holds its left end.
-            cells = np.bincount(table.index(old_left), weights=cells,
-                                minlength=table.cuts.size + 1).astype(np.int64)
         cells += np.bincount(table.index(u), minlength=cells.size)
         drawn = u[::AUDIT_CHECK_STRIDE]
         if filled + drawn.size > sample.size:
@@ -368,50 +345,44 @@ def _counts_by_cell(sides, blocks, bins, tail):
     # Checked after the count: checked before it, its temporaries raised
     # the audit's peak RSS by about 0.25 MB.
     check(first)
-    return [np.bincount(bin_of + 1, weights=cells, minlength=bins + 2)[1:-1].astype(np.int64)
-            for bin_of in bin_of_cell]
+    return np.array([np.bincount(bin_of + 1, weights=cells, minlength=bins + 2)[1:-1]
+                     for bin_of in bin_of_cell]).astype(np.int64)
 
 
-def dp_audit(
-    observable,
-    reports,
-    i,
-    flipped_bit,
-    epsilon_claimed,
-    trials,
-    bins,
-    seed,
-    tolerance=DEFAULT_TOLERANCE,
-):
-    """Histogram `observable` on two neighboring report vectors and compare
-    bin counts.
+def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins, seed):
+    """Decide whether `observable` is epsilon_claimed-DP on two neighboring
+    report vectors from each bin's exact mass, and histogram sampled draws
+    as a cross-check.
 
     Parameters
     ----------
     observable : mechanism.Observable
-        Its `noise` is drawn once per trial, x = noise.from_uniform(u), and
-        that one draw feeds both neighbors: each histograms `of_b_bar(reports,
-        sum(reports) + x)`, a value in [0, 1] that must be monotone in b_bar.
-        The audit checks that only at its cut table's grid edges, at and just
-        below each cut point, on the first AUDIT_BLOCK draws and on every
-        AUDIT_CHECK_STRIDE-th draw, and raises ValueError where a bin
-        disagrees; a non-monotone observable can be miscounted without an
-        error.
+        Both neighbors histogram `of_b_bar(reports, sum(reports) + x)` for
+        the same noise x, a value in [0, 1] that must be monotone in b_bar.
+        Each neighbor's bin, by `bin_index` on the one edge table that also
+        gives the report's bin_lo and bin_hi columns, is then a step
+        function of x, constant between the cut points that `cut_points`
+        finds over the whole float line, and a bin's exact mass is the
+        Laplace mass of its cells (`laplace_log_mass`; a point mass at 0
+        for noise "disabled").  The verdict reads those masses only.
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
     epsilon_claimed : privacy level under test.
-    trials, bins, seed : sample size, equal-width bin count over
-        [0, 1], and the audit seed.  Chunk k of 2**20 trials reads the
-        stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time.  Each
-        neighbor's bin, by `bin_index` on the one edge table that also gives
-        the report's bin_lo and bin_hi columns, is a step function of u, and
-        the audit counts the u, never computing x: `cut_points` finds where
-        a bin steps within a span that is widened to take in every draw;
-        each block is counted into the cells between both neighbors' cut
-        points by `CutTable.index`, and each cell's count goes to the bin
-        each neighbor gives its left end.  The counts are those of the
-        values per trial, less those outside [0, 1].
+    trials, bins, seed : the cross-check's sample size, the equal-width bin
+        count over [0, 1], at most trials / DEFAULT_BIN_FLOOR, and its
+        seed.  Chunk k of 2**20 trials reads the stream subseed_rng(seed,
+        k) in order, AUDIT_BLOCK trials at a time, one uniform u per trial
+        with x = noise.from_uniform(u).  The audit counts the u, never
+        computing x: each block is counted into the cells between both
+        neighbors' cut points in u by `CutTable.index`, and each cell's
+        count goes to the bin each neighbor gives its left end.  The counts
+        are those of the values per trial, less those outside [0, 1].  The
+        cut table is checked at its grid edges, at and just below each cut
+        point, on the first AUDIT_BLOCK draws and on every
+        AUDIT_CHECK_STRIDE-th draw, raising ValueError where a bin
+        disagrees; a non-monotone observable can be miscounted, and its
+        masses miscomputed, without an error.
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -424,39 +395,44 @@ def dp_audit(
     if trials < AUDIT_MIN_TRIALS:
         raise ValueError(f"trials must be at least {AUDIT_MIN_TRIALS}, got {trials}")
     bins = int(bins)
-    if bins < 2:
-        raise ValueError(f"bins must be at least 2, got {bins}")
+    if not 2 <= bins <= max_audit_bins(trials):
+        raise ValueError(f"bins must lie in [2, trials / {DEFAULT_BIN_FLOOR:g}] = "
+                         f"[2, {max_audit_bins(trials)}], got {bins}")
     if not epsilon_claimed > 0.0:
         raise ValueError(f"epsilon_claimed must be positive, got {epsilon_claimed}")
 
     neighbor = reports.copy()
     neighbor[i] = flipped_bit
-
     edges = np.linspace(0.0, 1.0, bins + 1)
-    sides = [_bin_of_draw(observable, side, edges) for side in (reports, neighbor)]
-    # u lands within 1 / (2 trials**2) of 0 or 1, x past 2 * scale *
-    # ln(trials), with chance 1 / trials**2, so the cut table widens past it,
-    # rebuilding itself mid-count, in about one audit in `trials`; from
-    # 1 / (2 trials), in about 1 - 1/e of audits.
-    counts_a, counts_b = _counts_by_cell(sides, _noise_blocks(trials, seed), bins, 0.5 / trials**2)
+    noise = observable.noise
+    sides = [_bin_of_noise(observable, side, edges) for side in (reports, neighbor)]
 
-    max_log_ratio, retained = max_log_count_ratio(counts_a, counts_b)
-    lower = float(np.max(log_ratio_lower_bounds(counts_a[retained], counts_b[retained])))
+    counts = _counts_by_cell([lambda u, f=f: f(noise.from_uniform(u)) for f in sides],
+                             _noise_blocks(trials, seed), bins)
+    log_p = np.array([_log_masses(f, noise, bins) for f in sides])
+    with np.errstate(invalid="ignore"):  # -inf - -inf: no mass on either side
+        log_ratio = log_p[0] - log_p[1]
+    reached = np.isfinite(log_p).any(axis=0)
+    retained = np.all(trials * np.exp(log_p) >= DEFAULT_BIN_FLOOR, axis=0)
+    checked = log_p[:, retained]
+    expected = trials * np.exp(checked)
+    gap = counts[:, retained] - expected
+    # A bin of mass 1 has no spread, and its count no gap.
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(counts_a) - np.log(counts_b)
+        z = np.where(gap == 0.0, 0.0, gap / np.sqrt(-expected * np.expm1(checked)))
     return DpAuditReport(
         epsilon_claimed=float(epsilon_claimed),
-        max_log_ratio=max_log_ratio,
-        max_log_ratio_lower=lower,
+        max_log_ratio=float(np.max(np.abs(log_ratio[reached]), initial=0.0)),
         bins=bins,
         trials=trials,
-        tolerance=float(tolerance),
+        cross_check={"samples": trials, "bins_checked": int(retained.sum()),
+                     "max_abs_z": float(np.max(np.abs(z), initial=0.0))},
         table={
             "bin_lo": edges[:-1],
             "bin_hi": edges[1:],
-            "count_base": counts_a,
-            "count_flipped": counts_b,
+            "count_base": counts[0],
+            "count_flipped": counts[1],
             "retained": retained.astype(np.int64),
-            "log_ratio": np.where(np.isnan(log_ratio), 0.0, log_ratio),
+            "log_ratio": np.where(reached, log_ratio, 0.0),
         },
     )

@@ -150,6 +150,10 @@ class TestResolver:
         ("run", "noise", "sample"),
         ("run", "clamp_payments", False),
         ("audit-dp", "flipped_bit", 0),
+        # No rule reads tolerance: the DP verdict is exact, with a fixed slack.
+        ("audit-dp", "tolerance", 0.05),
+        ("run", "tolerance", 0.05),
+        ("accuracy", "tolerance", 0.05),
         # Keys the audit-equilibrium and cost-scaling drivers derive or fix.
         ("audit-equilibrium", "tau", 0.5),
         ("audit-equilibrium", "p0", 0.3),
@@ -207,13 +211,11 @@ class TestResolver:
         ("run", "payment_index", 3),
         ("run", "bins", 20),
         ("run", "observable", "estimate"),
-        ("run", "tolerance", 0.05),
         ("accuracy", "ones", 30),
         ("accuracy", "flip_index", 0),
         ("accuracy", "payment_index", 3),
         ("accuracy", "bins", 20),
         ("accuracy", "observable", "estimate"),
-        ("accuracy", "tolerance", 0.05),
         # Cross-check keys where nothing is derived for them to check.
         ("audit-dp", "posterior_samples", 1_000),
         ("audit-dp", "threshold_trials", 1_000),
@@ -648,27 +650,40 @@ class TestAuditDpCommand:
         assert len(rows) == 21
         assert sum(int(r[2]) for r in rows[1:]) == 1_000_000
 
-    @pytest.mark.parametrize("seed", [1, 3, 7])
-    def test_calibrated_noise_passes_at_the_trial_floor(self, tmp_path, capsys, seed):
-        # At 1e5 trials the largest of the 20 observed bin ratios lands above
-        # epsilon + tolerance on these seeds, though 18 bins sit at epsilon
-        # exactly; the verdict reads the bins' simultaneous lower confidence
-        # bounds instead, which stay below.
-        config = write_config(tmp_path, dict(BASE_CONFIGS["audit-dp"], seed=seed))
-        assert dispatch(["audit-dp", "--config", config]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["max_log_ratio"] > 0.55 > payload["max_log_ratio_lower"]
+    def test_calibrated_noise_passes_at_the_trial_floor(self, tmp_path, capsys):
+        # The verdict reads exact masses, so at 1e5 trials it is the same on
+        # every seed, with 18 of the 20 bins at epsilon.
+        ratios = set()
+        for seed in (1, 3, 7):
+            config = write_config(tmp_path, dict(BASE_CONFIGS["audit-dp"], seed=seed))
+            assert dispatch(["audit-dp", "--config", config]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["verdict"] == "Pass"
+            assert payload["cross_check"]["max_abs_z"] < 5.0
+            ratios.add(payload["max_log_ratio"])
+        assert len(ratios) == 1 and abs(ratios.pop() - 0.5) <= 1e-9
 
     def test_bins_the_trials_cannot_fill_name_bins(self, tmp_path, capsys):
-        # No bin holds the count floor, so the histogram can decide nothing;
-        # that is a config problem, not a bug.
+        # The cross-check needs its count floor per bin on average; more bins
+        # are a config problem, not a bug, and are rejected before any draw.
         config = write_config(tmp_path, self.audit_config(n=1000, ones=500, trials=100_000,
                                                           bins=1_000_000))
         assert dispatch(["audit-dp", "--config", config]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[0].startswith("config error: config key 'bins'")
+        assert captured.err.splitlines()[0].startswith(
+            "config error: config key 'bins': must be at most trials / 50 = 2000")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bins, code", [(2_000, 0), (2_001, 1)])
+    def test_bins_bound_edge(self, tmp_path, capsys, bins, code):
+        config = write_config(tmp_path, dict(BASE_CONFIGS["audit-dp"], bins=bins))
+        assert dispatch(["audit-dp", "--config", config]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert abs(json.loads(captured.out)["max_log_ratio"] - 0.5) <= 1e-9
+        else:
+            assert captured.err.startswith("config error: config key 'bins'")
 
     def test_ones_bounded_by_n(self, tmp_path, capsys):
         config = write_config(tmp_path, self.audit_config(ones=11))
@@ -711,7 +726,9 @@ class TestAuditDpCommand:
                    "cost_model": {"kind": "linear"}, "posterior_samples": 5_000,
                    "threshold_trials": 5_000, "out": str(tmp_path / "audit.csv")}
         assert dispatch(["audit-dp", "--config", write_config(tmp_path, payload)]) in (0, 2)
-        assert list(json.loads(capsys.readouterr().out)["cross_check"]) == ["tau", "p0", "p1"]
+        # The derived values' cross-checks join the histogram's.
+        assert list(json.loads(capsys.readouterr().out)["cross_check"]) == [
+            "samples", "bins_checked", "max_abs_z", "tau", "p0", "p1"]
 
     def test_payment_observable_runs(self, tmp_path, capsys):
         config = write_config(tmp_path, self.audit_config(

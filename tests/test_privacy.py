@@ -27,8 +27,8 @@ from peersurvey.privacy import (
     AUDIT_BLOCK,
     AUDIT_CHECK_STRIDE,
     AUDIT_GRID_CELLS,
+    AUDIT_SLACK,
     DEFAULT_BIN_FLOOR,
-    AuditDataError,
     CutTable,
     DpAuditReport,
     NoiseSpec,
@@ -36,9 +36,8 @@ from peersurvey.privacy import (
     cut_points,
     dp_audit,
     laplace_inverse_cdf,
+    laplace_log_mass,
     laplace_sample,
-    log_ratio_lower_bounds,
-    max_log_count_ratio,
     noise_draw,
 )
 
@@ -286,49 +285,6 @@ class TestCutTable:
             assert searchsorted_at_and_around(table, np.random.default_rng(count))
 
 
-class TestMaxLogCountRatio:
-    def test_symmetric_counts(self):
-        ratio, retained = max_log_count_ratio(np.array([100.0, 50.0]), np.array([50.0, 100.0]))
-        assert ratio == pytest.approx(math.log(2.0))
-        assert retained.tolist() == [True, True]
-
-    def test_low_mass_bins_dropped(self):
-        ratio, retained = max_log_count_ratio(np.array([100.0, 10.0]), np.array([100.0, 20.0]))
-        assert ratio == 0.0
-        assert retained.tolist() == [True, False]
-
-    def test_empty_side_in_retained_bin_is_infinite(self):
-        ratio, retained = max_log_count_ratio(np.array([100.0, 0.0]), np.array([100.0, 200.0]))
-        assert math.isinf(ratio)
-        assert retained.tolist() == [True, True]
-
-
-class TestLogRatioLowerBounds:
-    def test_matches_clopper_pearson_oracle(self):
-        a = np.array([900.0, 400.0, 0.0, 5_000.0])
-        b = np.array([300.0, 410.0, 80.0, 0.0])
-        tail = 0.05 / (2 * a.size)
-        lo = np.where(a > 0, stats.beta.ppf(tail, np.maximum(a, 1), b + 1), 0.0)
-        hi = np.where(b > 0, stats.beta.ppf(1 - tail, a + 1, np.maximum(b, 1)), 1.0)
-        with np.errstate(divide="ignore"):
-            expected = np.maximum(np.maximum(np.log(lo / (1 - lo)), np.log((1 - hi) / hi)), 0.0)
-        np.testing.assert_allclose(log_ratio_lower_bounds(a, b), expected, rtol=1e-9)
-
-    def test_bounds_sit_below_observed_ratios(self):
-        a = np.array([900.0, 400.0, 80.0])
-        b = np.array([300.0, 410.0, 20.0])
-        bounds = log_ratio_lower_bounds(a, b)
-        assert bounds[1] == 0.0  # the interval spans 1/2
-        assert np.all(bounds <= np.abs(np.log(a / b)))
-        assert np.all(bounds[[0, 2]] > 0.0)
-
-    def test_empty_side_gives_a_finite_bound(self):
-        bound = log_ratio_lower_bounds(np.array([1_000.0]), np.array([0.0]))[0]
-        assert math.isfinite(bound) and bound > math.log(100.0)
-        mirrored = log_ratio_lower_bounds(np.array([0.0]), np.array([1_000.0]))[0]
-        assert mirrored == pytest.approx(bound, rel=1e-12)
-
-
 class TestDpAudit:
     def _reports(self, n=10, ones=5):
         return [1] * ones + [0] * (n - ones)
@@ -344,7 +300,7 @@ class TestDpAudit:
         mech = estimate_observable(10, NoiseSpec(epsilon=0.7))
         report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=7)
         assert report.verdict == "Fail"
-        assert 0.55 < report.max_log_ratio_lower <= report.max_log_ratio
+        assert abs(report.max_log_ratio - 0.7) <= 1e-9
 
     def test_no_noise_mechanism_fails(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
@@ -359,9 +315,8 @@ class TestDpAudit:
         assert report.max_log_ratio == 0.0
 
     def test_postprocessed_estimate_no_noisier_than_raw_sum(self):
-        # Clamping and rescaling are post-processing; the audited leakage
-        # of the estimate should not exceed that of the raw noisy sum
-        # (up to histogram sampling noise on shared trials).
+        # Clamping and rescaling are post-processing; the exact leakage of
+        # the estimate does not exceed that of the raw noisy sum.
         noise = NoiseSpec(epsilon=0.5)
         est_mech = estimate_observable(10, noise)
 
@@ -371,7 +326,7 @@ class TestDpAudit:
         reports = self._reports()
         est_audit = dp_audit(est_mech, reports, 0, 0, 0.5, 200_000, 20, seed=31)
         raw_audit = dp_audit(bbar_mech, reports, 0, 0, 0.5, 200_000, 30, seed=31)
-        assert est_audit.max_log_ratio <= raw_audit.max_log_ratio + 0.1
+        assert est_audit.max_log_ratio <= raw_audit.max_log_ratio + AUDIT_SLACK
 
     def test_deterministic_given_seed(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
@@ -388,7 +343,8 @@ class TestDpAudit:
 
     def test_table_columns(self):
         # Noiseless: every trial's estimate is 0.5 on one side and 0.4 on
-        # the other, so 18 bins are empty on both sides and 2 on one.
+        # the other, so 18 bins are empty on both sides and 2 on one, and
+        # no bin has mass on both sides for the cross-check to compare.
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
         report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
         table = report.table
@@ -402,8 +358,9 @@ class TestDpAudit:
             assert counts.dtype == np.int64
             assert counts.sum() == report.trials
         assert table["retained"].dtype == np.int64
-        np.testing.assert_array_equal(
-            table["retained"], ((base + flipped) / 2.0 >= DEFAULT_BIN_FLOOR).astype(np.int64))
+        assert not table["retained"].any()
+        assert report.cross_check == {"samples": report.trials, "bins_checked": 0,
+                                      "max_abs_z": 0.0}
         log_ratio = table["log_ratio"]
         both_empty = (base == 0) & (flipped == 0)
         assert both_empty.sum() == 18
@@ -413,12 +370,15 @@ class TestDpAudit:
         np.testing.assert_array_equal(log_ratio[(base == 0) & (flipped > 0)], [-np.inf])
         assert report.verdict == "Fail"
 
-    def test_insufficient_data_signalled(self):
-        # Every output misses the bins over [0, 1].
+    def test_outputs_outside_every_bin_pass(self):
+        # Every output misses the bins over [0, 1], so no bin tells the
+        # neighbors apart.
         outside_mech = Observable(NoiseSpec(epsilon=0.5),
                                   lambda reports, b_bar: np.full(b_bar.shape, 2.0))
-        with pytest.raises(AuditDataError):
-            dp_audit(outside_mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        report = dp_audit(outside_mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        assert (report.verdict, report.max_log_ratio) == ("Pass", 0.0)
+        assert report.cross_check["bins_checked"] == 0
+        assert report.table["count_base"].sum() == 0
 
     def test_validation(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
@@ -426,6 +386,8 @@ class TestDpAudit:
             dp_audit(mech, self._reports(), 0, 0, 0.5, 50_000, 20, seed=3)
         with pytest.raises(ValueError):
             dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 1, seed=3)
+        with pytest.raises(ValueError, match="bins must lie in"):
+            dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 2_001, seed=3)
         with pytest.raises(ValueError):
             dp_audit(mech, self._reports(), 0, 1, 0.5, 100_000, 20, seed=3)
         with pytest.raises(ValueError):
@@ -434,22 +396,21 @@ class TestDpAudit:
     def test_report_serialization_fields(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
         report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
-        assert set(report.to_dict()) == {
-            "epsilon_claimed", "max_log_ratio", "max_log_ratio_lower", "bins",
-            "trials", "tolerance", "verdict",
-        }
+        assert list(report.to_dict()) == [
+            "epsilon_claimed", "max_log_ratio", "bins", "trials", "cross_check", "verdict",
+        ]
+        assert list(report.cross_check) == ["samples", "bins_checked", "max_abs_z"]
 
     def test_report_invariant_enforced(self):
-        # The verdict follows the lower bound, not the observed ratio.
-        def report(lower):
-            return DpAuditReport(
-                epsilon_claimed=0.5, max_log_ratio=10.0, max_log_ratio_lower=lower,
-                bins=20, trials=100_000, tolerance=0.05,
-            )
+        # The verdict allows the exact ratio AUDIT_SLACK over the claim.
+        def report(ratio):
+            return DpAuditReport(epsilon_claimed=0.5, max_log_ratio=ratio, bins=20,
+                                 trials=100_000, cross_check={})
 
-        assert report(0.3).verdict == "Pass"
-        assert report(10.0).verdict == "Fail"
-        assert list(report(0.3).to_dict())[-1] == "verdict"
+        assert AUDIT_SLACK == 1e-9
+        assert report(0.5 + 0.9e-9).verdict == "Pass"
+        assert report(0.5 + 1.1e-9).verdict == "Fail"
+        assert report(math.inf).verdict == "Fail"
 
 
 # The audit before each trial's noise was drawn once for both neighbors:
@@ -553,35 +514,20 @@ class TestSharedNoiseDraw:
         assert counts == two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000,
                                         20, 9).tolist()
 
-    @pytest.mark.parametrize("tail", [0.5, 0.3, 0.0])
-    def test_counts_whatever_span_the_cut_table_starts_from(self, tail):
-        # The span starts as [tail, 1 - tail] in the uniform.  From tail 0.5
-        # or 0.3 the blocks keep widening it, and the cells already counted
-        # move to the widened table; from 0, all of [0, 1], it never widens.
-        noise = NoiseSpec(epsilon=0.5)
-        observable = estimate_observable(10, noise)
-        edges = np.linspace(0.0, 1.0, 21)
-        sides = [privacy._bin_of_draw(observable, np.array(side), edges)
-                 for side in (self.REPORTS, [0] + self.REPORTS[1:])]
-        counts = privacy._counts_by_cell(sides, privacy._noise_blocks(200_000, 9), 20, tail)
-        expected = two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000, 20, 9)
-        assert [side.tolist() for side in counts] == expected.tolist()
-
-    def test_cut_points_only_where_the_draws_reach(self):
-        # At n = 1000 the cut table's span, the uniforms whose draws lie
-        # within 2 * scale * ln(trials) = 46 of 0, keeps b_bar within 46 of
-        # the sum 500 and reaches about 9% of the 10**6 bins; bisecting all
-        # of them would map 64 * 2 * 10**6 values.
+    def test_too_many_bins_raise_before_any_draw(self, monkeypatch):
+        # The bound is checked before the masses or the draws: nothing maps
+        # a value and nothing draws a uniform.
         mapped = []
 
         def estimate(reports, b_bar):
             mapped.append(np.size(b_bar))
             return published_estimate(1000, b_bar)
 
+        monkeypatch.setattr(privacy, "subseed_rng", lambda *path: pytest.fail("drew"))
         observable = Observable(NoiseSpec(epsilon=0.5), estimate)
-        with pytest.raises(AuditDataError):
+        with pytest.raises(ValueError, match="bins must lie in"):
             dp_audit(observable, [1] * 500 + [0] * 500, 0, 0, 0.5, 100_000, 1_000_000, seed=7)
-        assert sum(mapped) < 64 * 2 * 1_000_000 // 5
+        assert mapped == []
 
     @pytest.mark.parametrize("bottom", [5.0, 17.0])
     def test_observable_not_monotone_in_b_bar_raises(self, bottom):
@@ -645,25 +591,93 @@ class TestSharedNoiseDraw:
         assert sizes[-1] == 12_345 % AUDIT_BLOCK
 
 
-def test_bin_masses_are_cell_widths_in_uniform_space():
-    # rng.random() draws multiples of 2**-53 uniformly from [0, 1), so a
-    # cell [a, b) between cut points holds a draw with chance b - a, up to
-    # 2**-53, and a bin's exact mass is the sum of its cells' widths.  At
-    # the privacy-audit shape the masses' log ratio is epsilon on 18 bins
-    # and epsilon / 2 on bins 8 and 9, between the neighbors' noiseless
-    # estimates 0.4 and 0.5.
-    observable = estimate_observable(10, NoiseSpec(epsilon=0.5))
-    edges = np.linspace(0.0, 1.0, 21)
-    masses = []
-    for side in ([1] * 5 + [0] * 5, [0] + [1] * 4 + [0] * 5):
-        f = privacy._bin_of_draw(observable, np.array(side), edges)
-        lefts = np.append(0.0, cut_points(f, 0.0, 1.0))
-        masses.append(np.bincount(f(lefts), weights=np.diff(np.append(lefts, 1.0)), minlength=20))
-    log_ratio = np.abs(np.log(masses[0]) - np.log(masses[1]))
-    assert abs(log_ratio.max() - 0.5) <= 1e-9
-    np.testing.assert_allclose(log_ratio, np.where(np.isin(np.arange(20), [8, 9]), 0.25, 0.5),
-                               atol=1e-9)
-    trials = 1_000_000
-    report = dp_audit(observable, [1] * 5 + [0] * 5, 0, 0, 0.5, trials, 20, seed=7)
-    for mass, counts in zip(masses, (report.table["count_base"], report.table["count_flipped"])):
-        assert np.all(np.abs(counts - trials * mass) <= 5.0 * np.sqrt(trials * mass * (1.0 - mass)))
+class TestExactMasses:
+    def test_laplace_log_mass_matches_scipy(self):
+        scale = 2.0
+        lo = np.array([-np.inf, -3.0, -1.0, 0.0, 2.0, 5.0, -np.inf])
+        hi = np.array([-3.0, -1.0, 2.0, 1.5, 5.0, np.inf, np.inf])
+        cdf = stats.laplace(scale=scale).cdf
+        np.testing.assert_allclose(np.exp(laplace_log_mass(lo, hi, scale)), cdf(hi) - cdf(lo),
+                                   rtol=1e-12, atol=0.0)
+        # Across 0 no difference of CDFs near 1/2 cancels: the mass of a
+        # short interval is its width times the density 1 / (2 scale).
+        tiny = laplace_log_mass(-1e-12, 1e-12, scale)
+        assert abs(np.exp(tiny) / (2e-12 / (2.0 * scale)) - 1.0) <= 1e-11
+
+    def test_far_tail_masses_keep_their_ratio(self):
+        # Left of 0 a shift by d multiplies an interval's mass by e^(d/s),
+        # right of 0 by e^(-d/s), far past where the masses underflow.
+        for lo in (-2_000.0, -80.0, 60.0, 1_500.0):
+            a, b = laplace_log_mass([lo, lo + 1.0], [lo + 0.5, lo + 1.5], 0.2)
+            assert abs((b - a) - np.sign(-lo) * 5.0) <= 1e-9 * abs(a)
+        assert -np.inf < laplace_log_mass(-2_000.0, -1_999.5, 0.2) < np.log(np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
+                                                  (1000, 1000, 5.0)])
+    def test_exact_max_is_epsilon(self, n, bins, epsilon):
+        # At n = 1000 with 10,000 bins each bin is a tenth of the shift, and
+        # the far-tail bins have masses the u-widths of the draws cannot
+        # resolve; at epsilon 5 with 1000 bins, masses below the smallest
+        # float, which differences of the Laplace CDF would round to 0.
+        reports = [1] * (n // 2) + [0] * (n - n // 2)
+        report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, 0, 0,
+                          epsilon, max(100_000, 50 * bins), bins, seed=7)
+        assert report.verdict == "Pass"
+        assert abs(report.max_log_ratio - epsilon) <= 1e-9
+        log_ratio = report.table["log_ratio"]
+        assert np.all(np.abs(log_ratio) <= epsilon + AUDIT_SLACK)
+        if epsilon == 5.0:
+            assert np.isfinite(log_ratio).all()
+            edges = np.linspace(0.0, 1.0, bins + 1)
+            f = privacy._bin_of_noise(estimate_observable(n, NoiseSpec(epsilon)),
+                                      np.array(reports), edges)
+            log_p = privacy._log_masses(f, NoiseSpec(epsilon), bins)
+            assert np.sum(log_p < np.log(np.finfo(float).tiny)) > 100
+
+    @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
+                                                  (50, 37, 1.3)])
+    def test_bin_masses_sum_to_one(self, n, bins, epsilon):
+        # The estimate is clipped into [0, 1], so its bins hold all the mass.
+        noise = NoiseSpec(epsilon=epsilon)
+        f = privacy._bin_of_noise(estimate_observable(n, noise), np.array([1] * 7 + [0] * (n - 7)),
+                                  np.linspace(0.0, 1.0, bins + 1))
+        assert abs(np.exp(privacy._log_masses(f, noise, bins)).sum() - 1.0) <= 1e-12
+
+    def test_disabled_noise_is_a_point_mass_at_zero(self):
+        noise = NoiseSpec(epsilon=0.5, mode="disabled")
+        f = privacy._bin_of_noise(estimate_observable(10, noise), np.array([1] * 5 + [0] * 5),
+                                  np.linspace(0.0, 1.0, 21))
+        log_p = privacy._log_masses(f, noise, 20)
+        assert log_p[10] == 0.0 and np.all(log_p[np.arange(20) != 10] == -np.inf)
+
+    def test_payment_observable_exact_max_is_epsilon(self):
+        config = TestSharedNoiseDraw.PAYMENTS
+        report = dp_audit(payment_observable(config, 3), [1] * 5 + [0] * 5, 0, 0, 0.5, 100_000,
+                          20, seed=7)
+        assert report.verdict == "Pass"
+        assert abs(report.max_log_ratio - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("n, bins", [(10, 20), (1000, 10_000)])
+    def test_counts_within_five_sigma_of_the_exact_masses(self, n, bins):
+        # Each bin of the estimate holds the noise x in [n lo - T, n hi - T)
+        # for the neighbor's sum T; the end bins take the clip atoms.  The
+        # masses here come from scipy's CDF, apart from the audit's own.
+        trials, edges = 1_000_000, np.linspace(0.0, 1.0, bins + 1)
+        reports = [1] * (n // 2) + [0] * (n - n // 2)
+        report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=0.5)), reports, 0, 0, 0.5,
+                          trials, bins, seed=7)
+        expected = []
+        for total, column in ((n // 2, "count_base"), (n // 2 - 1, "count_flipped")):
+            x = n * edges - total
+            x[0], x[-1] = -np.inf, np.inf
+            mass = np.diff(stats.laplace(scale=2.0).cdf(x))
+            expected.append(trials * mass)
+            counts = report.table[column]
+            checked = trials * mass >= DEFAULT_BIN_FLOOR
+            z = (counts[checked] - trials * mass[checked]) / np.sqrt(
+                trials * mass[checked] * (1.0 - mass[checked]))
+            assert np.all(np.abs(z) <= 5.0)
+        retained = np.all(np.array(expected) >= DEFAULT_BIN_FLOOR, axis=0)
+        np.testing.assert_array_equal(report.table["retained"], retained.astype(np.int64))
+        assert report.cross_check["bins_checked"] == retained.sum()
+        assert report.cross_check["max_abs_z"] <= 5.0
