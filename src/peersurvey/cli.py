@@ -1,7 +1,8 @@
 """Command-line entry points: JSON config in, JSON report out, CSV records.
 
 Every command reads its config through one `Resolver`, which applies a
-single rule per key.  Every report carries the same `resolved` block:
+single rule per key, and rejects, before it writes any output, every config
+key it never read.  Every report carries the same `resolved` block:
 epsilon, beta, tau, p0, p1 and seed, null where the command did not use one.
 
 Exit codes: 0 on a Pass verdict or plain completion, 1 on a config or usage
@@ -59,24 +60,9 @@ EXIT_BY_VERDICT = {PASS: 0, FAIL: 2}
 _MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": EQUILIBRIUM_MIN_TRIALS,
                "accuracy": ACCURACY_MIN_TRIALS, "cost-scaling": COST_SCALING_MIN_TRIALS}
 
-# Commands whose driver builds the mechanism and the strategy itself.
-_DRIVERS = ("audit-equilibrium", "cost-scaling")
-
-# Keys a command derives itself, with the one value each may take when
-# present.  cost-scaling also derives epsilon and beta per n.
-_DRIVER_FIXED = {"tau": "auto", "p0": None, "p1": None}
-_FIXED = {
-    "threshold": {"tau": "auto"},
-    "posterior": {"p0": None, "p1": None},
-    "audit-equilibrium": _DRIVER_FIXED,
-    "cost-scaling": {**_DRIVER_FIXED, "epsilon": "auto", "beta": "auto"},
-}
-# Keys a command has no use for.  run and accuracy take `off` inside the
-# threshold strategy and audit nothing; cost-scaling takes n from ns, uses
-# the chen cost model and lets off-threshold agents abstain.
-_SURVEY_UNUSED = ("off", "ones", "flip_index", "payment_index", "bins", "observable")
-_UNUSED = {"run": _SURVEY_UNUSED, "accuracy": _SURVEY_UNUSED,
-           "cost-scaling": ("n", "cost_model", "off")}
+# Values that mean "derive", as a missing key does.
+_DERIVE = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None,
+           "alpha_prime": None}
 
 _CSV_BLOCK_ROWS = 1 << 13
 
@@ -100,19 +86,22 @@ class Resolver:
     cached: it takes the config value (for seed and out, the flag first),
     checks its type and range, and raises ConfigError naming the key when
     the check fails.  The public cached properties are the config keys
-    (`KEYS`).  Keys that may be "auto" or absent are derived instead, so a
-    pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0
-    and p1 are derived exactly.  When the config sets threshold_trials or
-    posterior_samples, each derivation of tau or of p0/p1 also runs its Monte
-    Carlo cross-check, with fixed seed slots 1001 for tau and 1002/1003 for
-    p0/p1 ((n, 0), (n, 1) and (n, 2) per cost-scaling row), and records it in
-    `cross_check[n]`.  `check_keys` rejects keys no rule reads and keys a
-    command would ignore.
+    (`KEYS`); a read key is in the instance dict, which is how `_emit`
+    finds the keys a command never read.  "auto" for epsilon, beta and tau
+    and null for p0, p1 and alpha_prime are dropped on entry: they mean the
+    same as a missing key, which is derived, so a pinned tau, beta, p0, p1
+    or strategy skips its derivation.  tau, p0 and p1 are derived exactly.
+    When the config sets threshold_trials or posterior_samples, each
+    derivation of tau or of p0/p1 also runs its Monte Carlo cross-check,
+    with fixed seed slots 1001 for tau and 1002/1003 for p0/p1 ((n, 0),
+    (n, 1) and (n, 2) per cost-scaling row), and records it in
+    `cross_check[n]`.
     """
 
     def __init__(self, config, args):
         self.command = args.command
-        self._config = config
+        self._config = {key: value for key, value in config.items()
+                        if not (key in _DERIVE and value == _DERIVE[key])}
         self._args = args
         self.cross_check = defaultdict(dict)
 
@@ -150,31 +139,19 @@ class Resolver:
         return value
 
     def check_keys(self):
-        """Reject a key no rule reads, one the command has no use for, or one
-        it derives or fixes itself unless its value means "derive" or equals
-        what it uses anyway."""
+        """Reject a key no rule reads, before any work: a typo never runs."""
         for key in self._config:
             if key not in KEYS:
                 raise ConfigError(key, "is not a config key")
-        for key in _UNUSED.get(self.command, ()):
-            if key in self._config:
-                raise ConfigError(key, f"is not used by {self.command}")
-        for key, allowed in _FIXED.get(self.command, {}).items():
-            value = self._raw(key, allowed)
-            if type(value) is not type(allowed) or value != allowed:
-                raise ConfigError(key, f"is derived or fixed by {self.command}; only "
-                                       f"{json.dumps(allowed)} is accepted, got {value!r}")
-        if self.command not in _DRIVERS:
-            return
-        expected = dict(_DEFAULT_STRATEGY, off=self.off)
-        strategy = self._raw("strategy", expected)
-        if not isinstance(strategy, dict) or {"off": ABSTAIN, **strategy} != expected:
-            raise ConfigError("strategy", f"is fixed by the {self.command} driver; only "
-                                          f"{json.dumps(expected)} is accepted, got {strategy!r}")
 
     def pinned(self, key):
-        """Whether the config fixes a key that would otherwise be "auto"."""
-        return self._raw(key, "auto") != "auto"
+        """Whether the config sets a key that would otherwise be derived."""
+        return key in self._config
+
+    def _used_pinned(self, key):
+        """Whether the run read the value the config pinned for `key`; a
+        driver that derives the key itself never does."""
+        return self.pinned(key) and key in self.__dict__
 
     def resolved(self, **used):
         """The `resolved` block: each key as read (cached_property keeps it in
@@ -334,7 +311,7 @@ class Resolver:
     def _check_tau(self, tau):
         """beta is proportional to tau; a derived tau of 0 blames the prior's cost laws."""
         if not tau > 0.0:
-            raise ConfigError("tau" if self.pinned("tau") else "prior",
+            raise ConfigError("tau" if self._used_pinned("tau") else "prior",
                               f"tau must be positive to derive beta, got {tau}")
 
     @cached_property
@@ -345,7 +322,7 @@ class Resolver:
         return beta_rule(self.cost_model.kind, self.epsilon, self.tau)
 
     def _prediction(self, bit):
-        if self._config.get(f"p{bit}") is None:
+        if not self.pinned(f"p{bit}"):
             return self.exact_prediction(bit, self.n, self.epsilon)
         return self._number(f"p{bit}", lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
@@ -363,8 +340,8 @@ class Resolver:
         a pinned epsilon shrinks the derived one, epsilon is to blame."""
         if self.alpha < abs(p1 - p0) / 2.0:
             return
-        derived = self._config.get("p0") is None or self._config.get("p1") is None
-        if derived and self.pinned("epsilon") and self.alpha < abs(
+        derived = not (self._used_pinned("p0") and self._used_pinned("p1"))
+        if derived and self._used_pinned("epsilon") and self.alpha < abs(
                 posterior_bit_prob(self.prior, 1) - posterior_bit_prob(self.prior, 0)) / 2.0:
             raise ConfigError("epsilon", f"its noise shrinks |p1 - p0| / 2 to {abs(p1 - p0) / 2.0} "
                                          f"at n={n}, not above alpha={self.alpha}")
@@ -379,7 +356,7 @@ class Resolver:
 
     @cached_property
     def alpha_prime(self):
-        if self._raw("alpha_prime", None) is None:
+        if not self.pinned("alpha_prime"):
             return None
         return self._number("alpha_prime", lambda v: v > 0.0, "a positive number")
 
@@ -469,22 +446,21 @@ def _cross_check(r, n):
 
 
 def _emit(r, body, columns=None, **used):
-    """The one writer of a finished command's output: reject a cross-check
-    key the run found nothing to check for, --seed where the run drew
-    nothing at random and --out where there is no CSV (a config's `seed` or
-    `out` may serve another command), write `columns` as the CSV at `out`,
-    print the report.  A cross-check of tau, p0 or p1 joins the body's
-    `cross_check` block, or starts one, except in cost-scaling, whose rows
-    carry their own.  A reader that closed stdout early is not an error:
-    the rest of the output is dropped."""
-    if not r.cross_check:
-        for key in ("threshold_trials", "posterior_samples"):
-            if getattr(r, key) is not None:
-                raise ConfigError(key, f"sizes a Monte Carlo cross-check, but {r.command} "
-                                       "derives nothing here for it to check")
+    """The one writer of a finished command's output.  Before it writes
+    anything it rejects every config key the run never read (a config's
+    `seed` excepted: the README lets it stand where nothing is drawn),
+    --seed where the run drew nothing at random and --out where there is no
+    CSV.  Then it writes `columns` as the CSV at `out` and prints the
+    report.  A cross-check of tau, p0 or p1 joins the body's `cross_check`
+    block, or starts one, except in cost-scaling, whose rows carry their
+    own.  A reader that closed stdout early is not an error: the rest of
+    the output is dropped."""
+    out = r.out  # resolved even where no CSV is written, so a bad `out` still fails
+    for key in r._config:
+        if key not in r.__dict__ and key != "seed":
+            raise ConfigError(key, f"is not read by {r.command}")
     if r._args.seed is not None and "seed" not in r.__dict__:
         raise ConfigError("seed", f"--seed seeds a random draw, but {r.command} makes none here")
-    out = r.out  # resolved even where no CSV is written, so a bad `out` still fails
     if columns is None and r._args.out is not None:
         raise ConfigError("out", f"--out names a CSV, but {r.command} writes none")
     if columns is not None:
@@ -533,14 +509,14 @@ def _cmd_run(r):
 
 def _cmd_posterior(r):
     closed = {f"p{bit}": posterior_bit_prob(r._conditioned_prior, bit) for bit in (0, 1)}
-    clamped = {"p0": r.p0, "p1": r.p1}
+    clamped = {f"p{bit}": r.exact_prediction(bit, r.n, r.epsilon) for bit in (0, 1)}
     gap = max(abs(closed[key] - clamped[key]) for key in ("p0", "p1"))
     _emit(r, {
         "n": r.n,
         "closed_form": closed,
         "clamped_mean": clamped,
         "max_abs_gap": gap,
-    })
+    }, **clamped)
     return 0
 
 
@@ -563,14 +539,8 @@ def _cmd_audit_dp(r):
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
-    args = (observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials,
-            r.bins, derive_seed(r.seed, 3000))
-    # Every key but `out` (_emit reads it) is resolved by now, in the instance
-    # dict: a key still unread is one the audit would ignore.
-    for key in r._config:
-        if key not in r.__dict__ and key != "out":
-            raise ConfigError(key, f"is not read by an audit of the {r.observable}")
-    report = dp_audit(*args)
+    report = dp_audit(observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon,
+                      r.trials, r.bins, derive_seed(r.seed, 3000))
     _emit(r, report.to_dict(), report.table)
     return EXIT_BY_VERDICT[report.verdict]
 

@@ -83,6 +83,43 @@ BASE_CONFIGS = {
                      "threshold_trials": 5_000, "posterior_samples": 5_000},
 }
 
+# The config keys each base run never reads; every command reads `out`.
+BASE_UNREAD = {
+    "run": ("alpha_prime", "bins", "flip_index", "ns", "observable", "off", "ones",
+            "payment_index"),
+    "posterior": ("alpha", "alpha_prime", "beta", "bins", "cost_model", "delta", "flip_index",
+                  "ns", "observable", "off", "ones", "p0", "p1", "payment_index", "strategy",
+                  "tau", "threshold_trials", "trials"),
+    "threshold": ("alpha_prime", "beta", "bins", "cost_model", "epsilon", "flip_index", "ns",
+                  "observable", "off", "ones", "p0", "p1", "payment_index", "posterior_samples",
+                  "strategy", "tau", "trials"),
+    "audit-dp": ("alpha", "alpha_prime", "beta", "cost_model", "delta", "ns", "off", "p0", "p1",
+                 "payment_index", "posterior_samples", "prior", "strategy", "tau",
+                 "threshold_trials"),
+    "audit-equilibrium": ("alpha_prime", "beta", "bins", "flip_index", "ns", "observable", "ones",
+                          "p0", "p1", "payment_index", "strategy", "tau"),
+    "accuracy": ("beta", "bins", "cost_model", "flip_index", "ns", "observable", "off", "ones",
+                 "p0", "p1", "payment_index", "posterior_samples"),
+    "cost-scaling": ("alpha_prime", "beta", "bins", "cost_model", "epsilon", "flip_index", "n",
+                     "observable", "off", "ones", "p0", "p1", "payment_index", "strategy", "tau"),
+}
+# A well-typed value for each of those keys.
+WELL_TYPED = {
+    "n": 60, "trials": 1_000, "posterior_samples": 1_000, "threshold_trials": 1_000,
+    "ns": [100, 200], "prior": UNIFORM_PRIOR, "cost_model": {"kind": "chen"},
+    "strategy": {"kind": "threshold", "tau": "auto", "off": "abstain"}, "off": "abstain",
+    "alpha": 0.1, "delta": 0.1, "epsilon": 0.5, "tau": 0.5, "beta": 1.0, "p0": 0.3, "p1": 0.7,
+    "alpha_prime": 0.3, "ones": 5, "flip_index": 0, "observable": "estimate",
+    "payment_index": 3, "bins": 20,
+}
+# Each of those keys, once set, is rejected, except audit-equilibrium's beta:
+# a pinned beta is read as the override of the beta its driver derives.
+UNREAD_CASES = [(command, key) for command, keys in BASE_UNREAD.items() for key in keys
+                if (command, key) != ("audit-equilibrium", "beta")]
+# Values that mean "derive", as a missing key does.
+DERIVE_VALUES = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None,
+                 "alpha_prime": None}
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -154,7 +191,8 @@ class TestResolver:
         ("audit-dp", "tolerance", 0.05),
         ("run", "tolerance", 0.05),
         ("accuracy", "tolerance", 0.05),
-        # Keys the audit-equilibrium and cost-scaling drivers derive or fix.
+        # Keys the audit-equilibrium and cost-scaling drivers derive or fix;
+        # they read no strategy, not even the default one they use.
         ("audit-equilibrium", "tau", 0.5),
         ("audit-equilibrium", "p0", 0.3),
         ("audit-equilibrium", "p1", 0.7),
@@ -163,11 +201,13 @@ class TestResolver:
         ("audit-equilibrium", "strategy", {"kind": "always_truth"}),
         ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": 0.5}),
         ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": "auto", "off": "lie"}),
+        ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": "auto", "off": "abstain"}),
         ("cost-scaling", "tau", 0.5),
         ("cost-scaling", "p1", 0.7),
         ("cost-scaling", "noise", "disabled"),
         ("cost-scaling", "clamp_payments", True),
         ("cost-scaling", "strategy", {"kind": "always_truth"}),
+        ("cost-scaling", "strategy", {"kind": "threshold", "tau": "auto", "off": "abstain"}),
         ("cost-scaling", "epsilon", 0.5),
         ("cost-scaling", "beta", 1.0),
         ("cost-scaling", "n", 100),
@@ -281,10 +321,9 @@ class TestResolver:
         ("cost-scaling", None),
     ])
     def test_driver_accepts_the_values_it_uses(self, tmp_path, capsys, command, off):
-        # The default threshold strategy and "derive" values change nothing.
+        # "derive" values change nothing.
         base = dict(BASE_CONFIGS[command], **({"off": off} if off else {}))
-        same = dict(base, tau="auto", p0=None, p1=None,
-                    strategy={"kind": "threshold", "tau": "auto", "off": off or "abstain"})
+        same = dict(base, tau="auto", p0=None, p1=None)
         if command == "cost-scaling":
             same.update(epsilon="auto", beta="auto")
         stdouts = []
@@ -294,12 +333,67 @@ class TestResolver:
             stdouts.append(capsys.readouterr().out)
         assert stdouts[0] == stdouts[1]
 
+    @pytest.mark.parametrize("command", list(BASE_CONFIGS))
+    def test_base_run_leaves_the_listed_keys_unread(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        read = set()
+
+        def spy(r, *args, _emit=cli._emit, **kwargs):
+            read.update(key for key in cli.KEYS if key in r.__dict__)
+            return _emit(r, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        config = write_config(tmp_path, BASE_CONFIGS[command])
+        assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
+        capsys.readouterr()
+        assert cli.KEYS - read - {"out"} == set(BASE_UNREAD[command])
+
+    @pytest.mark.parametrize("command, key", UNREAD_CASES)
+    def test_key_the_command_never_reads_is_rejected(self, tmp_path, capsys, command, key):
+        # One rule in every command: a set key the run never read fails the
+        # run, naming the key, before any output is written.
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: WELL_TYPED[key]}))
+        out = tmp_path / "records.csv"
+        csv_args = [] if command in NO_CSV_COMMANDS else ["--out", str(out)]
+        assert dispatch([command, "--config", config, *csv_args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.startswith(f"config error: config key '{key}': is not read by "
+                                       f"{command}")
+
+    @pytest.mark.parametrize("command", list(BASE_CONFIGS))
+    def test_derive_values_mean_a_missing_key(self, tmp_path, capsys, command):
+        base = BASE_CONFIGS[command]
+        derive = dict(base, **{k: v for k, v in DERIVE_VALUES.items() if k not in base})
+        runs = []
+        for name, payload in (("base.json", base), ("derive.json", derive)):
+            config = write_config(tmp_path, payload, name=name)
+            runs.append((dispatch([command, "--config", config]), capsys.readouterr().out))
+        assert runs[0][0] in EXIT_BY_VERDICT.values()
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("audit-equilibrium", {"prior": FREE_PRIOR, "tau": 0.5}, "prior"),
+        ("cost-scaling", {"prior": FREE_PRIOR, "tau": 0.5}, "prior"),
+        ("audit-equilibrium", {"epsilon": 1e-9, "p0": 0.3, "p1": 0.7}, "epsilon"),
+    ])
+    def test_driver_blames_what_it_used_not_an_unread_pin(self, tmp_path, capsys, command,
+                                                          extra, key):
+        # The drivers derive tau, p0 and p1 themselves: a pinned tau is not the
+        # derived tau of 0, nor do pinned p0 and p1 close the derived gap.
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **extra))
+        assert dispatch([command, "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config key '{key}'")
+
     def test_tau_conditions_on_a_bit_only_under_unequal_cost_laws(self, tmp_path, capsys):
         # With equal cost laws tau never conditions on an own bit, so a bit of
         # zero prior probability does not stop threshold, or run with p0 and
-        # p1 pinned.
-        for command, extra in (("threshold", {}), ("run", {"p0": 0.2, "p1": 0.8})):
-            payload = dict(BASE_CONFIGS[command], prior=ZERO_BIT_PRIOR, **extra)
+        # p1 pinned (and so no posterior_samples to size their cross-check).
+        run = {k: v for k, v in BASE_CONFIGS["run"].items() if k != "posterior_samples"}
+        for command, base, extra in (("threshold", BASE_CONFIGS["threshold"], {}),
+                                     ("run", run, {"p0": 0.2, "p1": 0.8})):
+            payload = dict(base, prior=ZERO_BIT_PRIOR, **extra)
             config = write_config(tmp_path, payload)
             assert dispatch([command, "--config", config]) == 0
             capsys.readouterr()
@@ -365,8 +459,12 @@ class TestResolver:
             assert resolved["seed"] == payload["seed"]
 
     def test_threshold_reports_the_tau_run_resolves(self, tmp_path, capsys):
+        # threshold reads what tau is derived from, and rejects run's other keys.
         config = write_config(tmp_path, BASE_CONFIGS["run"])
-        assert dispatch(["threshold", "--config", config]) == 0
+        reads = ("prior", "n", "alpha", "delta", "threshold_trials", "seed")
+        threshold_config = write_config(
+            tmp_path, {key: BASE_CONFIGS["run"][key] for key in reads}, name="threshold.json")
+        assert dispatch(["threshold", "--config", threshold_config]) == 0
         threshold = json.loads(capsys.readouterr().out)
         assert dispatch(["run", "--config", config]) == 0
         run = json.loads(capsys.readouterr().out)
@@ -526,9 +624,10 @@ class TestRunCommand:
         assert payload["resolved"]["seed"] == 99
 
     def test_pinned_parameters_skip_estimation(self, tmp_path, capsys):
-        # Explicit beta, posteriors and strategy leave nothing to derive.
+        # Explicit beta, posteriors and strategy leave nothing to derive, and a
+        # pinned epsilon leaves delta unread.
         config = write_config(tmp_path, {
-            "prior": UNIFORM_PRIOR, "n": 50, "alpha": 0.1, "delta": 0.1,
+            "prior": UNIFORM_PRIOR, "n": 50, "alpha": 0.1,
             "epsilon": 0.5, "beta": 0.5, "p0": 1.0 / 3.0, "p1": 2.0 / 3.0,
             "strategy": {"kind": "always_truth"}, "trials": 20, "seed": 1,
         })
@@ -704,7 +803,7 @@ class TestAuditDpCommand:
         assert json.loads(capsys.readouterr().out)["resolved"]["epsilon"] > 0.0
 
     @pytest.mark.parametrize("key, value", [("prior", {"family": "x"}), ("delta", 0.1),
-                                            ("tau", "auto"), ("posterior_samples", 1_000)])
+                                            ("tau", 0.5), ("posterior_samples", 1_000)])
     def test_payment_audit_rejects_keys_it_does_not_read(self, tmp_path, capsys, key, value):
         # With epsilon, beta, p0 and p1 pinned, nothing reads the prior,
         # delta or tau, and nothing is derived for a cross-check to check.
@@ -715,7 +814,7 @@ class TestAuditDpCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[0].startswith(
-            f"config error: config key '{key}': is not read by an audit of the payment")
+            f"config error: config key '{key}': is not read by audit-dp")
 
     def test_payment_audit_reads_what_it_derives_from(self, tmp_path, capsys):
         # epsilon, beta, tau, p0 and p1 derived: the prior, delta, the cost
