@@ -448,16 +448,18 @@ def _cross_check(r, n):
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output.  Before it writes
     anything it rejects every config key the run never read (a config's
-    `seed` excepted: the README lets it stand where nothing is drawn),
-    --seed where the run drew nothing at random and --out where there is no
-    CSV.  Then it writes `columns` as the CSV at `out` and prints the
-    report.  A cross-check of tau, p0 or p1 joins the body's `cross_check`
-    block, or starts one, except in cost-scaling, whose rows carry their
-    own.  A reader that closed stdout early is not an error: the rest of
-    the output is dropped."""
+    `seed` excepted: the README lets a well-formed one stand where nothing
+    is drawn), --seed where the run drew nothing at random and --out where
+    there is no CSV.  Then it writes `columns` as the CSV at `out` and
+    prints the report.  A cross-check of tau, p0 or p1 joins the body's
+    `cross_check` block, or starts one, except in cost-scaling, whose rows
+    carry their own.  A reader that closed stdout early is not an error:
+    the rest of the output is dropped."""
     out = r.out  # resolved even where no CSV is written, so a bad `out` still fails
     for key in r._config:
-        if key not in r.__dict__ and key != "seed":
+        if key == "seed" and key not in r.__dict__:
+            Resolver.seed.func(r)  # checked, not cached: `resolved.seed` stays null
+        elif key not in r.__dict__:
             raise ConfigError(key, f"is not read by {r.command}")
     if r._args.seed is not None and "seed" not in r.__dict__:
         raise ConfigError("seed", f"--seed seeds a random draw, but {r.command} makes none here")

@@ -98,8 +98,8 @@ class Observable:
     rising or falling, as computed in float64: privacy.dp_audit takes each
     bin's exact noise mass between the noise values at which the bin
     changes, and for its cross-check draws the noise once per trial, from
-    one uniform, feeds that draw to both neighbours and counts the uniforms
-    between the cut points."""
+    one uniform, feeds that draw to both neighbours and counts it into the
+    cells between those noise values."""
 
     noise: NoiseSpec
     of_b_bar: Callable

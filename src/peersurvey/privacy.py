@@ -9,10 +9,9 @@ value's bin by numpy's own equal-width histogram rule), takes each bin's
 exact Laplace mass between them (`laplace_log_mass`) and decides the privacy
 claim from the largest log mass ratio of the two neighbors.  As a
 cross-check it also draws the noise once per trial and histograms it: it
-counts the uniforms behind the draws between the same cut points in the
-uniform, never computing their noise, with one lookup each in an equal-mass
-grid over [0, 1), maps those counts to both neighbors' bins and compares
-them with the exact masses.
+counts the draws into the cells between the same cut points, most by one
+lookup of their uniform in an equal-mass grid over [0, 1), maps those
+counts to both neighbors' bins and compares them with the exact masses.
 """
 
 import itertools
@@ -48,9 +47,6 @@ AUDIT_GRID_CELLS = 1 << 15
 AUDIT_CHECK_STRIDE = 256
 
 _MAX = np.finfo(np.float64).max
-# The largest finite float64's bits, as an int64: floats in order are the
-# int64 keys -_KEY_MAX .. _KEY_MAX (see `_unkey`).
-_KEY_MAX = np.float64(_MAX).view(np.int64)
 _SIGN_BIT = np.int64(-1 << 63)
 
 
@@ -204,31 +200,32 @@ def cut_points(f, lo, hi):
 
 
 class CutTable:
-    """The cells between sorted cut points in [0, 1], and each uniform's cell.
+    """The cells between sorted noise cut points, and each uniform's cell.
 
-    `index(u)` is the number of cut points at or below u.  A grid splits
-    [0, 1) into `cells` equal cells, a power of two with at least 64 per cut
-    up to AUDIT_GRID_CELLS.  A draw in a grid cell that holds no cut gets its
-    index from one lookup, `table[g]` counting the cuts in cells below g (a
-    draw and the cuts get their grid cells from the same monotone float
-    map); a draw in a cell that holds one, from a binary search of the cuts.
+    `index(u)` is the number of cut points at or below noise.from_uniform(u),
+    u in [0, 1).  A grid splits [0, 1) into `cells` equal cells, a power of
+    two with at least 64 per cut up to AUDIT_GRID_CELLS.  A draw in a grid
+    cell whose lowest and highest uniforms have their noise in one cell gets
+    its index from one lookup (from_uniform is monotone); a draw in any
+    other, from a binary search of the cuts.
     """
 
-    def __init__(self, cuts):
+    def __init__(self, cuts, noise):
         self.cuts = cuts
+        self.noise = noise
         self.cells = min(AUDIT_GRID_CELLS, 1 << (64 * cuts.size).bit_length())
-        cut_cells = self._cell(cuts)
-        # An entry per grid edge, u = 1's too; -1 marks a cell holding a cut.
-        self._table = np.searchsorted(cut_cells, np.arange(self.cells + 1))
-        self._table[cut_cells] = -1
+        lowest = np.arange(self.cells) / self.cells
+        self._table = self._search(lowest)
+        # -1 marks a grid cell whose draws straddle a cut.
+        self._table[self._search(np.nextafter(lowest + 1.0 / self.cells, 0.0)) != self._table] = -1
 
-    def _cell(self, u):
-        return (u * self.cells).astype(np.intp)
+    def _search(self, u):
+        return np.searchsorted(self.cuts, self.noise.from_uniform(u), "right")
 
     def index(self, u):
-        k = self._table.take(self._cell(u))
+        k = self._table.take((u * self.cells).astype(np.intp))
         crowded = np.flatnonzero(k < 0)
-        k[crowded] = np.searchsorted(self.cuts, u.take(crowded), "right")
+        k[crowded] = self._search(u.take(crowded))
         return k
 
 
@@ -276,17 +273,16 @@ def _bin_of_noise(observable, reports, edges):
     return lambda x: bin_index(observable.of_b_bar(reports, total + x), edges)
 
 
-def _log_masses(bin_of, noise, bins):
+def _log_masses(bin_of, cuts, noise, bins):
     """Each bin's exact log mass under the noise, -inf where it has none.
 
-    bin_of is a monotone step function of the noise x; between its cut
-    points over the whole float line it is constant, and each cell adds
-    its Laplace mass to its bin.  Noise "disabled" is a point mass at 0.
+    bin_of is a monotone step function of the noise x, constant between its
+    `cuts` over the whole float line; each cell adds its Laplace mass to its
+    bin.  Noise "disabled" is a point mass at 0.
     """
     if noise.mode == "disabled":
         lefts, cell_mass = np.zeros(1), np.zeros(1)
     else:
-        cuts = cut_points(bin_of, -_MAX, _MAX)
         lefts = np.append(-_MAX, cuts)
         cell_mass = laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale)
     cell_bin = bin_of(lefts)
@@ -305,30 +301,31 @@ def _noise_blocks(trials, seed):
             yield rng.random(block)
 
 
-def _counts_by_cell(sides, blocks, bins):
-    """Each side's bin counts from the uniforms counted into the cells
-    between both sides' cut points in [0, 1].
+def _counts_by_cell(sides, cuts, noise, blocks, bins):
+    """Each side's bin counts from the draws counted into the cells between
+    both sides' noise cut points `cuts`.
 
-    Cell k holds the draws from the k-th cut (0 for k = 0) up to the next,
-    and each side's bin is constant on it if the observable is monotone in
-    b_bar.  The table is checked at every grid edge, at and just below every
-    cut, on the first block of draws and on every AUDIT_CHECK_STRIDE-th
-    draw; where a side's bin differs, ValueError.  A non-monotone observable
-    whose bins differ only between those points is counted wrongly without
-    an error.
+    Cell k holds the noise from the k-th cut (-_MAX for k = 0) up to the
+    next; each side's bin is constant on it if the observable is monotone
+    in b_bar.  Where a side's bin differs from its cell's just below a cut,
+    at a grid edge, in the first block of draws or at an
+    AUDIT_CHECK_STRIDE-th draw, ValueError; a non-monotone observable whose
+    bins differ only between those points is counted wrongly without one.
     """
-    cuts = np.unique(np.concatenate([cut_points(f, 0.0, 1.0) for f in sides]))
-    table = CutTable(cuts)
-    bin_of_cell = [f(np.append(0.0, cuts)) for f in sides]
+    table = CutTable(cuts, noise)
+    bin_of_cell = [f(np.append(-_MAX, cuts)) for f in sides]
 
-    def check(u):
-        cell = table.index(u)
+    def check(x, cell):
         for f, bin_of in zip(sides, bin_of_cell):
-            if np.any(f(u) != bin_of.take(cell)):
+            if np.any(f(x) != bin_of.take(cell)):
                 raise ValueError("the observable is not monotone in b_bar: its bins do not "
                                  "follow its cut points")
 
-    check(np.concatenate([np.arange(table.cells + 1) / table.cells, cuts, np.nextafter(cuts, 0.0)]))
+    def check_draws(u):
+        check(noise.from_uniform(u), table.index(u))
+
+    check(np.nextafter(cuts, -np.inf), np.arange(cuts.size))
+    check_draws(np.arange(table.cells) / table.cells)
     cells = np.zeros(cuts.size + 1, dtype=np.int64)
     first = next(blocks)
     sample = np.empty((1 << 20) // AUDIT_CHECK_STRIDE)
@@ -337,14 +334,14 @@ def _counts_by_cell(sides, blocks, bins):
         cells += np.bincount(table.index(u), minlength=cells.size)
         drawn = u[::AUDIT_CHECK_STRIDE]
         if filled + drawn.size > sample.size:
-            check(sample[:filled])
+            check_draws(sample[:filled])
             filled = 0
         sample[filled:filled + drawn.size] = drawn
         filled += drawn.size
-    check(sample[:filled])
+    check_draws(sample[:filled])
     # Checked after the count: checked before it, its temporaries raised
     # the audit's peak RSS by about 0.25 MB.
-    check(first)
+    check_draws(first)
     return np.array([np.bincount(bin_of + 1, weights=cells, minlength=bins + 2)[1:-1]
                      for bin_of in bin_of_cell]).astype(np.int64)
 
@@ -361,10 +358,11 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
         the same noise x, a value in [0, 1] that must be monotone in b_bar.
         Each neighbor's bin, by `bin_index` on the one edge table that also
         gives the report's bin_lo and bin_hi columns, is then a step
-        function of x, constant between the cut points that `cut_points`
-        finds over the whole float line, and a bin's exact mass is the
-        Laplace mass of its cells (`laplace_log_mass`; a point mass at 0
-        for noise "disabled").  The verdict reads those masses only.
+        function of x, constant between the cut points that one
+        `cut_points` search finds over the whole float line, and a bin's
+        exact mass is the Laplace mass of its cells (`laplace_log_mass`; a
+        point mass at 0 for noise "disabled").  The verdict reads those
+        masses only.
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
@@ -373,16 +371,14 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
         count over [0, 1], at most trials / DEFAULT_BIN_FLOOR, and its
         seed.  Chunk k of 2**20 trials reads the stream subseed_rng(seed,
         k) in order, AUDIT_BLOCK trials at a time, one uniform u per trial
-        with x = noise.from_uniform(u).  The audit counts the u, never
-        computing x: each block is counted into the cells between both
-        neighbors' cut points in u by `CutTable.index`, and each cell's
-        count goes to the bin each neighbor gives its left end.  The counts
-        are those of the values per trial, less those outside [0, 1].  The
-        cut table is checked at its grid edges, at and just below each cut
-        point, on the first AUDIT_BLOCK draws and on every
-        AUDIT_CHECK_STRIDE-th draw, raising ValueError where a bin
-        disagrees; a non-monotone observable can be miscounted, and its
-        masses miscomputed, without an error.
+        with x = noise.from_uniform(u).  Each block is counted into the
+        cells between both neighbors' cut points by `CutTable.index`, and
+        each cell's count goes to the bin each neighbor gives its left end:
+        the counts of the values per trial, less those outside [0, 1].
+        Checked just below each cut point, at the grid edges, on the first
+        AUDIT_BLOCK draws and on every AUDIT_CHECK_STRIDE-th draw, a bin
+        that disagrees raises ValueError; a non-monotone observable can be
+        miscounted, and its masses miscomputed, without an error.
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -406,10 +402,11 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     edges = np.linspace(0.0, 1.0, bins + 1)
     noise = observable.noise
     sides = [_bin_of_noise(observable, side, edges) for side in (reports, neighbor)]
+    cuts = [cut_points(f, -_MAX, _MAX) for f in sides]
 
-    counts = _counts_by_cell([lambda u, f=f: f(noise.from_uniform(u)) for f in sides],
+    counts = _counts_by_cell(sides, np.unique(np.concatenate(cuts)), noise,
                              _noise_blocks(trials, seed), bins)
-    log_p = np.array([_log_masses(f, noise, bins) for f in sides])
+    log_p = np.array([_log_masses(f, c, noise, bins) for f, c in zip(sides, cuts)])
     with np.errstate(invalid="ignore"):  # -inf - -inf: no mass on either side
         log_ratio = log_p[0] - log_p[1]
     reached = np.isfinite(log_p).any(axis=0)

@@ -607,9 +607,27 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: config key 'seed'")
-        # The config's seed stays accepted: another command may read it.
+        # The config's seed stays accepted: another command may read it.  It
+        # changes no byte of the output.
         assert dispatch([command, "--config", config]) == 0
-        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] is None
+        out = capsys.readouterr().out
+        assert json.loads(out)["resolved"]["seed"] is None
+        unseeded = {key: value for key, value in payload.items() if key != "seed"}
+        assert dispatch([command, "--config", write_config(tmp_path, unseeded)]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("seed", ["x", -3, True, 1.5])
+    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
+    def test_malformed_config_seed_without_a_draw_is_rejected(self, tmp_path, capsys, command,
+                                                              seed):
+        # Accepted unread where nothing is drawn, a config seed is still checked.
+        payload = {key: value for key, value in BASE_CONFIGS[command].items()
+                   if key not in CROSS_CHECK_KEYS}
+        config = write_config(tmp_path, dict(payload, seed=seed))
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config key 'seed'")
 
     @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
     def test_seed_flag_seeds_the_cross_check(self, tmp_path, capsys, command):

@@ -228,22 +228,42 @@ class TestCutPoints:
         assert np.all(f(np.nextafter(cuts, -np.inf)) == f(cuts) - 1)
 
 
+# The noise behind the cut tables' tests: Laplace(2), whose CDF gives the
+# uniform behind each noise value.
+LAPLACE_2 = NoiseSpec(epsilon=0.5)
+
+
+def uniform_of(x):
+    return stats.laplace(scale=LAPLACE_2.scale).cdf(x)
+
+
 def laplace_tail_cuts(count):
-    # Where equal-width bins in b_bar put their cut points in the uniform
-    # behind a Laplace(2) draw: u = exp(-k delta / scale) / 2 near 0 and
-    # mirrored near 1, geometrically close to either end.
-    near_zero = 0.5 * np.exp(-np.arange(1, count // 2 + 1) * 0.01 / 2.0)
-    return np.unique(np.concatenate([near_zero, [0.5], 1.0 - near_zero]))
+    # Equal-width bins in b_bar, 0.01 apart, cut the Laplace(2) noise at
+    # multiples of 0.01, whose uniforms u = exp(-k 0.01 / 2) / 2 near 0,
+    # mirrored near 1, come geometrically close to either end.
+    return np.arange(-(count // 2), count // 2 + 1) * 0.01
 
 
 def searchsorted_at_and_around(table, rng):
-    # Every cut, just below and above each, every grid edge, both ends of
-    # [0, 1] and 10**5 uniforms.
-    cuts = table.cuts
-    u = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
-                        np.arange(table.cells + 1) / table.cells, [0.0, 5e-324, 1.0],
-                        rng.random(100_000)])
-    return table.index(u).tolist() == np.searchsorted(cuts, u, side="right").tolist()
+    # The uniform of every cut, just below and above each, both ends of
+    # every grid cell, the lowest uniforms and 10**5 more.
+    u_cuts = uniform_of(table.cuts)
+    lowest = np.arange(table.cells) / table.cells
+    u = np.concatenate([u_cuts, np.nextafter(u_cuts, -np.inf), np.nextafter(u_cuts, np.inf),
+                        lowest, np.nextafter(lowest + 1.0 / table.cells, 0.0),
+                        [0.0, 5e-324, np.finfo(np.float64).tiny], rng.random(100_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expected = np.searchsorted(table.cuts, LAPLACE_2.from_uniform(u), side="right")
+    return table.index(u).tolist() == expected.tolist()
+
+
+def crowded_grid_cells(table):
+    # The grid cells whose lowest and highest uniforms have their noise in
+    # different cells: their draws take the binary search.
+    lowest = np.arange(table.cells) / table.cells
+    ends = [np.searchsorted(table.cuts, LAPLACE_2.from_uniform(u), side="right")
+            for u in (lowest, np.nextafter(lowest + 1.0 / table.cells, 0.0))]
+    return int(np.sum(ends[0] != ends[1]))
 
 
 class TestCutTable:
@@ -253,35 +273,35 @@ class TestCutTable:
         # draw takes the binary search.  42 cuts need 64 * 42 cells, 4,096.
         monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
         rng = np.random.default_rng(cells)
-        cuts = np.unique(np.concatenate([rng.random(40), [0.5, np.nextafter(0.5, 1.0)]]))
-        table = CutTable(cuts)
+        cuts = np.unique(np.concatenate([rng.laplace(0.0, 2.0, 40), [0.5, np.nextafter(0.5, 1.0)]]))
+        table = CutTable(cuts, LAPLACE_2)
         assert table.cells == min(cells, 4096)
         assert searchsorted_at_and_around(table, rng)
 
     def test_no_cuts_one_cell(self):
-        table = CutTable(np.empty(0))
+        table = CutTable(np.empty(0), LAPLACE_2)
         assert table.cells == 1
-        assert table.index(np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])).tolist() == [0] * 4
+        assert table.index(np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])).tolist() == [0] * 3
 
     def test_crowded_laplace_tails(self):
         # More than AUDIT_GRID_CELLS / 64 cuts, hundreds of them in each of
         # the grid cells at either end.
         cuts = laplace_tail_cuts(12_000)
         assert cuts.size >= 10_000
-        table = CutTable(cuts)
+        table = CutTable(cuts, LAPLACE_2)
         assert table.cells == AUDIT_GRID_CELLS
-        assert np.bincount((cuts * table.cells).astype(np.intp)).max() > 100
+        assert np.bincount((uniform_of(cuts) * table.cells).astype(np.intp)).max() > 100
         assert searchsorted_at_and_around(table, np.random.default_rng(3))
 
     @pytest.mark.parametrize("count", [1, 2, 43, 500, AUDIT_GRID_CELLS // 64])
     def test_few_cuts_leave_most_grid_cells_free(self, count):
         # At most 1/64 of the grid cells, and so of the draws, take the
         # binary search while there are at most AUDIT_GRID_CELLS / 64 cuts.
-        for cuts in (laplace_tail_cuts(12_000), np.random.default_rng(count).random(count)):
+        rng = np.random.default_rng(count)
+        for cuts in (laplace_tail_cuts(12_000), rng.laplace(0.0, 2.0, count)):
             cuts = np.sort(cuts[np.linspace(0, cuts.size - 1, count).astype(np.intp)])
-            table = CutTable(cuts)
-            held = np.unique((cuts * table.cells).astype(np.intp)).size
-            assert 64 * held <= table.cells
+            table = CutTable(cuts, LAPLACE_2)
+            assert 64 * crowded_grid_cells(table) <= table.cells
             assert searchsorted_at_and_around(table, np.random.default_rng(count))
 
 
@@ -571,6 +591,37 @@ class TestSharedNoiseDraw:
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(dip, self.REPORTS, 0, 0, 0.5, 1 << 20, 20, seed=5)
 
+    @pytest.mark.parametrize("cut", [0.5, 1.5])
+    def test_dip_just_below_a_noise_cut_raises(self, cut):
+        # With no one-reports b_bar is the base side's noise itself, and the
+        # estimate's bins step at b_bar = 0.5, 1, 1.5, ...  The dip holds the
+        # one float just below a step, and the base side's cut search stops
+        # on it.  At 0.5 that leaves only the float 0.5 in the wrong cell, a
+        # point no draw or grid edge reaches: only the check just below the
+        # neighbor's next cut point does.  At 1.5 every later cut is lost.
+        below = np.nextafter(cut, -np.inf)
+        dip = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.where(
+            b_bar == below, 1.0, published_estimate(10, b_bar)))
+        with pytest.raises(ValueError, match="not monotone in b_bar"):
+            dp_audit(dip, [0] * 10, 0, 1, 0.5, 100_000, 20, seed=5)
+
+    @pytest.mark.parametrize("kind", ["estimate", "payment"])
+    def test_one_cut_search_per_neighbor(self, monkeypatch, kind):
+        # One search over the whole float line per neighbor gives the cut
+        # points of both the exact masses and the counts.
+        spans = []
+        search = privacy.cut_points
+
+        def recorded(f, lo, hi):
+            spans.append((lo, hi))
+            return search(f, lo, hi)
+
+        monkeypatch.setattr(privacy, "cut_points", recorded)
+        observable = (payment_observable(self.PAYMENTS, 3) if kind == "payment"
+                      else estimate_observable(10, NoiseSpec(epsilon=0.5)))
+        dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+        assert spans == [(-MAX, MAX)] * 2
+
     def test_one_noise_draw_per_trial(self, monkeypatch):
         # One uniform per trial, and nothing else drawn from the streams.
         sizes = []
@@ -631,7 +682,7 @@ class TestExactMasses:
             edges = np.linspace(0.0, 1.0, bins + 1)
             f = privacy._bin_of_noise(estimate_observable(n, NoiseSpec(epsilon)),
                                       np.array(reports), edges)
-            log_p = privacy._log_masses(f, NoiseSpec(epsilon), bins)
+            log_p = privacy._log_masses(f, cut_points(f, -MAX, MAX), NoiseSpec(epsilon), bins)
             assert np.sum(log_p < np.log(np.finfo(float).tiny)) > 100
 
     @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
@@ -641,13 +692,14 @@ class TestExactMasses:
         noise = NoiseSpec(epsilon=epsilon)
         f = privacy._bin_of_noise(estimate_observable(n, noise), np.array([1] * 7 + [0] * (n - 7)),
                                   np.linspace(0.0, 1.0, bins + 1))
-        assert abs(np.exp(privacy._log_masses(f, noise, bins)).sum() - 1.0) <= 1e-12
+        log_p = privacy._log_masses(f, cut_points(f, -MAX, MAX), noise, bins)
+        assert abs(np.exp(log_p).sum() - 1.0) <= 1e-12
 
     def test_disabled_noise_is_a_point_mass_at_zero(self):
         noise = NoiseSpec(epsilon=0.5, mode="disabled")
         f = privacy._bin_of_noise(estimate_observable(10, noise), np.array([1] * 5 + [0] * 5),
                                   np.linspace(0.0, 1.0, 21))
-        log_p = privacy._log_masses(f, noise, 20)
+        log_p = privacy._log_masses(f, cut_points(f, -MAX, MAX), noise, 20)
         assert log_p[10] == 0.0 and np.all(log_p[np.arange(20) != 10] == -np.inf)
 
     def test_payment_observable_exact_max_is_epsilon(self):
