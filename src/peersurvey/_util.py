@@ -75,6 +75,13 @@ def merge_moments(moments, values):
     return count, mean, m2
 
 
+def cross_check(exact, mc, se, samples):
+    """A Monte Carlo cross-check's record: {exact, mc, se, samples, z}, with
+    z = (mc - exact) / se, and z = 0 where mc equals exact."""
+    z = 0.0 if mc == exact else (mc - exact) / se
+    return {"exact": exact, "mc": mc, "se": se, "samples": samples, "z": z}
+
+
 def report_dict(report):
     """A report dataclass's fields in declaration order, as a `to_dict`.
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_seed, derive_seed, is_number
+from ._util import check_seed, cross_check, derive_seed, is_number
 from .agents import (
     ABSTAIN,
     ACTIONS,
@@ -47,7 +47,7 @@ from .priors import (
     CostSearchError,
     PriorSpec,
     cost_threshold_parts,
-    cost_threshold_parts_mc,
+    group_prob_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
 )
@@ -92,10 +92,10 @@ class Resolver:
     same as a missing key, which is derived, so a pinned tau, beta, p0, p1
     or strategy skips its derivation.  tau, p0 and p1 are derived exactly.
     When the config sets threshold_trials or posterior_samples, each
-    derivation of tau or of p0/p1 also runs its Monte Carlo cross-check,
-    with fixed seed slots 1001 for tau and 1002/1003 for p0/p1 ((n, 0),
-    (n, 1) and (n, 2) per cost-scaling row), and records it in
-    `cross_check[n]`.
+    derivation of tau or of p0/p1 at n also runs its Monte Carlo
+    cross-check, on seed slot (n, 0) for tau and (n, 1)/(n, 2) for p0/p1
+    (`_slot`), and records it in `cross_check[n]` as a `_util.cross_check`
+    record.  tau's samples the chance that defines tau (`group_prob_mc`).
     """
 
     def __init__(self, config, args):
@@ -258,24 +258,19 @@ class Resolver:
         return epsilon_rule(self.alpha, self.delta, self.n)
 
     def _slot(self, n, k):
-        """Seed of cross-check k (0 tau, 1 p0, 2 p1): 1001 + k, or (n, k) per
-        cost-scaling row."""
-        if self.command == "cost-scaling":
-            return derive_seed(self.seed, n, k)
-        return derive_seed(self.seed, 1001 + k)
+        """Seed of cross-check k (0 tau, 1 p0, 2 p1) at n, in every command."""
+        return derive_seed(self.seed, n, k)
 
     def exact_tau(self, n):
         """Exact (tau, tau_group, tau_marginal) at n, sized with delta / 2."""
         prior = self.prior if self.prior.cost0 == self.prior.cost1 else self._conditioned_prior
-        args = (prior, self.alpha, self.delta / 2.0, n)
         try:
-            parts = cost_threshold_parts(*args)
-            if self.threshold_trials is not None:
-                (mc, _, _), se = cost_threshold_parts_mc(*args, self.threshold_trials,
-                                                         self._slot(n, 0))
-                self.cross_check[n]["tau"] = {"mc": mc, "se": se, "samples": self.threshold_trials}
+            parts = cost_threshold_parts(prior, self.alpha, self.delta / 2.0, n)
         except CostSearchError as exc:  # the cost laws never reach the 1 - alpha level
             raise ConfigError("alpha", str(exc)) from exc
+        if self.threshold_trials is not None:
+            self.cross_check[n]["tau"] = group_prob_mc(prior, self.alpha, n, parts[0],
+                                                       self.threshold_trials, self._slot(n, 0))
         return parts
 
     def exact_prediction(self, bit, n, epsilon):
@@ -285,7 +280,7 @@ class Resolver:
         if self.posterior_samples is not None:
             mc, se = peer_estimate_mc(prior, bit, n, NoiseSpec(epsilon), AlwaysTruth(),
                                       self.posterior_samples, self._slot(n, 1 + bit))
-            self.cross_check[n][f"p{bit}"] = {"mc": mc, "se": se, "samples": self.posterior_samples}
+            self.cross_check[n][f"p{bit}"] = cross_check(value, mc, se, self.posterior_samples)
         return value
 
     def driver_parameters(self, n, epsilon):
@@ -439,7 +434,7 @@ def write_csv(path, columns):
             fh.write("".join([line % row for row in zip(*block)]))
 
 
-def _cross_check(r, n):
+def _cross_checks(r, n):
     """The cross-checks run at n, in the order tau, p0, p1 whatever order
     the resolver derived them in."""
     return {key: r.cross_check[n][key] for key in ("tau", "p0", "p1") if key in r.cross_check[n]}
@@ -469,7 +464,7 @@ def _emit(r, body, columns=None, **used):
         write_csv(out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
-        report["cross_check"] = {**report.get("cross_check", {}), **_cross_check(r, r.n)}
+        report["cross_check"] = {**report.get("cross_check", {}), **_cross_checks(r, r.n)}
     try:
         print(json.dumps(report, indent=2))
         sys.stdout.flush()
@@ -588,7 +583,7 @@ def _cmd_cost_scaling(r):
     body = report.to_dict()
     for row in body["rows"]:
         if row["n"] in r.cross_check:
-            row["cross_check"] = _cross_check(r, row["n"])
+            row["cross_check"] = _cross_checks(r, row["n"])
     _emit(r, body, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
     return EXIT_BY_VERDICT[report.verdict]
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from ._util import check_seed, derive_seed, report_dict
+from ._util import check_seed, cross_check, derive_seed, report_dict
 from .agents import (
     ABSTAIN,
     ACTIONS,
@@ -131,8 +131,6 @@ class PaymentRecords:
     base: TrialRecords
     pay_one: np.ndarray
     pay_zero: np.ndarray
-    pm_one: np.ndarray
-    pm_zero: np.ndarray
     total_payment: np.ndarray
     min_payment: np.ndarray
     max_payment: np.ndarray
@@ -158,8 +156,6 @@ def simulate_survey(prior, config, strategy, trials, seed):
     """simulate_estimates plus payments under the mechanism's payment rule."""
     records = simulate_estimates(prior, config.n, config.noise, strategy, trials, seed)
     pay_one, pay_zero = payment_pair(config, records.b_bar)
-    pm_one = peer_estimate(config.n, records.b_bar, 1.0)
-    pm_zero = peer_estimate(config.n, records.b_bar, 0.0)
     total = records.ones * pay_one + records.zeros * pay_zero
 
     abstainers = config.n - records.participants
@@ -179,8 +175,6 @@ def simulate_survey(prior, config, strategy, trials, seed):
         base=records,
         pay_one=pay_one,
         pay_zero=pay_zero,
-        pm_one=pm_one,
-        pm_zero=pm_zero,
         total_payment=total,
         min_payment=mins,
         max_payment=maxs,
@@ -244,10 +238,10 @@ def best_response_audit(
     derives them.  Payments and verdicts are exact: per_bit[bit] holds the
     bit's exact mean estimate (`peer_estimate_mean`) under
     "mean_peer_estimate", each action's `expected_utility` at that mean under
-    the action's name, and under "cross_check" {mc, se, samples, z}: `trials`
-    Monte Carlo rounds of the probe's leave-one-out estimate
-    (`peer_estimate_mc`, on seed slot (3, bit, 0)), z being
-    (mc - exact) / se.  The report carries the worst case over bits.
+    the action's name, and under "cross_check" the `_util.cross_check`
+    record of `trials` Monte Carlo rounds of the probe's leave-one-out
+    estimate (`peer_estimate_mc`, on seed slot (3, bit, 0)) against that
+    exact mean.  The report carries the worst case over bits.
     beta_override exists to study misconfigured premia; when used, the
     beta_covers_cost_bound diagnostic flags premia below the privacy-cost
     bound at tau.
@@ -278,7 +272,7 @@ def best_response_audit(
             "mean_peer_estimate": mean,
             **{action: expected_utility(agent, action, mean, config, cost_model)
                for action in ACTIONS},
-            "cross_check": {"mc": mc, "se": se, "samples": trials, "z": (mc - mean) / se},
+            "cross_check": cross_check(mean, mc, se, trials),
         }
 
     rows = per_bit.values()
@@ -490,9 +484,9 @@ def cost_scaling_experiment(
         beta = beta_rule("chen", epsilon, tau)
         config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
         recs = simulate_survey(prior, config, Threshold(tau=tau), trials, derive_seed(seed, n, 3))
-        totals = recs.total_payment
-        ones_total = float(recs.base.ones.sum())
-        zeros_total = float(recs.base.zeros.sum())
+        totals, base = recs.total_payment, recs.base
+        ones_total = max(float(base.ones.sum()), 1.0)
+        zeros_total = max(float(base.zeros.sum()), 1.0)
         rows.append(CostRow(
             n=n,
             total_payment_mean=float(totals.mean()),
@@ -503,10 +497,10 @@ def cost_scaling_experiment(
             p0=p0,
             p1=p1,
             total_payment_sem=float(totals.std(ddof=1) / math.sqrt(trials)),
-            mean_pay_one=float((recs.base.ones * recs.pay_one).sum() / max(ones_total, 1.0)),
-            mean_pay_zero=float((recs.base.zeros * recs.pay_zero).sum() / max(zeros_total, 1.0)),
-            mean_pm_one=float((recs.base.ones * recs.pm_one).sum() / max(ones_total, 1.0)),
-            mean_pm_zero=float((recs.base.zeros * recs.pm_zero).sum() / max(zeros_total, 1.0)),
+            mean_pay_one=float((base.ones * recs.pay_one).sum() / ones_total),
+            mean_pay_zero=float((base.zeros * recs.pay_zero).sum() / zeros_total),
+            mean_pm_one=float((base.ones * peer_estimate(n, base.b_bar, 1.0)).sum() / ones_total),
+            mean_pm_zero=float((base.zeros * peer_estimate(n, base.b_bar, 0.0)).sum() / zeros_total),
             records=recs,
         ))
 

@@ -7,8 +7,8 @@ posterior predictive bit probabilities, their noisy clamped counterparts
 p0/p1 used by the payment rule, the mean clamped estimate of peers whose
 reports follow any affine function of theta (`clamped_mean`), and the
 participation cost threshold tau used to size the truthfulness premium.
-`cost_threshold_parts_mc` estimates tau by Monte Carlo as a cross-check of
-the exact value; the p0/p1 cross-check is `agents.peer_estimate_mc` under
+`group_prob_mc` cross-checks tau by sampling the chance that defines it, at
+the exact tau; the p0/p1 cross-check is `agents.peer_estimate_mc` under
 truthful peers.
 """
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py, xlogy
 
-from ._util import check_seed, from_config, is_number, subseed_rng
+from ._util import CHUNK_TRIALS, chunk_sizes, cross_check, from_config, is_number, subseed_rng
 
 FAMILIES = ("conditional_iid",)
 
@@ -485,9 +485,15 @@ def _group_prob(prior, n, need, tau):
     return float(weights @ _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0))
 
 
-def _cost_threshold(prior, alpha, delta, n, group_prob):
-    """(tau, tau_group, tau_marginal) with `group_prob(tau, need)` giving
-    P(at least `need` agents have cost <= tau); see `cost_threshold_parts`."""
+def cost_threshold_parts(prior, alpha, delta, n):
+    """Compute (tau, tau_group, tau_marginal) exactly.
+
+    tau_group is the smallest grid cost level such that, with probability at
+    least 1 - delta over populations, at least (1 - alpha) * n agents have
+    cost at or below it (`_group_prob`).  tau_marginal makes each
+    bit-conditional marginal cost CDF reach 1 - alpha.  The threshold is
+    their maximum.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < delta < 1.0:
@@ -510,23 +516,26 @@ def _cost_threshold(prior, alpha, delta, n, group_prob):
     # Count threshold: at least (1 - alpha) * n agents must participate.
     need = math.ceil((1.0 - alpha) * n)
 
+    def reached(tau):
+        return _group_prob(prior, n, need, tau) >= 1.0 - delta
+
     # Grid points are k / 10000 so decimal costs land on exact grid values.
     per_unit = round(1.0 / COST_GRID)
     grid_hi = int(math.floor(cap * per_unit + 1e-9))
     grid_max = grid_hi / per_unit
     search_top = cap if cap > grid_max else grid_max
-    if group_prob(search_top, need) < 1.0 - delta:
+    if not reached(search_top):
         raise CostSearchError(
             "participation threshold not reachable within the cost search cap "
             f"{cap}; the (1 - alpha) group quantile appears unbounded"
         )
-    if group_prob(grid_max, need) < 1.0 - delta:
+    if not reached(grid_max):
         tau_group = search_top
     else:
         lo, hi = -1, grid_hi  # grid index of the smallest passing tau
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if group_prob(mid / per_unit, need) >= 1.0 - delta:
+            if reached(mid / per_unit):
                 hi = mid
             else:
                 lo = mid
@@ -535,53 +544,33 @@ def _cost_threshold(prior, alpha, delta, n, group_prob):
     return max(tau_group, tau_marginal), tau_group, tau_marginal
 
 
-def cost_threshold_parts(prior, alpha, delta, n):
-    """Compute (tau, tau_group, tau_marginal) exactly.
-
-    tau_group is the smallest grid cost level such that, with probability at
-    least 1 - delta over populations, at least (1 - alpha) * n agents have
-    cost at or below it.  tau_marginal makes each bit-conditional marginal
-    cost CDF reach 1 - alpha.  The threshold is their maximum.
-    """
-    return _cost_threshold(prior, alpha, delta, n,
-                           lambda tau, need: _group_prob(prior, n, need, tau))
-
-
 def cost_threshold(prior, alpha, delta, n):
     """Participation cost threshold tau: see `cost_threshold_parts`."""
     return cost_threshold_parts(prior, alpha, delta, n)[0]
 
 
-def cost_threshold_parts_mc(prior, alpha, delta, n, trials, seed):
-    """Monte Carlo cross-check of `cost_threshold_parts`: (parts, standard error of tau).
+def group_prob_mc(prior, alpha, n, tau, trials, seed):
+    """Monte Carlo cross-check of the chance that defines tau, at `tau`: the
+    `_util.cross_check` record {exact, mc, se, samples, z}.
 
-    The group probability is averaged over `trials` sampled theta instead of
-    integrated; the search is the same.  The standard error is the delta
-    method's: that of the sampled group probability at tau_group over its
-    slope across the grid step below.  It is 0 when tau_marginal binds, and
-    when the cost laws are equal: the group probability is then a binomial
-    tail that does not depend on theta, so nothing is sampled.
+    Chunk k draws from `subseed_rng(seed, k)`: per trial, theta from the
+    prior, then the count of agents with cost at most tau,
+    Bin(n, theta F1(tau) + (1 - theta) F0(tau)).  A trial hits when that
+    count reaches ceil((1 - alpha) n), and mc is the fraction that hit.
+    exact is the same chance from `_group_prob`; at the tau that
+    `cost_threshold_parts` gives for delta it is at least 1 - delta.  se
+    is sqrt(p (1 - p) / trials) at the exact p, so a sample in which every
+    trial hits a chance of 1 has se 0 and z 0.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    if prior.cost0 == prior.cost1:
-        return cost_threshold_parts(prior, alpha, delta, n), 0.0
-    # One shared theta sample keeps the search predicate monotone in tau.
-    thetas = prior.theta_sample(subseed_rng(check_seed(seed), 0), trials)
-
-    def tails(tau, need):
-        f0, f1 = _cost_cdfs(prior, tau)
-        return _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0)
-
-    parts = _cost_threshold(prior, alpha, delta, n,
-                            lambda tau, need: float(np.mean(tails(tau, need))))
-    tau, tau_group, _ = parts
-    se = 0.0
-    if tau == tau_group:
-        need = math.ceil((1.0 - alpha) * n)
-        at = tails(tau_group, need)
-        slope = (at.mean() - tails(tau_group - COST_GRID, need).mean()) / COST_GRID
-        if slope > 0.0:
-            se = float(at.std() / math.sqrt(trials) / slope)
-    return parts, se
+    need = math.ceil((1.0 - alpha) * n)
+    f0, f1 = _cost_cdfs(prior, tau)
+    hits = 0
+    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
+        rng = subseed_rng(seed, chunk)
+        cheap = rng.binomial(n, f0 + prior.theta_sample(rng, size) * (f1 - f0))
+        hits += int(np.count_nonzero(cheap >= need))
+    exact = _group_prob(prior, n, need, tau)
+    return cross_check(exact, hits / trials, math.sqrt(exact * (1.0 - exact) / trials), trials)

@@ -273,19 +273,17 @@ def _bin_of_noise(observable, reports, edges):
     return lambda x: bin_index(observable.of_b_bar(reports, total + x), edges)
 
 
-def _log_masses(bin_of, cuts, noise, bins):
+def _log_masses(bin_of, lo, cuts, noise, bins):
     """Each bin's exact log mass under the noise, -inf where it has none.
 
-    bin_of is a monotone step function of the noise x, constant between its
-    `cuts` over the whole float line; each cell adds its Laplace mass to its
-    bin.  Noise "disabled" is a point mass at 0.
+    bin_of is a monotone step function of the noise x, constant from `lo`,
+    the least noise drawn, up to the first of its `cuts` and between
+    consecutive ones; each cell adds its Laplace mass to its bin.  Noise
+    "disabled" draws only x = 0: lo is 0 and there are no cuts, so one cell
+    holds the whole line, whose log mass 0 is the point mass at 0.
     """
-    if noise.mode == "disabled":
-        lefts, cell_mass = np.zeros(1), np.zeros(1)
-    else:
-        lefts = np.append(-_MAX, cuts)
-        cell_mass = laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale)
-    cell_bin = bin_of(lefts)
+    cell_mass = laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale)
+    cell_bin = bin_of(np.append(lo, cuts))
     inside = (cell_bin >= 0) & (cell_bin < bins)
     log_mass = np.full(bins, -np.inf)
     np.logaddexp.at(log_mass, cell_bin[inside], cell_mass[inside])
@@ -301,19 +299,20 @@ def _noise_blocks(trials, seed):
             yield rng.random(block)
 
 
-def _counts_by_cell(sides, cuts, noise, blocks, bins):
+def _counts_by_cell(sides, lo, cuts, noise, blocks, bins):
     """Each side's bin counts from the draws counted into the cells between
     both sides' noise cut points `cuts`.
 
-    Cell k holds the noise from the k-th cut (-_MAX for k = 0) up to the
-    next; each side's bin is constant on it if the observable is monotone
-    in b_bar.  Where a side's bin differs from its cell's just below a cut,
-    at a grid edge, in the first block of draws or at an
-    AUDIT_CHECK_STRIDE-th draw, ValueError; a non-monotone observable whose
-    bins differ only between those points is counted wrongly without one.
+    Cell k holds the noise from the k-th cut (`lo`, the least noise drawn,
+    for k = 0) up to the next; each side's bin is constant on it if the
+    observable is monotone in b_bar.  Where a side's bin differs from its
+    cell's just below a cut, at a grid edge, in the first block of draws or
+    at an AUDIT_CHECK_STRIDE-th draw, ValueError; a non-monotone observable
+    whose bins differ only between those points is counted wrongly without
+    one.
     """
     table = CutTable(cuts, noise)
-    bin_of_cell = [f(np.append(-_MAX, cuts)) for f in sides]
+    bin_of_cell = [f(np.append(lo, cuts)) for f in sides]
 
     def check(x, cell):
         for f, bin_of in zip(sides, bin_of_cell):
@@ -360,9 +359,10 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
         gives the report's bin_lo and bin_hi columns, is then a step
         function of x, constant between the cut points that one
         `cut_points` search finds over the whole float line, and a bin's
-        exact mass is the Laplace mass of its cells (`laplace_log_mass`; a
-        point mass at 0 for noise "disabled").  The verdict reads those
-        masses only.
+        exact mass is the Laplace mass of its cells (`laplace_log_mass`).
+        Noise "disabled" draws only x = 0, so the search spans [0, 0] and
+        finds no cut point: each neighbor's bin at 0 holds mass 1.  The
+        verdict reads those masses only.
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
@@ -402,11 +402,12 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     edges = np.linspace(0.0, 1.0, bins + 1)
     noise = observable.noise
     sides = [_bin_of_noise(observable, side, edges) for side in (reports, neighbor)]
-    cuts = [cut_points(f, -_MAX, _MAX) for f in sides]
+    lo, hi = (0.0, 0.0) if noise.mode == "disabled" else (-_MAX, _MAX)
+    cuts = [cut_points(f, lo, hi) for f in sides]
 
-    counts = _counts_by_cell(sides, np.unique(np.concatenate(cuts)), noise,
+    counts = _counts_by_cell(sides, lo, np.unique(np.concatenate(cuts)), noise,
                              _noise_blocks(trials, seed), bins)
-    log_p = np.array([_log_masses(f, c, noise, bins) for f, c in zip(sides, cuts)])
+    log_p = np.array([_log_masses(f, lo, c, noise, bins) for f, c in zip(sides, cuts)])
     with np.errstate(invalid="ignore"):  # -inf - -inf: no mass on either side
         log_ratio = log_p[0] - log_p[1]
     reached = np.isfinite(log_p).any(axis=0)

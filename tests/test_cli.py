@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -927,7 +928,8 @@ class TestAuditEquilibriumCommand:
                                              cost_model={"kind": "linear", "eta": 0.0}))
         assert dispatch(["audit-equilibrium", "--config", config]) == 0
         out = capsys.readouterr().out
-        assert '"abstain_utility_bound": 0.0,' in out and "-0.0" not in out
+        # A standalone -0.0 token; a negative number such as -0.019 is not one.
+        assert '"abstain_utility_bound": 0.0,' in out and re.search(r"-0\.0\b", out) is None
         assert math.copysign(1.0, json.loads(out)["abstain_utility_bound"]) == 1.0
 
     def test_trials_floor(self, tmp_path, capsys):
@@ -1046,8 +1048,8 @@ class TestExactDerivations:
         from peersurvey import priors
 
         calls = []
-        for module, name in ((cli, "peer_estimate_mc"), (cli, "cost_threshold_parts_mc"),
-                             (priors, "cost_threshold_parts_mc")):
+        for module, name in ((cli, "peer_estimate_mc"), (cli, "group_prob_mc"),
+                             (priors, "group_prob_mc")):
             monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
         payload = {k: v for k, v in BASE_CONFIGS[command].items() if k not in CROSS_CHECK_KEYS}
         config = write_config(tmp_path, payload)
@@ -1102,10 +1104,39 @@ class TestExactDerivations:
         for block, values in zip(blocks, exact):
             assert block  # every set key derived something here
             for key, entry in block.items():
+                assert list(entry) == ["exact", "mc", "se", "samples", "z"]
                 assert entry["samples"] == with_keys[
                     "threshold_trials" if key == "tau" else "posterior_samples"]
-                slack = 1e-4 if key == "tau" else 0.0  # one cost-grid step
-                assert abs(entry["mc"] - values[key]) <= 5.0 * entry["se"] + slack
+                assert abs(entry["z"]) < 5.0
+                if key == "tau":  # the chance that defines tau, at tau
+                    assert entry["exact"] >= 1.0 - with_keys["delta"] / 2.0
+                else:
+                    assert entry["exact"] == values[key]
+
+    def test_tau_cross_check_samples_under_equal_cost_laws(self, tmp_path, capsys):
+        # Equal cost laws make tau's chance a binomial tail free of theta;
+        # the cross-check still samples it, with a positive standard error.
+        config = write_config(tmp_path, BASE_CONFIGS["threshold"])
+        assert dispatch(["threshold", "--config", config]) == 0
+        check = json.loads(capsys.readouterr().out)["cross_check"]["tau"]
+        assert check["se"] > 0.0
+        assert abs(check["z"]) < 5.0
+
+    def test_one_seed_rule_for_every_command(self, tmp_path, capsys):
+        # The cross-checks at n are seeded by (seed, n, slot) in every
+        # command: run at n = 500 prints the cost-scaling row's block.
+        shared = {"prior": UNIFORM_PRIOR, "alpha": 0.1, "delta": 0.1, "trials": 20, "seed": 4,
+                  "threshold_trials": 5_000, "posterior_samples": 5_000}
+        blocks = []
+        for command, size in (("run", {"n": 500}), ("cost-scaling", {"ns": [500, 1000]})):
+            config = write_config(tmp_path, dict(shared, **size), name=f"{command}.json")
+            assert dispatch([command, "--config", config, "--out",
+                             str(tmp_path / f"{command}.csv")]) == 0
+            report = json.loads(capsys.readouterr().out)
+            blocks.append(report["cross_check"] if command == "run"
+                          else report["rows"][0]["cross_check"])
+        assert list(blocks[0]) == ["tau", "p0", "p1"]
+        assert blocks[0] == blocks[1]
 
     @pytest.mark.parametrize("first", ["_mechanism", "strategy"])
     def test_cross_check_order_is_fixed(self, tmp_path, capsys, monkeypatch, first):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from peersurvey._util import derive_seed
+from peersurvey._util import cross_check, derive_seed
 from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold
 from peersurvey.equilibrium import (
     CostRow,
@@ -24,6 +24,20 @@ from peersurvey.mechanism import MechanismConfig, payment_pair
 from peersurvey.priors import PriorSpec
 from peersurvey.privacy import FAIL, PASS, NoiseSpec
 from peersurvey.scoring import scoring_params
+
+
+class TestCrossCheckRecord:
+    def test_keys_in_order_and_z(self):
+        record = cross_check(0.5, 0.53, 0.01, 400)
+        assert list(record) == ["exact", "mc", "se", "samples", "z"]
+        assert record["z"] == pytest.approx(3.0)
+        assert (record["exact"], record["mc"], record["se"], record["samples"]) == (
+            0.5, 0.53, 0.01, 400)
+
+    @pytest.mark.parametrize("se", [0.0, 0.01])
+    def test_z_is_zero_where_mc_equals_exact(self, se):
+        # A chance of 1 that every trial hit has se 0, and no division.
+        assert cross_check(1.0, 1.0, se, 100)["z"] == 0.0
 
 
 class TestParameterRules:
@@ -252,10 +266,10 @@ class TestBestResponseAudit:
         for bit in (0, 1):
             stats = report.per_bit[str(bit)]
             check = stats["cross_check"]
-            assert set(check) == {"mc", "se", "samples", "z"}
+            assert list(check) == ["exact", "mc", "se", "samples", "z"]
             assert (check["mc"], check["se"]) == original(*calls[bit])
-            exact = stats["mean_peer_estimate"]
-            assert check["z"] == (check["mc"] - exact) / check["se"]
+            assert check["exact"] == stats["mean_peer_estimate"]
+            assert check["z"] == (check["mc"] - check["exact"]) / check["se"]
             assert abs(check["z"]) < 5.0
 
     def test_exact_mean_computed_once_per_bit(self, uniform_prior, monkeypatch):

@@ -25,7 +25,7 @@ from peersurvey.priors import (
     clamped_mean,
     cost_threshold,
     cost_threshold_parts,
-    cost_threshold_parts_mc,
+    group_prob_mc,
     posterior_bit_prob,
     posterior_clamped_mean,
 )
@@ -389,9 +389,9 @@ class TestCostThreshold:
 
     def test_degenerate_rate_mixed_costs_exact(self):
         # With a degenerate latent rate the participation probability is an
-        # exact binomial in the half/half cost mixture: the exact search and
-        # the Monte Carlo one must both land on the directly computed grid
-        # point.
+        # exact binomial in the half/half cost mixture: the exact search
+        # must land on the directly computed grid point, and the sampled
+        # chance there must agree with that binomial tail.
         prior = PriorSpec.from_dict({
             "family": "conditional_iid",
             "mixing": {"kind": "point", "theta": 0.5},
@@ -399,9 +399,8 @@ class TestCostThreshold:
             "cost1": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
         })
         n, alpha, delta = 60, 0.1, 0.1
-        (_, sampled, _), se = cost_threshold_parts_mc(prior, alpha, delta, n,
-                                                      trials=20_000, seed=3)
         _, tau_group, _ = cost_threshold_parts(prior, alpha, delta, n)
+        check = group_prob_mc(prior, alpha, n, tau_group, trials=20_000, seed=3)
         need = math.ceil((1 - alpha) * n)
 
         def mixture_cdf(t):
@@ -412,14 +411,15 @@ class TestCostThreshold:
             if stats.binom.sf(need - 1, n, mixture_cdf(k / 10000.0)) >= 1 - delta
         )
         assert tau_group == pytest.approx(k / 10000.0, abs=1e-12)
-        assert sampled == pytest.approx(k / 10000.0, abs=1e-12)
-        assert se < 1e-15  # every sampled theta is the same
+        chance = stats.binom.sf(need - 1, n, mixture_cdf(tau_group))
+        assert check["exact"] == pytest.approx(chance, rel=1e-12)
+        assert check["exact"] >= 1 - delta
+        assert check["se"] > 0.0 and abs(check["z"]) < 5.0
 
     def test_atom_rate_close_to_exact_mixture(self, atom_prior):
         n, alpha, delta = 50, 0.1, 0.1
-        (_, sampled, _), _ = cost_threshold_parts_mc(atom_prior, alpha, delta, n,
-                                                     trials=100_000, seed=9)
         _, tau_group, _ = cost_threshold_parts(atom_prior, alpha, delta, n)
+        check = group_prob_mc(atom_prior, alpha, n, tau_group, trials=100_000, seed=9)
         need = math.ceil((1 - alpha) * n)
 
         def group_prob(t):
@@ -433,14 +433,16 @@ class TestCostThreshold:
             k for k in range(1, 20001)
             if group_prob(k / 10000.0) >= 1 - delta
         )
-        assert abs(sampled - k / 10000.0) <= 0.01
         assert tau_group == pytest.approx(k / 10000.0, abs=1e-12)
+        assert check["exact"] == pytest.approx(group_prob(tau_group), rel=1e-12)
+        assert abs(check["z"]) < 5.0
 
     def test_beta_rate_unequal_costs_against_oracles(self):
         # Beta mixing with unequal cost laws integrates over theta by
         # quadrature.  Oracle: the same grid search on the mixture summed
         # over a fine partition of theta, each cell weighted by its exact
-        # Beta mass.  A million sampled theta must agree within their noise.
+        # Beta mass.  A million trials of the chance at tau must agree with
+        # the exact chance within their noise.
         a, b = 2.0, 5.0
         prior = _prior({"kind": "beta", "a": a, "b": b},
                        cost1={"kind": "uniform", "lo": 0.0, "hi": 2.0})
@@ -463,11 +465,11 @@ class TestCostThreshold:
         assert tau == tau_group > tau_marginal
         assert abs(tau_group - hi / 10000.0) <= COST_GRID + 1e-12
 
-        (sampled, _, sampled_marginal), se = cost_threshold_parts_mc(
-            prior, alpha, delta, n, trials=1_000_000, seed=4)
-        assert sampled_marginal == tau_marginal
-        assert 0.0 < se < 1e-3
-        assert abs(sampled - tau) <= 5.0 * se + COST_GRID
+        check = group_prob_mc(prior, alpha, n, tau, trials=1_000_000, seed=4)
+        assert check["exact"] == pytest.approx(group_prob(round(tau * 10000)), abs=1e-6)
+        assert check["exact"] >= 1 - delta
+        assert 0.0 < check["se"] < 1e-3
+        assert abs(check["z"]) < 5.0
 
     def test_beta_rate_unequal_costs_at_large_n(self):
         # At n = 50,000 the binomial tail steps from 0 to 1 across a narrow
@@ -498,8 +500,9 @@ class TestCostThreshold:
     def test_sampled_within_five_standard_errors_of_exact(self, mixing):
         prior = _prior(mixing, cost1={"kind": "exponential", "rate": 2.0})
         tau = cost_threshold(prior, 0.2, 0.1, 80)
-        (sampled, _, _), se = cost_threshold_parts_mc(prior, 0.2, 0.1, 80, trials=50_000, seed=1)
-        assert abs(sampled - tau) <= 5.0 * se + COST_GRID
+        check = group_prob_mc(prior, 0.2, 80, tau, trials=50_000, seed=1)
+        assert check["exact"] == _group_prob(prior, 80, 64, tau) >= 0.9
+        assert check["se"] > 0.0 and abs(check["z"]) < 5.0
 
     def test_zero_probability_bit_rejected_with_unequal_costs(self):
         prior = _prior({"kind": "atoms", "atoms": [[1.0, 0.0]]},
@@ -523,8 +526,12 @@ class TestCostThreshold:
         prior = _equal_cost_prior({"kind": "exponential", "rate": 1.0})
         with pytest.raises(CostSearchError):
             cost_threshold(prior, 1e-9, 0.001, 20_000)
-        with pytest.raises(CostSearchError):
-            cost_threshold_parts_mc(prior, 1e-9, 0.001, 20_000, trials=1000, seed=0)
+        # Every one of 20,000 costs must lie below the search cap; the
+        # sampled chance of that agrees with the exact one, short of 0.999.
+        cap = float(prior.cost0.quantile(COST_SEARCH_QUANTILE))
+        check = group_prob_mc(prior, 1e-9, 20_000, cap, trials=1000, seed=0)
+        assert check["exact"] == pytest.approx((1.0 - 1e-6) ** 20_000, rel=1e-9)
+        assert check["exact"] < 0.999 and abs(check["z"]) < 5.0
 
 
 def mixture_quantile_200_steps(prior, bit, q, cap):

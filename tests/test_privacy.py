@@ -622,6 +622,24 @@ class TestSharedNoiseDraw:
         dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
         assert spans == [(-MAX, MAX)] * 2
 
+    def test_noiseless_audit_makes_no_bisection(self, monkeypatch):
+        # Every draw is x = 0, so each neighbor's search spans [0, 0]: it
+        # reads the bin at its two ends in one call and bisects nothing.
+        calls = []
+        search = privacy.cut_points
+
+        def recorded(f, lo, hi):
+            def counted(x):
+                calls.append((lo, hi))
+                return f(x)
+            return search(counted, lo, hi)
+
+        monkeypatch.setattr(privacy, "cut_points", recorded)
+        observable = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
+        report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+        assert calls == [(0.0, 0.0)] * 2
+        assert report.table["count_base"].sum() == report.table["count_flipped"].sum() == 100_000
+
     def test_one_noise_draw_per_trial(self, monkeypatch):
         # One uniform per trial, and nothing else drawn from the streams.
         sizes = []
@@ -682,7 +700,7 @@ class TestExactMasses:
             edges = np.linspace(0.0, 1.0, bins + 1)
             f = privacy._bin_of_noise(estimate_observable(n, NoiseSpec(epsilon)),
                                       np.array(reports), edges)
-            log_p = privacy._log_masses(f, cut_points(f, -MAX, MAX), NoiseSpec(epsilon), bins)
+            log_p = privacy._log_masses(f, -MAX, cut_points(f, -MAX, MAX), NoiseSpec(epsilon), bins)
             assert np.sum(log_p < np.log(np.finfo(float).tiny)) > 100
 
     @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
@@ -692,14 +710,15 @@ class TestExactMasses:
         noise = NoiseSpec(epsilon=epsilon)
         f = privacy._bin_of_noise(estimate_observable(n, noise), np.array([1] * 7 + [0] * (n - 7)),
                                   np.linspace(0.0, 1.0, bins + 1))
-        log_p = privacy._log_masses(f, cut_points(f, -MAX, MAX), noise, bins)
+        log_p = privacy._log_masses(f, -MAX, cut_points(f, -MAX, MAX), noise, bins)
         assert abs(np.exp(log_p).sum() - 1.0) <= 1e-12
 
     def test_disabled_noise_is_a_point_mass_at_zero(self):
+        # Only x = 0 is drawn: one cell from 0 with no cuts, the whole line's mass.
         noise = NoiseSpec(epsilon=0.5, mode="disabled")
         f = privacy._bin_of_noise(estimate_observable(10, noise), np.array([1] * 5 + [0] * 5),
                                   np.linspace(0.0, 1.0, 21))
-        log_p = privacy._log_masses(f, cut_points(f, -MAX, MAX), noise, 20)
+        log_p = privacy._log_masses(f, 0.0, cut_points(f, 0.0, 0.0), noise, 20)
         assert log_p[10] == 0.0 and np.all(log_p[np.arange(20) != 10] == -np.inf)
 
     def test_payment_observable_exact_max_is_epsilon(self):
