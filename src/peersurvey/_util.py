@@ -26,13 +26,6 @@ def check_seed(seed):
     return int(seed)
 
 
-def as_generator(seed_or_rng):
-    """Accept an integer seed or a numpy Generator and return a Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(check_seed(seed_or_rng))
-
-
 def subseed_rng(seed, *path):
     """Generator derived deterministically from (seed, *path)."""
     entropy = [check_seed(seed)] + [int(p) for p in path]
@@ -50,13 +43,8 @@ def chunk_sizes(total, size):
     if total < 0:
         raise ValueError("total must be nonnegative")
     size = max(1, int(size))
-    index = 0
-    done = 0
-    while done < total:
-        count = min(size, total - done)
-        yield index, count
-        index += 1
-        done += count
+    for index, start in enumerate(range(0, total, size)):
+        yield index, min(size, total - start)
 
 
 def merge_moments(moments, values):

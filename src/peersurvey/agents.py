@@ -1,5 +1,5 @@
-"""Agent types, reporting strategies, the survey-round sampler, the exact
-peer-report law and expected utility.
+"""Agent types, reporting strategies, report counts, the exact peer-report
+law and expected utility.
 
 An agent privately holds a bit and a unit privacy cost.  Utility from one
 survey round is payment minus the privacy-loss value, which the analyzed
@@ -13,7 +13,7 @@ import numpy as np
 
 from ._util import CHUNK_TRIALS, chunk_sizes, from_config, merge_moments, report_dict, subseed_rng
 from .mechanism import peer_estimate
-from .priors import clamped_mean
+from .priors import clamped_mean, cost_cdfs
 from .privacy import noise_draw
 from .scoring import scaled_score
 
@@ -167,7 +167,7 @@ class StrategyProfile:
 
     Every caller in the package passes the strategy itself.  The wrapper
     stays only because `bench/test_bench.py` passes one to
-    `simulate_survey`, and `sample_rounds` unwraps it.
+    `simulate_survey`, and `equilibrium.simulate_estimates` unwraps it.
     """
 
     shared: object
@@ -178,7 +178,7 @@ class StrategyProfile:
 
 
 # ---------------------------------------------------------------------------
-# Sampling report counts and survey rounds.
+# Sampling report counts.
 # ---------------------------------------------------------------------------
 
 # Bits of the four type cells: (0, cheap), (0, dear), (1, cheap), (1, dear),
@@ -195,8 +195,8 @@ def _cell_reports(strategy, prior):
     ignore cost, and all their agents are cheap.
     """
     tau = getattr(strategy, "tau", np.inf)
-    cheap = (float(prior.cost0.cdf(tau)), float(prior.cost1.cdf(tau)))
-    return cheap, *strategy_arrays(strategy, _CELL_BITS, np.array([tau, np.inf, tau, np.inf]))
+    return cost_cdfs(prior, tau), *strategy_arrays(strategy, _CELL_BITS,
+                                                   np.array([tau, np.inf, tau, np.inf]))
 
 
 def sample_report_counts(strategy, prior, n, theta, rng):
@@ -222,27 +222,6 @@ def sample_report_counts(strategy, prior, n, theta, rng):
     cells = np.stack([cheap0, n - b - cheap0, cheap1, b - cheap1], axis=-1)
     return (b, cells @ values.astype(np.int64), cells @ mask.astype(np.int64),
             cells @ (values != _CELL_BITS).astype(np.int64))
-
-
-def sample_rounds(prior, n, noise, strategy, trials, seed):
-    """Simulated rounds of n agents playing `strategy`: the survey
-    simulators' sampler.
-
-    Chunk k draws from `subseed_rng(seed, k)`: theta from the prior, the n
-    agents' report counts from `sample_report_counts`, then one noise draw
-    per trial on their one-reports.  Yields ((bit_ones, ones, participants,
-    mismatches), b_bar) per chunk, and drops its own references to a chunk
-    before drawing the next, so a consumer that keeps nothing holds one
-    chunk at a time.
-    """
-    if isinstance(strategy, StrategyProfile):
-        strategy = strategy.shared
-    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
-        rng = subseed_rng(seed, chunk)
-        counts = sample_report_counts(strategy, prior, n,
-                                      np.atleast_1d(prior.theta_sample(rng, size)), rng)
-        yield counts, counts[1] + noise_draw(noise, rng, size)
-        del counts
 
 
 def one_report_chances(strategy, prior):

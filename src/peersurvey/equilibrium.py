@@ -15,22 +15,24 @@ from functools import partial
 
 import numpy as np
 
-from ._util import check_seed, cross_check, derive_seed, report_dict
+from ._util import (CHUNK_TRIALS, check_seed, chunk_sizes, cross_check, derive_seed, report_dict,
+                    subseed_rng)
 from .agents import (
     ABSTAIN,
     ACTIONS,
     AgentType,
     CostModel,
+    StrategyProfile,
     Threshold,
     expected_utility,
     peer_estimate_mc,
     peer_estimate_mean,
     privacy_cost_bound,
-    sample_rounds,
+    sample_report_counts,
 )
 from .mechanism import MechanismConfig, payment_pair, peer_estimate, published_estimate
 from .priors import cost_threshold, posterior_clamped_mean
-from .privacy import FAIL, PASS, NoiseSpec
+from .privacy import FAIL, PASS, NoiseSpec, noise_draw
 
 # The fewest trials of the Monte Carlo cross-check `best_response_audit` runs.
 EQUILIBRIUM_MIN_TRIALS = 1_000
@@ -105,7 +107,8 @@ def config_lint(alpha, delta, epsilon, n):
 
 @dataclass(frozen=True)
 class TrialRecords:
-    """Per-trial survey statistics, one array entry per trial."""
+    """Per-trial survey statistics, one array entry per trial, in the order
+    that `simulate_estimates` draws the trials."""
 
     p_hat: np.ndarray
     p_tilde: np.ndarray
@@ -137,18 +140,31 @@ class PaymentRecords:
 
 
 def simulate_estimates(prior, n, noise, strategy, trials, seed):
-    """TrialRecords of the rounds `agents.sample_rounds` draws: surveys of n
-    agents playing `strategy` and their noisy estimates.  No
-    per-agent arrays are built, so memory is O(trials) for any n."""
+    """TrialRecords of `trials` simulated survey rounds of n agents playing
+    `strategy`: the one sampler of survey rounds.
+
+    Chunk k draws from `subseed_rng(seed, k)`: theta from the prior, the n
+    agents' report counts from `agents.sample_report_counts`, then one
+    noise draw per trial on their one-reports.  No per-agent arrays are
+    built, so memory is O(trials) for any n.  A `StrategyProfile` stands
+    for its shared strategy.
+    """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    chunks = [(bit_ones / n, published_estimate(n, b_bar), b_bar, ones, participants - ones,
-               participants, mismatches)
-              for (bit_ones, ones, participants, mismatches), b_bar
-              in sample_rounds(prior, n, noise, strategy, trials, check_seed(seed))]
+    seed = check_seed(seed)
+    if isinstance(strategy, StrategyProfile):
+        strategy = strategy.shared
+    chunks = []
+    for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
+        rng = subseed_rng(seed, chunk)
+        bit_ones, ones, participants, mismatches = sample_report_counts(
+            strategy, prior, n, np.atleast_1d(prior.theta_sample(rng, size)), rng)
+        b_bar = ones + noise_draw(noise, rng, size)
+        chunks.append((bit_ones / n, published_estimate(n, b_bar), b_bar, ones,
+                       participants - ones, participants, mismatches))
     return TrialRecords(*map(np.concatenate, zip(*chunks)))
 
 
@@ -158,26 +174,17 @@ def simulate_survey(prior, config, strategy, trials, seed):
     pay_one, pay_zero = payment_pair(config, records.b_bar)
     total = records.ones * pay_one + records.zeros * pay_zero
 
-    abstainers = config.n - records.participants
-    pos_inf = np.full_like(pay_one, np.inf)
-    neg_inf = np.full_like(pay_one, -np.inf)
-    mins = np.minimum.reduce([
-        np.where(records.ones > 0, pay_one, pos_inf),
-        np.where(records.zeros > 0, pay_zero, pos_inf),
-        np.where(abstainers > 0, 0.0, pos_inf),
-    ])
-    maxs = np.maximum.reduce([
-        np.where(records.ones > 0, pay_one, neg_inf),
-        np.where(records.zeros > 0, pay_zero, neg_inf),
-        np.where(abstainers > 0, 0.0, neg_inf),
-    ])
+    # Each trial's least and greatest payment over the groups it has:
+    # one-reporters, zero-reporters and abstainers, who are paid 0.
+    pays = np.stack([pay_one, pay_zero, np.zeros_like(pay_one)])
+    present = np.stack([records.ones > 0, records.zeros > 0, records.participants < config.n])
     return PaymentRecords(
         base=records,
         pay_one=pay_one,
         pay_zero=pay_zero,
         total_payment=total,
-        min_payment=mins,
-        max_payment=maxs,
+        min_payment=pays.min(axis=0, where=present, initial=np.inf),
+        max_payment=pays.max(axis=0, where=present, initial=-np.inf),
     )
 
 

@@ -416,7 +416,9 @@ def _mixture_quantile(prior, bit, q, cap):
             f"cost quantile at level {q} exceeds the search cap {cap}"
         )
     # Stop once a step would leave (lo, hi) as it is: no later step moves it.
-    for _ in range(200):
+    # Every step that does not stop halves the bracket, so the loop ends
+    # within about 2,100 steps, even at a quantile among the subnormals.
+    while True:
         mid = 0.5 * (lo + hi)
         if cdf(mid) >= q:
             if mid == hi:
@@ -457,7 +459,7 @@ def _beta_mixed_tail(mixing, f0, f1, need, n):
     return min(max(value, 0.0), 1.0)
 
 
-def _cost_cdfs(prior, tau):
+def cost_cdfs(prior, tau):
     """(F0(tau), F1(tau)): the cost CDFs of an agent holding a zero and a one."""
     return float(np.asarray(prior.cost0.cdf(tau))), float(np.asarray(prior.cost1.cdf(tau)))
 
@@ -476,7 +478,7 @@ def _group_prob(prior, n, need, tau):
     mixing over theta is a weighted sum over the atoms, or for Beta mixing a
     quadrature.  When F0(tau) = F1(tau), g does not depend on theta.
     """
-    f0, f1 = _cost_cdfs(prior, tau)
+    f0, f1 = cost_cdfs(prior, tau)
     if f0 == f1:
         return float(_binomial_tail(need, n, f0))
     if isinstance(prior.mixing, BetaMixing):
@@ -566,7 +568,7 @@ def group_prob_mc(prior, alpha, n, tau, trials, seed):
     if trials < 1:
         raise ValueError("trials must be positive")
     need = math.ceil((1.0 - alpha) * n)
-    f0, f1 = _cost_cdfs(prior, tau)
+    f0, f1 = cost_cdfs(prior, tau)
     hits = 0
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_generator, chunk_sizes, report_dict, subseed_rng
+from ._util import chunk_sizes, report_dict, subseed_rng
 
 NOISE_MODES = ("sample", "disabled")
 
@@ -107,8 +107,9 @@ def _laplace_of_uniform(u, scale):
 
 
 def laplace_sample(scale, rng, size=None):
-    """Laplace(0, scale) draws via the inverse-CDF transform of rng.random()."""
-    return _laplace_of_uniform(as_generator(rng).random(size), scale)
+    """Laplace(0, scale) draws via the inverse-CDF transform of
+    rng.random(), from the numpy Generator rng."""
+    return _laplace_of_uniform(rng.random(size), scale)
 
 
 def laplace_log_mass(lo, hi, scale):
@@ -131,10 +132,11 @@ def laplace_log_mass(lo, hi, scale):
 
 
 def noise_draw(noise, rng, size=None):
-    """Per trial, noise.from_uniform(rng.random()); zeros, with no draw, if disabled."""
+    """Per trial, noise.from_uniform(rng.random()) from the numpy Generator
+    rng; zeros, with no draw, if disabled."""
     if noise.mode == "disabled":
         return 0.0 if size is None else np.zeros(size)
-    return noise.from_uniform(as_generator(rng).random(size))
+    return noise.from_uniform(rng.random(size))
 
 
 def bin_index(values, edges):

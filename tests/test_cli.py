@@ -691,6 +691,18 @@ class TestThresholdCommand:
         )
         assert 0.8 < payload["tau"] < 1.0
 
+    def test_tau_marginal_far_below_the_search_cap(self, tmp_path, capsys):
+        # Zero-holders' costs lie in [0, 1e-100], so a peer's cost reaches the
+        # 0.9 quantile at 0.9 / 0.99 * 1e-100, hundreds of halvings below
+        # the cap.  tau itself is the group threshold, one grid step.
+        prior = prior_with(cost0={"hi": 1e-100})
+        prior["mixing"] = {"kind": "point", "theta": 0.01}
+        config = write_config(tmp_path, {"prior": prior, "n": 60, "alpha": 0.1, "delta": 0.1})
+        assert dispatch(["threshold", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tau_marginal"] == 9.090909090909092e-101
+        assert payload["tau"] == payload["tau_group"] == 1e-4
+
 
 class TestImportFootprint:
     def test_scipy_stats_and_integrate_load_only_on_demand(self, tmp_path):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from peersurvey._util import cross_check, derive_seed
-from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold
+from peersurvey._util import CHUNK_TRIALS, cross_check, derive_seed, subseed_rng
+from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold, sample_report_counts
 from peersurvey.equilibrium import (
     CostRow,
     CostScalingReport,
@@ -20,9 +20,9 @@ from peersurvey.equilibrium import (
     simulate_survey,
     total_payment_bound,
 )
-from peersurvey.mechanism import MechanismConfig, payment_pair
+from peersurvey.mechanism import MechanismConfig, payment_pair, published_estimate
 from peersurvey.priors import PriorSpec
-from peersurvey.privacy import FAIL, PASS, NoiseSpec
+from peersurvey.privacy import FAIL, PASS, NoiseSpec, noise_draw
 from peersurvey.scoring import scoring_params
 
 
@@ -140,6 +140,31 @@ class TestSimulateEstimates:
         np.testing.assert_array_equal(a.b_bar, b.b_bar)
         assert not np.array_equal(a.b_bar, c.b_bar)
 
+    @pytest.mark.parametrize("strategy", [Threshold(tau=0.5, off="abstain"), AlwaysLie()],
+                             ids=["threshold-abstain", "always-lie"])
+    def test_draw_order_chunk_by_chunk(self, uniform_prior, strategy):
+        # Chunk k draws from subseed_rng(seed, k): theta, the report counts,
+        # then one noise draw per trial.  Three chunks, the last a short one.
+        n, trials, seed = 30, 2 * CHUNK_TRIALS + 123, 6
+        noise = NoiseSpec(epsilon=0.5)
+        records = simulate_estimates(uniform_prior, n, noise, strategy, trials, seed)
+        columns = {name: [] for name in ("p_hat", "p_tilde", "b_bar", "ones", "zeros",
+                                         "participants", "mismatches")}
+        for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+            size = min(CHUNK_TRIALS, trials - start)
+            rng = subseed_rng(seed, chunk)
+            theta = uniform_prior.theta_sample(rng, size)
+            bit_ones, ones, participants, mismatches = sample_report_counts(
+                strategy, uniform_prior, n, theta, rng)
+            b_bar = ones + noise_draw(noise, rng, size)
+            for name, value in (("p_hat", bit_ones / n), ("p_tilde", published_estimate(n, b_bar)),
+                                ("b_bar", b_bar), ("ones", ones), ("zeros", participants - ones),
+                                ("participants", participants), ("mismatches", mismatches)):
+                columns[name].append(value)
+        assert records.trials == trials
+        for name, parts in columns.items():
+            np.testing.assert_array_equal(getattr(records, name), np.concatenate(parts))
+
     def test_validation(self, uniform_prior):
         noise = NoiseSpec(epsilon=1.0)
         with pytest.raises(ValueError):
@@ -177,6 +202,31 @@ class TestSimulateSurvey:
         assert has_abstainer.any()
         assert np.all(recs.min_payment[has_abstainer] <= 0.0)
         assert np.all(recs.max_payment[has_abstainer] >= 0.0)
+
+    def test_extremes_are_over_the_groups_present(self, uniform_prior):
+        # At n = 4 some trials lack one-reporters, some zero-reporters and
+        # some abstainers; each trial's extremes span only the groups it has.
+        config = MechanismConfig(
+            n=4, alpha=0.1, beta=0.5, epsilon=0.5, p0=1.0 / 3.0, p1=2.0 / 3.0
+        )
+        recs = simulate_survey(
+            uniform_prior, config, Threshold(tau=0.5), trials=2_000, seed=13
+        )
+        base = recs.base
+        absent = {"ones": 0, "zeros": 0, "abstainers": 0}
+        for t in range(base.trials):
+            groups = {"ones": (base.ones[t], recs.pay_one[t]),
+                      "zeros": (base.zeros[t], recs.pay_zero[t]),
+                      "abstainers": (config.n - base.participants[t], 0.0)}
+            present = []
+            for name, (count, pay) in groups.items():
+                if count > 0:
+                    present.append(pay)
+                else:
+                    absent[name] += 1
+            assert recs.min_payment[t] == min(present)
+            assert recs.max_payment[t] == max(present)
+        assert all(absent.values()), absent
 
 
 class TestAccuracyExperiment:

@@ -597,6 +597,29 @@ class TestMixtureQuantileEarlyStop:
         assert _mixture_quantile(prior, 0, 0.0, cap) == 0.0
 
 
+# A zero-holder's costs sit below 1e-100, so the 0.9 quantile of a peer's
+# cost is about 330 halvings below the search cap of 1.
+TINY_COST0_PRIOR = {"family": "conditional_iid", "mixing": {"kind": "point", "theta": 0.01},
+                    "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1e-100},
+                    "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0}}
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_mixture_quantile_converges_past_two_hundred_halvings(bit):
+    # The result is the generalized inverse: the least float whose cdf
+    # reaches q.  Under point mixing a peer's bit is 1 with chance 0.01
+    # whatever one's own, so cdf(x) = 0.01 x + 0.99 x / 1e-100 near 0.
+    prior = PriorSpec.from_dict(TINY_COST0_PRIOR)
+    q = 0.9
+
+    def cdf(x):
+        return 0.01 * prior.cost1.cdf(x) + 0.99 * prior.cost0.cdf(x)
+
+    x = _mixture_quantile(prior, bit, q, 1.0)
+    assert cdf(x) >= q > cdf(np.nextafter(x, 0.0))
+    assert x == pytest.approx(q / 0.99 * 1e-100, rel=1e-12)
+
+
 PEER_COUNTS = [1, 199, 4999, 49999]
 
 
