@@ -17,7 +17,8 @@ import os
 import sys
 import traceback
 from collections import defaultdict
-from functools import cached_property
+from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,8 +64,6 @@ _MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": EQUILIBRIUM_MI
 # Values that mean "derive", as a missing key does.
 _DERIVE = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None,
            "alpha_prime": None}
-
-_CSV_BLOCK_ROWS = 1 << 13
 
 _DEFAULT_STRATEGY = {"kind": "threshold", "tau": "auto", "off": ABSTAIN}
 
@@ -389,34 +388,170 @@ KEYS = frozenset(name for name, rule in vars(Resolver).items()
 
 
 def _text(value, alone):
-    """One cell as the per-row csv.writer wrote it: a float with '%.17g',
-    anything else with str(), quoted (QUOTE_MINIMAL) when it holds a comma,
-    a quote or a line break, or when it is empty and the only field of its
-    row."""
+    """One cell as csv.writer writes it: a float with '%.17g', anything
+    else with str(), quoted (QUOTE_MINIMAL) when it holds a comma, a quote
+    or a line break, or when it is empty and the only field of its row."""
     text = "%.17g" % value if isinstance(value, float) else str(value)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return '""' if alone and not text else text
 
 
-def _column(values, alone):
-    """A column's cell format and its cells: '%.17g' for a float array,
-    '%d' for an integer array, '%s' for anything else, rendered by `_text`."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        return ("%.17g" if values.dtype.kind == "f" else "%d"), values
-    cells = [_text(value, alone) for value in np.asarray(values, dtype=object).tolist()]
-    return "%s", np.array(cells, dtype=object)
+# write_csv renders a block of rows at a time into fixed-width cell slots of
+# 2-byte words.  A slot's first byte is kept for the separator before it;
+# _PAD fills every byte that holds no character and is dropped at the end.
+# UTF-8 never uses the byte 0xFF, so a text cell keeps every byte it has.
+_BLOCK_ROWS = 1 << 11
+_PAD = 0xFF
+# Where each form of a 2-digit pair starts in _tables().pair.
+_LEAD_AT, _UNITS_AT, _TRAIL_AT, _POINT_AT = 100, 200, 300, 400
+
+
+def _word_table(texts):
+    """Texts of two characters each as uint16 words; a space is padding."""
+    return np.frombuffer("".join(texts).encode().replace(b" ", bytes([_PAD])), np.uint16)
+
+
+@cache
+def _tables():
+    """The words and powers of ten write_csv renders with, built on first use.
+
+    `pair` holds every digit pair 00..99 in four forms: as is; a leading
+    zero padded; a leading zero padded but the units digit kept; a trailing
+    zero padded.  One more word after them is "0.".  `fraction` holds the
+    two words after a float's integer digits, by kind and leading digit d:
+    kinds 0..3 (decimal exponent + 4 for exponents -4..-1) hold the zeros
+    after "0." and then d, kind 4 holds "." before a nonzero fraction and
+    kind 5 holds nothing.
+    """
+    pair = _word_table([f"{n:02d}" for n in range(100)]
+                       + [f"{n:2d}" if n else "  " for n in range(100)]
+                       + [f"{n:2d}" for n in range(100)]
+                       + [f"{n:02d}".rstrip("0").ljust(2) for n in range(100)] + ["0."])
+    fraction = _word_table([("0" * k + str(d)).ljust(4) for k in (3, 2, 1, 0) for d in range(10)]
+                           + [".   "] * 10 + ["    "] * 10).reshape(60, 2)
+    # Python's float literals are correctly rounded, so the double nearest
+    # 10**k lies above it for k = -4..-1 and equals it for k = 0..20.  No
+    # double lies between 10**k and powers[k + 4], and the count of powers
+    # at or below a double is its decimal exponent + 5.
+    powers = np.array([float(f"1e{k}") for k in range(-4, 21)])
+    return SimpleNamespace(pair=pair, fraction=fraction, powers=powers,
+                           pow10_int=10 ** np.arange(17))
+
+
+def _right_aligned(v, count):
+    """The decimal digits of v >= 0 in the last of `count` words,
+    right-aligned: leading zeros are padding, the units digit is kept."""
+    t = _tables()
+    words = np.empty((v.size, count), np.uint16)
+    rest = v
+    for j in range(count):
+        power = 2 * (count - 1 - j)
+        pair = rest
+        if power:
+            pair = rest // 10**power  # a Python int keeps uint64 in uint64
+            rest = rest - pair * 10**power
+        lead = v < 10 ** (power + 2) if power < 18 else True  # a uint64 is below 10**20
+        words[:, j] = t.pair[pair.astype(np.intp) + np.where(
+            lead, _LEAD_AT if power else _UNITS_AT, 0)]
+    return words
+
+
+def _text_cells(texts, width=None):
+    """Cells of the given texts, UTF-8, `width` bytes each; by default the
+    fewest whole words that hold the longest."""
+    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    lengths = np.array([len(d) for d in data], np.intp)
+    width = width or (2 + int(lengths.max())) // 2 * 2
+    cells = np.full((len(data), width), _PAD, np.uint8)
+    raw = np.array(data, f"S{width - 1}").view(np.uint8).reshape(len(data), width - 1)
+    cells[:, 1:] = np.where(np.arange(width - 1) < lengths[:, None], raw, _PAD)
+    return cells
+
+
+def _float_cells(x):
+    """'%.17g' of every float64 in x, one cell per value.
+
+    For 1e-4 <= |x| < 1e17 the 17 significant digits are exact: Dekker's
+    error-free product (Dekker 1971) of |x| and an exact 10**s, 0 <= s <=
+    20, gives |x| * 10**s as hi + lo, which rounds half to even onto an
+    integer n of 17 digits.  n's digits are laid out in fixed notation, as
+    '%.17g' does for decimal exponents -4..16.  Zeros are '0' and '-0'.
+    Every other value is formatted by Python, cell by cell."""
+    t = _tables()
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    x4 = np.searchsorted(t.powers, a, side="right") - 1  # decimal exponent + 4
+    b = t.powers[24 - x4]  # 10**s, s = 16 - exponent, so 1e16 <= a * b < 1e17
+    split = 134217729.0 * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    split = 134217729.0 * b
+    b_hi = split - (split - b)
+    b_lo = b - b_hi
+    hi = a * b
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # hi >= 1e16 > 2**53 is an even integer, so rounding lo half to even
+    # rounds hi + lo half to even.  n stays below 1e17: the double below
+    # 10**k, k >= -3, lies more than 10**k * 5e-18 below it (see _tables).
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    np.copyto(n, 0, where=zero)
+    # The integer digits i and 16 fraction digits f.  Below 1, i is n's
+    # leading digit, which follows "0." and the exponent's zeros.
+    point = np.maximum(x4 - 4, 0)
+    div = t.pow10_int[16 - point]
+    i = n // div
+    f = (n - i * div) * t.pow10_int[point]
+    slow = np.flatnonzero(~(fast | zero))
+    texts = ["%.17g" % v for v in x[slow].tolist()]
+    # Room for the integer digits, and for the longest text formatted by
+    # Python after the separator.
+    int_words = max(1, (int(x4.max()) - 2) // 2, (max(map(len, texts), default=0) + 2) // 2 - 11)
+    words = np.empty((x.size, int_words + 11), np.uint16)
+    words[:, 1:int_words + 1] = _right_aligned(i, int_words)
+    np.copyto(words[:, int_words], t.pair[_POINT_AT], where=x4 < 4)
+    words[:, int_words + 1:int_words + 3] = t.fraction[np.where(x4 < 4, x4 * 10 + i,
+                                                                40 + 10 * (f == 0))]
+    for j, power in enumerate(range(14, 0, -2)):
+        pair = f // t.pow10_int[power]
+        f = f - pair * t.pow10_int[power]
+        np.add(pair, _TRAIL_AT, out=pair, where=f == 0)
+        words[:, int_words + 3 + j] = t.pair[pair]
+    words[:, -1] = t.pair[f + _TRAIL_AT]
+    cells = words.view(np.uint8)
+    cells[:, 1] = np.where(np.signbit(x), ord("-"), _PAD)
+    if texts:
+        cells[slow] = _text_cells(texts, cells.shape[1])
+    return cells
+
+
+def _int_cells(v):
+    """'%d' of every integer in v, one cell per value."""
+    negative = v < 0
+    magnitude = v.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    count = (len(str(int(magnitude.max()))) + 1) // 2
+    words = np.empty((v.size, count + 1), np.uint16)
+    words[:, 1:] = _right_aligned(magnitude, count)
+    cells = words.view(np.uint8)
+    cells[:, 1] = np.where(negative, ord("-"), _PAD)
+    return cells
 
 
 def write_csv(path, columns):
     """Write equal-length named columns as CSV rows; nothing when path is None.
 
-    The bytes are what csv.writer writes for the cells of the per-row
-    writer: floats keep 17 significant digits ('%.17g'), so they round-trip
-    exactly, integers are plain, every other value is written with str()
-    and quoted only where CSV requires it, and rows end in '\r\n'.  Each row
-    is one %-format, built once from the columns' dtypes; rows are
-    formatted a block at a time, so memory does not grow with the row count.
+    The bytes are those csv.writer writes for the cells: floats with
+    '%.17g', 17 significant digits, so they round-trip exactly; integers
+    plain; every other value with str(), quoted only where CSV requires it;
+    rows end in '\r\n'.  Rows are rendered a block at a time, so memory does
+    not grow with the row count.  In a block, the float columns (float32 as
+    float64, and lists of Python floats) are rendered together and each
+    integer column at once, by numpy.  A float below 1e-4 or at least 1e17
+    in magnitude, or not finite, is formatted by Python, cell by cell; so
+    are the header and every cell that is neither float nor integer.
     """
     if path is None:
         return
@@ -425,13 +560,38 @@ def write_csv(path, columns):
     except OSError as exc:
         raise ConfigError("out", f"cannot write '{path}': {exc}") from exc
     alone = len(columns) == 1
-    formats, cells = zip(*(_column(values, alone) for values in columns.values()))
-    line = ",".join(formats) + "\r\n"
+    values = [np.array(column, np.float64)
+              if not isinstance(column, np.ndarray) and all(isinstance(v, float) for v in column)
+              else column for column in columns.values()]
+    floats = [k for k, column in enumerate(values)
+              if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
+    rows = min(map(len, values))
     with fh:
         fh.write(",".join(_text(name, alone) for name in columns) + "\r\n")
-        for lo in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
-            block = [column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in cells]
-            fh.write("".join([line % row for row in zip(*block)]))
+        for lo in range(0, rows, _BLOCK_ROWS):
+            block = [column[lo:min(lo + _BLOCK_ROWS, rows)] for column in values]
+            cells = [None] * len(block)
+            if floats:
+                rendered = _float_cells(np.array([block[k] for k in floats], np.float64).ravel())
+                for k, part in zip(floats, np.split(rendered, len(floats))):
+                    cells[k] = part
+            for k, column in enumerate(block):
+                if cells[k] is not None:
+                    continue
+                if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+                    cells[k] = _int_cells(column)
+                else:
+                    cells[k] = _text_cells([_text(v, alone)
+                                            for v in np.asarray(column, dtype=object).tolist()])
+            starts = np.cumsum([0] + [c.shape[1] for c in cells])
+            line = np.empty((len(cells[0]), starts[-1] // 2 + 1), np.uint16)
+            for c, start in zip(cells, starts // 2):
+                line[:, start:start + c.shape[1] // 2] = c.view(np.uint16)
+            text = line.view(np.uint8)
+            text[:, starts[:-1]] = ord(",")
+            text[:, 0] = _PAD
+            text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+            fh.write(text[text != _PAD].tobytes().decode("utf-8", "surrogatepass"))
 
 
 def _cross_checks(r, n):

@@ -11,6 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 import peersurvey
 from peersurvey import cli
 from peersurvey.cli import EXIT_BY_VERDICT, ConfigError, dispatch, write_csv
@@ -523,7 +531,9 @@ def reference_bytes(tmp_path, columns):
     ({"s": ["", "x", ""]}, b's\r\n""\r\nx\r\n""\r\n'),
     ({"": np.array(["", "a,b"])}, b'""\r\n""\r\n"a,b"\r\n'),
     ({"s": ["", ""], "t": ["", "y"]}, b"s,t\r\n,\r\n,y\r\n"),
-], ids=["zero_rows", "quoted_header", "lone_empty_cell", "lone_empty_header", "two_empty_cells"])
+    ({"a": [1, 2, 3], "b": [1.0]}, b"a,b\r\n1,1\r\n"),
+], ids=["zero_rows", "quoted_header", "lone_empty_cell", "lone_empty_header", "two_empty_cells",
+        "unequal_lengths"])
 def test_column_writer_edge_cases(tmp_path, columns, expected):
     # csv.writer quotes an empty field only when it is alone in its row.
     write_csv(str(tmp_path / "out.csv"), columns)
@@ -546,6 +556,115 @@ def test_every_command_csv_matches_per_row_reference(tmp_path, capsys, monkeypat
     capsys.readouterr()
     [columns] = captured
     assert out.read_bytes() == reference_bytes(tmp_path, columns)
+
+
+def assert_matches_reference(directory, columns):
+    """write_csv writes the per-row reference writer's bytes for `columns`."""
+    write_csv(str(directory / "out.csv"), columns)
+    assert (directory / "out.csv").read_bytes() == reference_bytes(directory, columns)
+
+
+def ties_at_the_18th_digit(rng, per_exponent=200):
+    """Doubles t / 2**(17 - e) with t odd in [10**e, 10**(e + 1)): times
+    10**(16 - e) each is an odd multiple of 1/2, an exact tie."""
+    parts = []
+    for e in range(-4, 16):
+        scale = 2.0 ** (17 - e)
+        t = rng.integers(math.ceil(10.0**e * scale), int(10.0 ** (e + 1) * scale), per_exponent)
+        parts.append((t | 1) / scale)
+    return np.concatenate(parts)
+
+
+class TestColumnKernels:
+    """write_csv's numpy rendering against the per-row reference writer."""
+
+    if HAVE_HYPOTHESIS:
+
+        @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+        def test_any_float64_bit_pattern(self, tmp_path_factory, bits):
+            # Subnormals, signed zeros, infinities and NaN payloads included.
+            x = np.array(bits, dtype=np.uint64).view(np.float64)
+            assert_matches_reference(tmp_path_factory.mktemp("bits"), {"x": x, "y": x[::-1]})
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        values = []
+        for k in range(-12, 19):
+            below = above = 10.0**k
+            for _ in range(40):
+                below = np.nextafter(below, 0.0)
+                values += [below, above]
+                above = np.nextafter(above, np.inf)
+        # Literals that round to the next power of ten, and the doubles just
+        # below the fast path's bounds.
+        values += [9.9999999999999999e3, 9.99999999999999999e-5, 99999999999999999.0,
+                   np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0), 0.5, 2.5, 0.0, -0.0]
+        x = np.array(values)
+        assert_matches_reference(tmp_path, {"x": np.concatenate([x, -x])})
+
+    def test_decimal_exponents_come_from_correctly_rounded_powers(self):
+        # A double at or above powers[k + 4] is at or above 10**k, so
+        # counting the powers at or below it gives its decimal exponent.
+        from fractions import Fraction
+
+        powers = cli._tables().powers
+        for k in range(-4, 21):
+            assert Fraction(powers[k + 4]) >= Fraction(10) ** k
+            assert Fraction(np.nextafter(powers[k + 4], 0.0)) < Fraction(10) ** k
+
+    def test_exact_ties_at_the_18th_digit(self, tmp_path):
+        x = ties_at_the_18th_digit(np.random.default_rng(0))
+        assert_matches_reference(tmp_path, {"x": x, "neg": -x})
+
+    def test_float32_and_int_extremes(self, tmp_path):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-1.0, 1.0, 1000) * 10.0 ** rng.integers(-8, 20, 1000)
+        ints = np.array([0, 1, -1, 9, 10, 9999, 10_000, -10_000, 2**53 + 1,
+                         -(2**63), 2**63 - 1] * 3, dtype=np.int64)
+        assert_matches_reference(tmp_path, {
+            "f32": x.astype(np.float32)[:len(ints)], "i": ints, "i8": ints.astype(np.int8),
+            "u": ints.astype(np.uint64), "b": ints > 0, "s": [str(v) + ",x" * (v % 2) for v in ints],
+        })
+        big = np.array([2**63, 2**63 + 1, 10**19 - 1, 10**19, 2**64 - 1], dtype=np.uint64)
+        assert_matches_reference(tmp_path, {"u": big, "f": big.astype(np.float64)})
+
+    def test_lists_of_python_floats(self, tmp_path):
+        floats = [0.1, -2.5, 1e300, 5e-324, math.nan, -math.inf, -0.0, 12345.678, 1e-4]
+        assert_matches_reference(tmp_path, {"f": floats, "t": tuple(reversed(floats))})
+        # A list holding another type is written cell by cell.
+        assert_matches_reference(tmp_path, {"m": [1.5, 2, "x", None, True], "f": floats[:5]})
+
+    def test_longest_python_text_in_a_narrow_cell(self, tmp_path):
+        # Small numbers need the narrowest cells; these texts are 24 bytes.
+        assert_matches_reference(tmp_path, {"x": [0.5, -5e-324, -2.2250738585072014e-308]})
+
+    def test_text_cells_keep_every_byte(self, tmp_path):
+        assert_matches_reference(tmp_path, {"s": ["a\x00b", "\x00", "é", "ü,x", 'q"', "x\ny", ""],
+                                            "i": np.arange(7)})
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_counts_around_the_block_size(self, tmp_path, offset):
+        rows = cli._BLOCK_ROWS + offset
+        rng = np.random.default_rng(rows)
+        assert_matches_reference(tmp_path, {
+            "trial": np.arange(rows), "x": rng.standard_normal(rows),
+            "y": rng.uniform(0.0, 1e-3, rows), "n": rng.integers(-5, 300, rows),
+        })
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        import tracemalloc
+
+        def peak(rows):
+            rng = np.random.default_rng(rows)
+            columns = {f"x{k}": rng.uniform(0.0, 100.0, rows) for k in range(6)}
+            tracemalloc.start()
+            try:
+                write_csv(str(tmp_path / f"{rows}.csv"), columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(100_000)
+        assert peak(400_000) <= small + 256 * 1024
 
 
 class TestRunCommand:
