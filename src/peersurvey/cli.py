@@ -313,6 +313,9 @@ class Resolver:
         if self.pinned("beta"):
             return self._number("beta", lambda v: v > 0.0, "a positive number or 'auto'")
         self._check_tau(self.tau)
+        if self.cost_model.eta != 1.0:
+            raise ConfigError("cost_model", f"a derived beta prices the worst case eta = 1, "
+                                            f"got eta = {self.cost_model.eta}; pin beta instead")
         return beta_rule(self.cost_model.kind, self.epsilon, self.tau)
 
     def _prediction(self, bit):
@@ -542,6 +545,7 @@ def _int_cells(v):
 
 def write_csv(path, columns):
     """Write equal-length named columns as CSV rows; nothing when path is None.
+    Columns of unequal length raise ValueError, before anything is written.
 
     The bytes are those csv.writer writes for the cells: floats with
     '%.17g', 17 significant digits, so they round-trip exactly; integers
@@ -553,6 +557,9 @@ def write_csv(path, columns):
     in magnitude, or not finite, is formatted by Python, cell by cell; so
     are the header and every cell that is neither float nor integer.
     """
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
     if path is None:
         return
     try:
@@ -565,7 +572,7 @@ def write_csv(path, columns):
               else column for column in columns.values()]
     floats = [k for k, column in enumerate(values)
               if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
-    rows = min(map(len, values))
+    rows = len(values[0])
     with fh:
         fh.write(",".join(_text(name, alone) for name in columns) + "\r\n")
         for lo in range(0, rows, _BLOCK_ROWS):

@@ -97,9 +97,10 @@ class Observable:
     draws no noise.  The map works elementwise and is monotone in b_bar,
     rising or falling, as computed in float64: privacy.dp_audit takes each
     bin's exact noise mass between the noise values at which the bin
-    changes, and for its cross-check draws the noise once per trial, from
-    one uniform, feeds that draw to both neighbours and counts it into the
-    cells between those noise values."""
+    changes, and for its cross-check counts sampled noise draws, shared by
+    both neighbours, into the cells between those noise values: one
+    multinomial draw, with each cell's share of the uniforms that
+    rng.random() returns."""
 
     noise: NoiseSpec
     of_b_bar: Callable

@@ -402,7 +402,8 @@ def posterior_clamped_mean(prior, bit, n, epsilon):
 
 
 def _mixture_quantile(prior, bit, q, cap):
-    """Generalized inverse at level q of a peer's cost CDF given one's own bit."""
+    """Generalized inverse at level q of a peer's cost CDF given one's own
+    bit: the least float in [0, cap] at which it reaches q."""
     if prior.cost0 == prior.cost1:
         return float(np.asarray(prior.cost0.quantile(q)))
     p_b = posterior_bit_prob(prior, bit)
@@ -428,11 +429,6 @@ def _mixture_quantile(prior, bit, q, cap):
             if mid == lo:
                 break
             lo = mid
-    # Snap to a point-mass atom when bisection lands next to one.
-    for dist in (prior.cost0, prior.cost1):
-        if isinstance(dist, PointMass) and abs(dist.value - hi) <= 1e-9:
-            if cdf(dist.value) >= q:
-                return dist.value
     return hi
 
 

@@ -8,18 +8,18 @@ so each neighbor's histogram bin is a step function of the noise:
 value's bin by numpy's own equal-width histogram rule), takes each bin's
 exact Laplace mass between them (`laplace_log_mass`) and decides the privacy
 claim from the largest log mass ratio of the two neighbors.  As a
-cross-check it also draws the noise once per trial and histograms it: it
-counts the draws into the cells between the same cut points, most by one
-lookup of their uniform in an equal-mass grid over [0, 1), maps those
-counts to both neighbors' bins and compares them with the exact masses.
+cross-check it also histograms `trials` sampled draws: the uniforms
+rng.random() returns whose noise falls between consecutive cut points form
+a run of the 2**53-point grid (`uniform_thresholds`), so the counts of
+those cells are one multinomial draw, which it maps to both neighbors' bins
+and compares with the exact masses.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import chunk_sizes, report_dict, subseed_rng
+from ._util import report_dict, subseed_rng
 
 NOISE_MODES = ("sample", "disabled")
 
@@ -35,19 +35,11 @@ AUDIT_SLACK = 1e-9
 
 # The fewest trials `dp_audit` accepts.
 AUDIT_MIN_TRIALS = 100_000
-# Trials per noise draw inside one of `dp_audit`'s 2**20-trial chunks: 128 KiB
-# per float array, small enough that the allocator recycles numpy's
-# temporaries instead of faulting fresh pages in for each.
-AUDIT_BLOCK = 1 << 14
-# The most cells in the grid over [0, 1) that `dp_audit` looks each uniform
-# draw up in; a power of two, so that each cell holds the same share of them.
-AUDIT_GRID_CELLS = 1 << 15
-# Besides the first block, `dp_audit` checks every this many-th draw's bins
-# against its cut table, 2**20 / AUDIT_CHECK_STRIDE draws at a time.
-AUDIT_CHECK_STRIDE = 256
 
 _MAX = np.finfo(np.float64).max
 _SIGN_BIT = np.int64(-1 << 63)
+# rng.random() returns k * 2**-53 for an integer k in [0, 2**53).
+_GRID = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -174,6 +166,21 @@ def _unkey(key):
     return np.where(key < 0, -key | _SIGN_BIT, key).view(np.float64)
 
 
+def _bisect(reached, a, b):
+    """Each entry's least int64 key in (a, b] at which `reached`, monotone
+    in the key, holds, given it is false at a and true at b: at most 64
+    steps, each calling `reached` on every entry, at its a once converged.
+    """
+    # b - a can overflow int64, so the loop compares b with a + 1, and the
+    # midpoint halves each end before adding.
+    while np.any(b > a + 1):
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)
+        hit = reached(mid)
+        b = np.where(hit, mid, b)
+        a = np.where(hit, a, mid)
+    return b
+
+
 def cut_points(f, lo, hi):
     """Sorted x in (lo, hi] at which the monotone step function f of a
     float64 x changes.
@@ -189,46 +196,22 @@ def cut_points(f, lo, hi):
     if sign == 0:
         return np.empty(0)
     targets = sign * np.arange(ends[0] + sign, ends[1] + sign, sign)
-    a = np.full(targets.size, _key(lo))
-    b = np.full(targets.size, _key(hi))
-    # b - a can overflow int64, so the loop compares b with a + 1, and the
-    # midpoint halves each end before adding.
-    while np.any(b > a + 1):
-        mid = (a >> 1) + (b >> 1) + (a & b & 1)
-        reached = sign * f(_unkey(mid)) >= targets
-        b = np.where(reached, mid, b)
-        a = np.where(reached, a, mid)
-    return np.unique(_unkey(b))
+    keys = _bisect(lambda key: sign * f(_unkey(key)) >= targets,
+                   np.full(targets.size, _key(lo)), np.full(targets.size, _key(hi)))
+    return np.unique(_unkey(keys))
 
 
-class CutTable:
-    """The cells between sorted noise cut points, and each uniform's cell.
+def uniform_thresholds(noise, cuts):
+    """For each noise value in `cuts`, the least k in [0, 2**53] with
+    noise.from_uniform(k 2**-53) >= cut.
 
-    `index(u)` is the number of cut points at or below noise.from_uniform(u),
-    u in [0, 1).  A grid splits [0, 1) into `cells` equal cells, a power of
-    two with at least 64 per cut up to AUDIT_GRID_CELLS.  A draw in a grid
-    cell whose lowest and highest uniforms have their noise in one cell gets
-    its index from one lookup (from_uniform is monotone); a draw in any
-    other, from a binary search of the cuts.
+    rng.random() returns k 2**-53 for k in [0, 2**53), each with chance
+    2**-53, and from_uniform is monotone: the draws at or past a cut are
+    those with k at or past its threshold.  k = -1, where the bisection
+    starts, never counts as reached: from_uniform would raise its uniform.
     """
-
-    def __init__(self, cuts, noise):
-        self.cuts = cuts
-        self.noise = noise
-        self.cells = min(AUDIT_GRID_CELLS, 1 << (64 * cuts.size).bit_length())
-        lowest = np.arange(self.cells) / self.cells
-        self._table = self._search(lowest)
-        # -1 marks a grid cell whose draws straddle a cut.
-        self._table[self._search(np.nextafter(lowest + 1.0 / self.cells, 0.0)) != self._table] = -1
-
-    def _search(self, u):
-        return np.searchsorted(self.cuts, self.noise.from_uniform(u), "right")
-
-    def index(self, u):
-        k = self._table.take((u * self.cells).astype(np.intp))
-        crowded = np.flatnonzero(k < 0)
-        k[crowded] = self._search(u.take(crowded))
-        return k
+    return _bisect(lambda k: (k >= 0) & (noise.from_uniform(k / _GRID) >= cuts),
+                   np.full(cuts.size, -1), np.full(cuts.size, _GRID))
 
 
 def max_audit_bins(trials):
@@ -292,28 +275,20 @@ def _log_masses(bin_of, lo, cuts, noise, bins):
     return log_mass
 
 
-def _noise_blocks(trials, seed):
-    """The uniforms behind the audit's noise: chunk k of 2**20 trials reads
-    the stream subseed_rng(seed, k) in order, AUDIT_BLOCK trials at a time."""
-    for chunk, size in chunk_sizes(trials, 1 << 20):
-        rng = subseed_rng(seed, chunk)
-        for _, block in chunk_sizes(size, AUDIT_BLOCK):
-            yield rng.random(block)
+def _counts_by_cell(sides, lo, cuts, noise, trials, seed, bins):
+    """Each side's bin counts of `trials` draws of the noise.
 
-
-def _counts_by_cell(sides, lo, cuts, noise, blocks, bins):
-    """Each side's bin counts from the draws counted into the cells between
-    both sides' noise cut points `cuts`.
-
-    Cell k holds the noise from the k-th cut (`lo`, the least noise drawn,
-    for k = 0) up to the next; each side's bin is constant on it if the
-    observable is monotone in b_bar.  Where a side's bin differs from its
-    cell's just below a cut, at a grid edge, in the first block of draws or
-    at an AUDIT_CHECK_STRIDE-th draw, ValueError; a non-monotone observable
-    whose bins differ only between those points is counted wrongly without
-    one.
+    The cells between both sides' sorted noise cut points `cuts`, from
+    `lo`, the least noise drawn, hold the runs of uniforms between
+    consecutive `uniform_thresholds`.  One multinomial draw from
+    subseed_rng(seed, 0) with those shares of the 2**53 uniforms counts the
+    cells, as counting one uniform per trial would, and each count goes, in
+    int64, to the bin each side gives its cell's left end.  Where a side's
+    bin differs from its cell's just below a cut or at a uniform j 2**-14,
+    ValueError; a non-monotone observable whose bins differ only between
+    those points is counted wrongly without one.
     """
-    table = CutTable(cuts, noise)
+    thresholds = uniform_thresholds(noise, cuts)
     bin_of_cell = [f(np.append(lo, cuts)) for f in sides]
 
     def check(x, cell):
@@ -322,29 +297,15 @@ def _counts_by_cell(sides, lo, cuts, noise, blocks, bins):
                 raise ValueError("the observable is not monotone in b_bar: its bins do not "
                                  "follow its cut points")
 
-    def check_draws(u):
-        check(noise.from_uniform(u), table.index(u))
-
     check(np.nextafter(cuts, -np.inf), np.arange(cuts.size))
-    check_draws(np.arange(table.cells) / table.cells)
-    cells = np.zeros(cuts.size + 1, dtype=np.int64)
-    first = next(blocks)
-    sample = np.empty((1 << 20) // AUDIT_CHECK_STRIDE)
-    filled = 0
-    for u in itertools.chain([first], blocks):
-        cells += np.bincount(table.index(u), minlength=cells.size)
-        drawn = u[::AUDIT_CHECK_STRIDE]
-        if filled + drawn.size > sample.size:
-            check_draws(sample[:filled])
-            filled = 0
-        sample[filled:filled + drawn.size] = drawn
-        filled += drawn.size
-    check_draws(sample[:filled])
-    # Checked after the count: checked before it, its temporaries raised
-    # the audit's peak RSS by about 0.25 MB.
-    check_draws(first)
-    return np.array([np.bincount(bin_of + 1, weights=cells, minlength=bins + 2)[1:-1]
-                     for bin_of in bin_of_cell]).astype(np.int64)
+    k = np.arange(0, _GRID, _GRID >> 14)
+    check(noise.from_uniform(k / _GRID), np.searchsorted(thresholds, k, "right"))
+    shares = np.diff(thresholds, prepend=0, append=_GRID) / _GRID
+    cells = subseed_rng(seed, 0).multinomial(trials, shares)
+    counts = np.zeros((len(sides), bins + 2), dtype=np.int64)
+    for count, bin_of in zip(counts, bin_of_cell):
+        np.add.at(count, bin_of + 1, cells)
+    return counts[:, 1:-1]
 
 
 def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins, seed):
@@ -371,14 +332,14 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     epsilon_claimed : privacy level under test.
     trials, bins, seed : the cross-check's sample size, the equal-width bin
         count over [0, 1], at most trials / DEFAULT_BIN_FLOOR, and its
-        seed.  Chunk k of 2**20 trials reads the stream subseed_rng(seed,
-        k) in order, AUDIT_BLOCK trials at a time, one uniform u per trial
-        with x = noise.from_uniform(u).  Each block is counted into the
-        cells between both neighbors' cut points by `CutTable.index`, and
-        each cell's count goes to the bin each neighbor gives its left end:
-        the counts of the values per trial, less those outside [0, 1].
-        Checked just below each cut point, at the grid edges, on the first
-        AUDIT_BLOCK draws and on every AUDIT_CHECK_STRIDE-th draw, a bin
+        seed.  The counts have the law of drawing one uniform u per trial
+        with rng.random() and x = noise.from_uniform(u), but no uniform is
+        drawn: the cells between both neighbors' cut points each hold a
+        run of the 2**53 uniforms (`uniform_thresholds`), and their counts
+        are one multinomial draw from subseed_rng(seed, 0).  Each cell's
+        count goes to the bin each neighbor gives its left end: the counts
+        of the values per trial, less those outside [0, 1].  Checked just
+        below each cut point and at the 2**14 uniforms j 2**-14, a bin
         that disagrees raises ValueError; a non-monotone observable can be
         miscounted, and its masses miscomputed, without an error.
     """
@@ -407,8 +368,7 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     lo, hi = (0.0, 0.0) if noise.mode == "disabled" else (-_MAX, _MAX)
     cuts = [cut_points(f, lo, hi) for f in sides]
 
-    counts = _counts_by_cell(sides, lo, np.unique(np.concatenate(cuts)), noise,
-                             _noise_blocks(trials, seed), bins)
+    counts = _counts_by_cell(sides, lo, np.unique(np.concatenate(cuts)), noise, trials, seed, bins)
     log_p = np.array([_log_masses(f, lo, c, noise, bins) for f, c in zip(sides, cuts)])
     with np.errstate(invalid="ignore"):  # -inf - -inf: no mass on either side
         log_ratio = log_p[0] - log_p[1]

@@ -324,6 +324,40 @@ class TestResolver:
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line.startswith(f"config error: config key '{key}': {message}")
 
+    @pytest.mark.parametrize("command, payload", [
+        ("run", BASE_CONFIGS["run"]),
+        ("audit-dp", {"n": 60, "ones": 30, "trials": 100_000, "seed": 7, "observable": "payment",
+                      "payment_index": 3, "alpha": 0.1, "delta": 0.1, "prior": UNIFORM_PRIOR,
+                      "threshold_trials": 5_000, "posterior_samples": 5_000}),
+    ], ids=["run", "payment-audit"])
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.999])
+    def test_eta_with_a_derived_beta_exits_1(self, tmp_path, capsys, command, payload, eta):
+        # A derived beta prices the worst case, eta = 1 (beta_rule), so any
+        # other eta would be read and then ignored.
+        config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear", "eta": eta}))
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0].startswith(
+            f"config error: config key 'cost_model': a derived beta prices the worst case "
+            f"eta = 1, got eta = {eta}")
+        config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear", "eta": 1.0}))
+        assert dispatch([command, "--config", config]) in (0, 2)
+
+    def test_audit_equilibrium_prices_eta(self, tmp_path, capsys):
+        # The best-response audit reads eta in each utility bound, with the
+        # same derived beta.
+        reports = []
+        for eta in (0.25, 1.0):
+            config = write_config(tmp_path, dict(BASE_CONFIGS["audit-equilibrium"],
+                                                 cost_model={"kind": "linear", "eta": eta}))
+            assert dispatch(["audit-equilibrium", "--config", config]) in (0, 2)
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["resolved"]["beta"] == reports[1]["resolved"]["beta"]
+        truth = [r["per_bit"]["1"]["truth"] for r in reports]
+        assert truth[0]["mean_payment"] == truth[1]["mean_payment"]
+        assert truth[0]["utility_lower_bound"] > truth[1]["utility_lower_bound"]
+
     @pytest.mark.parametrize("command, off", [
         ("audit-equilibrium", "abstain"),
         ("audit-equilibrium", "lie"),
@@ -531,13 +565,22 @@ def reference_bytes(tmp_path, columns):
     ({"s": ["", "x", ""]}, b's\r\n""\r\nx\r\n""\r\n'),
     ({"": np.array(["", "a,b"])}, b'""\r\n""\r\n"a,b"\r\n'),
     ({"s": ["", ""], "t": ["", "y"]}, b"s,t\r\n,\r\n,y\r\n"),
-    ({"a": [1, 2, 3], "b": [1.0]}, b"a,b\r\n1,1\r\n"),
+    ({"a": [1, 2, 3], "b": [1.0]}, ValueError),
 ], ids=["zero_rows", "quoted_header", "lone_empty_cell", "lone_empty_header", "two_empty_cells",
         "unequal_lengths"])
 def test_column_writer_edge_cases(tmp_path, columns, expected):
     # csv.writer quotes an empty field only when it is alone in its row.
-    write_csv(str(tmp_path / "out.csv"), columns)
-    assert (tmp_path / "out.csv").read_bytes() == reference_bytes(tmp_path, columns) == expected
+    # Columns of unequal length raise before the file is opened, so no
+    # partial CSV is left, whether or not there is a path.
+    out = tmp_path / "out.csv"
+    if expected is ValueError:
+        for path in (str(out), None):
+            with pytest.raises(ValueError, match="equal lengths.*'a': 3, 'b': 1"):
+                write_csv(path, columns)
+        assert not out.exists()
+        return
+    write_csv(str(out), columns)
+    assert out.read_bytes() == reference_bytes(tmp_path, columns) == expected
 
 
 @pytest.mark.parametrize("command", ["run", "accuracy", "cost-scaling", "audit-dp",

@@ -535,12 +535,16 @@ class TestCostThreshold:
 
 
 def mixture_quantile_200_steps(prior, bit, q, cap):
-    """`_mixture_quantile` with no early stop: always 200 bisection steps."""
+    """`_mixture_quantile` with no early stop: 0 where the cdf at 0 reaches
+    q, which no number of halvings of the bracket reaches, else always 200
+    bisection steps."""
     p_b = posterior_bit_prob(prior, bit)
 
     def cdf(tau):
         return p_b * prior.cost1.cdf(tau) + (1.0 - p_b) * prior.cost0.cdf(tau)
 
+    if cdf(0.0) >= q:
+        return 0.0
     lo, hi = 0.0, cap
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -548,10 +552,6 @@ def mixture_quantile_200_steps(prior, bit, q, cap):
             hi = mid
         else:
             lo = mid
-    for dist in (prior.cost0, prior.cost1):
-        if isinstance(dist, PointMass) and abs(dist.value - hi) <= 1e-9:
-            if cdf(dist.value) >= q:
-                return dist.value
     return hi
 
 
@@ -562,7 +562,7 @@ class TestMixtureQuantileEarlyStop:
         {"kind": "beta", "a": 0.5, "b": 0.5},
     ]
     # Unequal pairs, since equal laws return their own quantile.  The point
-    # masses reach the atom snap; a mass at 0 puts cdf(0) above small q.
+    # masses put steps in the cdf; a mass at 0 puts cdf(0) above small q.
     COSTS = [
         ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}),
         ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, {"kind": "exponential", "rate": 2.0}),
@@ -587,7 +587,6 @@ class TestMixtureQuantileEarlyStop:
     def test_midpoint_rounding_to_lo_still_moves_hi(self):
         # From a cap of four subnormal ulps, q = 0 halves hi until the
         # midpoint of (0, 5e-324) rounds to lo = 0: hi must still step to 0.
-        # No point mass here, so no atom snap hides a missed step.
         prior = PriorSpec.from_dict({"family": "conditional_iid",
                                      "mixing": {"kind": "beta", "a": 2.0, "b": 5.0},
                                      "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
@@ -595,6 +594,25 @@ class TestMixtureQuantileEarlyStop:
         cap = 4 * 5e-324
         assert mixture_quantile_200_steps(prior, 0, 0.0, cap) == 0.0
         assert _mixture_quantile(prior, 0, 0.0, cap) == 0.0
+
+
+def test_mixture_quantile_below_a_point_mass_is_the_least_float_reaching_q():
+    # A one-holder's peer has bit 1 with chance 2/3 under Beta(1, 1)
+    # mixing, so below the atom at 0.3 the cdf is x / 3, and q = 1 - 0.9,
+    # a little under 0.1, is reached at 3q, just below the atom.
+    prior = PriorSpec.from_dict({"family": "conditional_iid",
+                                 "mixing": {"kind": "beta", "a": 1.0, "b": 1.0},
+                                 "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                                 "cost1": {"kind": "point_mass", "value": 0.3}})
+    q = 1.0 - 0.9
+
+    def cdf(x):
+        return 2.0 / 3.0 * prior.cost1.cdf(x) + 1.0 / 3.0 * prior.cost0.cdf(x)
+
+    x = _mixture_quantile(prior, 1, q, 1.0)
+    assert x == 3.0 * q == 0.29999999999999993 < 0.3
+    assert cdf(x) >= q > cdf(np.nextafter(x, 0.0))
+    assert x == mixture_quantile_200_steps(prior, 1, q, 1.0)
 
 
 # A zero-holder's costs sit below 1e-100, so the 0.9 quantile of a peer's

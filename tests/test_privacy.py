@@ -14,22 +14,17 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from peersurvey import privacy
-from peersurvey._util import chunk_sizes, subseed_rng
+from peersurvey._util import subseed_rng
 from peersurvey.mechanism import (
     MechanismConfig,
     Observable,
     estimate_observable,
     payment_observable,
-    payment_pair,
     published_estimate,
 )
 from peersurvey.privacy import (
-    AUDIT_BLOCK,
-    AUDIT_CHECK_STRIDE,
-    AUDIT_GRID_CELLS,
     AUDIT_SLACK,
     DEFAULT_BIN_FLOOR,
-    CutTable,
     DpAuditReport,
     NoiseSpec,
     bin_index,
@@ -39,6 +34,7 @@ from peersurvey.privacy import (
     laplace_log_mass,
     laplace_sample,
     noise_draw,
+    uniform_thresholds,
 )
 
 
@@ -228,83 +224,6 @@ class TestCutPoints:
         assert np.all(f(np.nextafter(cuts, -np.inf)) == f(cuts) - 1)
 
 
-# The noise behind the cut tables' tests: Laplace(2), whose CDF gives the
-# uniform behind each noise value.
-LAPLACE_2 = NoiseSpec(epsilon=0.5)
-
-
-def uniform_of(x):
-    return stats.laplace(scale=LAPLACE_2.scale).cdf(x)
-
-
-def laplace_tail_cuts(count):
-    # Equal-width bins in b_bar, 0.01 apart, cut the Laplace(2) noise at
-    # multiples of 0.01, whose uniforms u = exp(-k 0.01 / 2) / 2 near 0,
-    # mirrored near 1, come geometrically close to either end.
-    return np.arange(-(count // 2), count // 2 + 1) * 0.01
-
-
-def searchsorted_at_and_around(table, rng):
-    # The uniform of every cut, just below and above each, both ends of
-    # every grid cell, the lowest uniforms and 10**5 more.
-    u_cuts = uniform_of(table.cuts)
-    lowest = np.arange(table.cells) / table.cells
-    u = np.concatenate([u_cuts, np.nextafter(u_cuts, -np.inf), np.nextafter(u_cuts, np.inf),
-                        lowest, np.nextafter(lowest + 1.0 / table.cells, 0.0),
-                        [0.0, 5e-324, np.finfo(np.float64).tiny], rng.random(100_000)])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    expected = np.searchsorted(table.cuts, LAPLACE_2.from_uniform(u), side="right")
-    return table.index(u).tolist() == expected.tolist()
-
-
-def crowded_grid_cells(table):
-    # The grid cells whose lowest and highest uniforms have their noise in
-    # different cells: their draws take the binary search.
-    lowest = np.arange(table.cells) / table.cells
-    ends = [np.searchsorted(table.cuts, LAPLACE_2.from_uniform(u), side="right")
-            for u in (lowest, np.nextafter(lowest + 1.0 / table.cells, 0.0))]
-    return int(np.sum(ends[0] != ends[1]))
-
-
-class TestCutTable:
-    @pytest.mark.parametrize("cells", [1, 3, 1 << 16])
-    def test_index_counts_cuts_at_or_below(self, monkeypatch, cells):
-        # Crowded cuts: with 1 or 3 grid cells, each holds several, and every
-        # draw takes the binary search.  42 cuts need 64 * 42 cells, 4,096.
-        monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
-        rng = np.random.default_rng(cells)
-        cuts = np.unique(np.concatenate([rng.laplace(0.0, 2.0, 40), [0.5, np.nextafter(0.5, 1.0)]]))
-        table = CutTable(cuts, LAPLACE_2)
-        assert table.cells == min(cells, 4096)
-        assert searchsorted_at_and_around(table, rng)
-
-    def test_no_cuts_one_cell(self):
-        table = CutTable(np.empty(0), LAPLACE_2)
-        assert table.cells == 1
-        assert table.index(np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])).tolist() == [0] * 3
-
-    def test_crowded_laplace_tails(self):
-        # More than AUDIT_GRID_CELLS / 64 cuts, hundreds of them in each of
-        # the grid cells at either end.
-        cuts = laplace_tail_cuts(12_000)
-        assert cuts.size >= 10_000
-        table = CutTable(cuts, LAPLACE_2)
-        assert table.cells == AUDIT_GRID_CELLS
-        assert np.bincount((uniform_of(cuts) * table.cells).astype(np.intp)).max() > 100
-        assert searchsorted_at_and_around(table, np.random.default_rng(3))
-
-    @pytest.mark.parametrize("count", [1, 2, 43, 500, AUDIT_GRID_CELLS // 64])
-    def test_few_cuts_leave_most_grid_cells_free(self, count):
-        # At most 1/64 of the grid cells, and so of the draws, take the
-        # binary search while there are at most AUDIT_GRID_CELLS / 64 cuts.
-        rng = np.random.default_rng(count)
-        for cuts in (laplace_tail_cuts(12_000), rng.laplace(0.0, 2.0, count)):
-            cuts = np.sort(cuts[np.linspace(0, cuts.size - 1, count).astype(np.intp)])
-            table = CutTable(cuts, LAPLACE_2)
-            assert 64 * crowded_grid_cells(table) <= table.cells
-            assert searchsorted_at_and_around(table, np.random.default_rng(count))
-
-
 class TestDpAudit:
     def _reports(self, n=10, ones=5):
         return [1] * ones + [0] * (n - ones)
@@ -433,110 +352,167 @@ class TestDpAudit:
         assert report(math.inf).verdict == "Fail"
 
 
-# The audit before each trial's noise was drawn once for both neighbors:
-# an observable was a callable (reports, rng, size) that drew its own noise,
-# and each neighbor ran it on a fresh copy of the chunk's stream.
-def two_run_estimate(n, noise):
-    def mech(reports, rng, size):
-        return published_estimate(n, int(np.sum(reports)) + noise_draw(noise, rng, size))
-
-    return mech
+GRID = 1 << 53  # rng.random() returns k / GRID for k in [0, GRID)
+# The chance of a normal variate at least 5 sigma off its mean, either way.
+FIVE_SIGMA = 2.0 * stats.norm.sf(5.0)
 
 
-def two_run_payment(config, j):
-    def mech(reports, rng, size):
-        reports = np.asarray(reports)
-        own = int(reports[j])
-        b_bar = int(np.sum(reports)) + noise_draw(config.noise, rng, size)
-        pay = payment_pair(config, b_bar)[1 - own]
-        ends = payment_pair(config, [own, own + config.n - 1])[1 - own]
-        lo, hi = ends.min(), ends.max()
-        return (pay - lo) / (hi - lo)
-
-    return mech
-
-
-def two_run_counts(mech, reports, i, trials, bins, seed):
+def audit_cells(observable, reports, i, bins):
+    """dp_audit's two neighbors' bins as functions of the noise, the least
+    noise drawn and each neighbor's cut points, as it finds them."""
     reports = np.asarray(reports, dtype=np.int64)
     neighbor = reports.copy()
     neighbor[i] = 1 - neighbor[i]
-    counts = np.zeros((2, bins))
-    for chunk, size in chunk_sizes(trials, 1 << 20):
-        for side, vector in enumerate((reports, neighbor)):
-            out = mech(vector, subseed_rng(seed, chunk), size)
-            counts[side] += np.histogram(out, bins=bins, range=(0.0, 1.0))[0]
-    return counts
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    sides = [privacy._bin_of_noise(observable, side, edges) for side in (reports, neighbor)]
+    lo, hi = (0.0, 0.0) if observable.noise.mode == "disabled" else (-MAX, MAX)
+    return sides, lo, [cut_points(f, lo, hi) for f in sides]
 
 
-def two_run_raw_sum(noise):
-    def mech(reports, rng, size):
-        return (int(np.sum(reports)) + noise_draw(noise, rng, size) + 10.0) / 30.0
+def union_cuts(observable, reports, i, bins):
+    """The cut points of both neighbors, which bound the audit's cells."""
+    return np.unique(np.concatenate(audit_cells(observable, reports, i, bins)[2]))
 
-    return mech
+
+def cell_shares(noise, cuts):
+    """Each cell's share of the GRID uniforms, from the cuts' thresholds."""
+    return np.diff(uniform_thresholds(noise, cuts), prepend=0, append=GRID) / GRID
 
 
 class TestSharedNoiseDraw:
-    # One full 2**20-trial chunk, then a chunk ending in a ragged block.
     TRIALS = (1 << 20) + 12_345
     REPORTS = [1] * 5 + [0] * 5
     PAYMENTS = MechanismConfig(n=10, alpha=0.1, beta=1.0, epsilon=0.5, p0=1.0 / 3.0,
                                p1=2.0 / 3.0)
+    # j = 0 is the flipped agent itself, whose own report differs between
+    # the neighbors.  raw_sum's values leave [0, 1] on either side.  20,000
+    # bins give about 30,000 cells.  At n = 1000, 10,000 bins give about
+    # 10,000, most of them past 73.4, the largest noise a uniform maps to,
+    # so that their share is 0.
+    SHAPES = pytest.mark.parametrize("kind, j", [
+        ("estimate", None), ("payment", 3), ("payment", 0), ("disabled", None),
+        ("bins_200", None), ("epsilon_0.05", None), ("n_50", None), ("raw_sum", None),
+        ("bins_20000", None), ("n_1000", None)])
 
-    @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3), ("payment", 0),
-                                         ("disabled", None), ("bins_200", None),
-                                         ("epsilon_0.05", None), ("n_50", None),
-                                         ("raw_sum", None), ("bins_20000", None),
-                                         ("n_1000", None)])
-    def test_counts_match_two_runs_per_chunk(self, kind, j):
-        # j = 0 is the flipped agent itself, whose own report differs between
-        # the neighbors.  raw_sum's values leave [0, 1] on either side, and
-        # 20,000 bins put more cut points than draws in most cells.  At
-        # n = 1000, 10,000 bins put about 1,100 cut points in the span, over
-        # AUDIT_GRID_CELLS / 64, and hundreds in each grid cell at either end.
+    def shape(self, kind, j):
+        """(observable, reports, i, bins) of an audit shape."""
         reports, i, bins = self.REPORTS, 0, {"bins_200": 200, "bins_20000": 20_000}.get(kind, 20)
         noise = NoiseSpec(epsilon=0.05 if kind == "epsilon_0.05" else 0.5,
                           mode="disabled" if kind == "disabled" else "sample")
         if kind == "payment":
             observable = payment_observable(self.PAYMENTS, j)
-            old = two_run_payment(self.PAYMENTS, j)
         elif kind == "raw_sum":
             observable = Observable(noise, lambda reports, b_bar: (b_bar + 10.0) / 30.0)
-            old = two_run_raw_sum(noise)
         elif kind == "n_50":
             reports, i, bins, noise = [1] * 7 + [0] * 43, 10, 37, NoiseSpec(epsilon=1.3)
             observable = estimate_observable(50, noise)
-            old = two_run_estimate(50, noise)
         elif kind == "n_1000":
             reports, bins = [1] * 500 + [0] * 500, 10_000
             observable = estimate_observable(1000, noise)
-            old = two_run_estimate(1000, noise)
         else:
             observable = estimate_observable(10, noise)
-            old = two_run_estimate(10, noise)
-        report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
-        counts = np.array([report.table["count_base"], report.table["count_flipped"]])
-        expected = two_run_counts(old, reports, i, self.TRIALS, bins, 5)
-        assert counts.tolist() == expected.tolist()
-        if kind == "raw_sum":
-            assert (counts.sum(axis=1) < self.TRIALS).all()
-        else:
-            assert counts.sum(axis=1).tolist() == [self.TRIALS] * 2
+        return observable, reports, i, bins
 
-    @pytest.mark.parametrize("cells", [3, 1 << 16])
-    def test_crowded_grid_counts_match_two_runs(self, monkeypatch, cells):
-        # Three grid cells put several cut points in each, so every draw
-        # takes the binary search of the cuts.
-        monkeypatch.setattr(privacy, "AUDIT_GRID_CELLS", cells)
-        noise = NoiseSpec(epsilon=0.5)
-        report = dp_audit(estimate_observable(10, noise), self.REPORTS, 0, 0, 0.5, 200_000, 20,
-                          seed=9)
-        counts = [report.table["count_base"].tolist(), report.table["count_flipped"].tolist()]
-        assert counts == two_run_counts(two_run_estimate(10, noise), self.REPORTS, 0, 200_000,
-                                        20, 9).tolist()
+    @SHAPES
+    def test_cell_shares_are_the_exact_masses(self, kind, j):
+        # A cell's share of the uniforms is its Laplace mass, up to the
+        # uniforms' spacing at either end.  Noise "disabled" has one cell,
+        # the whole line.
+        observable, reports, i, bins = self.shape(kind, j)
+        noise, cuts = observable.noise, union_cuts(observable, reports, i, bins)
+        mass = np.exp(laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf),
+                                       noise.scale))
+        shares = cell_shares(noise, cuts)
+        assert shares.size == cuts.size + 1
+        assert np.max(np.abs(shares - mass)) <= 2.0**-52
+
+    def test_tail_cells_no_uniform_reaches_have_no_share(self):
+        # At epsilon 5 the noise of the least uniform is about -141.5 and
+        # that of the largest about 36.7: the estimate's cut points past
+        # either get the threshold 0 or 2**53, and the cells between them
+        # a share of 0, though their mass is positive.
+        observable = estimate_observable(1000, NoiseSpec(epsilon=5.0))
+        reports = [1] * 500 + [0] * 500
+        noise, cuts = observable.noise, union_cuts(observable, reports, 0, 1000)
+        thresholds = uniform_thresholds(noise, cuts)
+        assert np.sum(thresholds == 0) > 1 and np.sum(thresholds == GRID) > 1
+        mass = np.exp(laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf),
+                                       noise.scale))
+        shares = cell_shares(noise, cuts)
+        unreached = shares == 0.0
+        assert np.sum(unreached & (mass > 0.0)) > 100
+        assert np.max(np.abs(shares - mass)) <= 2.0**-52
+
+    @SHAPES
+    def test_thresholds_bracket_each_cut(self, kind, j):
+        # k is the least uniform index whose noise reaches the cut: the one
+        # below it falls short.  0 where even the least uniform reaches it,
+        # GRID where none does.
+        observable, reports, i, bins = self.shape(kind, j)
+        noise, cuts = observable.noise, union_cuts(observable, reports, i, bins)
+        k = uniform_thresholds(noise, cuts)
+        assert k.dtype == np.int64 and np.all((k >= 0) & (k <= GRID)) and np.all(np.diff(k) >= 0)
+        inner = (k > 0) & (k < GRID)
+        assert np.all(noise.from_uniform((k[inner] - 1) / GRID) < cuts[inner])
+        assert np.all(cuts[inner] <= noise.from_uniform(k[inner] / GRID))
+        assert np.all(cuts[k == 0] <= noise.from_uniform(0.0))
+        assert np.all(noise.from_uniform(1.0 - 2.0**-53) < cuts[k == GRID])
+
+    @SHAPES
+    def test_bin_counts_within_five_sigma_of_the_exact_masses(self, kind, j):
+        # Each bin's count is Bin(trials, p) for its exact mass p.  Every
+        # bin's two-sided binomial tail is checked, sparse ones included,
+        # at the chance of a 5 sigma normal deviation.
+        observable, reports, i, bins = self.shape(kind, j)
+        sides, lo, cuts = audit_cells(observable, reports, i, bins)
+        report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
+        for f, c, column in zip(sides, cuts, ("count_base", "count_flipped")):
+            counts = report.table[column]
+            p = np.exp(privacy._log_masses(f, lo, c, observable.noise, bins))
+            law = stats.binom(self.TRIALS, p)
+            tail = 2.0 * np.minimum(law.cdf(counts), law.sf(counts - 1))
+            assert tail.min() >= FIVE_SIGMA
+            assert np.all(counts[p == 0.0] == 0)
+            if kind == "raw_sum":
+                assert counts.sum() < self.TRIALS
+            else:
+                assert counts.sum() == self.TRIALS
+
+    @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3), ("disabled", None)])
+    def test_one_multinomial_and_no_uniform_per_audit(self, monkeypatch, kind, j):
+        # The audit draws its counts, not its trials: one multinomial from
+        # one stream, and nothing else from any.
+        calls = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(privacy, "subseed_rng", lambda *path: Spy(subseed_rng(*path)))
+        observable, reports, i, bins = self.shape(kind, j)
+        dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
+        assert calls == ["multinomial"]
+
+    @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3)])
+    def test_counts_sum_exactly_to_trials_at_1e17(self, kind, j):
+        # int64 sums of the cells' counts: float64 weights would round
+        # counts past 2**53.
+        trials = 10**17
+        observable, reports, i, bins = self.shape(kind, j)
+        report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, trials, bins, seed=5)
+        for column in ("count_base", "count_flipped"):
+            assert report.table[column].dtype == np.int64
+            assert int(report.table[column].sum()) == trials
+        assert report.cross_check["bins_checked"] == 20
+        assert report.cross_check["max_abs_z"] < 5.0
 
     def test_too_many_bins_raise_before_any_draw(self, monkeypatch):
-        # The bound is checked before the masses or the draws: nothing maps
-        # a value and nothing draws a uniform.
+        # The bound is checked before the masses or the counts: nothing maps
+        # a value and nothing is drawn.
         mapped = []
 
         def estimate(reports, b_bar):
@@ -552,44 +528,31 @@ class TestSharedNoiseDraw:
     @pytest.mark.parametrize("bottom", [5.0, 17.0])
     def test_observable_not_monotone_in_b_bar_raises(self, bottom):
         # Equal at both ends, so the V has no cut points.  At b_bar = 17 it
-        # is flat at the noiseless sums 4 and 5; only the draws show it.
+        # is flat at the noiseless sums 4 and 5; only the check at the
+        # uniforms j 2**-14 shows it.
         v_shape = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.clip(
             np.abs(b_bar - bottom) / 10.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(v_shape, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
 
     def test_dip_between_cut_points_raises(self):
-        # About 0.4% of the draws fall in the dip inside bin 11, which no
-        # grid edge or cut point reaches; only the draws show it.
+        # About 0.4% of the mass falls in the dip inside bin 11, which no
+        # cut point reaches; 58 of the uniforms j 2**-14 show it.
         dip = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.where(
             (b_bar > 5.71) & (b_bar < 5.73), 0.0, published_estimate(10, b_bar)))
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(dip, self.REPORTS, 0, 0, 0.5, 200_000, 20, seed=5)
 
     def test_dip_at_one_grid_edge_raises(self):
-        # The dip holds one float: the noisy sum at u = 1/4, an edge of the
-        # 4,096-cell grid inside bin 7.  No cut point is there, and a draw
-        # lands there with chance 2**-53; only the grid-edge check reaches it.
+        # The dip holds one float: the noisy sum at u = 1/4, one of the
+        # uniforms j 2**-14, inside bin 7.  No cut point is there, and a draw
+        # lands there with chance 2**-53; only the check at those uniforms
+        # reaches it.
         noise = NoiseSpec(epsilon=0.5)
         dip = Observable(noise, lambda reports, b_bar: np.where(
             b_bar == 5 + noise.from_uniform(0.25), 0.0, published_estimate(10, b_bar)))
         with pytest.raises(ValueError, match="not monotone in b_bar"):
             dp_audit(dip, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
-
-    def test_dip_at_one_sampled_draw_raises(self):
-        # The dip holds one float: the noise of the largest checked uniform
-        # after the first block, past the cuts and the grid, where the
-        # estimate is clipped to 1.  Only the check of every
-        # AUDIT_CHECK_STRIDE-th draw reaches it.
-        noise = NoiseSpec(epsilon=0.5)
-        uniforms = np.concatenate(list(privacy._noise_blocks(1 << 20, 5)))
-        draws = noise.from_uniform(uniforms)
-        top = noise.from_uniform(uniforms[AUDIT_BLOCK::AUDIT_CHECK_STRIDE].max())
-        assert top > 5.0 and top not in draws[:AUDIT_BLOCK] and np.sum(draws == top) == 1
-        dip = Observable(noise, lambda reports, b_bar: np.where(
-            b_bar == 5 + top, 0.0, published_estimate(10, b_bar)))
-        with pytest.raises(ValueError, match="not monotone in b_bar"):
-            dp_audit(dip, self.REPORTS, 0, 0, 0.5, 1 << 20, 20, seed=5)
 
     @pytest.mark.parametrize("cut", [0.5, 1.5])
     def test_dip_just_below_a_noise_cut_raises(self, cut):
@@ -597,7 +560,7 @@ class TestSharedNoiseDraw:
         # estimate's bins step at b_bar = 0.5, 1, 1.5, ...  The dip holds the
         # one float just below a step, and the base side's cut search stops
         # on it.  At 0.5 that leaves only the float 0.5 in the wrong cell, a
-        # point no draw or grid edge reaches: only the check just below the
+        # point no uniform j 2**-14 reaches: only the check just below the
         # neighbor's next cut point does.  At 1.5 every later cut is lost.
         below = np.nextafter(cut, -np.inf)
         dip = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.where(
@@ -639,25 +602,6 @@ class TestSharedNoiseDraw:
         report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
         assert calls == [(0.0, 0.0)] * 2
         assert report.table["count_base"].sum() == report.table["count_flipped"].sum() == 100_000
-
-    def test_one_noise_draw_per_trial(self, monkeypatch):
-        # One uniform per trial, and nothing else drawn from the streams.
-        sizes = []
-
-        class Counted:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, size=None):
-                sizes.append(size)
-                return self.rng.random(size)
-
-        monkeypatch.setattr(privacy, "subseed_rng", lambda *path: Counted(subseed_rng(*path)))
-        observable = estimate_observable(10, NoiseSpec(epsilon=0.5))
-        dp_audit(observable, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
-        assert sum(sizes) == self.TRIALS
-        assert max(sizes) == AUDIT_BLOCK
-        assert sizes[-1] == 12_345 % AUDIT_BLOCK
 
 
 class TestExactMasses:
