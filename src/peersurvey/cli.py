@@ -1,9 +1,10 @@
 """Command-line entry points: JSON config in, JSON report out, CSV records.
 
 Every command reads its config through one `Resolver`, which applies a
-single rule per key, and rejects, before it writes any output, every config
-key it never read.  Every report carries the same `resolved` block:
-epsilon, beta, tau, p0, p1 and seed, null where the command did not use one.
+single rule per key, and rejects every config key the command never read,
+before its driver runs and before it writes any output.  Every report
+carries the same `resolved` block: epsilon, beta, tau, p0, p1 and seed,
+null where the command did not use one.
 
 Exit codes: 0 on a Pass verdict or plain completion, 1 on a config or usage
 error (the diagnostic names the offending key), 2 on a Fail verdict, 4 on an
@@ -85,16 +86,17 @@ class Resolver:
     cached: it takes the config value (for seed and out, the flag first),
     checks its type and range, and raises ConfigError naming the key when
     the check fails.  The public cached properties are the config keys
-    (`KEYS`); a read key is in the instance dict, which is how `_emit`
-    finds the keys a command never read.  "auto" for epsilon, beta and tau
-    and null for p0, p1 and alpha_prime are dropped on entry: they mean the
-    same as a missing key, which is derived, so a pinned tau, beta, p0, p1
-    or strategy skips its derivation.  tau, p0 and p1 are derived exactly.
-    When the config sets threshold_trials or posterior_samples, each
-    derivation of tau or of p0/p1 at n also runs its Monte Carlo
-    cross-check, on seed slot (n, 0) for tau and (n, 1)/(n, 2) for p0/p1
-    (`_slot`), and records it in `cross_check[n]` as a `_util.cross_check`
-    record.  tau's samples the chance that defines tau (`group_prob_mc`).
+    (`KEYS`); a read key is in the instance dict, which is how
+    `reject_unread` finds the keys a command never read.  "auto" for
+    epsilon, beta and tau and null for p0, p1 and alpha_prime are dropped
+    on entry: they mean the same as a missing key, which is derived, so a
+    pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0
+    and p1 are derived exactly.  When the config sets threshold_trials or
+    posterior_samples, each derivation of tau or of p0/p1 at n also runs
+    its Monte Carlo cross-check, on seed slot (n, 0) for tau and
+    (n, 1)/(n, 2) for p0/p1 (`_slot`), and records it in `cross_check[n]`
+    as a `_util.cross_check` record.  tau's samples the chance that
+    defines tau (`group_prob_mc`).
     """
 
     def __init__(self, config, args):
@@ -142,6 +144,21 @@ class Resolver:
         for key in self._config:
             if key not in KEYS:
                 raise ConfigError(key, "is not a config key")
+
+    def reject_unread(self):
+        """Reject every config key the run has not read (a config's `seed`
+        excepted: the README lets a well-formed one stand where nothing is
+        drawn) and --seed where the run drew nothing at random.  Called
+        once a command has read every input, before its driver runs."""
+        self.out  # read even where no CSV is written, so a bad `out` still fails
+        for key in self._config:
+            if key == "seed" and key not in self.__dict__:
+                Resolver.seed.func(self)  # checked, not cached: `resolved.seed` stays null
+            elif key not in self.__dict__:
+                raise ConfigError(key, f"is not read by {self.command}")
+        if self._args.seed is not None and "seed" not in self.__dict__:
+            raise ConfigError("seed", f"--seed seeds a random draw, but {self.command} makes "
+                                      "none here")
 
     def pinned(self, key):
         """Whether the config sets a key that would otherwise be derived."""
@@ -609,26 +626,18 @@ def _cross_checks(r, n):
 
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output.  Before it writes
-    anything it rejects every config key the run never read (a config's
-    `seed` excepted: the README lets a well-formed one stand where nothing
-    is drawn), --seed where the run drew nothing at random and --out where
+    anything it rejects what `Resolver.reject_unread` rejects (the only
+    check of posterior and threshold, which run no driver) and --out where
     there is no CSV.  Then it writes `columns` as the CSV at `out` and
     prints the report.  A cross-check of tau, p0 or p1 joins the body's
     `cross_check` block, or starts one, except in cost-scaling, whose rows
     carry their own.  A reader that closed stdout early is not an error:
     the rest of the output is dropped."""
-    out = r.out  # resolved even where no CSV is written, so a bad `out` still fails
-    for key in r._config:
-        if key == "seed" and key not in r.__dict__:
-            Resolver.seed.func(r)  # checked, not cached: `resolved.seed` stays null
-        elif key not in r.__dict__:
-            raise ConfigError(key, f"is not read by {r.command}")
-    if r._args.seed is not None and "seed" not in r.__dict__:
-        raise ConfigError("seed", f"--seed seeds a random draw, but {r.command} makes none here")
+    r.reject_unread()
     if columns is None and r._args.out is not None:
         raise ConfigError("out", f"--out names a CSV, but {r.command} writes none")
     if columns is not None:
-        write_csv(out, columns)
+        write_csv(r.out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
     if r.cross_check and r.command != "cost-scaling":
         report["cross_check"] = {**report.get("cross_check", {}), **_cross_checks(r, r.n)}
@@ -648,7 +657,9 @@ def _emit(r, body, columns=None, **used):
 
 
 def _cmd_run(r):
-    recs = simulate_survey(r.prior, r._mechanism, r.strategy, r.trials, derive_seed(r.seed, 2000))
+    inputs = (r.prior, r._mechanism, r.strategy, r.trials, derive_seed(r.seed, 2000))
+    r.reject_unread()
+    recs = simulate_survey(*inputs)
     base = recs.base
     _emit(r, {
         "trials": r.trials,
@@ -703,19 +714,20 @@ def _cmd_audit_dp(r):
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
-    report = dp_audit(observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon,
-                      r.trials, r.bins, derive_seed(r.seed, 3000))
+    inputs = (observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials,
+              r.bins, derive_seed(r.seed, 3000))
+    r.reject_unread()
+    report = dp_audit(*inputs)
     _emit(r, report.to_dict(), report.table)
     return EXIT_BY_VERDICT[report.verdict]
 
 
 def _cmd_audit_equilibrium(r):
-    report = best_response_audit(
-        r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
-        beta_override=r.beta if r.pinned("beta") else None,
-        off=r.off,
-        derive=r.driver_parameters,
-    )
+    inputs = (r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
+              r.beta if r.pinned("beta") else None, r.off)
+    parameters = r.driver_parameters(r.n, r.epsilon)
+    r.reject_unread()
+    report = best_response_audit(*inputs, derive=lambda n, epsilon: parameters)
     keys = ("mean_payment", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[action][key] for key in keys))
             for bit, stats in report.per_bit.items() for action in ACTIONS]
@@ -725,17 +737,20 @@ def _cmd_audit_equilibrium(r):
 
 
 def _cmd_accuracy(r):
-    report = accuracy_experiment(
-        r.prior, r.n, r.alpha, r.delta, r.epsilon, r.strategy, r.trials,
-        derive_seed(r.seed, 2000), alpha_prime=r.alpha_prime,
-    )
+    inputs = (r.prior, r.n, r.alpha, r.delta, r.epsilon, r.strategy, r.trials,
+              derive_seed(r.seed, 2000), r.alpha_prime)
+    r.reject_unread()
+    report = accuracy_experiment(*inputs)
     _emit(r, report.to_dict(), report.table)
     return EXIT_BY_VERDICT[report.verdict]
 
 
 def _cmd_cost_scaling(r):
-    report = cost_scaling_experiment(r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed,
-                                     derive=r.driver_parameters)
+    inputs = (r.prior, r.alpha, r.delta, r.ns, r.trials, r.seed)
+    # Every row's parameters first: a config error at any n stops the run.
+    parameters = {n: r.driver_parameters(n, epsilon_rule(r.alpha, r.delta, n)) for n in r.ns}
+    r.reject_unread()
+    report = cost_scaling_experiment(*inputs, derive=lambda n, epsilon: parameters[n])
     parts = [
         {
             "n": np.full(row.records.base.trials, row.n),

@@ -12,6 +12,7 @@ the exact tau; the p0/p1 cross-check is `agents.peer_estimate_mc` under
 truthful peers.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -530,14 +531,9 @@ def cost_threshold_parts(prior, alpha, delta, n):
     if not reached(grid_max):
         tau_group = search_top
     else:
-        lo, hi = -1, grid_hi  # grid index of the smallest passing tau
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if reached(mid / per_unit):
-                hi = mid
-            else:
-                lo = mid
-        tau_group = hi / per_unit
+        # The least passing grid index; grid_hi, which passes, is never probed.
+        tau_group = bisect.bisect_left(range(grid_hi), True,
+                                       key=lambda k: reached(k / per_unit)) / per_unit
 
     return max(tau_group, tau_marginal), tau_group, tau_marginal
 

@@ -4,8 +4,8 @@ The mechanism protects participants by adding a single Laplace draw of scale
 1/epsilon to the report sum (sensitivity 1) and publishing only clamped
 functions of the noisy sum.  An audited output is monotone in the noisy sum,
 so each neighbor's histogram bin is a step function of the noise:
-`dp_audit` finds the noise values at which it changes (`bin_index` gives a
-value's bin by numpy's own equal-width histogram rule), takes each bin's
+`dp_audit` finds the noise values at which it changes (`bin_index`, a
+searchsorted in the edges, keeps numpy's histogram rule), takes each bin's
 exact Laplace mass between them (`laplace_log_mass`) and decides the privacy
 claim from the largest log mass ratio of the two neighbors.  As a
 cross-check it also histograms `trials` sampled draws: the uniforms
@@ -132,26 +132,14 @@ def noise_draw(noise, rng, size=None):
 
 
 def bin_index(values, edges):
-    """Bin of each value among the equal-width bins `edges` over [0, 1].
-
-    numpy's histogram rule over edges.size - 1 bins with range (0, 1):
-    value v goes to bin floor(v * bins), capped at the last, and one step
-    down or up moves it to the bin whose edges hold it when rounding put it
-    next door.  Only the last bin includes its right edge.  A value below 0
-    gets -1 and one above 1, or NaN, gets `bins`: numpy's histogram drops
-    them, and the index stays monotone in the value.
+    """Bin of each value among the equal-width bins `edges` over [0, 1], by
+    numpy's histogram rule: bin k holds edges[k] <= v < edges[k + 1], and
+    the last bin also holds 1, the last edge.  A value below 0 gets -1 and
+    one above 1, or NaN (np.searchsorted sorts it last), gets `bins`:
+    np.histogram drops them, and the index stays monotone in the value.
     """
-    bins = edges.size - 1
-    below = values < 0.0
-    inside = (values <= 1.0) & ~below
-    v = np.where(inside, values, 0.0)
-    k = (v * bins).astype(np.intp)
-    np.minimum(k, bins - 1, out=k)
-    k -= v < edges.take(k)
-    k += (v >= edges.take(k + 1)) & (k != bins - 1)
-    k[~inside] = bins
-    k[below] = -1
-    return k
+    return np.where(values == edges[-1], edges.size - 2,
+                    np.searchsorted(edges, values, side="right") - 1)
 
 
 def _key(x):
@@ -318,9 +306,9 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     observable : mechanism.Observable
         Both neighbors histogram `of_b_bar(reports, sum(reports) + x)` for
         the same noise x, a value in [0, 1] that must be monotone in b_bar.
-        Each neighbor's bin, by `bin_index` on the one edge table that also
-        gives the report's bin_lo and bin_hi columns, is then a step
-        function of x, constant between the cut points that one
+        Each neighbor's bin, a searchsorted (`bin_index`) in the one edge
+        table that also gives the report's bin_lo and bin_hi columns, is
+        then a step function of x, constant between the cut points that one
         `cut_points` search finds over the whole float line, and a bin's
         exact mass is the Laplace mass of its cells (`laplace_log_mass`).
         Noise "disabled" draws only x = 0, so the search spans [0, 0] and

@@ -405,6 +405,26 @@ class TestResolver:
         assert captured.err.startswith(f"config error: config key '{key}': is not read by "
                                        f"{command}")
 
+    @pytest.mark.parametrize("command, driver, key", [
+        ("run", "simulate_survey", "ones"),
+        ("audit-dp", "dp_audit", "prior"),
+        ("audit-equilibrium", "best_response_audit", "ones"),
+        ("accuracy", "accuracy_experiment", "ones"),
+        ("cost-scaling", "cost_scaling_experiment", "ones"),
+    ])
+    def test_key_the_command_never_reads_stops_it_before_its_driver(
+            self, tmp_path, capsys, monkeypatch, command, driver, key):
+        def never_called(*args, **kwargs):
+            raise AssertionError(f"{driver} ran")
+
+        monkeypatch.setattr(cli, driver, never_called)
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: WELL_TYPED[key]}))
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config key '{key}': is not read by "
+                                       f"{command}")
+
     @pytest.mark.parametrize("command", list(BASE_CONFIGS))
     def test_derive_values_mean_a_missing_key(self, tmp_path, capsys, command):
         base = BASE_CONFIGS[command]

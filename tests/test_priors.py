@@ -492,6 +492,21 @@ class TestCostThreshold:
 
         assert group_prob(tau) >= 1 - delta > group_prob(tau - COST_GRID)
 
+    @pytest.mark.parametrize("mixing, cost1", [
+        ({"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},
+         {"kind": "uniform", "lo": 0.0, "hi": 0.1}),
+        ({"kind": "beta", "a": 2.0, "b": 5.0}, {"kind": "exponential", "rate": 100.0}),
+        ({"kind": "beta", "a": 1.0, "b": 1.0}, {"kind": "uniform", "lo": 0.0, "hi": 0.05}),
+    ], ids=["atoms", "beta_quadrature", "equal_costs"])
+    def test_grid_search_matches_a_linear_scan(self, mixing, cost1):
+        # Small cost laws keep the scan short: the bisection must land on
+        # the least grid point k / 10**4 whose chance reaches 1 - delta.
+        prior = _prior(mixing, cost0={"kind": "uniform", "lo": 0.0, "hi": 0.05}, cost1=cost1)
+        n, alpha, delta = 40, 0.1, 0.1
+        need = math.ceil((1 - alpha) * n)
+        k = next(k for k in range(10_000) if _group_prob(prior, n, need, k / 10_000) >= 1 - delta)
+        assert cost_threshold_parts(prior, alpha, delta, n)[1] == k / 10_000
+
     @pytest.mark.parametrize("mixing", [
         {"kind": "beta", "a": 0.5, "b": 0.5},
         {"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},

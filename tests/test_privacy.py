@@ -150,7 +150,7 @@ def index_counts(values, bins):
 
 
 class TestBinIndex:
-    BINS = (2, 3, 7, 20, 49, 1000)
+    BINS = (2, 3, 7, 20, 49, 1000, 20_000)
 
     @pytest.mark.parametrize("bins", BINS)
     def test_matches_np_histogram_at_and_around_every_edge(self, bins):
