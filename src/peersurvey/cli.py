@@ -627,15 +627,16 @@ def _cross_checks(r, n):
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output.  Before it writes
     anything it rejects what `Resolver.reject_unread` rejects (the only
-    check of posterior and threshold, which run no driver) and --out where
-    there is no CSV.  Then it writes `columns` as the CSV at `out` and
-    prints the report.  A cross-check of tau, p0 or p1 joins the body's
-    `cross_check` block, or starts one, except in cost-scaling, whose rows
-    carry their own.  A reader that closed stdout early is not an error:
-    the rest of the output is dropped."""
+    check of posterior and threshold, which run no driver) and an `out`,
+    from --out or the config, where there is no CSV.  Then it writes
+    `columns` as the CSV at `out` and prints the report.  A cross-check of
+    tau, p0 or p1 joins the body's `cross_check` block, or starts one,
+    except in cost-scaling, whose rows carry their own.  A reader that
+    closed stdout early is not an error: the rest of the output is
+    dropped."""
     r.reject_unread()
-    if columns is None and r._args.out is not None:
-        raise ConfigError("out", f"--out names a CSV, but {r.command} writes none")
+    if columns is None and r.out is not None:
+        raise ConfigError("out", f"names a CSV, but {r.command} writes none")
     if columns is not None:
         write_csv(r.out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}

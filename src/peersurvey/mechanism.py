@@ -1,15 +1,16 @@
 """The private survey mechanism, written as functions of the noisy sum b_bar.
 
-A round adds one Laplace(1/epsilon) draw to the number of one-reports,
-giving b_bar.  Everything the mechanism publishes is a function of b_bar:
-the estimate `published_estimate(n, b_bar)`, and for each participant an
-unclamped rescaled quadratic score of their leave-one-out estimate
-`peer_estimate(n, b_bar, own)` against the posterior prediction matching
-their report: `payment` for one contribution, `payment_pair` for both.
-The payment is affine in the leave-one-out estimate.  Abstainers contribute
-zero and are paid zero.  Every consumer in the package computes these
-quantities through the functions here; the privacy audit watches them as an
-`Observable`, the noise plus a function of b_bar.
+A round adds one Laplace(1/epsilon) draw, rounded to an integer, to the
+number of one-reports, giving b_bar.  Everything the mechanism publishes
+is a function of b_bar: the estimate `published_estimate(n, b_bar)`, and
+for each participant an unclamped rescaled quadratic score of their
+leave-one-out estimate `peer_estimate(n, b_bar, own)` against the
+posterior prediction matching their report: `payment` for one
+contribution, `payment_pair` for both.  The payment is affine in the
+leave-one-out estimate.  Abstainers contribute zero and are paid zero.
+Every consumer in the package computes these quantities through the
+functions here; the privacy audit watches them as an `Observable`, the
+noise plus a function of b_bar.
 """
 
 from collections.abc import Callable
@@ -94,13 +95,11 @@ class Observable:
     """What a privacy audit watches: the noise added to the report sum, and
     the map of_b_bar(reports, b_bar) -> values in [0, 1] from a report
     vector and its noisy sum b_bar to the published value.  An observable
-    draws no noise.  The map works elementwise and is monotone in b_bar,
-    rising or falling, as computed in float64: privacy.dp_audit takes each
-    bin's exact noise mass between the noise values at which the bin
-    changes, and for its cross-check counts sampled noise draws, shared by
-    both neighbours, into the cells between those noise values: one
-    multinomial draw, with each cell's share of the uniforms that
-    rng.random() returns."""
+    draws no noise.  The map works elementwise and reads b_bar only through
+    clip(b_bar, 0, n), n = len(reports): the noise is an integer, so
+    privacy.dp_audit reads it at b_bar = 0..n, where each integer's mass
+    is exact, and checks that it is the same at -1 as at 0 and at n + 1 as
+    at n."""
 
     noise: NoiseSpec
     of_b_bar: Callable
@@ -120,8 +119,9 @@ def payment_observable(config, j):
     2 rho (p1 - p0) for a one-report and 2 rho (p0 - p1) for a
     zero-report, never 0.  Rescaled by its values at estimates 0 and 1, it
     is that estimate where it rises with it and 1 - estimate where it
-    falls.  Subtraction, division, clipping and 1 - e are each correctly
-    rounded and monotone, so the map is monotone in b_bar in float64 too.
+    falls.  The estimate clips (b_bar - own) / (n - 1) with own in {0, 1},
+    so it is 0 at b_bar <= 0 and 1 at b_bar >= n: it reads b_bar only
+    through clip(b_bar, 0, n).
     """
     if not 0 <= j < config.n:
         raise ValueError(f"agent index must lie in [0, {config.n}), got {j}")

@@ -369,16 +369,22 @@ def clamped_mean(prior, bit, n, scale, g=(0.0, 1.0)):
     Computes E[clip((K + X) / m, 0, 1)], m = n - 1, where K counts the
     one-reports of the m peers given one's own bit, each peer reporting 1
     with probability (1 - theta) g[0] + theta g[1] (see `_peer_count_pmf`),
-    and X is Laplace noise of scale s; s = 0 means no noise.  For each k,
-    E[clip(k + X, 0, m)] = k + (s/2)(e^{-k/s} - e^{-(m-k)/s}): the two terms
-    are the noise mass clipped at 0 and at m.
+    and X is Laplace noise of scale s rounded to an integer, as
+    `privacy.NoiseSpec` draws it; s = 0 means no noise.  X = z with chance
+    e^{-|z|/s} sinh(1/(2s)) for z != 0, so for each k
+    E[clip(k + X, 0, m)] = k + c (e^{-k/s} - e^{-(m-k)/s}) with
+    c = 1 / (4 sinh(1/(2s))) = e^{-h} / (2 (1 - e^{-2h})), h = 1/(2s): the
+    two terms are the noise mass clipped at 0 and at m, summed as
+    geometric series.
     """
     if bit not in (0, 1) or n < 2 or not scale >= 0.0:
         raise ValueError(f"need bit 0 or 1, n >= 2 and scale >= 0, got {bit}, {n}, {scale}")
     m = n - 1
     sums = np.arange(m + 1, dtype=np.float64)
     if scale > 0.0:
-        sums += 0.5 * scale * (np.expm1(-sums / scale) - np.expm1(-(m - sums) / scale))
+        h = 0.5 / scale
+        sums += -0.5 * math.exp(-h) / math.expm1(-2.0 * h) * (
+            np.expm1(-sums / scale) - np.expm1(-(m - sums) / scale))
     pmf = _peer_count_pmf(prior, bit, m, g)
     total = sum(float(pmf[lo:lo + DOT_BLOCK] @ sums[lo:lo + DOT_BLOCK])
                 for lo in range(0, m + 1, DOT_BLOCK))

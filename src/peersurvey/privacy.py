@@ -1,18 +1,21 @@
 """Laplace perturbation of the report sum and the privacy audit.
 
 The mechanism protects participants by adding a single Laplace draw of scale
-1/epsilon to the report sum (sensitivity 1) and publishing only clamped
-functions of the noisy sum.  An audited output is monotone in the noisy sum,
-so each neighbor's histogram bin is a step function of the noise:
-`dp_audit` finds the noise values at which it changes (`bin_index`, a
-searchsorted in the edges, keeps numpy's histogram rule), takes each bin's
-exact Laplace mass between them (`laplace_log_mass`) and decides the privacy
-claim from the largest log mass ratio of the two neighbors.  As a
-cross-check it also histograms `trials` sampled draws: the uniforms
-rng.random() returns whose noise falls between consecutive cut points form
-a run of the 2**53-point grid (`uniform_thresholds`), so the counts of
-those cells are one multinomial draw, which it maps to both neighbors' bins
-and compares with the exact masses.
+1/epsilon, rounded to an integer, to the report sum (sensitivity 1) and
+publishing only functions of the noisy sum b_bar.  Rounding is
+post-processing of the Laplace draw, so the mechanism stays epsilon-DP, and
+b_bar lies on the integer grid, where both neighbors can produce every
+output the other can.  An audited output reads b_bar only through
+clip(b_bar, 0, n), so `dp_audit` reads it at b_bar = 0..n: each integer's
+exact mass is the Laplace mass of its cell [z - 1/2, z + 1/2)
+(`laplace_log_mass`), each bin's mass (`bin_index`, a searchsorted in the
+edges, keeps numpy's histogram rule) the sum over its integers, and the
+privacy claim is decided from the largest log mass ratio of the two
+neighbors.  As a cross-check it also histograms `trials` sampled draws: the
+uniforms rng.random() returns whose noise rounds to one integer form a run
+of the 2**53-point grid (`uniform_thresholds`), so the counts of those
+cells are one multinomial draw, which it maps to both neighbors' bins and
+compares with the exact masses.
 """
 
 from dataclasses import dataclass, field
@@ -30,14 +33,12 @@ FAIL = "Fail"
 # compares; an audit needs at least this many trials per bin.
 DEFAULT_BIN_FLOOR = 50.0
 # How far the exact max log ratio may exceed the claimed epsilon before the
-# audit fails: room for rounding in the cut points and the masses.
+# audit fails: room for rounding in the masses.
 AUDIT_SLACK = 1e-9
 
 # The fewest trials `dp_audit` accepts.
 AUDIT_MIN_TRIALS = 100_000
 
-_MAX = np.finfo(np.float64).max
-_SIGN_BIT = np.int64(-1 << 63)
 # rng.random() returns k * 2**-53 for an integer k in [0, 2**53).
 _GRID = 1 << 53
 
@@ -46,8 +47,10 @@ _GRID = 1 << 53
 class NoiseSpec:
     """Noise configuration: epsilon > 0 and a sampling mode.
 
-    Mode "disabled" replaces the draw with exactly zero; it exists for
-    deterministic tests and is never the default.
+    Mode "sample" draws Laplace(1/epsilon) and rounds it to an integer, so
+    b_bar = ones + noise is an integer.  Mode "disabled" replaces the draw
+    with exactly zero; it exists for deterministic tests and is never the
+    default.
     """
 
     epsilon: float
@@ -65,10 +68,12 @@ class NoiseSpec:
 
     def from_uniform(self, u):
         """The noise at uniforms u in [0, 1): zeros in mode "disabled", else
-        Laplace(1/epsilon); `noise_draw` and `dp_audit` both draw through it."""
+        the Laplace(1/epsilon) inverse CDF rounded half to even (np.rint, in
+        place); `noise_draw` and `dp_audit` both draw through it."""
         if self.mode == "disabled":
             return np.zeros(np.shape(u))
-        return _laplace_of_uniform(u, self.scale)
+        x = _laplace_of_uniform(u, self.scale)
+        return np.rint(x, out=x) if isinstance(x, np.ndarray) else float(np.rint(x))
 
 
 def laplace_inverse_cdf(u, scale):
@@ -142,64 +147,26 @@ def bin_index(values, edges):
                     np.searchsorted(edges, values, side="right") - 1)
 
 
-def _key(x):
-    """The int64 key of the float64 x: see `_unkey`."""
-    bits = np.float64(x).view(np.int64)
-    return bits if bits >= 0 else -(bits ^ _SIGN_BIT)
-
-
-def _unkey(key):
-    """The float64 of each int64 key: a key k >= 0 is the bits of the float
-    k, a key k < 0 those of -float(-k), so keys and floats share one order."""
-    return np.where(key < 0, -key | _SIGN_BIT, key).view(np.float64)
-
-
-def _bisect(reached, a, b):
-    """Each entry's least int64 key in (a, b] at which `reached`, monotone
-    in the key, holds, given it is false at a and true at b: at most 64
-    steps, each calling `reached` on every entry, at its a once converged.
-    """
-    # b - a can overflow int64, so the loop compares b with a + 1, and the
-    # midpoint halves each end before adding.
-    while np.any(b > a + 1):
-        mid = (a >> 1) + (b >> 1) + (a & b & 1)
-        hit = reached(mid)
-        b = np.where(hit, mid, b)
-        a = np.where(hit, a, mid)
-    return b
-
-
-def cut_points(f, lo, hi):
-    """Sorted x in (lo, hi] at which the monotone step function f of a
-    float64 x changes.
-
-    For each value f takes past f(lo) up to f(hi), the smallest x in
-    (lo, hi] at which f reaches it, found for all values at once by
-    bisecting the floats' int64 keys: at most 64 steps.  f may rise or
-    fall; a constant f has no cut points.  If f is monotone, it is constant
-    from lo up to the first cut point and between consecutive ones.
-    """
-    ends = f(np.array([lo, hi]))
-    sign = int(np.sign(ends[1] - ends[0]))
-    if sign == 0:
-        return np.empty(0)
-    targets = sign * np.arange(ends[0] + sign, ends[1] + sign, sign)
-    keys = _bisect(lambda key: sign * f(_unkey(key)) >= targets,
-                   np.full(targets.size, _key(lo)), np.full(targets.size, _key(hi)))
-    return np.unique(_unkey(keys))
-
-
 def uniform_thresholds(noise, cuts):
     """For each noise value in `cuts`, the least k in [0, 2**53] with
     noise.from_uniform(k 2**-53) >= cut.
 
     rng.random() returns k 2**-53 for k in [0, 2**53), each with chance
     2**-53, and from_uniform is monotone: the draws at or past a cut are
-    those with k at or past its threshold.  k = -1, where the bisection
-    starts, never counts as reached: from_uniform would raise its uniform.
+    those with k at or past its threshold.  A cut that the least uniform's
+    noise reaches gets 0 and one that the largest's falls short of gets
+    2**53; the others are bisected together, at most 54 steps, each
+    mapping only the entries not yet converged.
     """
-    return _bisect(lambda k: (k >= 0) & (noise.from_uniform(k / _GRID) >= cuts),
-                   np.full(cuts.size, -1), np.full(cuts.size, _GRID))
+    least, largest = noise.from_uniform(np.array([0.0, (_GRID - 1) / _GRID]))
+    lo, hi = np.full(cuts.size, -1), np.where(cuts <= least, 0, _GRID)
+    open_ = np.flatnonzero((cuts > least) & (cuts <= largest))
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) >> 1
+        hit = noise.from_uniform(mid / _GRID) >= cuts[open_]
+        hi[open_[hit]], lo[open_[~hit]] = mid[hit], mid[~hit]
+        open_ = open_[hi[open_] > lo[open_] + 1]
+    return hi
 
 
 def max_audit_bins(trials):
@@ -240,62 +207,6 @@ class DpAuditReport:
         return {**report_dict(self), "verdict": self.verdict}
 
 
-def _bin_of_noise(observable, reports, edges):
-    """The bin of the observable on `reports` as a function of the noise x."""
-    total = int(reports.sum())
-    return lambda x: bin_index(observable.of_b_bar(reports, total + x), edges)
-
-
-def _log_masses(bin_of, lo, cuts, noise, bins):
-    """Each bin's exact log mass under the noise, -inf where it has none.
-
-    bin_of is a monotone step function of the noise x, constant from `lo`,
-    the least noise drawn, up to the first of its `cuts` and between
-    consecutive ones; each cell adds its Laplace mass to its bin.  Noise
-    "disabled" draws only x = 0: lo is 0 and there are no cuts, so one cell
-    holds the whole line, whose log mass 0 is the point mass at 0.
-    """
-    cell_mass = laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale)
-    cell_bin = bin_of(np.append(lo, cuts))
-    inside = (cell_bin >= 0) & (cell_bin < bins)
-    log_mass = np.full(bins, -np.inf)
-    np.logaddexp.at(log_mass, cell_bin[inside], cell_mass[inside])
-    return log_mass
-
-
-def _counts_by_cell(sides, lo, cuts, noise, trials, seed, bins):
-    """Each side's bin counts of `trials` draws of the noise.
-
-    The cells between both sides' sorted noise cut points `cuts`, from
-    `lo`, the least noise drawn, hold the runs of uniforms between
-    consecutive `uniform_thresholds`.  One multinomial draw from
-    subseed_rng(seed, 0) with those shares of the 2**53 uniforms counts the
-    cells, as counting one uniform per trial would, and each count goes, in
-    int64, to the bin each side gives its cell's left end.  Where a side's
-    bin differs from its cell's just below a cut or at a uniform j 2**-14,
-    ValueError; a non-monotone observable whose bins differ only between
-    those points is counted wrongly without one.
-    """
-    thresholds = uniform_thresholds(noise, cuts)
-    bin_of_cell = [f(np.append(lo, cuts)) for f in sides]
-
-    def check(x, cell):
-        for f, bin_of in zip(sides, bin_of_cell):
-            if np.any(f(x) != bin_of.take(cell)):
-                raise ValueError("the observable is not monotone in b_bar: its bins do not "
-                                 "follow its cut points")
-
-    check(np.nextafter(cuts, -np.inf), np.arange(cuts.size))
-    k = np.arange(0, _GRID, _GRID >> 14)
-    check(noise.from_uniform(k / _GRID), np.searchsorted(thresholds, k, "right"))
-    shares = np.diff(thresholds, prepend=0, append=_GRID) / _GRID
-    cells = subseed_rng(seed, 0).multinomial(trials, shares)
-    counts = np.zeros((len(sides), bins + 2), dtype=np.int64)
-    for count, bin_of in zip(counts, bin_of_cell):
-        np.add.at(count, bin_of + 1, cells)
-    return counts[:, 1:-1]
-
-
 def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins, seed):
     """Decide whether `observable` is epsilon_claimed-DP on two neighboring
     report vectors from each bin's exact mass, and histogram sampled draws
@@ -304,16 +215,19 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     Parameters
     ----------
     observable : mechanism.Observable
-        Both neighbors histogram `of_b_bar(reports, sum(reports) + x)` for
-        the same noise x, a value in [0, 1] that must be monotone in b_bar.
-        Each neighbor's bin, a searchsorted (`bin_index`) in the one edge
-        table that also gives the report's bin_lo and bin_hi columns, is
-        then a step function of x, constant between the cut points that one
-        `cut_points` search finds over the whole float line, and a bin's
-        exact mass is the Laplace mass of its cells (`laplace_log_mass`).
-        Noise "disabled" draws only x = 0, so the search spans [0, 0] and
-        finds no cut point: each neighbor's bin at 0 holds mass 1.  The
-        verdict reads those masses only.
+        Both neighbors histogram `of_b_bar(reports, sum(reports) + r)` for
+        the same integer noise r.  The map must read b_bar only through
+        clip(b_bar, 0, n), n = len(reports): it is read at b_bar = -1..n + 1,
+        and where its value at -1 differs from that at 0, or at n + 1 from
+        that at n, ValueError.  Each neighbor's bin at b_bar = 0..n is a
+        searchsorted (`bin_index`) in the one edge table that also gives
+        the report's bin_lo and bin_hi columns.  The shared noise's cells
+        are the integers r from -max(sums) to n - min(sums), the two end
+        cells open: past them both neighbors' b_bar clip.  Cell r's exact
+        mass is the Laplace mass of [r - 1/2, r + 1/2) (`laplace_log_mass`),
+        and a bin's that of its cells.  Noise "disabled" draws only r = 0:
+        one cell, the whole line, of mass 1.  The verdict reads those
+        masses only.
     reports : sequence of 0/1 report bits.
     i, flipped_bit : the single index to flip and the bit it flips to,
         which must be 1 - reports[i].
@@ -321,15 +235,12 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
     trials, bins, seed : the cross-check's sample size, the equal-width bin
         count over [0, 1], at most trials / DEFAULT_BIN_FLOOR, and its
         seed.  The counts have the law of drawing one uniform u per trial
-        with rng.random() and x = noise.from_uniform(u), but no uniform is
-        drawn: the cells between both neighbors' cut points each hold a
-        run of the 2**53 uniforms (`uniform_thresholds`), and their counts
-        are one multinomial draw from subseed_rng(seed, 0).  Each cell's
-        count goes to the bin each neighbor gives its left end: the counts
-        of the values per trial, less those outside [0, 1].  Checked just
-        below each cut point and at the 2**14 uniforms j 2**-14, a bin
-        that disagrees raises ValueError; a non-monotone observable can be
-        miscounted, and its masses miscomputed, without an error.
+        with rng.random() and r = noise.from_uniform(u), but no uniform is
+        drawn: each noise cell holds a run of the 2**53 uniforms
+        (`uniform_thresholds`), and the cells' counts are one multinomial
+        draw from subseed_rng(seed, 0).  Each cell's count goes to the bin
+        each neighbor gives it: the counts of the values per trial, less
+        those outside [0, 1].
     """
     reports = np.asarray(reports, dtype=np.int64)
     if not np.all((reports == 0) | (reports == 1)):
@@ -350,14 +261,27 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
 
     neighbor = reports.copy()
     neighbor[i] = flipped_bit
+    n, noise = reports.size, observable.noise
     edges = np.linspace(0.0, 1.0, bins + 1)
-    noise = observable.noise
-    sides = [_bin_of_noise(observable, side, edges) for side in (reports, neighbor)]
-    lo, hi = (0.0, 0.0) if noise.mode == "disabled" else (-_MAX, _MAX)
-    cuts = [cut_points(f, lo, hi) for f in sides]
+    sums = (reports.sum(), neighbor.sum())
+    r = np.arange(-max(sums), n + 1 - min(sums)) if noise.mode == "sample" else np.zeros(1, int)
+    cuts = r[1:] - 0.5
+    log_cell = laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale)
+    shares = np.diff(uniform_thresholds(noise, r[1:]), prepend=0, append=_GRID) / _GRID
+    cells = subseed_rng(seed, 0).multinomial(trials, shares)
 
-    counts = _counts_by_cell(sides, lo, np.unique(np.concatenate(cuts)), noise, trials, seed, bins)
-    log_p = np.array([_log_masses(f, lo, c, noise, bins) for f, c in zip(sides, cuts)])
+    log_p = np.full((2, bins), -np.inf)
+    counts = np.zeros((2, bins + 2), dtype=np.int64)
+    for side, total, log_mass, count in zip((reports, neighbor), sums, log_p, counts):
+        values = observable.of_b_bar(side, np.arange(-1.0, n + 2.0))
+        if values[0] != values[1] or values[-1] != values[-2]:
+            raise ValueError("the observable must read b_bar only through clip(b_bar, 0, n)")
+        cell_bin = bin_index(values[1:-1], edges)[np.clip(total + r, 0, n)]
+        inside = (cell_bin >= 0) & (cell_bin < bins)
+        np.logaddexp.at(log_mass, cell_bin[inside], log_cell[inside])
+        # int64: float64 bincount weights would round counts past 2**53.
+        np.add.at(count, cell_bin + 1, cells)
+    counts = counts[:, 1:-1]
     with np.errstate(invalid="ignore"):  # -inf - -inf: no mass on either side
         log_ratio = log_p[0] - log_p[1]
     reached = np.isfinite(log_p).any(axis=0)

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import betaln
 from scipy.stats import binom
 
+from noise_oracle import clipped_sums
 from peersurvey._util import merge_moments
 from peersurvey.agents import (
     ABSTAIN,
@@ -284,16 +285,17 @@ class TestExpectedUtility:
     def test_matches_exact_payment(self, atom_prior, off, bit, action):
         # Oracle: K, the one-reports of the n - 1 threshold peers, is a
         # mixture over the atoms reweighted by the own bit of Bin(n - 1, g),
-        # where g is the chance that a peer reports 1.  The payment is
+        # where g is the chance that a peer reports 1, and each k's clipped
+        # mean sums over the rounded noise's law.  The payment is
         # affine in the leave-one-out estimate, so its mean is the payment
         # at the estimate's exact mean.
         n, eps, tau = 40, 0.5, 0.7
         p0, p1 = (posterior_clamped_mean(atom_prior, b, n, eps) for b in (0, 1))
         config = MechanismConfig(n=n, alpha=0.1, beta=1.0, epsilon=eps, p0=p0, p1=p1)
         f0, f1 = 0.7, 0.35  # costs U[0, 1] and U[0, 2] at tau
-        m, s = n - 1, 1.0 / eps
+        m = n - 1
         k = np.arange(m + 1)
-        clip_mean = (k + 0.5 * s * (np.exp(-k / s) - np.exp(-(m - k) / s))) / m
+        clip_mean = clipped_sums(m, 1.0 / eps) / m
         weights = np.array([0.2, 0.8]) if bit == 1 else np.array([0.8, 0.2])
         mean_estimate = 0.0
         for w, theta in zip(weights, (0.2, 0.8)):
@@ -342,7 +344,9 @@ def brute_force_peer_estimate(mixing, strategy, bit, n, noise):
     `scalar_report` says.  A cell vector with i ones weighs
     E[theta^i (1 - theta)^(m - i) | own bit] times its cost chances: for
     Beta mixing the moment B(a + i, b + m - i) / B(a, b) of the posterior
-    Beta, for atoms a sum over the reweighted atoms.
+    Beta, for atoms a sum over the reweighted atoms.  Each cell's k
+    one-reports give the clipped mean E[clip(k + R, 0, m)] of the rounded
+    noise R, a direct sum over its law (`noise_oracle.clipped_sums`).
     """
     m = n - 1
     tau = getattr(strategy, "tau", 0.7)
@@ -361,10 +365,9 @@ def brute_force_peer_estimate(mixing, strategy, bit, n, noise):
         post = [(w * (t if bit else 1.0 - t), t) for w, t in atoms]
         total = sum(w for w, _ in post)
         moment = sum(w / total * t**ones * (1.0 - t) ** (m - ones) for w, t in post)
-    k = reports[cells].sum(axis=1).astype(np.float64)
+    k = reports[cells].sum(axis=1)
     if noise.mode == "sample":
-        s = noise.scale
-        k = k + 0.5 * s * (np.exp(-k / s) - np.exp(-(m - k) / s))
+        k = clipped_sums(m, noise.scale)[k]
     return float((moment * cost_chance * k).sum() / m)
 
 

@@ -781,6 +781,18 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
+    def test_config_out_without_a_csv_is_rejected(self, tmp_path, capsys, command):
+        # A config serves one command, so an `out` that names a CSV the
+        # command never writes is a stray key, as --out is.
+        out = tmp_path / "records.csv"
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], out=str(out)))
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config key 'out'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
     def test_seed_flag_without_a_draw_is_rejected(self, tmp_path, capsys, command):
         # Without a cross-check key, posterior and threshold draw nothing at random.
         payload = {key: value for key, value in BASE_CONFIGS[command].items()

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import betaln, roots_jacobi
 
+from noise_oracle import clipped_sums, rounded_laplace_pmf
 from peersurvey.agents import AlwaysTruth, peer_estimate_mc
 from peersurvey.priors import (
     COST_GRID,
@@ -657,10 +658,8 @@ PEER_COUNTS = [1, 199, 4999, 49999]
 
 
 def _clipped_means(m, eps):
-    """E[clip((k + X) / m, 0, 1)] for k = 0..m, X ~ Laplace(1 / eps)."""
-    k = np.arange(m + 1, dtype=np.float64)
-    s = 1.0 / eps
-    return (k + 0.5 * s * (np.expm1(-k / s) - np.expm1(-(m - k) / s))) / m
+    """E[clip((k + R) / m, 0, 1)] for k = 0..m, R ~ Laplace(1 / eps) rounded."""
+    return clipped_sums(m, 1.0 / eps) / m
 
 
 class TestPeerCountLaw:
@@ -806,25 +805,29 @@ def _equal_cost_prior(cost_spec):
 
 
 def _clamped_mean_oracle(a, b, bit, n, eps):
+    """Sum over k of the beta-binomial P(K = k | own bit) (scipy.stats)
+    times E[clip((k + R) / m, 0, 1)], summed term by term over the integers
+    z the rounded noise R takes, out to 60 scales past [-m, m]; the mass
+    past either end counts as its clip does, m above and 0 below."""
     m = n - 1
     aa = a + (1 if bit == 1 else 0)
     bb = b + (1 if bit == 0 else 0)
     scale = 1.0 / eps
+    reach = m + int(60 * scale)
+    z = np.arange(-reach, reach + 1)
+    pmf = rounded_laplace_pmf(z, scale)
+    above = stats.laplace.sf(reach + 0.5, scale=scale)
     total = 0.0
     for k in range(m + 1):
         w = stats.betabinom.pmf(k, m, aa, bb)
-        upper = stats.laplace.sf(m - k, scale=scale)
-        integral, _ = stats.laplace.expect(
-            lambda x: (k + x) / m, scale=scale, lb=-k, ub=m - k
-        ), None
-        total += w * (upper + integral)
+        total += w * (np.clip(k + z, 0, m) @ pmf + m * above) / m
     return total
 
 
 def _binomial_sum_oracle(mixing, bit, n, eps):
-    """Sum over k of P(K = k | own bit) times E[clip((k + X) / m, 0, 1)], in
-    plain floats: beta-binomial or binomial-mixture weights from lgamma, and
-    the clipped Laplace mean k + (s/2)(e^{-k/s} - e^{-(m-k)/s})."""
+    """Sum over k of P(K = k | own bit) times E[clip((k + R) / m, 0, 1)]:
+    beta-binomial or binomial-mixture weights from lgamma in plain floats,
+    and the rounded noise R's clipped means from `noise_oracle.clipped_sums`."""
     m = n - 1
 
     def log_choose(k):
@@ -846,8 +849,4 @@ def _binomial_sum_oracle(mixing, bit, n, eps):
         post = [(w * (t if bit else 1.0 - t), t) for w, t in atoms]
         total = sum(w for w, _ in post)
         weights = [sum(w / total * binomial_pmf(k, t) for w, t in post) for k in range(m + 1)]
-    s = 1.0 / eps
-    total = 0.0
-    for k, w in enumerate(weights):
-        total += w * (k + 0.5 * s * (math.exp(-k / s) - math.exp(-(m - k) / s))) / m
-    return total
+    return math.fsum(w * c / m for w, c in zip(weights, clipped_sums(m, 1.0 / eps)))

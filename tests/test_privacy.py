@@ -13,6 +13,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
+from noise_oracle import rounded_laplace_pmf
 from peersurvey import privacy
 from peersurvey._util import subseed_rng
 from peersurvey.mechanism import (
@@ -28,7 +29,6 @@ from peersurvey.privacy import (
     DpAuditReport,
     NoiseSpec,
     bin_index,
-    cut_points,
     dp_audit,
     laplace_inverse_cdf,
     laplace_log_mass,
@@ -112,15 +112,19 @@ class TestNoiseSpec:
     @pytest.mark.parametrize("epsilon", [0.05, 0.5, 1.0 / 0.7])
     def test_draws_are_the_uniform_map_of_one_random_each(self, epsilon):
         # The sampler and the audit share one map from rng.random() to noise,
-        # u = 0 included, bit for bit.
+        # u = 0 included, bit for bit: the continuous Laplace draw rounded
+        # half to even.
         spec = NoiseSpec(epsilon=epsilon)
         u = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], np.random.default_rng(1).random(1000)])
         noise = spec.from_uniform(u)
-        assert np.all(np.isfinite(noise))
-        for draw in (noise_draw(spec, np.random.default_rng(1), 1000),
-                     laplace_sample(spec.scale, np.random.default_rng(1), 1000)):
+        assert np.all(np.isfinite(noise)) and np.all(noise == np.round(noise))
+        assert noise[1] == 0.0
+        continuous = laplace_sample(spec.scale, np.random.default_rng(1), 1000)
+        for draw in (noise_draw(spec, np.random.default_rng(1), 1000), np.rint(continuous)):
             assert draw.view(np.int64).tolist() == noise[3:].view(np.int64).tolist()
-        assert noise_draw(spec, np.random.default_rng(1)) == noise[3]
+        assert np.all(np.abs(noise[3:] - continuous) <= 0.5)
+        scalar = noise_draw(spec, np.random.default_rng(1))
+        assert type(scalar) is float and scalar == noise[3]
 
 
 def test_interval_mass_ratio_bounded_by_epsilon():
@@ -189,41 +193,6 @@ class TestBinIndex:
             assert index_counts(values, bins) == histogram_counts(values, bins)
 
 
-MAX = np.finfo(np.float64).max
-
-
-class TestCutPoints:
-    def test_rising_step_function(self):
-        # Steps at 0, 2.5 and 7; the step at 2.5 skips a value.
-        f = lambda x: (x >= 0.0).astype(np.intp) + 2 * (x >= 2.5) + (x >= 7.0)
-        assert cut_points(f, -MAX, MAX).tolist() == [0.0, 2.5, 7.0]
-
-    def test_falling_step_function_and_extreme_cuts(self):
-        tiny, big = 5e-324, np.finfo(np.float64).max
-        f = lambda x: 3 - (x >= -big / 2) - (x >= -tiny) - (x >= big)
-        assert cut_points(f, -big, big).tolist() == [-big / 2, -tiny, big]
-
-    def test_cuts_within_a_span(self):
-        # Only cuts in (lo, hi]: a cut at lo itself is not one.
-        f = lambda x: (x >= 0.0).astype(np.intp) + 2 * (x >= 2.5) + (x >= 7.0)
-        assert cut_points(f, -1.0, 7.0).tolist() == [0.0, 2.5, 7.0]
-        assert cut_points(f, 0.0, 6.9).tolist() == [2.5]
-        assert cut_points(f, -0.0, 0.0).size == 0
-        assert cut_points(f, -5e-324, 2.5).tolist() == [0.0, 2.5]
-
-    def test_constant_function_has_none(self):
-        assert cut_points(lambda x: np.zeros(x.shape, dtype=np.intp), -MAX, MAX).size == 0
-
-    def test_estimate_bins_step_at_their_edges(self):
-        edges = np.linspace(0.0, 1.0, 21)
-        f = lambda x: bin_index(published_estimate(10, 5 + x), edges)
-        # The clipped estimate fills bin 0 below b_bar = 0.5 and bin 19 above 9.5.
-        cuts = cut_points(f, -MAX, MAX)
-        np.testing.assert_allclose(cuts, np.arange(0.5, 10.0, 0.5) - 5.0, atol=1e-12)
-        assert np.all(np.diff(f(cuts)) == 1)
-        assert np.all(f(np.nextafter(cuts, -np.inf)) == f(cuts) - 1)
-
-
 class TestDpAudit:
     def _reports(self, n=10, ones=5):
         return [1] * ones + [0] * (n - ones)
@@ -253,18 +222,18 @@ class TestDpAudit:
         assert report.verdict == "Pass"
         assert report.max_log_ratio == 0.0
 
-    def test_postprocessed_estimate_no_noisier_than_raw_sum(self):
-        # Clamping and rescaling are post-processing; the exact leakage of
-        # the estimate does not exceed that of the raw noisy sum.
+    def test_postprocessed_estimate_no_noisier_than_clamped_sum(self):
+        # Binning is post-processing; the exact leakage of the estimate's 20
+        # bins does not exceed that of the clamped noisy sum with each
+        # integer in a bin of its own.
         noise = NoiseSpec(epsilon=0.5)
         est_mech = estimate_observable(10, noise)
-
-        # b-bar in [-10, 20], rescaled into the audited range [0, 1].
-        bbar_mech = Observable(noise, lambda reports, b_bar: (b_bar + 10.0) / 30.0)
+        bbar_mech = Observable(noise, lambda reports, b_bar: np.clip(b_bar, 0.0, 10.0) / 10.0)
 
         reports = self._reports()
         est_audit = dp_audit(est_mech, reports, 0, 0, 0.5, 200_000, 20, seed=31)
-        raw_audit = dp_audit(bbar_mech, reports, 0, 0, 0.5, 200_000, 30, seed=31)
+        raw_audit = dp_audit(bbar_mech, reports, 0, 0, 0.5, 200_000, 100, seed=31)
+        assert np.sum(raw_audit.table["log_ratio"] != 0.0) == 11
         assert est_audit.max_log_ratio <= raw_audit.max_log_ratio + AUDIT_SLACK
 
     def test_deterministic_given_seed(self):
@@ -352,31 +321,58 @@ class TestDpAudit:
         assert report(math.inf).verdict == "Fail"
 
 
+
+
 GRID = 1 << 53  # rng.random() returns k / GRID for k in [0, GRID)
 # The chance of a normal variate at least 5 sigma off its mean, either way.
 FIVE_SIGMA = 2.0 * stats.norm.sf(5.0)
 
 
-def audit_cells(observable, reports, i, bins):
-    """dp_audit's two neighbors' bins as functions of the noise, the least
-    noise drawn and each neighbor's cut points, as it finds them."""
-    reports = np.asarray(reports, dtype=np.int64)
-    neighbor = reports.copy()
+def noise_cells(observable, reports, i):
+    """The integer noise r of each of dp_audit's cells, shared by both
+    neighbors: from -max(sums), whose cell also holds every r below it, to
+    n - min(sums), whose cell holds every r above.  Noise "disabled" has
+    the one cell r = 0."""
+    if observable.noise.mode == "disabled":
+        return np.zeros(1)
+    reports = np.asarray(reports)
+    sums = (reports.sum(), reports.sum() + 1 - 2 * reports[i])
+    return np.arange(-max(sums), reports.size + 1 - min(sums), dtype=np.float64)
+
+
+def cell_masses(noise, r):
+    """The Laplace mass of each cell [r - 1/2, r + 1/2), the end cells open."""
+    cuts = r[1:] - 0.5
+    return np.exp(laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf), noise.scale))
+
+
+def cell_shares(noise, r):
+    """Each cell's share of the GRID uniforms, from the thresholds of its
+    least noise."""
+    return np.diff(uniform_thresholds(noise, r[1:]), prepend=0, append=GRID) / GRID
+
+
+def brute_force_masses(observable, reports, bins):
+    """Each bin's exact mass, summed over b_bar = 0..n: the chance of
+    clip(sum(reports) + R, 0, n) = b_bar from scipy.stats' Laplace,
+    histogrammed by np.histogram at the observable's value there."""
+    reports = np.asarray(reports)
+    n, total = reports.size, reports.sum()
+    b_bar = np.arange(n + 1)
+    if observable.noise.mode == "disabled":
+        mass = (b_bar == total).astype(np.float64)
+    else:
+        law = stats.laplace(scale=observable.noise.scale)
+        mass = rounded_laplace_pmf(b_bar - total, observable.noise.scale)
+        mass[0], mass[-1] = law.cdf(0.5 - total), law.sf(n - total - 0.5)
+    values = observable.of_b_bar(reports, b_bar.astype(np.float64))
+    return np.histogram(values, bins, range=(0.0, 1.0), weights=mass)[0]
+
+
+def flip(reports, i):
+    neighbor = list(reports)
     neighbor[i] = 1 - neighbor[i]
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    sides = [privacy._bin_of_noise(observable, side, edges) for side in (reports, neighbor)]
-    lo, hi = (0.0, 0.0) if observable.noise.mode == "disabled" else (-MAX, MAX)
-    return sides, lo, [cut_points(f, lo, hi) for f in sides]
-
-
-def union_cuts(observable, reports, i, bins):
-    """The cut points of both neighbors, which bound the audit's cells."""
-    return np.unique(np.concatenate(audit_cells(observable, reports, i, bins)[2]))
-
-
-def cell_shares(noise, cuts):
-    """Each cell's share of the GRID uniforms, from the cuts' thresholds."""
-    return np.diff(uniform_thresholds(noise, cuts), prepend=0, append=GRID) / GRID
+    return neighbor
 
 
 class TestSharedNoiseDraw:
@@ -385,10 +381,9 @@ class TestSharedNoiseDraw:
     PAYMENTS = MechanismConfig(n=10, alpha=0.1, beta=1.0, epsilon=0.5, p0=1.0 / 3.0,
                                p1=2.0 / 3.0)
     # j = 0 is the flipped agent itself, whose own report differs between
-    # the neighbors.  raw_sum's values leave [0, 1] on either side.  20,000
-    # bins give about 30,000 cells.  At n = 1000, 10,000 bins give about
-    # 10,000, most of them past 73.4, the largest noise a uniform maps to,
-    # so that their share is 0.
+    # the neighbors.  raw_sum's values leave [0, 1] on either side.  At
+    # n = 1000 there are 1002 cells, most of them past 73.4, the largest
+    # noise a uniform maps to, so that their share is 0.
     SHAPES = pytest.mark.parametrize("kind, j", [
         ("estimate", None), ("payment", 3), ("payment", 0), ("disabled", None),
         ("bins_200", None), ("epsilon_0.05", None), ("n_50", None), ("raw_sum", None),
@@ -402,7 +397,9 @@ class TestSharedNoiseDraw:
         if kind == "payment":
             observable = payment_observable(self.PAYMENTS, j)
         elif kind == "raw_sum":
-            observable = Observable(noise, lambda reports, b_bar: (b_bar + 10.0) / 30.0)
+            # Clamp-invariant, with values from -0.21 at b_bar = 0 to 1.21 at 10.
+            observable = Observable(noise, lambda reports, b_bar: (
+                np.clip(b_bar, 0.0, 10.0) - 1.5) / 7.0)
         elif kind == "n_50":
             reports, i, bins, noise = [1] * 7 + [0] * 43, 10, 37, NoiseSpec(epsilon=1.3)
             observable = estimate_observable(50, noise)
@@ -419,37 +416,31 @@ class TestSharedNoiseDraw:
         # uniforms' spacing at either end.  Noise "disabled" has one cell,
         # the whole line.
         observable, reports, i, bins = self.shape(kind, j)
-        noise, cuts = observable.noise, union_cuts(observable, reports, i, bins)
-        mass = np.exp(laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf),
-                                       noise.scale))
-        shares = cell_shares(noise, cuts)
-        assert shares.size == cuts.size + 1
-        assert np.max(np.abs(shares - mass)) <= 2.0**-52
+        noise, r = observable.noise, noise_cells(observable, reports, i)
+        shares = cell_shares(noise, r)
+        assert shares.size == r.size
+        assert np.max(np.abs(shares - cell_masses(noise, r))) <= 2.0**-52
 
     def test_tail_cells_no_uniform_reaches_have_no_share(self):
         # At epsilon 5 the noise of the least uniform is about -141.5 and
-        # that of the largest about 36.7: the estimate's cut points past
-        # either get the threshold 0 or 2**53, and the cells between them
-        # a share of 0, though their mass is positive.
+        # that of the largest about 36.7: the cells past either get the
+        # threshold 0 or 2**53, and a share of 0, though their mass is
+        # positive.
         observable = estimate_observable(1000, NoiseSpec(epsilon=5.0))
-        reports = [1] * 500 + [0] * 500
-        noise, cuts = observable.noise, union_cuts(observable, reports, 0, 1000)
-        thresholds = uniform_thresholds(noise, cuts)
+        noise, r = observable.noise, noise_cells(observable, [1] * 500 + [0] * 500, 0)
+        thresholds = uniform_thresholds(noise, r[1:])
         assert np.sum(thresholds == 0) > 1 and np.sum(thresholds == GRID) > 1
-        mass = np.exp(laplace_log_mass(np.append(-np.inf, cuts), np.append(cuts, np.inf),
-                                       noise.scale))
-        shares = cell_shares(noise, cuts)
-        unreached = shares == 0.0
-        assert np.sum(unreached & (mass > 0.0)) > 100
+        mass, shares = cell_masses(noise, r), cell_shares(noise, r)
+        assert np.sum((shares == 0.0) & (mass > 0.0)) > 100
         assert np.max(np.abs(shares - mass)) <= 2.0**-52
 
     @SHAPES
     def test_thresholds_bracket_each_cut(self, kind, j):
-        # k is the least uniform index whose noise reaches the cut: the one
-        # below it falls short.  0 where even the least uniform reaches it,
-        # GRID where none does.
+        # k is the least uniform index whose noise reaches the cell's noise:
+        # the one below it falls short.  0 where even the least uniform
+        # reaches it, GRID where none does.
         observable, reports, i, bins = self.shape(kind, j)
-        noise, cuts = observable.noise, union_cuts(observable, reports, i, bins)
+        noise, cuts = observable.noise, noise_cells(observable, reports, i)[1:]
         k = uniform_thresholds(noise, cuts)
         assert k.dtype == np.int64 and np.all((k >= 0) & (k <= GRID)) and np.all(np.diff(k) >= 0)
         inner = (k > 0) & (k < GRID)
@@ -460,15 +451,15 @@ class TestSharedNoiseDraw:
 
     @SHAPES
     def test_bin_counts_within_five_sigma_of_the_exact_masses(self, kind, j):
-        # Each bin's count is Bin(trials, p) for its exact mass p.  Every
-        # bin's two-sided binomial tail is checked, sparse ones included,
-        # at the chance of a 5 sigma normal deviation.
+        # Each bin's count is Bin(trials, p) for its exact mass p, summed
+        # over b_bar by brute force.  Every bin's two-sided binomial tail is
+        # checked, sparse ones included, at the chance of a 5 sigma normal
+        # deviation.
         observable, reports, i, bins = self.shape(kind, j)
-        sides, lo, cuts = audit_cells(observable, reports, i, bins)
         report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
-        for f, c, column in zip(sides, cuts, ("count_base", "count_flipped")):
+        for side, column in ((reports, "count_base"), (flip(reports, i), "count_flipped")):
             counts = report.table[column]
-            p = np.exp(privacy._log_masses(f, lo, c, observable.noise, bins))
+            p = np.minimum(brute_force_masses(observable, side, bins), 1.0)
             law = stats.binom(self.TRIALS, p)
             tail = 2.0 * np.minimum(law.cdf(counts), law.sf(counts - 1))
             assert tail.min() >= FIVE_SIGMA
@@ -497,18 +488,55 @@ class TestSharedNoiseDraw:
         dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
         assert calls == ["multinomial"]
 
-    @pytest.mark.parametrize("kind, j", [("estimate", None), ("payment", 3)])
-    def test_counts_sum_exactly_to_trials_at_1e17(self, kind, j):
+    @pytest.mark.parametrize("kind, j, reached", [("estimate", None, 11), ("payment", 3, 10)],
+                             ids=["estimate-None", "payment-3"])
+    def test_counts_sum_exactly_to_trials_at_1e17(self, kind, j, reached):
         # int64 sums of the cells' counts: float64 weights would round
-        # counts past 2**53.
+        # counts past 2**53.  Every bin that both neighbors reach is
+        # checked: the 11 estimates k / 10, or the 10 peer estimates of
+        # agent 3, whose b_bar 0 and 1 both give 0.
         trials = 10**17
         observable, reports, i, bins = self.shape(kind, j)
         report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, trials, bins, seed=5)
         for column in ("count_base", "count_flipped"):
             assert report.table[column].dtype == np.int64
             assert int(report.table[column].sum()) == trials
-        assert report.cross_check["bins_checked"] == 20
+        assert report.cross_check["bins_checked"] == reached
         assert report.cross_check["max_abs_z"] < 5.0
+
+    @pytest.mark.parametrize("kind", ["estimate", "payment"])
+    def test_observable_read_once_per_neighbor(self, monkeypatch, kind):
+        # Each neighbor's observable is read in one call, at b_bar = -1..n + 1:
+        # the integers it can reach and one past either end for the clamp check.
+        reads = []
+        observable = (payment_observable(self.PAYMENTS, 3) if kind == "payment"
+                      else estimate_observable(10, NoiseSpec(epsilon=0.5)))
+
+        def recorded(reports, b_bar):
+            reads.append((tuple(reports), b_bar.tolist()))
+            return observable.of_b_bar(reports, b_bar)
+
+        spied = Observable(observable.noise, recorded)
+        dp_audit(spied, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+        b_bar = np.arange(-1.0, 12.0).tolist()
+        assert reads == [(tuple(self.REPORTS), b_bar), (tuple(flip(self.REPORTS, 0)), b_bar)]
+
+    def test_noiseless_audit_makes_no_bisection(self, monkeypatch):
+        # Every draw is r = 0: one cell and no cut between cells, so the
+        # thresholds map only the least and the largest uniform and bisect
+        # nothing.
+        mapped = []
+        from_uniform = NoiseSpec.from_uniform
+
+        def recorded(noise, u):
+            mapped.append(np.size(u))
+            return from_uniform(noise, u)
+
+        monkeypatch.setattr(NoiseSpec, "from_uniform", recorded)
+        observable = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
+        report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+        assert mapped == [2]
+        assert report.table["count_base"].sum() == report.table["count_flipped"].sum() == 100_000
 
     def test_too_many_bins_raise_before_any_draw(self, monkeypatch):
         # The bound is checked before the masses or the counts: nothing maps
@@ -525,83 +553,64 @@ class TestSharedNoiseDraw:
             dp_audit(observable, [1] * 500 + [0] * 500, 0, 0, 0.5, 100_000, 1_000_000, seed=7)
         assert mapped == []
 
-    @pytest.mark.parametrize("bottom", [5.0, 17.0])
-    def test_observable_not_monotone_in_b_bar_raises(self, bottom):
-        # Equal at both ends, so the V has no cut points.  At b_bar = 17 it
-        # is flat at the noiseless sums 4 and 5; only the check at the
-        # uniforms j 2**-14 shows it.
-        v_shape = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.clip(
-            np.abs(b_bar - bottom) / 10.0, 0.0, 1.0))
-        with pytest.raises(ValueError, match="not monotone in b_bar"):
-            dp_audit(v_shape, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+    @pytest.mark.parametrize("observable", [
+        # Unclamped below 0 and above n.
+        Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: (b_bar + 10.0) / 30.0),
+        # Clamped at 0 but not at n = 10: b_bar / 11 reaches 1 only at 11.
+        Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: published_estimate(11, b_bar)),
+        # Clamped at n but not at 0.
+        Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.minimum(b_bar, 10.0) / 20.0
+                   + 0.25),
+    ], ids=["both_ends", "top", "bottom"])
+    def test_observable_that_does_not_clamp_raises(self, observable):
+        with pytest.raises(ValueError, match=r"only through clip\(b_bar, 0, n\)"):
+            dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
 
-    def test_dip_between_cut_points_raises(self):
-        # About 0.4% of the mass falls in the dip inside bin 11, which no
-        # cut point reaches; 58 of the uniforms j 2**-14 show it.
-        dip = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.where(
-            (b_bar > 5.71) & (b_bar < 5.73), 0.0, published_estimate(10, b_bar)))
-        with pytest.raises(ValueError, match="not monotone in b_bar"):
-            dp_audit(dip, self.REPORTS, 0, 0, 0.5, 200_000, 20, seed=5)
+    @pytest.mark.parametrize("bottom", [5.0, 7.3])
+    def test_observable_not_monotone_in_b_bar_is_exact(self, bottom):
+        # A V with its bottom at b_bar = 5, or between the integers 7 and 8:
+        # the audit reads every integer, so its masses, log ratios and
+        # counts follow a brute-force sum over b_bar.
+        v_shape = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.abs(
+            np.clip(b_bar, 0.0, 10.0) - bottom) / 10.0)
+        report = dp_audit(v_shape, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
+        base, flipped = (brute_force_masses(v_shape, side, 20)
+                         for side in (self.REPORTS, flip(self.REPORTS, 0)))
+        both = (base > 0.0) & (flipped > 0.0)
+        assert both.sum() > 3
+        np.testing.assert_allclose(report.table["log_ratio"][both],
+                                   np.log(base[both] / flipped[both]), rtol=0.0, atol=1e-9)
+        assert np.all(report.table["log_ratio"][~both] == 0.0)
+        assert report.max_log_ratio == pytest.approx(
+            np.max(np.abs(np.log(base[both] / flipped[both]))), rel=0.0, abs=1e-9)
+        assert report.verdict == "Pass"
+        for p, column in ((base, "count_base"), (flipped, "count_flipped")):
+            law = stats.binom(self.TRIALS, np.minimum(p, 1.0))
+            counts = report.table[column]
+            assert (2.0 * np.minimum(law.cdf(counts), law.sf(counts - 1))).min() >= FIVE_SIGMA
 
-    def test_dip_at_one_grid_edge_raises(self):
-        # The dip holds one float: the noisy sum at u = 1/4, one of the
-        # uniforms j 2**-14, inside bin 7.  No cut point is there, and a draw
-        # lands there with chance 2**-53; only the check at those uniforms
-        # reaches it.
-        noise = NoiseSpec(epsilon=0.5)
-        dip = Observable(noise, lambda reports, b_bar: np.where(
-            b_bar == 5 + noise.from_uniform(0.25), 0.0, published_estimate(10, b_bar)))
-        with pytest.raises(ValueError, match="not monotone in b_bar"):
-            dp_audit(dip, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
 
-    @pytest.mark.parametrize("cut", [0.5, 1.5])
-    def test_dip_just_below_a_noise_cut_raises(self, cut):
-        # With no one-reports b_bar is the base side's noise itself, and the
-        # estimate's bins step at b_bar = 0.5, 1, 1.5, ...  The dip holds the
-        # one float just below a step, and the base side's cut search stops
-        # on it.  At 0.5 that leaves only the float 0.5 in the wrong cell, a
-        # point no uniform j 2**-14 reaches: only the check just below the
-        # neighbor's next cut point does.  At 1.5 every later cut is lost.
-        below = np.nextafter(cut, -np.inf)
-        dip = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.where(
-            b_bar == below, 1.0, published_estimate(10, b_bar)))
-        with pytest.raises(ValueError, match="not monotone in b_bar"):
-            dp_audit(dip, [0] * 10, 0, 1, 0.5, 100_000, 20, seed=5)
-
-    @pytest.mark.parametrize("kind", ["estimate", "payment"])
-    def test_one_cut_search_per_neighbor(self, monkeypatch, kind):
-        # One search over the whole float line per neighbor gives the cut
-        # points of both the exact masses and the counts.
-        spans = []
-        search = privacy.cut_points
-
-        def recorded(f, lo, hi):
-            spans.append((lo, hi))
-            return search(f, lo, hi)
-
-        monkeypatch.setattr(privacy, "cut_points", recorded)
-        observable = (payment_observable(self.PAYMENTS, 3) if kind == "payment"
-                      else estimate_observable(10, NoiseSpec(epsilon=0.5)))
-        dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
-        assert spans == [(-MAX, MAX)] * 2
-
-    def test_noiseless_audit_makes_no_bisection(self, monkeypatch):
-        # Every draw is x = 0, so each neighbor's search spans [0, 0]: it
-        # reads the bin at its two ends in one call and bisects nothing.
-        calls = []
-        search = privacy.cut_points
-
-        def recorded(f, lo, hi):
-            def counted(x):
-                calls.append((lo, hi))
-                return f(x)
-            return search(counted, lo, hi)
-
-        monkeypatch.setattr(privacy, "cut_points", recorded)
-        observable = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
-        report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
-        assert calls == [(0.0, 0.0)] * 2
-        assert report.table["count_base"].sum() == report.table["count_flipped"].sum() == 100_000
+@pytest.mark.parametrize("n, sums, epsilon", [(10, (5, 4), 0.5),
+                                              (1000, (500, 501), math.log(10.0) / 100.0)],
+                         ids=["criterion_4", "criterion_7"])
+def test_every_published_estimate_is_one_the_neighbor_reaches(n, sums, epsilon):
+    # A float Laplace sampler leaves holes in its outputs that differ
+    # between neighbors, so an output can reveal the input (Mironov, CCS
+    # 2012).  With b_bar on the integer grid, every estimate drawn is k / n
+    # for an integer k, and a positive share of the 2**53 uniforms gives it
+    # on the other neighbor too.
+    noise = NoiseSpec(epsilon)
+    grid = published_estimate(n, np.arange(n + 1))
+    for seed, (own, other) in enumerate((sums, sums[::-1])):
+        estimate = published_estimate(n, own + noise_draw(noise, np.random.default_rng(seed),
+                                                          200_000))
+        assert np.all(np.isin(estimate, grid))
+        # The noise the other neighbor needs for b_bar = k: k - other, or
+        # any at or past it at either end.
+        k = np.unique(np.searchsorted(grid, estimate))
+        lo = np.where(k == 0, -np.inf, k - other)
+        hi = np.where(k == n, np.inf, k - other + 1)
+        assert np.all(uniform_thresholds(noise, hi) > uniform_thresholds(noise, lo))
 
 
 class TestExactMasses:
@@ -626,12 +635,14 @@ class TestExactMasses:
         assert -np.inf < laplace_log_mass(-2_000.0, -1_999.5, 0.2) < np.log(np.finfo(float).tiny)
 
     @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
-                                                  (1000, 1000, 5.0)])
+                                                  (1000, 1000, 5.0), (1000, 20, 0.02302585092994046)])
     def test_exact_max_is_epsilon(self, n, bins, epsilon):
-        # At n = 1000 with 10,000 bins each bin is a tenth of the shift, and
-        # the far-tail bins have masses the u-widths of the draws cannot
-        # resolve; at epsilon 5 with 1000 bins, masses below the smallest
-        # float, which differences of the Laplace CDF would round to 0.
+        # At n = 1000 with 10,000 bins each integer has a bin of its own,
+        # and the far-tail cells have masses the u-widths of the draws
+        # cannot resolve; at epsilon 5 with 1000 bins, masses below the
+        # smallest float, which differences of the Laplace CDF would round
+        # to 0.  At criterion 7's epsilon with 20 bins, 50 integers share
+        # each bin.
         reports = [1] * (n // 2) + [0] * (n - n // 2)
         report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, 0, 0,
                           epsilon, max(100_000, 50 * bins), bins, seed=7)
@@ -641,29 +652,58 @@ class TestExactMasses:
         assert np.all(np.abs(log_ratio) <= epsilon + AUDIT_SLACK)
         if epsilon == 5.0:
             assert np.isfinite(log_ratio).all()
-            edges = np.linspace(0.0, 1.0, bins + 1)
-            f = privacy._bin_of_noise(estimate_observable(n, NoiseSpec(epsilon)),
-                                      np.array(reports), edges)
-            log_p = privacy._log_masses(f, -MAX, cut_points(f, -MAX, MAX), NoiseSpec(epsilon), bins)
-            assert np.sum(log_p < np.log(np.finfo(float).tiny)) > 100
+            r = np.arange(-n // 2, n // 2 + 1)
+            log_cell = laplace_log_mass(r - 0.5, r + 0.5, 1.0 / epsilon)
+            assert np.sum(log_cell < np.log(np.finfo(float).tiny)) > 100
 
     @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
                                                   (50, 37, 1.3)])
-    def test_bin_masses_sum_to_one(self, n, bins, epsilon):
-        # The estimate is clipped into [0, 1], so its bins hold all the mass.
-        noise = NoiseSpec(epsilon=epsilon)
-        f = privacy._bin_of_noise(estimate_observable(n, noise), np.array([1] * 7 + [0] * (n - 7)),
-                                  np.linspace(0.0, 1.0, bins + 1))
-        log_p = privacy._log_masses(f, -MAX, cut_points(f, -MAX, MAX), noise, bins)
-        assert abs(np.exp(log_p).sum() - 1.0) <= 1e-12
+    def test_log_ratios_match_brute_force(self, n, bins, epsilon):
+        # The estimate is clipped into [0, 1], so its bins hold all the
+        # mass, and each bin's log ratio is that of the brute-force masses.
+        observable = estimate_observable(n, NoiseSpec(epsilon=epsilon))
+        reports = [1] * 7 + [0] * (n - 7)
+        report = dp_audit(observable, reports, 0, 0, epsilon, 50 * bins + 100_000, bins, seed=3)
+        base, flipped = (brute_force_masses(observable, side, bins)
+                         for side in (reports, flip(reports, 0)))
+        reached = (base > 0.0) | (flipped > 0.0)
+        assert np.all((base > 0.0) == (flipped > 0.0))
+        np.testing.assert_allclose(report.table["log_ratio"][reached],
+                                   np.log(base[reached] / flipped[reached]), rtol=0.0, atol=1e-9)
+        assert np.all(report.table["log_ratio"][~reached] == 0.0)
+
+    @pytest.mark.parametrize("n, bins, epsilon", [(10, 20, 0.5), (1000, 10_000, 0.5),
+                                                  (50, 37, 1.3)])
+    def test_bin_masses_sum_to_one(self, monkeypatch, n, bins, epsilon):
+        # The estimate is clipped into [0, 1], so its bins hold all the
+        # mass: the audit's noise cells tile the line, and the brute-force
+        # masses of either neighbor's bins sum to one.
+        log_masses = []
+        log_mass = privacy.laplace_log_mass
+
+        def recorded(lo, hi, scale):
+            log_masses.append(log_mass(lo, hi, scale))
+            return log_masses[-1]
+
+        monkeypatch.setattr(privacy, "laplace_log_mass", recorded)
+        observable = estimate_observable(n, NoiseSpec(epsilon=epsilon))
+        reports = [1] * 7 + [0] * (n - 7)
+        dp_audit(observable, reports, 0, 0, epsilon, 50 * bins + 100_000, bins, seed=3)
+        assert len(log_masses) == 1
+        assert abs(np.exp(log_masses[0]).sum() - 1.0) <= 1e-12
+        for side in (reports, flip(reports, 0)):
+            assert abs(brute_force_masses(observable, side, bins).sum() - 1.0) <= 1e-12
 
     def test_disabled_noise_is_a_point_mass_at_zero(self):
-        # Only x = 0 is drawn: one cell from 0 with no cuts, the whole line's mass.
-        noise = NoiseSpec(epsilon=0.5, mode="disabled")
-        f = privacy._bin_of_noise(estimate_observable(10, noise), np.array([1] * 5 + [0] * 5),
-                                  np.linspace(0.0, 1.0, 21))
-        log_p = privacy._log_masses(f, 0.0, cut_points(f, 0.0, 0.0), noise, 20)
-        assert log_p[10] == 0.0 and np.all(log_p[np.arange(20) != 10] == -np.inf)
+        # Only r = 0 is drawn: each neighbor's whole mass and every trial
+        # sit in the bin of its noiseless estimate, 0.5 or 0.4.
+        report = dp_audit(estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled")),
+                          [1] * 5 + [0] * 5, 0, 0, 0.5, 100_000, 20, seed=3)
+        table = report.table
+        assert np.flatnonzero(table["count_base"]).tolist() == [10]
+        assert np.flatnonzero(table["count_flipped"]).tolist() == [8]
+        assert table["log_ratio"][10] == np.inf and table["log_ratio"][8] == -np.inf
+        assert np.count_nonzero(table["log_ratio"]) == 2
 
     def test_payment_observable_exact_max_is_epsilon(self):
         config = TestSharedNoiseDraw.PAYMENTS
@@ -674,16 +714,19 @@ class TestExactMasses:
 
     @pytest.mark.parametrize("n, bins", [(10, 20), (1000, 10_000)])
     def test_counts_within_five_sigma_of_the_exact_masses(self, n, bins):
-        # Each bin of the estimate holds the noise x in [n lo - T, n hi - T)
-        # for the neighbor's sum T; the end bins take the clip atoms.  The
-        # masses here come from scipy's CDF, apart from the audit's own.
+        # Each bin of the estimate holds the b_bar = k in [n lo, n hi) and
+        # the end bins the clip atoms; the neighbor with sum T reaches k
+        # with the chance that R = k - T.  The masses here come from
+        # scipy's CDF, apart from the audit's own.
         trials, edges = 1_000_000, np.linspace(0.0, 1.0, bins + 1)
         reports = [1] * (n // 2) + [0] * (n - n // 2)
         report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=0.5)), reports, 0, 0, 0.5,
                           trials, bins, seed=7)
         expected = []
         for total, column in ((n // 2, "count_base"), (n // 2 - 1, "count_flipped")):
-            x = n * edges - total
+            # R <= x - 1/2 below each edge x = n lo - T, so a bin holds the
+            # noise mass between its two edges' round-ups.
+            x = np.ceil(n * edges - total) - 0.5
             x[0], x[-1] = -np.inf, np.inf
             mass = np.diff(stats.laplace(scale=2.0).cdf(x))
             expected.append(trials * mass)
