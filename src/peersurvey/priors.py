@@ -6,7 +6,8 @@ one cost distribution per bit value.  From it we derive, exactly, the
 posterior predictive bit probabilities, their noisy clamped counterparts
 p0/p1 used by the payment rule, the mean clamped estimate of peers whose
 reports follow any affine function of theta (`clamped_mean`), and the
-participation cost threshold tau used to size the truthfulness premium.
+participation cost threshold tau used to size the truthfulness premium,
+searched on one 1e-4 cost grid (`cost_threshold_parts`).
 `group_prob_mc` cross-checks tau by sampling the chance that defines it, at
 the exact tau; the p0/p1 cross-check is `agents.peer_estimate_mc` under
 truthful peers.
@@ -52,8 +53,8 @@ class CostSearchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Cost distributions.  Each family gives its CDF and its quantile function;
-# the report-count sampler and the tau search use them.
+# Cost distributions.  Each family gives its CDF, which the tau search and
+# the report-count law read, and its quantile function, which caps the search.
 # ---------------------------------------------------------------------------
 
 
@@ -408,58 +409,32 @@ def posterior_clamped_mean(prior, bit, n, epsilon):
 # ---------------------------------------------------------------------------
 
 
-def _mixture_quantile(prior, bit, q, cap):
-    """Generalized inverse at level q of a peer's cost CDF given one's own
-    bit: the least float in [0, cap] at which it reaches q."""
-    if prior.cost0 == prior.cost1:
-        return float(np.asarray(prior.cost0.quantile(q)))
-    p_b = posterior_bit_prob(prior, bit)
-
-    def cdf(tau):
-        return p_b * prior.cost1.cdf(tau) + (1.0 - p_b) * prior.cost0.cdf(tau)
-
-    lo, hi = 0.0, float(cap)
-    if cdf(hi) < q:
-        raise CostSearchError(
-            f"cost quantile at level {q} exceeds the search cap {cap}"
-        )
-    # Stop once a step would leave (lo, hi) as it is: no later step moves it.
-    # Every step that does not stop halves the bracket, so the loop ends
-    # within about 2,100 steps, even at a quantile among the subnormals.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) >= q:
-            if mid == hi:
-                break
-            hi = mid
-        else:
-            if mid == lo:
-                break
-            lo = mid
-    return hi
-
-
 def _beta_mixed_tail(mixing, f0, f1, need, n):
     """E[P(Bin(n, theta f1 + (1 - theta) f0) >= need)], theta ~ Beta(a, b), by quadrature.
 
     The binomial tail steps from 0 to 1 around the theta at which the mean
-    cheap fraction equals need / n; quad gets that theta as a breakpoint.
-    Only Beta mixing with unequal cost laws comes here, so scipy.integrate
-    is imported here rather than with the module.
+    cheap fraction equals need / n, so the integral is split there, and
+    QUADPACK's algebraic weight (QAWS) takes the Beta density's power at
+    each outer end: a density infinite at 0 or 1 then raises no divergence
+    warning.  Only Beta mixing with unequal cost laws comes here, so
+    scipy.integrate is imported here rather than with the module.
     """
     from scipy.integrate import quad
 
     a, b = mixing.a, mixing.b
-    log_norm = betaln(a, b)
 
-    def integrand(theta):
-        density = math.exp(xlogy(a - 1.0, theta) + xlog1py(b - 1.0, -theta) - log_norm)
-        return density * _binomial_tail(need, n, theta * f1 + (1.0 - theta) * f0)
+    def tail(theta):
+        return _binomial_tail(need, n, theta * f1 + (1.0 - theta) * f0)
 
     step = (need / n - f0) / (f1 - f0)
-    value, _ = quad(integrand, 0.0, 1.0, points=[step] if 0.0 < step < 1.0 else None,
-                    limit=200)
-    return min(max(value, 0.0), 1.0)
+    if 0.0 < step < 1.0:
+        value = (quad(lambda t: tail(t) * (1.0 - t) ** (b - 1.0), 0.0, step,
+                      weight="alg", wvar=(a - 1.0, 0.0), limit=200)[0]
+                 + quad(lambda t: tail(t) * t ** (a - 1.0), step, 1.0,
+                        weight="alg", wvar=(0.0, b - 1.0), limit=200)[0])
+    else:
+        value = quad(tail, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0), limit=200)[0]
+    return min(max(value * math.exp(-betaln(a, b)), 0.0), 1.0)
 
 
 def cost_cdfs(prior, tau):
@@ -490,14 +465,34 @@ def _group_prob(prior, n, need, tau):
     return float(weights @ _binomial_tail(need, n, thetas * f1 + (1.0 - thetas) * f0))
 
 
-def cost_threshold_parts(prior, alpha, delta, n):
-    """Compute (tau, tau_group, tau_marginal) exactly.
+def _least_grid_cost(reached, cap):
+    """The least grid cost k / 10000 in [0, cap], so that decimal costs land
+    exactly, at which the monotone condition `reached` holds, else cap where
+    only cap does.  `bisect_left` never probes the grid's top point, which
+    is checked to pass first."""
+    per_unit = round(1.0 / COST_GRID)
+    grid_hi = int(math.floor(cap * per_unit + 1e-9))
+    grid_max = grid_hi / per_unit
+    search_top = cap if cap > grid_max else grid_max
+    if not reached(search_top):
+        raise CostSearchError("participation threshold not reachable within the cost "
+                              f"search cap {cap}")
+    if not reached(grid_max):
+        return search_top
+    return bisect.bisect_left(range(grid_hi), True,
+                              key=lambda k: reached(k / per_unit)) / per_unit
 
-    tau_group is the smallest grid cost level such that, with probability at
-    least 1 - delta over populations, at least (1 - alpha) * n agents have
-    cost at or below it (`_group_prob`).  tau_marginal makes each
-    bit-conditional marginal cost CDF reach 1 - alpha.  The threshold is
-    their maximum.
+
+def cost_threshold_parts(prior, alpha, delta, n):
+    """Compute (tau, tau_group, tau_marginal) exactly, on one cost grid.
+
+    Each part is the least grid cost, or the search cap, at which its
+    condition holds (`_least_grid_cost`).  tau_group: with probability at
+    least 1 - delta, at least (1 - alpha) n agents cost at most it
+    (`_group_prob`).  tau_marginal: given each own bit b, a peer's cost CDF
+    p_b F1 + (1 - p_b) F0 (p_b from `posterior_bit_prob`; F0 alone for
+    equal laws) reaches 1 - alpha.  tau, their maximum, is less than one
+    grid step above the least cost meeting both, so it stays an upper bound.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -506,41 +501,21 @@ def cost_threshold_parts(prior, alpha, delta, n):
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
 
-    cap = float(
-        max(
-            np.asarray(prior.cost0.quantile(COST_SEARCH_QUANTILE)),
-            np.asarray(prior.cost1.quantile(COST_SEARCH_QUANTILE)),
-        )
-    )
-
-    tau_marginal = max(
-        _mixture_quantile(prior, 0, 1.0 - alpha, cap),
-        _mixture_quantile(prior, 1, 1.0 - alpha, cap),
-    )
-
+    cap = float(max(np.asarray(prior.cost0.quantile(COST_SEARCH_QUANTILE)),
+                    np.asarray(prior.cost1.quantile(COST_SEARCH_QUANTILE))))
+    # p_b = 0 reads F0 alone, exactly, where the laws are equal.
+    p_bits = ((0.0,) if prior.cost0 == prior.cost1
+              else (posterior_bit_prob(prior, 0), posterior_bit_prob(prior, 1)))
     # Count threshold: at least (1 - alpha) * n agents must participate.
     need = math.ceil((1.0 - alpha) * n)
+    tau_group = _least_grid_cost(lambda tau: _group_prob(prior, n, need, tau) >= 1.0 - delta,
+                                 cap)
 
-    def reached(tau):
-        return _group_prob(prior, n, need, tau) >= 1.0 - delta
+    def marginal_reached(tau):
+        f0, f1 = cost_cdfs(prior, tau)
+        return min(p * f1 + (1.0 - p) * f0 for p in p_bits) >= 1.0 - alpha
 
-    # Grid points are k / 10000 so decimal costs land on exact grid values.
-    per_unit = round(1.0 / COST_GRID)
-    grid_hi = int(math.floor(cap * per_unit + 1e-9))
-    grid_max = grid_hi / per_unit
-    search_top = cap if cap > grid_max else grid_max
-    if not reached(search_top):
-        raise CostSearchError(
-            "participation threshold not reachable within the cost search cap "
-            f"{cap}; the (1 - alpha) group quantile appears unbounded"
-        )
-    if not reached(grid_max):
-        tau_group = search_top
-    else:
-        # The least passing grid index; grid_hi, which passes, is never probed.
-        tau_group = bisect.bisect_left(range(grid_hi), True,
-                                       key=lambda k: reached(k / per_unit)) / per_unit
-
+    tau_marginal = _least_grid_cost(marginal_reached, cap)
     return max(tau_group, tau_marginal), tau_group, tau_marginal
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -888,14 +889,28 @@ class TestThresholdCommand:
     def test_tau_marginal_far_below_the_search_cap(self, tmp_path, capsys):
         # Zero-holders' costs lie in [0, 1e-100], so a peer's cost reaches the
         # 0.9 quantile at 0.9 / 0.99 * 1e-100, hundreds of halvings below
-        # the cap.  tau itself is the group threshold, one grid step.
+        # the cap: both parts of tau are the first grid cost.
         prior = prior_with(cost0={"hi": 1e-100})
         prior["mixing"] = {"kind": "point", "theta": 0.01}
         config = write_config(tmp_path, {"prior": prior, "n": 60, "alpha": 0.1, "delta": 0.1})
         assert dispatch(["threshold", "--config", config]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["tau_marginal"] == 9.090909090909092e-101
-        assert payload["tau"] == payload["tau_group"] == 1e-4
+        assert payload["tau_marginal"] == payload["tau"] == payload["tau_group"] == 1e-4
+
+    def test_beta_density_infinite_at_both_ends_does_not_warn(self, tmp_path, capsys):
+        # Beta(0.5, 0.5) mixing with unequal cost laws: the quadrature meets
+        # a density infinite at both ends and must not warn, or a
+        # warnings-as-errors run would exit with an internal error.
+        prior = prior_with(mixing={"a": 0.5, "b": 0.5}, cost0={"hi": 2.0})
+        prior["cost1"] = {"kind": "exponential", "rate": 2.0}
+        config = write_config(tmp_path, {"prior": prior, "n": 5000, "alpha": 0.02,
+                                         "delta": 0.1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["threshold", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["tau"] == 1.9843
 
 
 class TestImportFootprint:

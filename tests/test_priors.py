@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 from scipy.special import betaln, roots_jacobi
 
 from noise_oracle import clipped_sums, rounded_laplace_pmf
@@ -21,8 +23,8 @@ from peersurvey.priors import (
     _beta_nodes,
     _binomial_mixture_pmf,
     _group_prob,
-    _mixture_quantile,
     _peer_count_pmf,
+    cost_cdfs,
     clamped_mean,
     cost_threshold,
     cost_threshold_parts,
@@ -550,108 +552,127 @@ class TestCostThreshold:
         assert check["exact"] < 0.999 and abs(check["z"]) < 5.0
 
 
-def mixture_quantile_200_steps(prior, bit, q, cap):
-    """`_mixture_quantile` with no early stop: 0 where the cdf at 0 reaches
-    q, which no number of halvings of the bracket reaches, else always 200
-    bisection steps."""
-    p_b = posterior_bit_prob(prior, bit)
-
-    def cdf(tau):
-        return p_b * prior.cost1.cdf(tau) + (1.0 - p_b) * prior.cost0.cdf(tau)
-
-    if cdf(0.0) >= q:
-        return 0.0
-    lo, hi = 0.0, cap
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-class TestMixtureQuantileEarlyStop:
-    MIXINGS = [
-        {"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},
-        {"kind": "beta", "a": 2.0, "b": 5.0},
-        {"kind": "beta", "a": 0.5, "b": 0.5},
-    ]
-    # Unequal pairs, since equal laws return their own quantile.  The point
-    # masses put steps in the cdf; a mass at 0 puts cdf(0) above small q.
-    COSTS = [
-        ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}),
-        ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, {"kind": "exponential", "rate": 2.0}),
-        ({"kind": "point_mass", "value": 0.4}, {"kind": "uniform", "lo": 0.0, "hi": 1.0}),
-        ({"kind": "exponential", "rate": 0.5}, {"kind": "point_mass", "value": 0.7}),
-        ({"kind": "point_mass", "value": 0.0}, {"kind": "exponential", "rate": 1.0}),
-    ]
-
-    @pytest.mark.parametrize("mixing", MIXINGS, ids=["atoms", "beta25", "beta-half"])
-    @pytest.mark.parametrize("costs", COSTS, ids=["uniforms", "uniform-exp", "point-uniform",
-                                                  "exp-point", "zero-exp"])
-    def test_equals_two_hundred_steps(self, mixing, costs):
-        prior = PriorSpec.from_dict({"family": "conditional_iid", "mixing": mixing,
-                                     "cost0": costs[0], "cost1": costs[1]})
-        cap = max(float(np.asarray(prior.cost0.quantile(COST_SEARCH_QUANTILE))),
-                  float(np.asarray(prior.cost1.quantile(COST_SEARCH_QUANTILE))))
-        for bit in (0, 1):
-            for q in (0.01, 0.05, 0.3, 0.5, 0.9, 0.999):
-                expected = mixture_quantile_200_steps(prior, bit, q, cap)
-                assert _mixture_quantile(prior, bit, q, cap) == expected
-
-    def test_midpoint_rounding_to_lo_still_moves_hi(self):
-        # From a cap of four subnormal ulps, q = 0 halves hi until the
-        # midpoint of (0, 5e-324) rounds to lo = 0: hi must still step to 0.
-        prior = PriorSpec.from_dict({"family": "conditional_iid",
-                                     "mixing": {"kind": "beta", "a": 2.0, "b": 5.0},
-                                     "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-                                     "cost1": {"kind": "exponential", "rate": 1.0}})
-        cap = 4 * 5e-324
-        assert mixture_quantile_200_steps(prior, 0, 0.0, cap) == 0.0
-        assert _mixture_quantile(prior, 0, 0.0, cap) == 0.0
-
-
-def test_mixture_quantile_below_a_point_mass_is_the_least_float_reaching_q():
-    # A one-holder's peer has bit 1 with chance 2/3 under Beta(1, 1)
-    # mixing, so below the atom at 0.3 the cdf is x / 3, and q = 1 - 0.9,
-    # a little under 0.1, is reached at 3q, just below the atom.
-    prior = PriorSpec.from_dict({"family": "conditional_iid",
-                                 "mixing": {"kind": "beta", "a": 1.0, "b": 1.0},
-                                 "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-                                 "cost1": {"kind": "point_mass", "value": 0.3}})
-    q = 1.0 - 0.9
-
-    def cdf(x):
-        return 2.0 / 3.0 * prior.cost1.cdf(x) + 1.0 / 3.0 * prior.cost0.cdf(x)
-
-    x = _mixture_quantile(prior, 1, q, 1.0)
-    assert x == 3.0 * q == 0.29999999999999993 < 0.3
-    assert cdf(x) >= q > cdf(np.nextafter(x, 0.0))
-    assert x == mixture_quantile_200_steps(prior, 1, q, 1.0)
-
-
-# A zero-holder's costs sit below 1e-100, so the 0.9 quantile of a peer's
-# cost is about 330 halvings below the search cap of 1.
+# A zero-holder's costs sit below 1e-100, so a peer's cost reaches its 0.9
+# quantile hundreds of halvings below the search cap of 1, and below the
+# first grid cost.
 TINY_COST0_PRIOR = {"family": "conditional_iid", "mixing": {"kind": "point", "theta": 0.01},
                     "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1e-100},
                     "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0}}
 
+UNIFORM_COST = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+WIDE_UNIFORM_COST = {"kind": "uniform", "lo": 0.0, "hi": 2.0}
+EXPONENTIAL_COST = {"kind": "exponential", "rate": 2.0}
 
-@pytest.mark.parametrize("bit", [0, 1])
-def test_mixture_quantile_converges_past_two_hundred_halvings(bit):
-    # The result is the generalized inverse: the least float whose cdf
-    # reaches q.  Under point mixing a peer's bit is 1 with chance 0.01
-    # whatever one's own, so cdf(x) = 0.01 x + 0.99 x / 1e-100 near 0.
-    prior = PriorSpec.from_dict(TINY_COST0_PRIOR)
-    q = 0.9
+# Peers share your bit: a one-holder's peer is a one, whose cost is
+# exponential, so the marginal part of tau wins.
+SHARED_BIT_PRIOR = {"family": "conditional_iid",
+                    "mixing": {"kind": "atoms", "atoms": [[0.96, 0.0], [0.04, 1.0]]},
+                    "cost0": UNIFORM_COST, "cost1": EXPONENTIAL_COST}
 
-    def cdf(x):
-        return 0.01 * prior.cost1.cdf(x) + 0.99 * prior.cost0.cdf(x)
+GRID_PRIORS = {
+    "uniform": {"family": "conditional_iid", "mixing": {"kind": "beta", "a": 1.0, "b": 1.0},
+                "cost0": UNIFORM_COST, "cost1": UNIFORM_COST},
+    "point-mass-cost1": {"family": "conditional_iid",
+                         "mixing": {"kind": "beta", "a": 1.0, "b": 1.0},
+                         "cost0": UNIFORM_COST,
+                         "cost1": {"kind": "point_mass", "value": 0.3}},
+    "tiny-cost0": TINY_COST0_PRIOR,
+    "bench-atoms": {"family": "conditional_iid",
+                    "mixing": {"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},
+                    "cost0": UNIFORM_COST, "cost1": WIDE_UNIFORM_COST},
+    "shared-bit": SHARED_BIT_PRIOR,
+}
 
-    x = _mixture_quantile(prior, bit, q, 1.0)
-    assert cdf(x) >= q > cdf(np.nextafter(x, 0.0))
-    assert x == pytest.approx(q / 0.99 * 1e-100, rel=1e-12)
+
+class TestOneCostGrid:
+    """Both parts of tau are least costs on the 1e-4 grid (or the search
+    cap), each checked against its condition computed here."""
+
+    @pytest.mark.parametrize("name", list(GRID_PRIORS))
+    def test_each_part_is_the_least_grid_cost_meeting_its_condition(self, name):
+        prior = PriorSpec.from_dict(GRID_PRIORS[name])
+        n, alpha, delta = 60, 0.1, 0.1
+        need = math.ceil((1 - alpha) * n)
+        cap = max(float(np.asarray(prior.cost0.quantile(COST_SEARCH_QUANTILE))),
+                  float(np.asarray(prior.cost1.quantile(COST_SEARCH_QUANTILE))))
+
+        def marginal(t):
+            f0, f1 = cost_cdfs(prior, t)
+            if prior.cost0 == prior.cost1:
+                return f0 >= 1 - alpha
+            return all(p * f1 + (1 - p) * f0 >= 1 - alpha
+                       for p in (posterior_bit_prob(prior, bit) for bit in (0, 1)))
+
+        def group(t):
+            return _group_prob(prior, n, need, t) >= 1 - delta
+
+        tau, tau_group, tau_marginal = cost_threshold_parts(prior, alpha, delta, n)
+        assert tau == max(tau_group, tau_marginal)
+        per_unit = round(1 / COST_GRID)
+        for t, condition in ((tau_group, group), (tau_marginal, marginal)):
+            k = round(t * per_unit)
+            if k / per_unit != t:
+                assert t == cap
+                k = math.floor(cap * per_unit) + 1
+            assert condition(t)
+            if k > 0:
+                assert not condition((k - 1) / per_unit)
+
+    def test_marginal_part_wins_rounded_up_to_the_grid(self):
+        # The least real cost meeting the marginal condition is
+        # 1.1512925464970227; tau rounds it up by less than one grid step,
+        # so it stays an upper bound.
+        prior = PriorSpec.from_dict(SHARED_BIT_PRIOR)
+        tau, tau_group, tau_marginal = cost_threshold_parts(prior, 0.1, 0.1, 60)
+        assert tau == tau_marginal == 1.1513 > tau_group
+        assert 0.0 < tau - 1.1512925464970227 < COST_GRID
+
+
+class TestBetaQuadrature:
+    """The group chance under Beta mixing with unequal cost laws, which
+    QUADPACK's algebraic weight integrates."""
+
+    @pytest.mark.parametrize("a, b, cost0, cost1, tau", [
+        (5.0, 0.5, WIDE_UNIFORM_COST, EXPONENTIAL_COST, 2.0143),
+        (0.5, 0.5, WIDE_UNIFORM_COST, EXPONENTIAL_COST, 1.9843),
+        (0.5, 0.5, EXPONENTIAL_COST, WIDE_UNIFORM_COST, 1.9843),
+        (0.3, 2.0, EXPONENTIAL_COST, WIDE_UNIFORM_COST, 2.0157),
+    ], ids=["beta5-half", "beta-half", "beta-half-swapped", "beta0.3-2-swapped"])
+    def test_end_point_singularities_do_not_warn(self, a, b, cost0, cost1, tau):
+        # Each Beta density is infinite at 0 or 1 (a or b below 1); the
+        # quadrature must not warn that the integral is probably divergent.
+        prior = _prior({"kind": "beta", "a": a, "b": b}, cost0=cost0, cost1=cost1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = cost_threshold_parts(prior, 0.02, 0.05, 5000)
+        assert parts[:2] == (tau, tau)
+
+    @pytest.mark.parametrize("n", [200, 5000, 50_000])
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (5.0, 0.5), (2.0, 5.0), (1.0, 1.0)])
+    def test_group_prob_against_an_arcsine_substitution(self, a, b, n):
+        # Oracle: theta = sin^2 phi turns the Beta(a, b) density into
+        # 2 sin^(2a - 1) phi cos^(2b - 1) phi / B(a, b), bounded for
+        # a, b >= 1/2, and plain quad gets the step as a breakpoint.
+        prior = _prior({"kind": "beta", "a": a, "b": b},
+                       cost0=WIDE_UNIFORM_COST, cost1=EXPONENTIAL_COST)
+        need = math.ceil(0.98 * n)
+
+        def oracle(t):
+            f0, f1 = cost_cdfs(prior, t)
+
+            def integrand(phi):
+                s, c = math.sin(phi), math.cos(phi)
+                g = s * s * f1 + c * c * f0
+                return 2.0 * s ** (2 * a - 1) * c ** (2 * b - 1) * stats.binom.sf(need - 1, n, g)
+
+            step = (need / n - f0) / (f1 - f0)
+            points = [math.asin(math.sqrt(step))] if 0.0 < step < 1.0 else None
+            value, _ = quad(integrand, 0.0, 0.5 * math.pi, points=points, limit=200,
+                            epsabs=1e-13, epsrel=1e-13)
+            return value * math.exp(-betaln(a, b))
+
+        for t in np.arange(0.5, 2.45, 0.1):
+            assert _group_prob(prior, n, need, t) == pytest.approx(oracle(t), abs=1e-8)
 
 
 PEER_COUNTS = [1, 199, 4999, 49999]
