@@ -273,8 +273,8 @@ def peer_estimate_mean(prior, bit, n, noise, others):
 
     Given theta, a peer reports 1 with chance q(theta) = (1 - theta) g0 +
     theta g1 (`one_report_chances`).  So the one-reports are a binomial
-    mixture over theta given `bit`, which `priors.clamped_mean` sums
-    exactly.
+    mixture over theta given `bit`, and `priors.clamped_mean` takes the
+    mean exactly from their generating function.
     """
     g = one_report_chances(others, prior)
     return clamped_mean(prior, bit, n, noise.scale if noise.mode == "sample" else 0.0, g)

@@ -265,9 +265,6 @@ def best_response_audit(
     others = Threshold(tau=tau, off=off)
     probe_cost = tau * (1.0 - 1e-6)
 
-    # The Monte Carlo runs come before the exact law: their chunks are freed
-    # before the Gauss rule's eigensolver grows the resident set, so the
-    # two do not add up in the peak.
     sampled = [peer_estimate_mc(prior, bit, n, config.noise, others, trials,
                                 derive_seed(seed, 3, bit, 0)) for bit in (0, 1)]
     per_bit = {}

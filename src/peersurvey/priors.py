@@ -5,7 +5,8 @@ Bernoulli parameter theta, conditional on which agents' bits are i.i.d., and
 one cost distribution per bit value.  From it we derive, exactly, the
 posterior predictive bit probabilities, their noisy clamped counterparts
 p0/p1 used by the payment rule, the mean clamped estimate of peers whose
-reports follow any affine function of theta (`clamped_mean`), and the
+reports follow any affine function of theta (`clamped_mean`, from two
+values of the peer count's generating function, with no pmf), and the
 participation cost threshold tau used to size the truthfulness premium,
 searched on one 1e-4 cost grid (`cost_threshold_parts`).
 `group_prob_mc` cross-checks tau by sampling the chance that defines it, at
@@ -16,10 +17,9 @@ truthful peers.
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py, xlogy
+from scipy.special import betainc, betaln, ndtr, ndtri, xlog1py
 
 from ._util import CHUNK_TRIALS, chunk_sizes, cross_check, from_config, is_number, subseed_rng
 
@@ -29,23 +29,6 @@ FAMILIES = ("conditional_iid",)
 # cap the search range.
 COST_GRID = 1e-4
 COST_SEARCH_QUANTILE = 1.0 - 1e-6
-
-# Gauss nodes that mix binomial laws over Beta mixing.  A binomial pmf whose
-# success probability is affine in theta is a polynomial of degree m in
-# theta, so the rule is exact up to m = 2 * QUADRATURE_NODES - 1 peers, and
-# converged well beyond.
-QUADRATURE_NODES = 128
-# Cells in one block of binomial pmf rows; rows are folded a block at a
-# time, so memory stays O(m) for any node count.
-PMF_BLOCK_CELLS = 1 << 18
-# Terms in one BLAS dot of an exact mean.  The OpenBLAS that numpy wheels
-# bundle (scipy-openblas, 0.3.31 on x86-64) splits a ddot of more than
-# 10,000 terms across threads (the `n <= 10000` test in
-# kernel/x86_64/ddot.c), and its rounding then depends on their count; a
-# shorter dot runs in one thread, so summing block dots keeps outputs the
-# same at any thread count under that BLAS.  Another BLAS (MKL,
-# Accelerate, another OpenBLAS kernel) may split shorter dots.
-DOT_BLOCK = 1 << 13
 
 
 class CostSearchError(ValueError):
@@ -281,87 +264,40 @@ def posterior_bit_prob(prior, bit):
     return float(weights @ thetas)
 
 
-@lru_cache(maxsize=64)
-def _beta_nodes(a, b, count):
-    """(weights, thetas) of the count-point Gauss rule for Beta(a, b).
+def _pgf_gap(prior, bit, m, g, w):
+    """E[z^K] - E[z^(m-K)], w = 1 - z, for the one-reports K of m peers
+    given one's own bit, each peer reporting 1 with chance
+    q(theta) = g[0] + theta (g[1] - g[0]).
 
-    Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
-    Jacobi matrix of the monic polynomials orthogonal under Beta(a, b), and
-    each weight is the squared first component of its eigenvector.  The
-    matrix holds the three-term recurrence of the Jacobi polynomials with
-    exponents (b - 1, a - 1), mapped from [-1, 1] onto theta = (1 + x) / 2;
-    its first entries are the Beta mean and variance.  The arrays are
-    cached, so they are read-only.
-    """
-    j = np.arange(1, count, dtype=np.float64)
-    s = 2.0 * j + a + b - 2.0
-    diag = np.empty(count)
-    diag[0] = a / (a + b)
-    diag[1:] = 0.5 + 0.5 * (a - b) * (a + b - 2.0) / (s * (s + 2.0))
-    # Squared off-diagonal; the first is written apart, where the general
-    # form is 0/0 at a + b = 1.
-    off = np.empty(count - 1)
-    off[:1] = a * b / ((a + b) ** 2 * (a + b + 1.0))
-    j, s = j[1:], s[1:]
-    off[1:] = j * (j + a - 1.0) * (j + b - 1.0) * (j + a + b - 2.0) / (s**2 * (s + 1.0) * (s - 1.0))
-    off = np.sqrt(off)
-    thetas, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    weights = vectors[0] ** 2
-    weights /= weights.sum()
-    thetas = np.clip(thetas, 0.0, 1.0)
-    weights.flags.writeable = thetas.flags.writeable = False
-    return weights, thetas
-
-
-def _log_choose(m):
-    """(k, log C(m, k)), k = 0..m, with log C(m, k) = -log(m + 1) - betaln(m - k + 1, k + 1)."""
-    k = np.arange(m + 1)
-    return k, -np.log(m + 1.0) - betaln(m - k + 1, k + 1)
-
-
-def _binomial_mixture_pmf(weights, g, m):
-    """Sum over j of weights[j] times the Bin(m, g[j]) pmf, k = 0..m.
-
-    Each binomial row is exp of its log-pmf, divided by its sum, which
-    cancels the rounding error that the log-choose term carries at large m.
-    Rows are folded PMF_BLOCK_CELLS at a time.
-    """
-    k, log_choose = _log_choose(m)
-    rest = m - k
-    pmf = np.zeros(m + 1)
-    step = max(1, PMF_BLOCK_CELLS // (m + 1))
-    for lo in range(0, len(g), step):
-        theta = g[lo:lo + step, None]
-        rows = xlogy(k, theta)
-        rows += log_choose
-        rows += xlog1py(rest, -theta)
-        np.exp(rows, out=rows)
-        rows /= rows.sum(axis=1, keepdims=True)
-        pmf += weights[lo:lo + step] @ rows
-    return pmf
-
-
-def _peer_count_pmf(prior, bit, m, g=(0.0, 1.0)):
-    """P(K = k), k = 0..m, for the one-reports K among m peers given one's own bit.
-
-    Given theta, each peer reports 1 with probability
-    (1 - theta) g[0] + theta g[1], by default their own bit, so K is a
-    binomial mixture over the posterior of theta.  Atom and point mixing
-    sum over the reweighted atoms.  Beta mixing integrates with the Gauss
-    rule of `_beta_nodes`, except for the default g, where K is
-    beta-binomial: exp of scipy.stats' own log-pmf formula.
+    Given theta, K ~ Bin(m, q) and E[z^K] - 1 = expm1(m log1p(-q w)); m - K
+    is the same with 1 - q.  Atom and point mixing sum that over the
+    posterior atoms.  Beta mixing sums exactly over the peers' ones B,
+    beta-binomial given the bit: the B holders of a one report 1 with
+    chance g[1] and the others with chance g[0], so
+    E[z^K | B] = (1 - g[1] w)^B (1 - g[0] w)^(m - B).  The beta-binomial
+    pmf is divided by its sum, which cancels most of the rounding error
+    that its log terms carry at large m.  `xlog1py` keeps q w = 1, where w
+    rounds to 1, finite and free of warnings.
     """
     g0, g1 = g
     mixing = prior.mixing
     if isinstance(mixing, BetaMixing):
         a, b = mixing.a + bit, mixing.b + (1 - bit)
-        if (g0, g1) == (0.0, 1.0):
-            k, log_choose = _log_choose(m)
-            return np.exp(log_choose + betaln(k + a, m - k + b) - betaln(a, b))
-        weights, thetas = _beta_nodes(a, b, QUADRATURE_NODES)
-    else:
-        weights, thetas = _posterior_atoms(mixing, bit)
-    return _binomial_mixture_pmf(weights, thetas * g1 + (1.0 - thetas) * g0, m)
+        ones = np.arange(m + 1)
+        rest = m - ones
+        # scipy.stats' beta-binomial log-pmf, with log C(m, B) from betaln.
+        pmf = np.exp(betaln(ones + a, rest + b) - betaln(a, b)
+                     - np.log(m + 1.0) - betaln(rest + 1, ones + 1))
+
+        def less_one(u0, u1):
+            return np.expm1(xlog1py(ones, -u1 * w) + xlog1py(rest, -u0 * w))
+
+        return float(np.sum(pmf * (less_one(g0, g1) - less_one(1.0 - g0, 1.0 - g1)))
+                     / np.sum(pmf))
+    weights, thetas = _posterior_atoms(mixing, bit)
+    q = g0 + thetas * (g1 - g0)
+    return float(np.sum(weights * (np.expm1(xlog1py(m, -q * w))
+                                   - np.expm1(xlog1py(m, -(1.0 - q) * w)))))
 
 
 def clamped_mean(prior, bit, n, scale, g=(0.0, 1.0)):
@@ -369,27 +305,29 @@ def clamped_mean(prior, bit, n, scale, g=(0.0, 1.0)):
 
     Computes E[clip((K + X) / m, 0, 1)], m = n - 1, where K counts the
     one-reports of the m peers given one's own bit, each peer reporting 1
-    with probability (1 - theta) g[0] + theta g[1] (see `_peer_count_pmf`),
-    and X is Laplace noise of scale s rounded to an integer, as
-    `privacy.NoiseSpec` draws it; s = 0 means no noise.  X = z with chance
-    e^{-|z|/s} sinh(1/(2s)) for z != 0, so for each k
-    E[clip(k + X, 0, m)] = k + c (e^{-k/s} - e^{-(m-k)/s}) with
+    with probability (1 - theta) g[0] + theta g[1], and X is Laplace noise
+    of scale s rounded to an integer, as `privacy.NoiseSpec` draws it;
+    s = 0 means no noise.  X = j with chance e^{-|j|/s} sinh(1/(2s)) for
+    j != 0, so for each integer k in [0, m]
+    E[clip(k + X, 0, m)] = k + c (z^k - z^(m-k)) with z = e^{-1/s} and
     c = 1 / (4 sinh(1/(2s))) = e^{-h} / (2 (1 - e^{-2h})), h = 1/(2s): the
     two terms are the noise mass clipped at 0 and at m, summed as
-    geometric series.
+    geometric series.  Averaged over K, the mean is
+    E[K]/m + c (E[z^K] - E[z^(m-K)]) / m: E[K]/m is g[0] + (g[1] - g[0])
+    times `posterior_bit_prob`, and the generating-function gap comes from
+    `_pgf_gap`.
     """
     if bit not in (0, 1) or n < 2 or not scale >= 0.0:
         raise ValueError(f"need bit 0 or 1, n >= 2 and scale >= 0, got {bit}, {n}, {scale}")
     m = n - 1
-    sums = np.arange(m + 1, dtype=np.float64)
-    if scale > 0.0:
-        h = 0.5 / scale
-        sums += -0.5 * math.exp(-h) / math.expm1(-2.0 * h) * (
-            np.expm1(-sums / scale) - np.expm1(-(m - sums) / scale))
-    pmf = _peer_count_pmf(prior, bit, m, g)
-    total = sum(float(pmf[lo:lo + DOT_BLOCK] @ sums[lo:lo + DOT_BLOCK])
-                for lo in range(0, m + 1, DOT_BLOCK))
-    return total / m
+    g0, g1 = g
+    mean = g0 + (g1 - g0) * posterior_bit_prob(prior, bit)
+    if scale == 0.0:
+        return mean
+    h = 0.5 / scale
+    c = -0.5 * math.exp(-h) / math.expm1(-2.0 * h)
+    w = -math.expm1(-1.0 / scale)
+    return mean + c * _pgf_gap(prior, bit, m, g, w) / m
 
 
 def posterior_clamped_mean(prior, bit, n, epsilon):

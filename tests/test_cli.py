@@ -872,6 +872,18 @@ class TestPosteriorCommand:
         assert payload["max_abs_gap"] < 0.05
         assert 0.0 <= payload["clamped_mean"]["p0"] <= 1.0
 
+    def test_large_epsilon_does_not_warn(self, tmp_path, capsys):
+        # At epsilon 100 the noise's scale is 0.01: 1 - e^(-1/s) rounds to
+        # 1, and the clamped means equal the closed forms.
+        config = write_config(tmp_path, {"prior": prior_with(mixing={"a": 2.0}), "n": 50,
+                                         "epsilon": 100})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["posterior", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["max_abs_gap"] <= 1e-15
+
 
 class TestThresholdCommand:
     def test_structure(self, tmp_path, capsys):
@@ -933,8 +945,8 @@ class TestImportFootprint:
 
 
     def test_exact_audit_leaves_scipy_linalg_unloaded(self):
-        # The audit's Gauss nodes come from numpy.linalg: scipy.special's
-        # roots_jacobi would load scipy.linalg, a cost at every start.
+        # The audit's exact means run no linear algebra: loading
+        # scipy.linalg would cost time at every start.
         script = ("import sys\n"
                   "import peersurvey.cli\n"
                   "from peersurvey import CostModel, PriorSpec, best_response_audit\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import betaln, roots_jacobi
+from scipy.special import betaln
 
 from noise_oracle import clipped_sums, rounded_laplace_pmf
 from peersurvey.agents import AlwaysTruth, peer_estimate_mc
@@ -20,10 +20,7 @@ from peersurvey.priors import (
     PriorSpec,
     TruncatedLogNormal,
     Uniform,
-    _beta_nodes,
-    _binomial_mixture_pmf,
     _group_prob,
-    _peer_count_pmf,
     cost_cdfs,
     clamped_mean,
     cost_threshold,
@@ -684,17 +681,8 @@ def _clipped_means(m, eps):
 
 
 class TestPeerCountLaw:
-    """The pmfs and the binomial tail are built from scipy.special;
-    scipy.stats serves as their oracle."""
-
-    @pytest.mark.parametrize("m", PEER_COUNTS)
-    @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.7), (2.0, 0.1)])
-    def test_beta_binomial_is_scipy_stats_bit_for_bit(self, a, b, bit, m):
-        # A one leaves b as it is: (b + 1) - 1 is not b for every b.
-        prior = _prior({"kind": "beta", "a": a, "b": b})
-        expected = stats.betabinom.pmf(np.arange(m + 1), m, a + bit, b + (1 - bit))
-        assert np.array_equal(_peer_count_pmf(prior, bit, m), expected)
+    """The exact means and the binomial tail come from scipy.special;
+    scipy.stats' pmfs serve as their oracle."""
 
     @pytest.mark.parametrize("m", PEER_COUNTS)
     @pytest.mark.parametrize("bit", [0, 1])
@@ -703,36 +691,34 @@ class TestPeerCountLaw:
         [[0.3, 0.0], [0.2, 1.0], [0.5, 0.37]],
     ])
     def test_binomial_mixture_against_scipy_stats(self, atoms, bit, m):
+        # p0 / p1 against the posterior binomial mixture's pmf.
         prior = _prior({"kind": "atoms", "atoms": atoms})
         weights, thetas = (np.array(column) for column in zip(*atoms))
         post = weights * (thetas if bit == 1 else 1.0 - thetas)
         expected = post / post.sum() @ stats.binom.pmf(np.arange(m + 1), m, thetas[:, None])
-        pmf = _peer_count_pmf(prior, bit, m)
-        np.testing.assert_allclose(pmf, expected, rtol=0.0, atol=1e-12)
-        # p0 / p1 without noise, and with it.
-        k = np.arange(m + 1)
-        assert pmf @ k / m == pytest.approx(expected @ k / m, rel=1e-13)
         exact = posterior_clamped_mean(prior, bit, m + 1, 0.3)
         assert exact == pytest.approx(expected @ _clipped_means(m, 0.3), rel=1e-13)
 
     @pytest.mark.parametrize("m", PEER_COUNTS)
     @pytest.mark.parametrize("bit", [0, 1])
     @pytest.mark.parametrize("name", list(MIXINGS))
-    def test_mean_is_the_posterior_bit_prob(self, name, bit, m):
-        # E[K | own bit] / m, the noiseless clamped mean, is the closed form.
-        prior = _prior(MIXINGS[name])
-        mean = _peer_count_pmf(prior, bit, m) @ np.arange(m + 1) / m
-        assert mean == pytest.approx(posterior_bit_prob(prior, bit), abs=1e-9)
-
-    @pytest.mark.parametrize("m", PEER_COUNTS)
-    @pytest.mark.parametrize("theta, bit", [(0.0, 0), (1.0, 1), (0.37, 0), (0.37, 1)])
-    def test_each_binomial_row_sums_to_one(self, theta, bit, m):
-        # Point mixing is one atom, so its pmf is one row; the atoms at 0
-        # and 1 put all mass on k = 0 and k = m.
-        pmf = _peer_count_pmf(_prior({"kind": "point", "theta": theta}), bit, m)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
-        if theta in (0.0, 1.0):
-            assert pmf[0 if theta == 0.0 else m] == 1.0
+    @pytest.mark.parametrize("g", [(0.0, 1.0), (0.15, 0.8)])
+    def test_noiseless_mean_against_scipy_stats(self, g, name, bit, m):
+        # Given the peers' ones B, E[K | B] = B g1 + (m - B) g0.  B is
+        # beta-binomial under Beta mixing, else a mixture of binomials over
+        # the atoms reweighted by the own bit.
+        mixing = MIXINGS[name]
+        ones = np.arange(m + 1)
+        if mixing["kind"] == "beta":
+            law = stats.betabinom.pmf(ones, m, mixing["a"] + bit, mixing["b"] + (1 - bit))
+        else:
+            atoms = mixing["atoms"] if mixing["kind"] == "atoms" else [[1.0, mixing["theta"]]]
+            weights, thetas = (np.array(column) for column in zip(*atoms))
+            post = weights * (thetas if bit == 1 else 1.0 - thetas)
+            law = post / post.sum() @ stats.binom.pmf(ones, m, thetas[:, None])
+        expected = law @ (ones * g[1] + (m - ones) * g[0]) / m
+        mean = clamped_mean(_prior(mixing), bit, m + 1, 0.0, g)
+        assert mean == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 60, 5000, 50000])
     @pytest.mark.parametrize("atoms", [
@@ -761,59 +747,69 @@ class TestPeerCountLaw:
                 assert _group_prob(prior, n, need, tau) == pytest.approx(expected, abs=1e-11)
 
 
-class TestGaussNodes:
-    """The Golub-Welsch rule for Beta mixing, built with numpy.linalg."""
+class TestGeneratingFunctionAccuracy:
+    """The clamped mean against oracles exact to rounding, at up to 50,000
+    agents."""
 
-    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 3.0), (6.0, 0.5), (2.5, 0.7)])
-    @pytest.mark.parametrize("count", [128, 512])
-    def test_matches_scipy_roots_jacobi(self, a, b, count):
-        weights, thetas = _beta_nodes(a, b, count)
-        x, w = roots_jacobi(count, b - 1.0, a - 1.0)
-        np.testing.assert_allclose(thetas, (1.0 + x) / 2.0, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(weights, w / w.sum(), rtol=0.0, atol=1e-10)
-        assert not weights.flags.writeable and not thetas.flags.writeable
-
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 3.0), (6.0, 0.5), (2.0, 0.1),
-                                      (0.3, 0.7)])
-    def test_integrates_beta_moments(self, a, b):
-        # 128 nodes integrate every polynomial of degree <= 255 exactly:
-        # E[theta^i (1 - theta)^j] = B(a + i, b + j) / B(a, b).
-        weights, thetas = _beta_nodes(a, b, 128)
-        for i, j in [(0, 0), (1, 0), (0, 1), (3, 9), (128, 127), (255, 0), (0, 255), (40, 200)]:
-            exact = math.exp(betaln(a + i, b + j) - betaln(a, b))
-            assert weights @ (thetas**i * (1.0 - thetas) ** j) == pytest.approx(
-                exact, rel=1e-9, abs=1e-13)
-
-    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.5, 3.0), (6.0, 0.5)])
-    @pytest.mark.parametrize("m", [49, 255])
-    def test_exact_for_the_beta_binomial(self, a, b, m):
-        # At g(theta) = theta the mixture is the beta-binomial.
-        pmf = _binomial_mixture_pmf(*_beta_nodes(a, b, 128), m)
-        closed = stats.betabinom.pmf(np.arange(m + 1), m, a, b)
-        np.testing.assert_allclose(pmf, closed, rtol=0.0, atol=1e-13)
+    @pytest.mark.parametrize("eps", [math.log(10.0) / 20.0, 0.3, 0.02303])
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("n", [200, 5000, 50_000])
+    def test_uniform_prior_against_its_rational_pmf(self, n, bit, eps):
+        # Under Beta(1, 1), P(K = k | 1) = 2 (k + 1) / ((m + 1)(m + 2)),
+        # with m - k + 1 in place of k + 1 given a zero, and
+        # E[clip(k + X, 0, m)] = k + c (e^(-k/s) - e^(-(m-k)/s)): every
+        # term is positive, and math.fsum adds them.
+        m, scale = n - 1, 1.0 / eps
+        c = 0.25 / math.sinh(0.5 / scale)
+        oracle = math.fsum(
+            2.0 * ((k if bit else m - k) + 1) / ((m + 1) * (m + 2))
+            * (k + c * (math.exp(-k / scale) - math.exp(-(m - k) / scale))) / m
+            for k in range(m + 1))
+        exact = posterior_clamped_mean(_prior(MIXINGS["uniform"]), bit, n, eps)
+        assert exact == pytest.approx(oracle, rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (0.3, 0.7)])
-    def test_package_rule_is_exact_at_255_peers(self, a, b, bit, monkeypatch):
-        # Up to m = 255 peers the package's node count integrates the
-        # binomial mixture exactly, so four times as many nodes agree.
-        from peersurvey import priors
+    @pytest.mark.parametrize("scale", [0.5, 1.0 / 0.3])
+    @pytest.mark.parametrize("g", [(1.0, 0.0), (0.0, 0.9), (0.15, 0.8)])
+    @pytest.mark.parametrize("a, b", [(5.0, 0.5), (0.5, 0.5), (2.5, 0.7)])
+    def test_beta_mixing_against_quadrature(self, a, b, g, scale, bit):
+        # Given theta, K ~ Bin(m, q) with q = g0 + theta (g1 - g0), so
+        # E[z^K] - 1 = E[expm1(m log1p(-q w))], w = 1 - e^(-1/s), and
+        # E[z^(m-K)] the same with 1 - q.  QUADPACK's algebraic weight
+        # takes the posterior Beta density's powers at the ends.
+        m, (g0, g1) = 49_999, g
+        pa, pb = a + bit, b + (1 - bit)
+        w = -math.expm1(-1.0 / scale)
+        c = 0.25 / math.sinh(0.5 / scale)
 
-        prior = _prior({"kind": "beta", "a": a, "b": b})
-        exact = clamped_mean(prior, bit, 256, 0.5, (0.0, 0.9))
-        monkeypatch.setattr(priors, "QUADRATURE_NODES", 4 * priors.QUADRATURE_NODES)
-        assert exact == pytest.approx(clamped_mean(prior, bit, 256, 0.5, (0.0, 0.9)),
-                                      rel=0.0, abs=1e-14)
+        def pgf_less_one(q0, q1):
+            value, _ = quad(lambda t: math.expm1(m * math.log1p(-(q0 + t * (q1 - q0)) * w)),
+                            0.0, 1.0, weight="alg", wvar=(pa - 1.0, pb - 1.0), limit=200,
+                            epsabs=1e-13, epsrel=1e-13)
+            return value * math.exp(-betaln(pa, pb))
 
-    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 3.0), (6.0, 0.5)])
-    def test_converged_far_past_exactness(self, a, b):
-        # At m = 49,999 the clamped mean's integrand has degree far above
-        # 255, but it is smooth in theta: 128 and 512 nodes agree.
-        m = 49_999
-        clipped = _clipped_means(m, 0.5)
-        means = [_binomial_mixture_pmf(weights, 0.15 + 0.65 * thetas, m) @ clipped
-                 for weights, thetas in (_beta_nodes(a, b, count) for count in (128, 512))]
-        assert means[0] == pytest.approx(means[1], rel=0.0, abs=1e-10)
+        oracle = (g0 + (g1 - g0) * pa / (pa + pb)
+                  + c * (pgf_less_one(g0, g1) - pgf_less_one(1.0 - g0, 1.0 - g1)) / m)
+        exact = clamped_mean(_prior({"kind": "beta", "a": a, "b": b}), bit, m + 1, scale, g)
+        assert exact == pytest.approx(oracle, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.01, 0.001])
+    @pytest.mark.parametrize("mixing, expected", [
+        ({"kind": "beta", "a": 2.0, "b": 1.0}, [0.75, 0.25, 0.675]),
+        ({"kind": "atoms", "atoms": [[0.5, 1.0], [0.5, 0.3]]},
+         [0.8384615384615384, 0.1615384615384615, 0.7546153846153846]),
+    ], ids=["beta", "atoms"])
+    def test_large_epsilon_is_finite_and_silent(self, mixing, expected, scale):
+        # At s <= 1/37, w = 1 - e^(-1/s) rounds to 1, so a peer who surely
+        # reports 1 (theta = 1 under g = (0, 1), theta = 0 under (1, 0))
+        # puts log1p(-1) = -inf into E[z^K]; the mean must stay finite and
+        # raise no warning.
+        prior = _prior(mixing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = [clamped_mean(prior, 1, 50, scale, g)
+                     for g in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.9))]
+        assert means == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def _equal_cost_prior(cost_spec):

@@ -712,6 +712,22 @@ class TestExactMasses:
         assert report.verdict == "Pass"
         assert abs(report.max_log_ratio - 0.5) <= 1e-9
 
+    @pytest.mark.parametrize("epsilon", [0.5, math.log(10.0) / 100.0])
+    @pytest.mark.parametrize("n, ones", [(10, range(10)), (1000, range(0, 1000, 37))],
+                             ids=["n10-every", "n1000-stride37"])
+    def test_whole_view_is_epsilon_dp(self, n, ones, epsilon):
+        # The estimate is one-to-one on clip(b_bar, 0, n), and every
+        # payment is a function of it, so with n + 1 bins, one per value,
+        # the audit covers all the adversary sees.  The neighbors' sums
+        # run a -> a + 1.
+        trials = max(100_000, 50 * (n + 1))
+        for a in ones:
+            reports = [1] * a + [0] * (n - a)
+            report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, a, 1,
+                              epsilon, trials, n + 1, seed=7)
+            assert report.verdict == "Pass"
+            assert report.max_log_ratio - epsilon <= 1e-12
+
     @pytest.mark.parametrize("n, bins", [(10, 20), (1000, 10_000)])
     def test_counts_within_five_sigma_of_the_exact_masses(self, n, bins):
         # Each bin of the estimate holds the b_bar = k in [n lo, n hi) and
