@@ -407,20 +407,11 @@ KEYS = frozenset(name for name, rule in vars(Resolver).items()
                  if isinstance(rule, cached_property) and not name.startswith("_"))
 
 
-def _text(value, alone):
-    """One cell as csv.writer writes it: a float with '%.17g', anything
-    else with str(), quoted (QUOTE_MINIMAL) when it holds a comma, a quote
-    or a line break, or when it is empty and the only field of its row."""
-    text = "%.17g" % value if isinstance(value, float) else str(value)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return '""' if alone and not text else text
-
-
-# write_csv renders a block of rows at a time into fixed-width cell slots of
-# 2-byte words.  A slot's first byte is kept for the separator before it;
-# _PAD fills every byte that holds no character and is dropped at the end.
-# UTF-8 never uses the byte 0xFF, so a text cell keeps every byte it has.
+# write_csv renders a block of rows at a time into fixed-width cell slots.
+# The kernels build a slot from 2-byte words; its first byte is kept for the
+# separator before it.  _PAD fills every byte that holds no character and is
+# dropped at the end.  UTF-8 never uses the byte 0xFF, so a text cell keeps
+# every byte it has.
 _BLOCK_ROWS = 1 << 11
 _PAD = 0xFF
 # Where each form of a 2-digit pair starts in _tables().pair.
@@ -478,9 +469,9 @@ def _right_aligned(v, count):
 
 
 def _text_cells(texts, width=None):
-    """Cells of the given texts, UTF-8, `width` bytes each; by default the
-    fewest whole words that hold the longest."""
-    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    """Cells of the given Python strs, UTF-8, `width` bytes each; by default
+    the fewest whole words that hold the longest."""
+    data = [text.encode() for text in texts]
     lengths = np.array([len(d) for d in data], np.intp)
     width = width or (2 + int(lengths.max())) // 2 * 2
     cells = np.full((len(data), width), _PAD, np.uint8)
@@ -564,15 +555,15 @@ def write_csv(path, columns):
     """Write equal-length named columns as CSV rows; nothing when path is None.
     Columns of unequal length raise ValueError, before anything is written.
 
-    The bytes are those csv.writer writes for the cells: floats with
-    '%.17g', 17 significant digits, so they round-trip exactly; integers
-    plain; every other value with str(), quoted only where CSV requires it;
-    rows end in '\r\n'.  Rows are rendered a block at a time, so memory does
-    not grow with the row count.  In a block, the float columns (float32 as
-    float64, and lists of Python floats) are rendered together and each
-    integer column at once, by numpy.  A float below 1e-4 or at least 1e17
-    in magnitude, or not finite, is formatted by Python, cell by cell; so
-    are the header and every cell that is neither float nor integer.
+    Each column is a 1-D numpy array of floats, integers or text (dtype kind
+    'f', 'i'/'u' or 'U'), and no name or text cell holds a comma, a quote or
+    a line break.  Floats are written with '%.17g', 17 significant digits,
+    so they round-trip exactly; integers with '%d'; text as it is; rows end
+    in '\r\n'.  These are the bytes csv.writer writes for such cells.  Rows
+    are rendered a block at a time, so memory does not grow with the row
+    count.  In a block, the float columns are rendered together and each
+    other column at once, by numpy.  A float below 1e-4 or at least 1e17 in
+    magnitude, or not finite, is formatted by Python, cell by cell.
     """
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
@@ -583,39 +574,24 @@ def write_csv(path, columns):
         fh = open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError("out", f"cannot write '{path}': {exc}") from exc
-    alone = len(columns) == 1
-    values = [np.array(column, np.float64)
-              if not isinstance(column, np.ndarray) and all(isinstance(v, float) for v in column)
-              else column for column in columns.values()]
-    floats = [k for k, column in enumerate(values)
-              if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
-    rows = len(values[0])
+    values = list(columns.values())
+    floats = [k for k, column in enumerate(values) if column.dtype.kind == "f"]
     with fh:
-        fh.write(",".join(_text(name, alone) for name in columns) + "\r\n")
-        for lo in range(0, rows, _BLOCK_ROWS):
-            block = [column[lo:min(lo + _BLOCK_ROWS, rows)] for column in values]
-            cells = [None] * len(block)
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, len(values[0]), _BLOCK_ROWS):
+            block = [column[lo:lo + _BLOCK_ROWS] for column in values]
+            cells = [_int_cells(column) if column.dtype.kind in "iu"
+                     else _text_cells(column.tolist()) if column.dtype.kind == "U" else None
+                     for column in block]
             if floats:
                 rendered = _float_cells(np.array([block[k] for k in floats], np.float64).ravel())
                 for k, part in zip(floats, np.split(rendered, len(floats))):
                     cells[k] = part
-            for k, column in enumerate(block):
-                if cells[k] is not None:
-                    continue
-                if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-                    cells[k] = _int_cells(column)
-                else:
-                    cells[k] = _text_cells([_text(v, alone)
-                                            for v in np.asarray(column, dtype=object).tolist()])
-            starts = np.cumsum([0] + [c.shape[1] for c in cells])
-            line = np.empty((len(cells[0]), starts[-1] // 2 + 1), np.uint16)
-            for c, start in zip(cells, starts // 2):
-                line[:, start:start + c.shape[1] // 2] = c.view(np.uint16)
-            text = line.view(np.uint8)
-            text[:, starts[:-1]] = ord(",")
+            crlf = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (len(block[0]), 2))
+            text = np.concatenate(cells + [crlf], axis=1)
+            text[:, np.cumsum([c.shape[1] for c in cells[:-1]], dtype=np.intp)] = ord(",")
             text[:, 0] = _PAD
-            text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-            fh.write(text[text != _PAD].tobytes().decode("utf-8", "surrogatepass"))
+            fh.write(text[text != _PAD].tobytes().decode())
 
 
 def _cross_checks(r, n):
@@ -732,7 +708,8 @@ def _cmd_audit_equilibrium(r):
     keys = ("mean_payment", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[action][key] for key in keys))
             for bit, stats in report.per_bit.items() for action in ACTIONS]
-    _emit(r, report.to_dict(), dict(zip(("bit", "action") + keys, zip(*rows))),
+    columns = {name: np.array(column) for name, column in zip(("bit", "action") + keys, zip(*rows))}
+    _emit(r, report.to_dict(), columns,
           beta=report.beta, tau=report.tau, p0=report.p0, p1=report.p1)
     return EXIT_BY_VERDICT[report.overall]
 

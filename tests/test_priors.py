@@ -748,12 +748,12 @@ class TestPeerCountLaw:
 
 
 class TestGeneratingFunctionAccuracy:
-    """The clamped mean against oracles exact to rounding, at up to 50,000
+    """The clamped mean against oracles exact to rounding, at up to 500,000
     agents."""
 
     @pytest.mark.parametrize("eps", [math.log(10.0) / 20.0, 0.3, 0.02303])
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("n", [200, 5000, 50_000])
+    @pytest.mark.parametrize("n", [200, 5000, 50_000, 500_000])
     def test_uniform_prior_against_its_rational_pmf(self, n, bit, eps):
         # Under Beta(1, 1), P(K = k | 1) = 2 (k + 1) / ((m + 1)(m + 2)),
         # with m - k + 1 in place of k + 1 given a zero, and

@@ -728,6 +728,46 @@ class TestExactMasses:
             assert report.verdict == "Pass"
             assert report.max_log_ratio - epsilon <= 1e-12
 
+    @pytest.mark.parametrize("epsilon", [0.5, math.log(10.0) / 100.0])
+    @pytest.mark.parametrize("ones", [0, 5, 10])
+    def test_whole_view_log_ratios_in_closed_form(self, ones, epsilon):
+        # With n + 1 bins, bin k holds clip(b_bar, 0, n) = k.  The noise
+        # cell r has mass e^(-|r| eps) sinh(h), h = eps / 2, for r != 0 and
+        # 1 - e^(-h) at r = 0.  A bin both neighbors reach off their sums
+        # sees cells one step apart on the same side of 0: eps.  At a sum
+        # that is not clipped the ratio of r = 0 to r = 1 is 2e^h / (1 +
+        # e^(-h)); a sum of 0 or n clips its cell to P(R <= 0) = 1 - e^(-h) / 2
+        # against P(R <= -1) = e^(-h) / 2, a ratio of 2e^h - 1.
+        n, h = 10, epsilon / 2.0
+        closed = {"same side": epsilon,
+                  "at a sum": math.log(2.0 * math.exp(h) / (1.0 + math.exp(-h))),
+                  "clipped sum": math.log(2.0 * math.exp(h) - 1.0)}
+        observable = estimate_observable(n, NoiseSpec(epsilon=epsilon))
+        reports = [1] * ones + [0] * (n - ones)
+        for i in range(n):
+            flipped = 1 - reports[i]
+            report = dp_audit(observable, reports, i, flipped, epsilon, 100_000, n + 1, seed=7)
+            sums = {ones, ones + (1 if flipped else -1)}
+            for k, log_ratio in enumerate(report.table["log_ratio"]):
+                form = ("same side" if k not in sums
+                        else "clipped sum" if k in (0, n) else "at a sum")
+                assert abs(abs(log_ratio) - closed[form]) <= 1e-12, (i, k, form)
+            assert abs(report.max_log_ratio - epsilon) <= 1e-12
+
+    def test_payment_is_no_more_revealing_than_the_whole_view(self):
+        # Each payment is a function of clip(b_bar, 0, n), so no payment
+        # of a peer j of the flipped agent i has a larger ratio.
+        config = TestSharedNoiseDraw.PAYMENTS
+        n, reports = config.n, [1] * 5 + [0] * 5
+        for i in range(n):
+            flipped = 1 - reports[i]
+            whole = dp_audit(estimate_observable(n, config.noise), reports, i, flipped,
+                             config.epsilon, 100_000, n + 1, seed=7).max_log_ratio
+            for j in set(range(n)) - {i}:
+                report = dp_audit(payment_observable(config, j), reports, i, flipped,
+                                  config.epsilon, 100_000, 20, seed=7)
+                assert report.max_log_ratio <= whole + 1e-12, (i, j)
+
     @pytest.mark.parametrize("n, bins", [(10, 20), (1000, 10_000)])
     def test_counts_within_five_sigma_of_the_exact_masses(self, n, bins):
         # Each bin of the estimate holds the b_bar = k in [n lo, n hi) and
