@@ -65,8 +65,9 @@ def merge_moments(moments, values):
 
 def cross_check(exact, mc, se, samples):
     """A Monte Carlo cross-check's record: {exact, mc, se, samples, z}, with
-    z = (mc - exact) / se, and z = 0 where mc equals exact."""
-    z = 0.0 if mc == exact else (mc - exact) / se
+    z = (mc - exact) / se, z = 0 where mc equals exact, and z = None where
+    they differ but the draws had no spread (se = 0)."""
+    z = 0.0 if mc == exact else (mc - exact) / se if se > 0.0 else None
     return {"exact": exact, "mc": mc, "se": se, "samples": samples, "z": z}
 
 

@@ -3,8 +3,8 @@ law and expected utility.
 
 An agent privately holds a bit and a unit privacy cost.  Utility from one
 survey round is payment minus the privacy-loss value, which the analyzed
-cost models bound by eta * epsilon * cost (linear regime) or by
-eta * 4 * cost * epsilon**2 (quadratic regime, valid for epsilon <= 1).
+cost models bound by epsilon * cost (linear regime) or by
+4 * cost * epsilon**2 (quadratic regime, valid for epsilon <= 1).
 """
 
 from dataclasses import dataclass
@@ -41,20 +41,13 @@ class AgentType:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Privacy-loss model: bound kind plus a realization fraction eta.
-
-    eta = 1 prices the worst case; smaller values model agents whose
-    realized loss sits below the bound.
-    """
+    """Privacy-loss model: which bound prices an agent's privacy loss."""
 
     kind: str
-    eta: float = 1.0
 
     def __post_init__(self):
         if self.kind not in COST_MODEL_KINDS:
             raise ValueError(f"kind must be one of {COST_MODEL_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
     to_dict = report_dict
 
@@ -70,12 +63,12 @@ def privacy_cost_bound(model, cost, epsilon):
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if model.kind == "linear":
-        return model.eta * epsilon * cost
+        return epsilon * cost
     if epsilon > 1.0:
         raise ValueError(
             f"the quadratic cost bound requires epsilon <= 1, got {epsilon}"
         )
-    return model.eta * 4.0 * cost * epsilon**2
+    return 4.0 * cost * epsilon**2
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ class Resolver:
     @cached_property
     def cost_model(self):
         model = self._object("cost_model", CostModel.from_dict,
-                             self._raw("cost_model", {"kind": "linear", "eta": 1.0}))
+                             self._raw("cost_model", {"kind": "linear"}))
         if model.kind == "chen" and self.epsilon > 1.0:
             raise ConfigError("epsilon", f"the quadratic (chen) cost model needs "
                                          f"epsilon <= 1, got {self.epsilon}")
@@ -330,9 +330,6 @@ class Resolver:
         if self.pinned("beta"):
             return self._number("beta", lambda v: v > 0.0, "a positive number or 'auto'")
         self._check_tau(self.tau)
-        if self.cost_model.eta != 1.0:
-            raise ConfigError("cost_model", f"a derived beta prices the worst case eta = 1, "
-                                            f"got eta = {self.cost_model.eta}; pin beta instead")
         return beta_rule(self.cost_model.kind, self.epsilon, self.tau)
 
     def _prediction(self, bit):
@@ -704,7 +701,7 @@ def _cmd_audit_equilibrium(r):
               r.beta if r.pinned("beta") else None, r.off)
     parameters = r.driver_parameters(r.n, r.epsilon)
     r.reject_unread()
-    report = best_response_audit(*inputs, derive=lambda n, epsilon: parameters)
+    report = best_response_audit(*inputs, parameters=parameters)
     keys = ("mean_payment", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[action][key] for key in keys))
             for bit, stats in report.per_bit.items() for action in ACTIONS]
@@ -728,7 +725,7 @@ def _cmd_cost_scaling(r):
     # Every row's parameters first: a config error at any n stops the run.
     parameters = {n: r.driver_parameters(n, epsilon_rule(r.alpha, r.delta, n)) for n in r.ns}
     r.reject_unread()
-    report = cost_scaling_experiment(*inputs, derive=lambda n, epsilon: parameters[n])
+    report = cost_scaling_experiment(*inputs, parameters=parameters)
     parts = [
         {
             "n": np.full(row.records.base.trials, row.n),

@@ -11,7 +11,6 @@ populations and returns a report with explicit verdicts.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,7 +49,7 @@ COST_SCALING_MIN_TRIALS = 2
 
 def beta_rule(kind, epsilon, tau):
     """Truthfulness premium: the privacy-cost bound of an agent whose cost is
-    tau, under the worst case (eta = 1) of the cost model `kind`.
+    tau, under the cost model `kind`.
 
     Linear model: beta = epsilon * tau.  Quadratic ("chen") model:
     beta = 4 * epsilon**2 * tau, valid only for epsilon <= 1.  tau = 0 is
@@ -235,14 +234,14 @@ def best_response_audit(
     seed,
     beta_override=None,
     off=ABSTAIN,
-    derive=None,
+    parameters=None,
 ):
     """Audit whether truthful participation is a best response at threshold tau.
 
     Everyone else plays the threshold strategy; a probe agent with cost just
     below tau tries truth, lie and abstain for both possible bit values.
-    `derive(n, epsilon)` gives (tau, p0, p1); by default `exact_parameters`
-    derives them.  Payments and verdicts are exact: per_bit[bit] holds the
+    `parameters` is (tau, p0, p1); by default `exact_parameters` derives
+    them.  Payments and verdicts are exact: per_bit[bit] holds the
     bit's exact mean estimate (`peer_estimate_mean`) under
     "mean_peer_estimate", each action's `expected_utility` at that mean under
     the action's name, and under "cross_check" the `_util.cross_check`
@@ -257,9 +256,9 @@ def best_response_audit(
     trials = int(trials)
     if trials < EQUILIBRIUM_MIN_TRIALS:
         raise ValueError(f"trials must be at least {EQUILIBRIUM_MIN_TRIALS}, got {trials}")
-    if derive is None:
-        derive = partial(exact_parameters, prior, alpha, delta)
-    tau, p0, p1 = derive(n, epsilon)
+    if parameters is None:
+        parameters = exact_parameters(prior, alpha, delta, n, epsilon)
+    tau, p0, p1 = parameters
     beta = beta_rule(cost_model.kind, epsilon, tau) if beta_override is None else float(beta_override)
     config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
     others = Threshold(tau=tau, off=off)
@@ -308,7 +307,6 @@ def best_response_audit(
         per_bit=per_bit,
         detail={
             "cost_model": cost_model.to_dict(),
-            "beta_rule_value": beta_rule(cost_model.kind, epsilon, tau),
             "privacy_cost_bound_at_tau": tau_cost_bound,
             "beta_margin_over_cost_bound": margin,
             "off_behavior": off,
@@ -460,12 +458,12 @@ def cost_scaling_experiment(
     ns,
     trials,
     seed,
-    derive=None,
+    parameters=None,
 ):
     """Mean total payment per survey size under the quadratic cost model.
 
-    For each n: epsilon follows epsilon_rule, `derive(n, epsilon)` gives
-    (tau, p0, p1) (by default `exact_parameters`), beta follows the
+    For each n: epsilon follows epsilon_rule, `parameters[n]` is (tau, p0,
+    p1) (by default `exact_parameters` derives them), beta follows the
     quadratic premium rule, and everyone plays the threshold strategy,
     abstaining above tau.  beta_rule rejects any n that drives epsilon
     above 1, because the quadratic bound is invalid there.  The report's
@@ -478,13 +476,12 @@ def cost_scaling_experiment(
     if trials < COST_SCALING_MIN_TRIALS:
         raise ValueError(f"trials must be at least {COST_SCALING_MIN_TRIALS}, got {trials}")
     seed = check_seed(seed)
-    if derive is None:
-        derive = partial(exact_parameters, prior, alpha, delta)
 
     rows = []
     for n in ns:
         epsilon = epsilon_rule(alpha, delta, n)
-        tau, p0, p1 = derive(n, epsilon)
+        tau, p0, p1 = (exact_parameters(prior, alpha, delta, n, epsilon) if parameters is None
+                       else parameters[n])
         beta = beta_rule("chen", epsilon, tau)
         config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
         recs = simulate_survey(prior, config, Threshold(tau=tau), trials, derive_seed(seed, n, 3))

@@ -82,26 +82,21 @@ class TestAgentType:
 
 class TestCostModel:
     def test_round_trip(self):
-        model = CostModel(kind="chen", eta=0.5)
+        model = CostModel(kind="chen")
+        assert model.to_dict() == {"kind": "chen"}
         assert CostModel.from_dict(model.to_dict()) == model
         with pytest.raises(ValueError, match="cost_model has no key 'etaa'"):
             CostModel.from_dict({"kind": "linear", "etaa": 0.3})
-        for bad in (True, "0.5", math.nan, math.inf):
-            with pytest.raises(ValueError, match="cost_model.eta must be a finite number"):
-                CostModel.from_dict({"kind": "linear", "eta": bad})
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CostModel(kind="cubic")
-        with pytest.raises(ValueError):
-            CostModel(kind="linear", eta=1.5)
-        with pytest.raises(ValueError):
-            CostModel.from_dict({"eta": 1.0})
+        with pytest.raises(ValueError, match="cost_model is missing key 'kind'"):
+            CostModel.from_dict({})
 
     def test_privacy_cost_bound_values(self):
         assert privacy_cost_bound(CostModel("linear"), 2.0, 0.1) == pytest.approx(0.2)
         assert privacy_cost_bound(CostModel("chen"), 2.0, 0.1) == pytest.approx(0.08)
-        assert privacy_cost_bound(CostModel("linear", eta=0.5), 2.0, 0.1) == pytest.approx(0.1)
         assert privacy_cost_bound(CostModel("chen"), 1.0, 1.0) == pytest.approx(4.0)
 
     def test_quadratic_bound_needs_small_epsilon(self):
@@ -239,7 +234,7 @@ class TestExpectedUtility:
 
     def test_utility_subtracts_the_privacy_cost_bound(self, uniform_prior):
         config, _ = truthful_config(uniform_prior)
-        agent, model = AgentType(bit=1, cost=0.3), CostModel("chen", eta=0.5)
+        agent, model = AgentType(bit=1, cost=0.3), CostModel("chen")
         est = expected_utility(agent, TRUTH, 0.6, config, model)
         assert est["utility_lower_bound"] == (
             est["mean_payment"] - privacy_cost_bound(model, 0.3, config.epsilon))

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -42,6 +41,10 @@ FREE_PRIOR = dict(UNIFORM_PRIOR, cost0={"kind": "point_mass", "value": 0.0},
                   cost1={"kind": "point_mass", "value": 0.0})
 # Knobs that only size the Monte Carlo cross-checks.
 CROSS_CHECK_KEYS = ("threshold_trials", "posterior_samples")
+# Two atoms at theta 0 and 1: every peer holds one's own bit.  At epsilon 20
+# the rounded noise is 0 but with chance about 1e-4, so a few hundred draws
+# of a leave-one-out estimate are all equal (se 0), yet off its exact mean.
+ZERO_SPREAD_PRIOR = dict(UNIFORM_PRIOR, mixing={"kind": "atoms", "atoms": [[0.5, 0.0], [0.5, 1.0]]})
 # Commands whose output is the JSON report alone.
 NO_CSV_COMMANDS = ("posterior", "threshold")
 
@@ -311,11 +314,11 @@ class TestResolver:
          "prior.mixing: beta parameters must be positive"),
         ("threshold", "prior", dict(UNIFORM_PRIOR, family="independent_bits"),
          "prior: family must be one of"),
-        ("audit-equilibrium", "cost_model", {"kind": "linear", "eta": 2.0},
-         "cost_model: eta must lie in [0, 1]"),
+        ("audit-equilibrium", "cost_model", {"kind": "linear", "eta": 1.0},
+         "cost_model has no key 'eta'"),
         ("run", "strategy", {"kind": "constant_bit", "value": 2},
          "strategy: value must be 0 or 1"),
-    ], ids=["cost1-range", "cost1-no-mass", "mixing-range", "family", "eta-range",
+    ], ids=["cost1-range", "cost1-no-mass", "mixing-range", "family", "eta-removed",
             "strategy-value"])
     def test_bad_nested_value_names_its_path(self, tmp_path, capsys, command, key, value,
                                              message):
@@ -331,33 +334,18 @@ class TestResolver:
                       "payment_index": 3, "alpha": 0.1, "delta": 0.1, "prior": UNIFORM_PRIOR,
                       "threshold_trials": 5_000, "posterior_samples": 5_000}),
     ], ids=["run", "payment-audit"])
-    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.999])
-    def test_eta_with_a_derived_beta_exits_1(self, tmp_path, capsys, command, payload, eta):
-        # A derived beta prices the worst case, eta = 1 (beta_rule), so any
-        # other eta would be read and then ignored.
-        config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear", "eta": eta}))
+    def test_eta_exits_1_with_a_derived_beta(self, tmp_path, capsys, command, payload):
+        # A cost model prices the privacy loss at its bound, with no eta
+        # factor: eta = 1, which a derived beta used to accept, is now an
+        # unknown key, and the same cost model without it runs.
+        config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear", "eta": 1.0}))
         assert dispatch([command, "--config", config]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[0].startswith(
-            f"config error: config key 'cost_model': a derived beta prices the worst case "
-            f"eta = 1, got eta = {eta}")
-        config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear", "eta": 1.0}))
+            "config error: config key 'cost_model': cost_model has no key 'eta'")
+        config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear"}))
         assert dispatch([command, "--config", config]) in (0, 2)
-
-    def test_audit_equilibrium_prices_eta(self, tmp_path, capsys):
-        # The best-response audit reads eta in each utility bound, with the
-        # same derived beta.
-        reports = []
-        for eta in (0.25, 1.0):
-            config = write_config(tmp_path, dict(BASE_CONFIGS["audit-equilibrium"],
-                                                 cost_model={"kind": "linear", "eta": eta}))
-            assert dispatch(["audit-equilibrium", "--config", config]) in (0, 2)
-            reports.append(json.loads(capsys.readouterr().out))
-        assert reports[0]["resolved"]["beta"] == reports[1]["resolved"]["beta"]
-        truth = [r["per_bit"]["1"]["truth"] for r in reports]
-        assert truth[0]["mean_payment"] == truth[1]["mean_payment"]
-        assert truth[0]["utility_lower_bound"] > truth[1]["utility_lower_bound"]
 
     @pytest.mark.parametrize("command, off", [
         ("audit-equilibrium", "abstain"),
@@ -1088,8 +1076,7 @@ class TestAuditEquilibriumCommand:
     def equilibrium_config(self, **overrides):
         payload = {
             "prior": UNIFORM_PRIOR, "n": 200, "alpha": 0.1, "delta": 0.1,
-            "epsilon": "auto", "beta": "auto",
-            "cost_model": {"kind": "linear", "eta": 1.0},
+            "epsilon": "auto", "beta": "auto", "cost_model": {"kind": "linear"},
             "trials": 4_000, "seed": 3,
             "threshold_trials": 20_000, "posterior_samples": 20_000,
         }
@@ -1129,30 +1116,52 @@ class TestAuditEquilibriumCommand:
             assert check["z"] == pytest.approx((check["mc"] - exact) / check["se"])
             assert abs(check["z"]) < 5.0
 
-    def test_stdout_is_strict_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, payload", [
+        ("audit-equilibrium", BASE_CONFIGS["audit-equilibrium"]),
+        ("posterior", {"prior": ZERO_SPREAD_PRIOR, "n": 5, "epsilon": 20,
+                       "posterior_samples": 100, "seed": 4}),
+        ("run", {"prior": ZERO_SPREAD_PRIOR, "n": 5, "alpha": 0.1, "delta": 0.1, "epsilon": 20,
+                 "beta": 1, "trials": 10, "seed": 4, "posterior_samples": 100}),
+        ("audit-equilibrium", {"prior": ZERO_SPREAD_PRIOR, "n": 5, "alpha": 0.1, "delta": 0.1,
+                               "epsilon": 20, "trials": 1_000, "seed": 4}),
+    ], ids=["audit-equilibrium", "posterior-no-spread", "run-no-spread",
+            "audit-equilibrium-no-spread"])
+    def test_stdout_is_strict_json(self, tmp_path, capsys, command, payload):
         # No NaN or Infinity, which RFC 8259 parsers such as jq reject: each
-        # bit prints its exact mean estimate, abstaining included.
-        config = write_config(tmp_path, BASE_CONFIGS["audit-equilibrium"])
-        assert dispatch(["audit-equilibrium", "--config", config]) == 0
+        # bit prints its exact mean estimate, abstaining included, and a
+        # cross-check whose draws are all equal (se 0) but off the exact
+        # value prints a null z.
+        config = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch([command, "--config", config]) == 0
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
-        for bit in ("0", "1"):
-            rows = payload["per_bit"][bit]
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        per_bit = report.get("per_bit", {}).values()
+        for rows in per_bit:
             assert math.isfinite(rows["mean_peer_estimate"])
+        checks = [*report.get("cross_check", {}).values(), *(rows["cross_check"] for rows in per_bit)]
+        assert checks
+        for check in checks:
+            assert (check["z"] is None) == (check["se"] == 0.0 and check["mc"] != check["exact"])
+        if payload["prior"] is ZERO_SPREAD_PRIOR:
+            assert any(check["z"] is None for check in checks)
 
-    def test_free_privacy_abstains_at_positive_zero(self, tmp_path, capsys):
-        # With eta = 0 the privacy cost is 0, and abstaining's utility bound
-        # is its payment minus that cost: 0.0 - 0.0, printed as 0.0, not -0.0.
-        config = write_config(tmp_path, dict(BASE_CONFIGS["audit-equilibrium"],
-                                             cost_model={"kind": "linear", "eta": 0.0}))
-        assert dispatch(["audit-equilibrium", "--config", config]) == 0
-        out = capsys.readouterr().out
-        # A standalone -0.0 token; a negative number such as -0.019 is not one.
-        assert '"abstain_utility_bound": 0.0,' in out and re.search(r"-0\.0\b", out) is None
-        assert math.copysign(1.0, json.loads(out)["abstain_utility_bound"]) == 1.0
+    def test_pinned_beta_below_the_cost_bound_fails(self, tmp_path, capsys):
+        # A pinned beta is the one lever on the cover verdict: below the
+        # privacy-cost bound at tau the audit fails, by the margin it prints.
+        config = write_config(tmp_path, dict(BASE_CONFIGS["audit-equilibrium"], beta=1e-6))
+        assert dispatch(["audit-equilibrium", "--config", config]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["beta"] == 1e-6
+        assert payload["verdicts"]["beta_covers_cost_bound"] == "Fail"
+        assert payload["verdicts"]["truth_dominates"] == "Fail"
+        detail = payload["detail"]
+        assert detail["beta_margin_over_cost_bound"] == 1e-6 - detail["privacy_cost_bound_at_tau"]
+        assert detail["beta_margin_over_cost_bound"] < -0.3
 
     def test_trials_floor(self, tmp_path, capsys):
         config = write_config(tmp_path, self.equilibrium_config(trials=100))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,12 +17,13 @@ from peersurvey.equilibrium import (
     config_lint,
     cost_scaling_experiment,
     epsilon_rule,
+    exact_parameters,
     simulate_estimates,
     simulate_survey,
     total_payment_bound,
 )
 from peersurvey.mechanism import MechanismConfig, payment_pair, published_estimate
-from peersurvey.priors import PriorSpec
+from peersurvey.priors import CostSearchError, PriorSpec
 from peersurvey.privacy import FAIL, PASS, NoiseSpec, noise_draw
 from peersurvey.scoring import scoring_params
 
@@ -367,7 +369,65 @@ class TestBestResponseAudit:
             "truth_dominates",
         }
         assert set(d["per_bit"]) == {"0", "1"}
-        assert d["detail"]["cost_model"] == {"kind": "chen", "eta": 1.0}
+        assert d["detail"]["cost_model"] == {"kind": "chen"}
+
+
+def _uniform(hi):
+    return {"kind": "uniform", "lo": 0.0, "hi": hi}
+
+
+_EXP1, _EXP3 = {"kind": "exponential", "rate": 1.0}, {"kind": "exponential", "rate": 3.0}
+_LOG_NORMAL = {"kind": "log_normal", "mu": 0.0, "sigma": 1.0, "cap": 5.0}
+# (mixing, cost0, cost1, ns, alphas) per prior.  Beta(a, b) mixing, a, b in
+# {0.5, 1, 2, 5}, U[0, 1] costs for bit 0 and U[0, 1] or U[0, 2] for bit 1,
+# at three sizes and three accuracy targets: 1,152 configs with the cost
+# models and off-behaviours.  Then atom and point mixing under exponential
+# and truncated log-normal costs, equal and unequal: 216 more.  Point mixing
+# is never kept: an own bit says nothing about the peers, so p0 = p1.
+SWEEP_GRID = [
+    *(({"kind": "beta", "a": a, "b": b}, _uniform(1.0), _uniform(hi), (50, 200, 1000),
+       (0.02, 0.05, 0.1))
+      for a, b in itertools.product((0.5, 1.0, 2.0, 5.0), repeat=2) for hi in (1.0, 2.0)),
+    *((mixing, cost0, cost1, (50, 200, 1000), (0.05, 0.1))
+      for mixing in ({"kind": "atoms", "atoms": [[0.5, 0.2], [0.5, 0.8]]},
+                     {"kind": "atoms", "atoms": [[0.3, 0.05], [0.4, 0.5], [0.3, 0.9]]},
+                     {"kind": "point", "theta": 0.4})
+      for cost0, cost1 in ((_EXP1, _EXP3), (_LOG_NORMAL, _LOG_NORMAL), (_EXP1, _LOG_NORMAL))),
+]
+
+
+class TestTheoremSweep:
+    def test_truth_is_a_best_response_on_every_accepted_config(self):
+        # The paper's theorem, exactly, on every config of SWEEP_GRID that the
+        # CLI's resolver accepts (the chen model needs epsilon <= 1, the tau
+        # search must reach, tau > 0 and alpha < |p1 - p0| / 2), at delta
+        # 0.1, for both cost models and both off-behaviours: truth pays at
+        # least beta, lying at most 0, and beta covers the cost bound at tau.
+        delta, kept, violations = 0.1, 0, []
+        for mixing, cost0, cost1, ns, alphas in SWEEP_GRID:
+            prior = PriorSpec.from_dict({"family": "conditional_iid", "mixing": mixing,
+                                         "cost0": cost0, "cost1": cost1})
+            for n, alpha in itertools.product(ns, alphas):
+                epsilon = epsilon_rule(alpha, delta, n)
+                try:
+                    parameters = exact_parameters(prior, alpha, delta, n, epsilon)
+                except CostSearchError:
+                    continue
+                tau, p0, p1 = parameters
+                if not (tau > 0.0 and alpha < abs(p1 - p0) / 2.0):
+                    continue
+                for kind, off in itertools.product(("linear", "chen"), ("abstain", "lie")):
+                    if kind == "chen" and epsilon > 1.0:
+                        continue
+                    kept += 1
+                    report = best_response_audit(prior, n, alpha, delta, epsilon, CostModel(kind),
+                                                 1_000, 1, off=off, parameters=parameters)
+                    verdicts = [report.verdicts[key] for key in
+                                ("truth_ge_beta", "lie_le_zero", "beta_covers_cost_bound")]
+                    if verdicts != [PASS] * 3:
+                        violations.append((prior, n, alpha, kind, off, report.verdicts))
+        assert kept >= 400
+        assert violations == []
 
 
 class TestReportInvariants:
@@ -413,6 +473,17 @@ class TestCostScaling:
             assert row.beta == pytest.approx(beta_rule("chen", row.epsilon, row.tau))
             assert row.records is not None
             assert "records" not in row.to_dict()
+
+    def test_given_parameters_are_used(self, uniform_prior):
+        # Each size's (tau, p0, p1) as given; by default the exact ones.
+        ns, epsilons = (100, 400), [epsilon_rule(0.1, 0.1, n) for n in (100, 400)]
+        exact = {n: exact_parameters(uniform_prior, 0.1, 0.1, n, e) for n, e in zip(ns, epsilons)}
+        run = dict(alpha=0.1, delta=0.1, ns=ns, trials=20, seed=2)
+        default = cost_scaling_experiment(uniform_prior, **run)
+        assert cost_scaling_experiment(uniform_prior, **run, parameters=exact) == default
+        given = {**exact, 400: (0.5, 0.3, 0.7)}
+        row = cost_scaling_experiment(uniform_prior, **run, parameters=given).rows[1]
+        assert (row.tau, row.p0, row.p1) == (0.5, 0.3, 0.7)
 
     def test_rejects_epsilon_above_one(self, uniform_prior):
         with pytest.raises(ValueError, match="quadratic"):
