@@ -63,8 +63,7 @@ _MIN_TRIALS = {"audit-dp": AUDIT_MIN_TRIALS, "audit-equilibrium": EQUILIBRIUM_MI
                "accuracy": ACCURACY_MIN_TRIALS, "cost-scaling": COST_SCALING_MIN_TRIALS}
 
 # Values that mean "derive", as a missing key does.
-_DERIVE = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None,
-           "alpha_prime": None}
+_DERIVE = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None}
 
 _DEFAULT_STRATEGY = {"kind": "threshold", "tau": "auto", "off": ABSTAIN}
 
@@ -88,10 +87,10 @@ class Resolver:
     the check fails.  The public cached properties are the config keys
     (`KEYS`); a read key is in the instance dict, which is how
     `reject_unread` finds the keys a command never read.  "auto" for
-    epsilon, beta and tau and null for p0, p1 and alpha_prime are dropped
-    on entry: they mean the same as a missing key, which is derived, so a
-    pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0
-    and p1 are derived exactly.  When the config sets threshold_trials or
+    epsilon, beta and tau and null for p0 and p1 are dropped on entry:
+    they mean the same as a missing key, which is derived, so a pinned tau,
+    beta, p0, p1 or strategy skips its derivation.  tau, p0 and p1 are
+    derived exactly.  When the config sets threshold_trials or
     posterior_samples, each derivation of tau or of p0/p1 at n also runs
     its Monte Carlo cross-check, on seed slot (n, 0) for tau and
     (n, 1)/(n, 2) for p0/p1 (`_slot`), and records it in `cross_check[n]`
@@ -366,18 +365,8 @@ class Resolver:
                                p0=self.p0, p1=self.p1)
 
     @cached_property
-    def alpha_prime(self):
-        if not self.pinned("alpha_prime"):
-            return None
-        return self._number("alpha_prime", lambda v: v > 0.0, "a positive number")
-
-    @cached_property
     def ones(self):
         return self._integer("ones", 0, self.n + 1)
-
-    @cached_property
-    def flip_index(self):
-        return self._integer("flip_index", 0, self.n, default=0)
 
     @cached_property
     def observable(self):
@@ -385,10 +374,7 @@ class Resolver:
 
     @cached_property
     def payment_index(self):
-        j = self._integer("payment_index", 0, self.n)
-        if j == self.flip_index:
-            raise ConfigError("payment_index", "must differ from flip_index")
-        return j
+        return self._integer("payment_index", 1, self.n)
 
     @cached_property
     def bins(self):
@@ -550,18 +536,25 @@ def _int_cells(v):
 
 def write_csv(path, columns):
     """Write equal-length named columns as CSV rows; nothing when path is None.
-    Columns of unequal length raise ValueError, before anything is written.
 
     Each column is a 1-D numpy array of floats, integers or text (dtype kind
-    'f', 'i'/'u' or 'U'), and no name or text cell holds a comma, a quote or
-    a line break.  Floats are written with '%.17g', 17 significant digits,
-    so they round-trip exactly; integers with '%d'; text as it is; rows end
-    in '\r\n'.  These are the bytes csv.writer writes for such cells.  Rows
-    are rendered a block at a time, so memory does not grow with the row
-    count.  In a block, the float columns are rendered together and each
-    other column at once, by numpy.  A float below 1e-4 or at least 1e17 in
-    magnitude, or not finite, is formatted by Python, cell by cell.
+    'f', 'i'/'u' or 'U'); any other column, or columns of unequal length,
+    raise ValueError naming it before anything is written.  No name or text
+    cell holds a comma, a quote or a line break.  Floats are written with
+    '%.17g', 17 significant digits, so they round-trip exactly; integers
+    with '%d'; text as it is; rows end in '\r\n'.  These are the bytes
+    csv.writer writes for such cells.  Rows are rendered a block at a time,
+    so memory does not grow with the row count.  In a block, the float
+    columns are rendered together and each other column at once, by numpy.
+    A float below 1e-4 or at least 1e17 in magnitude, or not finite, is
+    formatted by Python, cell by cell.
     """
+    for name, column in columns.items():
+        array = isinstance(column, np.ndarray)
+        if not (array and column.ndim == 1 and column.dtype.kind in "fiuU"):
+            got = f"a {column.ndim}-D {column.dtype} array" if array else type(column).__name__
+            raise ValueError(f"CSV column '{name}' must be a 1-D numpy array of floats, integers "
+                             f"or text, got {got}")
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
@@ -688,8 +681,8 @@ def _cmd_audit_dp(r):
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
-    inputs = (observable, reports, r.flip_index, 1 - reports[r.flip_index], r.epsilon, r.trials,
-              r.bins, derive_seed(r.seed, 3000))
+    inputs = (observable, reports, 0, 1 - reports[0], r.epsilon, r.trials, r.bins,
+              derive_seed(r.seed, 3000))
     r.reject_unread()
     report = dp_audit(*inputs)
     _emit(r, report.to_dict(), report.table)
@@ -713,7 +706,7 @@ def _cmd_audit_equilibrium(r):
 
 def _cmd_accuracy(r):
     inputs = (r.prior, r.n, r.alpha, r.delta, r.epsilon, r.strategy, r.trials,
-              derive_seed(r.seed, 2000), r.alpha_prime)
+              derive_seed(r.seed, 2000))
     r.reject_unread()
     report = accuracy_experiment(*inputs)
     _emit(r, report.to_dict(), report.table)

@@ -332,29 +332,18 @@ class AccuracyReport:
     to_dict = report_dict
 
 
-def accuracy_experiment(
-    prior,
-    n,
-    alpha,
-    delta,
-    epsilon,
-    strategy,
-    trials,
-    seed,
-    alpha_prime=None,
-):
+def accuracy_experiment(prior, n, alpha, delta, epsilon, strategy, trials, seed):
     """Fraction of trials whose estimate lands within alpha' of the truth.
 
     Passing requires success_fraction >= 1 - delta minus a three-sigma
-    binomial allowance at sample size `trials`.  alpha_prime defaults to
-    the noise-widened radius ln(2/delta)/(epsilon*n) + alpha.  The report's
+    binomial allowance at sample size `trials`.  alpha_prime is the
+    noise-widened radius ln(2/delta)/(epsilon*n) + alpha.  The report's
     `table`, outside to_dict, holds the CLI's CSV columns, one row per
     trial; within_alpha_prime is 1 for the trials success_fraction counts.
     """
     if int(trials) < ACCURACY_MIN_TRIALS:
         raise ValueError(f"need at least {ACCURACY_MIN_TRIALS} trials for a verdict, got {trials}")
-    if alpha_prime is None:
-        alpha_prime = accuracy_radius(alpha, delta, epsilon, n)
+    alpha_prime = accuracy_radius(alpha, delta, epsilon, n)
     records = simulate_estimates(prior, n, NoiseSpec(epsilon=epsilon), strategy, trials, seed)
     success = records.abs_error <= alpha_prime
     fraction = float(success.mean())

@@ -47,14 +47,11 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lo <= self.hi:
-            raise ValueError(f"uniform needs 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
+        if not 0.0 <= self.lo < self.hi:
+            raise ValueError(f"uniform needs 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.hi == self.lo:
-            return np.where(x >= self.lo, 1.0, 0.0)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return np.clip((np.asarray(x, dtype=np.float64) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def quantile(self, q):
         return self.lo + np.asarray(q, dtype=np.float64) * (self.hi - self.lo)

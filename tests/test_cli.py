@@ -22,6 +22,7 @@ except ImportError:
 import peersurvey
 from peersurvey import cli
 from peersurvey.cli import EXIT_BY_VERDICT, ConfigError, dispatch, write_csv
+from peersurvey.priors import COST_SEARCH_QUANTILE, PriorSpec
 
 UNIFORM_PRIOR = {
     "family": "conditional_iid",
@@ -98,23 +99,20 @@ BASE_CONFIGS = {
 
 # The config keys each base run never reads; every command reads `out`.
 BASE_UNREAD = {
-    "run": ("alpha_prime", "bins", "flip_index", "ns", "observable", "off", "ones",
-            "payment_index"),
-    "posterior": ("alpha", "alpha_prime", "beta", "bins", "cost_model", "delta", "flip_index",
-                  "ns", "observable", "off", "ones", "p0", "p1", "payment_index", "strategy",
-                  "tau", "threshold_trials", "trials"),
-    "threshold": ("alpha_prime", "beta", "bins", "cost_model", "epsilon", "flip_index", "ns",
-                  "observable", "off", "ones", "p0", "p1", "payment_index", "posterior_samples",
-                  "strategy", "tau", "trials"),
-    "audit-dp": ("alpha", "alpha_prime", "beta", "cost_model", "delta", "ns", "off", "p0", "p1",
-                 "payment_index", "posterior_samples", "prior", "strategy", "tau",
-                 "threshold_trials"),
-    "audit-equilibrium": ("alpha_prime", "beta", "bins", "flip_index", "ns", "observable", "ones",
-                          "p0", "p1", "payment_index", "strategy", "tau"),
-    "accuracy": ("beta", "bins", "cost_model", "flip_index", "ns", "observable", "off", "ones",
-                 "p0", "p1", "payment_index", "posterior_samples"),
-    "cost-scaling": ("alpha_prime", "beta", "bins", "cost_model", "epsilon", "flip_index", "n",
-                     "observable", "off", "ones", "p0", "p1", "payment_index", "strategy", "tau"),
+    "run": ("bins", "ns", "observable", "off", "ones", "payment_index"),
+    "posterior": ("alpha", "beta", "bins", "cost_model", "delta", "ns", "observable", "off",
+                  "ones", "p0", "p1", "payment_index", "strategy", "tau", "threshold_trials",
+                  "trials"),
+    "threshold": ("beta", "bins", "cost_model", "epsilon", "ns", "observable", "off", "ones", "p0",
+                  "p1", "payment_index", "posterior_samples", "strategy", "tau", "trials"),
+    "audit-dp": ("alpha", "beta", "cost_model", "delta", "ns", "off", "p0", "p1", "payment_index",
+                 "posterior_samples", "prior", "strategy", "tau", "threshold_trials"),
+    "audit-equilibrium": ("beta", "bins", "ns", "observable", "ones", "p0", "p1", "payment_index",
+                          "strategy", "tau"),
+    "accuracy": ("beta", "bins", "cost_model", "ns", "observable", "off", "ones", "p0", "p1",
+                 "payment_index", "posterior_samples"),
+    "cost-scaling": ("beta", "bins", "cost_model", "epsilon", "n", "observable", "off", "ones",
+                     "p0", "p1", "payment_index", "strategy", "tau"),
 }
 # A well-typed value for each of those keys.
 WELL_TYPED = {
@@ -122,16 +120,14 @@ WELL_TYPED = {
     "ns": [100, 200], "prior": UNIFORM_PRIOR, "cost_model": {"kind": "chen"},
     "strategy": {"kind": "threshold", "tau": "auto", "off": "abstain"}, "off": "abstain",
     "alpha": 0.1, "delta": 0.1, "epsilon": 0.5, "tau": 0.5, "beta": 1.0, "p0": 0.3, "p1": 0.7,
-    "alpha_prime": 0.3, "ones": 5, "flip_index": 0, "observable": "estimate",
-    "payment_index": 3, "bins": 20,
+    "ones": 5, "observable": "estimate", "payment_index": 3, "bins": 20,
 }
 # Each of those keys, once set, is rejected, except audit-equilibrium's beta:
 # a pinned beta is read as the override of the beta its driver derives.
 UNREAD_CASES = [(command, key) for command, keys in BASE_UNREAD.items() for key in keys
                 if (command, key) != ("audit-equilibrium", "beta")]
 # Values that mean "derive", as a missing key does.
-DERIVE_VALUES = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None,
-                 "alpha_prime": None}
+DERIVE_VALUES = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None}
 
 
 def read_csv(path):
@@ -186,7 +182,6 @@ class TestResolver:
         ("audit-equilibrium", "off", "sideways"),
         ("audit-equilibrium", "alpha", 0.4),  # the driver's p0/p1 gap is at most 1/3
         ("accuracy", "trials", 50),
-        ("accuracy", "alpha_prime", "wide"),
         ("audit-dp", "epsilon", -0.5),
         ("audit-dp", "tolerance", "x"),
         ("audit-dp", "trials", 1_000),
@@ -242,10 +237,10 @@ class TestResolver:
         ("posterior", "p1", 0.7),
         ("run", "off", "lie"),
         ("accuracy", "off", "lie"),
-        # Only the payment observable reads payment_index; 0 is also the
-        # flipped agent.  Nor does an audit of the estimate at a pinned
-        # epsilon read the payment's parameters, the prior, delta or the
-        # survey's strategy and costs.
+        # Only the payment observable reads payment_index, at any value.
+        # Nor does an audit of the estimate at a pinned epsilon read the
+        # payment's parameters, the prior, delta or the survey's strategy
+        # and costs.
         ("audit-dp", "payment_index", 3),
         ("audit-dp", "payment_index", 0),
         ("audit-dp", "alpha", 0.1),
@@ -260,12 +255,10 @@ class TestResolver:
         ("audit-dp", "cost_model", {"kind": "linear"}),
         # run and accuracy audit nothing.
         ("run", "ones", 30),
-        ("run", "flip_index", 0),
         ("run", "payment_index", 3),
         ("run", "bins", 20),
         ("run", "observable", "estimate"),
         ("accuracy", "ones", 30),
-        ("accuracy", "flip_index", 0),
         ("accuracy", "payment_index", 3),
         ("accuracy", "bins", 20),
         ("accuracy", "observable", "estimate"),
@@ -307,7 +300,7 @@ class TestResolver:
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("threshold", "prior", prior_with(cost1={"lo": 2.0, "hi": 1.0}),
-         "prior.cost1: uniform needs 0 <= lo <= hi"),
+         "prior.cost1: uniform needs 0 <= lo < hi"),
         ("threshold", "prior", dict(UNIFORM_PRIOR, cost1=MASSLESS_LOG_NORMAL),
          "prior.cost1: log-normal with mu 800.0 and sigma 1.0 has no mass below cap"),
         ("threshold", "prior", prior_with(mixing={"a": -1.0}),
@@ -346,6 +339,40 @@ class TestResolver:
             "config error: config key 'cost_model': cost_model has no key 'eta'")
         config = write_config(tmp_path, dict(payload, cost_model={"kind": "linear"}))
         assert dispatch([command, "--config", config]) in (0, 2)
+
+    @pytest.mark.parametrize("command, extra, key, message", [
+        ("accuracy", {"alpha_prime": 0.3}, "alpha_prime", "is not a config key"),
+        ("accuracy", {"alpha_prime": None}, "alpha_prime", "is not a config key"),
+        ("audit-dp", {"flip_index": 3}, "flip_index", "is not a config key"),
+        ("audit-dp", {"observable": "payment", "payment_index": 0, "alpha": 0.1, "beta": 1.0,
+                      "p0": 1.0 / 3.0, "p1": 2.0 / 3.0},
+         "payment_index", "must be an integer in [1, 10), got 0"),
+        ("audit-dp", {"observable": "payment", "payment_index": 10, "alpha": 0.1, "beta": 1.0,
+                      "p0": 1.0 / 3.0, "p1": 2.0 / 3.0},
+         "payment_index", "must be an integer in [1, 10), got 10"),
+        ("threshold", {"prior": prior_with(cost0={"lo": 0.3, "hi": 0.3})},
+         "prior", "prior.cost0: uniform needs 0 <= lo < hi, got [0.3, 0.3]"),
+    ], ids=["alpha_prime", "alpha_prime-null", "flip_index", "payment_index-0",
+            "payment_index-n", "zero-width-uniform"])
+    def test_removed_input_exits_1(self, tmp_path, capsys, command, extra, key, message):
+        # The accuracy radius is always derived, audit-dp always flips report
+        # 0 (so agent 0 is never the one paid), and a cost law with all its
+        # mass at one point is a point_mass.
+        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **extra))
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == f"config error: config key '{key}': {message}"
+
+    @pytest.mark.parametrize("command", ["run", "audit-equilibrium"])
+    def test_chen_cost_model_needs_epsilon_at_most_1(self, tmp_path, capsys, command):
+        payload = dict(BASE_CONFIGS[command], epsilon=2.0, cost_model={"kind": "chen"})
+        assert dispatch([command, "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == (
+            "config error: config key 'epsilon': the quadratic (chen) cost model needs "
+            "epsilon <= 1, got 2.0")
 
     @pytest.mark.parametrize("command, off", [
         ("audit-equilibrium", "abstain"),
@@ -576,6 +603,18 @@ def test_column_writer_edge_cases(tmp_path, columns, expected):
         return
     write_csv(str(out), columns)
     assert out.read_bytes() == reference_bytes(tmp_path, columns) == expected
+
+
+@pytest.mark.parametrize("bad", [np.array([True, False]), np.array([[1.5], [2.0]]), [1.5, 2.0],
+                                 np.array([1.5, "x"], dtype=object)],
+                         ids=["bool", "2-D", "list", "object"])
+def test_column_writer_rejects_a_column_outside_its_contract(tmp_path, bad):
+    # Every column is checked before the file is opened: the error names the
+    # column, and no header-only CSV is left behind.
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="CSV column 'b' must be a 1-D numpy array"):
+        write_csv(str(out), {"x": np.array([1.5, 2.0]), "b": bad})
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "accuracy", "cost-scaling", "audit-dp",
@@ -886,6 +925,20 @@ class TestThresholdCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau_marginal"] == payload["tau"] == payload["tau_group"] == 1e-4
 
+    def test_tau_marginal_at_the_off_grid_search_cap(self, tmp_path, capsys):
+        # Exponential costs never reach all but alpha = 1e-6 of the marginal
+        # mass below the search cap, their 1 - 1e-6 quantile ln(1e6) / 3,
+        # which is off the 1e-4 grid: the cap itself is tau_marginal.
+        prior = {"family": "conditional_iid", "mixing": {"kind": "point", "theta": 0.5},
+                 "cost0": {"kind": "exponential", "rate": 3.0},
+                 "cost1": {"kind": "exponential", "rate": 3.0}}
+        config = write_config(tmp_path, {"prior": prior, "n": 2, "alpha": 1e-6, "delta": 0.1})
+        assert dispatch(["threshold", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cap = float(PriorSpec.from_dict(prior).cost0.quantile(COST_SEARCH_QUANTILE))
+        assert payload["tau"] == payload["tau_marginal"] == cap == 4.605170185978506
+        assert payload["tau_group"] == 1.2254
+
     def test_beta_density_infinite_at_both_ends_does_not_warn(self, tmp_path, capsys):
         # Beta(0.5, 0.5) mixing with unequal cost laws: the quadrature meets
         # a density infinite at both ends and must not warn, or a
@@ -1030,6 +1083,14 @@ class TestAuditDpCommand:
         config = write_config(tmp_path, payload)
         assert dispatch(["audit-dp", "--config", config]) in (0, 2)
         assert json.loads(capsys.readouterr().out)["resolved"]["epsilon"] > 0.0
+
+    def test_epsilon_auto_needs_alpha_and_delta(self, tmp_path, capsys):
+        payload = {k: v for k, v in BASE_CONFIGS["audit-dp"].items() if k != "epsilon"}
+        assert dispatch(["audit-dp", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == (
+            "config error: config key 'epsilon': 'auto' needs alpha and delta")
 
     @pytest.mark.parametrize("key, value", [("prior", {"family": "x"}), ("delta", 0.1),
                                             ("tau", 0.5), ("posterior_samples", 1_000)])

@@ -234,16 +234,16 @@ class TestSimulateSurvey:
 class TestAccuracyExperiment:
     def test_matches_brute_force_count(self, uniform_prior):
         # Same seed, same driver: the reported fraction must equal a hand
-        # count of |estimate - truth| <= alpha' over the identical trials.
-        alpha_prime = 0.1
+        # count of |estimate - truth| <= alpha' (the derived radius, 0.2498)
+        # over the identical trials.
         report = accuracy_experiment(
-            uniform_prior, 100, 0.1, 0.1, 0.2, AlwaysLie(),
-            trials=400, seed=12, alpha_prime=alpha_prime,
+            uniform_prior, 100, 0.1, 0.1, 0.2, AlwaysLie(), trials=400, seed=12,
         )
+        assert round(report.alpha_prime, 4) == 0.2498
         records = simulate_estimates(
             uniform_prior, 100, NoiseSpec(epsilon=0.2), AlwaysLie(), trials=400, seed=12,
         )
-        expected = float((np.abs(records.p_hat - records.p_tilde) <= alpha_prime).mean())
+        expected = float((np.abs(records.p_hat - records.p_tilde) <= report.alpha_prime).mean())
         assert report.success_fraction == expected
         # Universal lying keeps the estimate near 1 - p_hat, so accuracy
         # collapses except when p_hat happens to sit near one half.

@@ -320,6 +320,46 @@ class TestDpAudit:
         assert report(0.5 + 1.1e-9).verdict == "Fail"
         assert report(math.inf).verdict == "Fail"
 
+    def test_flipping_agent_0_loses_nothing(self):
+        # The mechanism treats agents alike: an audit reads the two report
+        # sums and, for a payment, the paid agent's own report.  So flipping
+        # any report i, on the estimate or on agent j's payment (j != i),
+        # gives the audit that flips agent 0, on agent k's payment (k != 0,
+        # with j's report).  Flipping a zero is that audit of the vector
+        # with one more one, its neighbors swapped.
+        n, trials, bins, seed = 6, 100_000, 20, 7
+        noise = NoiseSpec(epsilon=0.5)
+        payments = MechanismConfig(n=n, alpha=0.1, beta=1.0, epsilon=0.5, p0=1.0 / 3.0,
+                                   p1=2.0 / 3.0)
+
+        def observable(j):
+            return estimate_observable(n, noise) if j is None else payment_observable(payments, j)
+
+        def flip_agent_0(ones, report_j):
+            reports = self._reports(n, ones)
+            k = None if report_j is None else next(
+                k for k in range(1, n) if reports[k] == report_j)
+            return dp_audit(observable(k), reports, 0, 0, 0.5, trials, bins, seed)
+
+        fixed = ("bin_lo", "bin_hi", "retained")
+        for ones in range(n + 1):
+            reports = self._reports(n, ones)
+            for i in range(n):
+                for j in [None, *(j for j in range(n) if j != i)]:
+                    audit = dp_audit(observable(j), reports, i, 1 - reports[i], 0.5, trials,
+                                     bins, seed)
+                    report_j = None if j is None else reports[j]
+                    ref = flip_agent_0(ones + 1 - reports[i], report_j)
+                    assert audit.to_dict() == ref.to_dict()
+                    table, base = audit.table, ref.table
+                    assert all(np.array_equal(table[key], base[key]) for key in fixed)
+                    if reports[i]:
+                        assert all(np.array_equal(table[key], base[key]) for key in table)
+                    else:
+                        assert np.array_equal(table["count_base"], base["count_flipped"])
+                        assert np.array_equal(table["count_flipped"], base["count_base"])
+                        assert np.array_equal(table["log_ratio"], -base["log_ratio"])
+
 
 
 
