@@ -394,7 +394,9 @@ KEYS = frozenset(name for name, rule in vars(Resolver).items()
 # The kernels build a slot from 2-byte words; its first byte is kept for the
 # separator before it.  _PAD fills every byte that holds no character and is
 # dropped at the end.  UTF-8 never uses the byte 0xFF, so a text cell keeps
-# every byte it has.
+# every byte it has.  In a file of more than one block, each distinct float
+# bit pattern of a block is rendered once and its cell copied to every row
+# that holds it.
 _BLOCK_ROWS = 1 << 11
 _PAD = 0xFF
 # Where each form of a 2-digit pair starts in _tables().pair.
@@ -538,17 +540,22 @@ def write_csv(path, columns):
     """Write equal-length named columns as CSV rows; nothing when path is None.
 
     Each column is a 1-D numpy array of floats, integers or text (dtype kind
-    'f', 'i'/'u' or 'U'); any other column, or columns of unequal length,
-    raise ValueError naming it before anything is written.  No name or text
-    cell holds a comma, a quote or a line break.  Floats are written with
-    '%.17g', 17 significant digits, so they round-trip exactly; integers
-    with '%d'; text as it is; rows end in '\r\n'.  These are the bytes
-    csv.writer writes for such cells.  Rows are rendered a block at a time,
-    so memory does not grow with the row count.  In a block, the float
-    columns are rendered together and each other column at once, by numpy.
-    A float below 1e-4 or at least 1e17 in magnitude, or not finite, is
-    formatted by Python, cell by cell.
+    'f', 'i'/'u' or 'U'); any other column, columns of unequal length, or
+    no column at all, raise ValueError naming it before anything is
+    written.  No name or text cell holds a comma, a quote or a line break.
+    Floats are written with '%.17g', 17 significant digits, so they
+    round-trip exactly; integers with '%d'; text as it is; rows end in
+    '\r\n'.  These are the bytes csv.writer writes for such cells, encoded
+    as UTF-8.  Rows are rendered a block at a time, so memory does not grow
+    with the row count.  In a block, the float columns are rendered
+    together and each other column at once, by numpy.  In a file of more
+    than one block, each distinct bit pattern among a block's floats is
+    rendered once, so 0.0 and -0.0, and NaNs of different sign or payload,
+    are never merged.  A float below 1e-4 or at least 1e17 in magnitude, or
+    not finite, is formatted by Python, cell by cell.
     """
+    if not columns:
+        raise ValueError("CSV needs at least one column, got an empty column set")
     for name, column in columns.items():
         array = isinstance(column, np.ndarray)
         if not (array and column.ndim == 1 and column.dtype.kind in "fiuU"):
@@ -561,27 +568,35 @@ def write_csv(path, columns):
     if path is None:
         return
     try:
-        fh = open(path, "w", newline="")
+        fh = open(path, "wb")
     except OSError as exc:
         raise ConfigError("out", f"cannot write '{path}': {exc}") from exc
     values = list(columns.values())
     floats = [k for k, column in enumerate(values) if column.dtype.kind == "f"]
+    # The first np.unique in a process maps numpy's sort kernels, a peak-RSS
+    # cost that a file of one block has too few cells to earn back.
+    dedupe = len(values[0]) > _BLOCK_ROWS
     with fh:
-        fh.write(",".join(columns) + "\r\n")
+        fh.write((",".join(columns) + "\r\n").encode())
         for lo in range(0, len(values[0]), _BLOCK_ROWS):
             block = [column[lo:lo + _BLOCK_ROWS] for column in values]
             cells = [_int_cells(column) if column.dtype.kind in "iu"
                      else _text_cells(column.tolist()) if column.dtype.kind == "U" else None
                      for column in block]
             if floats:
-                rendered = _float_cells(np.array([block[k] for k in floats], np.float64).ravel())
+                x = np.array([block[k] for k in floats], np.float64).ravel()
+                if dedupe:
+                    bits, inverse = np.unique(x.view(np.uint64), return_inverse=True)
+                    rendered = _float_cells(bits.view(np.float64))[inverse]
+                else:
+                    rendered = _float_cells(x)
                 for k, part in zip(floats, np.split(rendered, len(floats))):
                     cells[k] = part
             crlf = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (len(block[0]), 2))
             text = np.concatenate(cells + [crlf], axis=1)
             text[:, np.cumsum([c.shape[1] for c in cells[:-1]], dtype=np.intp)] = ord(",")
             text[:, 0] = _PAD
-            fh.write(text[text != _PAD].tobytes().decode())
+            fh.write(text.tobytes().translate(None, bytes([_PAD])))
 
 
 def _cross_checks(r, n):

@@ -605,6 +605,16 @@ def test_column_writer_edge_cases(tmp_path, columns, expected):
     assert out.read_bytes() == reference_bytes(tmp_path, columns) == expected
 
 
+def test_column_writer_rejects_an_empty_column_set(tmp_path):
+    # A CSV needs a header: with no columns nothing is written, not even a
+    # bare line break.
+    out = tmp_path / "out.csv"
+    for path in (str(out), None):
+        with pytest.raises(ValueError, match="at least one column, got an empty column set"):
+            write_csv(path, {})
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.array([True, False]), np.array([[1.5], [2.0]]), [1.5, 2.0],
                                  np.array([1.5, "x"], dtype=object)],
                          ids=["bool", "2-D", "list", "object"])
@@ -617,9 +627,9 @@ def test_column_writer_rejects_a_column_outside_its_contract(tmp_path, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "accuracy", "cost-scaling", "audit-dp",
-                                     "audit-equilibrium"])
-def test_every_command_csv_matches_per_row_reference(tmp_path, capsys, monkeypatch, command):
+def command_csv(tmp_path, monkeypatch, command, payload):
+    """Run `command` on `payload`; the columns it hands write_csv, and the
+    bytes written."""
     captured = []
 
     def spy(path, columns):
@@ -628,15 +638,65 @@ def test_every_command_csv_matches_per_row_reference(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "write_csv", spy)
     out = tmp_path / "out.csv"
-    config = write_config(tmp_path, BASE_CONFIGS[command])
+    config = write_config(tmp_path, payload)
     assert dispatch([command, "--config", config, "--out", str(out)]) in EXIT_BY_VERDICT.values()
-    capsys.readouterr()
     [columns] = captured
     # write_csv's contract: 1-D numpy arrays of floats, integers or text.
     for name, column in columns.items():
         assert isinstance(column, np.ndarray), name
         assert column.ndim == 1 and column.dtype.kind in "fiuU", (name, column.dtype)
-    assert out.read_bytes() == reference_bytes(tmp_path, columns)
+    return columns, out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "accuracy", "cost-scaling", "audit-dp",
+                                     "audit-equilibrium"])
+def test_every_command_csv_matches_per_row_reference(tmp_path, capsys, monkeypatch, command):
+    columns, written = command_csv(tmp_path, monkeypatch, command, BASE_CONFIGS[command])
+    capsys.readouterr()
+    assert written == reference_bytes(tmp_path, columns)
+
+
+MULTI_BLOCK_ROWS = 2 * cli._BLOCK_ROWS + 1
+
+
+# Each command's CSV at MULTI_BLOCK_ROWS rows or more: a row per trial, per
+# trial and n, or per bin.
+@pytest.mark.parametrize("command, overrides", [
+    ("run", {"trials": MULTI_BLOCK_ROWS}),
+    ("accuracy", {"trials": MULTI_BLOCK_ROWS}),
+    ("cost-scaling", {"trials": MULTI_BLOCK_ROWS // 2 + 1}),
+    ("audit-dp", {"bins": MULTI_BLOCK_ROWS, "trials": 250_000}),
+], ids=["run", "accuracy", "cost-scaling", "audit-dp"])
+def test_multi_block_command_csv_matches_per_row_reference(tmp_path, capsys, monkeypatch,
+                                                           command, overrides):
+    # Past one block, write_csv renders each distinct float of a block once.
+    payload = dict(BASE_CONFIGS[command], **overrides)
+    columns, written = command_csv(tmp_path, monkeypatch, command, payload)
+    capsys.readouterr()
+    assert len(next(iter(columns.values()))) >= MULTI_BLOCK_ROWS
+    assert written == reference_bytes(tmp_path, columns)
+
+
+def test_multi_block_write_renders_each_distinct_float_once_per_block(tmp_path, capsys,
+                                                                      monkeypatch):
+    calls = []
+
+    def spy(x, _float_cells=cli._float_cells):
+        calls.append(x)
+        return _float_cells(x)
+
+    monkeypatch.setattr(cli, "_float_cells", spy)
+    payload = dict(BASE_CONFIGS["run"], trials=MULTI_BLOCK_ROWS)
+    columns, _ = command_csv(tmp_path, monkeypatch, "run", payload)
+    capsys.readouterr()
+    floats = np.array([c for c in columns.values() if c.dtype.kind == "f"])
+    distinct = [np.unique(floats[:, lo:lo + cli._BLOCK_ROWS].view(np.uint64)).size
+                for lo in range(0, MULTI_BLOCK_ROWS, cli._BLOCK_ROWS)]
+    for x in calls:
+        assert np.unique(x.view(np.uint64)).size == x.size
+    assert [x.size for x in calls] == distinct and len(distinct) == 3
+    # The run table repeats its floats: far fewer are formatted than written.
+    assert sum(distinct) < floats.size / 2
 
 
 def assert_matches_reference(directory, columns):
@@ -666,6 +726,31 @@ class TestColumnKernels:
             # Subnormals, signed zeros, infinities and NaN payloads included.
             x = np.array(bits, dtype=np.uint64).view(np.float64)
             assert_matches_reference(tmp_path_factory.mktemp("bits"), {"x": x, "y": x[::-1]})
+
+        @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+        def test_any_float64_bit_pattern_past_two_blocks(self, tmp_path_factory, bits):
+            # Tiled, the drawn patterns repeat in every block of a file of
+            # more than one block, each rendered once per block.
+            pattern = np.array(bits, dtype=np.uint64).view(np.float64)
+            x = np.resize(pattern, 2 * cli._BLOCK_ROWS + len(bits))
+            assert_matches_reference(tmp_path_factory.mktemp("tiled"), {"x": x, "y": x[::-1]})
+
+    def test_repeated_floats_across_blocks(self, tmp_path):
+        # Values a float equality would merge or split: signed zeros, NaNs
+        # of both signs and two payloads, and each neighbour of the fast
+        # path's bounds, drawn from a small pool over 3 blocks and 5 rows.
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+        bounds = [np.nextafter(b, t) for b in (1e-4, 1e17) for t in (0.0, np.inf)]
+        pool = np.concatenate([
+            [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-4, 1e17], nans, bounds,
+            ties_at_the_18th_digit(np.random.default_rng(2), per_exponent=1)[::4],
+        ])
+        rows = 3 * cli._BLOCK_ROWS + 5
+        rng = np.random.default_rng(3)
+        assert_matches_reference(tmp_path, {
+            "trial": np.arange(rows), "x": rng.choice(pool, rows), "y": rng.choice(pool, rows),
+        })
 
     def test_powers_of_ten_and_their_neighbours(self, tmp_path):
         values = []
