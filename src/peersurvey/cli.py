@@ -765,26 +765,23 @@ _HANDLERS = {
 
 
 def _build_parser():
+    """One parser for every command: all of them take the same options."""
     parser = argparse.ArgumentParser(
         prog="peersurvey",
         description="Private peer-prediction survey simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=None,
-                       help="override the CSV output path")
+    parser.add_argument("command", choices=_HANDLERS, metavar="command",
+                        help="one of %(choices)s")
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None, help="override the CSV output path")
     return parser
 
 
 def dispatch(argv):
     """Parse argv, run the selected command, return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -248,9 +248,9 @@ def best_response_audit(
     record of `trials` Monte Carlo rounds of the probe's leave-one-out
     estimate (`peer_estimate_mc`, on seed slot (3, bit, 0)) against that
     exact mean.  The report carries the worst case over bits.
-    beta_override exists to study misconfigured premia; when used, the
-    beta_covers_cost_bound diagnostic flags premia below the privacy-cost
-    bound at tau.
+    beta_override exists to study misconfigured premia.  Only then do the
+    verdicts include beta_covers_cost_bound, which fails a premium below
+    the privacy-cost bound at tau: the derived beta is that bound.
     """
     seed = check_seed(seed)
     trials = int(trials)
@@ -281,12 +281,14 @@ def best_response_audit(
     rows = per_bit.values()
     truth_pay = min(row["truth"]["mean_payment"] for row in rows)
     lie_pay = max(row["lie"]["mean_payment"] for row in rows)
-    truth_v = PASS if truth_pay >= beta else FAIL
-    lie_v = PASS if lie_pay <= 0.0 else FAIL
     tau_cost_bound = privacy_cost_bound(cost_model, tau, epsilon)
     margin = beta - tau_cost_bound
-    cover_v = PASS if margin >= -1e-12 * max(1.0, abs(beta)) else FAIL
-    dominates = PASS if truth_v == lie_v == cover_v == PASS else FAIL
+    verdicts = {"truth_ge_beta": PASS if truth_pay >= beta else FAIL,
+                "lie_le_zero": PASS if lie_pay <= 0.0 else FAIL}
+    if beta_override is not None:
+        verdicts["beta_covers_cost_bound"] = (PASS if margin >= -1e-12 * max(1.0, abs(beta))
+                                              else FAIL)
+    verdicts["truth_dominates"] = PASS if set(verdicts.values()) == {PASS} else FAIL
     return EquilibriumAuditReport(
         beta=beta,
         tau=tau,
@@ -298,12 +300,7 @@ def best_response_audit(
         truth_payment_mean=truth_pay,
         lie_payment_mean=lie_pay,
         abstain_utility_bound=min(row["abstain"]["utility_lower_bound"] for row in rows),
-        verdicts={
-            "truth_ge_beta": truth_v,
-            "lie_le_zero": lie_v,
-            "beta_covers_cost_bound": cover_v,
-            "truth_dominates": dominates,
-        },
+        verdicts=verdicts,
         per_bit=per_bit,
         detail={
             "cost_model": cost_model.to_dict(),

@@ -13,9 +13,10 @@ edges, keeps numpy's histogram rule) the sum over its integers, and the
 privacy claim is decided from the largest log mass ratio of the two
 neighbors.  As a cross-check it also histograms `trials` sampled draws: the
 uniforms rng.random() returns whose noise rounds to one integer form a run
-of the 2**53-point grid (`uniform_thresholds`), so the counts of those
-cells are one multinomial draw, which it maps to both neighbors' bins and
-compares with the exact masses.
+of the 2**53-point grid, whose ends are bisected from the Laplace CDF's
+guess (`uniform_thresholds`), so the counts of those cells are one
+multinomial draw, which it maps to both neighbors' bins and compares with
+the exact masses.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +42,9 @@ AUDIT_MIN_TRIALS = 100_000
 
 # rng.random() returns k * 2**-53 for an integer k in [0, 2**53).
 _GRID = 1 << 53
+# Half the width, in grid points, of the bracket `uniform_thresholds` tries
+# first around the Laplace CDF's guess of a threshold.
+_BRACKET = 4
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,15 @@ def bin_index(values, edges):
                     np.searchsorted(edges, values, side="right") - 1)
 
 
+def _cdf_guess(noise, cuts):
+    """floor(2**53 F(ceil(cut) - 1/2)) for F the Laplace CDF at noise.scale:
+    the rounded noise is an integer, and from_uniform rounds half to even,
+    so it reaches a cut about where the Laplace draw crosses ceil(cut) - 1/2."""
+    x = (np.ceil(cuts) - 0.5) / noise.scale
+    tail = 0.5 * np.exp(-np.abs(x))
+    return np.floor(np.where(x < 0.0, tail, 1.0 - tail) * _GRID).astype(np.int64)
+
+
 def uniform_thresholds(noise, cuts):
     """For each noise value in `cuts`, the least k in [0, 2**53] with
     noise.from_uniform(k 2**-53) >= cut.
@@ -155,12 +168,21 @@ def uniform_thresholds(noise, cuts):
     2**-53, and from_uniform is monotone: the draws at or past a cut are
     those with k at or past its threshold.  A cut that the least uniform's
     noise reaches gets 0 and one that the largest's falls short of gets
-    2**53; the others are bisected together, at most 54 steps, each
-    mapping only the entries not yet converged.
+    2**53.  The others are bisected together, each step mapping only the
+    entries not yet converged, from a k whose noise falls short of the cut
+    to one whose noise reaches it: g - _BRACKET and g + _BRACKET around the
+    Laplace CDF's guess g (`_cdf_guess`) where they do, a few steps, else
+    -1 and 2**53.  Both ends are mapped before the bracket is used, so the
+    result never rests on the guess.
     """
     least, largest = noise.from_uniform(np.array([0.0, (_GRID - 1) / _GRID]))
     lo, hi = np.full(cuts.size, -1), np.where(cuts <= least, 0, _GRID)
     open_ = np.flatnonzero((cuts > least) & (cuts <= largest))
+    if open_.size:
+        ends = np.clip(_cdf_guess(noise, cuts[open_]) + [[-_BRACKET], [_BRACKET]], 0, _GRID - 1)
+        hit = noise.from_uniform(ends / _GRID) >= cuts[open_]
+        bracketed = ~hit[0] & hit[1]
+        lo[open_[bracketed]], hi[open_[bracketed]] = ends[:, bracketed]
     while open_.size:
         mid = (lo[open_] + hi[open_]) >> 1
         hit = noise.from_uniform(mid / _GRID) >= cuts[open_]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -143,6 +144,29 @@ class TestDispatchBasics:
     def test_missing_command_is_usage_error(self, capsys):
         assert dispatch([]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_command_help_exits_zero(self, command, capsys):
+        assert dispatch([command, "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_unknown_command_is_usage_error(self, capsys):
+        assert dispatch(["nosuch", "--config", "x.json"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_one_parser_per_dispatch(self, tmp_path, monkeypatch, capsys):
+        # Every command takes the same options, so one parser serves them all.
+        config = write_config(tmp_path, BASE_CONFIGS["threshold"])
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert dispatch(["threshold", "--config", config]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert dispatch(["run", "--config", str(tmp_path / "nope.json")]) == 1
@@ -1237,6 +1261,8 @@ class TestAuditEquilibriumCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["verdicts"]["truth_dominates"] == "Pass"
+        # beta is derived, so beta_covers_cost_bound is not decided.
+        assert list(payload["verdicts"]) == ["truth_ge_beta", "lie_le_zero", "truth_dominates"]
         rows = read_csv(out)
         assert rows[0] == ["bit", "action", "mean_payment", "utility_lower_bound"]
         assert len(rows) == 7  # header + 2 bits x 3 actions

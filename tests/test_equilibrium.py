@@ -277,7 +277,10 @@ class TestBestResponseAudit:
         assert report.overall == PASS
         assert report.verdicts["truth_ge_beta"] == PASS
         assert report.verdicts["lie_le_zero"] == PASS
-        assert report.verdicts["beta_covers_cost_bound"] == PASS
+        # A derived beta is the privacy-cost bound at tau, so the check that
+        # beta covers it is left out: it could not fail.
+        assert "beta_covers_cost_bound" not in report.verdicts
+        assert report.detail["beta_margin_over_cost_bound"] == 0.0
         assert report.truth_payment_mean >= report.beta
         assert report.lie_payment_mean <= 0.0
         assert report.truth_payment_ci == report.lie_payment_ci == 0.0
@@ -358,16 +361,18 @@ class TestBestResponseAudit:
                 cost_model=CostModel("linear"), trials=999, seed=5,
             )
 
-    def test_report_serializes(self, uniform_prior):
+    @pytest.mark.parametrize("beta_override, keys", [
+        (None, ["truth_ge_beta", "lie_le_zero", "truth_dominates"]),
+        (0.5, ["truth_ge_beta", "lie_le_zero", "beta_covers_cost_bound", "truth_dominates"]),
+    ], ids=["derived-beta", "pinned-beta"])
+    def test_report_serializes(self, uniform_prior, beta_override, keys):
+        # beta_covers_cost_bound is decided only for a pinned beta.
         report = best_response_audit(
             uniform_prior, n=100, alpha=0.1, delta=0.1, epsilon=0.25,
-            cost_model=CostModel("chen"), trials=1_000, seed=5,
+            cost_model=CostModel("chen"), trials=1_000, seed=5, beta_override=beta_override,
         )
         d = report.to_dict()
-        assert set(d["verdicts"]) == {
-            "truth_ge_beta", "lie_le_zero", "beta_covers_cost_bound",
-            "truth_dominates",
-        }
+        assert list(d["verdicts"]) == keys
         assert set(d["per_bit"]) == {"0", "1"}
         assert d["detail"]["cost_model"] == {"kind": "chen"}
 
@@ -402,7 +407,8 @@ class TestTheoremSweep:
         # CLI's resolver accepts (the chen model needs epsilon <= 1, the tau
         # search must reach, tau > 0 and alpha < |p1 - p0| / 2), at delta
         # 0.1, for both cost models and both off-behaviours: truth pays at
-        # least beta, lying at most 0, and beta covers the cost bound at tau.
+        # least beta and lying at most 0.  beta is derived, the cost bound at
+        # tau, so the audit decides no beta_covers_cost_bound.
         delta, kept, violations = 0.1, 0, []
         for mixing, cost0, cost1, ns, alphas in SWEEP_GRID:
             prior = PriorSpec.from_dict({"family": "conditional_iid", "mixing": mixing,
@@ -422,9 +428,8 @@ class TestTheoremSweep:
                     kept += 1
                     report = best_response_audit(prior, n, alpha, delta, epsilon, CostModel(kind),
                                                  1_000, 1, off=off, parameters=parameters)
-                    verdicts = [report.verdicts[key] for key in
-                                ("truth_ge_beta", "lie_le_zero", "beta_covers_cost_bound")]
-                    if verdicts != [PASS] * 3:
+                    if report.verdicts != dict.fromkeys(
+                            ("truth_ge_beta", "lie_le_zero", "truth_dominates"), PASS):
                         violations.append((prior, n, alpha, kind, off, report.verdicts))
         assert kept >= 400
         assert violations == []

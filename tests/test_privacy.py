@@ -653,6 +653,84 @@ def test_every_published_estimate_is_one_the_neighbor_reaches(n, sums, epsilon):
         assert np.all(uniform_thresholds(noise, hi) > uniform_thresholds(noise, lo))
 
 
+def bisected_thresholds(noise, cuts):
+    """uniform_thresholds' reference: each open cut bisected over the whole
+    grid, from k = -1, which falls short of it, to GRID, which reaches it."""
+    least, largest = noise.from_uniform(np.array([0.0, (GRID - 1) / GRID]))
+    thresholds = np.where(cuts <= least, 0, GRID)
+    open_ = (cuts > least) & (cuts <= largest)
+    lo, hi, cut = np.full(open_.sum(), -1), np.full(open_.sum(), GRID), cuts[open_]
+    for _ in range(54):  # GRID + 1 = 2**53 + 1 halves to 1 in 54 steps
+        mid = (lo + hi) // 2
+        hit = noise.from_uniform(mid / GRID) >= cut
+        lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
+    assert np.all(hi == lo + 1)
+    thresholds[open_] = hi
+    return thresholds
+
+
+def threshold_cuts(noise, n):
+    """Integer, half-integer and scaled cuts over the audit's cells at n,
+    the infinities, and cuts at and past the least and the largest
+    uniform's noise."""
+    least, largest = noise.from_uniform(np.array([0.0, (GRID - 1) / GRID]))
+    r = np.arange(-n - 1.0, n + 2.0)
+    return np.concatenate((r, r - 0.5, 0.37 * r, [-np.inf, np.inf, least - 1.0, least,
+                                                  least + 0.5, largest - 0.5, largest,
+                                                  largest + 0.5, largest + 1.0]))
+
+
+def record_maps(monkeypatch):
+    """The sizes of the arrays NoiseSpec.from_uniform maps, one per call."""
+    mapped, from_uniform = [], NoiseSpec.from_uniform
+
+    def recorded(noise, u):
+        mapped.append(np.size(u))
+        return from_uniform(noise, u)
+
+    monkeypatch.setattr(NoiseSpec, "from_uniform", recorded)
+    return mapped
+
+
+class TestUniformThresholds:
+    EPSILONS = pytest.mark.parametrize("epsilon", [1e-3, 0.01, 0.1, 0.5, 1.0, 5.0, 20.0, 200.0])
+    NS = pytest.mark.parametrize("n", [2, 10, 1000])
+
+    @EPSILONS
+    @NS
+    def test_match_a_bisection_over_the_whole_grid(self, epsilon, n):
+        noise = NoiseSpec(epsilon)
+        cuts = threshold_cuts(noise, n)
+        assert np.array_equal(uniform_thresholds(noise, cuts), bisected_thresholds(noise, cuts))
+
+    @EPSILONS
+    def test_a_far_guess_falls_back_to_the_whole_grid(self, monkeypatch, epsilon):
+        # The guess only narrows the first bracket: a cut whose guessed
+        # bracket misses it is bisected over the whole grid, with the same
+        # result.  Guesses far either way mix with near ones in one call.
+        noise, guess = NoiseSpec(epsilon), privacy._cdf_guess
+        cuts = threshold_cuts(noise, 10)
+        exact = bisected_thresholds(noise, cuts)
+        offsets = np.resize([-10**9, -5, 0, 5, 10**9], cuts.size)
+        mapped = record_maps(monkeypatch)
+        for far in (lambda noise, cuts: guess(noise, cuts) + 10**9,
+                    lambda noise, cuts: guess(noise, cuts) - offsets[:cuts.size]):
+            monkeypatch.setattr(privacy, "_cdf_guess", far)
+            mapped.clear()
+            assert np.array_equal(uniform_thresholds(noise, cuts), exact)
+            assert len(mapped) > 50
+
+    def test_bench_shape_audit_maps_at_most_8_times(self, monkeypatch):
+        # n = 10, 5 ones, epsilon 0.5, 20 bins: the guess brackets every cut
+        # within a few grid points, so the thresholds take a few maps, not
+        # a 54-step bisection.
+        mapped = record_maps(monkeypatch)
+        reports = [1] * 5 + [0] * 5
+        dp_audit(estimate_observable(10, NoiseSpec(epsilon=0.5)), reports, 0, 0, 0.5, 100_000,
+                 20, seed=5)
+        assert 0 < len(mapped) <= 8
+
+
 class TestExactMasses:
     def test_laplace_log_mass_matches_scipy(self):
         scale = 2.0
