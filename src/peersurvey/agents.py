@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import CHUNK_TRIALS, chunk_sizes, from_config, merge_moments, report_dict, subseed_rng
-from .mechanism import peer_estimate
+from .mechanism import payment_at, peer_estimate
 from .priors import clamped_mean, cost_cdfs
 from .privacy import noise_draw
-from .scoring import scaled_score
 
 TRUTH = "truth"
 LIE = "lie"
@@ -284,15 +283,16 @@ def expected_utility(agent, action, mean_peer_estimate, config, cost_model):
     The payment is affine in the leave-one-out estimate, and that estimate
     does not depend on the agent's report, so the expected payment is the
     payment at `mean_peer_estimate`, the exact mean estimate of the other
-    n - 1 agents (`peer_estimate_mean`).  Abstaining earns exactly zero
-    payment.  utility_lower_bound subtracts the privacy-cost bound from the
-    mean payment.  Returns {"mean_payment", "utility_lower_bound"}.
+    n - 1 agents (`peer_estimate_mean`): `mechanism.payment_at` for the
+    bit the action reports.  Abstaining earns exactly zero payment.
+    utility_lower_bound subtracts the privacy-cost bound from the mean
+    payment.  Returns {"mean_payment", "utility_lower_bound"}.
     """
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
     pc = privacy_cost_bound(cost_model, agent.cost, config.epsilon)
     pay = 0.0
     if action != ABSTAIN:
-        target = (config.p0, config.p1)[agent.bit if action == TRUTH else 1 - agent.bit]
-        pay = scaled_score(config.scoring, mean_peer_estimate, target)
+        report = agent.bit if action == TRUTH else 1 - agent.bit
+        pay = payment_at(config, mean_peer_estimate, report)
     return {"mean_payment": pay, "utility_lower_bound": pay - pc}

@@ -145,15 +145,11 @@ class Resolver:
                 raise ConfigError(key, "is not a config key")
 
     def reject_unread(self):
-        """Reject every config key the run has not read (a config's `seed`
-        excepted: the README lets a well-formed one stand where nothing is
-        drawn) and --seed where the run drew nothing at random.  Called
-        once a command has read every input, before its driver runs."""
+        """Reject every config key the run has not read, `seed` included, and
+        --seed where it drew nothing at random, once it has read every input."""
         self.out  # read even where no CSV is written, so a bad `out` still fails
         for key in self._config:
-            if key == "seed" and key not in self.__dict__:
-                Resolver.seed.func(self)  # checked, not cached: `resolved.seed` stays null
-            elif key not in self.__dict__:
+            if key not in self.__dict__:
                 raise ConfigError(key, f"is not read by {self.command}")
         if self._args.seed is not None and "seed" not in self.__dict__:
             raise ConfigError("seed", f"--seed seeds a random draw, but {self.command} makes "
@@ -696,8 +692,7 @@ def _cmd_audit_dp(r):
     else:
         observable = payment_observable(r._mechanism, r.payment_index)
     reports = [1] * r.ones + [0] * (r.n - r.ones)
-    inputs = (observable, reports, 0, 1 - reports[0], r.epsilon, r.trials, r.bins,
-              derive_seed(r.seed, 3000))
+    inputs = (observable, reports, 0, r.epsilon, r.trials, r.bins, derive_seed(r.seed, 3000))
     r.reject_unread()
     report = dp_audit(*inputs)
     _emit(r, report.to_dict(), report.table)

@@ -160,7 +160,7 @@ def simulate_estimates(prior, n, noise, strategy, trials, seed):
     for chunk, size in chunk_sizes(trials, CHUNK_TRIALS):
         rng = subseed_rng(seed, chunk)
         bit_ones, ones, participants, mismatches = sample_report_counts(
-            strategy, prior, n, np.atleast_1d(prior.theta_sample(rng, size)), rng)
+            strategy, prior, n, prior.theta_sample(rng, size), rng)
         b_bar = ones + noise_draw(noise, rng, size)
         chunks.append((bit_ones / n, published_estimate(n, b_bar), b_bar, ones,
                        participants - ones, participants, mismatches))

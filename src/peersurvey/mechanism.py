@@ -5,8 +5,8 @@ number of one-reports, giving b_bar.  Everything the mechanism publishes
 is a function of b_bar: the estimate `published_estimate(n, b_bar)`, and
 for each participant an unclamped rescaled quadratic score of their
 leave-one-out estimate `peer_estimate(n, b_bar, own)` against the
-posterior prediction matching their report: `payment` for one
-contribution, `payment_pair` for both.  The payment is affine in the
+posterior prediction matching their report: `payment_at`, which
+`payment_pair` applies at a round's b_bar.  The payment is affine in the
 leave-one-out estimate.  Abstainers contribute zero and are paid zero.
 Every consumer in the package computes these quantities through the
 functions here; the privacy audit watches them as an `Observable`, the
@@ -69,25 +69,23 @@ def peer_estimate(n, b_bar, own):
     return np.clip((b_bar - own) / (n - 1), 0.0, 1.0)
 
 
-def payment(config, b_bar, own):
-    """Payment earned by an agent who contributed `own` (0 or 1) at b_bar.
-
-    The score of their leave-one-out estimate against the posterior
-    prediction matching their report, p1 or p0.  Vectorized over b_bar.
-    """
-    b_bar = np.asarray(b_bar, dtype=np.float64)
-    target = config.p1 if own else config.p0
-    return scaled_score(config.scoring, peer_estimate(config.n, b_bar, float(own)), target)
+def payment_at(config, estimate, report):
+    """The payment for `report` (0 or 1) at the leave-one-out estimate
+    `estimate`: its score against the posterior prediction matching the
+    report, p1 or p0.  Vectorized over estimate."""
+    return scaled_score(config.scoring, estimate, config.p1 if report else config.p0)
 
 
 def payment_pair(config, b_bar):
     """Payments earned by a one-reporter and a zero-reporter at a given b_bar.
 
     Payments depend on an agent's report only through its contribution, so a
-    round has at most two distinct participant payments.  Vectorized over
-    b_bar; the batched simulation drivers pay through it.
+    round has at most two distinct participant payments: `payment_at` at
+    each reporter's `peer_estimate`.  Vectorized over b_bar; the batched
+    simulation drivers pay through it.
     """
-    return payment(config, b_bar, 1), payment(config, b_bar, 0)
+    b_bar = np.asarray(b_bar, dtype=np.float64)
+    return tuple(payment_at(config, peer_estimate(config.n, b_bar, own), own) for own in (1, 0))
 
 
 @dataclass(frozen=True)
@@ -99,17 +97,24 @@ class Observable:
     clip(b_bar, 0, n), n = len(reports): the noise is an integer, so
     privacy.dp_audit reads it at b_bar = 0..n, where each integer's mass
     is exact, and checks that it is the same at -1 as at 0 and at n + 1 as
-    at n."""
+    at n.  Each map built here raises ValueError on reports of another n."""
 
     noise: NoiseSpec
     of_b_bar: Callable
+
+
+def _size(n, reports):
+    """n, once `reports` is seen to hold n reports."""
+    if len(reports) != n:
+        raise ValueError(f"the observable was built for n={n} agents, got {len(reports)} reports")
+    return n
 
 
 def estimate_observable(n, noise):
     """Audit observable: the published estimate clip(b_bar / n, 0, 1)."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    return Observable(noise, lambda reports, b_bar: published_estimate(n, b_bar))
+    return Observable(noise, lambda reports, b_bar: published_estimate(_size(n, reports), b_bar))
 
 
 def payment_observable(config, j):
@@ -128,8 +133,9 @@ def payment_observable(config, j):
     rises = (config.p0 > config.p1, config.p1 > config.p0)  # by agent j's report
 
     def of_b_bar(reports, b_bar):
+        n = _size(config.n, reports)
         own = int(reports[j])
-        estimate = peer_estimate(config.n, b_bar, own)
+        estimate = peer_estimate(n, b_bar, own)
         return estimate if rises[own] else 1.0 - estimate
 
     return Observable(config.noise, of_b_bar)

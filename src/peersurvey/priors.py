@@ -206,15 +206,15 @@ class PriorSpec:
     def from_dict(cls, d):
         return from_config(cls, d, "prior")
 
-    def theta_sample(self, rng, size=None, bit=None):
-        """Draw theta from the mixing distribution, given one agent's `bit` if set."""
+    def theta_sample(self, rng, size, bit=None):
+        """`size` draws of theta from the mixing distribution, given one agent's `bit` if set."""
         if bit not in (None, 0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
         m = self.mixing
         if isinstance(m, BetaMixing):
             return rng.beta(m.a + (bit == 1), m.b + (bit == 0), size)
         if isinstance(m, PointMixing):
-            return m.theta if size is None else np.full(size, m.theta)
+            return np.full(size, m.theta)
         weights, values = _atoms(m) if bit is None else _posterior_atoms(m, bit)
         return values[rng.choice(len(values), size=size, p=weights)]
 

@@ -71,13 +71,13 @@ class NoiseSpec:
         return 1.0 / self.epsilon
 
     def from_uniform(self, u):
-        """The noise at uniforms u in [0, 1): zeros in mode "disabled", else
-        the Laplace(1/epsilon) inverse CDF rounded half to even (np.rint, in
-        place); `noise_draw` and `dp_audit` both draw through it."""
+        """The noise at an array u of uniforms in [0, 1): zeros in mode "disabled",
+        else the Laplace(1/epsilon) inverse CDF rounded half to even (np.rint,
+        in place); `noise_draw` and `dp_audit` both draw through it."""
         if self.mode == "disabled":
-            return np.zeros(np.shape(u))
+            return np.zeros(u.shape)
         x = _laplace_of_uniform(u, self.scale)
-        return np.rint(x, out=x) if isinstance(x, np.ndarray) else float(np.rint(x))
+        return np.rint(x, out=x)
 
 
 def laplace_inverse_cdf(u, scale):
@@ -132,11 +132,11 @@ def laplace_log_mass(lo, hi, scale):
     return np.where((hi <= 0.0) | (lo >= 0.0), one_side, across)
 
 
-def noise_draw(noise, rng, size=None):
-    """Per trial, noise.from_uniform(rng.random()) from the numpy Generator
-    rng; zeros, with no draw, if disabled."""
+def noise_draw(noise, rng, size):
+    """`size` draws of noise.from_uniform(rng.random(size)) from the numpy
+    Generator rng; zeros, with no draw, if disabled."""
     if noise.mode == "disabled":
-        return 0.0 if size is None else np.zeros(size)
+        return np.zeros(size)
     return noise.from_uniform(rng.random(size))
 
 
@@ -229,9 +229,10 @@ class DpAuditReport:
         return {**report_dict(self), "verdict": self.verdict}
 
 
-def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins, seed):
+def dp_audit(observable, reports, i, epsilon_claimed, trials, bins, seed):
     """Decide whether `observable` is epsilon_claimed-DP on two neighboring
-    report vectors from each bin's exact mass, and histogram sampled draws
+    report vectors, `reports` and its copy with reports[i] flipped to
+    1 - reports[i], from each bin's exact mass, and histogram sampled draws
     as a cross-check.
 
     Parameters
@@ -251,8 +252,7 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
         one cell, the whole line, of mass 1.  The verdict reads those
         masses only.
     reports : sequence of 0/1 report bits.
-    i, flipped_bit : the single index to flip and the bit it flips to,
-        which must be 1 - reports[i].
+    i : the single index to flip.
     epsilon_claimed : privacy level under test.
     trials, bins, seed : the cross-check's sample size, the equal-width bin
         count over [0, 1], at most trials / DEFAULT_BIN_FLOOR, and its
@@ -269,8 +269,6 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
         raise ValueError("reports must be 0/1 bits")
     if not 0 <= i < reports.size:
         raise ValueError(f"index i out of range, got {i}")
-    if flipped_bit != 1 - reports[i]:
-        raise ValueError(f"flipped_bit must flip reports[i] to {1 - reports[i]}, got {flipped_bit}")
     trials = int(trials)
     if trials < AUDIT_MIN_TRIALS:
         raise ValueError(f"trials must be at least {AUDIT_MIN_TRIALS}, got {trials}")
@@ -282,7 +280,7 @@ def dp_audit(observable, reports, i, flipped_bit, epsilon_claimed, trials, bins,
         raise ValueError(f"epsilon_claimed must be positive, got {epsilon_claimed}")
 
     neighbor = reports.copy()
-    neighbor[i] = flipped_bit
+    neighbor[i] = 1 - reports[i]
     n, noise = reports.size, observable.noise
     edges = np.linspace(0.0, 1.0, bins + 1)
     sums = (reports.sum(), neighbor.sum())

@@ -132,12 +132,12 @@ def test_criterion_4_dp_audit():
     reports = [1] * 5 + [0] * 5
 
     noisy = estimate_observable(n, NoiseSpec(epsilon=0.5))
-    report = dp_audit(noisy, reports, 0, 0, 0.5, 1_000_000, 20, seed=7)
+    report = dp_audit(noisy, reports, 0, 0.5, 1_000_000, 20, seed=7)
     assert report.verdict == "Pass"
     assert report.max_log_ratio <= 0.55
 
     silent = estimate_observable(n, NoiseSpec(epsilon=0.5, mode="disabled"))
-    leaky = dp_audit(silent, reports, 0, 0, 0.5, 1_000_000, 20, seed=7)
+    leaky = dp_audit(silent, reports, 0, 0.5, 1_000_000, 20, seed=7)
     assert leaky.verdict == "Fail"
 
     finish(4, 30.0, started,

@@ -31,10 +31,17 @@ from peersurvey.agents import (
     strategy_from_dict,
 )
 from peersurvey.equilibrium import beta_rule, epsilon_rule
-from peersurvey.mechanism import MechanismConfig, payment_pair, peer_estimate
+from peersurvey.mechanism import MechanismConfig, payment_at, payment_pair, peer_estimate
 from peersurvey.priors import PriorSpec, cost_threshold, posterior_clamped_mean
 from peersurvey.privacy import NoiseSpec
 from peersurvey.scoring import scaled_score
+
+POINT_PRIOR = PriorSpec.from_dict({
+    "family": "conditional_iid",
+    "mixing": {"kind": "point", "theta": 0.5},
+    "cost0": {"kind": "point_mass", "value": 0.3},
+    "cost1": {"kind": "point_mass", "value": 0.3},
+})
 
 # One agent's report as (contribution, participates).
 ONE, ZERO, ABSTAINED = (1, True), (0, True), (0, False)
@@ -456,3 +463,29 @@ class TestPeerEstimateLaw:
         assert count == 5_103
         assert mean == pytest.approx(pay, rel=1e-15)
         assert m2 / count <= 1e-24
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("p0, p1", [(1.0 / 3.0, 2.0 / 3.0), (0.8, 0.3)])
+def test_expected_payment_is_payment_at_the_mean_estimate(bit, p0, p1):
+    # The expected payment goes through the mechanism's one payment rule:
+    # truth pays for the own bit, a lie for the other, to the bit.
+    config = MechanismConfig(n=50, alpha=0.1, beta=0.7, epsilon=0.5, p0=p0, p1=p1)
+    agent, model = AgentType(bit=bit, cost=0.2), CostModel("linear")
+    for mean in (0.0, 0.123456789, 1.0 / 3.0, 0.5, 0.9, 1.0):
+        truth = expected_utility(agent, TRUTH, mean, config, model)["mean_payment"]
+        lie = expected_utility(agent, LIE, mean, config, model)["mean_payment"]
+        assert (truth, lie) == (payment_at(config, mean, bit), payment_at(config, mean, 1 - bit))
+        assert type(truth) is type(payment_at(config, mean, bit))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: strategy_arrays(object(), [0, 1], [0.1, 0.2]), TypeError, "unknown strategy"),
+    (lambda: peer_estimate_mc(POINT_PRIOR, 0, 1, NoiseSpec(0.5), AlwaysTruth(), 10, 0),
+     ValueError, "need n >= 2 and trials >= 1, got n=1, trials=10"),
+    (lambda: peer_estimate_mc(POINT_PRIOR, 0, 10, NoiseSpec(0.5), AlwaysTruth(), 0, 0),
+     ValueError, "need n >= 2 and trials >= 1, got n=10, trials=0"),
+], ids=["strategy-kind", "peer-estimate-n", "peer-estimate-trials"])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

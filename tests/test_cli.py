@@ -922,26 +922,31 @@ class TestRunCommand:
     def test_seed_flag_without_a_draw_is_rejected(self, tmp_path, capsys, command):
         # Without a cross-check key, posterior and threshold draw nothing at random.
         payload = {key: value for key, value in BASE_CONFIGS[command].items()
-                   if key not in CROSS_CHECK_KEYS}
+                   if key not in CROSS_CHECK_KEYS + ("seed",)}
         config = write_config(tmp_path, payload)
         assert dispatch([command, "--config", config, "--seed", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: config key 'seed'")
-        # The config's seed stays accepted: another command may read it.  It
-        # changes no byte of the output.
         assert dispatch([command, "--config", config]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out)["resolved"]["seed"] is None
-        unseeded = {key: value for key, value in payload.items() if key != "seed"}
-        assert dispatch([command, "--config", write_config(tmp_path, unseeded)]) == 0
-        assert capsys.readouterr().out == out
+        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] is None
+
+    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
+    def test_config_seed_without_a_draw_is_rejected(self, tmp_path, capsys, command):
+        # A well-formed config seed that no draw reads is an unread key like any other.
+        payload = {key: value for key, value in BASE_CONFIGS[command].items()
+                   if key not in CROSS_CHECK_KEYS}
+        config = write_config(tmp_path, dict(payload, seed=7))
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: config key 'seed': is not read by {command}\n"
 
     @pytest.mark.parametrize("seed", ["x", -3, True, 1.5])
     @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
     def test_malformed_config_seed_without_a_draw_is_rejected(self, tmp_path, capsys, command,
                                                               seed):
-        # Accepted unread where nothing is drawn, a config seed is still checked.
+        # Read nowhere, a config seed is rejected whatever its value.
         payload = {key: value for key, value in BASE_CONFIGS[command].items()
                    if key not in CROSS_CHECK_KEYS}
         config = write_config(tmp_path, dict(payload, seed=seed))
@@ -1486,16 +1491,17 @@ class TestExactDerivations:
     def test_cross_check_sits_beside_the_exact_values(self, tmp_path, capsys, command):
         # The cross-check keys add a block and change nothing else.
         with_keys = BASE_CONFIGS[command]
-        without = {k: v for k, v in with_keys.items() if k not in CROSS_CHECK_KEYS}
+        # posterior and threshold read the seed only for the cross-check.
+        dropped = CROSS_CHECK_KEYS + (("seed",) if command in NO_CSV_COMMANDS else ())
+        without = {k: v for k, v in with_keys.items() if k not in dropped}
         reports = []
         for name, payload in (("with.json", with_keys), ("without.json", without)):
             config = write_config(tmp_path, payload, name=name)
             assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
             reports.append(json.loads(capsys.readouterr().out))
         checked, plain = reports
-        # posterior and threshold use the seed only for the cross-check.
         assert plain["resolved"]["seed"] == (
-            None if command in ("posterior", "threshold") else checked["resolved"]["seed"])
+            None if command in NO_CSV_COMMANDS else checked["resolved"]["seed"])
         plain["resolved"]["seed"] = checked["resolved"]["seed"]
         blocks = [row.pop("cross_check") for row in checked.get("rows", ())]
         if not blocks:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from peersurvey._util import CHUNK_TRIALS, cross_check, derive_seed, subseed_rng
+from peersurvey._util import CHUNK_TRIALS, chunk_sizes, cross_check, derive_seed, subseed_rng
 from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold, sample_report_counts
 from peersurvey.equilibrium import (
     CostRow,
@@ -517,3 +517,17 @@ class TestCostScaling:
                 cost_scaling_experiment(
                     uniform_prior, alpha=0.1, delta=0.1, ns=ns, trials=10, seed=0
                 )
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: list(chunk_sizes(-1, 10)), ValueError, "total must be nonnegative"),
+    (lambda: cost_scaling_experiment(
+        PriorSpec.from_dict({"family": "conditional_iid", "mixing": {"kind": "point", "theta": 0.5},
+                             "cost0": {"kind": "point_mass", "value": 0.3},
+                             "cost1": {"kind": "point_mass", "value": 0.3}}),
+        0.1, 0.1, [100, 200], 1, 0),
+     ValueError, "trials must be at least 2, got 1"),
+], ids=["chunk-total", "cost-scaling-trials"])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -6,11 +6,13 @@ import pytest
 from peersurvey.mechanism import (
     MechanismConfig,
     estimate_observable,
+    payment_at,
     payment_observable,
     payment_pair,
+    peer_estimate,
     published_estimate,
 )
-from peersurvey.privacy import NoiseSpec, noise_draw
+from peersurvey.privacy import NoiseSpec, dp_audit, noise_draw
 from peersurvey.scoring import scaled_score
 
 REFERENCE = dict(n=100, alpha=0.1, beta=1.0, epsilon=0.5, p0=1.0 / 3.0, p1=2.0 / 3.0)
@@ -140,3 +142,53 @@ class TestObservables:
         steps = np.diff(out)
         assert np.all(steps >= 0.0) or np.all(steps <= 0.0)
         assert out.min() == 0.0 and out.max() == 1.0
+
+
+@pytest.mark.parametrize("config", [
+    reference_config(),
+    reference_config(n=2, p0=0.9, p1=0.1, alpha=0.3),
+    reference_config(n=7, p0=0.25, p1=0.8, beta=0.01, alpha=1e-6),
+], ids=["reference", "n2-falling", "n7"])
+def test_payment_pair_is_payment_at_each_leave_one_out_estimate(config):
+    # b_bar on and off the integers, inside and past [0, n], as an array and
+    # as one number: each reporter's payment is payment_at at its own
+    # leave-one-out estimate, to the bit.
+    grid = np.concatenate([np.arange(-3.0, config.n + 4.0), np.linspace(-2.5, config.n + 2.5, 97)])
+    for b_bar in (grid, *grid[::13].tolist()):
+        pay_one, pay_zero = payment_pair(config, b_bar)
+        for own, pay in ((1, pay_one), (0, pay_zero)):
+            at = payment_at(config, peer_estimate(config.n, np.asarray(b_bar, float), own), own)
+            assert np.asarray(pay).tobytes() == np.asarray(at).tobytes()
+            assert type(pay) is type(at)
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda n: estimate_observable(n, NoiseSpec(epsilon=0.5)), 10),
+    (lambda n: estimate_observable(n, NoiseSpec(epsilon=0.5)), 20),
+    (lambda n: payment_observable(reference_config(n=n), 3), 10),
+    (lambda n: payment_observable(reference_config(n=n), 3), 20),
+], ids=["estimate-10", "estimate-20", "payment-10", "payment-20"])
+def test_observable_rejects_reports_of_another_size(build, n):
+    # An observable built for 10 agents audited on 20 reports, and one built
+    # for 20 on 10: the map names both sizes, not the clip rule.
+    reports = [1] * ((30 - n) // 2) + [0] * ((30 - n) // 2)
+    message = f"built for n={n} agents, got {30 - n} reports"
+    with pytest.raises(ValueError, match=message):
+        build(n).of_b_bar(reports, np.arange(3.0))
+    with pytest.raises(ValueError, match=message):
+        dp_audit(build(n), reports, 0, 0.5, 100_000, 20, seed=7)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: reference_config(n=1), ValueError, "n must be an integer of at least 2, got 1"),
+    (lambda: reference_config(n=2.5), ValueError, "n must be an integer of at least 2, got 2.5"),
+    (lambda: estimate_observable(1, NoiseSpec(epsilon=0.5)), ValueError,
+     "n must be at least 2, got 1"),
+    (lambda: payment_observable(reference_config(n=10), 10), ValueError,
+     r"agent index must lie in \[0, 10\), got 10"),
+    (lambda: payment_observable(reference_config(n=10), -1), ValueError,
+     r"agent index must lie in \[0, 10\), got -1"),
+], ids=["config-n-1", "config-n-float", "estimate-n-1", "payment-j-n", "payment-j-negative"])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -17,6 +17,7 @@ from peersurvey.priors import (
     CostSearchError,
     Exponential,
     PointMass,
+    PointMixing,
     PriorSpec,
     TruncatedLogNormal,
     Uniform,
@@ -229,7 +230,6 @@ class TestPosteriorBitProb:
 class TestThetaSample:
     def test_point_mixing_draws_its_rate(self, point_prior):
         rng = np.random.default_rng(0)
-        assert point_prior.theta_sample(rng) == 0.5
         assert point_prior.theta_sample(rng, 3).tolist() == [0.5, 0.5, 0.5]
         for bit in (0, 1):
             assert point_prior.theta_sample(rng, 2, bit=bit).tolist() == [0.5, 0.5]
@@ -269,7 +269,7 @@ class TestThetaSample:
 
     def test_posterior_rejects_non_bit(self, uniform_prior):
         with pytest.raises(ValueError):
-            uniform_prior.theta_sample(np.random.default_rng(0), bit=2)
+            uniform_prior.theta_sample(np.random.default_rng(0), 1, bit=2)
 
 
 MIXINGS = {
@@ -867,3 +867,34 @@ def _binomial_sum_oracle(mixing, bit, n, eps):
         total = sum(w for w, _ in post)
         weights = [sum(w / total * binomial_pmf(k, t) for w, t in post) for k in range(m + 1)]
     return math.fsum(w * c / m for w, c in zip(weights, clipped_sums(m, 1.0 / eps)))
+
+
+POINT = PriorSpec.from_dict({"family": "conditional_iid", "mixing": {"kind": "point", "theta": 0.5},
+                             "cost0": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                             "cost1": {"kind": "uniform", "lo": 0.0, "hi": 1.0}})
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: TruncatedLogNormal(mu=0.0, sigma=1.0, cap=0.0), ValueError,
+     "cap must be positive, got 0.0"),
+    (lambda: AtomMixing(()), ValueError, "atom mixture needs at least one atom"),
+    (lambda: AtomMixing(((-0.5, 0.2), (1.5, 0.8))), ValueError, "atom weights must be positive"),
+    (lambda: AtomMixing(((0.5, 1.5), (0.5, 0.5))), ValueError,
+     r"atom locations must lie in \[0, 1\]"),
+    (lambda: PointMixing(1.5), ValueError, r"theta must lie in \[0, 1\], got 1.5"),
+    (lambda: posterior_bit_prob(POINT, 2), ValueError, "bit must be 0 or 1, got 2"),
+    (lambda: clamped_mean(POINT, 0, 1, 2.0), ValueError,
+     "need bit 0 or 1, n >= 2 and scale >= 0, got 0, 1, 2.0"),
+    (lambda: posterior_clamped_mean(POINT, 0, 10, 0.0), ValueError, "need epsilon > 0, got 0.0"),
+    (lambda: cost_threshold_parts(POINT, 1.0, 0.1, 10), ValueError,
+     r"alpha must lie in \(0, 1\), got 1.0"),
+    (lambda: cost_threshold_parts(POINT, 0.1, 0.0, 10), ValueError,
+     r"delta must lie in \(0, 1\), got 0.0"),
+    (lambda: cost_threshold_parts(POINT, 0.1, 0.1, 1), ValueError, "n must be at least 2, got 1"),
+    (lambda: group_prob_mc(POINT, 0.1, 10, 0.5, 0, 3), ValueError, "trials must be positive"),
+], ids=["log-normal-cap", "no-atoms", "atom-weight", "atom-location", "point-theta",
+        "posterior-bit", "clamped-mean-n", "clamped-mean-epsilon", "tau-alpha", "tau-delta",
+        "tau-n", "group-prob-trials"])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

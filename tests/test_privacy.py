@@ -105,7 +105,6 @@ class TestNoiseSpec:
         spec = NoiseSpec(epsilon=0.5, mode="disabled")
         rng = np.random.default_rng(0)
         assert np.all(noise_draw(spec, rng, 100) == 0.0)
-        assert noise_draw(spec, rng) == 0.0
         assert rng.random() == np.random.default_rng(0).random()
         assert np.all(spec.from_uniform(np.array([0.0, 0.3, 0.9])) == 0.0)
 
@@ -123,8 +122,6 @@ class TestNoiseSpec:
         for draw in (noise_draw(spec, np.random.default_rng(1), 1000), np.rint(continuous)):
             assert draw.view(np.int64).tolist() == noise[3:].view(np.int64).tolist()
         assert np.all(np.abs(noise[3:] - continuous) <= 0.5)
-        scalar = noise_draw(spec, np.random.default_rng(1))
-        assert type(scalar) is float and scalar == noise[3]
 
 
 def test_interval_mass_ratio_bounded_by_epsilon():
@@ -199,26 +196,26 @@ class TestDpAudit:
 
     def test_claimed_budget_above_true_budget_passes(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
-        report = dp_audit(mech, self._reports(), 0, 0, 1.0, 100_000, 20, seed=7)
+        report = dp_audit(mech, self._reports(), 0, 1.0, 100_000, 20, seed=7)
         assert report.verdict == "Pass"
         assert report.max_log_ratio <= 1.05
 
     def test_under_claimed_budget_fails(self):
         # Noise calibrated for epsilon 0.7, audited as 0.5 at the trial floor.
         mech = estimate_observable(10, NoiseSpec(epsilon=0.7))
-        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=7)
+        report = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=7)
         assert report.verdict == "Fail"
         assert abs(report.max_log_ratio - 0.7) <= 1e-9
 
     def test_no_noise_mechanism_fails(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
-        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=7)
+        report = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=7)
         assert report.verdict == "Fail"
         assert math.isinf(report.max_log_ratio)
 
     def test_constant_mechanism_passes_any_budget(self):
         mech = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.full(b_bar.shape, 0.5))
-        report = dp_audit(mech, self._reports(), 0, 0, 1e-6, 100_000, 20, seed=7)
+        report = dp_audit(mech, self._reports(), 0, 1e-6, 100_000, 20, seed=7)
         assert report.verdict == "Pass"
         assert report.max_log_ratio == 0.0
 
@@ -231,21 +228,21 @@ class TestDpAudit:
         bbar_mech = Observable(noise, lambda reports, b_bar: np.clip(b_bar, 0.0, 10.0) / 10.0)
 
         reports = self._reports()
-        est_audit = dp_audit(est_mech, reports, 0, 0, 0.5, 200_000, 20, seed=31)
-        raw_audit = dp_audit(bbar_mech, reports, 0, 0, 0.5, 200_000, 100, seed=31)
+        est_audit = dp_audit(est_mech, reports, 0, 0.5, 200_000, 20, seed=31)
+        raw_audit = dp_audit(bbar_mech, reports, 0, 0.5, 200_000, 100, seed=31)
         assert np.sum(raw_audit.table["log_ratio"] != 0.0) == 11
         assert est_audit.max_log_ratio <= raw_audit.max_log_ratio + AUDIT_SLACK
 
     def test_deterministic_given_seed(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
-        a = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
-        b = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        a = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=3)
+        b = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=3)
         assert a.max_log_ratio == b.max_log_ratio
         assert a.to_dict() == b.to_dict()
 
     def test_bin_table_accounts_for_every_trial(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
-        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        report = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=3)
         assert report.table["count_base"].sum() == report.trials
         assert report.table["count_flipped"].sum() == report.trials
 
@@ -254,7 +251,7 @@ class TestDpAudit:
         # the other, so 18 bins are empty on both sides and 2 on one, and
         # no bin has mass on both sides for the cross-check to compare.
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
-        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        report = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=3)
         table = report.table
         assert list(table) == ["bin_lo", "bin_hi", "count_base", "count_flipped", "retained",
                                "log_ratio"]
@@ -283,7 +280,7 @@ class TestDpAudit:
         # neighbors apart.
         outside_mech = Observable(NoiseSpec(epsilon=0.5),
                                   lambda reports, b_bar: np.full(b_bar.shape, 2.0))
-        report = dp_audit(outside_mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        report = dp_audit(outside_mech, self._reports(), 0, 0.5, 100_000, 20, seed=3)
         assert (report.verdict, report.max_log_ratio) == ("Pass", 0.0)
         assert report.cross_check["bins_checked"] == 0
         assert report.table["count_base"].sum() == 0
@@ -291,19 +288,17 @@ class TestDpAudit:
     def test_validation(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
         with pytest.raises(ValueError):
-            dp_audit(mech, self._reports(), 0, 0, 0.5, 50_000, 20, seed=3)
+            dp_audit(mech, self._reports(), 0, 0.5, 50_000, 20, seed=3)
         with pytest.raises(ValueError):
-            dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 1, seed=3)
+            dp_audit(mech, self._reports(), 0, 0.5, 100_000, 1, seed=3)
         with pytest.raises(ValueError, match="bins must lie in"):
-            dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 2_001, seed=3)
+            dp_audit(mech, self._reports(), 0, 0.5, 100_000, 2_001, seed=3)
         with pytest.raises(ValueError):
-            dp_audit(mech, self._reports(), 0, 1, 0.5, 100_000, 20, seed=3)
-        with pytest.raises(ValueError):
-            dp_audit(mech, self._reports(), 17, 0, 0.5, 100_000, 20, seed=3)
+            dp_audit(mech, self._reports(), 17, 0.5, 100_000, 20, seed=3)
 
     def test_report_serialization_fields(self):
         mech = estimate_observable(10, NoiseSpec(epsilon=0.5))
-        report = dp_audit(mech, self._reports(), 0, 0, 0.5, 100_000, 20, seed=3)
+        report = dp_audit(mech, self._reports(), 0, 0.5, 100_000, 20, seed=3)
         assert list(report.to_dict()) == [
             "epsilon_claimed", "max_log_ratio", "bins", "trials", "cross_check", "verdict",
         ]
@@ -339,15 +334,14 @@ class TestDpAudit:
             reports = self._reports(n, ones)
             k = None if report_j is None else next(
                 k for k in range(1, n) if reports[k] == report_j)
-            return dp_audit(observable(k), reports, 0, 0, 0.5, trials, bins, seed)
+            return dp_audit(observable(k), reports, 0, 0.5, trials, bins, seed)
 
         fixed = ("bin_lo", "bin_hi", "retained")
         for ones in range(n + 1):
             reports = self._reports(n, ones)
             for i in range(n):
                 for j in [None, *(j for j in range(n) if j != i)]:
-                    audit = dp_audit(observable(j), reports, i, 1 - reports[i], 0.5, trials,
-                                     bins, seed)
+                    audit = dp_audit(observable(j), reports, i, 0.5, trials, bins, seed)
                     report_j = None if j is None else reports[j]
                     ref = flip_agent_0(ones + 1 - reports[i], report_j)
                     assert audit.to_dict() == ref.to_dict()
@@ -486,8 +480,9 @@ class TestSharedNoiseDraw:
         inner = (k > 0) & (k < GRID)
         assert np.all(noise.from_uniform((k[inner] - 1) / GRID) < cuts[inner])
         assert np.all(cuts[inner] <= noise.from_uniform(k[inner] / GRID))
-        assert np.all(cuts[k == 0] <= noise.from_uniform(0.0))
-        assert np.all(noise.from_uniform(1.0 - 2.0**-53) < cuts[k == GRID])
+        least, largest = noise.from_uniform(np.array([0.0, 1.0 - 2.0**-53]))
+        assert np.all(cuts[k == 0] <= least)
+        assert np.all(largest < cuts[k == GRID])
 
     @SHAPES
     def test_bin_counts_within_five_sigma_of_the_exact_masses(self, kind, j):
@@ -496,7 +491,7 @@ class TestSharedNoiseDraw:
         # checked, sparse ones included, at the chance of a 5 sigma normal
         # deviation.
         observable, reports, i, bins = self.shape(kind, j)
-        report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
+        report = dp_audit(observable, reports, i, 0.5, self.TRIALS, bins, seed=5)
         for side, column in ((reports, "count_base"), (flip(reports, i), "count_flipped")):
             counts = report.table[column]
             p = np.minimum(brute_force_masses(observable, side, bins), 1.0)
@@ -525,7 +520,7 @@ class TestSharedNoiseDraw:
 
         monkeypatch.setattr(privacy, "subseed_rng", lambda *path: Spy(subseed_rng(*path)))
         observable, reports, i, bins = self.shape(kind, j)
-        dp_audit(observable, reports, i, 1 - reports[i], 0.5, self.TRIALS, bins, seed=5)
+        dp_audit(observable, reports, i, 0.5, self.TRIALS, bins, seed=5)
         assert calls == ["multinomial"]
 
     @pytest.mark.parametrize("kind, j, reached", [("estimate", None, 11), ("payment", 3, 10)],
@@ -537,7 +532,7 @@ class TestSharedNoiseDraw:
         # agent 3, whose b_bar 0 and 1 both give 0.
         trials = 10**17
         observable, reports, i, bins = self.shape(kind, j)
-        report = dp_audit(observable, reports, i, 1 - reports[i], 0.5, trials, bins, seed=5)
+        report = dp_audit(observable, reports, i, 0.5, trials, bins, seed=5)
         for column in ("count_base", "count_flipped"):
             assert report.table[column].dtype == np.int64
             assert int(report.table[column].sum()) == trials
@@ -557,7 +552,7 @@ class TestSharedNoiseDraw:
             return observable.of_b_bar(reports, b_bar)
 
         spied = Observable(observable.noise, recorded)
-        dp_audit(spied, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+        dp_audit(spied, self.REPORTS, 0, 0.5, 100_000, 20, seed=5)
         b_bar = np.arange(-1.0, 12.0).tolist()
         assert reads == [(tuple(self.REPORTS), b_bar), (tuple(flip(self.REPORTS, 0)), b_bar)]
 
@@ -574,7 +569,7 @@ class TestSharedNoiseDraw:
 
         monkeypatch.setattr(NoiseSpec, "from_uniform", recorded)
         observable = estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled"))
-        report = dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+        report = dp_audit(observable, self.REPORTS, 0, 0.5, 100_000, 20, seed=5)
         assert mapped == [2]
         assert report.table["count_base"].sum() == report.table["count_flipped"].sum() == 100_000
 
@@ -590,7 +585,7 @@ class TestSharedNoiseDraw:
         monkeypatch.setattr(privacy, "subseed_rng", lambda *path: pytest.fail("drew"))
         observable = Observable(NoiseSpec(epsilon=0.5), estimate)
         with pytest.raises(ValueError, match="bins must lie in"):
-            dp_audit(observable, [1] * 500 + [0] * 500, 0, 0, 0.5, 100_000, 1_000_000, seed=7)
+            dp_audit(observable, [1] * 500 + [0] * 500, 0, 0.5, 100_000, 1_000_000, seed=7)
         assert mapped == []
 
     @pytest.mark.parametrize("observable", [
@@ -604,7 +599,7 @@ class TestSharedNoiseDraw:
     ], ids=["both_ends", "top", "bottom"])
     def test_observable_that_does_not_clamp_raises(self, observable):
         with pytest.raises(ValueError, match=r"only through clip\(b_bar, 0, n\)"):
-            dp_audit(observable, self.REPORTS, 0, 0, 0.5, 100_000, 20, seed=5)
+            dp_audit(observable, self.REPORTS, 0, 0.5, 100_000, 20, seed=5)
 
     @pytest.mark.parametrize("bottom", [5.0, 7.3])
     def test_observable_not_monotone_in_b_bar_is_exact(self, bottom):
@@ -613,7 +608,7 @@ class TestSharedNoiseDraw:
         # counts follow a brute-force sum over b_bar.
         v_shape = Observable(NoiseSpec(epsilon=0.5), lambda reports, b_bar: np.abs(
             np.clip(b_bar, 0.0, 10.0) - bottom) / 10.0)
-        report = dp_audit(v_shape, self.REPORTS, 0, 0, 0.5, self.TRIALS, 20, seed=5)
+        report = dp_audit(v_shape, self.REPORTS, 0, 0.5, self.TRIALS, 20, seed=5)
         base, flipped = (brute_force_masses(v_shape, side, 20)
                          for side in (self.REPORTS, flip(self.REPORTS, 0)))
         both = (base > 0.0) & (flipped > 0.0)
@@ -726,8 +721,8 @@ class TestUniformThresholds:
         # a 54-step bisection.
         mapped = record_maps(monkeypatch)
         reports = [1] * 5 + [0] * 5
-        dp_audit(estimate_observable(10, NoiseSpec(epsilon=0.5)), reports, 0, 0, 0.5, 100_000,
-                 20, seed=5)
+        dp_audit(estimate_observable(10, NoiseSpec(epsilon=0.5)), reports, 0, 0.5, 100_000, 20,
+                 seed=5)
         assert 0 < len(mapped) <= 8
 
 
@@ -762,7 +757,7 @@ class TestExactMasses:
         # to 0.  At criterion 7's epsilon with 20 bins, 50 integers share
         # each bin.
         reports = [1] * (n // 2) + [0] * (n - n // 2)
-        report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, 0, 0,
+        report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, 0,
                           epsilon, max(100_000, 50 * bins), bins, seed=7)
         assert report.verdict == "Pass"
         assert abs(report.max_log_ratio - epsilon) <= 1e-9
@@ -781,7 +776,7 @@ class TestExactMasses:
         # mass, and each bin's log ratio is that of the brute-force masses.
         observable = estimate_observable(n, NoiseSpec(epsilon=epsilon))
         reports = [1] * 7 + [0] * (n - 7)
-        report = dp_audit(observable, reports, 0, 0, epsilon, 50 * bins + 100_000, bins, seed=3)
+        report = dp_audit(observable, reports, 0, epsilon, 50 * bins + 100_000, bins, seed=3)
         base, flipped = (brute_force_masses(observable, side, bins)
                          for side in (reports, flip(reports, 0)))
         reached = (base > 0.0) | (flipped > 0.0)
@@ -806,7 +801,7 @@ class TestExactMasses:
         monkeypatch.setattr(privacy, "laplace_log_mass", recorded)
         observable = estimate_observable(n, NoiseSpec(epsilon=epsilon))
         reports = [1] * 7 + [0] * (n - 7)
-        dp_audit(observable, reports, 0, 0, epsilon, 50 * bins + 100_000, bins, seed=3)
+        dp_audit(observable, reports, 0, epsilon, 50 * bins + 100_000, bins, seed=3)
         assert len(log_masses) == 1
         assert abs(np.exp(log_masses[0]).sum() - 1.0) <= 1e-12
         for side in (reports, flip(reports, 0)):
@@ -816,7 +811,7 @@ class TestExactMasses:
         # Only r = 0 is drawn: each neighbor's whole mass and every trial
         # sit in the bin of its noiseless estimate, 0.5 or 0.4.
         report = dp_audit(estimate_observable(10, NoiseSpec(epsilon=0.5, mode="disabled")),
-                          [1] * 5 + [0] * 5, 0, 0, 0.5, 100_000, 20, seed=3)
+                          [1] * 5 + [0] * 5, 0, 0.5, 100_000, 20, seed=3)
         table = report.table
         assert np.flatnonzero(table["count_base"]).tolist() == [10]
         assert np.flatnonzero(table["count_flipped"]).tolist() == [8]
@@ -825,7 +820,7 @@ class TestExactMasses:
 
     def test_payment_observable_exact_max_is_epsilon(self):
         config = TestSharedNoiseDraw.PAYMENTS
-        report = dp_audit(payment_observable(config, 3), [1] * 5 + [0] * 5, 0, 0, 0.5, 100_000,
+        report = dp_audit(payment_observable(config, 3), [1] * 5 + [0] * 5, 0, 0.5, 100_000,
                           20, seed=7)
         assert report.verdict == "Pass"
         assert abs(report.max_log_ratio - 0.5) <= 1e-9
@@ -841,7 +836,7 @@ class TestExactMasses:
         trials = max(100_000, 50 * (n + 1))
         for a in ones:
             reports = [1] * a + [0] * (n - a)
-            report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, a, 1,
+            report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=epsilon)), reports, a,
                               epsilon, trials, n + 1, seed=7)
             assert report.verdict == "Pass"
             assert report.max_log_ratio - epsilon <= 1e-12
@@ -864,7 +859,7 @@ class TestExactMasses:
         reports = [1] * ones + [0] * (n - ones)
         for i in range(n):
             flipped = 1 - reports[i]
-            report = dp_audit(observable, reports, i, flipped, epsilon, 100_000, n + 1, seed=7)
+            report = dp_audit(observable, reports, i, epsilon, 100_000, n + 1, seed=7)
             sums = {ones, ones + (1 if flipped else -1)}
             for k, log_ratio in enumerate(report.table["log_ratio"]):
                 form = ("same side" if k not in sums
@@ -878,11 +873,10 @@ class TestExactMasses:
         config = TestSharedNoiseDraw.PAYMENTS
         n, reports = config.n, [1] * 5 + [0] * 5
         for i in range(n):
-            flipped = 1 - reports[i]
-            whole = dp_audit(estimate_observable(n, config.noise), reports, i, flipped,
-                             config.epsilon, 100_000, n + 1, seed=7).max_log_ratio
+            whole = dp_audit(estimate_observable(n, config.noise), reports, i, config.epsilon,
+                             100_000, n + 1, seed=7).max_log_ratio
             for j in set(range(n)) - {i}:
-                report = dp_audit(payment_observable(config, j), reports, i, flipped,
+                report = dp_audit(payment_observable(config, j), reports, i,
                                   config.epsilon, 100_000, 20, seed=7)
                 assert report.max_log_ratio <= whole + 1e-12, (i, j)
 
@@ -894,7 +888,7 @@ class TestExactMasses:
         # scipy's CDF, apart from the audit's own.
         trials, edges = 1_000_000, np.linspace(0.0, 1.0, bins + 1)
         reports = [1] * (n // 2) + [0] * (n - n // 2)
-        report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=0.5)), reports, 0, 0, 0.5,
+        report = dp_audit(estimate_observable(n, NoiseSpec(epsilon=0.5)), reports, 0, 0.5,
                           trials, bins, seed=7)
         expected = []
         for total, column in ((n // 2, "count_base"), (n // 2 - 1, "count_flipped")):
@@ -913,3 +907,14 @@ class TestExactMasses:
         np.testing.assert_array_equal(report.table["retained"], retained.astype(np.int64))
         assert report.cross_check["bins_checked"] == retained.sum()
         assert report.cross_check["max_abs_z"] <= 5.0
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: dp_audit(estimate_observable(4, NoiseSpec(epsilon=0.5)), [1, 2, 0, 0], 0, 0.5,
+                      100_000, 20, seed=3), ValueError, "reports must be 0/1 bits"),
+    (lambda: dp_audit(estimate_observable(4, NoiseSpec(epsilon=0.5)), [1, 1, 0, 0], 0, 0.0,
+                      100_000, 20, seed=3), ValueError, "epsilon_claimed must be positive, got 0.0"),
+], ids=["report-bits", "epsilon-claimed"])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -49,7 +49,7 @@ EDGE_PRIOR = {
 def dense_counts(strategy, prior, n, trials, rng):
     """(ones, participants, mismatches) from explicit (trials, n) populations,
     each agent's report from `strategy_arrays`."""
-    theta = np.atleast_1d(prior.theta_sample(rng, trials))
+    theta = prior.theta_sample(rng, trials)
     bits = (rng.random((trials, n)) < theta[:, None]).astype(np.int8)
     u = rng.random((trials, n))
     costs = np.where(bits == 1, prior.cost1.quantile(u), prior.cost0.quantile(u))
@@ -58,7 +58,7 @@ def dense_counts(strategy, prior, n, trials, rng):
 
 
 def sampled_counts(strategy, prior, n, trials, rng):
-    theta = np.atleast_1d(prior.theta_sample(rng, trials))
+    theta = prior.theta_sample(rng, trials)
     _, ones, participants, mismatches = sample_report_counts(strategy, prior, n, theta, rng)
     return ones, participants, mismatches
 
