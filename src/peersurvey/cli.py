@@ -27,7 +27,6 @@ from ._util import check_seed, cross_check, derive_seed, is_number
 from .agents import (
     ABSTAIN,
     ACTIONS,
-    OFF_BEHAVIORS,
     AlwaysTruth,
     CostModel,
     peer_estimate_mc,
@@ -86,11 +85,14 @@ class Resolver:
     checks its type and range, and raises ConfigError naming the key when
     the check fails.  The public cached properties are the config keys
     (`KEYS`); a read key is in the instance dict, which is how
-    `reject_unread` finds the keys a command never read.  "auto" for
-    epsilon, beta and tau and null for p0 and p1 are dropped on entry:
-    they mean the same as a missing key, which is derived, so a pinned tau,
-    beta, p0, p1 or strategy skips its derivation.  tau, p0 and p1 are
-    derived exactly.  When the config sets threshold_trials or
+    `reject_unread` finds the keys a command never read.  A key means the
+    same in every command that reads it, so a run config also serves
+    audit-equilibrium.  Only cost-scaling derives tau, p0, p1 and the
+    strategy itself, at each n (`driver_parameters`), and rejects them.
+    "auto" for epsilon, beta and tau and null for p0 and p1 are dropped on
+    entry: they mean the same as a missing key, which is derived, so a
+    pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0 and
+    p1 are derived exactly.  When the config sets threshold_trials or
     posterior_samples, each derivation of tau or of p0/p1 at n also runs
     its Monte Carlo cross-check, on seed slot (n, 0) for tau and
     (n, 1)/(n, 2) for p0/p1 (`_slot`), and records it in `cross_check[n]`
@@ -238,10 +240,6 @@ class Resolver:
         return self._object("strategy", strategy_from_dict, raw)
 
     @cached_property
-    def off(self):
-        return self._choice("off", OFF_BEHAVIORS, ABSTAIN)
-
-    @cached_property
     def _conditioned_prior(self):
         """The prior, provided each own bit has positive prior probability:
         p0 and p1 condition on it, and so does tau when the cost laws differ."""
@@ -295,8 +293,8 @@ class Resolver:
         return value
 
     def driver_parameters(self, n, epsilon):
-        """A driver's (tau, p0, p1) at (n, epsilon), derived exactly and
-        checked, so that a config the driver cannot work with fails naming
+        """cost-scaling's (tau, p0, p1) at (n, epsilon), derived exactly and
+        checked, so that a config its driver cannot work with fails naming
         its key."""
         tau = self.exact_tau(n)[0]
         self._check_tau(tau)
@@ -606,7 +604,9 @@ def _emit(r, body, columns=None, **used):
     anything it rejects what `Resolver.reject_unread` rejects (the only
     check of posterior and threshold, which run no driver) and an `out`,
     from --out or the config, where there is no CSV.  Then it writes
-    `columns` as the CSV at `out` and prints the report.  A cross-check of
+    `columns` as the CSV at `out` and prints the report, whose `resolved`
+    block takes from `used` the values posterior and threshold derive
+    outside the resolver's properties.  A cross-check of
     tau, p0 or p1 joins the body's `cross_check` block, or starts one,
     except in cost-scaling, whose rows carry their own.  A reader that
     closed stdout early is not an error: the rest of the output is
@@ -700,17 +700,17 @@ def _cmd_audit_dp(r):
 
 
 def _cmd_audit_equilibrium(r):
-    inputs = (r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed,
-              r.beta if r.pinned("beta") else None, r.off)
-    parameters = r.driver_parameters(r.n, r.epsilon)
+    inputs = (r.prior, r.n, r.alpha, r.delta, r.epsilon, r.cost_model, r.trials, r.seed)
+    # Read even under a pinned beta: its gap check must fail before the driver.
+    beta = r._mechanism.beta
+    others, parameters = r.strategy, (r.tau, r.p0, r.p1)
     r.reject_unread()
-    report = best_response_audit(*inputs, parameters=parameters)
+    report = best_response_audit(*inputs, beta if r.pinned("beta") else None, others, parameters)
     keys = ("mean_payment", "utility_lower_bound")
     rows = [(int(bit), action, *(stats[action][key] for key in keys))
             for bit, stats in report.per_bit.items() for action in ACTIONS]
     columns = {name: np.array(column) for name, column in zip(("bit", "action") + keys, zip(*rows))}
-    _emit(r, report.to_dict(), columns,
-          beta=report.beta, tau=report.tau, p0=report.p0, p1=report.p1)
+    _emit(r, report.to_dict(), columns)
     return EXIT_BY_VERDICT[report.overall]
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from ._util import (CHUNK_TRIALS, check_seed, chunk_sizes, cross_check, derive_seed, report_dict,
                     subseed_rng)
 from .agents import (
-    ABSTAIN,
     ACTIONS,
     AgentType,
     CostModel,
@@ -233,21 +232,21 @@ def best_response_audit(
     trials,
     seed,
     beta_override=None,
-    off=ABSTAIN,
+    others=None,
     parameters=None,
 ):
     """Audit whether truthful participation is a best response at threshold tau.
 
-    Everyone else plays the threshold strategy; a probe agent with cost just
-    below tau tries truth, lie and abstain for both possible bit values.
-    `parameters` is (tau, p0, p1); by default `exact_parameters` derives
-    them.  Payments and verdicts are exact: per_bit[bit] holds the
-    bit's exact mean estimate (`peer_estimate_mean`) under
-    "mean_peer_estimate", each action's `expected_utility` at that mean under
-    the action's name, and under "cross_check" the `_util.cross_check`
-    record of `trials` Monte Carlo rounds of the probe's leave-one-out
-    estimate (`peer_estimate_mc`, on seed slot (3, bit, 0)) against that
-    exact mean.  The report carries the worst case over bits.
+    The n - 1 peers play the strategy `others`, by default `Threshold(tau)`;
+    a probe agent with cost just below tau tries truth, lie and abstain for
+    both possible bit values.  `parameters` is (tau, p0, p1); by default
+    `exact_parameters` derives them.  Payments and verdicts are exact:
+    per_bit[bit] holds the bit's exact mean estimate (`peer_estimate_mean`)
+    under "mean_peer_estimate", each action's `expected_utility` at that
+    mean under the action's name, and under "cross_check" the
+    `_util.cross_check` record of `trials` Monte Carlo rounds of the probe's
+    leave-one-out estimate (`peer_estimate_mc`, on seed slot (3, bit, 0))
+    against that exact mean.  The report carries the worst case over bits.
     beta_override exists to study misconfigured premia.  Only then do the
     verdicts include beta_covers_cost_bound, which fails a premium below
     the privacy-cost bound at tau: the derived beta is that bound.
@@ -261,7 +260,7 @@ def best_response_audit(
     tau, p0, p1 = parameters
     beta = beta_rule(cost_model.kind, epsilon, tau) if beta_override is None else float(beta_override)
     config = MechanismConfig(n=n, alpha=alpha, beta=beta, epsilon=epsilon, p0=p0, p1=p1)
-    others = Threshold(tau=tau, off=off)
+    others = Threshold(tau=tau) if others is None else others
     probe_cost = tau * (1.0 - 1e-6)
 
     sampled = [peer_estimate_mc(prior, bit, n, config.noise, others, trials,
@@ -306,7 +305,6 @@ def best_response_audit(
             "cost_model": cost_model.to_dict(),
             "privacy_cost_bound_at_tau": tau_cost_bound,
             "beta_margin_over_cost_bound": margin,
-            "off_behavior": off,
         },
     )
 

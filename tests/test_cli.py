@@ -100,35 +100,40 @@ BASE_CONFIGS = {
 
 # The config keys each base run never reads; every command reads `out`.
 BASE_UNREAD = {
-    "run": ("bins", "ns", "observable", "off", "ones", "payment_index"),
-    "posterior": ("alpha", "beta", "bins", "cost_model", "delta", "ns", "observable", "off",
-                  "ones", "p0", "p1", "payment_index", "strategy", "tau", "threshold_trials",
-                  "trials"),
-    "threshold": ("beta", "bins", "cost_model", "epsilon", "ns", "observable", "off", "ones", "p0",
-                  "p1", "payment_index", "posterior_samples", "strategy", "tau", "trials"),
-    "audit-dp": ("alpha", "beta", "cost_model", "delta", "ns", "off", "p0", "p1", "payment_index",
+    "run": ("bins", "ns", "observable", "ones", "payment_index"),
+    "posterior": ("alpha", "beta", "bins", "cost_model", "delta", "ns", "observable", "ones", "p0",
+                  "p1", "payment_index", "strategy", "tau", "threshold_trials", "trials"),
+    "threshold": ("beta", "bins", "cost_model", "epsilon", "ns", "observable", "ones", "p0", "p1",
+                  "payment_index", "posterior_samples", "strategy", "tau", "trials"),
+    "audit-dp": ("alpha", "beta", "cost_model", "delta", "ns", "p0", "p1", "payment_index",
                  "posterior_samples", "prior", "strategy", "tau", "threshold_trials"),
-    "audit-equilibrium": ("beta", "bins", "ns", "observable", "ones", "p0", "p1", "payment_index",
-                          "strategy", "tau"),
-    "accuracy": ("beta", "bins", "cost_model", "ns", "observable", "off", "ones", "p0", "p1",
+    "audit-equilibrium": ("bins", "ns", "observable", "ones", "payment_index"),
+    "accuracy": ("beta", "bins", "cost_model", "ns", "observable", "ones", "p0", "p1",
                  "payment_index", "posterior_samples"),
-    "cost-scaling": ("beta", "bins", "cost_model", "epsilon", "n", "observable", "off", "ones",
-                     "p0", "p1", "payment_index", "strategy", "tau"),
+    "cost-scaling": ("beta", "bins", "cost_model", "epsilon", "n", "observable", "ones", "p0", "p1",
+                     "payment_index", "strategy", "tau"),
 }
 # A well-typed value for each of those keys.
 WELL_TYPED = {
     "n": 60, "trials": 1_000, "posterior_samples": 1_000, "threshold_trials": 1_000,
     "ns": [100, 200], "prior": UNIFORM_PRIOR, "cost_model": {"kind": "chen"},
-    "strategy": {"kind": "threshold", "tau": "auto", "off": "abstain"}, "off": "abstain",
+    "strategy": {"kind": "threshold", "tau": "auto", "off": "abstain"},
     "alpha": 0.1, "delta": 0.1, "epsilon": 0.5, "tau": 0.5, "beta": 1.0, "p0": 0.3, "p1": 0.7,
     "ones": 5, "observable": "estimate", "payment_index": 3, "bins": 20,
 }
-# Each of those keys, once set, is rejected, except audit-equilibrium's beta:
-# a pinned beta is read as the override of the beta its driver derives.
-UNREAD_CASES = [(command, key) for command, keys in BASE_UNREAD.items() for key in keys
-                if (command, key) != ("audit-equilibrium", "beta")]
+# Each of those keys, once set, is rejected.
+UNREAD_CASES = [(command, key) for command, keys in BASE_UNREAD.items() for key in keys]
 # Values that mean "derive", as a missing key does.
 DERIVE_VALUES = {"epsilon": "auto", "beta": "auto", "tau": "auto", "p0": None, "p1": None}
+
+
+# The README's config schema with 1,000 trials and no CSV: a run config,
+# which audit-equilibrium reads by the same rules.
+SCHEMA_CONFIG = {
+    "prior": UNIFORM_PRIOR, "n": 200, "alpha": 0.1, "delta": 0.1, "epsilon": "auto",
+    "beta": "auto", "cost_model": {"kind": "linear"},
+    "strategy": {"kind": "threshold", "tau": "auto", "off": "abstain"}, "trials": 1_000, "seed": 7,
+}
 
 
 def read_csv(path):
@@ -203,7 +208,6 @@ class TestResolver:
         ("run", "seed", -1),
         ("run", "clamp_payments", "yes"),
         ("run", "out", 5),
-        ("audit-equilibrium", "off", "sideways"),
         ("audit-equilibrium", "alpha", 0.4),  # the driver's p0/p1 gap is at most 1/3
         ("accuracy", "trials", 50),
         ("audit-dp", "epsilon", -0.5),
@@ -223,17 +227,11 @@ class TestResolver:
         ("audit-dp", "tolerance", 0.05),
         ("run", "tolerance", 0.05),
         ("accuracy", "tolerance", 0.05),
-        # Keys the audit-equilibrium and cost-scaling drivers derive or fix;
-        # they read no strategy, not even the default one they use.
-        ("audit-equilibrium", "tau", 0.5),
-        ("audit-equilibrium", "p0", 0.3),
-        ("audit-equilibrium", "p1", 0.7),
+        # Keys of options the mechanism never had.
         ("audit-equilibrium", "noise", "disabled"),
         ("audit-equilibrium", "clamp_payments", True),
-        ("audit-equilibrium", "strategy", {"kind": "always_truth"}),
-        ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": 0.5}),
-        ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": "auto", "off": "lie"}),
-        ("audit-equilibrium", "strategy", {"kind": "threshold", "tau": "auto", "off": "abstain"}),
+        # Keys the cost-scaling driver derives or fixes at each n; it reads
+        # no strategy, not even the default one it uses.
         ("cost-scaling", "tau", 0.5),
         ("cost-scaling", "p1", 0.7),
         ("cost-scaling", "noise", "disabled"),
@@ -376,12 +374,14 @@ class TestResolver:
          "payment_index", "must be an integer in [1, 10), got 10"),
         ("threshold", {"prior": prior_with(cost0={"lo": 0.3, "hi": 0.3})},
          "prior", "prior.cost0: uniform needs 0 <= lo < hi, got [0.3, 0.3]"),
+        *((command, {"off": "lie"}, "off", "is not a config key") for command in BASE_CONFIGS),
     ], ids=["alpha_prime", "alpha_prime-null", "flip_index", "payment_index-0",
-            "payment_index-n", "zero-width-uniform"])
+            "payment_index-n", "zero-width-uniform", *(f"off-{c}" for c in BASE_CONFIGS)])
     def test_removed_input_exits_1(self, tmp_path, capsys, command, extra, key, message):
         # The accuracy radius is always derived, audit-dp always flips report
-        # 0 (so agent 0 is never the one paid), and a cost law with all its
-        # mass at one point is a point_mass.
+        # 0 (so agent 0 is never the one paid), a cost law with all its mass
+        # at one point is a point_mass, and the peers' off-threshold play is
+        # the `off` of `strategy`.
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **extra))
         assert dispatch([command, "--config", config]) == 1
         captured = capsys.readouterr()
@@ -398,14 +398,14 @@ class TestResolver:
             "config error: config key 'epsilon': the quadratic (chen) cost model needs "
             "epsilon <= 1, got 2.0")
 
-    @pytest.mark.parametrize("command, off", [
-        ("audit-equilibrium", "abstain"),
-        ("audit-equilibrium", "lie"),
+    @pytest.mark.parametrize("command, strategy", [
+        ("audit-equilibrium", {"kind": "threshold", "tau": "auto", "off": "abstain"}),
+        ("audit-equilibrium", {"kind": "threshold", "tau": "auto", "off": "lie"}),
         ("cost-scaling", None),
-    ])
-    def test_driver_accepts_the_values_it_uses(self, tmp_path, capsys, command, off):
+    ], ids=["audit-equilibrium-abstain", "audit-equilibrium-lie", "cost-scaling-None"])
+    def test_driver_accepts_the_values_it_uses(self, tmp_path, capsys, command, strategy):
         # "derive" values change nothing.
-        base = dict(BASE_CONFIGS[command], **({"off": off} if off else {}))
+        base = dict(BASE_CONFIGS[command], **({"strategy": strategy} if strategy else {}))
         same = dict(base, tau="auto", p0=None, p1=None)
         if command == "cost-scaling":
             same.update(epsilon="auto", beta="auto")
@@ -476,18 +476,58 @@ class TestResolver:
         assert runs[0][0] in EXIT_BY_VERDICT.values()
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("command, extra, key", [
-        ("audit-equilibrium", {"prior": FREE_PRIOR, "tau": 0.5}, "prior"),
-        ("cost-scaling", {"prior": FREE_PRIOR, "tau": 0.5}, "prior"),
-        ("audit-equilibrium", {"epsilon": 1e-9, "p0": 0.3, "p1": 0.7}, "epsilon"),
-    ])
-    def test_driver_blames_what_it_used_not_an_unread_pin(self, tmp_path, capsys, command,
-                                                          extra, key):
-        # The drivers derive tau, p0 and p1 themselves: a pinned tau is not the
-        # derived tau of 0, nor do pinned p0 and p1 close the derived gap.
-        config = write_config(tmp_path, dict(BASE_CONFIGS[command], **extra))
-        assert dispatch([command, "--config", config]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: config key '{key}'")
+    def test_driver_blames_what_it_used_not_an_unread_pin(self, tmp_path, capsys):
+        # cost-scaling derives tau itself at each n: a pinned tau is not the
+        # derived tau of 0.
+        config = write_config(tmp_path, dict(BASE_CONFIGS["cost-scaling"], prior=FREE_PRIOR,
+                                             tau=0.5))
+        assert dispatch(["cost-scaling", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("config error: config key 'prior'")
+
+    def test_audit_reads_a_run_config(self, tmp_path, capsys):
+        # The README's schema config serves run and audit-equilibrium alike,
+        # and both resolve the same epsilon, beta, tau, p0, p1 and seed.
+        config = write_config(tmp_path, SCHEMA_CONFIG)
+        resolved = []
+        for command in ("run", "audit-equilibrium"):
+            assert dispatch([command, "--config", config]) == 0
+            resolved.append(json.loads(capsys.readouterr().out)["resolved"])
+        assert resolved[0] == resolved[1]
+        assert None not in resolved[0].values()
+
+    def test_audit_with_its_derived_values_pinned(self, tmp_path, capsys):
+        # p0 and p1 pinned to the values the audit derives, and the default
+        # strategy written out, print the plain audit's stdout byte for byte.
+        plain = {k: v for k, v in BASE_CONFIGS["audit-equilibrium"].items()
+                 if k != "posterior_samples"}
+        assert dispatch(["audit-equilibrium", "--config", write_config(tmp_path, plain)]) == 0
+        stdout = capsys.readouterr().out
+        resolved = json.loads(stdout)["resolved"]
+        pinned = dict(plain, p0=resolved["p0"], p1=resolved["p1"],
+                      strategy={"kind": "threshold", "tau": "auto", "off": "abstain"})
+        config = write_config(tmp_path, pinned, name="pinned.json")
+        assert dispatch(["audit-equilibrium", "--config", config]) == 0
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("extra, code", [
+        ({"prior": FREE_PRIOR, "tau": 0.5}, 0),
+        ({"prior": FREE_PRIOR, "beta": 0.05}, 0),
+        ({"epsilon": 1e-9, "p0": 0.3, "p1": 0.7}, 2),
+        ({"strategy": {"kind": "constant_bit", "value": 1}}, 2),
+    ], ids=["free-pinned-tau", "free-pinned-beta", "tiny-epsilon-pinned-p", "all-1"])
+    def test_audit_runs_what_run_runs(self, tmp_path, capsys, extra, code):
+        # A pinned tau is the tau a free prior cannot derive; a pinned beta
+        # needs no tau above 0; pinned p0 and p1 keep a gap that noise would
+        # close.  Each config runs, as it does for run, and the audit's
+        # verdict decides its exit code.  Peers who all report 1 make truth
+        # a worse reply than copying them.
+        base = {k: v for k, v in BASE_CONFIGS["audit-equilibrium"].items()
+                if k not in CROSS_CHECK_KEYS}
+        config = write_config(tmp_path, dict(base, **extra))
+        assert dispatch(["run", "--config", config]) == 0
+        capsys.readouterr()
+        assert dispatch(["audit-equilibrium", "--config", config]) == code
+        assert capsys.readouterr().err == ""
 
     def test_tau_conditions_on_a_bit_only_under_unequal_cost_laws(self, tmp_path, capsys):
         # With equal cost laws tau never conditions on an own bit, so a bit of
@@ -505,15 +545,16 @@ class TestResolver:
         assert dispatch(["threshold", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("config error: config key 'prior'")
 
+    @pytest.mark.parametrize("command", ["run", "audit-equilibrium"])
     @pytest.mark.parametrize("key", CROSS_CHECK_KEYS)
-    def test_cross_check_key_with_nothing_to_check(self, tmp_path, capsys, key):
+    def test_cross_check_key_with_nothing_to_check(self, tmp_path, capsys, command, key):
         # tau, beta, p0 and p1 pinned: the run derives nothing to cross-check,
         # and fails before it writes any output.
-        payload = {k: v for k, v in BASE_CONFIGS["run"].items() if k not in CROSS_CHECK_KEYS}
+        payload = {k: v for k, v in BASE_CONFIGS[command].items() if k not in CROSS_CHECK_KEYS}
         payload.update(tau=0.8, beta=0.05, p0=0.3, p1=0.7, **{key: 1_000})
         config = write_config(tmp_path, payload)
         out = tmp_path / "records.csv"
-        assert dispatch(["run", "--config", config, "--out", str(out)]) == 1
+        assert dispatch([command, "--config", config, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: config key '{key}'")
         assert captured.out == ""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from peersurvey._util import CHUNK_TRIALS, chunk_sizes, cross_check, derive_seed, subseed_rng
-from peersurvey.agents import AlwaysLie, AlwaysTruth, CostModel, Threshold, sample_report_counts
+from peersurvey.agents import (AlwaysLie, AlwaysTruth, ConstantBit, CostModel, Threshold,
+                               peer_estimate_mean, sample_report_counts)
 from peersurvey.equilibrium import (
     CostRow,
     CostScalingReport,
@@ -377,6 +378,66 @@ class TestBestResponseAudit:
         assert d["detail"]["cost_model"] == {"kind": "chen"}
 
 
+# Criterion 5's config: Beta(1, 1), U[0, 1] costs, n = 200, alpha = delta =
+# 0.1, the linear cost model; beta is derived, 0.106909.
+CRITERION_5 = dict(n=200, alpha=0.1, delta=0.1, epsilon=epsilon_rule(0.1, 0.1, 200),
+                   cost_model=CostModel("linear"), trials=1_000, seed=1)
+
+
+class TestOtherPeerProfiles:
+    """The exact audit with the n - 1 peers playing other profiles.
+
+    Truth is an equilibrium of the threshold profile, as the paper claims.
+    It is not the only one: against peers who all report 1, all report 0 or
+    all lie, the probe's best reply copies them, at a payment above truth's
+    under the threshold profile."""
+
+    @pytest.mark.parametrize("others, truth, lie", [
+        (ConstantBit(1), (-0.3407, 0.4476), (0.4476, -0.3407)),
+        (AlwaysLie(), (-0.0824, -0.0824), (0.1893, 0.1893)),
+        (None, (0.2088, 0.1513), (-0.1019, -0.0444)),
+    ], ids=["all-1", "all-lie", "threshold"])
+    def test_payments_per_bit(self, uniform_prior, others, truth, lie):
+        # Per bit 0 and 1, the exact mean payment for truth and for a lie.
+        report = best_response_audit(uniform_prior, **CRITERION_5, others=others)
+        assert report.beta == pytest.approx(0.106909, abs=1e-6)
+        for bit in (0, 1):
+            stats = report.per_bit[str(bit)]
+            assert stats["truth"]["mean_payment"] == pytest.approx(truth[bit], abs=1e-4)
+            assert stats["lie"]["mean_payment"] == pytest.approx(lie[bit], abs=1e-4)
+        assert report.overall == (PASS if others is None else FAIL)
+
+    def test_all_0_mirrors_all_1(self, uniform_prior):
+        # Beta(1, 1) and equal cost laws are symmetric in the bit.
+        ones, zeros = (best_response_audit(uniform_prior, **CRITERION_5, others=ConstantBit(value))
+                       for value in (1, 0))
+        for bit in (0, 1):
+            for action in ("truth", "lie"):
+                assert zeros.per_bit[str(bit)][action]["mean_payment"] == pytest.approx(
+                    ones.per_bit[str(1 - bit)][action]["mean_payment"], abs=1e-12)
+
+    def test_default_is_the_threshold_profile(self, uniform_prior):
+        # None stands for Threshold(tau), every payment and record bit for bit.
+        default = best_response_audit(uniform_prior, **CRITERION_5)
+        assert best_response_audit(uniform_prior, **CRITERION_5,
+                                   others=Threshold(default.tau)) == default
+
+    def test_predictions_matching_the_threshold_profile_widen_the_margin(self, uniform_prior):
+        # p0 and p1 as the mean estimates under Threshold(tau), where the dear
+        # peers abstain, in place of their truthful values.
+        truthful = best_response_audit(uniform_prior, **CRITERION_5)
+        noise = NoiseSpec(CRITERION_5["epsilon"])
+        means = [peer_estimate_mean(uniform_prior, bit, 200, noise, Threshold(truthful.tau))
+                 for bit in (0, 1)]
+        assert means == pytest.approx([0.311564630511077, 0.6187409551402563], abs=1e-15)
+        matched = best_response_audit(uniform_prior, **CRITERION_5,
+                                      parameters=(truthful.tau, *means))
+        assert truthful.truth_payment_mean - truthful.beta == pytest.approx(0.04443, abs=1e-5)
+        assert matched.truth_payment_mean - matched.beta == pytest.approx(0.09975, abs=1e-5)
+        assert matched.lie_payment_mean == pytest.approx(
+            -(matched.truth_payment_mean - matched.beta), abs=1e-12)
+
+
 def _uniform(hi):
     return {"kind": "uniform", "lo": 0.0, "hi": hi}
 
@@ -427,7 +488,8 @@ class TestTheoremSweep:
                         continue
                     kept += 1
                     report = best_response_audit(prior, n, alpha, delta, epsilon, CostModel(kind),
-                                                 1_000, 1, off=off, parameters=parameters)
+                                                 1_000, 1, others=Threshold(tau, off),
+                                                 parameters=parameters)
                     if report.verdicts != dict.fromkeys(
                             ("truth_ge_beta", "lie_le_zero", "truth_dominates"), PASS):
                         violations.append((prior, n, alpha, kind, off, report.verdicts))
