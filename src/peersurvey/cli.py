@@ -1,14 +1,16 @@
 """Command-line entry points: JSON config in, JSON report out, CSV records.
 
-Every command reads its config through one `Resolver`, which applies a
-single rule per key, and rejects every config key the command never read,
-before its driver runs and before it writes any output.  Every report
-carries the same `resolved` block: epsilon, beta, tau, p0, p1 and seed,
-null where the command did not use one.
+The config file alone decides what a command computes, its seed included;
+the command line names only the config and, with --out, where the CSV
+goes.  Every command reads its config through one `Resolver`, which
+applies a single rule per key, and rejects every config key the command
+never read, before its driver runs and before it writes any output.
+Every report carries the same `resolved` block: epsilon, beta, tau, p0, p1
+and seed, null where the command did not use one.
 
 Exit codes: 0 on a Pass verdict or plain completion, 1 on a config or usage
-error (the diagnostic names the offending key), 2 on a Fail verdict, 4 on an
-internal error (a bug; the traceback goes to stderr).
+error (the diagnostic names the offending key or --out), 2 on a Fail
+verdict, 4 on an internal error (a bug; the traceback goes to stderr).
 """
 
 import argparse
@@ -70,10 +72,12 @@ _REQUIRED = object()
 
 
 class ConfigError(Exception):
-    """Invalid or missing configuration; carries the offending key."""
+    """Invalid or missing configuration; carries the offending config key,
+    or the option (--out) at fault."""
 
     def __init__(self, key, message):
-        super().__init__(f"config key '{key}': {message}")
+        super().__init__(f"{key}: {message}" if key.startswith("--")
+                         else f"config key '{key}': {message}")
         self.key = key
 
 
@@ -81,30 +85,30 @@ class Resolver:
     """A command's config, resolved key by key.
 
     Each key has one rule, applied the first time the key is read and
-    cached: it takes the config value (for seed and out, the flag first),
-    checks its type and range, and raises ConfigError naming the key when
-    the check fails.  The public cached properties are the config keys
-    (`KEYS`); a read key is in the instance dict, which is how
-    `reject_unread` finds the keys a command never read.  A key means the
-    same in every command that reads it, so a run config also serves
-    audit-equilibrium.  Only cost-scaling derives tau, p0, p1 and the
-    strategy itself, at each n (`driver_parameters`), and rejects them.
-    "auto" for epsilon, beta and tau and null for p0 and p1 are dropped on
-    entry: they mean the same as a missing key, which is derived, so a
-    pinned tau, beta, p0, p1 or strategy skips its derivation.  tau, p0 and
-    p1 are derived exactly.  When the config sets threshold_trials or
-    posterior_samples, each derivation of tau or of p0/p1 at n also runs
-    its Monte Carlo cross-check, on seed slot (n, 0) for tau and
-    (n, 1)/(n, 2) for p0/p1 (`_slot`), and records it in `cross_check[n]`
-    as a `_util.cross_check` record.  tau's samples the chance that
-    defines tau (`group_prob_mc`).
+    cached: it takes the config value, checks its type and range, and
+    raises ConfigError naming the key when the check fails.  `out` is the
+    --out path, or None; it is not a config key.  The public cached
+    properties are the config keys (`KEYS`); a read key is in the instance
+    dict, which is how `reject_unread` finds the keys a command never read.
+    A key means the same in every command that reads it, so a run config
+    also serves audit-equilibrium.  Only cost-scaling derives tau, p0, p1
+    and the strategy itself, at each n (`driver_parameters`), and rejects
+    them.  "auto" for epsilon, beta and tau and null for p0 and p1 are
+    dropped on entry: they mean the same as a missing key, which is
+    derived, so a pinned tau, beta, p0, p1 or strategy skips its
+    derivation.  tau, p0 and p1 are derived exactly.  When the config sets
+    threshold_trials or posterior_samples, each derivation of tau or of
+    p0/p1 at n also runs its Monte Carlo cross-check, on seed slot (n, 0)
+    for tau and (n, 1)/(n, 2) for p0/p1 (`_slot`), and records it in
+    `cross_check[n]` as a `_util.cross_check` record.  tau's samples the
+    chance that defines tau (`group_prob_mc`).
     """
 
-    def __init__(self, config, args):
-        self.command = args.command
+    def __init__(self, config, command, out):
+        self.command = command
+        self.out = out
         self._config = {key: value for key, value in config.items()
                         if not (key in _DERIVE and value == _DERIVE[key])}
-        self._args = args
         self.cross_check = defaultdict(dict)
 
     def _raw(self, key, default=_REQUIRED):
@@ -147,15 +151,11 @@ class Resolver:
                 raise ConfigError(key, "is not a config key")
 
     def reject_unread(self):
-        """Reject every config key the run has not read, `seed` included, and
-        --seed where it drew nothing at random, once it has read every input."""
-        self.out  # read even where no CSV is written, so a bad `out` still fails
+        """Reject every config key the run has not read, once it has read
+        every input: `seed` too, where no draw used it."""
         for key in self._config:
             if key not in self.__dict__:
                 raise ConfigError(key, f"is not read by {self.command}")
-        if self._args.seed is not None and "seed" not in self.__dict__:
-            raise ConfigError("seed", f"--seed seeds a random draw, but {self.command} makes "
-                                      "none here")
 
     def pinned(self, key):
         """Whether the config sets a key that would otherwise be derived."""
@@ -206,18 +206,10 @@ class Resolver:
 
     @cached_property
     def seed(self):
-        value = self._args.seed if self._args.seed is not None else self._raw("seed")
         try:
-            return check_seed(value)
+            return check_seed(self._raw("seed"))
         except ValueError as exc:
             raise ConfigError("seed", str(exc)) from exc
-
-    @cached_property
-    def out(self):
-        value = self._args.out if self._args.out is not None else self._raw("out", None)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError("out", f"must be a file path, got {value!r}")
-        return value
 
     @cached_property
     def prior(self):
@@ -564,7 +556,7 @@ def write_csv(path, columns):
     try:
         fh = open(path, "wb")
     except OSError as exc:
-        raise ConfigError("out", f"cannot write '{path}': {exc}") from exc
+        raise ConfigError("--out", f"cannot write '{path}': {exc}") from exc
     values = list(columns.values())
     floats = [k for k, column in enumerate(values) if column.dtype.kind == "f"]
     # The first np.unique in a process maps numpy's sort kernels, a peak-RSS
@@ -602,18 +594,17 @@ def _cross_checks(r, n):
 def _emit(r, body, columns=None, **used):
     """The one writer of a finished command's output.  Before it writes
     anything it rejects what `Resolver.reject_unread` rejects (the only
-    check of posterior and threshold, which run no driver) and an `out`,
-    from --out or the config, where there is no CSV.  Then it writes
-    `columns` as the CSV at `out` and prints the report, whose `resolved`
-    block takes from `used` the values posterior and threshold derive
-    outside the resolver's properties.  A cross-check of
-    tau, p0 or p1 joins the body's `cross_check` block, or starts one,
-    except in cost-scaling, whose rows carry their own.  A reader that
-    closed stdout early is not an error: the rest of the output is
-    dropped."""
+    check of posterior and threshold, which run no driver) and an --out
+    where there is no CSV.  Then it writes `columns` as the CSV at --out
+    and prints the report, whose `resolved` block takes from `used` the
+    values posterior and threshold derive outside the resolver's
+    properties.  A cross-check of tau, p0 or p1 joins the body's
+    `cross_check` block, or starts one, except in cost-scaling, whose rows
+    carry their own.  A reader that closed stdout early is not an error:
+    the rest of the output is dropped."""
     r.reject_unread()
     if columns is None and r.out is not None:
-        raise ConfigError("out", f"names a CSV, but {r.command} writes none")
+        raise ConfigError("--out", f"names a CSV, but {r.command} writes none")
     if columns is not None:
         write_csv(r.out, columns)
     report = {"command": r.command, "resolved": r.resolved(**used), **body}
@@ -768,8 +759,7 @@ def _build_parser():
     parser.add_argument("command", choices=_HANDLERS, metavar="command",
                         help="one of %(choices)s")
     parser.add_argument("--config", required=True, help="path to a JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None, help="override the CSV output path")
+    parser.add_argument("--out", default=None, help="path to write the CSV to")
     return parser
 
 
@@ -792,7 +782,7 @@ def dispatch(argv):
         print("config error: top level must be a JSON object", file=sys.stderr)
         return 1
     try:
-        resolver = Resolver(config, args)
+        resolver = Resolver(config, args.command, args.out)
         resolver.check_keys()
         return _HANDLERS[args.command](resolver)
     except ConfigError as exc:

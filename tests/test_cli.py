@@ -98,7 +98,7 @@ BASE_CONFIGS = {
                      "threshold_trials": 5_000, "posterior_samples": 5_000},
 }
 
-# The config keys each base run never reads; every command reads `out`.
+# The config keys each base run never reads.
 BASE_UNREAD = {
     "run": ("bins", "ns", "observable", "ones", "payment_index"),
     "posterior": ("alpha", "beta", "bins", "cost_model", "delta", "ns", "observable", "ones", "p0",
@@ -207,7 +207,6 @@ class TestResolver:
         ("run", "p0", 1.5),
         ("run", "seed", -1),
         ("run", "clamp_payments", "yes"),
-        ("run", "out", 5),
         ("audit-equilibrium", "alpha", 0.4),  # the driver's p0/p1 gap is at most 1/3
         ("accuracy", "trials", 50),
         ("audit-dp", "epsilon", -0.5),
@@ -309,9 +308,6 @@ class TestResolver:
         ("run", "prior", dict(UNIFORM_PRIOR, mixing={"kind": "atoms",
                                                      "atoms": [[0.5, 0.2], [0.5, True]]})),
         ("threshold", "prior", dict(UNIFORM_PRIOR, cost1=MASSLESS_LOG_NORMAL)),
-        # posterior and threshold write no CSV, but `out` keeps its rule.
-        ("posterior", "out", 5),
-        ("threshold", "out", 5),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key, value):
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **{key: value}))
@@ -375,13 +371,16 @@ class TestResolver:
         ("threshold", {"prior": prior_with(cost0={"lo": 0.3, "hi": 0.3})},
          "prior", "prior.cost0: uniform needs 0 <= lo < hi, got [0.3, 0.3]"),
         *((command, {"off": "lie"}, "off", "is not a config key") for command in BASE_CONFIGS),
+        *((command, {"out": "records.csv"}, "out", "is not a config key")
+          for command in BASE_CONFIGS),
     ], ids=["alpha_prime", "alpha_prime-null", "flip_index", "payment_index-0",
-            "payment_index-n", "zero-width-uniform", *(f"off-{c}" for c in BASE_CONFIGS)])
+            "payment_index-n", "zero-width-uniform", *(f"off-{c}" for c in BASE_CONFIGS),
+            *(f"out-{c}" for c in BASE_CONFIGS)])
     def test_removed_input_exits_1(self, tmp_path, capsys, command, extra, key, message):
         # The accuracy radius is always derived, audit-dp always flips report
         # 0 (so agent 0 is never the one paid), a cost law with all its mass
-        # at one point is a point_mass, and the peers' off-threshold play is
-        # the `off` of `strategy`.
+        # at one point is a point_mass, the peers' off-threshold play is the
+        # `off` of `strategy`, and the CSV path is --out alone.
         config = write_config(tmp_path, dict(BASE_CONFIGS[command], **extra))
         assert dispatch([command, "--config", config]) == 1
         captured = capsys.readouterr()
@@ -429,7 +428,7 @@ class TestResolver:
         config = write_config(tmp_path, BASE_CONFIGS[command])
         assert dispatch([command, "--config", config]) in EXIT_BY_VERDICT.values()
         capsys.readouterr()
-        assert cli.KEYS - read - {"out"} == set(BASE_UNREAD[command])
+        assert cli.KEYS - read == set(BASE_UNREAD[command])
 
     @pytest.mark.parametrize("command, key", UNREAD_CASES)
     def test_key_the_command_never_reads_is_rejected(self, tmp_path, capsys, command, key):
@@ -494,6 +493,29 @@ class TestResolver:
             resolved.append(json.loads(capsys.readouterr().out)["resolved"])
         assert resolved[0] == resolved[1]
         assert None not in resolved[0].values()
+
+    def test_audit_leaves_the_run_records_alone(self, tmp_path, capsys):
+        # Only --out says where a CSV goes, so auditing a run's config never
+        # writes over the run's records.
+        config = write_config(tmp_path, SCHEMA_CONFIG)
+        records, audit = tmp_path / "records.csv", tmp_path / "audit.csv"
+        assert dispatch(["run", "--config", config, "--out", str(records)]) == 0
+        before = records.read_bytes()
+        assert dispatch(["audit-equilibrium", "--config", config, "--out", str(audit)]) == 0
+        capsys.readouterr()
+        assert records.read_bytes() == before
+        assert (len(before.splitlines()), len(audit.read_bytes().splitlines())) == (1_001, 7)
+        # A config `out` is no config key: both commands stop before any work.
+        stray = tmp_path / "stray.csv"
+        config = write_config(tmp_path, dict(SCHEMA_CONFIG, out=str(stray)), name="out.json")
+        files = sorted(tmp_path.iterdir())
+        for command in ("run", "audit-equilibrium"):
+            assert dispatch([command, "--config", config]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "config error: config key 'out': is not a config key\n"
+        assert sorted(tmp_path.iterdir()) == files
+        assert records.read_bytes() == before
 
     def test_audit_with_its_derived_values_pinned(self, tmp_path, capsys):
         # p0 and p1 pinned to the values the audit derives, and the default
@@ -581,7 +603,10 @@ class TestResolver:
         config = write_config(tmp_path, BASE_CONFIGS["run"])
         out = tmp_path / "missing" / "records.csv"
         assert dispatch(["run", "--config", config, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: config key 'out'")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: --out: cannot write '{out}'")
+        assert not out.exists()
 
     def test_other_exceptions_are_internal_errors(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -900,8 +925,8 @@ class TestColumnKernels:
 class TestRunCommand:
     def test_happy_path(self, tmp_path, capsys):
         out = tmp_path / "records.csv"
-        config = write_config(tmp_path, run_config(tmp_path, out=str(out)))
-        assert dispatch(["run", "--config", config]) == 0
+        config = write_config(tmp_path, run_config(tmp_path))
+        assert dispatch(["run", "--config", config, "--out", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "run"
         assert payload["trials"] == 40
@@ -944,33 +969,17 @@ class TestRunCommand:
         assert dispatch([command, "--config", config, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: config key 'out'")
+        assert captured.err == f"config error: --out: names a CSV, but {command} writes none\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
-    def test_config_out_without_a_csv_is_rejected(self, tmp_path, capsys, command):
-        # A config serves one command, so an `out` that names a CSV the
-        # command never writes is a stray key, as --out is.
-        out = tmp_path / "records.csv"
-        config = write_config(tmp_path, dict(BASE_CONFIGS[command], out=str(out)))
-        assert dispatch([command, "--config", config]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: config key 'out'")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
-    def test_seed_flag_without_a_draw_is_rejected(self, tmp_path, capsys, command):
-        # Without a cross-check key, posterior and threshold draw nothing at random.
-        payload = {key: value for key, value in BASE_CONFIGS[command].items()
-                   if key not in CROSS_CHECK_KEYS + ("seed",)}
-        config = write_config(tmp_path, payload)
+    @pytest.mark.parametrize("command", list(BASE_CONFIGS))
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        # The config alone holds the seed.
+        config = write_config(tmp_path, BASE_CONFIGS[command])
         assert dispatch([command, "--config", config, "--seed", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: config key 'seed'")
-        assert dispatch([command, "--config", config]) == 0
-        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] is None
+        assert "unrecognized arguments: --seed 5" in captured.err
 
     @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
     def test_config_seed_without_a_draw_is_rejected(self, tmp_path, capsys, command):
@@ -982,6 +991,10 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: config key 'seed': is not read by {command}\n"
+        del payload["seed"]
+        config = write_config(tmp_path, payload, name="seedless.json")
+        assert dispatch([command, "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] is None
 
     @pytest.mark.parametrize("seed", ["x", -3, True, 1.5])
     @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
@@ -995,18 +1008,6 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: config key 'seed'")
-
-    @pytest.mark.parametrize("command", NO_CSV_COMMANDS)
-    def test_seed_flag_seeds_the_cross_check(self, tmp_path, capsys, command):
-        config = write_config(tmp_path, BASE_CONFIGS[command])
-        assert dispatch([command, "--config", config, "--seed", "5"]) == 0
-        assert json.loads(capsys.readouterr().out)["resolved"]["seed"] == 5
-
-    def test_seed_flag_overrides_config(self, tmp_path, capsys):
-        config = write_config(tmp_path, run_config(tmp_path))
-        assert dispatch(["run", "--config", config, "--seed", "99"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["resolved"]["seed"] == 99
 
     def test_pinned_parameters_skip_estimation(self, tmp_path, capsys):
         # Explicit beta, posteriors and strategy leave nothing to derive, and a
@@ -1268,8 +1269,10 @@ class TestAuditDpCommand:
                    "payment_index": 3, "alpha": 0.1, "delta": 0.1, "epsilon": "auto",
                    "beta": "auto", "tau": "auto", "prior": UNIFORM_PRIOR,
                    "cost_model": {"kind": "linear"}, "posterior_samples": 5_000,
-                   "threshold_trials": 5_000, "out": str(tmp_path / "audit.csv")}
-        assert dispatch(["audit-dp", "--config", write_config(tmp_path, payload)]) in (0, 2)
+                   "threshold_trials": 5_000}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "audit.csv"
+        assert dispatch(["audit-dp", "--config", config, "--out", str(out)]) in (0, 2)
         # The derived values' cross-checks join the histogram's.
         assert list(json.loads(capsys.readouterr().out)["cross_check"]) == [
             "samples", "bins_checked", "max_abs_z", "tau", "p0", "p1"]

@@ -382,34 +382,54 @@ class TestBestResponseAudit:
 # 0.1, the linear cost model; beta is derived, 0.106909.
 CRITERION_5 = dict(n=200, alpha=0.1, delta=0.1, epsilon=epsilon_rule(0.1, 0.1, 200),
                    cost_model=CostModel("linear"), trials=1_000, seed=1)
+# (config, derived beta, derived tau) at n = 200 and at n = 1,000, where
+# epsilon_rule gives epsilon = 0.02303.
+CRITERION_5_AT = {
+    200: (CRITERION_5, 0.106909, 0.9286),
+    1000: (dict(CRITERION_5, n=1000, epsilon=epsilon_rule(0.1, 0.1, 1000)), 0.021053, 0.9143),
+}
 
 
 class TestOtherPeerProfiles:
     """The exact audit with the n - 1 peers playing other profiles.
 
-    Truth is an equilibrium of the threshold profile, as the paper claims.
-    It is not the only one: against peers who all report 1, all report 0 or
-    all lie, the probe's best reply copies them, at a payment above truth's
-    under the threshold profile."""
+    Truth is an equilibrium of the threshold profile, as the paper claims,
+    whether the peers above tau abstain, lie or tell the truth, at n = 200
+    and at n = 1,000.  It is not the only one: against peers who all report
+    1, all report 0 or all lie, the probe's best reply copies them, at a
+    payment above truth's under the threshold profile."""
 
-    @pytest.mark.parametrize("others, truth, lie", [
-        (ConstantBit(1), (-0.3407, 0.4476), (0.4476, -0.3407)),
-        (AlwaysLie(), (-0.0824, -0.0824), (0.1893, 0.1893)),
-        (None, (0.2088, 0.1513), (-0.1019, -0.0444)),
-    ], ids=["all-1", "all-lie", "threshold"])
-    def test_payments_per_bit(self, uniform_prior, others, truth, lie):
+    @pytest.mark.parametrize("n", CRITERION_5_AT)
+    @pytest.mark.parametrize("others, payments, verdict", [
+        (lambda tau: Threshold(tau, "lie"), {200: ((0.1709, 0.1709), (-0.0640, -0.0640)),
+                                             1000: ((0.0329, 0.0329), (-0.0118, -0.0118))}, PASS),
+        (lambda tau: Threshold(tau, "truth"), {200: ((0.1893, 0.1893), (-0.0824, -0.0824)),
+                                               1000: ((0.0373, 0.0373), (-0.0162, -0.0162))}, PASS),
+        (lambda tau: None, {200: ((0.2088, 0.1513), (-0.1019, -0.0444)),
+                            1000: ((0.0419, 0.0283), (-0.0208, -0.0072))}, PASS),
+        (lambda tau: ConstantBit(1), {200: ((-0.3407, 0.4476), (0.4476, -0.3407)),
+                                      1000: ((-0.0670, 0.0881), (0.0881, -0.0670))}, FAIL),
+        (lambda tau: AlwaysLie(), {200: ((-0.0824, -0.0824), (0.1893, 0.1893)),
+                                   1000: ((-0.0162, -0.0162), (0.0373, 0.0373))}, FAIL),
+    ], ids=["threshold-lie", "threshold-truth", "threshold", "all-1", "all-lie"])
+    def test_payments_per_bit(self, uniform_prior, n, others, payments, verdict):
         # Per bit 0 and 1, the exact mean payment for truth and for a lie.
-        report = best_response_audit(uniform_prior, **CRITERION_5, others=others)
-        assert report.beta == pytest.approx(0.106909, abs=1e-6)
+        config, beta, tau = CRITERION_5_AT[n]
+        report = best_response_audit(uniform_prior, **config, others=others(tau))
+        assert report.beta == pytest.approx(beta, abs=1e-6)
+        assert report.tau == pytest.approx(tau, abs=1e-12)
+        truth, lie = payments[n]
         for bit in (0, 1):
             stats = report.per_bit[str(bit)]
             assert stats["truth"]["mean_payment"] == pytest.approx(truth[bit], abs=1e-4)
             assert stats["lie"]["mean_payment"] == pytest.approx(lie[bit], abs=1e-4)
-        assert report.overall == (PASS if others is None else FAIL)
+        assert report.overall == verdict
 
-    def test_all_0_mirrors_all_1(self, uniform_prior):
+    @pytest.mark.parametrize("n", CRITERION_5_AT)
+    def test_all_0_mirrors_all_1(self, uniform_prior, n):
         # Beta(1, 1) and equal cost laws are symmetric in the bit.
-        ones, zeros = (best_response_audit(uniform_prior, **CRITERION_5, others=ConstantBit(value))
+        config = CRITERION_5_AT[n][0]
+        ones, zeros = (best_response_audit(uniform_prior, **config, others=ConstantBit(value))
                        for value in (1, 0))
         for bit in (0, 1):
             for action in ("truth", "lie"):
